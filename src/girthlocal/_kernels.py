@@ -2,10 +2,12 @@
 
 Everything in here is written against plain float/int scalars so that the
 optional numba JIT can compile it; the pure-Python definitions double as the
-fallback and as the reference semantics.  The composed operations in
-``is_evolution`` / ``cut_evolution`` must stay arithmetically identical to
-these loops (same expressions, same evaluation order) -- the equivalence is
-pinned by tests.
+fallback.  There is one chunk kernel per process family: ``is_chunk`` runs
+both independent-set processes (3- and 4-regular) and ``cut_chunk`` the
+max-cut process.  The composed operations in ``is_evolution`` /
+``cut_evolution`` are the reference semantics: the kernels must stay
+arithmetically identical to them (same expressions, same evaluation order)
+-- the equivalence is pinned by tests.
 
 Each chunk runner advances the recurrence by at most ``max_rounds`` rounds and
 reports why it stopped via a status code.
@@ -17,13 +19,21 @@ STATUS_INVALID = 2  # a state field left its sane range (NaN, inf, bad sign)
 STATUS_EXHAUSTED = 3  # open-edge pool emptied while deletions were pending
 
 
-def _is3_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
-               eps, stop, improvement, max_rounds):
-    """Advance the 3-regular independent-set recurrence by up to max_rounds."""
+def _is_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
+              eps, stop, d, improvement, max_rounds):
+    """Advance the d-regular independent-set recurrence (d = 3 or 4) by up
+    to max_rounds rounds.
+
+    The run stops once the start class v_d falls to ``stop``.  The two
+    processes differ only in the deletion that ends a round: d = 3 always
+    deletes from the highest occupied class (with the ``improvement``
+    correction terms at top class 4), while d = 4 runs the probe step once
+    classes 6 and 7 are empty.
+    """
     rounds = 0
     status = STATUS_BUDGET
     while rounds < max_rounds:
-        if not v3 > stop:
+        if not (v3 if d == 3 else v4) > stop:
             status = STATUS_STOPPED
             break
         rounds += 1
@@ -115,23 +125,45 @@ def _is3_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
             erase += 11 * r * a11 / s
             erase += 12 * r * a12 / s
 
-        # Delete 2*eps mass from the highest occupied degree class.
+        # Find the highest occupied degree class: down to 4 for d = 3, and
+        # down to 5 for d = 4, where 5 means the probe step.
         mx = 7
         if v7 < eps:
             mx = 6
             if v6 < eps:
                 mx = 5
-                if v5 < eps:
+                if d == 3 and v5 < eps:
                     mx = 4
-        if mx == 7:
-            v7 -= 2 * eps
-        elif mx == 6:
-            v6 -= 2 * eps
-        elif mx == 5:
-            v5 -= 2 * eps
+        if d == 4 and mx == 5:
+            # Probe step: delete a 3-vertex if all of its three neighbours
+            # have degree 3, otherwise delete its highest-degree neighbour
+            # and contract at the now 2-valent probe vertex.  Negative-dust
+            # classes can empty this pool in the terminal rounds.
+            den = 3 * v3 + 4 * v4 + 5 * v5
+            if not den > 0.0:
+                status = STATUS_EXHAUSTED
+                break
+            rat3 = 3 * v3 / den
+            rat4 = 4 * v4 / den
+            rat5 = 5 * v5 / den
+            v2 += eps * 3 * rat3 * rat3 * rat3
+            v3 += eps * (-1 - 3 * rat3)
+            v4 += eps * 3 * (-rat4 + rat3 * rat3 * (1 - rat3))
+            v5 += eps * 3 * (-rat5 + rat3 * rat4 * (rat4 + 2 * rat5))
+            independent += eps * (1 - rat3 * rat3 * rat3)
+            erase += eps * (6 - 12 * rat3 * rat3 + 6 * rat3 * rat3 * rat3
+                            + (15 * rat3 * rat4 + 3) * (rat4 + 2 * rat5))
         else:
-            v4 -= 2 * eps
-        erase += 2 * mx * eps
+            # Delete 2*eps mass from the highest occupied degree class.
+            if mx == 7:
+                v7 -= 2 * eps
+            elif mx == 6:
+                v6 -= 2 * eps
+            elif mx == 5:
+                v5 -= 2 * eps
+            else:
+                v4 -= 2 * eps
+            erase += 2 * mx * eps
 
         # Four-neighbour correction terms, applied only once the 4-class is
         # the top occupied class.  The draw probabilities use s as measured
@@ -156,144 +188,6 @@ def _is3_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
             v2 -= 2 * p4433
             erase += 6 * p4433
             independent += p4433
-
-        lo = -8.0 * eps
-        hi = 1.0 + 8.0 * eps
-        if not (v2 >= lo and v2 <= hi and v3 >= lo and v3 <= hi
-                and v4 >= lo and v4 <= hi and v5 >= lo and v5 <= hi
-                and v6 >= lo and v6 <= hi and v7 >= lo and v7 <= hi):
-            status = STATUS_INVALID
-            break
-        if not (independent >= -1e-12 and independent <= 0.5 + 8 * eps):
-            status = STATUS_INVALID
-            break
-        if not (erase >= lo and erase <= 1.0):
-            status = STATUS_INVALID
-            break
-    return v2, v3, v4, v5, v6, v7, independent, erase, rounds, status
-
-
-def _is4_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
-               eps, stop, max_rounds):
-    """Advance the 4-regular independent-set recurrence by up to max_rounds."""
-    rounds = 0
-    status = STATUS_BUDGET
-    while rounds < max_rounds:
-        if not v4 > stop:
-            status = STATUS_STOPPED
-            break
-        rounds += 1
-
-        s = 0.0
-        if v3 > eps:
-            s += 3 * v3
-        if v4 > eps:
-            s += 4 * v4
-        if v5 > eps:
-            s += 5 * v5
-        if v6 > eps:
-            s += 6 * v6
-        if v7 > eps:
-            s += 7 * v7
-
-        if erase > eps:
-            r = (erase + eps) / s
-            if v3 > eps:
-                dl = r * 3 * v3
-                v3 -= dl
-                v2 += dl
-            if v4 > eps:
-                dl = r * 4 * v4
-                v4 -= dl
-                v3 += dl
-            if v5 > eps:
-                dl = r * 5 * v5
-                v5 -= dl
-                v4 += dl
-            if v6 > eps:
-                dl = r * 6 * v6
-                v6 -= dl
-                v5 += dl
-            if v7 > eps:
-                dl = r * 7 * v7
-                v7 -= dl
-                v6 += dl
-            erase = -eps
-
-        s = 0.0
-        if v3 > eps:
-            s += 3 * v3
-        if v4 > eps:
-            s += 4 * v4
-        if v5 > eps:
-            s += 5 * v5
-        if v6 > eps:
-            s += 6 * v6
-        if v7 > eps:
-            s += 7 * v7
-
-        if v2 > eps:
-            if not s > 0.0:
-                status = STATUS_EXHAUSTED
-                break
-            r = (v2 + eps) / s
-            e3 = 3 * v3
-            e4 = 4 * v4
-            e5 = 5 * v5
-            e6 = 6 * v6
-            e7 = 7 * v7
-            a4 = e3 * e3
-            a5 = e3 * e4 + e4 * e3
-            a6 = e3 * e5 + e4 * e4 + e5 * e3
-            a7 = e3 * e6 + e4 * e5 + e5 * e4 + e6 * e3
-            a8 = e3 * e7 + e4 * e6 + e5 * e5 + e6 * e4 + e7 * e3
-            a9 = e4 * e7 + e5 * e6 + e6 * e5 + e7 * e4
-            a10 = e5 * e7 + e6 * e6 + e7 * e5
-            a11 = e6 * e7 + e7 * e6
-            a12 = e7 * e7
-            independent += v2 + eps
-            v2 = -eps
-            v3 = v3 + r * (0.0 / s - 2 * 3 * v3)
-            v4 = v4 + r * (a4 / s - 2 * 4 * v4)
-            v5 = v5 + r * (a5 / s - 2 * 5 * v5)
-            v6 = v6 + r * (a6 / s - 2 * 6 * v6)
-            v7 = v7 + r * (a7 / s - 2 * 7 * v7)
-            erase += 8 * r * a8 / s
-            erase += 9 * r * a9 / s
-            erase += 10 * r * a10 / s
-            erase += 11 * r * a11 / s
-            erase += 12 * r * a12 / s
-
-        mx = 7
-        if v7 < eps:
-            mx = 6
-            if v6 < eps:
-                mx = 5
-        if mx > 5:
-            if mx == 7:
-                v7 -= 2 * eps
-            else:
-                v6 -= 2 * eps
-            erase += 2 * mx * eps
-        else:
-            # Probe step: delete a 3-vertex if all of its three neighbours
-            # have degree 3, otherwise delete its highest-degree neighbour
-            # and contract at the now 2-valent probe vertex.  Negative-dust
-            # classes can empty this pool in the terminal rounds.
-            den = 3 * v3 + 4 * v4 + 5 * v5
-            if not den > 0.0:
-                status = STATUS_EXHAUSTED
-                break
-            rat3 = 3 * v3 / den
-            rat4 = 4 * v4 / den
-            rat5 = 5 * v5 / den
-            v2 += eps * 3 * rat3 * rat3 * rat3
-            v3 += eps * (-1 - 3 * rat3)
-            v4 += eps * 3 * (-rat4 + rat3 * rat3 * (1 - rat3))
-            v5 += eps * 3 * (-rat5 + rat3 * rat4 * (rat4 + 2 * rat5))
-            independent += eps * (1 - rat3 * rat3 * rat3)
-            erase += eps * (6 - 12 * rat3 * rat3 + 6 * rat3 * rat3 * rat3
-                            + (15 * rat3 * rat4 + 3) * (rat4 + 2 * rat5))
 
         lo = -8.0 * eps
         hi = 1.0 + 8.0 * eps
@@ -397,6 +291,5 @@ def _maybe_jit(fn):
     return njit(cache=True, fastmath=False)(fn)
 
 
-is3_chunk = _maybe_jit(_is3_chunk)
-is4_chunk = _maybe_jit(_is4_chunk)
+is_chunk = _maybe_jit(_is_chunk)
 cut_chunk = _maybe_jit(_cut_chunk)

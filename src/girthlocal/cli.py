@@ -193,8 +193,12 @@ def _cmd_evolve(args) -> int:
 # -- simulate ---------------------------------------------------------------
 
 
-def _one_simulation(payload):
-    """Worker for one finite-graph run; must stay picklable."""
+def _run_simulation(payload):
+    """One finite-graph run: its summary and its witness.
+
+    The witness is the sorted list of set members (``is``) or the colour
+    array (``cut``).  The graph is freed when this returns.
+    """
     target, n, d, seed, options = payload
     graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
     graph = generate(n, d, seed=graph_seed)
@@ -207,7 +211,7 @@ def _one_simulation(payload):
             "ratio": result.ratio,
             "rounds": result.rounds,
             "valid": bool(verify_independent(graph, result.vertices)),
-        }
+        }, result.vertices
     result = run_cut(graph, seed=algo_seed, **options)
     consistent = (result.good == result.incremental_good
                   and result.bad == result.incremental_bad
@@ -219,20 +223,12 @@ def _one_simulation(payload):
         "ratio": result.good / result.n,
         "rounds": result.rounds,
         "valid": bool(consistent),
-    }
+    }, result.colors
 
 
-def _witness_text(target: str, n: int, d: int, seed, options: dict) -> str:
-    """Re-run one simulation keeping the full output for the witness file."""
-    graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
-    graph = generate(n, d, seed=graph_seed)
-    if target == "is":
-        result = run_is(graph, d, schedule=RoundSchedule(**options),
-                        seed=algo_seed)
-        return "\n".join(str(v) for v in sorted(result.vertices)) + "\n"
-    result = run_cut(graph, seed=algo_seed, **options)
-    return "\n".join(f"{i} {'RG'[c]}" for i, c in
-                     enumerate(result.colors.tolist())) + "\n"
+def _one_simulation(payload):
+    """Pool worker: the summary of one run only; must stay picklable."""
+    return _run_simulation(payload)[0]
 
 
 def _cmd_simulate(args) -> int:
@@ -260,7 +256,8 @@ def _cmd_simulate(args) -> int:
     payloads = [(target, args.n, d, s, options) for s in seeds]
     start = time.perf_counter()
     if len(payloads) == 1:
-        runs = [_one_simulation(payloads[0])]
+        summary, witness = _run_simulation(payloads[0])
+        runs = [summary]
     else:
         workers = min(len(payloads), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -291,8 +288,13 @@ def _cmd_simulate(args) -> int:
                            details={"per_seed": runs},
                            wall_time_s=round(wall, 3))
     if args.witness:
+        if target == "is":
+            text = "\n".join(str(v) for v in sorted(witness))
+        else:
+            text = "\n".join(f"{i} {'RG'[c]}"
+                             for i, c in enumerate(witness.tolist()))
         path = _resolve_out(args.witness)
-        path.write_text(_witness_text(target, args.n, d, args.seed, options))
+        path.write_text(text + "\n")
         print(f"witness written to {path}")
     _emit(report, args.json_path)
     return 0 if all_valid else 1

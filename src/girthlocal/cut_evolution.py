@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from ._kernels import STATUS_BUDGET, STATUS_EXHAUSTED, STATUS_INVALID, STATUS_STOPPED
 from .evolution_core import EvolutionParams, ProcessExhausted
 
 __all__ = [
@@ -156,26 +155,18 @@ def cut_step(state: CutEvolutionState, step_size: float,
         raise ValueError(f"mode must be one of {CUT_MODES}")
     eps = step_size
     q = edge_probability(state.rat2, state.rat3)
+    v_R, g, _, D = closed_form_rates(q)
     if mode == "linear_solve":
         rates = solve_cut_rates(q)
-        q2 = q * q
-        q3 = q2 * q
-        q4 = q2 * q2
-        q5 = q4 * q
-        d_pool = 2 - 4 * q - 4 * q2 + 8 * q3 + 2 * q4 - 4 * q5
-        state.rat2 += eps * (d_pool * rates.v_R)
-        state.rat3 += eps * (d_pool * rates.plain_rate)
-        state.good += eps * (d_pool * rates.g)
-        state.bad += eps * (d_pool * rates.b)
+        state.rat2 += eps * (D * rates.v_R)
+        state.good += eps * (D * rates.g)
+        state.bad += eps * (D * rates.b)
     else:
-        q2 = q * q
-        q3 = q2 * q
-        q4 = q2 * q2
-        q5 = q4 * q
-        state.rat2 += eps * (1 - 8 * q + 4 * q2 + 8 * q3 + 3 * q4 - 10 * q5)
-        state.rat3 += eps * (-2 + 4 * q + 4 * q2 - 8 * q3 - 2 * q4 + 4 * q5)
-        state.good += eps * (1 + 8 * q - 11 * q2 - 6 * q3 + 12 * q5)
-        state.bad += eps * q * (1 - q) * (1 - q) * (2 + q + 2 * q2)
+        state.rat2 += eps * v_R
+        state.good += eps * g
+        # eps * b would round differently: keep the kernel's product order
+        state.bad += eps * q * (1 - q) * (1 - q) * (2 + q + 2 * (q * q))
+    state.rat3 -= eps * D
     return state
 
 

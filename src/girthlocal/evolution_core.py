@@ -9,11 +9,15 @@ checking and step-size refinement.  Rule sets implement::
     initial_state(params) -> state
     done(state, params) -> bool
     step(state, params) -> None               # one round, composed operations
+    state_in_range(state, params) -> bool
     run_chunk(state, params, max_rounds) -> (rounds_done, status)
     snapshot(state) -> tuple[float, ...]
     accumulator(state) -> float
 
-``run_chunk`` statuses are the codes from ``_kernels``.
+``step`` is the reference path: :func:`_python_chunk` runs it round by round,
+and each ``run_chunk`` (a compiled-or-plain kernel from ``_kernels``) must
+reproduce that run bit for bit.  ``run_chunk`` statuses are the codes from
+``_kernels``.
 """
 from __future__ import annotations
 
@@ -68,14 +72,12 @@ class EvolutionParams:
     """Knobs for one integration run.
 
     step_size is the mass deleted per round (the recurrences' epsilon);
-    stop_threshold is the tracked-mass level at which the run halts;
-    max_degree_cap is the highest explicitly tracked degree class; and
+    stop_threshold is the tracked-mass level at which the run halts; and
     record_interval is the number of rounds between trajectory samples.
     """
 
     step_size: float
     stop_threshold: float | None = None
-    max_degree_cap: int = 7
     record_interval: int = 10 ** 6
 
     def __post_init__(self):
@@ -85,8 +87,6 @@ class EvolutionParams:
             object.__setattr__(self, "stop_threshold", float(self.step_size))
         if self.stop_threshold < self.step_size:
             raise ValueError("stop_threshold must be >= step_size")
-        if self.max_degree_cap < 5:
-            raise ValueError("max_degree_cap must be >= 5")
         if self.record_interval < 1:
             raise ValueError("record_interval must be >= 1")
 
@@ -150,6 +150,25 @@ def _check_trajectory(traj: Trajectory, monotone_columns) -> None:
                     f"accumulator {name!r} decreased between samples")
 
 
+def _python_chunk(rules, state, params, max_rounds):
+    """Reference chunk runner: ``rules.step`` round by round.
+
+    Same contract as ``rules.run_chunk``; the kernels are tested against it.
+    """
+    rounds = 0
+    while rounds < max_rounds:
+        if rules.done(state, params):
+            return rounds, STATUS_STOPPED
+        rounds += 1
+        try:
+            rules.step(state, params)
+        except ProcessExhausted:
+            return rounds, STATUS_EXHAUSTED
+        if not rules.state_in_range(state, params):
+            return rounds, STATUS_INVALID
+    return rounds, STATUS_BUDGET
+
+
 def integrate(initial_state, rules, params: EvolutionParams):
     """Run ``rules`` from ``initial_state`` until its stop condition holds.
 
@@ -183,7 +202,6 @@ def integrate(initial_state, rules, params: EvolutionParams):
 
 
 def refine(initial_state, rules, step_sizes,
-           max_degree_cap: int = 7,
            record_interval: int = 10 ** 6) -> RefinementReport:
     """Integrate at each step size and report how the finals converge.
 
@@ -200,7 +218,6 @@ def refine(initial_state, rules, step_sizes,
     finals = []
     for s in steps:
         params = EvolutionParams(step_size=s, stop_threshold=s,
-                                 max_degree_cap=max_degree_cap,
                                  record_interval=record_interval)
         state, _ = integrate(initial_state, rules, params)
         finals.append(rules.accumulator(state))

@@ -1,26 +1,25 @@
 """Rate rules for the 3- and 4-regular independent-set evolution processes.
 
 The state tracks, per unit of original vertex count, the mass of surviving
-vertices in each degree class (2 up to a cap), the accumulated independent-set
-mass, and a backlog of open-edge erasures awaiting redistribution.  One round
-of the process is: redistribute the erasure backlog, contract away the
-2-vertex mass, then delete a 2*eps slice from the highest occupied degree
-class (with optional four-neighbour correction terms for the 3-regular
-process, and a probe step instead for the 4-regular one).
+vertices in each degree class from 2 to ``DEGREE_CAP`` = 7, the accumulated
+independent-set mass, and a backlog of open-edge erasures awaiting
+redistribution (merged degrees beyond 7 are not tracked: they turn into
+erasures).  One round of the process is: redistribute the erasure backlog,
+contract away the 2-vertex mass, then delete a 2*eps slice from the highest
+occupied degree class (with optional four-neighbour correction terms for the
+3-regular process, and a probe step instead for the 4-regular one).
 
-The composed operations below are written to be arithmetically identical to
-the chunk kernels in ``_kernels`` at the default degree cap of 7; they also
-generalize to other caps, which the kernels do not.
+The composed operations below are the reference semantics of one round; the
+chunk kernel ``_kernels.is_chunk`` runs both processes and is arithmetically
+identical to them (pinned by tests).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._kernels import STATUS_BUDGET, STATUS_EXHAUSTED, STATUS_INVALID, STATUS_STOPPED
 from .evolution_core import EvolutionParams, ProcessExhausted
 
 __all__ = [
@@ -38,6 +37,8 @@ __all__ = [
     "phase1_rates",
 ]
 
+DEGREE_CAP = 7  # highest tracked degree class; the chunk kernel unrolls 2-7
+
 
 @dataclass
 class DegreeState:
@@ -53,19 +54,12 @@ class DegreeState:
     independent: float = 0.0
     erase: float = 0.0
 
-    @property
-    def max_degree(self) -> int:
-        return len(self.v) - 1
 
-    def survival_mass(self) -> float:
-        return float(self.v[2:].sum())
-
-
-def initial_degree_state(start_degree: int, max_degree_cap: int = 7) -> DegreeState:
+def initial_degree_state(start_degree: int) -> DegreeState:
     """All mass in one degree class, accumulators zero."""
-    if not 2 <= start_degree <= max_degree_cap:
+    if not 2 <= start_degree <= DEGREE_CAP:
         raise ValueError("start_degree outside tracked range")
-    v = np.zeros(max_degree_cap + 1)
+    v = np.zeros(DEGREE_CAP + 1)
     v[start_degree] = 1.0
     return DegreeState(v=v)
 
@@ -143,6 +137,18 @@ def apply_contractions(state: DegreeState, step_size: float,
     return state
 
 
+def _delete_top_class(state: DegreeState, eps: float, floor: int) -> int:
+    """Delete 2*eps mass from the highest class above ``floor`` holding at
+    least eps (from ``floor`` itself when none does); returns that class."""
+    v = state.v
+    mx = len(v) - 1
+    while mx > floor and v[mx] < eps:
+        mx -= 1
+    v[mx] -= 2 * eps
+    state.erase += 2 * mx * eps
+    return mx
+
+
 def is3_delete_step(state: DegreeState, step_size: float,
                     improvement: bool = True,
                     edge_pool: float | None = None) -> DegreeState:
@@ -157,21 +163,11 @@ def is3_delete_step(state: DegreeState, step_size: float,
     """
     eps = step_size
     v = state.v
-    cap = len(v) - 1
-    occupied = False
-    for d in range(3, cap + 1):
-        if v[d] > eps:
-            occupied = True
-            break
-    if not occupied:
+    if not any(x > eps for x in v[3:]):
         raise ProcessExhausted("no occupied degree class at or above 3")
     if improvement and edge_pool is None:
         edge_pool = open_edge_mass(state, eps)
-    mx = cap
-    while mx > 4 and v[mx] < eps:
-        mx -= 1
-    v[mx] -= 2 * eps
-    state.erase += 2 * mx * eps
+    mx = _delete_top_class(state, eps, 4)
     if improvement and mx == 4:
         s = edge_pool
         if not s > 0.0:
@@ -263,47 +259,19 @@ def phase1_rates(mu: float) -> Phase1Rates:
     )
 
 
-def _state_in_range(state: DegreeState, eps: float) -> bool:
-    lo = -8.0 * eps
-    hi = 1.0 + 8.0 * eps
-    for d in range(2, len(state.v)):
-        x = state.v[d]
-        if not (x >= lo and x <= hi):
-            return False
-    if not (state.independent >= -1e-12
-            and state.independent <= 0.5 + 8 * eps):
-        return False
-    if not (state.erase >= lo and state.erase <= 1.0):
-        return False
-    return True
-
-
-def _python_chunk(rules, state, params, max_rounds):
-    """Generic chunk runner built from the composed per-round step."""
-    rounds = 0
-    while rounds < max_rounds:
-        if rules.done(state, params):
-            return rounds, STATUS_STOPPED
-        rounds += 1
-        try:
-            rules.step(state, params)
-        except ProcessExhausted:
-            return rounds, STATUS_EXHAUSTED
-        if not rules.state_in_range(state, params):
-            return rounds, STATUS_INVALID
-    return rounds, STATUS_BUDGET
-
-
 class _IsRulesBase:
     monotone_columns = ("independent",)
-    start_degree = 3
+    start_degree: int  # the regular degree; the run stops when v[d] is spent
 
     def columns(self, params: EvolutionParams):
         return ("independent", "erase") + tuple(
-            f"v{d}" for d in range(2, params.max_degree_cap + 1))
+            f"v{d}" for d in range(2, DEGREE_CAP + 1))
 
     def initial_state(self, params: EvolutionParams) -> DegreeState:
-        return initial_degree_state(self.start_degree, params.max_degree_cap)
+        return initial_degree_state(self.start_degree)
+
+    def done(self, state: DegreeState, params: EvolutionParams) -> bool:
+        return not state.v[self.start_degree] > params.stop_threshold
 
     def snapshot(self, state: DegreeState):
         return (float(state.independent), float(state.erase)) + tuple(
@@ -313,15 +281,26 @@ class _IsRulesBase:
         return float(state.independent)
 
     def state_in_range(self, state: DegreeState, params: EvolutionParams):
-        return _state_in_range(state, params.step_size)
+        eps = params.step_size
+        lo = -8.0 * eps
+        hi = 1.0 + 8.0 * eps
+        for x in state.v[2:]:
+            if not (x >= lo and x <= hi):
+                return False
+        if not (state.independent >= -1e-12
+                and state.independent <= 0.5 + 8 * eps):
+            return False
+        return state.erase >= lo and state.erase <= 1.0
 
-    def _unpack(self, state: DegreeState):
+    def _run_kernel(self, state: DegreeState, params: EvolutionParams,
+                    max_rounds, improvement: bool):
         v = state.v
-        return (float(v[2]), float(v[3]), float(v[4]), float(v[5]),
-                float(v[6]), float(v[7]),
-                float(state.independent), float(state.erase))
-
-    def _repack(self, state: DegreeState, out):
+        out = _kernels.is_chunk(
+            float(v[2]), float(v[3]), float(v[4]), float(v[5]),
+            float(v[6]), float(v[7]),
+            float(state.independent), float(state.erase),
+            params.step_size, params.stop_threshold, self.start_degree,
+            improvement, int(max_rounds))
         state.v[2:8] = out[:6]
         state.independent = out[6]
         state.erase = out[7]
@@ -335,9 +314,6 @@ class Is3Rules(_IsRulesBase):
     improvement: bool = True
     start_degree = 3
 
-    def done(self, state: DegreeState, params: EvolutionParams) -> bool:
-        return not state.v[3] > params.stop_threshold
-
     def step(self, state: DegreeState, params: EvolutionParams) -> None:
         eps = params.step_size
         redistribute_erasures(state, eps)
@@ -346,12 +322,7 @@ class Is3Rules(_IsRulesBase):
         is3_delete_step(state, eps, self.improvement, edge_pool=pool)
 
     def run_chunk(self, state, params, max_rounds):
-        if params.max_degree_cap != 7:
-            return _python_chunk(self, state, params, max_rounds)
-        out = _kernels.is3_chunk(*self._unpack(state),
-                                 params.step_size, params.stop_threshold,
-                                 self.improvement, int(max_rounds))
-        return self._repack(state, out)
+        return self._run_kernel(state, params, max_rounds, self.improvement)
 
 
 @dataclass
@@ -360,29 +331,15 @@ class Is4Rules(_IsRulesBase):
 
     start_degree = 4
 
-    def done(self, state: DegreeState, params: EvolutionParams) -> bool:
-        return not state.v[4] > params.stop_threshold
-
     def step(self, state: DegreeState, params: EvolutionParams) -> None:
         eps = params.step_size
         redistribute_erasures(state, eps)
         pool = open_edge_mass(state, eps)
         apply_contractions(state, eps, edge_pool=pool)
-        v = state.v
-        cap = len(v) - 1
-        mx = cap
-        while mx > 5 and v[mx] < eps:
-            mx -= 1
-        if mx > 5:
-            v[mx] -= 2 * eps
-            state.erase += 2 * mx * eps
-        else:
+        if all(x < eps for x in state.v[6:]):  # only classes 3-5 are left
             is4_special_step(state, eps)
+        else:
+            _delete_top_class(state, eps, 6)
 
     def run_chunk(self, state, params, max_rounds):
-        if params.max_degree_cap != 7:
-            return _python_chunk(self, state, params, max_rounds)
-        out = _kernels.is4_chunk(*self._unpack(state),
-                                 params.step_size, params.stop_threshold,
-                                 int(max_rounds))
-        return self._repack(state, out)
+        return self._run_kernel(state, params, max_rounds, False)

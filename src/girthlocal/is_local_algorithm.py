@@ -30,8 +30,6 @@ __all__ = [
     "RoundSchedule",
     "SurvivalGraph",
     "IsRunResult",
-    "contract",
-    "delete",
     "run",
     "verify_independent",
 ]
@@ -269,15 +267,6 @@ class SurvivalGraph:
 
     def survivors(self) -> list:
         return [int(v) for v in np.flatnonzero(self.alive)]
-
-
-def contract(g: SurvivalGraph, y: int) -> SurvivalGraph:
-    g.contract(y)
-    return g
-
-
-def delete(g: SurvivalGraph, v: int) -> list:
-    return g.delete(v)
 
 
 def _top_persistent(counts, survival: int, fraction: float,

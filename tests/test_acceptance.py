@@ -276,3 +276,39 @@ def test_criterion_12_reports_recompute_corollaries(is3_improved, is4_run,
     for value, expected in zip(values, (2.24554, 2.4748, 1.1185)):
         assert value == pytest.approx(1.0 / (1.0 / expected), abs=1e-4)
         assert abs(value - expected) < 1e-4
+
+
+# Exact finals (rounds, snapshot) at the desk step, pinned before the chunk
+# kernels were merged.
+DESK_GOLDENS = {
+    "is3": (521722, (0.44532674323588234, -1e-07, 2.0006915205480548e-06,
+                     -2.000539242630362e-06, 8.51964556494907e-08,
+                     -4.950235089745302e-08, 8.705462825812078e-08,
+                     -1.1123880977171433e-07)),
+    "is3_plain": (522808, (0.4453115125755271, 1.6186103633896907e-06,
+                           -1e-07, 7.688163801525548e-08,
+                           6.56162447465483e-08, -7.570760847868136e-08,
+                           8.915106328797417e-08, -1.267584958807336e-07)),
+    "is4": (929875, (0.4040723144218651, 1.8870737282309383e-06,
+                     -9.760138264509198e-08, -8.058698039468703e-08,
+                     9.092563721555039e-09, -1.6227554863292064e-08,
+                     8.627035765135112e-08, -1.2532656032400475e-07)),
+    "closed_form": (7497716, (1.341050979449391, 0.1589488624437935,
+                              8.223760209806101e-12, 7.904717988977543e-08)),
+    "linear_solve": (7497716, (1.3410509794493908, 0.1589488624437935,
+                               8.223760230251718e-12, 7.90471799412067e-08)),
+}
+
+
+def test_criterion_13_desk_step_finals_are_bit_identical(
+        is3_improved, is3_plain, is4_run, cut_runs):
+    """Every state field and the round count of the five desk-step runs
+    equal the pinned values bit for bit."""
+    runs = {"is3": (Is3Rules(), is3_improved),
+            "is3_plain": (Is3Rules(improvement=False), is3_plain),
+            "is4": (Is4Rules(), is4_run)}
+    for mode, run in cut_runs.items():
+        runs[mode] = (CutRules(mode=mode), run)
+    for name, (rules, (state, traj, _)) in runs.items():
+        finals = (traj.rows[-1][0], rules.snapshot(state))
+        assert repr(finals) == repr(DESK_GOLDENS[name]), name

@@ -81,6 +81,9 @@ def test_simulate_is_reports_valid_set(capsys, tmp_path):
     members = [int(x) for x in wpath.read_text().split()]
     assert members == sorted(members)
     assert 0.40 < len(members) / 2000 < 0.48
+    size = next(int(line.split(": ")[1]) for line in out.splitlines()
+                if line.startswith("size: "))
+    assert len(members) == size
 
 
 def test_simulate_cut_witness_has_one_line_per_vertex(capsys, tmp_path):

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from girthlocal.evolution_core import EvolutionParams, ProcessExhausted, integrate
+from girthlocal.evolution_core import (
+    EvolutionParams,
+    ProcessExhausted,
+    _python_chunk,
+    integrate,
+)
 from girthlocal.cut_evolution import (
     CUT_MODES,
     CutEvolutionState,
@@ -14,7 +19,6 @@ from girthlocal.cut_evolution import (
     edge_probability,
     solve_cut_rates,
 )
-from girthlocal.is_evolution import _python_chunk
 
 
 def test_edge_probability_anchors():

@@ -25,7 +25,6 @@ def test_params_default_stop_equals_step():
     dict(step_size=0.0),
     dict(step_size=-1e-6),
     dict(step_size=1e-5, stop_threshold=1e-6),
-    dict(step_size=1e-5, max_degree_cap=4),
     dict(step_size=1e-5, record_interval=0),
 ])
 def test_params_rejects_bad_values(kwargs):
@@ -182,3 +181,43 @@ def test_final_state_is_finite_everywhere():
     state, traj = integrate(rules.initial_state(params), rules, params)
     assert all(math.isfinite(float(x)) for x in state.v)
     assert math.isfinite(state.independent) and math.isfinite(state.erase)
+
+
+# Exact finals (rounds, snapshot) at step 1e-5, pinned before the chunk
+# kernels were merged: any change to a round rule or its evaluation order
+# shows up here as a changed last bit.
+GOLDENS_1E5 = {
+    "is3": (5226, (0.44529879867041605, 0.00035187893292582537, -1e-05,
+                   -4.5905219216884515e-05, 2.427933187884086e-06,
+                   5.402931519224606e-05, -9.787179701869233e-06,
+                   -4.73028409038526e-05)),
+    "is3_plain": (5239, (0.4452631386425965, -1e-05, 0.00017026545842260317,
+                         -0.0001687262815690787, 9.428294003854189e-06,
+                         -5.990529110429212e-06, 9.260875041972723e-06,
+                         -1.0088554759223875e-05)),
+    "is4": (9310, (0.40407714108190423, -1e-05, -1.6207250840238015e-05,
+                   -1.3488748722843738e-07, 0.0003709343368437556,
+                   -0.0003492852169881418, -3.357405641936342e-05,
+                   -7.505695611124009e-05)),
+    "cut3": (74977, (1.341045208302634, 0.1589477651501262,
+                     -6.022284551996228e-09, 3.5177903241519565e-06)),
+    "cut3_linear": (74977, (1.3410452083026343, 0.15894776515012618,
+                            -6.022284552209608e-09, 3.5177903240638837e-06)),
+}
+
+GOLDEN_RULES = {
+    "is3": Is3Rules(),
+    "is3_plain": Is3Rules(improvement=False),
+    "is4": Is4Rules(),
+    "cut3": CutRules(),
+    "cut3_linear": CutRules(mode="linear_solve"),
+}
+
+
+@pytest.mark.parametrize("target", GOLDEN_RULES)
+def test_finals_match_goldens_bitwise(target):
+    rules = GOLDEN_RULES[target]
+    params = EvolutionParams(step_size=1e-5)
+    state, traj = integrate(rules.initial_state(params), rules, params)
+    finals = (traj.rows[-1][0], rules.snapshot(state))
+    assert repr(finals) == repr(GOLDENS_1E5[target])

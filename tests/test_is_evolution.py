@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from girthlocal import _kernels
-from girthlocal.evolution_core import EvolutionParams, ProcessExhausted
+from girthlocal.evolution_core import (
+    EvolutionParams,
+    ProcessExhausted,
+    _python_chunk,
+)
 from girthlocal.is_evolution import (
     DegreeState,
     Is3Rules,
     Is4Rules,
-    _python_chunk,
     apply_contractions,
     initial_degree_state,
     is3_delete_step,
@@ -283,26 +285,15 @@ def test_kernel_matches_composed_ops_bitwise_full_run(rules, eps):
     assert chunk_outputs(rules, eps, 10 ** 7) == kernel_outputs(rules, eps, 10 ** 7)
 
 
-def test_python_chunk_used_beyond_default_cap():
-    # caps other than 7 have no specialized kernel; the generic path must
-    # still integrate (a larger cap only adds room, the start is identical)
-    params = EvolutionParams(step_size=1e-4, max_degree_cap=9)
-    rules = Is3Rules(improvement=False)
-    st = rules.initial_state(params)
-    rounds, status = rules.run_chunk(st, params, 200)
-    assert rounds == 200 and status == _kernels.STATUS_BUDGET
-    assert 0.0 < st.independent < 0.5
-
-
 # --- misc -------------------------------------------------------------------
 
 def test_initial_state_validation():
     with pytest.raises(ValueError):
         initial_degree_state(1)
     with pytest.raises(ValueError):
-        initial_degree_state(8, max_degree_cap=7)
-    st = initial_degree_state(4, max_degree_cap=9)
-    assert st.v[4] == 1.0 and st.max_degree == 9
+        initial_degree_state(8)
+    st = initial_degree_state(4)
+    assert st.v[4] == 1.0 and st.v.sum() == 1.0 and len(st.v) == 8
 
 
 def test_open_edge_mass_skips_dust():

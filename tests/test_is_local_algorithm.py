@@ -8,8 +8,6 @@ from girthlocal.is_local_algorithm import (
     IsRunResult,
     RoundSchedule,
     SurvivalGraph,
-    contract,
-    delete,
     run,
     verify_independent,
 )
@@ -66,7 +64,7 @@ def test_contract_path_base_case():
 def test_delete_merged_commits_the_middle():
     g = SurvivalGraph(load_edge_list(PATH3))
     merged = g.contract(1)
-    assert delete(g, merged) == [1]
+    assert g.delete(merged) == [1]
     assert g.selected == [1]
 
 
@@ -112,13 +110,15 @@ def test_contract_rejects_wrong_degree():
 
 def test_delete_uncontracted_commits_nothing():
     g = SurvivalGraph(load_edge_list(K4))
-    assert delete(g, 2) == []
+    assert g.delete(2) == []
     assert g.deg[0] == 2
 
 
-def test_module_level_contract_returns_graph():
+def test_contract_returns_the_live_merged_vertex():
     g = SurvivalGraph(load_edge_list(PATH3))
-    assert contract(g, 1) is g
+    merged = g.contract(1)
+    assert merged in (0, 2) and g.alive[merged]
+    assert g.survivors() == [merged]
 
 
 def test_contraction_drop_preserves_mis_exactly():
