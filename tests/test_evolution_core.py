@@ -26,6 +26,7 @@ def test_params_default_stop_equals_step():
     dict(step_size=-1e-6),
     dict(step_size=1e-5, stop_threshold=1e-6),
     dict(step_size=1e-5, record_interval=0),
+    dict(step_size=1e-5, record_interval=-3),
 ])
 def test_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
