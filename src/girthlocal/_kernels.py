@@ -20,11 +20,11 @@ STATUS_EXHAUSTED = 3  # open-edge pool emptied while deletions were pending
 
 
 def _is_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
-              eps, stop, d, improvement, max_rounds):
+              eps, d, improvement, max_rounds):
     """Advance the d-regular independent-set recurrence (d = 3 or 4) by up
     to max_rounds rounds.
 
-    The run stops once the start class v_d falls to ``stop``.  The two
+    The run stops once the start class v_d falls to ``eps``.  The two
     processes differ only in the deletion that ends a round: d = 3 always
     deletes from the highest occupied class (with the ``improvement``
     correction terms at top class 4), while d = 4 runs the probe step once
@@ -33,7 +33,7 @@ def _is_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
     rounds = 0
     status = STATUS_BUDGET
     while rounds < max_rounds:
-        if not (v3 if d == 3 else v4) > stop:
+        if not (v3 if d == 3 else v4) > eps:
             status = STATUS_STOPPED
             break
         rounds += 1
@@ -205,8 +205,9 @@ def _is_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
     return v2, v3, v4, v5, v6, v7, independent, erase, rounds, status
 
 
-def _cut_chunk(rat2, rat3, good, bad, eps, stop, linear, max_rounds):
-    """Advance the max-cut recurrence by up to max_rounds rounds.
+def _cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
+    """Advance the max-cut recurrence by up to max_rounds rounds; the run
+    stops once rat2 + rat3 falls to ``eps``.
 
     ``linear`` selects the action-rate route: the per-round rates come from
     eliminating the six-equation action system and are rescaled by the pool
@@ -217,7 +218,7 @@ def _cut_chunk(rat2, rat3, good, bad, eps, stop, linear, max_rounds):
     rounds = 0
     status = STATUS_BUDGET
     while rounds < max_rounds:
-        if not rat2 + rat3 > stop:
+        if not rat2 + rat3 > eps:
             status = STATUS_STOPPED
             break
         rounds += 1

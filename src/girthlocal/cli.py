@@ -250,6 +250,8 @@ def _cmd_simulate(args) -> int:
             "max_rounds": args.max_rounds,
             "swap": args.swap,
         }
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     if args.witness and args.seeds > 1:
         raise ValueError("--witness needs a single run, not --seeds > 1")
     seeds = [args.seed + i for i in range(args.seeds)]

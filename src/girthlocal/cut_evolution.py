@@ -189,7 +189,7 @@ class CutRules:
         return CutEvolutionState()
 
     def done(self, state: CutEvolutionState, params: EvolutionParams) -> bool:
-        return not state.rat2 + state.rat3 > params.stop_threshold
+        return not state.rat2 + state.rat3 > params.step_size
 
     def step(self, state: CutEvolutionState, params: EvolutionParams) -> None:
         cut_step(state, params.step_size, self.mode)
@@ -217,7 +217,6 @@ class CutRules:
         out = _kernels.cut_chunk(
             float(state.rat2), float(state.rat3),
             float(state.good), float(state.bad),
-            params.step_size, params.stop_threshold,
-            self.mode == "linear_solve", int(max_rounds))
+            params.step_size, self.mode == "linear_solve", int(max_rounds))
         state.rat2, state.rat3, state.good, state.bad = out[:4]
         return out[4], out[5]

@@ -63,6 +63,8 @@ class CutProcess:
             raise ValueError("query_probability must lie in [0, 1]")
         if not 0.0 < stop_fraction < 1.0:
             raise ValueError("stop_fraction must lie in (0, 1)")
+        if max_rounds < 1:
+            raise ValueError("max_rounds must be positive")
         n = graph.n
         self.n = n
         self.seed = seed
@@ -154,6 +156,35 @@ class CutProcess:
         if self.status[h] == 0:
             self.op[h] -= 1
             self._wake(h)
+
+    def _mark_white(self, x: int, src: int, bit: int) -> None:
+        """x takes a white label from src, counted under parity bit."""
+        self.nW[x] += 1
+        self.wsrc[x] = src
+        self.wbit[x] = bit
+
+    def _pend_against(self, v: int, a: int, bit: int) -> None:
+        """White v banks its edge to a as good: f[v] = f[a] ^ bit, and a
+        takes the white label."""
+        self.good += 1
+        self._set_pending(v, a, bit)
+        self._mark_white(a, v, bit)
+
+    def _pend_on_path_end(self, v: int) -> None:
+        """White v opposes its last path neighbor across their path edge."""
+        a = int(self.pa[v, 0])
+        parity = self._remove_path_slot(v, a)
+        self._remove_path_slot(a, v)
+        self._pend_against(v, a, 1 ^ parity)
+        self._wake(a)
+
+    def _majority(self, v: int, tie: int) -> int:
+        """The color anti v's R/G label majority; ``tie`` on a tie."""
+        if self.nR[v] > self.nG[v]:
+            return GREEN
+        if self.nG[v] > self.nR[v]:
+            return RED
+        return tie
 
     def _unrevealed(self, v: int) -> list:
         return [h for h in self.slots[v] if not self.revealed[h]]
@@ -293,26 +324,14 @@ class CutProcess:
         self.status[v] = 2
         self.survival -= 1
         if self.pd[v] == 1:
-            a = int(self.pa[v, 0])
-            parity = self._remove_path_slot(v, a)
-            self._remove_path_slot(a, v)
-            self.good += 1
-            self._set_pending(v, a, 1 ^ parity)
-            self.nW[a] += 1
-            self.wsrc[a] = v
-            self.wbit[a] = 1 ^ parity
-            self._wake(a)
+            self._pend_on_path_end(v)
         elif not self._unrevealed(v):
             # every other edge was already consumed (loops, absorbed pairs)
             self._set_pending(v, -1, self.swap, free=True)
         else:
             kind, x = self._reveal(v, self._unrevealed(v)[0])
             if kind == "live":
-                self.good += 1
-                self._set_pending(v, x, 1)
-                self.nW[x] += 1
-                self.wsrc[x] = v
-                self.wbit[x] = 1
+                self._pend_against(v, x, 1)
                 self.op[x] -= 1
                 self._wake(x)
             elif kind == "dead":
@@ -340,12 +359,8 @@ class CutProcess:
             b, pb = int(self.pa[v, 1]), int(self.pi[v, 1])
             if a == b or self._connected(a, b, avoid=v):
                 # joining would close a cycle; defer the far edge instead
-                self.good += 1
-                self._set_pending(v, a, 1 ^ pa_)
+                self._pend_against(v, a, 1 ^ pa_)
                 self._remove_path_slot(a, v)
-                self.nW[a] += 1
-                self.wsrc[a] = v
-                self.wbit[a] = 1 ^ pa_
                 self.deferred.append((v, b, pb))
                 self._remove_path_slot(b, v)
                 self.nD[b] += 1
@@ -358,15 +373,7 @@ class CutProcess:
             self._wake(a)
             self._wake(b)
         elif self.pd[v] == 1:
-            a = int(self.pa[v, 0])
-            parity = self._remove_path_slot(v, a)
-            self._remove_path_slot(a, v)
-            self.good += 1
-            self._set_pending(v, a, 1 ^ parity)
-            self.nW[a] += 1
-            self.wsrc[a] = v
-            self.wbit[a] = 1 ^ parity
-            self._wake(a)
+            self._pend_on_path_end(v)
         else:
             # no survival edge left to oppose right now: chain off the white
             # that marked v, with the parity that mark was counted under, so
@@ -419,9 +426,7 @@ class CutProcess:
         if kind == "dead":
             # the neighbor's color is pending off a white chain, so v is
             # white-adjacent now; the deferred pair carries the edge count
-            self.nW[v] += 1
-            self.wsrc[v] = x
-            self.wbit[v] = 1
+            self._mark_white(v, x, 1)
             self._wake(v)
             return
         if kind != "live":
@@ -448,14 +453,12 @@ class CutProcess:
         """Priority rules 1-3: majority commits, exact ties whiten."""
         cd = self._cd(v)
         if cd >= 2:
-            if self.nR[v] > self.nG[v]:
-                self.commit(v, GREEN)
-            elif self.nG[v] > self.nR[v]:
-                self.commit(v, RED)
-            elif cd == 3:
-                self.commit(v, RED ^ self.swap)  # no reference edge left
-            else:
+            # a tie at cd == 3 has no reference edge left to whiten against
+            color = self._majority(v, RED ^ self.swap if cd == 3 else -1)
+            if color < 0:
                 self.whiten(v)
+            else:
+                self.commit(v, color)
             return True
         if cd == 1 and self.nW[v] == 1:
             self.eliminate_white(v)
@@ -572,14 +575,8 @@ class CutProcess:
         # last stretch never uses white: survivors take their local majority
         for v in np.flatnonzero(self.status == 0):
             v = int(v)
-            if self.status[v] != 0:
-                continue
-            if self.nR[v] > self.nG[v]:
-                self.commit(v, GREEN)
-            elif self.nG[v] > self.nR[v]:
-                self.commit(v, RED)
-            else:
-                self.commit(v, RED ^ self.swap)
+            if self.status[v] == 0:
+                self.commit(v, self._majority(v, RED ^ self.swap))
         # any half-edges still unrevealed pair two absorbed open slots
         for h in map(int, np.flatnonzero(~self.revealed)):
             k = int(self.pair[h])
@@ -601,53 +598,54 @@ class CutProcess:
                 self.bad += 1
 
     def _resolve_pending(self) -> None:
-        """Fix the pending colors.  References mostly form backward chains
-        that a few sweeps settle.  A white whose reference was answered by
-        marking the referee back gives a mutual cycle; both entries encode
-        the same constraint, so the cycle is pinned at its oldest member
-        with the anchor color and the rest resolves off it.  Pinning never
-        touches a chain vertex, whose constraint carries a counted edge."""
-        todo = [int(v) for v in np.flatnonzero(self.ptgt != -2)
-                if self.f[v] < 0]
-        todo.sort(key=lambda v: self.porder[v])
-        while todo:
-            progress = False
-            keep = []
-            for v in todo:
-                if self.f[v] >= 0:
-                    progress = True
-                    continue
-                target = int(self.ptgt[v])
-                if target < 0:
-                    self.f[v] = self.pbit[v]
-                    progress = True
-                elif self.f[target] >= 0:
-                    self.f[v] = int(self.f[target]) ^ int(self.pbit[v])
-                    progress = True
-                else:
-                    keep.append(v)
-            todo = keep
-            if todo and not progress:
-                self._pin_reference_cycle(todo)
+        """Fix the pending colors in one walk.
 
-    def _pin_reference_cycle(self, todo: list) -> None:
-        unresolved = set(todo)
-        path = [todo[0]]
-        pos = {path[0]: 0}
-        while True:
-            t = int(self.ptgt[path[-1]])
-            if t in pos:
-                cycle = path[pos[t]:]
-                oldest = min(cycle, key=lambda u: self.porder[u])
-                self.f[oldest] = RED ^ self.swap
-                return
-            if t not in unresolved:
-                # the chain dead-ends at a vertex with no constraint of
-                # its own, so color it and let the chain resolve off it
-                self.f[t] = RED ^ self.swap
-                return
-            pos[t] = len(path)
-            path.append(t)
+        Each unresolved vertex, oldest first, follows its chain of
+        references f[v] = f[ptgt[v]] ^ pbit[v] to its end: a colored
+        vertex, a target -1 (f = pbit), a vertex with no constraint of its
+        own (colored with the anchor color), or a cycle.  A white whose
+        reference was answered by marking the referee back gives a mutual
+        cycle; every entry encodes the same constraint, so the cycle's
+        oldest member is pinned to the anchor color.  Pinning never touches
+        a chain vertex, whose constraint carries a counted edge.  The walked
+        chain then resolves backwards from where it ended, so each vertex
+        is walked once."""
+        f = self.f.tolist()
+        ptgt = self.ptgt.tolist()
+        pbit = self.pbit.tolist()
+        porder = self.porder.tolist()
+        anchor = RED ^ self.swap
+        todo = [v for v, t in enumerate(ptgt) if t != -2]
+        todo.sort(key=porder.__getitem__)
+        for v in todo:
+            if f[v] >= 0:
+                continue
+            path = [v]
+            seen = {v: 0}  # vertex -> index on path
+            while True:
+                u = path[-1]
+                t = ptgt[u]
+                if t == -1:
+                    f[u] = pbit[u]
+                    path.pop()
+                    break
+                if f[t] >= 0:
+                    break
+                if ptgt[t] == -2:
+                    f[t] = anchor
+                    break
+                if t in seen:
+                    m = min(range(seen[t], len(path)),
+                            key=lambda i: porder[path[i]])
+                    f[path[m]] = anchor
+                    # the pin's predecessors, then the cycle's far side
+                    path = path[m + 1:] + path[:m]
+                    break
+                seen[t] = len(path)
+                path.append(t)
+            for u in reversed(path):
+                f[u] = f[ptgt[u]] ^ pbit[u]
+        self.f[:] = f
 
     def _result(self) -> CutResult:
         assert np.all(self.f >= 0), "some vertex was never colored"

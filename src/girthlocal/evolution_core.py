@@ -71,22 +71,17 @@ class IntegrationError(RuntimeError):
 class EvolutionParams:
     """Knobs for one integration run.
 
-    step_size is the mass deleted per round (the recurrences' epsilon);
-    stop_threshold is the tracked-mass level at which the run halts; and
-    record_interval is the number of rounds between trajectory samples.
+    step_size is the mass deleted per round (the recurrences' epsilon); a
+    run halts once its tracked mass falls to step_size.  record_interval is
+    the number of rounds between trajectory samples.
     """
 
     step_size: float
-    stop_threshold: float | None = None
     record_interval: int = 10 ** 6
 
     def __post_init__(self):
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
-        if self.stop_threshold is None:
-            object.__setattr__(self, "stop_threshold", float(self.step_size))
-        if self.stop_threshold < self.step_size:
-            raise ValueError("stop_threshold must be >= step_size")
         if self.record_interval < 1:
             raise ValueError("record_interval must be >= 1")
 
@@ -201,13 +196,12 @@ def integrate(initial_state, rules, params: EvolutionParams):
     return state, traj
 
 
-def refine(initial_state, rules, step_sizes,
-           record_interval: int = 10 ** 6) -> RefinementReport:
+def refine(initial_state, rules, step_sizes) -> RefinementReport:
     """Integrate at each step size and report how the finals converge.
 
     ``step_sizes`` must hold at least two strictly decreasing entries.  Each
-    run stops when the tracked mass falls to its own step size, mirroring a
-    single run's default.
+    run stops when the tracked mass falls to its own step size, as a single
+    run does.
     """
     steps = tuple(float(s) for s in step_sizes)
     if len(steps) < 2:
@@ -217,8 +211,7 @@ def refine(initial_state, rules, step_sizes,
             raise ValueError("step sizes must be strictly decreasing")
     finals = []
     for s in steps:
-        params = EvolutionParams(step_size=s, stop_threshold=s,
-                                 record_interval=record_interval)
+        params = EvolutionParams(step_size=s)
         state, _ = integrate(initial_state, rules, params)
         finals.append(rules.accumulator(state))
     diffs = tuple(abs(b - a) for a, b in zip(finals, finals[1:]))

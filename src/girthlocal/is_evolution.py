@@ -271,7 +271,7 @@ class _IsRulesBase:
         return initial_degree_state(self.start_degree)
 
     def done(self, state: DegreeState, params: EvolutionParams) -> bool:
-        return not state.v[self.start_degree] > params.stop_threshold
+        return not state.v[self.start_degree] > params.step_size
 
     def snapshot(self, state: DegreeState):
         return (float(state.independent), float(state.erase)) + tuple(
@@ -299,7 +299,7 @@ class _IsRulesBase:
             float(v[2]), float(v[3]), float(v[4]), float(v[5]),
             float(v[6]), float(v[7]),
             float(state.independent), float(state.erase),
-            params.step_size, params.stop_threshold, self.start_degree,
+            params.step_size, self.start_degree,
             improvement, int(max_rounds))
         state.v[2:8] = out[:6]
         state.independent = out[6]

@@ -290,32 +290,24 @@ def run(graph: Multigraph, d: int, schedule: Optional[RoundSchedule] = None,
     rng = np.random.default_rng(seed)
     g = SurvivalGraph(graph)
     stop_at = schedule.stop_fraction * graph.n
-    base = 3  # both variants act on classes above/at 3
+    # thinning acts on persistent classes above this; d = 4 probes its
+    # classes 3-5 instead
+    floor = 3 if d == 3 else 5
     rounds = 0
     g.settle()
     while g.survival_count > stop_at and rounds < schedule.max_rounds:
         before = g.survival_count
         counts = np.bincount(g.deg[g.alive], minlength=2 * DEGREE_CAP)
-        if d == 3:
-            top = _top_persistent(counts, before,
-                                  schedule.persistence_fraction, base)
-            if top is not None:
-                _delete_class_and_above(g, rng, top,
-                                        schedule.thin_probability)
-            else:
-                _delete_class_and_above(g, rng, base,
-                                        schedule.bootstrap_probability)
+        top = _top_persistent(counts, before, schedule.persistence_fraction,
+                              floor)
+        if top is not None:
+            _delete_class_and_above(g, rng, top, schedule.thin_probability)
+        elif d == 4 and counts[3]:
+            _probe_round(g, rng, schedule.thin_probability)
         else:
-            top = _top_persistent(counts, before,
-                                  schedule.persistence_fraction, 5)
-            if top is not None:
-                _delete_class_and_above(g, rng, top,
-                                        schedule.thin_probability)
-            elif counts[3] == 0:
-                _delete_class_and_above(g, rng, 4,
-                                        schedule.bootstrap_probability)
-            else:
-                _probe_round(g, rng, schedule.thin_probability)
+            # nothing persistent to thin and nothing to probe: bootstrap
+            _delete_class_and_above(g, rng, d,
+                                    schedule.bootstrap_probability)
         g.settle()
         if g.survival_count == before:
             _force_progress(g, rng)

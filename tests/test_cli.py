@@ -1,7 +1,7 @@
 """End-to-end command-line behavior: outputs, reports, witnesses, errors."""
+import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from girthlocal import cli
@@ -120,6 +120,14 @@ def test_simulate_witness_excludes_fanout(capsys):
     assert "single run" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_simulate_rejects_non_positive_seed_count(capsys, count):
+    code, _, err = run_cli(capsys, "simulate", "is", "--n", "600",
+                           "--seeds", count)
+    assert code == 2
+    assert "--seeds must be >= 1" in err
+
+
 def test_identical_command_gives_identical_report(capsys, tmp_path):
     jpath = tmp_path / "rep.json"
     texts = []
@@ -204,3 +212,39 @@ def test_simulate_cut_swap_flag(capsys, tmp_path):
     flipped = {"R": "G", "G": "R"}
     assert all(y.split()[1] == flipped[x.split()[1]]
                for x, y in zip(a, b))
+
+
+# sha256 of the --witness file bytes at n = 2000; a change to the finite
+# algorithms that keeps their outputs must keep these
+WITNESS_SHA256 = {
+    ("is3", 0): "c040879687dc991da63a6d6b30bb4888"
+                "732f248bdc62cf09a8a199d3582fbd4d",
+    ("is3", 1): "fdb77d65f60d82fa419e51867b895039"
+                "e23c8c70bdc11dc1e4872f9d181a6034",
+    ("is4", 0): "dba5320ee4eeceecd8d7fb57f75982d5"
+                "edd004ecafb1944d7f469888b3b9ff35",
+    ("is4", 1): "7ed536811319474317c6998277eff0f5"
+                "0f6faeacbae794f7c393fb9d57477647",
+    ("cut", 0): "db3b56f6f8bb575b59d8ecad7b268965"
+                "32404451884201d53ace89d07aa97d11",
+    ("cut", 1): "c3bef74ab4dc2ad91cc16b70dd236f66"
+                "40741d890cc6b3c4c769480c08912da1",
+    ("cut_swap", 0): "ee311b72803cca46b24249ac22020c63"
+                     "9ad8bb297f07f62922de6b7997514a9a",
+    ("cut_swap", 1): "432554abe92183ae4d84a384cf3c54de"
+                     "2c92c93637972f697368af721a15e9c8",
+}
+WITNESS_ARGS = {"is3": ["is", "--d", "3"], "is4": ["is", "--d", "4"],
+                "cut": ["cut"], "cut_swap": ["cut", "--swap"]}
+
+
+@pytest.mark.parametrize("target, seed", sorted(WITNESS_SHA256),
+                         ids=[f"{t}-{s}" for t, s in sorted(WITNESS_SHA256)])
+def test_witness_bytes_are_pinned(capsys, tmp_path, target, seed):
+    wpath = tmp_path / "w.txt"
+    code, _, _ = run_cli(capsys, "simulate", *WITNESS_ARGS[target],
+                         "--n", "2000", "--seed", str(seed),
+                         "--witness", str(wpath))
+    assert code == 0
+    digest = hashlib.sha256(wpath.read_bytes()).hexdigest()
+    assert digest == WITNESS_SHA256[(target, seed)]

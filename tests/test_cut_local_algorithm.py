@@ -22,6 +22,8 @@ def test_rejects_bad_parameters():
         CutProcess(g, query_probability=1.5)
     with pytest.raises(ValueError):
         CutProcess(g, stop_fraction=0.0)
+    with pytest.raises(ValueError):
+        CutProcess(g, max_rounds=0)
 
 
 def test_commit_labels_neighbors_and_banks_edges():
@@ -47,6 +49,32 @@ def test_tie_cascade_on_complete_graph_reaches_max_cut():
     assert (p.good, p.bad) == (4, 2)
     assert p.f.tolist() == [RED, GREEN, GREEN, RED]
     assert not p.deferred
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_pending_walk_resolves_every_chain_end(swap):
+    p = CutProcess(generate(12, 3, seed=0), seed=0, swap=swap)
+    p.f[0] = GREEN  # a committed vertex
+    # vertex: (target, bit, age); f[v] = f[target] ^ bit, target -1: f = bit
+    pending = {
+        3: (1, 0, 0),     # tail into the cycle, older than all of it
+        1: (2, 1, 5),     # mutual cycle 1 <-> 2 ...
+        2: (1, 1, 3),     # ... whose oldest member 2 is pinned
+        4: (-1, 1, 6),    # chain 6 -> 5 -> 4 -> -1
+        5: (4, 1, 7),
+        6: (5, 0, 2),
+        7: (8, 1, 4),     # dead end: 8 has no constraint of its own
+        9: (10, 1, 1),    # targets newer than their sources: 9 -> 10 ->
+        10: (11, 1, 8),   # 11 -> the committed vertex 0
+        11: (0, 1, 9),
+    }
+    for v, (target, bit, age) in pending.items():
+        p.ptgt[v], p.pbit[v], p.porder[v] = target, bit, age
+    p._resolve_pending()
+    anchor = RED ^ int(swap)
+    expected = [GREEN, 1 ^ anchor, anchor, 1 ^ anchor, 1, 0, 0,
+                1 ^ anchor, anchor, 0, 1, 0]
+    assert p.f.tolist() == expected
 
 
 def test_queries_grow_paths_and_triples_reduce():

@@ -1,6 +1,5 @@
 """Integration scaffolding: parameter validation, trajectories, refinement."""
 import math
-import re
 
 import pytest
 
@@ -16,15 +15,9 @@ from girthlocal.is_evolution import Is3Rules, Is4Rules
 from girthlocal.cut_evolution import CutRules
 
 
-def test_params_default_stop_equals_step():
-    p = EvolutionParams(step_size=1e-5)
-    assert p.stop_threshold == 1e-5
-
-
 @pytest.mark.parametrize("kwargs", [
     dict(step_size=0.0),
     dict(step_size=-1e-6),
-    dict(step_size=1e-5, stop_threshold=1e-6),
     dict(step_size=1e-5, record_interval=0),
     dict(step_size=1e-5, record_interval=-3),
 ])
@@ -58,8 +51,9 @@ def test_trajectory_check_rejects_non_increasing_rounds():
 
 
 def test_stop_threshold_at_one_runs_zero_rounds():
+    # a run halts once its tracked mass falls to the step size
     rules = Is3Rules()
-    params = EvolutionParams(step_size=0.5, stop_threshold=1.0)
+    params = EvolutionParams(step_size=1.0)
     state, traj = integrate(rules.initial_state(params), rules, params)
     assert state.independent == 0.0
     assert traj.rows == [(0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
