@@ -228,6 +228,13 @@ def _cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
             status = STATUS_EXHAUSTED
             break
         q = rat2 / den
+        q2 = q * q
+        q3 = q2 * q
+        q4 = q2 * q2
+        q5 = q4 * q
+        # open-edge pool polynomial D: both routes lower rat3 by eps * D,
+        # and the linear route rescales its per-plain-vertex rates by it
+        d_pool = 2 - 4 * q - 4 * q2 + 8 * q3 + 2 * q4 - 4 * q5
 
         if linear:
             # Direct elimination on the six action-count equations with
@@ -254,24 +261,14 @@ def _cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
             g_rate = 3 * q * c_r + 4 * q * r_act + (1 + q) * c_3r \
                 + (4 + q) * c_3rr + 8 * q * c_rr + w_act
             b_rate = q * r_act + c_3rr + 2 * q * c_rr
-            q2 = q * q
-            q3 = q2 * q
-            q4 = q2 * q2
-            q5 = q4 * q
-            d_pool = 2 - 4 * q - 4 * q2 + 8 * q3 + 2 * q4 - 4 * q5
             rat2 += eps * (d_pool * v_r)
-            rat3 += eps * (d_pool * -1.0)
             good += eps * (d_pool * g_rate)
             bad += eps * (d_pool * b_rate)
         else:
-            q2 = q * q
-            q3 = q2 * q
-            q4 = q2 * q2
-            q5 = q4 * q
             rat2 += eps * (1 - 8 * q + 4 * q2 + 8 * q3 + 3 * q4 - 10 * q5)
-            rat3 += eps * (-2 + 4 * q + 4 * q2 - 8 * q3 - 2 * q4 + 4 * q5)
             good += eps * (1 + 8 * q - 11 * q2 - 6 * q3 + 12 * q5)
             bad += eps * q * (1 - q) * (1 - q) * (2 + q + 2 * q2)
+        rat3 -= eps * d_pool
 
         lo = -8.0 * eps
         hi = 1.0 + 8.0 * eps

@@ -4,9 +4,9 @@ round algorithms, and the exact small-graph oracles.
 Subcommands
 -----------
 evolve    integrate a degree-evolution process to its stopping point
+refine    convergence report across a decreasing ladder of step sizes
 simulate  run a round algorithm on a fresh random regular multigraph
 oracle    exact optimum (plus witness) for a small edge-list file
-refine    convergence report across a decreasing ladder of step sizes
 
 Every command prints a human-readable summary and can also write a JSON
 report (``--json``).  Identical command line and seed give a byte-identical
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config_model import generate, load_edge_list
+from .config_model import edge_list_header, generate, load_edge_list
 from .cut_evolution import CutRules
 from .cut_local_algorithm import run_cut
 from .evolution_core import (
@@ -36,22 +36,23 @@ from .evolution_core import (
     integrate,
     refine,
 )
-from .exact_oracle import from_multigraph, max_cut, max_independent_set
+from .exact_oracle import (
+    check_order,
+    from_multigraph,
+    max_cut,
+    max_independent_set,
+)
 from .is_evolution import Is3Rules, Is4Rules
 from .is_local_algorithm import RoundSchedule
 from .is_local_algorithm import run as run_is
 from .is_local_algorithm import verify_independent
 
-# step sizes used by the reference listings; --paper-epsilon switches to them
-LISTING_STEPS = {"is3": 6.3e-9, "is4": 1e-8, "cut3": 1.1e-8}
-
-# ladders known to stay inside each recurrence's valid range; coarser steps
-# can push a degree proportion negative and abort the run
-REFINE_LADDERS = {
-    ("is3", True): (1e-5, 1e-6, 1e-7),
-    ("is3", False): (1.6e-4, 8e-5, 4e-5),
-    ("is4", True): (1e-5, 5e-6, 2.5e-6),
-    ("cut3", True): (1.6e-4, 8e-5, 4e-5),
+# evolve/refine targets: help text, and the step size of the reference
+# listings (--paper-epsilon switches to it)
+TARGETS = {
+    "is3": ("independent-set process on 3-regular graphs", 6.3e-9),
+    "is4": ("independent-set process on 4-regular graphs", 1e-8),
+    "cut3": ("red/green/white cut process on 3-regular graphs", 1.1e-8),
 }
 
 
@@ -150,38 +151,38 @@ def _emit(report: RunReport, json_path) -> None:
 # -- evolve -----------------------------------------------------------------
 
 
-def _evolve_rules(args):
+def _evolve_target(args):
+    """Rule set of the parsed evolve/refine target, its report kind, the
+    flag values that chose it (report parameters) and its default refine
+    ladder, one known to stay inside the recurrence's valid range."""
     if args.target == "is3":
-        return Is3Rules(improvement=not args.no_improvement)
+        improvement = not args.no_improvement
+        ladder = (1e-5, 1e-6, 1e-7) if improvement else (1.6e-4, 8e-5, 4e-5)
+        return (Is3Rules(improvement=improvement), "independent",
+                {"improvement": improvement}, ladder)
     if args.target == "is4":
-        return Is4Rules()
-    return CutRules(mode=args.mode.replace("-", "_"))
+        return Is4Rules(), "independent", {}, (1e-5, 5e-6, 2.5e-6)
+    return (CutRules(mode=args.mode.replace("-", "_")), "cut",
+            {"mode": args.mode}, (1.6e-4, 8e-5, 4e-5))
 
 
 def _cmd_evolve(args) -> int:
-    eps = LISTING_STEPS[args.target] if args.paper_epsilon else args.epsilon
-    rules = _evolve_rules(args)
+    eps = TARGETS[args.target][1] if args.paper_epsilon else args.epsilon
+    rules, kind, options, _ = _evolve_target(args)
     params = EvolutionParams(step_size=eps,
                              record_interval=args.record_interval)
     start = time.perf_counter()
     state, traj = integrate(rules.initial_state(params), rules, params)
     wall = time.perf_counter() - start
-    rounds = int(traj.rows[-1][0])
-    if args.target == "cut3":
-        kind = "cut"
-        headline = {"good": float(state.good), "bad": float(state.bad)}
-    else:
-        kind = "independent"
-        headline = {"independent": float(state.independent)}
+    # the headline figures are the run's accumulators
+    headline = {name: float(getattr(state, name))
+                for name in rules.monotone_columns}
     parameters = {"target": args.target, "epsilon": eps,
-                  "record_interval": args.record_interval}
-    if args.target == "is3":
-        parameters["improvement"] = not args.no_improvement
-    if args.target == "cut3":
-        parameters["mode"] = args.mode
+                  "record_interval": args.record_interval, **options}
     report = RunReport(command=args.command_echo, kind=kind,
                        parameters=parameters, seed=None, headline=headline,
-                       rounds=rounds, wall_time_s=round(wall, 3))
+                       rounds=int(traj.rows[-1][0]),
+                       wall_time_s=round(wall, 3))
     if args.trajectory:
         path = _resolve_out(args.trajectory)
         path.write_text(traj.to_csv())
@@ -306,8 +307,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    graph = load_edge_list(Path(args.path).read_text())
-    small = from_multigraph(graph)
+    text = Path(args.path).read_text()
+    # the graph's arrays are O(n): reject an oversized n before building it
+    check_order(edge_list_header(text)[0], args.problem)
+    small = from_multigraph(load_edge_list(text))
     if args.problem == "mis":
         size, members = max_independent_set(small)
         print(f"maximum independent set: {size}")
@@ -323,32 +326,23 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    rules = _evolve_rules(args)
+    rules, _, options, ladder = _evolve_target(args)
     if args.step_sizes:
         ladder = tuple(args.step_sizes)
-    else:
-        ladder = REFINE_LADDERS[(args.target,
-                                 not getattr(args, "no_improvement", False))]
     start = time.perf_counter()
-    report = refine(rules.initial_state(EvolutionParams(step_size=ladder[0])),
+    result = refine(rules.initial_state(EvolutionParams(step_size=ladder[0])),
                     rules, ladder)
     wall = time.perf_counter() - start
-    print(f"command: {args.command_echo}")
-    print(report.describe())
-    print(f"wall time: {wall:.2f}s")
-    if args.json_path:
-        payload = {
-            "command": args.command_echo,
-            "step_sizes": list(report.step_sizes),
-            "finals": list(report.finals),
-            "diffs": list(report.diffs),
-            "ratios": list(report.ratios),
-            "monotone": report.monotone,
-            "wall_time_s": round(wall, 3),
-        }
-        path = _resolve_out(args.json_path)
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        print(f"report written to {path}")
+    print(result.describe())
+    report = RunReport(
+        command=args.command_echo, kind="report",
+        parameters={"target": args.target,
+                    "step_sizes": list(result.step_sizes), **options},
+        seed=None, headline={"final": result.finals[-1]},
+        details={"finals": list(result.finals), "diffs": list(result.diffs),
+                 "ratios": list(result.ratios), "monotone": result.monotone},
+        wall_time_s=round(wall, 3))
+    _emit(report, args.json_path)
     return 0
 
 
@@ -372,6 +366,13 @@ def _add_evolve_flags(p) -> None:
                    help="rounds between trajectory samples")
     p.add_argument("--trajectory", metavar="PATH",
                    help="write the sampled trajectory as CSV")
+    _add_output_flags(p)
+
+
+def _add_refine_flags(p) -> None:
+    p.add_argument("--step-sizes", type=float, nargs="+", metavar="EPS",
+                   help="strictly decreasing ladder (default: a known "
+                        "in-range ladder for the target)")
     _add_output_flags(p)
 
 
@@ -400,26 +401,25 @@ def _parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    evolve = sub.add_parser(
-        "evolve", help="integrate a degree-evolution process")
-    evolve_targets = evolve.add_subparsers(dest="target", required=True)
-    ev3 = evolve_targets.add_parser(
-        "is3", help="independent-set process on 3-regular graphs")
-    ev3.add_argument("--no-improvement", action="store_true",
-                     help="disable the lone-pair correction term")
-    _add_evolve_flags(ev3)
-    ev3.set_defaults(func=_cmd_evolve)
-    ev4 = evolve_targets.add_parser(
-        "is4", help="independent-set process on 4-regular graphs")
-    _add_evolve_flags(ev4)
-    ev4.set_defaults(func=_cmd_evolve, no_improvement=False)
-    evc = evolve_targets.add_parser(
-        "cut3", help="red/green/white cut process on 3-regular graphs")
-    evc.add_argument("--mode", choices=("closed-form", "linear-solve"),
-                     default="closed-form",
-                     help="how the per-round action rates are computed")
-    _add_evolve_flags(evc)
-    evc.set_defaults(func=_cmd_evolve, no_improvement=False)
+    for command, help_text, add_flags, func in (
+            ("evolve", "integrate a degree-evolution process",
+             _add_evolve_flags, _cmd_evolve),
+            ("refine", "compare evolution finals across step sizes",
+             _add_refine_flags, _cmd_refine)):
+        targets = sub.add_parser(command, help=help_text).add_subparsers(
+            dest="target", required=True)
+        for name, (target_help, _) in TARGETS.items():
+            tp = targets.add_parser(name, help=target_help)
+            if name == "is3":
+                tp.add_argument("--no-improvement", action="store_true",
+                                help="disable the lone-pair correction term")
+            if name == "cut3":
+                tp.add_argument("--mode", default="closed-form",
+                                choices=("closed-form", "linear-solve"),
+                                help="how the per-round action rates are "
+                                     "computed")
+            add_flags(tp)
+            tp.set_defaults(func=func)
 
     simulate = sub.add_parser(
         "simulate", help="run a round algorithm on a random regular graph")
@@ -446,24 +446,6 @@ def _parser() -> argparse.ArgumentParser:
     oracle.add_argument("path", help="edge-list file ('n m' header, one "
                                      "'u v' pair per line)")
     oracle.set_defaults(func=_cmd_oracle)
-
-    refine_cmd = sub.add_parser(
-        "refine", help="compare evolution finals across step sizes")
-    refine_targets = refine_cmd.add_subparsers(dest="target", required=True)
-    for name in ("is3", "is4", "cut3"):
-        rp = refine_targets.add_parser(name)
-        if name == "is3":
-            rp.add_argument("--no-improvement", action="store_true")
-        if name == "cut3":
-            rp.add_argument("--mode", choices=("closed-form", "linear-solve"),
-                            default="closed-form")
-        rp.add_argument("--step-sizes", type=float, nargs="+",
-                        metavar="EPS",
-                        help="strictly decreasing ladder (default: a known "
-                             "in-range ladder for the target)")
-        _add_output_flags(rp)
-        rp.set_defaults(func=_cmd_refine, no_improvement=False,
-                        mode="closed-form")
 
     return parser
 

@@ -19,6 +19,7 @@ __all__ = [
     "GraphStats",
     "generate",
     "stats",
+    "edge_list_header",
     "load_edge_list",
     "save_edge_list",
 ]
@@ -155,12 +156,11 @@ def stats(g: Multigraph) -> GraphStats:
                       cycles3=c3, cycles4=c4, cycles5=c5)
 
 
-def load_edge_list(text: str) -> Multigraph:
-    """Parse the "n m" + edge-lines format into a Multigraph."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
+def edge_list_header(text: str) -> tuple:
+    """The (n, m) counts from the "n m" first line of an edge list."""
+    head = next((ln.split() for ln in text.splitlines() if ln.strip()), None)
+    if head is None:
         raise ValueError("empty edge list")
-    head = lines[0].split()
     if len(head) != 2:
         raise ValueError("header must be 'n m'")
     try:
@@ -169,6 +169,13 @@ def load_edge_list(text: str) -> Multigraph:
         raise ValueError("header must be 'n m'") from None
     if n < 0 or m < 0:
         raise ValueError("negative counts in header")
+    return n, m
+
+
+def load_edge_list(text: str) -> Multigraph:
+    """Parse the "n m" + edge-lines format into a Multigraph."""
+    n, m = edge_list_header(text)
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     owner = np.empty(2 * m, dtype=np.int64)

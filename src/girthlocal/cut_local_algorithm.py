@@ -661,12 +661,7 @@ class CutProcess:
                          rounds=self.rounds)
 
 
-def run_cut(graph: Multigraph, seed=None, swap: bool = False,
-            query_probability: float = 0.02, stop_fraction: float = 1e-3,
-            endgame_floor: int = 64, max_rounds: int = 10 ** 6) -> CutResult:
-    """Run the full cut process on a 3-regular multigraph."""
-    return CutProcess(graph, seed=seed, swap=swap,
-                      query_probability=query_probability,
-                      stop_fraction=stop_fraction,
-                      endgame_floor=endgame_floor,
-                      max_rounds=max_rounds).run()
+def run_cut(graph: Multigraph, **options) -> CutResult:
+    """Run the full cut process on a 3-regular multigraph; ``options`` are
+    those of :class:`CutProcess`."""
+    return CutProcess(graph, **options).run()

@@ -80,8 +80,8 @@ class EvolutionParams:
     record_interval: int = 10 ** 6
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
         if self.record_interval < 1:
             raise ValueError("record_interval must be >= 1")
 

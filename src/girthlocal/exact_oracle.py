@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 from .config_model import Multigraph
 
-__all__ = ["SmallGraph", "from_multigraph", "max_independent_set", "max_cut"]
+__all__ = ["SmallGraph", "check_order", "small_graph", "from_multigraph",
+           "max_independent_set", "max_cut"]
 
-MIS_LIMIT = 30
-CUT_LIMIT = 26
+# problem -> (oracle name, largest n it searches exhaustively)
+LIMITS = {"mis": ("independent-set", 30), "maxcut": ("max-cut", 26)}
 
 
 @dataclass
@@ -46,18 +47,33 @@ def _bits(mask: int):
         mask ^= low
 
 
-def from_multigraph(g: Multigraph) -> SmallGraph:
+def check_order(n: int, problem: str) -> None:
+    """Reject an instance too large for the ``problem`` oracle's search."""
+    name, limit = LIMITS[problem]
+    if n > limit:
+        raise ValueError(f"{name} oracle handles n <= {limit}")
+
+
+def small_graph(vertices, edges) -> SmallGraph:
+    """SmallGraph on ``vertices`` (relabelled 0, 1, ... in order) from (u, v)
+    edge pairs; loops are dropped, parallel edges become a multiplicity."""
+    index = {v: i for i, v in enumerate(vertices)}
     multiplicity: dict = {}
-    for u, v in g.edges():
+    for u, v in edges:
         if u != v:
-            key = (u, v) if u < v else (v, u)
+            a, b = index[u], index[v]
+            key = (a, b) if a < b else (b, a)
             multiplicity[key] = multiplicity.get(key, 0) + 1
-    nbr = [0] * g.n
-    for u, v in multiplicity:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    edges = [(u, v, w) for (u, v), w in sorted(multiplicity.items())]
-    return SmallGraph(n=g.n, nbr=nbr, edges=edges)
+    nbr = [0] * len(index)
+    for a, b in multiplicity:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    weighted = [(a, b, w) for (a, b), w in sorted(multiplicity.items())]
+    return SmallGraph(n=len(index), nbr=nbr, edges=weighted)
+
+
+def from_multigraph(g: Multigraph) -> SmallGraph:
+    return small_graph(range(g.n), g.edges())
 
 
 def max_independent_set(g: SmallGraph):
@@ -68,8 +84,7 @@ def max_independent_set(g: SmallGraph):
     vertices and is solved greedily.  The only bound is the count of
     remaining vertices, which is already enough at n <= 30.
     """
-    if g.n > MIS_LIMIT:
-        raise ValueError(f"independent-set oracle handles n <= {MIS_LIMIT}")
+    check_order(g.n, "mis")
     nbr = g.nbr
     best = [-1, 0]
 
@@ -107,8 +122,7 @@ def max_cut(g: SmallGraph):
     single vertex, so the cut weight updates from that vertex's incident
     edges alone.
     """
-    if g.n > CUT_LIMIT:
-        raise ValueError(f"max-cut oracle handles n <= {CUT_LIMIT}")
+    check_order(g.n, "maxcut")
     if g.n == 0:
         return 0, []
     adj = [[] for _ in range(g.n)]

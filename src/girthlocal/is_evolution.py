@@ -37,7 +37,9 @@ __all__ = [
     "phase1_rates",
 ]
 
-DEGREE_CAP = 7  # highest tracked degree class; the chunk kernel unrolls 2-7
+# highest tracked degree class (the chunk kernel unrolls 2-7); merged degrees
+# past it become erasures here and are deleted outright in is_local_algorithm
+DEGREE_CAP = 7
 
 
 @dataclass

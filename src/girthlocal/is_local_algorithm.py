@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config_model import Multigraph
+from .is_evolution import DEGREE_CAP
 
 __all__ = [
     "DEGREE_CAP",
@@ -33,8 +34,6 @@ __all__ = [
     "run",
     "verify_independent",
 ]
-
-DEGREE_CAP = 7  # merged vertices past this degree are deleted outright
 
 
 @dataclass

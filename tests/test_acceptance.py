@@ -26,6 +26,7 @@ from girthlocal.exact_oracle import (
     from_multigraph,
     max_cut,
     max_independent_set,
+    small_graph,
 )
 from girthlocal.is_evolution import Is3Rules, Is4Rules, phase1_rates
 from girthlocal.is_local_algorithm import SurvivalGraph
@@ -82,19 +83,7 @@ def simulate_reports(tmp_path_factory):
 
 
 def _live_small_graph(g: SurvivalGraph) -> SmallGraph:
-    survivors = g.survivors()
-    index = {v: i for i, v in enumerate(survivors)}
-    mult = {}
-    for u, v in g.live_edges():
-        if u != v:
-            key = tuple(sorted((index[u], index[v])))
-            mult[key] = mult.get(key, 0) + 1
-    nbr = [0] * len(survivors)
-    for a, b in mult:
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-    return SmallGraph(n=len(survivors), nbr=nbr,
-                      edges=[(a, b, w) for (a, b), w in sorted(mult.items())])
+    return small_graph(g.survivors(), g.live_edges())
 
 
 def test_criterion_01_is3_improved_headline_and_runtime(is3_improved,

@@ -53,10 +53,22 @@ def test_evolve_writes_json_and_trajectory(capsys, tmp_path):
 
 
 def test_evolve_rejects_improvement_flag_on_wrong_target(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["evolve", "is4", "--no-improvement"])
-    assert exc.value.code == 2
+    for command in ("evolve", "refine"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "is4", "--no-improvement"])
+        assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "is3", "--epsilon", "inf"],
+    ["refine", "is3", "--step-sizes", "inf", "1e-4"],
+], ids=["evolve", "refine"])
+def test_non_finite_step_size_fails(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "finite" in err
+    assert out == ""
 
 
 def test_evolve_coarse_step_out_of_range_fails(capsys):
@@ -177,11 +189,16 @@ def test_oracle_commands(capsys, tmp_path):
 def test_oracle_size_limit(capsys, tmp_path):
     n = 40
     lines = [f"{n} {n}"] + [f"{i} {(i + 1) % n}" for i in range(n)]
+    cycle = "\n".join(lines) + "\n"
+    # a huge header is rejected before the graph's O(n) arrays are built
+    huge = "1000000000000000 0\n"
     path = tmp_path / "big.txt"
-    path.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "oracle", "mis", str(path))
-    assert code == 2
-    assert "n <= 30" in err
+    for problem, limit, text in (("mis", 30, cycle), ("mis", 30, huge),
+                                 ("maxcut", 26, huge)):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "oracle", problem, str(path))
+        assert code == 2
+        assert f"n <= {limit}" in err
 
 
 def test_refine_default_ladder_reports_convergence(capsys):
@@ -196,10 +213,16 @@ def test_refine_explicit_ladder_json(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "refine", "is4", "--step-sizes",
                            "1e-5", "5e-6", "2.5e-6", "--json", str(jpath))
     assert code == 0
+    assert "monotone convergence: True" in out
     data = json.loads(jpath.read_text())
-    assert data["monotone"] is True
-    assert len(data["finals"]) == 3
-    assert data["ratios"][0] == pytest.approx(0.668, abs=0.05)
+    assert data["kind"] == "report"
+    assert data["parameters"]["step_sizes"] == [1e-5, 5e-6, 2.5e-6]
+    details = data["details"]
+    assert details["monotone"] is True
+    assert len(details["finals"]) == 3
+    assert data["headline"]["final"] == details["finals"][-1]
+    assert details["ratios"][0] == pytest.approx(0.668, abs=0.05)
+    assert RunReport.from_dict(data).to_dict() == data
 
 
 def test_simulate_cut_swap_flag(capsys, tmp_path):
@@ -248,3 +271,70 @@ def test_witness_bytes_are_pinned(capsys, tmp_path, target, seed):
     assert code == 0
     digest = hashlib.sha256(wpath.read_bytes()).hexdigest()
     assert digest == WITNESS_SHA256[(target, seed)]
+
+
+# sha256 of each report: the --json file and stdout, wall-time lines
+# dropped and the output directory written as OUT; a change to the commands
+# that keeps their outputs must keep these
+REPORT_ARGS = {
+    "is3": ["evolve", "is3", "--epsilon", "1e-5"],
+    "is3_plain": ["evolve", "is3", "--no-improvement", "--epsilon", "1e-5"],
+    "is4": ["evolve", "is4", "--epsilon", "1e-5"],
+    "cut3": ["evolve", "cut3", "--epsilon", "1e-5"],
+    "cut3_linear": ["evolve", "cut3", "--mode", "linear-solve",
+                    "--epsilon", "1e-5"],
+    "simulate_is3": ["simulate", "is", "--d", "3", "--n", "2000"],
+    "simulate_cut": ["simulate", "cut", "--n", "2000"],
+    "simulate_cut_seeds2": ["simulate", "cut", "--n", "2000", "--seeds", "2"],
+}
+REPORT_SHA256 = {  # name: (json, stdout)
+    "is3": ("bc2548e65279688d743c58db2c082699"
+            "78051cb6a0428e7f44f9c83ae12d3c90",
+            "d932c3a48e9a1950438637228b070c10"
+            "a20a113c635199e77d7c81d3e95512e1"),
+    "is3_plain": ("7348844b46109478b26e48af2ce2ea2e"
+                  "3461c58d52fb0676bb1b37ba614d87ff",
+                  "06bb3990d731d296b4042098e3b25266"
+                  "6f6e403162a7d3dce0d2e14e8449da25"),
+    "is4": ("49e9bc95012df9e42239de2810ba3aff"
+            "7ca2a74a9f4f3e184145101935422d10",
+            "5320a4f11517405525d1189659577f08"
+            "7ed55e5e0825cf6390d45d8d707c651f"),
+    "cut3": ("e6c442df685e4c6c34cfc8c9e054a435"
+             "1ef6443a531fcc77156121282f39d24d",
+             "d398fa253bb06624e56fa29f3003138b"
+             "a32f848d907381f81d38649e1faf210d"),
+    "cut3_linear": ("af81e6c7c62c816d8bc1340fd549cc99"
+                    "f72af01151f8d341fc537238ba5a56db",
+                    "0a27b898dc78c750390ebbaf85aa942e"
+                    "43fd9e3349bdbcd090bd2db792618e01"),
+    "simulate_is3": ("56ed0edb9e1bf3543c5997bed0f75f5a"
+                     "2fb41925335a3108223f57190630f354",
+                     "a03872a3acf3294af180b9f0a3aedad7"
+                     "23a1e6736618a8b35a3831f8995e0c79"),
+    "simulate_cut": ("85b017efc5f64ee61d33dd58454e24b1"
+                     "f0b96bc6989a8452bb350c9742a7a95a",
+                     "ab339829b4a36f1707335d739c13f3a6"
+                     "e85ae4a6cc5236e3c2a884951623a4dd"),
+    "simulate_cut_seeds2": ("1ba85e0664b6fd8c968f398e67b6d0dc"
+                            "2449f782f62787f2d54c43951353d9e9",
+                            "57808d1c4182c44b334868e1077ce931"
+                            "1a23769ebbad55ca271e9033f7f5ca59"),
+}
+
+
+def _report_digest(text: str, out_dir) -> str:
+    kept = "".join(ln for ln in text.replace(str(out_dir), "OUT")
+                   .splitlines(keepends=True)
+                   if "wall_time" not in ln and "wall time" not in ln)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_ARGS))
+def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.setenv("GIRTHLOCAL_OUT", str(tmp_path))
+    code, out, _ = run_cli(capsys, *REPORT_ARGS[name], "--json", "r.json")
+    assert code == 0
+    report = (tmp_path / "r.json").read_text()
+    assert (_report_digest(report, tmp_path),
+            _report_digest(out, tmp_path)) == REPORT_SHA256[name]

@@ -21,6 +21,7 @@ from girthlocal.cut_evolution import CutRules
     dict(step_size=1e-5, record_interval=0),
     dict(step_size=1e-5, record_interval=-3),
     dict(step_size=float("nan")),
+    dict(step_size=float("inf")),
 ])
 def test_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

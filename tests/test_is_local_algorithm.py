@@ -3,7 +3,12 @@ import numpy as np
 import pytest
 
 from girthlocal.config_model import Multigraph, generate, load_edge_list
-from girthlocal.exact_oracle import SmallGraph, from_multigraph, max_independent_set
+from girthlocal.exact_oracle import (
+    SmallGraph,
+    from_multigraph,
+    max_independent_set,
+    small_graph,
+)
 from girthlocal.is_local_algorithm import (
     IsRunResult,
     RoundSchedule,
@@ -35,19 +40,7 @@ def random_multigraph(rng, n: int, m: int) -> Multigraph:
 
 
 def live_small_graph(g: SurvivalGraph) -> SmallGraph:
-    survivors = g.survivors()
-    index = {v: i for i, v in enumerate(survivors)}
-    mult = {}
-    for u, v in g.live_edges():
-        if u != v:
-            key = tuple(sorted((index[u], index[v])))
-            mult[key] = mult.get(key, 0) + 1
-    nbr = [0] * len(survivors)
-    for a, b in mult:
-        nbr[a] |= 1 << b
-        nbr[b] |= 1 << a
-    return SmallGraph(n=len(survivors), nbr=nbr,
-                      edges=[(a, b, w) for (a, b), w in sorted(mult.items())])
+    return small_graph(g.survivors(), g.live_edges())
 
 
 # -- contraction ------------------------------------------------------------
