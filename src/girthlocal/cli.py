@@ -29,7 +29,7 @@ import numpy as np
 
 from .config_model import edge_list_header, generate, load_edge_list
 from .cut_evolution import CutRules
-from .cut_local_algorithm import run_cut
+from .cut_local_algorithm import QUERY_PROBABILITY, run_cut
 from .evolution_core import (
     EvolutionParams,
     IntegrationError,
@@ -43,7 +43,7 @@ from .exact_oracle import (
     max_independent_set,
 )
 from .is_evolution import Is3Rules, Is4Rules
-from .is_local_algorithm import RoundSchedule
+from .is_local_algorithm import THIN_PROBABILITY
 from .is_local_algorithm import run as run_is
 from .is_local_algorithm import verify_independent
 
@@ -166,11 +166,22 @@ def _evolve_target(args):
             {"mode": args.mode}, (1.6e-4, 8e-5, 4e-5))
 
 
+def _check_steps(steps) -> None:
+    """Reject a step size at which the first round consumes the whole start
+    mass: 2ε of class d (is3, is4), or ε·D(0) = 2ε of rat3 (cut3)."""
+    for eps in steps:
+        if eps >= 0.5:
+            raise ValueError(f"step size {eps:g} must be below 0.5: at 0.5 "
+                             f"or more the first round consumes the whole "
+                             f"start mass")
+
+
 def _cmd_evolve(args) -> int:
     eps = TARGETS[args.target][1] if args.paper_epsilon else args.epsilon
     rules, kind, options, _ = _evolve_target(args)
     params = EvolutionParams(step_size=eps,
                              record_interval=args.record_interval)
+    _check_steps([eps])
     start = time.perf_counter()
     state, traj = integrate(rules.initial_state(params), rules, params)
     wall = time.perf_counter() - start
@@ -204,8 +215,7 @@ def _run_simulation(payload):
     graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
     graph = generate(n, d, seed=graph_seed)
     if target == "is":
-        result = run_is(graph, d, schedule=RoundSchedule(**options),
-                        seed=algo_seed)
+        result = run_is(graph, d, seed=algo_seed, **options)
         return {
             "seed": seed,
             "size": result.size,
@@ -236,21 +246,10 @@ def _cmd_simulate(args) -> int:
     target = args.target
     d = args.d if target == "is" else 3
     if target == "is":
-        options = {
-            "thin_probability": args.thin_probability,
-            "bootstrap_probability": args.bootstrap_probability,
-            "persistence_fraction": args.persistence_fraction,
-            "stop_fraction": args.stop_fraction,
-            "max_rounds": args.max_rounds,
-        }
+        options = {"thin_probability": args.thin_probability}
     else:
-        options = {
-            "query_probability": args.query_probability,
-            "stop_fraction": args.stop_fraction,
-            "endgame_floor": args.endgame_floor,
-            "max_rounds": args.max_rounds,
-            "swap": args.swap,
-        }
+        options = {"query_probability": args.query_probability,
+                   "swap": args.swap}
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     if args.witness and args.seeds > 1:
@@ -329,9 +328,10 @@ def _cmd_refine(args) -> int:
     rules, _, options, ladder = _evolve_target(args)
     if args.step_sizes:
         ladder = tuple(args.step_sizes)
+    initial = rules.initial_state(EvolutionParams(step_size=ladder[0]))
+    _check_steps(ladder)
     start = time.perf_counter()
-    result = refine(rules.initial_state(EvolutionParams(step_size=ladder[0])),
-                    rules, ladder)
+    result = refine(initial, rules, ladder)
     wall = time.perf_counter() - start
     print(result.describe())
     report = RunReport(
@@ -385,9 +385,6 @@ def _add_simulate_flags(p) -> None:
     p.add_argument("--seeds", type=int, default=1, metavar="K",
                    help="fan out K independent runs (seed, seed+1, ...) "
                         "and aggregate mean/stddev")
-    p.add_argument("--stop-fraction", type=float, default=1e-3,
-                   help="stop once survival falls below this fraction")
-    p.add_argument("--max-rounds", type=int, default=10 ** 6)
     p.add_argument("--witness", metavar="PATH",
                    help="write the certified output (set members or "
                         "coloring) here")
@@ -427,14 +424,13 @@ def _parser() -> argparse.ArgumentParser:
     sim_is = sim_targets.add_parser("is", help="independent set")
     sim_is.add_argument("--d", type=int, choices=(3, 4), default=3,
                         help="graph degree (default 3)")
-    sim_is.add_argument("--thin-probability", type=float, default=0.02)
-    sim_is.add_argument("--bootstrap-probability", type=float, default=0.002)
-    sim_is.add_argument("--persistence-fraction", type=float, default=0.002)
+    sim_is.add_argument("--thin-probability", type=float,
+                        default=THIN_PROBABILITY)
     _add_simulate_flags(sim_is)
     sim_is.set_defaults(func=_cmd_simulate)
     sim_cut = sim_targets.add_parser("cut", help="red/green cut coloring")
-    sim_cut.add_argument("--query-probability", type=float, default=0.02)
-    sim_cut.add_argument("--endgame-floor", type=int, default=64)
+    sim_cut.add_argument("--query-probability", type=float,
+                         default=QUERY_PROBABILITY)
     sim_cut.add_argument("--swap", action="store_true",
                          help="swap the roles of the two colors")
     _add_simulate_flags(sim_cut)

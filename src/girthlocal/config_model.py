@@ -66,6 +66,12 @@ class Multigraph:
     def slots(self, v: int) -> np.ndarray:
         return self._slots[self._indptr[v]:self._indptr[v + 1]]
 
+    def slot_lists(self) -> list:
+        """A fresh Python list of slots per vertex, for mutable copies."""
+        slots = self._slots.tolist()
+        bounds = self._indptr.tolist()
+        return [slots[a:b] for a, b in zip(bounds, bounds[1:])]
+
     def neighbors(self, v: int) -> list:
         """Neighbor per incident half-edge (loops appear twice)."""
         return [int(self.owner[self.pair[h]]) for h in self.slots(v)]

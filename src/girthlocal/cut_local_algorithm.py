@@ -27,9 +27,18 @@ import numpy as np
 
 from .config_model import Multigraph
 
-__all__ = ["CutResult", "CutProcess", "run_cut"]
+__all__ = ["QUERY_PROBABILITY", "CutResult", "CutProcess", "run_cut"]
 
 RED, GREEN = 0, 1
+
+# Round discretization: each round queries a lone vertex with
+# QUERY_PROBABILITY.  The rounds stop once at most max(ENDGAME_FLOOR,
+# STOP_FRACTION * n) vertices survive, and the endgame colors the rest by
+# majority; MAX_ROUNDS only guards against a stall.
+QUERY_PROBABILITY = 0.02
+STOP_FRACTION = 1e-3
+ENDGAME_FLOOR = 64
+MAX_ROUNDS = 10 ** 6
 
 
 @dataclass
@@ -54,29 +63,20 @@ class CutProcess:
     """One run's mutable state; drive with run() or the staged methods."""
 
     def __init__(self, graph: Multigraph, seed=None, swap: bool = False,
-                 query_probability: float = 0.02,
-                 stop_fraction: float = 1e-3, endgame_floor: int = 64,
-                 max_rounds: int = 10 ** 6):
+                 query_probability: float = QUERY_PROBABILITY):
         if not np.all(graph.degrees() == 3):
             raise ValueError("cut process needs a 3-regular graph")
         if not 0.0 <= query_probability <= 1.0:
             raise ValueError("query_probability must lie in [0, 1]")
-        if not 0.0 < stop_fraction < 1.0:
-            raise ValueError("stop_fraction must lie in (0, 1)")
-        if max_rounds < 1:
-            raise ValueError("max_rounds must be positive")
         n = graph.n
         self.n = n
         self.seed = seed
         self.swap = 1 if swap else 0
         self.query_probability = query_probability
-        self.stop_fraction = stop_fraction
-        self.endgame_floor = endgame_floor
-        self.max_rounds = max_rounds
         self.rng = np.random.default_rng(seed)
         self.owner = graph.owner
         self.pair = graph.pair
-        self.slots = [list(map(int, graph.slots(v))) for v in range(n)]
+        self.slots = graph.slot_lists()
         self.revealed = np.zeros(self.pair.shape[0], dtype=bool)
         # per-vertex classification counters; cd = nR+nG+nW+nD and
         # cd + pd + op == 3 at all times for survival vertices
@@ -551,10 +551,10 @@ class CutProcess:
         return np.flatnonzero(mask)
 
     def run(self) -> CutResult:
-        threshold = max(self.endgame_floor, self.stop_fraction * self.n)
+        threshold = max(ENDGAME_FLOOR, STOP_FRACTION * self.n)
         self._bootstrap()
         self.closure()
-        while self.survival > threshold and self.rounds < self.max_rounds:
+        while self.survival > threshold and self.rounds < MAX_ROUNDS:
             before = self.survival
             lones = self._lone_vertices()
             marked = lones[self.rng.random(lones.shape[0])

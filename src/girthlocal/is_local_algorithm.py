@@ -28,7 +28,7 @@ from .is_evolution import DEGREE_CAP
 
 __all__ = [
     "DEGREE_CAP",
-    "RoundSchedule",
+    "THIN_PROBABILITY",
     "SurvivalGraph",
     "IsRunResult",
     "run",
@@ -36,33 +36,18 @@ __all__ = [
 ]
 
 
-@dataclass
-class RoundSchedule:
-    """Tunable knobs of the round discretization.
-
-    thin_probability thins the top persistent degree class; classes above
-    it (and transient dust below the persistence cutoff) are deleted
-    outright.  bootstrap_probability seeds the process while no class
-    above the base degree has formed yet.  A class is persistent when it
-    holds at least persistence_fraction of the survival count.
-    """
-
-    thin_probability: float = 0.02
-    bootstrap_probability: float = 0.002
-    persistence_fraction: float = 0.002
-    stop_fraction: float = 1e-3
-    max_rounds: int = 1_000_000
-
-    def __post_init__(self):
-        for name in ("thin_probability", "bootstrap_probability",
-                     "persistence_fraction"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0.0 < self.stop_fraction < 1.0:
-            raise ValueError("stop_fraction must lie in (0, 1)")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be positive")
+# Round discretization.  THIN_PROBABILITY thins the top persistent degree
+# class; classes above it (and transient dust below the persistence cutoff)
+# are deleted outright.  BOOTSTRAP_PROBABILITY seeds the process while no
+# class above the base degree has formed yet.  A class is persistent when it
+# holds at least PERSISTENCE_FRACTION of the survival count.  A run stops
+# once at most STOP_FRACTION of the vertices survive; MAX_ROUNDS only guards
+# against a stall (runs at n = 1e5 take a few thousand rounds).
+THIN_PROBABILITY = 0.02
+BOOTSTRAP_PROBABILITY = 0.002
+PERSISTENCE_FRACTION = 0.002
+STOP_FRACTION = 1e-3
+MAX_ROUNDS = 10 ** 6
 
 
 @dataclass
@@ -95,13 +80,11 @@ class SurvivalGraph:
         self.owner = np.array(g.owner, dtype=np.int64)
         self.pair = np.array(g.pair, dtype=np.int64)
         self.slot_alive = np.ones(self.owner.shape[0], dtype=bool)
-        self.slots = [list(map(int, g.slots(v))) for v in range(g.n)]
+        self.slots = g.slot_lists()
         self.deg = g.degrees().astype(np.int64)
         self.alive = np.ones(g.n, dtype=bool)
         self.in_tree: list = list(range(g.n))
         self.out_tree: list = [None] * g.n
-        self.in_size = np.ones(g.n, dtype=np.int64)
-        self.out_size = np.zeros(g.n, dtype=np.int64)
         self.survival_count = g.n
         self.selected: list = []
         self.contractions = 0
@@ -220,8 +203,6 @@ class SurvivalGraph:
                            self.out_tree[y])
         self.out_tree[x] = ((self.out_tree[x], self.out_tree[z]),
                             self.in_tree[y])
-        self.in_size[x] += self.in_size[z] + self.out_size[y]
-        self.out_size[x] += self.out_size[z] + self.in_size[y]
         for gone in (y, z):
             self.alive[gone] = False
             self.slots[gone] = []
@@ -278,35 +259,34 @@ def _top_persistent(counts, survival: int, fraction: float,
     return None
 
 
-def run(graph: Multigraph, d: int, schedule: Optional[RoundSchedule] = None,
-        seed=None) -> IsRunResult:
+def run(graph: Multigraph, d: int, seed=None,
+        thin_probability: float = THIN_PROBABILITY) -> IsRunResult:
     """Run the full round process; returns the committed independent set."""
     if d not in (3, 4):
         raise ValueError("only 3- and 4-regular graphs are supported")
     if not np.all(graph.degrees() == d):
         raise ValueError(f"input graph is not {d}-regular")
-    schedule = schedule or RoundSchedule()
+    if not 0.0 <= thin_probability <= 1.0:
+        raise ValueError("thin_probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     g = SurvivalGraph(graph)
-    stop_at = schedule.stop_fraction * graph.n
+    stop_at = STOP_FRACTION * graph.n
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
     floor = 3 if d == 3 else 5
     rounds = 0
     g.settle()
-    while g.survival_count > stop_at and rounds < schedule.max_rounds:
+    while g.survival_count > stop_at and rounds < MAX_ROUNDS:
         before = g.survival_count
         counts = np.bincount(g.deg[g.alive], minlength=2 * DEGREE_CAP)
-        top = _top_persistent(counts, before, schedule.persistence_fraction,
-                              floor)
+        top = _top_persistent(counts, before, PERSISTENCE_FRACTION, floor)
         if top is not None:
-            _delete_class_and_above(g, rng, top, schedule.thin_probability)
+            _delete_class_and_above(g, rng, top, thin_probability)
         elif d == 4 and counts[3]:
-            _probe_round(g, rng, schedule.thin_probability)
+            _probe_round(g, rng, thin_probability)
         else:
             # nothing persistent to thin and nothing to probe: bootstrap
-            _delete_class_and_above(g, rng, d,
-                                    schedule.bootstrap_probability)
+            _delete_class_and_above(g, rng, d, BOOTSTRAP_PROBABILITY)
         g.settle()
         if g.survival_count == before:
             _force_progress(g, rng)

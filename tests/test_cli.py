@@ -71,6 +71,19 @@ def test_non_finite_step_size_fails(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "is3", "--epsilon", "2"],
+    ["evolve", "is4", "--epsilon", "1"],
+    ["evolve", "cut3", "--epsilon", "0.5"],
+    ["refine", "is3", "--step-sizes", "2", "1"],
+], ids=["evolve_is3", "evolve_is4", "evolve_cut3", "refine_is3"])
+def test_step_consuming_the_start_mass_fails(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "must be below 0.5" in err
+    assert out == ""
+
+
 def test_evolve_coarse_step_out_of_range_fails(capsys):
     code, _, err = run_cli(capsys, "evolve", "is3", "--epsilon", "1e-4")
     assert code == 1
@@ -308,16 +321,16 @@ REPORT_SHA256 = {  # name: (json, stdout)
                     "f72af01151f8d341fc537238ba5a56db",
                     "0a27b898dc78c750390ebbaf85aa942e"
                     "43fd9e3349bdbcd090bd2db792618e01"),
-    "simulate_is3": ("56ed0edb9e1bf3543c5997bed0f75f5a"
-                     "2fb41925335a3108223f57190630f354",
+    "simulate_is3": ("0474c0e3c158f22e5110c2c835119c56"
+                     "7b0bd5f7cf62e235cc4967ad7ab6cbaf",
                      "a03872a3acf3294af180b9f0a3aedad7"
                      "23a1e6736618a8b35a3831f8995e0c79"),
-    "simulate_cut": ("85b017efc5f64ee61d33dd58454e24b1"
-                     "f0b96bc6989a8452bb350c9742a7a95a",
+    "simulate_cut": ("f63b7b828a632911efec9f56b783a47a"
+                     "431002f1d29cb617fe9c5dfe24504667",
                      "ab339829b4a36f1707335d739c13f3a6"
                      "e85ae4a6cc5236e3c2a884951623a4dd"),
-    "simulate_cut_seeds2": ("1ba85e0664b6fd8c968f398e67b6d0dc"
-                            "2449f782f62787f2d54c43951353d9e9",
+    "simulate_cut_seeds2": ("004e8d782b4368a3de63e6354b8d80b6"
+                            "62f270b00f298d7ab763a95a34b9c356",
                             "57808d1c4182c44b334868e1077ce931"
                             "1a23769ebbad55ca271e9033f7f5ca59"),
 }

@@ -20,10 +20,6 @@ def test_rejects_bad_parameters():
     g = generate(10, 3, seed=0)
     with pytest.raises(ValueError):
         CutProcess(g, query_probability=1.5)
-    with pytest.raises(ValueError):
-        CutProcess(g, stop_fraction=0.0)
-    with pytest.raises(ValueError):
-        CutProcess(g, max_rounds=0)
 
 
 def test_commit_labels_neighbors_and_banks_edges():

@@ -11,7 +11,6 @@ from girthlocal.exact_oracle import (
 )
 from girthlocal.is_local_algorithm import (
     IsRunResult,
-    RoundSchedule,
     SurvivalGraph,
     run,
     verify_independent,
@@ -51,7 +50,8 @@ def test_contract_path_base_case():
     assert g.deg[merged] == 0
     assert sorted(g._flatten(g.in_tree[merged])) == [0, 2]
     assert g._flatten(g.out_tree[merged]) == [1]
-    assert g.in_size[merged] - g.out_size[merged] == 1
+    assert len(g._flatten(g.in_tree[merged])) \
+        - len(g._flatten(g.out_tree[merged])) == 1
 
 
 def test_delete_merged_commits_the_middle():
@@ -141,25 +141,22 @@ def test_cardinality_invariant_through_random_play():
                 break
             g.delete(int(rng.choice(alive)))
             g.settle()
-        live = np.flatnonzero(g.alive)
-        assert np.all(g.in_size[live] - g.out_size[live] == 1)
+        for v in np.flatnonzero(g.alive):
+            assert len(g._flatten(g.in_tree[v])) \
+                - len(g._flatten(g.out_tree[v])) == 1
         assert len(set(g.selected)) == len(g.selected)
 
 
-# -- schedules and run validation -------------------------------------------
+# -- schedule and run validation --------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [
     {"thin_probability": -0.1},
     {"thin_probability": 1.5},
-    {"bootstrap_probability": 2.0},
-    {"persistence_fraction": -1.0},
-    {"stop_fraction": 0.0},
-    {"stop_fraction": 1.0},
-    {"max_rounds": 0},
+    {"thin_probability": float("nan")},
 ])
 def test_schedule_validation(kwargs):
-    with pytest.raises(ValueError):
-        RoundSchedule(**kwargs)
+    with pytest.raises(ValueError, match="thin_probability"):
+        run(generate(12, 3, seed=0), 3, seed=0, **kwargs)
 
 
 def test_run_rejects_bad_degree_targets():
