@@ -15,7 +15,7 @@ reports why it stopped via a status code.
 
 STATUS_STOPPED = 0  # stop condition reached
 STATUS_BUDGET = 1  # round budget spent, more work remains
-STATUS_INVALID = 2  # a state field left its sane range (NaN, inf, bad sign)
+STATUS_INVALID = 2  # a state left its sane range (NaN, inf, bad sign, law)
 STATUS_EXHAUSTED = 3  # open-edge pool emptied while deletions were pending
 
 
@@ -275,7 +275,9 @@ def _cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
         if not (rat2 >= lo and rat2 <= hi and rat3 >= lo and rat3 <= hi):
             status = STATUS_INVALID
             break
-        if not (good >= -1e-12 and bad >= -1e-12 and good + bad <= 1.5 + 1e-3):
+        # conservation law of the closed-form rates: g + b = 1.5 D - 2 v_R
+        if not (good >= -1e-12 and bad >= -1e-12
+                and -1e-9 <= good + bad + 2 * rat2 + 1.5 * rat3 - 1.5 <= 1e-9):
             status = STATUS_INVALID
             break
     return rat2, rat3, good, bad, rounds, status

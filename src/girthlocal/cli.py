@@ -250,6 +250,8 @@ def _cmd_simulate(args) -> int:
     else:
         options = {"query_probability": args.query_probability,
                    "swap": args.swap}
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     if args.witness and args.seeds > 1:

@@ -57,24 +57,22 @@ class Multigraph:
     def edge_count(self) -> int:
         return self.pair.shape[0] // 2
 
-    def degree(self, v: int) -> int:
-        return int(self._indptr[v + 1] - self._indptr[v])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
-    def slots(self, v: int) -> np.ndarray:
-        return self._slots[self._indptr[v]:self._indptr[v + 1]]
-
     def slot_lists(self) -> list:
         """A fresh Python list of slots per vertex, for mutable copies."""
-        slots = self._slots.tolist()
-        bounds = self._indptr.tolist()
-        return [slots[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._per_vertex(self._slots)
 
-    def neighbors(self, v: int) -> list:
-        """Neighbor per incident half-edge (loops appear twice)."""
-        return [int(self.owner[self.pair[h]]) for h in self.slots(v)]
+    def neighbor_lists(self) -> list:
+        """A fresh Python list per vertex of the neighbor across each of
+        its half-edges, in slot order (a loop lists the vertex twice)."""
+        return self._per_vertex(self.owner[self.pair[self._slots]])
+
+    def _per_vertex(self, flat: np.ndarray) -> list:
+        items = flat.tolist()
+        bounds = self._indptr.tolist()
+        return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def edges(self) -> Iterator[tuple]:
         """Each edge once, as an (owner, owner) pair; loops as (u, u)."""

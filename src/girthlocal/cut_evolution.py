@@ -208,10 +208,10 @@ class CutRules:
         if not (state.rat2 >= lo and state.rat2 <= hi
                 and state.rat3 >= lo and state.rat3 <= hi):
             return False
-        if not (state.good >= -1e-12 and state.bad >= -1e-12
-                and state.good + state.bad <= 1.5 + 1e-3):
-            return False
-        return True
+        # conservation law of the closed-form rates: g + b = 1.5 D - 2 v_R
+        law = state.good + state.bad + 2 * state.rat2 + 1.5 * state.rat3 - 1.5
+        return (state.good >= -1e-12 and state.bad >= -1e-12
+                and -1e-9 <= law <= 1e-9)
 
     def run_chunk(self, state, params, max_rounds):
         out = _kernels.cut_chunk(

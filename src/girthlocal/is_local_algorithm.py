@@ -69,18 +69,17 @@ class IsRunResult:
 
 
 class SurvivalGraph:
-    """Mutable half-edge graph with per-vertex commit bookkeeping.
+    """Mutable multigraph with per-vertex commit bookkeeping.
 
-    Commit sets are cons trees (None | original id | (left, right)) so a
-    merge is O(1); they are flattened only when committed.
+    adj[v] lists v's live neighbors in half-edge order, one entry per edge
+    end: a loop lists v twice and a parallel edge repeats.  Commit sets
+    are cons trees (None | original id | (left, right)) so a merge is
+    O(1); they are flattened only when committed.
     """
 
     def __init__(self, g: Multigraph):
         self.n = g.n
-        self.owner = np.array(g.owner, dtype=np.int64)
-        self.pair = np.array(g.pair, dtype=np.int64)
-        self.slot_alive = np.ones(self.owner.shape[0], dtype=bool)
-        self.slots = g.slot_lists()
+        self.adj = g.neighbor_lists()
         self.deg = g.degrees().astype(np.int64)
         self.alive = np.ones(g.n, dtype=bool)
         self.in_tree: list = list(range(g.n))
@@ -114,20 +113,15 @@ class SurvivalGraph:
     # -- elementary mutations ----------------------------------------------
 
     def _drop_vertex(self, v: int) -> None:
-        """Remove v and its live half-edges, decrementing live neighbors."""
-        for h in self.slots[v]:
-            if not self.slot_alive[h]:
-                continue
-            k = int(self.pair[h])
-            self.slot_alive[h] = False
-            self.slot_alive[k] = False
-            u = int(self.owner[k])
-            if u != v and self.alive[u]:
+        """Remove v and its live edges, decrementing live neighbors."""
+        for u in self.adj[v]:
+            if u != v:
+                self.adj[u].remove(v)
                 self.deg[u] -= 1
                 if self.deg[u] <= 2:
                     self.queue.append(u)
         self.alive[v] = False
-        self.slots[v] = []
+        self.adj[v] = []
         self.survival_count -= 1
 
     def delete(self, v: int) -> list:
@@ -148,14 +142,6 @@ class SurvivalGraph:
         self._drop_vertex(v)
         return committed
 
-    def _live_slots(self, v: int) -> list:
-        kept = [h for h in self.slots[v] if self.slot_alive[h]]
-        self.slots[v] = kept
-        return kept
-
-    def neighbors(self, v: int) -> list:
-        return [int(self.owner[self.pair[h]]) for h in self._live_slots(v)]
-
     def contract(self, y: int) -> Optional[int]:
         """Contract at the 2-vertex y; returns the merged vertex id if any.
 
@@ -167,19 +153,17 @@ class SurvivalGraph:
         if not self.alive[y] or self.deg[y] != 2:
             raise ValueError("contract needs a live degree-2 vertex")
         self.contractions += 1
-        s1, s2 = self._live_slots(y)
-        if int(self.pair[s1]) == s2:
+        x, z = self.adj[y]
+        if x == y:
             # y's remaining edge is a self-loop: it constrains nothing
             self._select(y)
             return None
-        x = int(self.owner[self.pair[s1]])
-        z = int(self.owner[self.pair[s2]])
         if x == z:
             # both edges lead to the same vertex: y is effectively pendant
             self._select(y)
             self.delete(x)
             return None
-        if any(int(self.owner[self.pair[h]]) == z for h in self._live_slots(x)):
+        if z in self.adj[x]:
             # neighbors are adjacent: y is simplicial, selecting it is safe
             self._select(y)
             if self.alive[x]:
@@ -188,24 +172,21 @@ class SurvivalGraph:
                 self.delete(z)
             return None
         # true merge: x absorbs z, y dissolves into the commit trees
-        for h in (s1, s2):
-            k = int(self.pair[h])
-            self.slot_alive[h] = False
-            self.slot_alive[k] = False
-        self.deg[x] -= 1
-        self.deg[z] -= 1
-        moved = self._live_slots(z)
-        for h in moved:
-            self.owner[h] = x
-        self.slots[x].extend(moved)
-        self.deg[x] += self.deg[z]
+        self.adj[x].remove(y)
+        self.adj[z].remove(y)
+        for w in self.adj[z]:
+            if w != z:
+                nbrs = self.adj[w]
+                nbrs[nbrs.index(z)] = x
+        self.adj[x].extend(x if w == z else w for w in self.adj[z])
+        self.deg[x] = len(self.adj[x])
         self.in_tree[x] = ((self.in_tree[x], self.in_tree[z]),
                            self.out_tree[y])
         self.out_tree[x] = ((self.out_tree[x], self.out_tree[z]),
                             self.in_tree[y])
         for gone in (y, z):
             self.alive[gone] = False
-            self.slots[gone] = []
+            self.adj[gone] = []
         self.survival_count -= 2
         if self.deg[x] <= 2:
             self.queue.append(x)
@@ -225,8 +206,7 @@ class SurvivalGraph:
             if dv == 0:
                 self._select(v)
             elif dv == 1:
-                h = self._live_slots(v)[0]
-                u = int(self.owner[self.pair[h]])
+                u = self.adj[v][0]
                 self._select(v)
                 if self.alive[u]:
                     self.delete(u)
@@ -237,12 +217,11 @@ class SurvivalGraph:
                     self.delete(merged)
 
     def live_edges(self) -> list:
-        """Live edges as (owner, owner) pairs, loops included."""
+        """Each live edge once as (u, w) with u <= w, loops included."""
         out = []
-        for h in range(self.pair.shape[0]):
-            k = int(self.pair[h])
-            if h < k and self.slot_alive[h]:
-                out.append((int(self.owner[h]), int(self.owner[k])))
+        for u, nbrs in enumerate(self.adj):
+            out += [(u, w) for w in nbrs if u < w]
+            out += [(u, u)] * (nbrs.count(u) // 2)
         return out
 
     def survivors(self) -> list:
@@ -322,7 +301,7 @@ def _probe_round(g: SurvivalGraph, rng, probability: float) -> None:
         v = int(v)
         if not g.alive[v] or g.deg[v] != 3:
             continue
-        nbrs = g.neighbors(v)
+        nbrs = g.adj[v]
         degs = [int(g.deg[u]) for u in nbrs]
         if max(degs) == 3:
             g.delete(v)
@@ -342,9 +321,12 @@ def _force_progress(g: SurvivalGraph, rng) -> None:
 
 
 def verify_independent(graph: Multigraph, vertices) -> bool:
-    """True iff no non-loop edge has both endpoints in the set."""
-    chosen = set(vertices)
-    for u, v in graph.edges():
-        if u != v and u in chosen and v in chosen:
-            return False
-    return True
+    """True iff every id is a vertex of the graph and no non-loop edge has
+    both endpoints in the set."""
+    ids = np.fromiter(vertices, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= graph.n):
+        return False
+    chosen = np.zeros(graph.n, dtype=bool)
+    chosen[ids] = True
+    u, w = graph.owner, graph.owner[graph.pair]
+    return not np.any(chosen[u] & chosen[w] & (u != w))

@@ -153,6 +153,13 @@ def test_simulate_rejects_non_positive_seed_count(capsys, count):
     assert "--seeds must be >= 1" in err
 
 
+def test_simulate_rejects_negative_seed(capsys):
+    code, _, err = run_cli(capsys, "simulate", "is", "--n", "600",
+                           "--seed", "-1")
+    assert code == 2
+    assert "--seed must be >= 0" in err
+
+
 def test_identical_command_gives_identical_report(capsys, tmp_path):
     jpath = tmp_path / "rep.json"
     texts = []

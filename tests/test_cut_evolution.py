@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from girthlocal import _kernels
 from girthlocal.evolution_core import (
+    STATUS_BUDGET,
+    STATUS_INVALID,
     EvolutionParams,
     ProcessExhausted,
     _python_chunk,
@@ -163,6 +166,20 @@ def test_kernel_matches_composed_step_bitwise(mode):
     rb, statusb = rules.run_chunk(sb, params, 10 ** 6)
     assert rules.snapshot(sa) == rules.snapshot(sb)
     assert (ra, statusa) == (rb, statusb)
+
+
+@pytest.mark.parametrize("mode", CUT_MODES)
+@pytest.mark.parametrize("off", [0.0, 1e-6])
+def test_range_check_enforces_the_conservation_law(mode, off):
+    # good + bad + 2 rat2 + 1.5 rat3 = 1.5 holds exactly for the rates;
+    # a state off it by 1e-6 is invalid even with good + bad well below 1.5
+    rules = CutRules(mode=mode)
+    params = EvolutionParams(step_size=1e-5)
+    state = CutEvolutionState(rat2=0.1, rat3=0.5, good=0.5 + off, bad=0.05)
+    assert rules.state_in_range(state, params) == (off == 0.0)
+    out = _kernels.cut_chunk(state.rat2, state.rat3, state.good, state.bad,
+                             params.step_size, mode == "linear_solve", 1)
+    assert out[4:] == (1, STATUS_BUDGET if off == 0.0 else STATUS_INVALID)
 
 
 def test_good_plus_bad_approaches_three_halves():

@@ -65,7 +65,7 @@ def test_contract_c4_leaves_parallel_pair():
     g = SurvivalGraph(load_edge_list(C4))
     merged = g.contract(1)
     assert g.deg[merged] == 2
-    assert g.live_edges() in ([(0, 3), (3, 0)], [(3, 0), (0, 3)])
+    assert sorted(tuple(sorted(e)) for e in g.live_edges()) == [(0, 3), (0, 3)]
     before = max_independent_set(from_multigraph(load_edge_list(C4)))[0]
     after = max_independent_set(live_small_graph(g))[0]
     assert before == after + 1 == 2
@@ -145,6 +145,36 @@ def test_cardinality_invariant_through_random_play():
             assert len(g._flatten(g.in_tree[v])) \
                 - len(g._flatten(g.out_tree[v])) == 1
         assert len(set(g.selected)) == len(g.selected)
+
+
+def check_adjacency(g: SurvivalGraph) -> None:
+    for v, nbrs in enumerate(g.adj):
+        if not g.alive[v]:
+            assert nbrs == []
+            continue
+        assert g.deg[v] == len(nbrs)
+        assert nbrs.count(v) % 2 == 0
+        for w in set(nbrs) - {v}:
+            assert g.alive[w]
+            assert nbrs.count(w) == g.adj[w].count(v)
+
+
+def test_adjacency_invariant_through_random_play():
+    # small random multigraphs: loops, parallel edges and merges that
+    # rename loops and parallels all occur
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(4, 20))
+        m = int(rng.integers(n, 3 * n))
+        g = SurvivalGraph(random_multigraph(rng, n, m))
+        check_adjacency(g)
+        g.settle()
+        check_adjacency(g)
+        while g.alive.any():
+            g.delete(int(rng.choice(np.flatnonzero(g.alive))))
+            check_adjacency(g)
+            g.settle()
+            check_adjacency(g)
 
 
 # -- schedule and run validation --------------------------------------------
@@ -241,6 +271,13 @@ def test_verify_accepts_oracle_witness_on_petersen():
     g = petersen()
     _, witness = max_independent_set(from_multigraph(g))
     assert verify_independent(g, witness)
+
+
+def test_verify_rejects_ids_outside_the_graph():
+    g = load_edge_list(C4)
+    assert not verify_independent(g, [-1])
+    assert not verify_independent(g, [4])
+    assert not verify_independent(g, [0, 2, 7])
 
 
 def test_verify_ignores_loops():
