@@ -20,6 +20,7 @@ incremental counters exactly, which is the end-to-end check on all of this.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -77,31 +78,26 @@ class CutProcess:
         self.owner = graph.owner
         self.pair = graph.pair
         self.slots = graph.slot_lists()
-        self.revealed = np.zeros(self.pair.shape[0], dtype=bool)
-        # per-vertex classification counters; cd = nR+nG+nW+nD and
-        # cd + pd + op == 3 at all times for survival vertices
-        self.status = np.zeros(n, dtype=np.int8)  # 0 survival 1 done 2 white
-        self.f = np.full(n, -1, dtype=np.int8)
-        self.nR = np.zeros(n, dtype=np.int8)
-        self.nG = np.zeros(n, dtype=np.int8)
-        self.nW = np.zeros(n, dtype=np.int8)
-        self.nD = np.zeros(n, dtype=np.int8)
-        self.pd = np.zeros(n, dtype=np.int8)
-        self.op = np.full(n, 3, dtype=np.int8)
-        self.pa = np.full((n, 2), -1, dtype=np.int64)  # path neighbors
-        self.pi = np.zeros((n, 2), dtype=np.uint8)     # path edge parities
-        self.alias = np.arange(n, dtype=np.int64)  # open-slot inheritance
-        self.wsrc = np.full(n, -1, dtype=np.int64)  # who whitened at me last
-        self.wbit = np.zeros(n, dtype=np.uint8)     # parity of that mark
-        # pending colors: f[v] = f[ptgt[v]] ^ pbit[v] (ptgt -1: f[v] = pbit;
-        # -2: no pending).  pfree marks constraints no counted edge depends
-        # on yet; the first reveal that meets such a vertex re-points the
-        # constraint against the revealer so their shared edge lands good.
-        self.ptgt = np.full(n, -2, dtype=np.int64)
-        self.pbit = np.zeros(n, dtype=np.uint8)
-        self.pfree = np.zeros(n, dtype=bool)
-        self.porder = np.full(n, -1, dtype=np.int64)
-        self._pseq = 0
+        self.revealed = bytearray(self.pair.shape[0])
+        # per-vertex counters: labels (cd = nR+nG+nW+nD), path degree and
+        # open half-edges; the round scan reads them through numpy views
+        self.status = bytearray(n)  # 0 survival 1 done 2 white
+        self.f = array("b", [-1]) * n
+        self.nR = bytearray(n)
+        self.nG = bytearray(n)
+        self.nW = bytearray(n)
+        self.nD = bytearray(n)
+        self.pd = bytearray(n)  # len(path[v]), for the round scan
+        self.op = array("b", [3]) * n
+        self.path = [[] for _ in range(n)]  # (neighbor, edge parity) pairs
+        self.alias = array("q", range(n))  # open-slot inheritance
+        self.wmark: dict = {}  # v -> (who whitened at v last, its parity)
+        # pending colors, oldest first: v -> (target, bit, free) with
+        # f[v] = f[target] ^ bit (target -1: f[v] = bit).  free marks
+        # constraints no counted edge depends on yet; the first reveal that
+        # meets such a vertex re-points the constraint against the revealer
+        # so their shared edge lands good.
+        self.pending: dict = {}
         self.deferred: list = []   # (u, w, p): good iff f[u]^f[w] == 1^p
         self.good = 0
         self.bad = 0
@@ -113,8 +109,7 @@ class CutProcess:
     # -- small helpers ------------------------------------------------------
 
     def _cd(self, v: int) -> int:
-        return int(self.nR[v]) + int(self.nG[v]) + int(self.nW[v]) \
-            + int(self.nD[v])
+        return self.nR[v] + self.nG[v] + self.nW[v] + self.nD[v]
 
     def _dirty(self, v: int) -> None:
         if self.status[v] == 0:
@@ -122,34 +117,29 @@ class CutProcess:
 
     def _dirty_area(self, v: int) -> None:
         self._dirty(v)
-        for i in range(self.pd[v]):
-            self._dirty(int(self.pa[v, i]))
+        for x, _ in self.path[v]:
+            self._dirty(x)
 
     def _wake(self, x: int) -> None:
         self.queue.append(x)
         self._dirty_area(x)
 
     def _holder(self, v: int) -> int:
-        while self.alias[v] != v:
-            self.alias[v] = self.alias[self.alias[v]]
-            v = int(self.alias[v])
+        alias = self.alias
+        while alias[v] != v:
+            alias[v] = alias[alias[v]]
+            v = alias[v]
         return v
 
     def _set_pending(self, v: int, target: int, bit: int,
                      free: bool = False) -> None:
-        self.ptgt[v] = target
-        self.pbit[v] = bit
-        self.pfree[v] = free
-        if self.porder[v] < 0:
-            self.porder[v] = self._pseq
-            self._pseq += 1
+        self.pending[v] = (target, bit, free)  # a re-pend keeps v's age
 
     def _oppose(self, x: int, v: int) -> None:
         """Re-point x's still-free pending color against v."""
-        if self.ptgt[x] != -2 and self.pfree[x] and x != v:
-            self.ptgt[x] = v
-            self.pbit[x] = 1
-            self.pfree[x] = False
+        pend = self.pending.get(x)
+        if pend is not None and pend[2] and x != v:
+            self.pending[x] = (v, 1, False)
 
     def _consume_phantom_open(self, x: int) -> None:
         h = self._holder(x)
@@ -160,8 +150,7 @@ class CutProcess:
     def _mark_white(self, x: int, src: int, bit: int) -> None:
         """x takes a white label from src, counted under parity bit."""
         self.nW[x] += 1
-        self.wsrc[x] = src
-        self.wbit[x] = bit
+        self.wmark[x] = (src, bit)
 
     def _pend_against(self, v: int, a: int, bit: int) -> None:
         """White v banks its edge to a as good: f[v] = f[a] ^ bit, and a
@@ -172,7 +161,7 @@ class CutProcess:
 
     def _pend_on_path_end(self, v: int) -> None:
         """White v opposes its last path neighbor across their path edge."""
-        a = int(self.pa[v, 0])
+        a = self.path[v][0][0]
         parity = self._remove_path_slot(v, a)
         self._remove_path_slot(a, v)
         self._pend_against(v, a, 1 ^ parity)
@@ -197,37 +186,32 @@ class CutProcess:
         self._wake(x)
 
     def _add_path_slot(self, x: int, y: int, parity: int) -> None:
-        i = self.pd[x]
-        self.pa[x, i] = y
-        self.pi[x, i] = parity
+        self.path[x].append((y, parity))
         self.pd[x] += 1
+
+    def _path_index(self, x: int, y: int) -> int:
+        """Index of x's first path slot pointing at y."""
+        for i, (w, _) in enumerate(self.path[x]):
+            if w == y:
+                return i
+        raise AssertionError("path slot bookkeeping out of sync")
 
     def _remove_path_slot(self, x: int, y: int) -> int:
         """Drop one of x's slots pointing at y; returns its parity."""
-        if self.pa[x, 0] == y:
-            parity = int(self.pi[x, 0])
-            self.pa[x, 0] = self.pa[x, 1]
-            self.pi[x, 0] = self.pi[x, 1]
-        else:
-            assert self.pa[x, 1] == y, "path slot bookkeeping out of sync"
-            parity = int(self.pi[x, 1])
+        _, parity = self.path[x].pop(self._path_index(x, y))
         self.pd[x] -= 1
-        self.pa[x, self.pd[x]] = -1
         return parity
 
     def _replace_path_slot(self, x: int, old: int, new: int,
                            parity: int) -> None:
-        i = 0 if self.pa[x, 0] == old else 1
-        assert self.pa[x, i] == old
-        self.pa[x, i] = new
-        self.pi[x, i] = parity
+        self.path[x][self._path_index(x, old)] = (new, parity)
 
     def _connected(self, a: int, b: int, avoid: int = -1) -> bool:
         """Are a and b on one survival path (not passing through avoid)?"""
         if a == b:
             return True
-        for i in range(self.pd[a]):
-            prev, cur = a, int(self.pa[a, i])
+        for first, _ in self.path[a]:
+            prev, cur = a, first
             steps = 0
             while cur != -1 and cur != avoid:
                 if cur == b:
@@ -236,8 +220,7 @@ class CutProcess:
                 if steps > self.survival + 2:  # defensive: not a path
                     break
                 nxt = -1
-                for j in range(self.pd[cur]):
-                    w = int(self.pa[cur, j])
+                for w, _ in self.path[cur]:
                     if w != prev and w != avoid:
                         nxt = w
                         break
@@ -252,8 +235,8 @@ class CutProcess:
         vertex; deferred), "dead" (partner already has a pending color;
         deferred, caller may still chain off x)."""
         k = int(self.pair[h])
-        self.revealed[h] = True
-        self.revealed[k] = True
+        self.revealed[h] = 1
+        self.revealed[k] = 1
         u = int(self.owner[h])
         x = int(self.owner[k])
         if u == x:
@@ -296,13 +279,13 @@ class CutProcess:
         self.f[v] = color
         self.survival -= 1
         if color == GREEN:
-            self.good += int(self.nR[v])
-            self.bad += int(self.nG[v])
+            self.good += self.nR[v]
+            self.bad += self.nG[v]
         else:
-            self.good += int(self.nG[v])
-            self.bad += int(self.nR[v])
+            self.good += self.nG[v]
+            self.bad += self.nR[v]
         while self.pd[v]:
-            x = int(self.pa[v, 0])
+            x = self.path[v][0][0]
             parity = self._remove_path_slot(v, x)
             self._remove_path_slot(x, v)
             self._give_label(x, color ^ parity)
@@ -355,8 +338,7 @@ class CutProcess:
         self.status[v] = 2
         self.survival -= 1
         if self.pd[v] == 2:
-            a, pa_ = int(self.pa[v, 0]), int(self.pi[v, 0])
-            b, pb = int(self.pa[v, 1]), int(self.pi[v, 1])
+            (a, pa_), (b, pb) = self.path[v]
             if a == b or self._connected(a, b, avoid=v):
                 # joining would close a cycle; defer the far edge instead
                 self._pend_against(v, a, 1 ^ pa_)
@@ -379,11 +361,9 @@ class CutProcess:
             # that marked v, with the parity that mark was counted under, so
             # the two constraints agree.  The chain stays free: the first
             # vertex to reveal one of v's remaining edges re-points it.
-            w = int(self.wsrc[v])
-            if w >= 0:
-                self._set_pending(v, w, int(self.wbit[v]), free=True)
-            else:
-                self._set_pending(v, -1, self.swap, free=True)
+            w, bit = self.wmark.get(v, (-1, self.swap))
+            self._set_pending(v, w, bit, free=True)
+        self.path[v].clear()
         self.pd[v] = 0
         self.op[v] = 0
 
@@ -406,7 +386,7 @@ class CutProcess:
             self.status[gone] = 2
             self.survival -= 1
         if self.pd[s3]:
-            t = int(self.pa[s3, 0])
+            t = self.path[s3][0][0]
             p3t = self._remove_path_slot(s3, t)
             carried = p12 ^ p23 ^ p3t
             self._replace_path_slot(t, s3, s1, carried)
@@ -479,37 +459,34 @@ class CutProcess:
         if lv < 0:
             return False
         # adjacent opposite-aligned labels: both commit anti their labels
-        for i in range(self.pd[v]):
-            x = int(self.pa[v, i])
+        for x, parity in self.path[v]:
             lx = self._label_of(x)
-            if lx >= 0 and lv ^ lx ^ int(self.pi[v, i]) == 1:
+            if lx >= 0 and lv ^ lx ^ parity == 1:
                 lead = min(v, x)
                 self.commit(lead, 1 ^ self._label_of(lead))
                 return True
         if self.pd[v] == 2:
-            a, b = int(self.pa[v, 0]), int(self.pa[v, 1])
+            (a, pa_), (b, pb) = self.path[v]
             la, lb = self._label_of(a), self._label_of(b)
             if self._cd(a) == 0 and self._cd(b) == 0:
                 # []-[X]-[]: color the middle anti its label
                 self.commit(v, 1 ^ lv)
                 return True
-            for m2, lm, far in ((a, la, b), (b, lb, a)):
+            for m2, lm, pm, far in ((a, la, pa_, b), (b, lb, pb, a)):
                 if lm < 0 or self._cd(far) != 0 or self.pd[m2] != 2 \
                         or m2 == far:
                     continue
-                i = 0 if self.pa[v, 0] == m2 else 1
-                if lv ^ lm ^ int(self.pi[v, i]) != 0:
+                if lv ^ lm ^ pm != 0:
                     continue
-                other = int(self.pa[m2, 0]) if self.pa[m2, 0] != v \
-                    else int(self.pa[m2, 1])
+                (o0, _), (o1, _) = self.path[m2]
+                other = o0 if o0 != v else o1
                 if self._cd(other) == 0:
                     # []-[X]-[X]-[]: lower-id middle commits anti its label
                     lead = min(v, m2)
                     self.commit(lead, 1 ^ self._label_of(lead))
                     return True
             if la >= 0 and lb >= 0 and a != b \
-                    and lv ^ la ^ int(self.pi[v, 0]) == 0 \
-                    and lv ^ lb ^ int(self.pi[v, 1]) == 0:
+                    and lv ^ la ^ pa_ == 0 and lv ^ lb ^ pb == 0:
                 self.reduce_rrr(min(a, b), v, max(a, b))
                 return True
         if self.pd[v] == 1 and self.op[v] >= 1:
@@ -535,7 +512,7 @@ class CutProcess:
     # -- the full run -------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        alive = np.flatnonzero(self.status == 0)
+        alive = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         if alive.shape[0] == 0:
             return
         if alive.shape[0] == 1:
@@ -546,8 +523,11 @@ class CutProcess:
         self.commit(int(picked[1]), GREEN ^ self.swap)
 
     def _lone_vertices(self) -> np.ndarray:
-        mask = (self.status == 0) & (self.pd == 0) & (self.nW == 0) \
-            & (self.nD == 0) & ((self.nR + self.nG) == 1)
+        status, pd, nR, nG, nW, nD = (
+            np.frombuffer(c, np.uint8) for c in
+            (self.status, self.pd, self.nR, self.nG, self.nW, self.nD))
+        mask = (status == 0) & (pd == 0) & (nW == 0) & (nD == 0) \
+            & ((nR + nG) == 1)
         return np.flatnonzero(mask)
 
     def run(self) -> CutResult:
@@ -559,8 +539,7 @@ class CutProcess:
             lones = self._lone_vertices()
             marked = lones[self.rng.random(lones.shape[0])
                            < self.query_probability]
-            for v in marked:
-                v = int(v)
+            for v in marked.tolist():
                 if self.status[v] == 0 and self.op[v] > 0:
                     self.query(v)
             self.closure()
@@ -573,16 +552,17 @@ class CutProcess:
 
     def _endgame(self) -> None:
         # last stretch never uses white: survivors take their local majority
-        for v in np.flatnonzero(self.status == 0):
-            v = int(v)
+        survivors = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
+        for v in survivors.tolist():
             if self.status[v] == 0:
                 self.commit(v, self._majority(v, RED ^ self.swap))
         # any half-edges still unrevealed pair two absorbed open slots
-        for h in map(int, np.flatnonzero(~self.revealed)):
+        revealed = np.frombuffer(self.revealed, np.uint8)
+        for h in np.flatnonzero(revealed == 0).tolist():
             k = int(self.pair[h])
             if h < k:
-                self.revealed[h] = True
-                self.revealed[k] = True
+                self.revealed[h] = 1
+                self.revealed[k] = 1
                 u, x = int(self.owner[h]), int(self.owner[k])
                 if u == x:
                     self.bad += 1
@@ -592,7 +572,7 @@ class CutProcess:
                     self._oppose(x, u)
         self._resolve_pending()
         for u, w, parity in self.deferred:
-            if int(self.f[u]) ^ int(self.f[w]) == 1 ^ parity:
+            if self.f[u] ^ self.f[w] == 1 ^ parity:
                 self.good += 1
             else:
                 self.bad += 1
@@ -601,8 +581,8 @@ class CutProcess:
         """Fix the pending colors in one walk.
 
         Each unresolved vertex, oldest first, follows its chain of
-        references f[v] = f[ptgt[v]] ^ pbit[v] to its end: a colored
-        vertex, a target -1 (f = pbit), a vertex with no constraint of its
+        references f[v] = f[target] ^ bit to its end: a colored vertex, a
+        target -1 (f = bit), a vertex with no constraint of its
         own (colored with the anchor color), or a cycle.  A white whose
         reference was answered by marking the referee back gives a mutual
         cycle; every entry encodes the same constraint, so the cycle's
@@ -610,33 +590,30 @@ class CutProcess:
         a chain vertex, whose constraint carries a counted edge.  The walked
         chain then resolves backwards from where it ended, so each vertex
         is walked once."""
-        f = self.f.tolist()
-        ptgt = self.ptgt.tolist()
-        pbit = self.pbit.tolist()
-        porder = self.porder.tolist()
+        f = self.f
+        pending = self.pending
+        age = {v: i for i, v in enumerate(pending)}
         anchor = RED ^ self.swap
-        todo = [v for v, t in enumerate(ptgt) if t != -2]
-        todo.sort(key=porder.__getitem__)
-        for v in todo:
+        for v in pending:
             if f[v] >= 0:
                 continue
             path = [v]
             seen = {v: 0}  # vertex -> index on path
             while True:
                 u = path[-1]
-                t = ptgt[u]
+                t, bit, _ = pending[u]
                 if t == -1:
-                    f[u] = pbit[u]
+                    f[u] = bit
                     path.pop()
                     break
                 if f[t] >= 0:
                     break
-                if ptgt[t] == -2:
+                if t not in pending:
                     f[t] = anchor
                     break
                 if t in seen:
                     m = min(range(seen[t], len(path)),
-                            key=lambda i: porder[path[i]])
+                            key=lambda i: age[path[i]])
                     f[path[m]] = anchor
                     # the pin's predecessors, then the cycle's far side
                     path = path[m + 1:] + path[:m]
@@ -644,18 +621,17 @@ class CutProcess:
                 seen[t] = len(path)
                 path.append(t)
             for u in reversed(path):
-                f[u] = f[ptgt[u]] ^ pbit[u]
-        self.f[:] = f
+                t, bit, _ = pending[u]
+                f[u] = f[t] ^ bit
 
     def _result(self) -> CutResult:
-        assert np.all(self.f >= 0), "some vertex was never colored"
-        half = np.arange(self.pair.shape[0])
-        firsts = np.flatnonzero(half < self.pair)
-        fu = self.f[self.owner[firsts]]
-        fw = self.f[self.owner[self.pair[firsts]]]
-        exact_good = int(np.count_nonzero(fu != fw))
-        exact_bad = int(firsts.shape[0]) - exact_good
-        return CutResult(colors=self.f.copy(), good=exact_good,
+        f = np.frombuffer(self.f, np.int8).copy()
+        assert np.all(f >= 0), "some vertex was never colored"
+        # each half-edge against its partner: a good edge counts twice
+        fh = f[self.owner]
+        exact_good = int(np.count_nonzero(fh != fh[self.pair])) // 2
+        exact_bad = self.pair.shape[0] // 2 - exact_good
+        return CutResult(colors=f, good=exact_good,
                          bad=exact_bad, incremental_good=self.good,
                          incremental_bad=self.bad, n=self.n, seed=self.seed,
                          rounds=self.rounds)

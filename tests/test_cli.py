@@ -276,9 +276,16 @@ WITNESS_SHA256 = {
                      "9ad8bb297f07f62922de6b7997514a9a",
     ("cut_swap", 1): "432554abe92183ae4d84a384cf3c54de"
                      "2c92c93637972f697368af721a15e9c8",
+    ("cut_q005", 0): "4751ab81ee4d3c458740eea52972e0a7"
+                     "2994c95decec3b40f10835191eccf38b",
+    ("cut_q005", 1): "c106b0b48f31758aa46b5d2c4d24547c"
+                     "f208acfc9023f718c13350f05988012a",
 }
+# cut_q005 is the query-starved regime: over 100 bootstraps per run at
+# n = 2000, against about 20 at the default query probability
 WITNESS_ARGS = {"is3": ["is", "--d", "3"], "is4": ["is", "--d", "4"],
-                "cut": ["cut"], "cut_swap": ["cut", "--swap"]}
+                "cut": ["cut"], "cut_swap": ["cut", "--swap"],
+                "cut_q005": ["cut", "--query-probability", "0.005"]}
 
 
 @pytest.mark.parametrize("target, seed", sorted(WITNESS_SHA256),

@@ -27,11 +27,11 @@ def test_commit_labels_neighbors_and_banks_edges():
     p.commit(0, RED)
     # no neighbor was labeled yet, so nothing banked; all three got a red mark
     assert p.good == 0 and p.bad == 0
-    assert p.nR[1:].tolist() == [1, 1, 1]
+    assert list(p.nR[1:]) == [1, 1, 1]
     p.commit(1, GREEN)
     # the edge 0-1 is now an opposite-colored pair
     assert (p.good, p.bad) == (1, 0)
-    assert p.nG[2:].tolist() == [1, 1]
+    assert list(p.nG[2:]) == [1, 1]
 
 
 def test_tie_cascade_on_complete_graph_reaches_max_cut():
@@ -64,8 +64,10 @@ def test_pending_walk_resolves_every_chain_end(swap):
         10: (11, 1, 8),   # 11 -> the committed vertex 0
         11: (0, 1, 9),
     }
-    for v, (target, bit, age) in pending.items():
-        p.ptgt[v], p.pbit[v], p.porder[v] = target, bit, age
+    # the pending map's insertion order is its age order
+    for v, (target, bit, _) in sorted(pending.items(),
+                                      key=lambda item: item[1][2]):
+        p.pending[v] = (target, bit, False)
     p._resolve_pending()
     anchor = RED ^ int(swap)
     expected = [GREEN, 1 ^ anchor, anchor, 1 ^ anchor, 1, 0, 0,
@@ -73,15 +75,25 @@ def test_pending_walk_resolves_every_chain_end(swap):
     assert p.f.tolist() == expected
 
 
+def test_re_pend_and_re_point_keep_the_pending_age():
+    p = CutProcess(generate(12, 3, seed=0), seed=0)
+    a, b = 4, 7
+    p._set_pending(a, -1, 0, free=True)
+    p._set_pending(b, -1, 1, free=True)
+    p._set_pending(a, b, 1, free=True)
+    p._oppose(b, a)
+    assert list(p.pending) == [a, b]
+    assert p.pending == {a: (b, 1, True), b: (a, 1, False)}
+
+
 def test_queries_grow_paths_and_triples_reduce():
     p = CutProcess(load_edge_list(K4), seed=0)
     p.commit(0, RED)
     p.query(1)
-    assert p.pd[1] == 1 and p.pd[2] == 1
-    assert p.pa[1, 0] == 2 and p.pa[2, 0] == 1
+    assert p.path[1] == [(2, 0)] and p.path[2] == [(1, 0)]
     p.query(3)
     # vertex 3 joined through its half-edge into 1: path 2-1-3, all red
-    assert p.pd.tolist()[:4] == [0, 2, 1, 1]
+    assert list(p.pd[:4]) == [0, 2, 1, 1]
     p.closure()
     # three same-colored path vertices collapse: two deleted, the carrier
     # keeps the absorbed open half-edge, and 3 good + 1 bad edges are banked
