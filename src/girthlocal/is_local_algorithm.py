@@ -18,6 +18,7 @@ is deleted and the probe vertex gets contracted.
 from __future__ import annotations
 
 import collections
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,23 +73,35 @@ class SurvivalGraph:
     """Mutable multigraph with per-vertex commit bookkeeping.
 
     adj[v] lists v's live neighbors in half-edge order, one entry per edge
-    end: a loop lists v twice and a parallel edge repeats.  Commit sets
-    are cons trees (None | original id | (left, right)) so a merge is
-    O(1); they are flattened only when committed.
+    end: a loop lists v twice and a parallel edge repeats.  deg (an int64
+    array) and alive (a 0/1 bytearray) hold Python ints for the rules and
+    are read as numpy arrays, without copies, by the class scans;
+    counts[k] is the number of live vertices of degree k, kept up to date
+    wherever a degree changes.  Commit sets are cons trees
+    (None | original id | (left, right)) so a merge is O(1); they are
+    flattened only when committed.
     """
 
     def __init__(self, g: Multigraph):
         self.n = g.n
         self.adj = g.neighbor_lists()
-        self.deg = g.degrees().astype(np.int64)
-        self.alive = np.ones(g.n, dtype=bool)
+        degrees = g.degrees().astype(np.int64)
+        self.deg = array("q", degrees.tobytes())
+        self.alive = bytearray(b"\x01") * g.n
+        self.counts: list = np.bincount(degrees).tolist()
         self.in_tree: list = list(range(g.n))
         self.out_tree: list = [None] * g.n
         self.survival_count = g.n
         self.selected: list = []
         self.contractions = 0
         self.queue: collections.deque = collections.deque(
-            v for v in range(g.n) if self.deg[v] <= 2)
+            np.flatnonzero(degrees <= 2).tolist())
+
+    def scan(self, op, k: int) -> np.ndarray:
+        """Live ids, ascending, whose degree passes the numpy comparison
+        `op` against k: one vectorised pass over views of deg and alive."""
+        deg = np.frombuffer(self.deg, np.int64)
+        return np.flatnonzero(np.frombuffer(self.alive, np.bool_) & op(deg, k))
 
     # -- commit bookkeeping ------------------------------------------------
 
@@ -114,13 +127,18 @@ class SurvivalGraph:
 
     def _drop_vertex(self, v: int) -> None:
         """Remove v and its live edges, decrementing live neighbors."""
-        for u in self.adj[v]:
+        adj, deg, counts = self.adj, self.deg, self.counts
+        for u in adj[v]:
             if u != v:
-                self.adj[u].remove(v)
-                self.deg[u] -= 1
-                if self.deg[u] <= 2:
+                adj[u].remove(v)
+                du = deg[u]
+                deg[u] = du - 1
+                counts[du] -= 1
+                counts[du - 1] += 1
+                if du <= 3:
                     self.queue.append(u)
-        self.alive[v] = False
+        counts[deg[v]] -= 1
+        self.alive[v] = 0
         self.adj[v] = []
         self.survival_count -= 1
 
@@ -172,23 +190,31 @@ class SurvivalGraph:
                 self.delete(z)
             return None
         # true merge: x absorbs z, y dissolves into the commit trees
-        self.adj[x].remove(y)
-        self.adj[z].remove(y)
-        for w in self.adj[z]:
+        adj, deg, counts = self.adj, self.deg, self.counts
+        ax, az = adj[x], adj[z]
+        ax.remove(y)
+        az.remove(y)
+        for w in az:
             if w != z:
-                nbrs = self.adj[w]
+                nbrs = adj[w]
                 nbrs[nbrs.index(z)] = x
-        self.adj[x].extend(x if w == z else w for w in self.adj[z])
-        self.deg[x] = len(self.adj[x])
+        ax.extend(x if w == z else w for w in az)
+        counts[deg[x]] -= 1
+        counts[2] -= 1
+        counts[deg[z]] -= 1
+        dx = deg[x] = len(ax)
+        if dx >= len(counts):
+            counts.extend([0] * (dx + 1 - len(counts)))
+        counts[dx] += 1
         self.in_tree[x] = ((self.in_tree[x], self.in_tree[z]),
                            self.out_tree[y])
         self.out_tree[x] = ((self.out_tree[x], self.out_tree[z]),
                             self.in_tree[y])
         for gone in (y, z):
-            self.alive[gone] = False
-            self.adj[gone] = []
+            self.alive[gone] = 0
+            adj[gone] = []
         self.survival_count -= 2
-        if self.deg[x] <= 2:
+        if dx <= 2:
             self.queue.append(x)
         return x
 
@@ -200,7 +226,7 @@ class SurvivalGraph:
             v = self.queue.popleft()
             if not self.alive[v]:
                 continue
-            dv = int(self.deg[v])
+            dv = self.deg[v]
             if dv > 2:
                 continue
             if dv == 0:
@@ -225,7 +251,7 @@ class SurvivalGraph:
         return out
 
     def survivors(self) -> list:
-        return [int(v) for v in np.flatnonzero(self.alive)]
+        return np.flatnonzero(np.frombuffer(self.alive, np.bool_)).tolist()
 
 
 def _top_persistent(counts, survival: int, fraction: float,
@@ -257,11 +283,10 @@ def run(graph: Multigraph, d: int, seed=None,
     g.settle()
     while g.survival_count > stop_at and rounds < MAX_ROUNDS:
         before = g.survival_count
-        counts = np.bincount(g.deg[g.alive], minlength=2 * DEGREE_CAP)
-        top = _top_persistent(counts, before, PERSISTENCE_FRACTION, floor)
+        top = _top_persistent(g.counts, before, PERSISTENCE_FRACTION, floor)
         if top is not None:
             _delete_class_and_above(g, rng, top, thin_probability)
-        elif d == 4 and counts[3]:
+        elif d == 4 and g.counts[3]:
             _probe_round(g, rng, thin_probability)
         else:
             # nothing persistent to thin and nothing to probe: bootstrap
@@ -271,8 +296,8 @@ def run(graph: Multigraph, d: int, seed=None,
             _force_progress(g, rng)
             g.settle()
         rounds += 1
-    for v in np.flatnonzero(g.alive):
-        g._commit(g.out_tree[int(v)])
+    for v in g.survivors():
+        g._commit(g.out_tree[v])
     return IsRunResult(vertices=sorted(g.selected), n=graph.n, d=d,
                        seed=seed, rounds=rounds,
                        contractions=g.contractions)
@@ -280,29 +305,32 @@ def run(graph: Multigraph, d: int, seed=None,
 
 def _delete_class_and_above(g: SurvivalGraph, rng, top: int,
                             probability: float) -> None:
-    outright = np.flatnonzero(g.alive & (g.deg > top))
-    members = np.flatnonzero(g.alive & (g.deg == top))
-    marked = members[rng.random(members.shape[0]) < probability]
+    # both scans and the draw see the graph before any deletion
+    outright = []
+    if any(g.counts[top + 1:]):
+        outright = g.scan(np.greater, top).tolist()
+    members = g.scan(np.equal, top)
+    marked = members[rng.random(members.shape[0]) < probability].tolist()
     for v in outright:
-        g.delete(int(v))
+        g.delete(v)
     for v in marked:
         if g.alive[v]:
-            g.delete(int(v))
+            g.delete(v)
 
 
 def _probe_round(g: SurvivalGraph, rng, probability: float) -> None:
     """4-regular variant: probe marked 3-vertices one at a time."""
-    dust = np.flatnonzero(g.alive & (g.deg > 5))
-    for v in dust:
-        g.delete(int(v))
-    members = np.flatnonzero(g.alive & (g.deg == 3))
-    marked = members[rng.random(members.shape[0]) < probability]
+    if any(g.counts[6:]):
+        for v in g.scan(np.greater, 5).tolist():
+            g.delete(v)
+    members = g.scan(np.equal, 3)
+    marked = members[rng.random(members.shape[0]) < probability].tolist()
+    deg = g.deg
     for v in marked:
-        v = int(v)
-        if not g.alive[v] or g.deg[v] != 3:
+        if not g.alive[v] or deg[v] != 3:
             continue
         nbrs = g.adj[v]
-        degs = [int(g.deg[u]) for u in nbrs]
+        degs = [deg[u] for u in nbrs]
         if max(degs) == 3:
             g.delete(v)
         else:
@@ -312,21 +340,21 @@ def _probe_round(g: SurvivalGraph, rng, probability: float) -> None:
 
 
 def _force_progress(g: SurvivalGraph, rng) -> None:
-    degs = g.deg[g.alive]
-    if degs.shape[0] == 0:
+    if g.survival_count == 0:
         return
-    top = int(degs.max())
-    members = np.flatnonzero(g.alive & (g.deg == top))
-    g.delete(int(rng.choice(members)))
+    top = max(k for k, c in enumerate(g.counts) if c)
+    g.delete(int(rng.choice(g.scan(np.equal, top))))
 
 
 def verify_independent(graph: Multigraph, vertices) -> bool:
-    """True iff every id is a vertex of the graph and no non-loop edge has
-    both endpoints in the set."""
+    """True iff the ids are distinct vertices of the graph and no non-loop
+    edge has both endpoints in the set."""
     ids = np.fromiter(vertices, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= graph.n):
         return False
     chosen = np.zeros(graph.n, dtype=bool)
     chosen[ids] = True
+    if np.count_nonzero(chosen) != ids.size:
+        return False  # a repeated id
     u, w = graph.owner, graph.owner[graph.pair]
     return not np.any(chosen[u] & chosen[w] & (u != w))

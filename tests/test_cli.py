@@ -280,12 +280,23 @@ WITNESS_SHA256 = {
                      "2994c95decec3b40f10835191eccf38b",
     ("cut_q005", 1): "c106b0b48f31758aa46b5d2c4d24547c"
                      "f208acfc9023f718c13350f05988012a",
+    ("is3_t005", 0): "a8be193113d4e2d18ea398be5c9b7b7e"
+                     "039657caec769ef9110cfc465d8ef300",
+    ("is3_t005", 1): "4f230423d48776cb19905d88936c66b9"
+                     "84ce7faf6b846c274647591211ab87a5",
+    ("is4_t005", 0): "546adc9939b5a01f267b6381cfcf4bef"
+                     "0a6f8163ddf807284ac5df9e42ce53b3",
+    ("is4_t005", 1): "80f4eea7df4a0369e26b19d2109d1313"
+                     "a8eafa8203d5ad791584763cfdba6d06",
 }
 # cut_q005 is the query-starved regime: over 100 bootstraps per run at
-# n = 2000, against about 20 at the default query probability
+# n = 2000, against about 20 at the default query probability; is3_t005
+# and is4_t005 thin at the sweep's probability, a quarter of the default
 WITNESS_ARGS = {"is3": ["is", "--d", "3"], "is4": ["is", "--d", "4"],
                 "cut": ["cut"], "cut_swap": ["cut", "--swap"],
-                "cut_q005": ["cut", "--query-probability", "0.005"]}
+                "cut_q005": ["cut", "--query-probability", "0.005"],
+                "is3_t005": ["is", "--d", "3", "--thin-probability", "0.005"],
+                "is4_t005": ["is", "--d", "4", "--thin-probability", "0.005"]}
 
 
 @pytest.mark.parametrize("target, seed", sorted(WITNESS_SHA256),

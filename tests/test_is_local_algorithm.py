@@ -75,7 +75,7 @@ def test_contract_twin_neighbors_selects_the_middle():
     g = SurvivalGraph(load_edge_list("2 2\n0 1\n0 1\n"))
     assert g.contract(1) is None
     assert g.selected == [1]
-    assert not g.alive.any()
+    assert not any(g.alive)
 
 
 def test_contract_self_loop_selects():
@@ -148,6 +148,9 @@ def test_cardinality_invariant_through_random_play():
 
 
 def check_adjacency(g: SurvivalGraph) -> None:
+    live = np.array([g.deg[v] for v in range(g.n) if g.alive[v]], np.int64)
+    counts = np.trim_zeros(np.array(g.counts), "b")
+    assert counts.tolist() == np.bincount(live).tolist()
     for v, nbrs in enumerate(g.adj):
         if not g.alive[v]:
             assert nbrs == []
@@ -170,7 +173,7 @@ def test_adjacency_invariant_through_random_play():
         check_adjacency(g)
         g.settle()
         check_adjacency(g)
-        while g.alive.any():
+        while any(g.alive):
             g.delete(int(rng.choice(np.flatnonzero(g.alive))))
             check_adjacency(g)
             g.settle()
@@ -278,6 +281,13 @@ def test_verify_rejects_ids_outside_the_graph():
     assert not verify_independent(g, [-1])
     assert not verify_independent(g, [4])
     assert not verify_independent(g, [0, 2, 7])
+
+
+def test_verify_rejects_repeated_ids():
+    g = load_edge_list(C4)
+    assert not verify_independent(g, [0, 0])
+    assert not verify_independent(g, [0, 2, 2])
+    assert verify_independent(g, [2, 0])
 
 
 def test_verify_ignores_loops():
