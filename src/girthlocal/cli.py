@@ -57,10 +57,15 @@ TARGETS = {
 
 
 def _resolve_out(path_str: str) -> Path:
+    """The output path, checked before any work so that a missing directory
+    does not fail only after a long run."""
     p = Path(path_str)
     base = os.environ.get("GIRTHLOCAL_OUT")
     if base and not p.is_absolute():
         p = Path(base) / p
+    if not p.parent.is_dir():
+        raise ValueError(f"output directory {p.parent} does not exist or is "
+                         "not a directory")
     return p
 
 
@@ -143,9 +148,8 @@ def _emit(report: RunReport, json_path) -> None:
     if report.wall_time_s is not None:
         print(f"wall time: {report.wall_time_s:.2f}s")
     if json_path:
-        path = _resolve_out(json_path)
-        path.write_text(report.to_json())
-        print(f"report written to {path}")
+        json_path.write_text(report.to_json())
+        print(f"report written to {json_path}")
 
 
 # -- evolve -----------------------------------------------------------------
@@ -195,9 +199,8 @@ def _cmd_evolve(args) -> int:
                        rounds=int(traj.rows[-1][0]),
                        wall_time_s=round(wall, 3))
     if args.trajectory:
-        path = _resolve_out(args.trajectory)
-        path.write_text(traj.to_csv())
-        print(f"trajectory written to {path}")
+        args.trajectory.write_text(traj.to_csv())
+        print(f"trajectory written to {args.trajectory}")
     _emit(report, args.json_path)
     return 0
 
@@ -297,9 +300,8 @@ def _cmd_simulate(args) -> int:
         else:
             text = "\n".join(f"{i} {'RG'[c]}"
                              for i, c in enumerate(witness.tolist()))
-        path = _resolve_out(args.witness)
-        path.write_text(text + "\n")
-        print(f"witness written to {path}")
+        args.witness.write_text(text + "\n")
+        print(f"witness written to {args.witness}")
     _emit(report, args.json_path)
     return 0 if all_valid else 1
 
@@ -454,6 +456,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args.command_echo = "girthlocal " + " ".join(argv)
     try:
+        for name in ("json_path", "trajectory", "witness"):
+            if getattr(args, name, None):
+                setattr(args, name, _resolve_out(getattr(args, name)))
         return args.func(args)
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -199,19 +199,19 @@ def integrate(initial_state, rules, params: EvolutionParams):
 def refine(initial_state, rules, step_sizes) -> RefinementReport:
     """Integrate at each step size and report how the finals converge.
 
-    ``step_sizes`` must hold at least two strictly decreasing entries.  Each
-    run stops when the tracked mass falls to its own step size, as a single
-    run does.
+    ``step_sizes`` must hold at least two strictly decreasing entries, all
+    checked before the first run.  Each run stops when the tracked mass
+    falls to its own step size, as a single run does.
     """
     steps = tuple(float(s) for s in step_sizes)
     if len(steps) < 2:
         raise ValueError("need at least two step sizes to compare")
+    ladder = [EvolutionParams(step_size=s) for s in steps]
     for a, b in zip(steps, steps[1:]):
         if not b < a:
             raise ValueError("step sizes must be strictly decreasing")
     finals = []
-    for s in steps:
-        params = EvolutionParams(step_size=s)
+    for params in ladder:
         state, _ = integrate(initial_state, rules, params)
         finals.append(rules.accumulator(state))
     diffs = tuple(abs(b - a) for a, b in zip(finals, finals[1:]))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config_model import Multigraph
 
 __all__ = ["SmallGraph", "check_order", "small_graph", "from_multigraph",
@@ -18,6 +20,9 @@ __all__ = ["SmallGraph", "check_order", "small_graph", "from_multigraph",
 
 # problem -> (oracle name, largest n it searches exhaustively)
 LIMITS = {"mis": ("independent-set", 30), "maxcut": ("max-cut", 26)}
+
+# bipartitions max_cut scores per numpy block; larger blocks raise peak RSS
+CUT_BLOCK = 1 << 13
 
 
 @dataclass
@@ -118,28 +123,22 @@ def max_independent_set(g: SmallGraph):
 def max_cut(g: SmallGraph):
     """Exact max cut: (weight, side labels with vertex n-1 fixed to 0).
 
-    Gray-code walk over one side of the bipartition: each step flips a
-    single vertex, so the cut weight updates from that vertex's incident
-    edges alone.
+    Scores every bipartition from its definition, CUT_BLOCK per numpy block;
+    bit v of x is vertex v's side.  Gray-code order, x = k ^ (k >> 1), and
+    keeping the first strict best fix which optimum is the witness.
     """
     check_order(g.n, "maxcut")
     if g.n == 0:
         return 0, []
-    adj = [[] for _ in range(g.n)]
-    wdeg = [0] * g.n
-    for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-        wdeg[u] += w
-        wdeg[v] += w
-    side = [0] * g.n
-    current = 0
-    best, best_side = 0, side.copy()
-    for k in range(1, 1 << (g.n - 1)):
-        v = (k & -k).bit_length() - 1
-        cross = sum(w for u, w in adj[v] if side[u] != side[v])
-        current += wdeg[v] - 2 * cross
-        side[v] ^= 1
-        if current > best:
-            best, best_side = current, side.copy()
-    return best, best_side
+    total = 1 << (g.n - 1)
+    best, best_x = 0, 0
+    for start in range(0, total, CUT_BLOCK):
+        k = np.arange(start, min(start + CUT_BLOCK, total), dtype=np.int64)
+        x = k ^ (k >> 1)
+        cut = np.zeros(len(x), dtype=np.int64)
+        for u, v, w in g.edges:
+            cut += w * ((x >> u ^ x >> v) & 1)
+        i = int(np.argmax(cut))
+        if cut[i] > best:
+            best, best_x = int(cut[i]), int(x[i])
+    return best, [(best_x >> v) & 1 for v in range(g.n)]

@@ -6,6 +6,7 @@ import pytest
 
 from girthlocal import cli
 from girthlocal.cli import RunReport
+from girthlocal.config_model import generate, save_edge_list
 
 K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -63,7 +64,8 @@ def test_evolve_rejects_improvement_flag_on_wrong_target(capsys):
 @pytest.mark.parametrize("argv", [
     ["evolve", "is3", "--epsilon", "inf"],
     ["refine", "is3", "--step-sizes", "inf", "1e-4"],
-], ids=["evolve", "refine"])
+    ["refine", "cut3", "--step-sizes", "1e-4", "nan"],
+], ids=["evolve", "refine", "refine_last"])
 def test_non_finite_step_size_fails(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -194,6 +196,27 @@ def test_output_directory_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "sub.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", "cut3", "--epsilon", "1e-6", "--json"],
+    ["evolve", "cut3", "--epsilon", "1e-6", "--trajectory"],
+    ["simulate", "cut", "--n", "100000", "--witness"],
+    ["refine", "cut3", "--json"],
+], ids=["evolve_json", "evolve_trajectory", "simulate_witness",
+        "refine_json"])
+def test_missing_output_directory_fails_before_the_run(
+        capsys, tmp_path, monkeypatch, argv):
+    def no_run(*args):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("integrate", "refine", "_run_simulation"):
+        monkeypatch.setattr(cli, name, no_run)
+    missing = tmp_path / "nodir"
+    code, out, err = run_cli(capsys, *argv, str(missing / "out.txt"))
+    assert code == 2
+    assert out == ""
+    assert str(missing) in err
+
+
 def test_oracle_commands(capsys, tmp_path):
     path = tmp_path / "k4.txt"
     path.write_text(K4_TEXT)
@@ -204,6 +227,31 @@ def test_oracle_commands(capsys, tmp_path):
     assert code == 0
     assert "maximum cut: 4" in out
     assert len(out.splitlines()[1].split()) == 5  # "witness:" + 4 sides
+
+
+# oracle stdout on generate(n, d, seed) edge lists; the max-cut witness is
+# the first optimum in the oracle's Gray-code order
+ORACLE_OUTPUTS = [
+    ("maxcut", 22, 3, 0, "maximum cut: 29\n"
+     "witness: G R G G R R G R G G R R R G G R G G G R R R\n"),
+    ("maxcut", 22, 3, 1, "maximum cut: 28\n"
+     "witness: G R G R G R G R G G R G G R R R R R G G R R\n"),
+    ("maxcut", 20, 4, 2, "maximum cut: 32\n"
+     "witness: G R R G G G G G R R G R R G G R R G G R\n"),
+    ("mis", 30, 3, 0, "maximum independent set: 13\n"
+     "witness: 2 4 5 6 8 11 12 15 18 20 23 24 28\n"),
+    ("mis", 30, 4, 1, "maximum independent set: 12\n"
+     "witness: 1 5 6 7 10 11 12 14 17 21 22 28\n"),
+]
+
+
+def test_oracle_outputs_are_pinned(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    for problem, n, d, seed, expected in ORACLE_OUTPUTS:
+        path.write_text(save_edge_list(generate(n, d, seed=seed)))
+        code, out, _ = run_cli(capsys, "oracle", problem, str(path))
+        assert code == 0
+        assert out == expected
 
 
 def test_oracle_size_limit(capsys, tmp_path):

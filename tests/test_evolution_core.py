@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from girthlocal import evolution_core
 from girthlocal.evolution_core import (
     EvolutionParams,
     IntegrationError,
@@ -151,7 +152,11 @@ def test_refine_cut_sweep_approaches_headline():
     assert report.finals[-1] == pytest.approx(1.34105, abs=1e-5)
 
 
-def test_refine_rejects_bad_sweeps():
+def test_refine_rejects_bad_sweeps(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("integrated before the ladder was checked")
+
+    monkeypatch.setattr(evolution_core, "integrate", no_run)
     rules = Is3Rules()
     params = EvolutionParams(step_size=1e-4)
     state = rules.initial_state(params)
@@ -161,6 +166,8 @@ def test_refine_rejects_bad_sweeps():
         refine(state, rules, (1e-4, 1e-4))
     with pytest.raises(ValueError):
         refine(state, rules, (1e-5, 1e-4))
+    with pytest.raises(ValueError, match="positive and finite"):
+        refine(state, rules, (1e-3, 0.0))
 
 
 def test_refine_describe_is_readable():

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from girthlocal import exact_oracle
 from girthlocal.config_model import load_edge_list
 from girthlocal.exact_oracle import (
     SmallGraph,
@@ -153,8 +154,17 @@ def test_branching_agrees_with_enumeration():
         assert len(picked) == size and check_independent(g, picked)
 
 
-def test_gray_walk_agrees_with_enumeration():
+def test_max_cut_agrees_with_enumeration():
     rng = np.random.default_rng(4321)
     for _ in range(60):
         g = random_graph(rng, 9)
         assert max_cut(g)[0] == naive_cut(g)
+
+
+def test_cut_block_size_does_not_change_the_answer(monkeypatch):
+    rng = np.random.default_rng(4321)
+    graphs = [random_graph(rng, 9) for _ in range(60)]
+    expected = [max_cut(g) for g in graphs]
+    for block in (1, 3, 8):  # 3 does not divide 2**(n-1)
+        monkeypatch.setattr(exact_oracle, "CUT_BLOCK", block)
+        assert [max_cut(g) for g in graphs] == expected
