@@ -1,17 +1,33 @@
 """Hot inner loops for the evolution integrators.
 
-Everything in here is written against plain float/int scalars so that the
-optional numba JIT can compile it; the pure-Python definitions double as the
-fallback.  There is one chunk kernel per process family: ``is_chunk`` runs
-both independent-set processes (3- and 4-regular) and ``cut_chunk`` the
-max-cut process.  The composed operations in ``is_evolution`` /
-``cut_evolution`` are the reference semantics: the kernels must stay
+There is one chunk kernel per process family: ``is_chunk`` runs both
+independent-set processes (3- and 4-regular) and ``cut_chunk`` the max-cut
+process.  Each advances its recurrence by at most ``max_rounds`` rounds and
+reports why it stopped via a status code.
+
+Two backends run them.  ``_kernels.c`` is a line-for-line C transcription of
+the Python definitions below.  On import it is compiled with the system's
+``cc -O2 -ffp-contract=off -shared -fPIC`` into
+``__pycache__/_kernels-<crc32>.so`` next to this file (the crc32 covers the C
+source and the flags, so an edited source gets a fresh library) and loaded
+with ctypes; ``-ffp-contract=off`` forbids fused multiply-adds, which round
+differently, and no fast-math or host-specific flag is used, so the compiled
+kernels stay bit-identical to the Python ones.  When no library can be built
+or loaded (no compiler, a cache directory that cannot be written), the plain
+Python definitions run instead.  ``BACKEND`` names the one in use: ``"c"`` or
+``"python"``.
+
+The Python definitions are both the fallback and the reference the C
+kernels are tested against.  The composed operations in ``is_evolution`` /
+``cut_evolution`` are the reference semantics of both: the kernels must stay
 arithmetically identical to them (same expressions, same evaluation order)
 -- the equivalence is pinned by tests.
-
-Each chunk runner advances the recurrence by at most ``max_rounds`` rounds and
-reports why it stopped via a status code.
 """
+import ctypes
+import os
+import subprocess
+import zlib
+from pathlib import Path
 
 STATUS_STOPPED = 0  # stop condition reached
 STATUS_BUDGET = 1  # round budget spent, more work remains
@@ -124,6 +140,14 @@ def _is_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
             erase += 10 * r * a10 / s
             erase += 11 * r * a11 / s
             erase += 12 * r * a12 / s
+
+        # d = 3 deletes from classes 3-7 only; the composed step reports an
+        # empty range as exhaustion (and the correction terms below would
+        # divide by an empty pool).
+        if d == 3 and not (v3 > eps or v4 > eps or v5 > eps or v6 > eps
+                           or v7 > eps):
+            status = STATUS_EXHAUSTED
+            break
 
         # Find the highest occupied degree class: down to 4 for d = 3, and
         # down to 5 for d = 4, where 5 means the probe step.
@@ -283,13 +307,68 @@ def _cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
     return rat2, rat3, good, bad, rounds, status
 
 
-def _maybe_jit(fn):
+_SOURCE = Path(__file__).with_name("_kernels.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# the C kernels take the budget as an int64; no run comes near this many
+# rounds, and larger budgets (a huge --record-interval) are clamped to it
+_MAX_ROUNDS = 2 ** 62
+
+
+def _load(cc=_CC, cache=_CACHE):
+    """Build (once per source and flags) and load the C kernels; returns
+    the library, or None when it cannot be built or loaded."""
     try:
-        from numba import njit
-    except ImportError:
-        return fn
-    return njit(cache=True, fastmath=False)(fn)
+        tag = zlib.crc32(_SOURCE.read_bytes() + " ".join(cc).encode())
+        lib_path = cache / f"_kernels-{tag:08x}.so"
+        if not lib_path.exists():
+            cache.mkdir(exist_ok=True)
+            # build under a private name, then rename: a process building
+            # at the same time never loads a half-written library
+            tmp = lib_path.with_name(f"{lib_path.name}.{os.getpid()}.tmp")
+            try:
+                subprocess.run([*cc, "-o", str(tmp), str(_SOURCE)],
+                               check=True, capture_output=True)
+                os.replace(tmp, lib_path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        lib = ctypes.CDLL(str(lib_path))
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    i64, f64 = ctypes.c_int64, ctypes.c_double
+    lib.is_chunk.argtypes = [ctypes.POINTER(f64), f64, i64, i64, i64,
+                             ctypes.POINTER(i64)]
+    lib.is_chunk.restype = None
+    lib.cut_chunk.argtypes = [ctypes.POINTER(f64), f64, i64, i64,
+                              ctypes.POINTER(i64)]
+    lib.cut_chunk.restype = None
+    return lib
 
 
-is_chunk = _maybe_jit(_is_chunk)
-cut_chunk = _maybe_jit(_cut_chunk)
+def _bind(lib):
+    """(BACKEND, is_chunk, cut_chunk) for a library from :func:`_load`:
+    wrappers with the Python kernels' signatures and return tuples around
+    the C kernels, or the Python kernels themselves when ``lib`` is None."""
+    if lib is None:
+        return "python", _is_chunk, _cut_chunk
+
+    def is_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
+                 eps, d, improvement, max_rounds):
+        state = (ctypes.c_double * 8)(v2, v3, v4, v5, v6, v7,
+                                      independent, erase)
+        out = (ctypes.c_int64 * 2)()
+        lib.is_chunk(state, eps, d, improvement,
+                     min(max_rounds, _MAX_ROUNDS), out)
+        return (*state, *out)
+
+    def cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
+        state = (ctypes.c_double * 4)(rat2, rat3, good, bad)
+        out = (ctypes.c_int64 * 2)()
+        lib.cut_chunk(state, eps, linear, min(max_rounds, _MAX_ROUNDS), out)
+        return (*state, *out)
+
+    return "c", is_chunk, cut_chunk
+
+
+BACKEND, is_chunk, cut_chunk = _bind(_load())

@@ -53,6 +53,17 @@ def test_evolve_writes_json_and_trajectory(capsys, tmp_path):
     assert len(lines) > 10
 
 
+def test_record_interval_beyond_int64_runs(capsys):
+    # the compiled kernels take an int64 budget; a larger interval is clamped
+    _, default, _ = run_cli(capsys, "evolve", "is3", "--epsilon", "1e-3")
+    code, out, _ = run_cli(capsys, "evolve", "is3", "--epsilon", "1e-3",
+                           "--record-interval", str(10 ** 30))
+    assert code == 0
+    for key in ("independent:", "rounds:"):
+        line, = [ln for ln in out.splitlines() if ln.startswith(key)]
+        assert line in default.splitlines()
+
+
 def test_evolve_rejects_improvement_flag_on_wrong_target(capsys):
     for command in ("evolve", "refine"):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,10 @@
 """Integration scaffolding: parameter validation, trajectories, refinement."""
 import math
+import sys
 
 import pytest
 
-from girthlocal import evolution_core
+from girthlocal import _kernels, evolution_core
 from girthlocal.evolution_core import (
     EvolutionParams,
     IntegrationError,
@@ -225,3 +226,22 @@ def test_finals_match_goldens_bitwise(target):
     state, traj = integrate(rules.initial_state(params), rules, params)
     finals = (traj.rows[-1][0], rules.snapshot(state))
     assert repr(finals) == repr(GOLDENS_1E5[target])
+
+
+@pytest.mark.parametrize("cc", [
+    ("no-such-compiler",) + _kernels._CC[1:],
+    (sys.executable, "-c", "raise SystemExit(1)"),
+], ids=["missing", "failing"])
+def test_failed_build_falls_back_to_the_python_kernels(monkeypatch, tmp_path,
+                                                       cc):
+    lib = _kernels._load(cc=cc, cache=tmp_path)
+    assert lib is None
+    assert list(tmp_path.iterdir()) == []
+    backend, is_chunk, _ = _kernels._bind(lib)
+    assert backend == "python"
+    monkeypatch.setattr(_kernels, "is_chunk", is_chunk)
+    rules = Is3Rules()
+    params = EvolutionParams(step_size=1e-5)
+    state, traj = integrate(rules.initial_state(params), rules, params)
+    finals = (traj.rows[-1][0], rules.snapshot(state))
+    assert repr(finals) == repr(GOLDENS_1E5["is3"])

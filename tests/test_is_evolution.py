@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from girthlocal import _kernels
 from girthlocal.evolution_core import (
+    STATUS_EXHAUSTED,
     EvolutionParams,
     ProcessExhausted,
     _python_chunk,
@@ -283,6 +285,27 @@ def test_kernel_matches_composed_ops_bitwise_1000_rounds(rules):
 def test_kernel_matches_composed_ops_bitwise_full_run(rules, eps):
     # full runs exercise every exit path (stop, exhaustion, range breach)
     assert chunk_outputs(rules, eps, 10 ** 7) == kernel_outputs(rules, eps, 10 ** 7)
+
+
+@pytest.mark.parametrize("kernel", ["is_chunk", "_is_chunk"])
+@pytest.mark.parametrize("improvement", [True, False])
+def test_kernel_matches_composed_ops_when_classes_3_to_7_are_empty(
+        monkeypatch, kernel, improvement):
+    # in range, but redistribution empties the 3-class and no class 3-7 is
+    # left above eps: the composed delete step reports exhaustion
+    monkeypatch.setattr(_kernels, "is_chunk", getattr(_kernels, kernel))
+    eps = 1e-5
+    rules = Is3Rules(improvement=improvement)
+    params = EvolutionParams(step_size=eps)
+    results = []
+    for run in (_python_chunk, type(rules).run_chunk):
+        state = state_of(v2=-5 * eps, v3=1.5 * eps)
+        state.independent, state.erase = 0.1, 1.1 * eps
+        assert rules.state_in_range(state, params)
+        rounds, status = run(rules, state, params, 100)
+        results.append((rules.snapshot(state), rounds, status))
+    assert results[0] == results[1]
+    assert results[0][1:] == (1, STATUS_EXHAUSTED)
 
 
 # --- misc -------------------------------------------------------------------
