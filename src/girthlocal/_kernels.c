@@ -1,23 +1,37 @@
-/* C transcription of the chunk kernels in _kernels.py.
+/* Chunk kernels of the evolution integrators, loaded by _kernels.py.
  *
- * Every expression, its left-to-right evaluation order, every guard and
- * every status code is the same as in the Python definitions, so that the
- * two produce bit-identical doubles; keep them in step line for line.  Built
- * by _kernels.py with -ffp-contract=off (no fused multiply-adds, which would
- * round differently).  Chained comparisons evaluate their middle term once
- * into a local.
+ * is_chunk runs both independent-set processes (d = 3 and 4) and cut_chunk
+ * the max-cut process.  Each is the composed round of is_evolution /
+ * cut_evolution, unrolled: every expression, its left-to-right evaluation
+ * order, every guard and every status code is the same, so that the two
+ * produce bit-identical doubles (pinned by tests); an edit to a round rule
+ * goes into both.  Built with -ffp-contract=off (no fused multiply-adds,
+ * which would round differently), and refused at compile time where double
+ * arithmetic is evaluated at a wider precision (x87), which would too.
  *
  * The state goes in and out through one double array; rounds and status
  * come back through out[0] and out[1].
  */
+#include <float.h>
 #include <stdint.h>
+
+#if FLT_EVAL_METHOD != 0
+#error "double arithmetic must round to double (FLT_EVAL_METHOD == 0)"
+#endif
 
 #define STATUS_STOPPED 0
 #define STATUS_BUDGET 1
 #define STATUS_INVALID 2
 #define STATUS_EXHAUSTED 3
 
-/* state: v2, v3, v4, v5, v6, v7, independent, erase */
+/* Advance the d-regular independent-set recurrence by up to max_rounds
+ * rounds; the run stops once the start class v_d falls to eps.  The two
+ * processes differ only in the deletion that ends a round: d = 3 always
+ * deletes from the highest occupied class (with the improvement correction
+ * terms at top class 4), while d = 4 runs the probe step once classes 6
+ * and 7 are empty.
+ *
+ * state: v2, v3, v4, v5, v6, v7, independent, erase */
 void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
               int64_t max_rounds, int64_t *out)
 {
@@ -33,6 +47,7 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
         }
         rounds += 1;
 
+        /* open-edge mass, counting only classes above the dust threshold */
         double s = 0.0;
         if (v3 > eps)
             s += 3 * v3;
@@ -45,6 +60,9 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
         if (v7 > eps)
             s += 7 * v7;
 
+        /* Redistribute the erasure backlog: every hit moves a vertex one
+         * degree class down.  Ascending order so each class is read before
+         * the class above it spills into it. */
         if (erase > eps) {
             double r = (erase + eps) / s;
             double dl;
@@ -88,6 +106,9 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
         if (v7 > eps)
             s += 7 * v7;
 
+        /* Contract at 2-vertices: pick two open-edge endpoints with
+         * probability proportional to degree, merge into one vertex of
+         * degree i+j-2; merged degree beyond 7 turns into erasures. */
         if (v2 > eps) {
             if (!(s > 0.0)) {
                 status = STATUS_EXHAUSTED;
@@ -122,12 +143,17 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
             erase += 12 * r * a12 / s;
         }
 
+        /* d = 3 deletes from classes 3-7 only; the composed step reports
+         * an empty range as exhaustion (and the correction terms below
+         * would divide by an empty pool). */
         if (d == 3 && !(v3 > eps || v4 > eps || v5 > eps || v6 > eps
                         || v7 > eps)) {
             status = STATUS_EXHAUSTED;
             break;
         }
 
+        /* highest occupied degree class: down to 4 for d = 3, and down to 5
+         * for d = 4, where 5 means the probe step */
         int64_t mx = 7;
         if (v7 < eps) {
             mx = 6;
@@ -138,6 +164,10 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
             }
         }
         if (d == 4 && mx == 5) {
+            /* Probe step: delete a 3-vertex if all of its three neighbours
+             * have degree 3, otherwise delete its highest-degree neighbour
+             * and contract at the now 2-valent probe vertex.  Negative-dust
+             * classes can empty this pool in the terminal rounds. */
             double den = 3 * v3 + 4 * v4 + 5 * v5;
             if (!(den > 0.0)) {
                 status = STATUS_EXHAUSTED;
@@ -154,6 +184,7 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
             erase += eps * (6 - 12 * rat3 * rat3 + 6 * rat3 * rat3 * rat3
                             + (15 * rat3 * rat4 + 3) * (rat4 + 2 * rat5));
         } else {
+            /* delete 2*eps mass from the highest occupied degree class */
             if (mx == 7)
                 v7 -= 2 * eps;
             else if (mx == 6)
@@ -165,6 +196,10 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
             erase += 2 * mx * eps;
         }
 
+        /* Four-neighbour correction terms, applied only once the 4-class
+         * is the top occupied class.  The draw probabilities use s as
+         * measured before this round's contractions (the deleted vertex's
+         * neighbours were sampled against that pool). */
         if (improvement && mx == 4) {
             double x = 4 * v4 / s;
             double p4444 = 2 * eps * x * x * x * x;
@@ -215,7 +250,14 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
     out[1] = status;
 }
 
-/* state: rat2, rat3, good, bad */
+/* Advance the max-cut recurrence by up to max_rounds rounds; the run stops
+ * once rat2 + rat3 falls to eps.  linear selects the action-rate route: the
+ * per-round rates come from eliminating the six-equation action system and
+ * are rescaled by the pool polynomial, instead of using the pre-expanded
+ * polynomials directly.  The two routes must agree to rounding; keeping
+ * both guards the polynomial transcription.
+ *
+ * state: rat2, rat3, good, bad */
 void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
                int64_t *out)
 {
@@ -239,9 +281,14 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
         double q3 = q2 * q;
         double q4 = q2 * q2;
         double q5 = q4 * q;
+        /* open-edge pool polynomial D: both routes lower rat3 by eps * D,
+         * and the linear route rescales its per-plain-vertex rates by it */
         double d_pool = 2 - 4 * q - 4 * q2 + 8 * q3 + 2 * q4 - 4 * q5;
 
         if (linear) {
+            /* Direct elimination on the six action-count equations with
+             * c_R temporarily pinned to 1, then rescaled so the plain-vertex
+             * consumption rate is exactly one vertex per unit time. */
             double t = 1.0;
             double c_rr = q * t;
             double c_3rr = 2 * q * (1 - 2 * q) * t / (1 - q * q);
@@ -279,6 +326,7 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
             status = STATUS_INVALID;
             break;
         }
+        /* conservation law of the closed-form rates: g + b = 1.5 D - 2 v_R */
         double law = good + bad + 2 * rat2 + 1.5 * rat3 - 1.5;
         if (!(good >= -1e-12 && bad >= -1e-12
               && -1e-9 <= law && law <= 1e-9)) {

@@ -13,15 +13,15 @@ Two interchangeable rate routes are kept deliberately:
   scratch each round and rescales by the pool polynomial D(q).
 
 They must agree to rounding; divergence means one of the transcriptions is
-wrong.  As in ``is_evolution``, the expressions here mirror the chunk kernel
-in ``_kernels`` exactly.
+wrong.  As in ``is_evolution``, the expressions here mirror the C chunk
+kernel in ``_kernels`` exactly, and run themselves when it is not built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import _kernels
-from .evolution_core import EvolutionParams, ProcessExhausted
+from .evolution_core import EvolutionParams, ProcessExhausted, _python_chunk
 
 __all__ = [
     "CutEvolutionState",
@@ -214,6 +214,8 @@ class CutRules:
                 and -1e-9 <= law <= 1e-9)
 
     def run_chunk(self, state, params, max_rounds):
+        if _kernels.BACKEND != "c":
+            return _python_chunk(self, state, params, max_rounds)
         out = _kernels.cut_chunk(
             float(state.rat2), float(state.rat3),
             float(state.good), float(state.bad),

@@ -15,8 +15,9 @@ checking and step-size refinement.  Rule sets implement::
     accumulator(state) -> float
 
 ``step`` is the reference path: :func:`_python_chunk` runs it round by round,
-and each ``run_chunk`` (a compiled-or-plain kernel from ``_kernels``) must
-reproduce that run bit for bit.  ``run_chunk`` statuses are the codes from
+and each ``run_chunk`` (the compiled kernel from ``_kernels``) must
+reproduce that run bit for bit; without a compiled kernel ``run_chunk`` is
+:func:`_python_chunk` itself.  ``run_chunk`` statuses are the codes from
 ``_kernels``.
 """
 from __future__ import annotations
@@ -148,7 +149,8 @@ def _check_trajectory(traj: Trajectory, monotone_columns) -> None:
 def _python_chunk(rules, state, params, max_rounds):
     """Reference chunk runner: ``rules.step`` round by round.
 
-    Same contract as ``rules.run_chunk``; the kernels are tested against it.
+    Same contract as ``rules.run_chunk``; the compiled kernels are tested
+    against it, and stand in for it when ``_kernels.BACKEND`` is "python".
     """
     rounds = 0
     while rounds < max_rounds:

@@ -10,8 +10,9 @@ occupied degree class (with optional four-neighbour correction terms for the
 3-regular process, and a probe step instead for the 4-regular one).
 
 The composed operations below are the reference semantics of one round; the
-chunk kernel ``_kernels.is_chunk`` runs both processes and is arithmetically
-identical to them (pinned by tests).
+C chunk kernel ``_kernels.is_chunk`` runs both processes and is arithmetically
+identical to them (pinned by tests).  Without a compiled kernel the rule sets
+step the composed operations themselves.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .evolution_core import EvolutionParams, ProcessExhausted
+from .evolution_core import EvolutionParams, ProcessExhausted, _python_chunk
 
 __all__ = [
     "DegreeState",
@@ -296,6 +297,8 @@ class _IsRulesBase:
 
     def _run_kernel(self, state: DegreeState, params: EvolutionParams,
                     max_rounds, improvement: bool):
+        if _kernels.BACKEND != "c":
+            return _python_chunk(self, state, params, max_rounds)
         v = state.v
         out = _kernels.is_chunk(
             float(v[2]), float(v[3]), float(v[4]), float(v[5]),

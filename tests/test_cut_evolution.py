@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from girthlocal import _kernels
 from girthlocal.evolution_core import (
     STATUS_BUDGET,
     STATUS_INVALID,
@@ -177,9 +176,8 @@ def test_range_check_enforces_the_conservation_law(mode, off):
     params = EvolutionParams(step_size=1e-5)
     state = CutEvolutionState(rat2=0.1, rat3=0.5, good=0.5 + off, bad=0.05)
     assert rules.state_in_range(state, params) == (off == 0.0)
-    out = _kernels.cut_chunk(state.rat2, state.rat3, state.good, state.bad,
-                             params.step_size, mode == "linear_solve", 1)
-    assert out[4:] == (1, STATUS_BUDGET if off == 0.0 else STATUS_INVALID)
+    assert rules.run_chunk(state, params, 1) == \
+        (1, STATUS_BUDGET if off == 0.0 else STATUS_INVALID)
 
 
 def test_good_plus_bad_approaches_three_halves():

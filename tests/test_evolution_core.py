@@ -228,18 +228,22 @@ def test_finals_match_goldens_bitwise(target):
     assert repr(finals) == repr(GOLDENS_1E5[target])
 
 
-@pytest.mark.parametrize("cc", [
-    ("no-such-compiler",) + _kernels._CC[1:],
-    (sys.executable, "-c", "raise SystemExit(1)"),
-], ids=["missing", "failing"])
-def test_failed_build_falls_back_to_the_python_kernels(monkeypatch, tmp_path,
-                                                       cc):
-    lib = _kernels._load(cc=cc, cache=tmp_path)
-    assert lib is None
+@pytest.mark.parametrize("cc, notice", [
+    (("no-such-compiler",) + _kernels._CC[1:], False),
+    ((sys.executable, "-c", "raise SystemExit(1)"), True),
+    ((sys.executable, "-c", "import time; time.sleep(30)"), True),
+], ids=["missing", "failing", "hung"])
+def test_failed_build_falls_back_to_the_composed_ops(monkeypatch, capsys,
+                                                     tmp_path, cc, notice):
+    monkeypatch.setattr(_kernels, "_CC_TIMEOUT_S", 1)
+    assert _kernels._load(cc=cc, cache=tmp_path) is None
     assert list(tmp_path.iterdir()) == []
-    backend, is_chunk, _ = _kernels._bind(lib)
-    assert backend == "python"
-    monkeypatch.setattr(_kernels, "is_chunk", is_chunk)
+    # a compiler that ran and gave no library is reported; none at all is not
+    err = capsys.readouterr().err
+    assert ("building the C kernels failed" in err) == notice
+    # with no library, run_chunk steps the composed operations
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    monkeypatch.setattr(_kernels, "_lib", None)
     rules = Is3Rules()
     params = EvolutionParams(step_size=1e-5)
     state, traj = integrate(rules.initial_state(params), rules, params)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from girthlocal import _kernels
 from girthlocal.evolution_core import (
     STATUS_EXHAUSTED,
     EvolutionParams,
@@ -287,13 +286,11 @@ def test_kernel_matches_composed_ops_bitwise_full_run(rules, eps):
     assert chunk_outputs(rules, eps, 10 ** 7) == kernel_outputs(rules, eps, 10 ** 7)
 
 
-@pytest.mark.parametrize("kernel", ["is_chunk", "_is_chunk"])
 @pytest.mark.parametrize("improvement", [True, False])
 def test_kernel_matches_composed_ops_when_classes_3_to_7_are_empty(
-        monkeypatch, kernel, improvement):
+        improvement):
     # in range, but redistribution empties the 3-class and no class 3-7 is
     # left above eps: the composed delete step reports exhaustion
-    monkeypatch.setattr(_kernels, "is_chunk", getattr(_kernels, kernel))
     eps = 1e-5
     rules = Is3Rules(improvement=improvement)
     params = EvolutionParams(step_size=eps)

@@ -1,41 +1,42 @@
-"""The compiled chunk kernels against the Python ones, and the fallback."""
+"""The compiled chunk kernels against the composed reference, bit for bit."""
 import numpy as np
 import pytest
 
 from girthlocal import _kernels
+from girthlocal.cut_evolution import CutRules
+from girthlocal.evolution_core import EvolutionParams, _python_chunk
+from girthlocal.is_evolution import Is3Rules, Is4Rules
 
 GRID = [float(eps) for eps in np.geomspace(1e-3, 1e-5, 9)] + [2e-5]
 
 compiled = pytest.mark.skipif(_kernels.BACKEND != "c",
-                              reason="no C compiler: only the Python kernels")
+                              reason="no C compiler: run_chunk is the reference")
+
+RULES = {
+    "is3": Is3Rules(),
+    "is3-plain": Is3Rules(improvement=False),
+    "is4": Is4Rules(),
+    "cut3": CutRules(),
+    "cut3-linear": CutRules(mode="linear_solve"),
+}
 
 
-def exact(out):
-    return tuple(x.hex() if isinstance(x, float) else x for x in out)
+def exact(rules, run, eps, max_rounds):
+    params = EvolutionParams(step_size=eps)
+    state = rules.initial_state(params)
+    rounds, status = run(rules, state, params, max_rounds)
+    return tuple(x.hex() for x in rules.snapshot(state)), rounds, status
 
 
 @compiled
-@pytest.mark.parametrize("d, improvement", [(3, True), (3, False), (4, False)],
-                         ids=["is3", "is3-plain", "is4"])
-def test_c_is_chunk_matches_python_bitwise(d, improvement):
+@pytest.mark.parametrize("target", RULES)
+def test_c_kernel_matches_composed_ops_bitwise(target):
     # full runs from the start state; the grid holds runs that stop, exhaust
-    # and leave the valid range (1e-4 and 2e-5)
-    start = [0.0] * 8
-    start[d - 2] = 1.0
+    # and leave the valid range (1e-4 and 2e-5 for the IS targets)
+    rules = RULES[target]
     for eps in GRID:
-        args = (*start, eps, d, improvement, 10 ** 7)
-        assert exact(_kernels.is_chunk(*args)) == \
-            exact(_kernels._is_chunk(*args)), eps
-
-
-@compiled
-@pytest.mark.parametrize("linear", [False, True],
-                         ids=["closed_form", "linear_solve"])
-def test_c_cut_chunk_matches_python_bitwise(linear):
-    for eps in GRID:
-        args = (0.0, 1.0, 0.0, 0.0, eps, linear, 10 ** 7)
-        assert exact(_kernels.cut_chunk(*args)) == \
-            exact(_kernels._cut_chunk(*args)), eps
+        assert exact(rules, type(rules).run_chunk, eps, 10 ** 7) == \
+            exact(rules, _python_chunk, eps, 10 ** 7), eps
 
 
 @compiled
@@ -43,9 +44,6 @@ def test_c_cut_chunk_matches_python_bitwise(linear):
 def test_c_kernels_take_budgets_beyond_int64(budget):
     # ctypes would wrap these modulo 2**64 (2**63 to a negative budget, which
     # runs no round); the wrappers clamp them instead
-    is_args = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-3, 3, True, budget)
-    assert exact(_kernels.is_chunk(*is_args)) == \
-        exact(_kernels._is_chunk(*is_args))
-    cut_args = (0.0, 1.0, 0.0, 0.0, 1e-3, False, budget)
-    assert exact(_kernels.cut_chunk(*cut_args)) == \
-        exact(_kernels._cut_chunk(*cut_args))
+    for rules in (RULES["is3"], RULES["cut3"]):
+        assert exact(rules, type(rules).run_chunk, 1e-3, budget) == \
+            exact(rules, _python_chunk, 1e-3, budget)
