@@ -1,4 +1,5 @@
-/* Chunk kernels of the evolution integrators, loaded by _kernels.py.
+/* Chunk kernels of the evolution integrators and the event engine of the
+ * finite cut process (further down), loaded by _kernels.py.
  *
  * is_chunk runs both independent-set processes (d = 3 and 4) and cut_chunk
  * the max-cut process.  Each is the composed round of is_evolution /
@@ -340,4 +341,890 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
     state[3] = bad;
     out[0] = rounds;
     out[1] = status;
+}
+
+/* ---- The finite cut process's event engine ----------------------------
+ *
+ * cut_local_algorithm.CutProcess restated over flat arrays: _reveal, query,
+ * commit, whiten, eliminate_white, reduce_rrr, _connected, the queue/heap
+ * closure, the endgame commits and _resolve_pending.  Every rule, its
+ * order of effects and every tie-break is the same as in the Python
+ * methods, which stay the reference semantics; tests pin the two to equal
+ * colourings and counters.  The random draws (the bootstrap pair and the
+ * per-round query marks) and the lone-vertex scan stay in Python, which
+ * hands the engine the vertices it picked.
+ *
+ * Shared with Python (the CutProcess's own buffers, read by its numpy
+ * scans): status, f, the label counters nR/nG/nW/nD, pd, op, alias,
+ * revealed, and counts = {good, bad, survival}.  Private here:
+ *   - two (neighbour, parity) path slots per vertex, kept in list order
+ *     (a pop shifts the second slot down, as list.pop does);
+ *   - a chain of half-edges per vertex (head, tail, next), the order of
+ *     the Python slot list; reduce_rrr moves s3's unrevealed ones to s1's
+ *     tail (s3 never reads its chain again);
+ *   - the pending colours (target, bit, free) with an age-order list: a
+ *     re-pend keeps the vertex's place;
+ *   - the white marks (source, bit), deferred triples, the FIFO queue and
+ *     an int min-heap (it pops the same sequence as heapq).
+ *
+ * A broken invariant (an assertion in the Python methods) sets err to
+ * CUT_BROKEN and an allocation failure to CUT_NOMEM; every entry point
+ * returns err, and the state is then unusable.
+ */
+#include <stdlib.h>
+#include <string.h>
+
+#define RED 0
+#define GREEN 1
+#define CUT_OK 0
+#define CUT_NOMEM 1
+#define CUT_BROKEN 2
+
+enum { LOOP, INHERITED, DEAD, LIVE };
+
+typedef struct {
+    int64_t *data;
+    int64_t len, cap;
+} vec;
+
+typedef struct {
+    int64_t n, swap, err;
+    const int64_t *owner, *pair;
+    uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
+    int8_t *f, *op;
+    int64_t *alias, *counts;
+    int64_t *path_nb;
+    uint8_t *path_par;
+    int64_t *head, *tail, *next;
+    int64_t *target, *age;
+    uint8_t *bit, *free_, *pending;
+    int64_t *wsrc;
+    uint8_t *wbit;
+    vec order, deferred, queue, heap, walk, rotated;
+    int64_t qhead, *seen;
+} cut_state;
+
+#define GOOD(s) ((s)->counts[0])
+#define BAD(s) ((s)->counts[1])
+#define SURVIVAL(s) ((s)->counts[2])
+
+static void push(cut_state *s, vec *v, int64_t x)
+{
+    if (v->len == v->cap) {
+        int64_t cap = v->cap ? 2 * v->cap : 64;
+        int64_t *data = realloc(v->data, cap * sizeof *data);
+        if (!data) {
+            s->err = CUT_NOMEM;
+            return;
+        }
+        v->data = data;
+        v->cap = cap;
+    }
+    v->data[v->len++] = x;
+}
+
+/* -- queue and heap ---------------------------------------------------- */
+
+static void queue_push(cut_state *s, int64_t x)
+{
+    vec *q = &s->queue;
+    if (q->len == q->cap && s->qhead > 0) {
+        /* drop the popped front before growing */
+        memmove(q->data, q->data + s->qhead,
+                (q->len - s->qhead) * sizeof *q->data);
+        q->len -= s->qhead;
+        s->qhead = 0;
+    }
+    push(s, q, x);
+}
+
+static void heap_push(cut_state *s, int64_t x)
+{
+    vec *h = &s->heap;
+    push(s, h, x);
+    if (s->err)
+        return;
+    int64_t i = h->len - 1;
+    while (i > 0) {
+        int64_t up = (i - 1) / 2;
+        if (h->data[up] <= x)
+            break;
+        h->data[i] = h->data[up];
+        i = up;
+    }
+    h->data[i] = x;
+}
+
+static int64_t heap_pop(cut_state *s)
+{
+    vec *h = &s->heap;
+    int64_t top = h->data[0];
+    int64_t x = h->data[--h->len];
+    int64_t i = 0;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= h->len)
+            break;
+        if (c + 1 < h->len && h->data[c + 1] < h->data[c])
+            c += 1;
+        if (x <= h->data[c])
+            break;
+        h->data[i] = h->data[c];
+        i = c;
+    }
+    if (h->len)
+        h->data[i] = x;
+    return top;
+}
+
+/* -- small helpers ----------------------------------------------------- */
+
+static int64_t cd(const cut_state *s, int64_t v)
+{
+    return s->n_r[v] + s->n_g[v] + s->n_w[v] + s->n_d[v];
+}
+
+static void dirty(cut_state *s, int64_t v)
+{
+    if (s->status[v] == 0)
+        heap_push(s, v);
+}
+
+static void dirty_area(cut_state *s, int64_t v)
+{
+    dirty(s, v);
+    for (int64_t i = 0; i < s->pd[v]; i++)
+        dirty(s, s->path_nb[2 * v + i]);
+}
+
+static void wake(cut_state *s, int64_t x)
+{
+    queue_push(s, x);
+    dirty_area(s, x);
+}
+
+static int64_t holder(cut_state *s, int64_t v)
+{
+    int64_t *alias = s->alias;
+    while (alias[v] != v) {
+        alias[v] = alias[alias[v]];
+        v = alias[v];
+    }
+    return v;
+}
+
+static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
+                        int free_)
+{
+    if (!s->pending[v]) {  /* a re-pend keeps v's age */
+        s->pending[v] = 1;
+        s->age[v] = s->order.len;
+        push(s, &s->order, v);
+    }
+    s->target[v] = target;
+    s->bit[v] = (uint8_t)bit;
+    s->free_[v] = (uint8_t)free_;
+}
+
+static void oppose(cut_state *s, int64_t x, int64_t v)
+{
+    if (s->pending[x] && s->free_[x] && x != v) {
+        s->target[x] = v;
+        s->bit[x] = 1;
+        s->free_[x] = 0;
+    }
+}
+
+static void defer(cut_state *s, int64_t u, int64_t w, int64_t parity)
+{
+    push(s, &s->deferred, u);
+    push(s, &s->deferred, w);
+    push(s, &s->deferred, parity);
+}
+
+static void consume_phantom_open(cut_state *s, int64_t x)
+{
+    int64_t h = holder(s, x);
+    if (s->status[h] == 0) {
+        s->op[h] -= 1;
+        wake(s, h);
+    }
+}
+
+static void mark_white(cut_state *s, int64_t x, int64_t src, int bit)
+{
+    s->n_w[x] += 1;
+    s->wsrc[x] = src;
+    s->wbit[x] = (uint8_t)bit;
+}
+
+static void pend_against(cut_state *s, int64_t v, int64_t a, int bit)
+{
+    GOOD(s) += 1;
+    set_pending(s, v, a, bit, 0);
+    mark_white(s, a, v, bit);
+}
+
+static int majority(const cut_state *s, int64_t v, int tie)
+{
+    if (s->n_r[v] > s->n_g[v])
+        return GREEN;
+    if (s->n_g[v] > s->n_r[v])
+        return RED;
+    return tie;
+}
+
+static int64_t first_unrevealed(const cut_state *s, int64_t v)
+{
+    for (int64_t h = s->head[v]; h >= 0; h = s->next[h])
+        if (!s->revealed[h])
+            return h;
+    return -1;
+}
+
+static void give_label(cut_state *s, int64_t x, int color)
+{
+    if (color == RED)
+        s->n_r[x] += 1;
+    else
+        s->n_g[x] += 1;
+    wake(s, x);
+}
+
+static void add_path_slot(cut_state *s, int64_t x, int64_t y, int parity)
+{
+    if (s->pd[x] >= 2) {
+        s->err = CUT_BROKEN;
+        return;
+    }
+    s->path_nb[2 * x + s->pd[x]] = y;
+    s->path_par[2 * x + s->pd[x]] = (uint8_t)parity;
+    s->pd[x] += 1;
+}
+
+/* index of x's first path slot pointing at y */
+static int64_t path_index(cut_state *s, int64_t x, int64_t y)
+{
+    for (int64_t i = 0; i < s->pd[x]; i++)
+        if (s->path_nb[2 * x + i] == y)
+            return 2 * x + i;
+    s->err = CUT_BROKEN;  /* path slot bookkeeping out of sync */
+    return -1;
+}
+
+/* drop one of x's slots pointing at y; returns its parity */
+static int remove_path_slot(cut_state *s, int64_t x, int64_t y)
+{
+    int64_t i = path_index(s, x, y);
+    if (i < 0)
+        return 0;
+    int parity = s->path_par[i];
+    if (i == 2 * x && s->pd[x] == 2) {
+        s->path_nb[i] = s->path_nb[i + 1];
+        s->path_par[i] = s->path_par[i + 1];
+    }
+    s->pd[x] -= 1;
+    return parity;
+}
+
+static void replace_path_slot(cut_state *s, int64_t x, int64_t old,
+                              int64_t new_, int parity)
+{
+    int64_t i = path_index(s, x, old);
+    if (i < 0)
+        return;
+    s->path_nb[i] = new_;
+    s->path_par[i] = (uint8_t)parity;
+}
+
+static void pend_on_path_end(cut_state *s, int64_t v)
+{
+    int64_t a = s->path_nb[2 * v];
+    int parity = remove_path_slot(s, v, a);
+    remove_path_slot(s, a, v);
+    pend_against(s, v, a, 1 ^ parity);
+    wake(s, a);
+}
+
+/* are a and b on one survival path (not passing through avoid)? */
+static int connected(const cut_state *s, int64_t a, int64_t b, int64_t avoid)
+{
+    if (a == b)
+        return 1;
+    for (int64_t i = 0; i < s->pd[a]; i++) {
+        int64_t prev = a, cur = s->path_nb[2 * a + i];
+        int64_t steps = 0;
+        while (cur != -1 && cur != avoid) {
+            if (cur == b)
+                return 1;
+            steps += 1;
+            if (steps > SURVIVAL(s) + 2)  /* defensive: not a path */
+                break;
+            int64_t nxt = -1;
+            for (int64_t j = 0; j < s->pd[cur]; j++) {
+                int64_t w = s->path_nb[2 * cur + j];
+                if (w != prev && w != avoid) {
+                    nxt = w;
+                    break;
+                }
+            }
+            prev = cur;
+            cur = nxt;
+        }
+    }
+    return 0;
+}
+
+static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
+{
+    int64_t k = s->pair[h];
+    s->revealed[h] = 1;
+    s->revealed[k] = 1;
+    int64_t u = s->owner[h];
+    int64_t x = s->owner[k];
+    *xo = x;
+    if (u == x) {
+        BAD(s) += 1;  /* a self-loop is monochromatic whatever happens */
+        if (u == v) {
+            s->op[v] -= 2;
+        } else {
+            consume_phantom_open(s, u);
+            consume_phantom_open(s, u);
+        }
+        *xo = -1;
+        return LOOP;
+    }
+    if (s->status[x] == 1) {  /* a committed vertex kept an open slot */
+        s->err = CUT_BROKEN;
+        return LOOP;
+    }
+    if (u != v) {
+        /* inherited slot: the real edge belongs to an absorbed vertex */
+        defer(s, u, x, 0);
+        oppose(s, u, x);
+        s->n_d[v] += 1;
+        s->op[v] -= 1;
+        if (s->status[x] == 0) {
+            s->n_d[x] += 1;
+            s->op[x] -= 1;
+            wake(s, x);
+        } else {
+            oppose(s, x, u);
+            consume_phantom_open(s, x);
+        }
+        return INHERITED;
+    }
+    s->op[v] -= 1;
+    if (s->status[x] == 2) {
+        defer(s, v, x, 0);
+        oppose(s, x, v);
+        consume_phantom_open(s, x);
+        return DEAD;
+    }
+    return LIVE;
+}
+
+/* -- decisions --------------------------------------------------------- */
+
+static void commit(cut_state *s, int64_t v, int color)
+{
+    if (s->status[v] != 0) {
+        s->err = CUT_BROKEN;
+        return;
+    }
+    s->status[v] = 1;
+    s->f[v] = (int8_t)color;
+    SURVIVAL(s) -= 1;
+    if (color == GREEN) {
+        GOOD(s) += s->n_r[v];
+        BAD(s) += s->n_g[v];
+    } else {
+        GOOD(s) += s->n_g[v];
+        BAD(s) += s->n_r[v];
+    }
+    while (s->pd[v] && !s->err) {
+        int64_t x = s->path_nb[2 * v];
+        int parity = remove_path_slot(s, v, x);
+        remove_path_slot(s, x, v);
+        give_label(s, x, color ^ parity);
+    }
+    for (int64_t h = s->head[v]; h >= 0 && !s->err; h = s->next[h]) {
+        if (s->revealed[h])
+            continue;
+        int64_t x;
+        if (reveal(s, v, h, &x) == LIVE) {
+            s->op[x] -= 1;
+            give_label(s, x, color);
+        }
+    }
+    s->op[v] = 0;
+}
+
+static void whiten(cut_state *s, int64_t v)
+{
+    if (s->status[v] != 0) {
+        s->err = CUT_BROKEN;
+        return;
+    }
+    if (s->n_r[v] == 1 && s->n_g[v] == 1) {
+        GOOD(s) += 1;
+        BAD(s) += 1;
+    }
+    s->status[v] = 2;
+    SURVIVAL(s) -= 1;
+    if (s->pd[v] == 1) {
+        pend_on_path_end(s, v);
+    } else {
+        int64_t h = first_unrevealed(s, v);
+        int64_t x;
+        if (h < 0) {
+            /* every other edge was already consumed */
+            set_pending(s, v, -1, (int)s->swap, 1);
+        } else {
+            int kind = reveal(s, v, h, &x);
+            if (kind == LIVE) {
+                pend_against(s, v, x, 1);
+                s->op[x] -= 1;
+                wake(s, x);
+            } else if (kind == DEAD) {
+                set_pending(s, v, x, 1, 0);
+            } else {
+                set_pending(s, v, -1, (int)s->swap, 1);
+            }
+        }
+    }
+    s->op[v] = 0;
+}
+
+static void eliminate_white(cut_state *s, int64_t v)
+{
+    if (s->status[v] != 0 || s->n_w[v] != 1
+            || s->n_r[v] + s->n_g[v] + s->n_d[v] != 0) {
+        s->err = CUT_BROKEN;
+        return;
+    }
+    s->status[v] = 2;
+    SURVIVAL(s) -= 1;
+    if (s->pd[v] == 2) {
+        int64_t a = s->path_nb[2 * v], b = s->path_nb[2 * v + 1];
+        int pa = s->path_par[2 * v], pb = s->path_par[2 * v + 1];
+        if (a == b || connected(s, a, b, v)) {
+            /* joining would close a cycle; defer the far edge instead */
+            pend_against(s, v, a, 1 ^ pa);
+            remove_path_slot(s, a, v);
+            defer(s, v, b, pb);
+            remove_path_slot(s, b, v);
+            s->n_d[b] += 1;
+        } else {
+            GOOD(s) += 1;
+            set_pending(s, v, a, 1 ^ pa, 0);
+            int joined = 1 ^ pa ^ pb;
+            replace_path_slot(s, a, v, b, joined);
+            replace_path_slot(s, b, v, a, joined);
+        }
+        wake(s, a);
+        wake(s, b);
+    } else if (s->pd[v] == 1) {
+        pend_on_path_end(s, v);
+    } else {
+        /* chain off the white that marked v, under that mark's parity
+         * (unmarked: target -1 and the swap bit) */
+        set_pending(s, v, s->wsrc[v], s->wbit[v], 1);
+    }
+    s->pd[v] = 0;
+    s->op[v] = 0;
+}
+
+static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
+{
+    int p12 = remove_path_slot(s, s2, s1);
+    remove_path_slot(s, s1, s2);
+    int p23 = remove_path_slot(s, s2, s3);
+    remove_path_slot(s, s3, s2);
+    GOOD(s) += 3;
+    BAD(s) += 1;
+    set_pending(s, s2, s1, 1 ^ p12, 0);
+    set_pending(s, s3, s1, p12 ^ p23, 0);
+    s->status[s2] = 2;
+    s->status[s3] = 2;
+    SURVIVAL(s) -= 2;
+    if (s->pd[s3]) {
+        int64_t t = s->path_nb[2 * s3];
+        int p3t = remove_path_slot(s, s3, t);
+        int carried = p12 ^ p23 ^ p3t;
+        replace_path_slot(s, t, s3, s1, carried);
+        add_path_slot(s, s1, t, carried);
+        dirty_area(s, t);
+    } else if (s->op[s3]) {
+        /* s3's unrevealed slots now belong (logically) to s1 */
+        s->alias[s3] = s1;
+        s->op[s1] += s->op[s3];
+        int64_t h = s->head[s3];
+        while (h >= 0) {
+            int64_t nx = s->next[h];
+            if (!s->revealed[h]) {
+                s->next[h] = -1;
+                if (s->tail[s1] >= 0)
+                    s->next[s->tail[s1]] = h;
+                else
+                    s->head[s1] = h;
+                s->tail[s1] = h;
+            }
+            h = nx;
+        }
+        s->head[s3] = s->tail[s3] = -1;
+    }
+    wake(s, s1);
+}
+
+static void query(cut_state *s, int64_t v)
+{
+    int64_t h = first_unrevealed(s, v);
+    if (s->status[v] != 0 || s->op[v] <= 0 || h < 0) {
+        s->err = CUT_BROKEN;
+        return;
+    }
+    int64_t x;
+    int kind = reveal(s, v, h, &x);
+    if (kind == DEAD) {
+        /* the deferred pair carries the edge count */
+        mark_white(s, v, x, 1);
+        wake(s, v);
+        return;
+    }
+    if (kind != LIVE) {
+        wake(s, v);
+        return;
+    }
+    if (s->pd[x] == 2 || connected(s, v, x, -1)) {
+        /* joining would exceed path degree or close a cycle */
+        defer(s, v, x, 0);
+        s->n_d[v] += 1;
+        s->n_d[x] += 1;
+        s->op[x] -= 1;
+        wake(s, v);
+        wake(s, x);
+    } else {
+        add_path_slot(s, v, x, 0);
+        add_path_slot(s, x, v, 0);
+        s->op[x] -= 1;
+        dirty_area(s, v);
+        dirty_area(s, x);
+    }
+}
+
+/* -- the action table -------------------------------------------------- */
+
+static int labels_decide(cut_state *s, int64_t v)
+{
+    int64_t c = cd(s, v);
+    if (c >= 2) {
+        /* a tie at cd == 3 has no reference edge left to whiten against */
+        int color = majority(s, v, c == 3 ? RED ^ (int)s->swap : -1);
+        if (color < 0)
+            whiten(s, v);
+        else
+            commit(s, v, color);
+        return 1;
+    }
+    if (c == 1 && s->n_w[v] == 1) {
+        eliminate_white(s, v);
+        return 1;
+    }
+    return 0;
+}
+
+/* R/G label of a pure single-label vertex, else -1 */
+static int label_of(const cut_state *s, int64_t v)
+{
+    if (s->n_w[v] || s->n_d[v])
+        return -1;
+    if (s->n_r[v] + s->n_g[v] != 1)
+        return -1;
+    return s->n_r[v] ? RED : GREEN;
+}
+
+static void try_patterns(cut_state *s, int64_t v)
+{
+    int lv = label_of(s, v);
+    if (lv < 0)
+        return;
+    /* adjacent opposite-aligned labels: both commit anti their labels */
+    for (int64_t i = 0; i < s->pd[v]; i++) {
+        int64_t x = s->path_nb[2 * v + i];
+        int lx = label_of(s, x);
+        if (lx >= 0 && (lv ^ lx ^ s->path_par[2 * v + i]) == 1) {
+            int64_t lead = v < x ? v : x;
+            commit(s, lead, 1 ^ label_of(s, lead));
+            return;
+        }
+    }
+    if (s->pd[v] == 2) {
+        int64_t a = s->path_nb[2 * v], b = s->path_nb[2 * v + 1];
+        int pa = s->path_par[2 * v], pb = s->path_par[2 * v + 1];
+        int la = label_of(s, a), lb = label_of(s, b);
+        if (cd(s, a) == 0 && cd(s, b) == 0) {
+            /* []-[X]-[]: colour the middle anti its label */
+            commit(s, v, 1 ^ lv);
+            return;
+        }
+        for (int side = 0; side < 2; side++) {
+            int64_t m2 = side ? b : a, far = side ? a : b;
+            int lm = side ? lb : la, pm = side ? pb : pa;
+            if (lm < 0 || cd(s, far) != 0 || s->pd[m2] != 2 || m2 == far)
+                continue;
+            if ((lv ^ lm ^ pm) != 0)
+                continue;
+            int64_t o0 = s->path_nb[2 * m2];
+            int64_t other = o0 != v ? o0 : s->path_nb[2 * m2 + 1];
+            if (cd(s, other) == 0) {
+                /* []-[X]-[X]-[]: lower-id middle commits anti its label */
+                int64_t lead = v < m2 ? v : m2;
+                commit(s, lead, 1 ^ label_of(s, lead));
+                return;
+            }
+        }
+        if (la >= 0 && lb >= 0 && a != b && (lv ^ la ^ pa) == 0
+                && (lv ^ lb ^ pb) == 0) {
+            reduce_rrr(s, a < b ? a : b, v, a < b ? b : a);
+            return;
+        }
+    }
+    if (s->pd[v] == 1 && s->op[v] >= 1)
+        query(s, v);  /* terminal labeled endpoint extends its path */
+}
+
+static void closure(cut_state *s)
+{
+    while (!s->err) {
+        if (s->qhead < s->queue.len) {
+            int64_t v = s->queue.data[s->qhead++];
+            if (s->qhead == s->queue.len)
+                s->qhead = s->queue.len = 0;
+            if (s->status[v] == 0)
+                labels_decide(s, v);
+            continue;
+        }
+        if (s->heap.len) {
+            int64_t v = heap_pop(s);
+            if (s->status[v] == 0 && !labels_decide(s, v))
+                try_patterns(s, v);
+            continue;
+        }
+        break;
+    }
+}
+
+/* fix the pending colours in one walk, oldest first (see
+ * CutProcess._resolve_pending) */
+static void resolve_pending(cut_state *s)
+{
+    int anchor = RED ^ (int)s->swap;
+    int8_t *f = s->f;
+    for (int64_t i = 0; i < s->order.len && !s->err; i++) {
+        int64_t v = s->order.data[i];
+        if (f[v] >= 0)
+            continue;
+        vec *path = &s->walk;
+        path->len = 0;
+        push(s, path, v);
+        s->seen[v] = 0;
+        int64_t cycle = -1;  /* index of the pinned cycle member */
+        while (!s->err) {
+            int64_t u = path->data[path->len - 1];
+            int64_t t = s->target[u];
+            if (t == -1) {
+                f[u] = (int8_t)s->bit[u];
+                s->seen[u] = -1;
+                path->len -= 1;
+                break;
+            }
+            if (f[t] >= 0)
+                break;
+            if (!s->pending[t]) {
+                f[t] = (int8_t)anchor;
+                break;
+            }
+            if (s->seen[t] >= 0) {
+                int64_t m = s->seen[t];
+                for (int64_t j = m + 1; j < path->len; j++)
+                    if (s->age[path->data[j]] < s->age[path->data[m]])
+                        m = j;
+                f[path->data[m]] = (int8_t)anchor;
+                cycle = m;
+                break;
+            }
+            s->seen[t] = path->len;
+            push(s, path, t);
+        }
+        if (s->err)
+            return;
+        for (int64_t j = 0; j < path->len; j++)
+            s->seen[path->data[j]] = -1;
+        if (cycle >= 0) {
+            /* the pin's predecessors, then the cycle's far side */
+            vec *rot = &s->rotated;
+            rot->len = 0;
+            for (int64_t j = cycle + 1; j < path->len; j++)
+                push(s, rot, path->data[j]);
+            for (int64_t j = 0; j < cycle; j++)
+                push(s, rot, path->data[j]);
+            if (s->err)
+                return;
+            path = rot;
+        }
+        for (int64_t j = path->len - 1; j >= 0; j--) {
+            int64_t u = path->data[j];
+            f[u] = (int8_t)(f[s->target[u]] ^ s->bit[u]);
+        }
+    }
+}
+
+/* -- entry points ------------------------------------------------------ */
+
+void cut_free(cut_state *s)
+{
+    if (!s)
+        return;
+    free(s->path_nb);
+    free(s->path_par);
+    free(s->head);
+    free(s->tail);
+    free(s->next);
+    free(s->target);
+    free(s->age);
+    free(s->bit);
+    free(s->free_);
+    free(s->pending);
+    free(s->wsrc);
+    free(s->wbit);
+    free(s->seen);
+    free(s->order.data);
+    free(s->deferred.data);
+    free(s->queue.data);
+    free(s->heap.data);
+    free(s->walk.data);
+    free(s->rotated.data);
+    free(s);
+}
+
+/* A fresh engine over a 3-regular graph: owner and pair of its 3n
+ * half-edges, slots the half-edges grouped by owner (vertex v's are
+ * slots[3v..3v+2], in the order of the Python slot lists), and the shared
+ * buffers.  NULL when out of memory. */
+cut_state *cut_new(int64_t n, int64_t swap, const int64_t *owner,
+                   const int64_t *pair, const int64_t *slots,
+                   uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
+                   uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int8_t *op,
+                   int64_t *alias, uint8_t *revealed, int64_t *counts)
+{
+    cut_state *s = calloc(1, sizeof *s);
+    if (!s)
+        return NULL;
+    size_t m = n > 0 ? (size_t)n : 1;
+    s->n = n;
+    s->swap = swap;
+    s->owner = owner;
+    s->pair = pair;
+    s->status = status;
+    s->f = f;
+    s->n_r = n_r;
+    s->n_g = n_g;
+    s->n_w = n_w;
+    s->n_d = n_d;
+    s->pd = pd;
+    s->op = op;
+    s->alias = alias;
+    s->revealed = revealed;
+    s->counts = counts;
+    s->path_nb = malloc(2 * m * sizeof *s->path_nb);
+    s->path_par = malloc(2 * m);
+    s->head = malloc(m * sizeof *s->head);
+    s->tail = malloc(m * sizeof *s->tail);
+    s->next = malloc(3 * m * sizeof *s->next);
+    s->target = malloc(m * sizeof *s->target);
+    s->age = malloc(m * sizeof *s->age);
+    s->bit = malloc(m);
+    s->free_ = malloc(m);
+    s->pending = calloc(m, 1);
+    s->wsrc = malloc(m * sizeof *s->wsrc);
+    s->wbit = malloc(m);
+    s->seen = malloc(m * sizeof *s->seen);
+    if (!s->path_nb || !s->path_par || !s->head || !s->tail || !s->next
+            || !s->target || !s->age || !s->bit || !s->free_ || !s->pending
+            || !s->wsrc || !s->wbit || !s->seen) {
+        cut_free(s);
+        return NULL;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        s->head[v] = slots[3 * v];
+        s->tail[v] = slots[3 * v + 2];
+        s->next[slots[3 * v]] = slots[3 * v + 1];
+        s->next[slots[3 * v + 1]] = slots[3 * v + 2];
+        s->next[slots[3 * v + 2]] = -1;
+        s->wsrc[v] = -1;
+        s->wbit[v] = (uint8_t)swap;
+        s->seen[v] = -1;
+    }
+    return s;
+}
+
+int64_t cut_commit(cut_state *s, int64_t v, int64_t color)
+{
+    commit(s, v, (int)color);
+    return s->err;
+}
+
+int64_t cut_closure(cut_state *s)
+{
+    closure(s);
+    return s->err;
+}
+
+/* query each marked vertex, in order, that is still a survival vertex with
+ * an open half-edge */
+int64_t cut_queries(cut_state *s, const int64_t *marked, int64_t count)
+{
+    for (int64_t i = 0; i < count && !s->err; i++) {
+        int64_t v = marked[i];
+        if (s->status[v] == 0 && s->op[v] > 0)
+            query(s, v);
+    }
+    return s->err;
+}
+
+/* survivors take their majority, unrevealed pairs are deferred, the
+ * pending colours resolve and the deferred edges are counted */
+int64_t cut_endgame(cut_state *s)
+{
+    int tie = RED ^ (int)s->swap;
+    for (int64_t v = 0; v < s->n && !s->err; v++)
+        if (s->status[v] == 0)
+            commit(s, v, majority(s, v, tie));
+    for (int64_t h = 0; h < 3 * s->n && !s->err; h++) {
+        int64_t k = s->pair[h];
+        if (s->revealed[h] || h >= k)
+            continue;
+        s->revealed[h] = 1;
+        s->revealed[k] = 1;
+        int64_t u = s->owner[h], x = s->owner[k];
+        if (u == x) {
+            BAD(s) += 1;
+        } else {
+            defer(s, u, x, 0);
+            oppose(s, u, x);
+            oppose(s, x, u);
+        }
+    }
+    if (s->err)
+        return s->err;
+    resolve_pending(s);
+    const int64_t *d = s->deferred.data;
+    for (int64_t i = 0; i + 2 < s->deferred.len; i += 3) {
+        if ((s->f[d[i]] ^ s->f[d[i + 1]]) == (1 ^ d[i + 2]))
+            GOOD(s) += 1;
+        else
+            BAD(s) += 1;
+    }
+    return s->err;
 }

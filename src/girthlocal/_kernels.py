@@ -1,37 +1,49 @@
-"""Compiled chunk kernels for the evolution integrators.
+"""Compiled kernels: the evolution chunk loops and the cut process's events.
 
-There is one chunk kernel per process family, written in C in
-``_kernels.c``: ``is_chunk`` runs both independent-set processes (3- and
+``_kernels.c`` holds two kinds of C code.  There is one chunk kernel per
+evolution family: ``is_chunk`` runs both independent-set processes (3- and
 4-regular) and ``cut_chunk`` the max-cut process.  Each advances its
 recurrence by at most ``max_rounds`` rounds and reports why it stopped via a
 status code.  The kernels unroll the composed operations of ``is_evolution``
 / ``cut_evolution``, which stay the reference semantics: same expressions,
-same evaluation order, pinned bit for bit by tests.
+same evaluation order, pinned bit for bit by tests.  And there is the event
+engine of the finite cut process (``CutEngine``): the methods of
+``cut_local_algorithm.CutProcess`` over flat arrays, pinned by tests to
+give the same colouring and counters.  The process's random draws and its
+lone-vertex scan stay in Python, so both read one random stream.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
 ``__pycache__/_kernels-<crc32>.so`` next to this file (the crc32 covers the C
-source and the flags, so an edited source gets a fresh library) and loaded
-with ctypes.  ``-ffp-contract=off`` forbids fused multiply-adds, which round
-differently; no fast-math or host-specific flag is used, and the source
-refuses to compile where doubles are evaluated at a wider precision.  When
-no library can be built or loaded (no compiler, a failed or hung build, a
-cache directory that cannot be written), ``BACKEND`` is ``"python"`` and the
-rule sets run their composed operations round by round instead
+source and the flags, so an edited source gets a fresh library, and a build
+removes the libraries of other sources) and loaded with ctypes.
+``-ffp-contract=off`` forbids fused multiply-adds, which round differently;
+no fast-math or host-specific flag is used, and the source refuses to
+compile where doubles are evaluated at a wider precision.  When no library
+can be built or loaded (no compiler, a failed or hung build, a cache
+directory that cannot be written), ``BACKEND`` is ``"python"``: the rule
+sets run their composed operations round by round instead
 (``evolution_core._python_chunk``: the same bits, at 90-560 times the cost
-per round); otherwise it is ``"c"``.
+per round), and the cut process runs its Python methods (about 10 times the
+cost).  Otherwise it is ``"c"``.
 """
 import ctypes
 import os
 import subprocess
 import sys
 import zlib
+from array import array
 from pathlib import Path
+
+import numpy as np
 
 STATUS_STOPPED = 0  # stop condition reached
 STATUS_BUDGET = 1  # round budget spent, more work remains
 STATUS_INVALID = 2  # a state left its sane range (NaN, inf, bad sign, law)
 STATUS_EXHAUSTED = 3  # open-edge pool emptied while deletions were pending
+
+CUT_NOMEM = 1  # the cut engine could not allocate its state
+CUT_BROKEN = 2  # a cut bookkeeping invariant failed (an assert in Python)
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -63,6 +75,11 @@ def _load(cc=_CC, cache=_CACHE):
                 os.replace(tmp, lib_path)
             finally:
                 tmp.unlink(missing_ok=True)
+            # libraries of earlier sources are dead weight now; another
+            # process's build in flight is a *.tmp, which this skips
+            for stale in cache.glob("_kernels-*.so"):
+                if stale != lib_path:
+                    stale.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(lib_path))
     except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as err:
         # a compiler ran but gave no library: say so, since every evolution
@@ -79,6 +96,17 @@ def _load(cc=_CC, cache=_CACHE):
     lib.cut_chunk.argtypes = [ctypes.POINTER(f64), f64, i64, i64,
                               ctypes.POINTER(i64)]
     lib.cut_chunk.restype = None
+    ptr = ctypes.c_void_p
+    lib.cut_new.argtypes = [i64, i64] + [ptr] * 14
+    lib.cut_new.restype = ptr
+    lib.cut_free.argtypes = [ptr]
+    lib.cut_free.restype = None
+    for name, args in (("cut_commit", [ptr, i64, i64]),
+                       ("cut_closure", [ptr]),
+                       ("cut_queries", [ptr, ptr, i64]),
+                       ("cut_endgame", [ptr])):
+        getattr(lib, name).argtypes = args
+        getattr(lib, name).restype = i64
     return lib
 
 
@@ -106,3 +134,82 @@ def cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
     out = (ctypes.c_int64 * 2)()
     _lib.cut_chunk(state, eps, linear, min(max_rounds, _MAX_ROUNDS), out)
     return (*state, *out)
+
+
+def _writable(buf):
+    """A ctypes view of a writable buffer (bytearray, array, ndarray); the
+    caller keeps it alive for as long as C holds the address."""
+    return (ctypes.c_char * memoryview(buf).nbytes).from_buffer(buf)
+
+
+class CutEngine:
+    """The cut process's event engine in C, over one ``CutProcess``'s
+    shared buffers (status, colours, label counters, path degrees, open
+    counts, aliases, revealed flags), which it updates in place.  Its
+    ``commit``, ``closure`` and ``endgame`` are those of the process, and
+    ``queries`` its per-round loop over the marked vertices.  The counters
+    good, bad and survival live in ``counts`` until ``close`` (or leaving
+    the ``with`` block) writes them back.  Needs ``BACKEND == "c"``."""
+
+    def __init__(self, proc):
+        self._proc = proc
+        self.counts = array("q", (proc.good, proc.bad, proc.survival))
+        self._views = [_writable(buf) for buf in (
+            proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
+            proc.pd, proc.op, proc.alias, proc.revealed, self.counts)]
+        graph = proc.graph
+        self._graph = [np.ascontiguousarray(a, dtype=np.int64) for a in
+                       (graph.owner, graph.pair, graph.slot_array())]
+        self._state = _lib.cut_new(
+            proc.n, proc.swap, *(a.ctypes.data for a in self._graph),
+            *(ctypes.addressof(view) for view in self._views))
+        if not self._state:
+            raise MemoryError("cut engine: out of memory")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    @property
+    def survival(self) -> int:
+        return self.counts[2]
+
+    def _run(self, entry, *args) -> None:
+        if not self._state:
+            raise ValueError("cut engine: already closed")
+        err = entry(self._state, *args)
+        if err == CUT_NOMEM:
+            raise MemoryError("cut engine: out of memory")
+        if err:
+            raise AssertionError("cut engine: bookkeeping out of sync")
+
+    def commit(self, v: int, color: int) -> None:
+        if not 0 <= v < self._proc.n:
+            raise IndexError(f"vertex {v} out of range")
+        self._run(_lib.cut_commit, v, color)
+
+    def closure(self) -> None:
+        self._run(_lib.cut_closure)
+
+    def queries(self, marked) -> None:
+        """Query each marked vertex (int array), in order, that is still a
+        survival vertex with an open half-edge."""
+        marked = np.ascontiguousarray(marked, dtype=np.int64)
+        if marked.size and not (0 <= marked.min()
+                                and marked.max() < self._proc.n):
+            raise IndexError("marked vertex out of range")
+        self._run(_lib.cut_queries, marked.ctypes.data, marked.shape[0])
+
+    def endgame(self) -> None:
+        self._run(_lib.cut_endgame)
+
+    def close(self) -> None:
+        if self._state:
+            _lib.cut_free(self._state)
+            self._state = None
+            self._views.clear()
+            self._graph.clear()
+            proc = self._proc
+            proc.good, proc.bad, proc.survival = self.counts

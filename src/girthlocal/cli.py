@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .config_model import edge_list_header, generate, load_edge_list
 from .cut_evolution import CutRules
 from .cut_local_algorithm import QUERY_PROBABILITY, run_cut
@@ -78,6 +79,8 @@ class RunReport:
 
     ``corollaries`` are always recomputed from the headline figures at
     serialization time, never stored, so a report cannot drift internally.
+    ``backend`` is the one that ran the evolution kernels and the cut
+    process's events: ``"c"`` or ``"python"`` (``_kernels.BACKEND``).
     """
 
     command: str
@@ -89,6 +92,7 @@ class RunReport:
     rounds: object = None
     details: dict = field(default_factory=dict)
     wall_time_s: object = None
+    backend: str = field(default_factory=lambda: _kernels.BACKEND)
 
     def corollaries(self) -> dict:
         for key in ("independent", "ratio", "mean_ratio", "good"):
@@ -105,6 +109,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         out = {
+            "backend": self.backend,
             "command": self.command,
             "kind": self.kind,
             "parameters": self.parameters,

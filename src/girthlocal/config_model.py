@@ -60,6 +60,11 @@ class Multigraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
+    def slot_array(self) -> np.ndarray:
+        """Every half-edge, grouped by owner in ascending vertex order and
+        within a vertex in slot order (read-only, not a copy)."""
+        return self._slots
+
     def slot_lists(self) -> list:
         """A fresh Python list of slots per vertex, for mutable copies."""
         return self._per_vertex(self._slots)

@@ -23,9 +23,11 @@ import heapq
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import _kernels
 from .config_model import Multigraph
 
 __all__ = ["QUERY_PROBABILITY", "CutResult", "CutProcess", "run_cut"]
@@ -61,7 +63,14 @@ class CutResult:
 
 
 class CutProcess:
-    """One run's mutable state; drive with run() or the staged methods."""
+    """One run's mutable state; drive a fresh process with run() or with
+    the staged methods.
+
+    The methods below are the reference semantics.  run() hands the events
+    to ``_kernels.CutEngine`` (the same rules in C, over this object's
+    counter buffers) when the C kernels are built, and runs these methods
+    otherwise; tests pin the two to the same colouring and counters.
+    """
 
     def __init__(self, graph: Multigraph, seed=None, swap: bool = False,
                  query_probability: float = QUERY_PROBABILITY):
@@ -75,9 +84,9 @@ class CutProcess:
         self.swap = 1 if swap else 0
         self.query_probability = query_probability
         self.rng = np.random.default_rng(seed)
+        self.graph = graph
         self.owner = graph.owner
         self.pair = graph.pair
-        self.slots = graph.slot_lists()
         self.revealed = bytearray(self.pair.shape[0])
         # per-vertex counters: labels (cd = nR+nG+nW+nD), path degree and
         # open half-edges; the round scan reads them through numpy views
@@ -89,7 +98,6 @@ class CutProcess:
         self.nD = bytearray(n)
         self.pd = bytearray(n)  # len(path[v]), for the round scan
         self.op = array("b", [3]) * n
-        self.path = [[] for _ in range(n)]  # (neighbor, edge parity) pairs
         self.alias = array("q", range(n))  # open-slot inheritance
         self.wmark: dict = {}  # v -> (who whitened at v last, its parity)
         # pending colors, oldest first: v -> (target, bit, free) with
@@ -105,6 +113,19 @@ class CutProcess:
         self.queue: deque = deque()
         self.heap: list = []  # pattern-scan candidates (lazy duplicates)
         self.rounds = 0
+
+    # the per-vertex lists only the Python methods use, built on first use
+    # so that a run in C never holds them
+
+    @cached_property
+    def slots(self) -> list:
+        """Each vertex's half-edges; reduce_rrr appends absorbed ones."""
+        return self.graph.slot_lists()
+
+    @cached_property
+    def path(self) -> list:
+        """Each vertex's (neighbor, edge parity) path edges, at most two."""
+        return [[] for _ in range(self.n)]
 
     # -- small helpers ------------------------------------------------------
 
@@ -511,16 +532,16 @@ class CutProcess:
 
     # -- the full run -------------------------------------------------------
 
-    def _bootstrap(self) -> None:
+    def _bootstrap(self, engine) -> None:
         alive = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         if alive.shape[0] == 0:
             return
         if alive.shape[0] == 1:
-            self.commit(int(alive[0]), RED ^ self.swap)
+            engine.commit(int(alive[0]), RED ^ self.swap)
             return
         picked = self.rng.choice(alive, size=2, replace=False)
-        self.commit(int(picked[0]), RED ^ self.swap)
-        self.commit(int(picked[1]), GREEN ^ self.swap)
+        engine.commit(int(picked[0]), RED ^ self.swap)
+        engine.commit(int(picked[1]), GREEN ^ self.swap)
 
     def _lone_vertices(self) -> np.ndarray:
         status, pd, nR, nG, nW, nD = (
@@ -530,27 +551,41 @@ class CutProcess:
             & ((nR + nG) == 1)
         return np.flatnonzero(mask)
 
+    def queries(self, marked: np.ndarray) -> None:
+        """query() each marked vertex, in order, that is still a survival
+        vertex with an open half-edge."""
+        for v in marked.tolist():
+            if self.status[v] == 0 and self.op[v] > 0:
+                self.query(v)
+
     def run(self) -> CutResult:
-        threshold = max(ENDGAME_FLOOR, STOP_FRACTION * self.n)
-        self._bootstrap()
-        self.closure()
-        while self.survival > threshold and self.rounds < MAX_ROUNDS:
-            before = self.survival
-            lones = self._lone_vertices()
-            marked = lones[self.rng.random(lones.shape[0])
-                           < self.query_probability]
-            for v in marked.tolist():
-                if self.status[v] == 0 and self.op[v] > 0:
-                    self.query(v)
-            self.closure()
-            if self.survival == before:
-                self._bootstrap()
-                self.closure()
-            self.rounds += 1
-        self._endgame()
+        if _kernels.BACKEND == "c":
+            with _kernels.CutEngine(self) as engine:
+                self._drive(engine)
+        else:
+            self._drive(self)
         return self._result()
 
-    def _endgame(self) -> None:
+    def _drive(self, engine) -> None:
+        """The round schedule.  ``engine`` runs the events: this process,
+        or its C engine.  The random draws and the lone scan are made here
+        either way, so both backends read one random stream."""
+        threshold = max(ENDGAME_FLOOR, STOP_FRACTION * self.n)
+        self._bootstrap(engine)
+        engine.closure()
+        while engine.survival > threshold and self.rounds < MAX_ROUNDS:
+            before = engine.survival
+            lones = self._lone_vertices()
+            engine.queries(lones[self.rng.random(lones.shape[0])
+                                 < self.query_probability])
+            engine.closure()
+            if engine.survival == before:
+                self._bootstrap(engine)
+                engine.closure()
+            self.rounds += 1
+        engine.endgame()
+
+    def endgame(self) -> None:
         # last stretch never uses white: survivors take their local majority
         survivors = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         for v in survivors.tolist():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from girthlocal import cli
+from girthlocal import _kernels, cli
 from girthlocal.cli import RunReport
 from girthlocal.config_model import generate, save_edge_list
 
@@ -370,9 +370,23 @@ def test_witness_bytes_are_pinned(capsys, tmp_path, target, seed):
     assert digest == WITNESS_SHA256[(target, seed)]
 
 
+CUT_WITNESSES = [key for key in sorted(WITNESS_SHA256)
+                 if key[0].startswith("cut")]
+
+
+@pytest.mark.parametrize("target, seed", CUT_WITNESSES,
+                         ids=[f"{t}-{s}" for t, s in CUT_WITNESSES])
+def test_cut_witness_bytes_are_pinned_on_the_python_path(
+        capsys, tmp_path, monkeypatch, target, seed):
+    # the pins above run on the built backend; the cut process's Python
+    # methods must give the same bytes
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    test_witness_bytes_are_pinned(capsys, tmp_path, target, seed)
+
+
 # sha256 of each report: the --json file and stdout, wall-time lines
-# dropped and the output directory written as OUT; a change to the commands
-# that keeps their outputs must keep these
+# dropped, the output directory written as OUT and the backend that ran as
+# BACKEND; a change to the commands that keeps their outputs must keep these
 REPORT_ARGS = {
     "is3": ["evolve", "is3", "--epsilon", "1e-5"],
     "is3_plain": ["evolve", "is3", "--no-improvement", "--epsilon", "1e-5"],
@@ -385,44 +399,45 @@ REPORT_ARGS = {
     "simulate_cut_seeds2": ["simulate", "cut", "--n", "2000", "--seeds", "2"],
 }
 REPORT_SHA256 = {  # name: (json, stdout)
-    "is3": ("bc2548e65279688d743c58db2c082699"
-            "78051cb6a0428e7f44f9c83ae12d3c90",
+    "is3": ("87c67cdef2304cc8b40142bb8c1d2c4f"
+            "292c7152b6d7debd56388229690cf5f1",
             "d932c3a48e9a1950438637228b070c10"
             "a20a113c635199e77d7c81d3e95512e1"),
-    "is3_plain": ("7348844b46109478b26e48af2ce2ea2e"
-                  "3461c58d52fb0676bb1b37ba614d87ff",
+    "is3_plain": ("588700040060177666f23a1969aa9222"
+                  "7ee97d160cadee3a22f766da19cae730",
                   "06bb3990d731d296b4042098e3b25266"
                   "6f6e403162a7d3dce0d2e14e8449da25"),
-    "is4": ("49e9bc95012df9e42239de2810ba3aff"
-            "7ca2a74a9f4f3e184145101935422d10",
+    "is4": ("e5bb7cc7ca11c16e2ab41c0d060d1f73"
+            "082a83b2d5f7a6ef084584955f7c50dc",
             "5320a4f11517405525d1189659577f08"
             "7ed55e5e0825cf6390d45d8d707c651f"),
-    "cut3": ("e6c442df685e4c6c34cfc8c9e054a435"
-             "1ef6443a531fcc77156121282f39d24d",
+    "cut3": ("aaadae601b09278bad3c8f14e6017d77"
+             "1a0c60d259887ae725322045d4cddb85",
              "d398fa253bb06624e56fa29f3003138b"
              "a32f848d907381f81d38649e1faf210d"),
-    "cut3_linear": ("af81e6c7c62c816d8bc1340fd549cc99"
-                    "f72af01151f8d341fc537238ba5a56db",
+    "cut3_linear": ("9c8fbf8fbbcff9a0957ba9bcdc960fb4"
+                    "d41b12a23e4b6860bcc3ec53839c8dee",
                     "0a27b898dc78c750390ebbaf85aa942e"
                     "43fd9e3349bdbcd090bd2db792618e01"),
-    "simulate_is3": ("0474c0e3c158f22e5110c2c835119c56"
-                     "7b0bd5f7cf62e235cc4967ad7ab6cbaf",
+    "simulate_is3": ("e9b576a9dd004a8b9727721fdc9d59c1"
+                     "fc0ceef349105507ba43489c156a7671",
                      "a03872a3acf3294af180b9f0a3aedad7"
                      "23a1e6736618a8b35a3831f8995e0c79"),
-    "simulate_cut": ("f63b7b828a632911efec9f56b783a47a"
-                     "431002f1d29cb617fe9c5dfe24504667",
+    "simulate_cut": ("5f4b0e613356d391c57333027e43cda4"
+                     "7b90a75147d1fd78137a41c4e3af029b",
                      "ab339829b4a36f1707335d739c13f3a6"
                      "e85ae4a6cc5236e3c2a884951623a4dd"),
-    "simulate_cut_seeds2": ("004e8d782b4368a3de63e6354b8d80b6"
-                            "62f270b00f298d7ab763a95a34b9c356",
+    "simulate_cut_seeds2": ("fd1285367681017112fcc3b26025f563"
+                            "628522cff73e187e0b9bf3927987125d",
                             "57808d1c4182c44b334868e1077ce931"
                             "1a23769ebbad55ca271e9033f7f5ca59"),
 }
 
 
 def _report_digest(text: str, out_dir) -> str:
-    kept = "".join(ln for ln in text.replace(str(out_dir), "OUT")
-                   .splitlines(keepends=True)
+    text = text.replace(str(out_dir), "OUT").replace(
+        f'"backend": "{_kernels.BACKEND}"', '"backend": "BACKEND"')
+    kept = "".join(ln for ln in text.splitlines(keepends=True)
                    if "wall_time" not in ln and "wall time" not in ln)
     return hashlib.sha256(kept.encode()).hexdigest()
 
@@ -435,3 +450,27 @@ def test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, name):
     report = (tmp_path / "r.json").read_text()
     assert (_report_digest(report, tmp_path),
             _report_digest(out, tmp_path)) == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["simulate_cut", "simulate_cut_seeds2"])
+def test_cut_report_bytes_are_pinned_on_the_python_path(
+        capsys, tmp_path, monkeypatch, name):
+    # the pool workers of --seeds 2 inherit the patched backend
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    test_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, name)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["backend"] == "python"
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "cut3", "--epsilon", "1e-4"],
+    ["refine", "cut3", "--step-sizes", "1e-3", "5e-4"],
+    ["simulate", "is", "--n", "200"],
+    ["simulate", "cut", "--n", "200", "--seeds", "2"],
+], ids=["evolve", "refine", "simulate", "simulate_seeds"])
+def test_every_report_names_its_backend(capsys, tmp_path, argv):
+    jpath = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, *argv, "--json", str(jpath))
+    assert code == 0
+    report = json.loads(jpath.read_text())
+    assert report["backend"] == _kernels.BACKEND in ("c", "python")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from girthlocal.config_model import generate, load_edge_list
+from girthlocal import _kernels
+from girthlocal.config_model import generate, load_edge_list, save_edge_list
 from girthlocal.cut_local_algorithm import GREEN, RED, CutProcess, run_cut
 from girthlocal.exact_oracle import from_multigraph, max_cut
 
@@ -158,3 +159,77 @@ def test_midsize_run_lands_in_expected_band():
     assert 1.30 <= r.ratio <= 1.37
     assert r.ratio == r.good / r.n
     assert r.rounds > 0
+
+
+compiled = pytest.mark.skipif(_kernels.BACKEND != "c",
+                              reason="no C compiler: run() is the reference")
+
+# hand-built cubic multigraphs: loops, parallel edges, and edge lists whose
+# half-edges are not stored in owner order
+MULTIGRAPHS = {
+    "K4": K4,
+    "triple_edge": "2 3\n0 1\n1 0\n0 1\n",
+    "two_loops": "2 3\n0 0\n0 1\n1 1\n",
+    "loop_chain": "4 6\n0 0\n0 1\n1 2\n1 2\n2 3\n3 3\n",
+    "double_square": "4 6\n0 1\n1 0\n2 3\n3 2\n0 2\n1 3\n",
+    "loops_and_k4": "6 9\n0 0\n1 1\n0 2\n1 3\n2 3\n2 4\n3 5\n4 5\n"
+                    "4 5\n",
+    "reloaded_300": save_edge_list(generate(300, 3, seed=3)),
+}
+
+
+def outputs(graph, **options):
+    r = run_cut(graph, **options)
+    return (r.colors.tobytes(), r.good, r.bad, r.incremental_good,
+            r.incremental_bad, r.rounds)
+
+
+def backends_agree(monkeypatch, graph, seeds):
+    for seed in seeds:
+        for swap in (False, True):
+            for q in (0.0, 0.005, 0.02, 1.0):
+                options = dict(seed=seed, swap=swap, query_probability=q)
+                monkeypatch.setattr(_kernels, "BACKEND", "c")
+                in_c = outputs(graph, **options)
+                monkeypatch.setattr(_kernels, "BACKEND", "python")
+                assert outputs(graph, **options) == in_c, options
+
+
+@compiled
+@pytest.mark.parametrize("n", [4, 6, 10, 64, 300, 2000])
+def test_c_engine_matches_python_methods(monkeypatch, n):
+    for seed in range(10):
+        backends_agree(monkeypatch, generate(n, 3, seed=seed), [seed])
+
+
+@compiled
+@pytest.mark.parametrize("name", MULTIGRAPHS)
+def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
+    backends_agree(monkeypatch, load_edge_list(MULTIGRAPHS[name]), range(10))
+
+
+@compiled
+def test_c_run_builds_no_per_vertex_lists():
+    p = CutProcess(generate(64, 3, seed=0), seed=0)
+    p.run()
+    assert "slots" not in vars(p) and "path" not in vars(p)
+    assert not p.pending and not p.deferred
+
+
+@compiled
+def test_c_engine_checks_its_calls():
+    p = CutProcess(generate(10, 3, seed=0), seed=0)
+    with _kernels.CutEngine(p) as engine:
+        with pytest.raises(IndexError):
+            engine.commit(10, RED)
+        with pytest.raises(IndexError):
+            engine.queries(np.array([3, -1]))
+        engine.commit(0, RED)
+        assert p.status[0] == 1 and p.f[0] == RED and engine.survival == 9
+        # a broken invariant (here: committing twice) surfaces as the
+        # Python methods' assertion
+        with pytest.raises(AssertionError):
+            engine.commit(0, GREEN)
+    assert p.survival == 9
+    with pytest.raises(ValueError):
+        engine.closure()

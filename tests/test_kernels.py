@@ -1,4 +1,6 @@
 """The compiled chunk kernels against the composed reference, bit for bit."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,3 +49,23 @@ def test_c_kernels_take_budgets_beyond_int64(budget):
     for rules in (RULES["is3"], RULES["cut3"]):
         assert exact(rules, type(rules).run_chunk, 1e-3, budget) == \
             exact(rules, _python_chunk, 1e-3, budget)
+
+
+@compiled
+def test_a_build_removes_libraries_of_other_sources(tmp_path):
+    stale = tmp_path / "_kernels-deadbeef.so"
+    stale.write_bytes(b"old")
+    in_flight = tmp_path / "_kernels-0badf00d.so.4242.tmp"
+    in_flight.write_bytes(b"another process's build")
+    assert _kernels._load(cache=tmp_path) is not None
+    built = sorted(p.name for p in tmp_path.glob("_kernels-*.so"))
+    assert len(built) == 1 and built[0] != stale.name
+    assert in_flight.read_bytes() == b"another process's build"
+
+
+def test_a_failed_build_removes_nothing(tmp_path):
+    stale = tmp_path / "_kernels-deadbeef.so"
+    stale.write_bytes(b"old")
+    failing = (sys.executable, "-c", "raise SystemExit(1)")
+    assert _kernels._load(cc=failing, cache=tmp_path) is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name]
