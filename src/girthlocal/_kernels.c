@@ -354,6 +354,11 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * per-round query marks) and the lone-vertex scan stay in Python, which
  * hands the engine the vertices it picked.
  *
+ * The rules rest on the module's invariant (P): every survival path
+ * component is a simple path (proved in cut_local_algorithm's docstring).
+ * So v's two path neighbours are distinct, and eliminating a white never
+ * closes a cycle.
+ *
  * Shared with Python (the CutProcess's own buffers, read by its numpy
  * scans): status, f, the label counters nR/nG/nW/nD, pd, op, alias,
  * revealed, and counts = {good, bad, survival}.  Private here:
@@ -388,7 +393,7 @@ typedef struct {
 } vec;
 
 typedef struct {
-    int64_t n, swap, err;
+    int64_t n, err;
     const int64_t *owner, *pair;
     uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
     int8_t *f, *op;
@@ -528,7 +533,7 @@ static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
 
 static void oppose(cut_state *s, int64_t x, int64_t v)
 {
-    if (s->pending[x] && s->free_[x] && x != v) {
+    if (s->pending[x] && s->free_[x]) {
         s->target[x] = v;
         s->bit[x] = 1;
         s->free_[x] = 0;
@@ -646,24 +651,25 @@ static void pend_on_path_end(cut_state *s, int64_t v)
     wake(s, a);
 }
 
-/* are a and b on one survival path (not passing through avoid)? */
-static int connected(const cut_state *s, int64_t a, int64_t b, int64_t avoid)
+/* are the distinct vertices a and b on one survival path? */
+static int connected(cut_state *s, int64_t a, int64_t b)
 {
-    if (a == b)
-        return 1;
     for (int64_t i = 0; i < s->pd[a]; i++) {
         int64_t prev = a, cur = s->path_nb[2 * a + i];
         int64_t steps = 0;
-        while (cur != -1 && cur != avoid) {
+        while (cur != -1) {
             if (cur == b)
                 return 1;
             steps += 1;
-            if (steps > SURVIVAL(s) + 2)  /* defensive: not a path */
-                break;
+            if (steps > SURVIVAL(s) + 2) {
+                /* a walk longer than any path means (P) broke */
+                s->err = CUT_BROKEN;
+                return 0;
+            }
             int64_t nxt = -1;
             for (int64_t j = 0; j < s->pd[cur]; j++) {
                 int64_t w = s->path_nb[2 * cur + j];
-                if (w != prev && w != avoid) {
+                if (w != prev) {
                     nxt = w;
                     break;
                 }
@@ -684,13 +690,14 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
     int64_t x = s->owner[k];
     *xo = x;
     if (u == x) {
-        BAD(s) += 1;  /* a self-loop is monochromatic whatever happens */
-        if (u == v) {
-            s->op[v] -= 2;
-        } else {
-            consume_phantom_open(s, u);
-            consume_phantom_open(s, u);
+        /* an absorbed vertex passes on at most one of its own half-edges,
+         * so a self-loop is never inherited */
+        if (u != v) {
+            s->err = CUT_BROKEN;
+            return LOOP;
         }
+        BAD(s) += 1;  /* a self-loop is monochromatic whatever happens */
+        s->op[v] -= 2;
         *xo = -1;
         return LOOP;
     }
@@ -779,7 +786,7 @@ static void whiten(cut_state *s, int64_t v)
         int64_t x;
         if (h < 0) {
             /* every other edge was already consumed */
-            set_pending(s, v, -1, (int)s->swap, 1);
+            set_pending(s, v, -1, RED, 1);
         } else {
             int kind = reveal(s, v, h, &x);
             if (kind == LIVE) {
@@ -789,7 +796,7 @@ static void whiten(cut_state *s, int64_t v)
             } else if (kind == DEAD) {
                 set_pending(s, v, x, 1, 0);
             } else {
-                set_pending(s, v, -1, (int)s->swap, 1);
+                set_pending(s, v, -1, RED, 1);
             }
         }
     }
@@ -806,29 +813,21 @@ static void eliminate_white(cut_state *s, int64_t v)
     s->status[v] = 2;
     SURVIVAL(s) -= 1;
     if (s->pd[v] == 2) {
+        /* by (P), joining v's two path neighbours keeps a path */
         int64_t a = s->path_nb[2 * v], b = s->path_nb[2 * v + 1];
         int pa = s->path_par[2 * v], pb = s->path_par[2 * v + 1];
-        if (a == b || connected(s, a, b, v)) {
-            /* joining would close a cycle; defer the far edge instead */
-            pend_against(s, v, a, 1 ^ pa);
-            remove_path_slot(s, a, v);
-            defer(s, v, b, pb);
-            remove_path_slot(s, b, v);
-            s->n_d[b] += 1;
-        } else {
-            GOOD(s) += 1;
-            set_pending(s, v, a, 1 ^ pa, 0);
-            int joined = 1 ^ pa ^ pb;
-            replace_path_slot(s, a, v, b, joined);
-            replace_path_slot(s, b, v, a, joined);
-        }
+        GOOD(s) += 1;
+        set_pending(s, v, a, 1 ^ pa, 0);
+        int joined = 1 ^ pa ^ pb;
+        replace_path_slot(s, a, v, b, joined);
+        replace_path_slot(s, b, v, a, joined);
         wake(s, a);
         wake(s, b);
     } else if (s->pd[v] == 1) {
         pend_on_path_end(s, v);
     } else {
-        /* chain off the white that marked v, under that mark's parity
-         * (unmarked: target -1 and the swap bit) */
+        /* chain off the white that marked v, under that mark's parity;
+         * n_w[v] == 1, so mark_white has set the mark */
         set_pending(s, v, s->wsrc[v], s->wbit[v], 1);
     }
     s->pd[v] = 0;
@@ -896,7 +895,7 @@ static void query(cut_state *s, int64_t v)
         wake(s, v);
         return;
     }
-    if (s->pd[x] == 2 || connected(s, v, x, -1)) {
+    if (s->pd[x] == 2 || connected(s, v, x)) {
         /* joining would exceed path degree or close a cycle */
         defer(s, v, x, 0);
         s->n_d[v] += 1;
@@ -920,7 +919,7 @@ static int labels_decide(cut_state *s, int64_t v)
     int64_t c = cd(s, v);
     if (c >= 2) {
         /* a tie at cd == 3 has no reference edge left to whiten against */
-        int color = majority(s, v, c == 3 ? RED ^ (int)s->swap : -1);
+        int color = majority(s, v, c == 3 ? RED : -1);
         if (color < 0)
             whiten(s, v);
         else
@@ -959,9 +958,9 @@ static void try_patterns(cut_state *s, int64_t v)
             return;
         }
     }
+    /* from here on every labelled path neighbour of v is same-aligned */
     if (s->pd[v] == 2) {
         int64_t a = s->path_nb[2 * v], b = s->path_nb[2 * v + 1];
-        int pa = s->path_par[2 * v], pb = s->path_par[2 * v + 1];
         int la = label_of(s, a), lb = label_of(s, b);
         if (cd(s, a) == 0 && cd(s, b) == 0) {
             /* []-[X]-[]: colour the middle anti its label */
@@ -970,10 +969,8 @@ static void try_patterns(cut_state *s, int64_t v)
         }
         for (int side = 0; side < 2; side++) {
             int64_t m2 = side ? b : a, far = side ? a : b;
-            int lm = side ? lb : la, pm = side ? pb : pa;
-            if (lm < 0 || cd(s, far) != 0 || s->pd[m2] != 2 || m2 == far)
-                continue;
-            if ((lv ^ lm ^ pm) != 0)
+            int lm = side ? lb : la;
+            if (lm < 0 || cd(s, far) != 0 || s->pd[m2] != 2)
                 continue;
             int64_t o0 = s->path_nb[2 * m2];
             int64_t other = o0 != v ? o0 : s->path_nb[2 * m2 + 1];
@@ -984,8 +981,7 @@ static void try_patterns(cut_state *s, int64_t v)
                 return;
             }
         }
-        if (la >= 0 && lb >= 0 && a != b && (lv ^ la ^ pa) == 0
-                && (lv ^ lb ^ pb) == 0) {
+        if (la >= 0 && lb >= 0) {
             reduce_rrr(s, a < b ? a : b, v, a < b ? b : a);
             return;
         }
@@ -1019,7 +1015,6 @@ static void closure(cut_state *s)
  * CutProcess._resolve_pending) */
 static void resolve_pending(cut_state *s)
 {
-    int anchor = RED ^ (int)s->swap;
     int8_t *f = s->f;
     for (int64_t i = 0; i < s->order.len && !s->err; i++) {
         int64_t v = s->order.data[i];
@@ -1042,7 +1037,9 @@ static void resolve_pending(cut_state *s)
             if (f[t] >= 0)
                 break;
             if (!s->pending[t]) {
-                f[t] = (int8_t)anchor;
+                /* an uncoloured target always has a constraint of its
+                 * own; its target field was never written */
+                s->err = CUT_BROKEN;
                 break;
             }
             if (s->seen[t] >= 0) {
@@ -1050,7 +1047,7 @@ static void resolve_pending(cut_state *s)
                 for (int64_t j = m + 1; j < path->len; j++)
                     if (s->age[path->data[j]] < s->age[path->data[m]])
                         m = j;
-                f[path->data[m]] = (int8_t)anchor;
+                f[path->data[m]] = RED;
                 cycle = m;
                 break;
             }
@@ -1112,7 +1109,7 @@ void cut_free(cut_state *s)
  * half-edges, slots the half-edges grouped by owner (vertex v's are
  * slots[3v..3v+2], in the order of the Python slot lists), and the shared
  * buffers.  NULL when out of memory. */
-cut_state *cut_new(int64_t n, int64_t swap, const int64_t *owner,
+cut_state *cut_new(int64_t n, const int64_t *owner,
                    const int64_t *pair, const int64_t *slots,
                    uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
                    uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int8_t *op,
@@ -1123,7 +1120,6 @@ cut_state *cut_new(int64_t n, int64_t swap, const int64_t *owner,
         return NULL;
     size_t m = n > 0 ? (size_t)n : 1;
     s->n = n;
-    s->swap = swap;
     s->owner = owner;
     s->pair = pair;
     s->status = status;
@@ -1162,8 +1158,6 @@ cut_state *cut_new(int64_t n, int64_t swap, const int64_t *owner,
         s->next[slots[3 * v]] = slots[3 * v + 1];
         s->next[slots[3 * v + 1]] = slots[3 * v + 2];
         s->next[slots[3 * v + 2]] = -1;
-        s->wsrc[v] = -1;
-        s->wbit[v] = (uint8_t)swap;
         s->seen[v] = -1;
     }
     return s;
@@ -1197,10 +1191,9 @@ int64_t cut_queries(cut_state *s, const int64_t *marked, int64_t count)
  * pending colours resolve and the deferred edges are counted */
 int64_t cut_endgame(cut_state *s)
 {
-    int tie = RED ^ (int)s->swap;
     for (int64_t v = 0; v < s->n && !s->err; v++)
         if (s->status[v] == 0)
-            commit(s, v, majority(s, v, tie));
+            commit(s, v, majority(s, v, RED));
     for (int64_t h = 0; h < 3 * s->n && !s->err; h++) {
         int64_t k = s->pair[h];
         if (s->revealed[h] || h >= k)

@@ -97,7 +97,7 @@ def _load(cc=_CC, cache=_CACHE):
                               ctypes.POINTER(i64)]
     lib.cut_chunk.restype = None
     ptr = ctypes.c_void_p
-    lib.cut_new.argtypes = [i64, i64] + [ptr] * 14
+    lib.cut_new.argtypes = [i64] + [ptr] * 14
     lib.cut_new.restype = ptr
     lib.cut_free.argtypes = [ptr]
     lib.cut_free.restype = None
@@ -161,7 +161,7 @@ class CutEngine:
         self._graph = [np.ascontiguousarray(a, dtype=np.int64) for a in
                        (graph.owner, graph.pair, graph.slot_array())]
         self._state = _lib.cut_new(
-            proc.n, proc.swap, *(a.ctypes.data for a in self._graph),
+            proc.n, *(a.ctypes.data for a in self._graph),
             *(ctypes.addressof(view) for view in self._views))
         if not self._state:
             raise MemoryError("cut engine: out of memory")

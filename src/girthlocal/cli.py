@@ -256,8 +256,7 @@ def _cmd_simulate(args) -> int:
     if target == "is":
         options = {"thin_probability": args.thin_probability}
     else:
-        options = {"query_probability": args.query_probability,
-                   "swap": args.swap}
+        options = {"query_probability": args.query_probability}
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     if args.seeds < 1:
@@ -440,8 +439,6 @@ def _parser() -> argparse.ArgumentParser:
     sim_cut = sim_targets.add_parser("cut", help="red/green cut coloring")
     sim_cut.add_argument("--query-probability", type=float,
                          default=QUERY_PROBABILITY)
-    sim_cut.add_argument("--swap", action="store_true",
-                         help="swap the roles of the two colors")
     _add_simulate_flags(sim_cut)
     sim_cut.set_defaults(func=_cmd_simulate)
 

@@ -16,6 +16,19 @@ settled locally (both endpoints undecided, cycle-closing edges, edges
 anchored at an absorbed vertex) are deferred and counted at resolution
 time, still before the final recount — the recount must then reproduce the
 incremental counters exactly, which is the end-to-end check on all of this.
+
+The rules read colors only through R/G label comparisons and parity XORs,
+so they are symmetric in the two colors: witnesses use one convention
+(ties, the first bootstrap vertex and pinned pending cycles go red), and
+flipping R/G gives the other.
+
+Invariant (P): every survival path component is a simple path.  Only three
+places add a path edge, and each keeps (P): query joins v and x only when
+pd[x] < 2 and x is not on v's path; eliminate_white joins v's two path
+neighbors, which lie on opposite sides of v; reduce_rrr links s1 to the
+vertex that lay beyond s3 on the same path.  The rules lean on (P) instead
+of re-checking it: v's two path neighbors are distinct, and eliminating a
+white never closes a cycle.
 """
 from __future__ import annotations
 
@@ -72,7 +85,7 @@ class CutProcess:
     otherwise; tests pin the two to the same colouring and counters.
     """
 
-    def __init__(self, graph: Multigraph, seed=None, swap: bool = False,
+    def __init__(self, graph: Multigraph, seed=None,
                  query_probability: float = QUERY_PROBABILITY):
         if not np.all(graph.degrees() == 3):
             raise ValueError("cut process needs a 3-regular graph")
@@ -81,7 +94,6 @@ class CutProcess:
         n = graph.n
         self.n = n
         self.seed = seed
-        self.swap = 1 if swap else 0
         self.query_probability = query_probability
         self.rng = np.random.default_rng(seed)
         self.graph = graph
@@ -159,7 +171,7 @@ class CutProcess:
     def _oppose(self, x: int, v: int) -> None:
         """Re-point x's still-free pending color against v."""
         pend = self.pending.get(x)
-        if pend is not None and pend[2] and x != v:
+        if pend is not None and pend[2]:
             self.pending[x] = (v, 1, False)
 
     def _consume_phantom_open(self, x: int) -> None:
@@ -227,22 +239,20 @@ class CutProcess:
                            parity: int) -> None:
         self.path[x][self._path_index(x, old)] = (new, parity)
 
-    def _connected(self, a: int, b: int, avoid: int = -1) -> bool:
-        """Are a and b on one survival path (not passing through avoid)?"""
-        if a == b:
-            return True
+    def _connected(self, a: int, b: int) -> bool:
+        """Are the distinct vertices a and b on one survival path?"""
         for first, _ in self.path[a]:
             prev, cur = a, first
             steps = 0
-            while cur != -1 and cur != avoid:
+            while cur != -1:
                 if cur == b:
                     return True
                 steps += 1
-                if steps > self.survival + 2:  # defensive: not a path
-                    break
+                # a walk longer than any path means (P) broke
+                assert steps <= self.survival + 2, "path component is a cycle"
                 nxt = -1
                 for w, _ in self.path[cur]:
-                    if w != prev and w != avoid:
+                    if w != prev:
                         nxt = w
                         break
                 prev, cur = cur, nxt
@@ -261,12 +271,11 @@ class CutProcess:
         u = int(self.owner[h])
         x = int(self.owner[k])
         if u == x:
+            # an absorbed vertex passes on at most one of its own
+            # half-edges, so a self-loop is never inherited
+            assert u == v, "inherited both ends of a self-loop"
             self.bad += 1  # a self-loop is monochromatic whatever happens
-            if u == v:
-                self.op[v] -= 2
-            else:
-                self._consume_phantom_open(u)
-                self._consume_phantom_open(u)
+            self.op[v] -= 2
             return "loop", -1
         assert self.status[x] != 1, "a committed vertex kept an open slot"
         if u != v:
@@ -331,7 +340,7 @@ class CutProcess:
             self._pend_on_path_end(v)
         elif not self._unrevealed(v):
             # every other edge was already consumed (loops, absorbed pairs)
-            self._set_pending(v, -1, self.swap, free=True)
+            self._set_pending(v, -1, RED, free=True)
         else:
             kind, x = self._reveal(v, self._unrevealed(v)[0])
             if kind == "live":
@@ -343,7 +352,7 @@ class CutProcess:
                 # deferred pair banks the edge once colors resolve
                 self._set_pending(v, x, 1)
             else:
-                self._set_pending(v, -1, self.swap, free=True)
+                self._set_pending(v, -1, RED, free=True)
         self.op[v] = 0
 
     def eliminate_white(self, v: int) -> None:
@@ -359,20 +368,13 @@ class CutProcess:
         self.status[v] = 2
         self.survival -= 1
         if self.pd[v] == 2:
+            # by (P), joining v's two path neighbors keeps a path
             (a, pa_), (b, pb) = self.path[v]
-            if a == b or self._connected(a, b, avoid=v):
-                # joining would close a cycle; defer the far edge instead
-                self._pend_against(v, a, 1 ^ pa_)
-                self._remove_path_slot(a, v)
-                self.deferred.append((v, b, pb))
-                self._remove_path_slot(b, v)
-                self.nD[b] += 1
-            else:
-                self.good += 1
-                self._set_pending(v, a, 1 ^ pa_)
-                joined = 1 ^ pa_ ^ pb
-                self._replace_path_slot(a, v, b, joined)
-                self._replace_path_slot(b, v, a, joined)
+            self.good += 1
+            self._set_pending(v, a, 1 ^ pa_)
+            joined = 1 ^ pa_ ^ pb
+            self._replace_path_slot(a, v, b, joined)
+            self._replace_path_slot(b, v, a, joined)
             self._wake(a)
             self._wake(b)
         elif self.pd[v] == 1:
@@ -382,7 +384,8 @@ class CutProcess:
             # that marked v, with the parity that mark was counted under, so
             # the two constraints agree.  The chain stays free: the first
             # vertex to reveal one of v's remaining edges re-points it.
-            w, bit = self.wmark.get(v, (-1, self.swap))
+            # nW[v] == 1, so _mark_white has set the mark.
+            w, bit = self.wmark[v]
             self._set_pending(v, w, bit, free=True)
         self.path[v].clear()
         self.pd[v] = 0
@@ -455,7 +458,7 @@ class CutProcess:
         cd = self._cd(v)
         if cd >= 2:
             # a tie at cd == 3 has no reference edge left to whiten against
-            color = self._majority(v, RED ^ self.swap if cd == 3 else -1)
+            color = self._majority(v, RED if cd == 3 else -1)
             if color < 0:
                 self.whiten(v)
             else:
@@ -486,18 +489,16 @@ class CutProcess:
                 lead = min(v, x)
                 self.commit(lead, 1 ^ self._label_of(lead))
                 return True
+        # from here on every labeled path neighbor of v is same-aligned
         if self.pd[v] == 2:
-            (a, pa_), (b, pb) = self.path[v]
+            (a, _), (b, _) = self.path[v]
             la, lb = self._label_of(a), self._label_of(b)
             if self._cd(a) == 0 and self._cd(b) == 0:
                 # []-[X]-[]: color the middle anti its label
                 self.commit(v, 1 ^ lv)
                 return True
-            for m2, lm, pm, far in ((a, la, pa_, b), (b, lb, pb, a)):
-                if lm < 0 or self._cd(far) != 0 or self.pd[m2] != 2 \
-                        or m2 == far:
-                    continue
-                if lv ^ lm ^ pm != 0:
+            for m2, lm, far in ((a, la, b), (b, lb, a)):
+                if lm < 0 or self._cd(far) != 0 or self.pd[m2] != 2:
                     continue
                 (o0, _), (o1, _) = self.path[m2]
                 other = o0 if o0 != v else o1
@@ -506,8 +507,7 @@ class CutProcess:
                     lead = min(v, m2)
                     self.commit(lead, 1 ^ self._label_of(lead))
                     return True
-            if la >= 0 and lb >= 0 and a != b \
-                    and lv ^ la ^ pa_ == 0 and lv ^ lb ^ pb == 0:
+            if la >= 0 and lb >= 0:
                 self.reduce_rrr(min(a, b), v, max(a, b))
                 return True
         if self.pd[v] == 1 and self.op[v] >= 1:
@@ -533,15 +533,14 @@ class CutProcess:
     # -- the full run -------------------------------------------------------
 
     def _bootstrap(self, engine) -> None:
+        # the first call sees all n (even) vertices, later ones more than
+        # ENDGAME_FLOOR; only the empty graph has no pair to draw
         alive = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         if alive.shape[0] == 0:
             return
-        if alive.shape[0] == 1:
-            engine.commit(int(alive[0]), RED ^ self.swap)
-            return
         picked = self.rng.choice(alive, size=2, replace=False)
-        engine.commit(int(picked[0]), RED ^ self.swap)
-        engine.commit(int(picked[1]), GREEN ^ self.swap)
+        engine.commit(int(picked[0]), RED)
+        engine.commit(int(picked[1]), GREEN)
 
     def _lone_vertices(self) -> np.ndarray:
         status, pd, nR, nG, nW, nD = (
@@ -590,7 +589,7 @@ class CutProcess:
         survivors = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         for v in survivors.tolist():
             if self.status[v] == 0:
-                self.commit(v, self._majority(v, RED ^ self.swap))
+                self.commit(v, self._majority(v, RED))
         # any half-edges still unrevealed pair two absorbed open slots
         revealed = np.frombuffer(self.revealed, np.uint8)
         for h in np.flatnonzero(revealed == 0).tolist():
@@ -617,18 +616,18 @@ class CutProcess:
 
         Each unresolved vertex, oldest first, follows its chain of
         references f[v] = f[target] ^ bit to its end: a colored vertex, a
-        target -1 (f = bit), a vertex with no constraint of its
-        own (colored with the anchor color), or a cycle.  A white whose
-        reference was answered by marking the referee back gives a mutual
-        cycle; every entry encodes the same constraint, so the cycle's
-        oldest member is pinned to the anchor color.  Pinning never touches
+        target -1 (f = bit), or a cycle.  Every uncolored target is pending
+        itself: after the endgame only whites and absorbed vertices are
+        uncolored, and each got a pending entry when it left survival.  A
+        white whose reference was answered by marking the referee back
+        gives a mutual cycle; every entry encodes the same constraint, so
+        the cycle's oldest member is pinned to red.  Pinning never touches
         a chain vertex, whose constraint carries a counted edge.  The walked
         chain then resolves backwards from where it ended, so each vertex
         is walked once."""
         f = self.f
         pending = self.pending
         age = {v: i for i, v in enumerate(pending)}
-        anchor = RED ^ self.swap
         for v in pending:
             if f[v] >= 0:
                 continue
@@ -643,13 +642,11 @@ class CutProcess:
                     break
                 if f[t] >= 0:
                     break
-                if t not in pending:
-                    f[t] = anchor
-                    break
+                assert t in pending, "an uncolored target has no constraint"
                 if t in seen:
                     m = min(range(seen[t], len(path)),
                             key=lambda i: age[path[i]])
-                    f[path[m]] = anchor
+                    f[path[m]] = RED
                     # the pin's predecessors, then the cycle's far side
                     path = path[m + 1:] + path[:m]
                     break

@@ -340,8 +340,6 @@ def _probe_round(g: SurvivalGraph, rng, probability: float) -> None:
 
 
 def _force_progress(g: SurvivalGraph, rng) -> None:
-    if g.survival_count == 0:
-        return
     top = max(k for k, c in enumerate(g.counts) if c)
     g.delete(int(rng.choice(g.scan(np.equal, top))))
 

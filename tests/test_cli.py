@@ -304,18 +304,6 @@ def test_refine_explicit_ladder_json(capsys, tmp_path):
     assert RunReport.from_dict(data).to_dict() == data
 
 
-def test_simulate_cut_swap_flag(capsys, tmp_path):
-    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
-    run_cli(capsys, "simulate", "cut", "--n", "300", "--seed", "4",
-            "--witness", str(paths[0]))
-    run_cli(capsys, "simulate", "cut", "--n", "300", "--seed", "4",
-            "--swap", "--witness", str(paths[1]))
-    a, b = (p.read_text().splitlines() for p in paths)
-    flipped = {"R": "G", "G": "R"}
-    assert all(y.split()[1] == flipped[x.split()[1]]
-               for x, y in zip(a, b))
-
-
 # sha256 of the --witness file bytes at n = 2000; a change to the finite
 # algorithms that keeps their outputs must keep these
 WITNESS_SHA256 = {
@@ -331,10 +319,6 @@ WITNESS_SHA256 = {
                 "32404451884201d53ace89d07aa97d11",
     ("cut", 1): "c3bef74ab4dc2ad91cc16b70dd236f66"
                 "40741d890cc6b3c4c769480c08912da1",
-    ("cut_swap", 0): "ee311b72803cca46b24249ac22020c63"
-                     "9ad8bb297f07f62922de6b7997514a9a",
-    ("cut_swap", 1): "432554abe92183ae4d84a384cf3c54de"
-                     "2c92c93637972f697368af721a15e9c8",
     ("cut_q005", 0): "4751ab81ee4d3c458740eea52972e0a7"
                      "2994c95decec3b40f10835191eccf38b",
     ("cut_q005", 1): "c106b0b48f31758aa46b5d2c4d24547c"
@@ -352,7 +336,7 @@ WITNESS_SHA256 = {
 # n = 2000, against about 20 at the default query probability; is3_t005
 # and is4_t005 thin at the sweep's probability, a quarter of the default
 WITNESS_ARGS = {"is3": ["is", "--d", "3"], "is4": ["is", "--d", "4"],
-                "cut": ["cut"], "cut_swap": ["cut", "--swap"],
+                "cut": ["cut"],
                 "cut_q005": ["cut", "--query-probability", "0.005"],
                 "is3_t005": ["is", "--d", "3", "--thin-probability", "0.005"],
                 "is4_t005": ["is", "--d", "4", "--thin-probability", "0.005"]}
@@ -423,12 +407,12 @@ REPORT_SHA256 = {  # name: (json, stdout)
                      "fc0ceef349105507ba43489c156a7671",
                      "a03872a3acf3294af180b9f0a3aedad7"
                      "23a1e6736618a8b35a3831f8995e0c79"),
-    "simulate_cut": ("5f4b0e613356d391c57333027e43cda4"
-                     "7b90a75147d1fd78137a41c4e3af029b",
+    "simulate_cut": ("19853c4b539ac0a51d779de24db5b9a6"
+                     "f051e0cc610901e11fb8f084ad464985",
                      "ab339829b4a36f1707335d739c13f3a6"
                      "e85ae4a6cc5236e3c2a884951623a4dd"),
-    "simulate_cut_seeds2": ("fd1285367681017112fcc3b26025f563"
-                            "628522cff73e187e0b9bf3927987125d",
+    "simulate_cut_seeds2": ("efd8066336163f0d8be5356c589133ea"
+                            "f622b4e48983ad2d6e8f8255106ba4c5",
                             "57808d1c4182c44b334868e1077ce931"
                             "1a23769ebbad55ca271e9033f7f5ca59"),
 }

@@ -48,9 +48,8 @@ def test_tie_cascade_on_complete_graph_reaches_max_cut():
     assert not p.deferred
 
 
-@pytest.mark.parametrize("swap", [False, True])
-def test_pending_walk_resolves_every_chain_end(swap):
-    p = CutProcess(generate(12, 3, seed=0), seed=0, swap=swap)
+def test_pending_walk_resolves_every_chain_end():
+    p = CutProcess(generate(12, 3, seed=0), seed=0)
     p.f[0] = GREEN  # a committed vertex
     # vertex: (target, bit, age); f[v] = f[target] ^ bit, target -1: f = bit
     pending = {
@@ -60,7 +59,6 @@ def test_pending_walk_resolves_every_chain_end(swap):
         4: (-1, 1, 6),    # chain 6 -> 5 -> 4 -> -1
         5: (4, 1, 7),
         6: (5, 0, 2),
-        7: (8, 1, 4),     # dead end: 8 has no constraint of its own
         9: (10, 1, 1),    # targets newer than their sources: 9 -> 10 ->
         10: (11, 1, 8),   # 11 -> the committed vertex 0
         11: (0, 1, 9),
@@ -70,10 +68,17 @@ def test_pending_walk_resolves_every_chain_end(swap):
                                       key=lambda item: item[1][2]):
         p.pending[v] = (target, bit, False)
     p._resolve_pending()
-    anchor = RED ^ int(swap)
-    expected = [GREEN, 1 ^ anchor, anchor, 1 ^ anchor, 1, 0, 0,
-                1 ^ anchor, anchor, 0, 1, 0]
+    # 7 and 8 are neither pending nor committed
+    expected = [GREEN, GREEN, RED, GREEN, 1, 0, 0, -1, -1, 0, 1, 0]
     assert p.f.tolist() == expected
+
+
+def test_pending_walk_rejects_an_unconstrained_target():
+    # every uncolored target has a constraint of its own after the endgame
+    p = CutProcess(generate(12, 3, seed=0), seed=0)
+    p.pending[7] = (8, 1, False)
+    with pytest.raises(AssertionError, match="no constraint"):
+        p._resolve_pending()
 
 
 def test_re_pend_and_re_point_keep_the_pending_age():
@@ -120,15 +125,6 @@ def test_incremental_counters_match_recount(half_n, seed):
     assert r.bad == r.incremental_bad
     assert r.good + r.bad == g.edge_count
     assert np.all((r.colors == 0) | (r.colors == 1))
-
-
-def test_color_swap_gives_exact_complement():
-    for seed in (0, 1, 2):
-        g = generate(300, 3, seed=seed)
-        plain = run_cut(g, seed=seed)
-        swapped = run_cut(g, seed=seed, swap=True)
-        assert swapped.good == plain.good and swapped.bad == plain.bad
-        assert np.array_equal(swapped.colors, 1 - plain.colors)
 
 
 def test_never_beats_exact_oracle():
@@ -178,6 +174,95 @@ MULTIGRAPHS = {
 }
 
 
+def check_paths(p):
+    """Invariant (P): every survival path component is a simple path."""
+    for v in range(p.n):
+        slots = p.path[v]
+        assert len(slots) == p.pd[v]
+        if p.status[v] != 0:
+            assert not slots, "a vertex left survival with path slots"
+            continue
+        assert len(slots) <= 2
+        assert len({x for x, _ in slots}) == len(slots)
+        for x, parity in slots:
+            assert x != v and p.status[x] == 0
+            assert p.path[x].count((v, parity)) == 1
+    done = set()
+    for v in range(p.n):
+        if p.status[v] != 0 or v in done:
+            continue
+        component, stack = {v}, [v]
+        while stack:
+            for x, _ in p.path[stack.pop()]:
+                if x not in component:
+                    component.add(x)
+                    stack.append(x)
+        ends = sorted(u for u in component if p.pd[u] <= 1)
+        assert ends, "a path component is a cycle"
+        walk, prev = [ends[0]], -1
+        while True:
+            step = [x for x, _ in p.path[walk[-1]] if x != prev]
+            if not step:
+                break
+            prev = walk[-1]
+            walk.append(step[0])
+        assert len(walk) == len(set(walk)) == len(component)
+        done |= component
+
+
+def drive_checking_paths(graph, **options):
+    p = CutProcess(graph, **options)
+    closures = []
+
+    def closure():
+        CutProcess.closure(p)
+        check_paths(p)
+        closures.append(p.survival)
+
+    p.closure = closure
+    p._drive(p)
+    r = p._result()
+    assert (r.good, r.bad) == (r.incremental_good, r.incremental_bad)
+    return len(closures)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.02, 1.0])
+def test_survival_components_stay_simple_paths(q):
+    for name, text in MULTIGRAPHS.items():
+        for seed in range(3):
+            assert drive_checking_paths(load_edge_list(text), seed=seed,
+                                        query_probability=q) >= 1, name
+    for n in (10, 64, 300):
+        for seed in range(3):
+            assert drive_checking_paths(generate(n, 3, seed=seed), seed=seed,
+                                        query_probability=q) >= 1
+
+
+def hand_built_triangle():
+    p = CutProcess(generate(12, 3, seed=0), seed=0)
+    for x, y in ((0, 1), (1, 2)):
+        p._add_path_slot(x, y, 0)
+        p._add_path_slot(y, x, 0)
+    check_paths(p)
+    p._add_path_slot(2, 0, 0)
+    p._add_path_slot(0, 2, 0)
+    return p
+
+
+def test_path_check_sees_a_closed_triangle():
+    with pytest.raises(AssertionError, match="cycle"):
+        check_paths(hand_built_triangle())
+
+
+def test_connected_fails_loudly_on_a_cyclic_path():
+    # a walk that outruns every path reports the broken bookkeeping
+    # instead of "not connected", after which query would close a cycle
+    p = hand_built_triangle()
+    assert p._connected(0, 2)
+    with pytest.raises(AssertionError, match="cycle"):
+        p._connected(0, 5)
+
+
 def outputs(graph, **options):
     r = run_cut(graph, **options)
     return (r.colors.tobytes(), r.good, r.bad, r.incremental_good,
@@ -186,13 +271,12 @@ def outputs(graph, **options):
 
 def backends_agree(monkeypatch, graph, seeds):
     for seed in seeds:
-        for swap in (False, True):
-            for q in (0.0, 0.005, 0.02, 1.0):
-                options = dict(seed=seed, swap=swap, query_probability=q)
-                monkeypatch.setattr(_kernels, "BACKEND", "c")
-                in_c = outputs(graph, **options)
-                monkeypatch.setattr(_kernels, "BACKEND", "python")
-                assert outputs(graph, **options) == in_c, options
+        for q in (0.0, 0.005, 0.02, 1.0):
+            options = dict(seed=seed, query_probability=q)
+            monkeypatch.setattr(_kernels, "BACKEND", "c")
+            in_c = outputs(graph, **options)
+            monkeypatch.setattr(_kernels, "BACKEND", "python")
+            assert outputs(graph, **options) == in_c, options
 
 
 @compiled

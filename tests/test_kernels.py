@@ -1,4 +1,6 @@
 """The compiled chunk kernels against the composed reference, bit for bit."""
+import shutil
+import subprocess
 import sys
 
 import numpy as np
@@ -69,3 +71,15 @@ def test_a_failed_build_removes_nothing(tmp_path):
     failing = (sys.executable, "-c", "raise SystemExit(1)")
     assert _kernels._load(cc=failing, cache=tmp_path) is None
     assert sorted(p.name for p in tmp_path.iterdir()) == [stale.name]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_c_source_compiles_without_warnings(tmp_path):
+    # the build flags plus every warning as an error: a local left unused
+    # by a deleted rule branch fails here
+    build = subprocess.run(
+        ["cc", "-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
+         "-shared", "-fPIC", "-o", str(tmp_path / "k.so"),
+         str(_kernels._SOURCE)],
+        capture_output=True, text=True, timeout=_kernels._CC_TIMEOUT_S)
+    assert build.returncode == 0, build.stderr
