@@ -1,5 +1,5 @@
-/* Chunk kernels of the evolution integrators and the event engine of the
- * finite cut process (further down), loaded by _kernels.py.
+/* Chunk kernels of the evolution integrators and the event engines of the
+ * two finite processes (further down), loaded by _kernels.py.
  *
  * is_chunk runs both independent-set processes (d = 3 and 4) and cut_chunk
  * the max-cut process.  Each is the composed round of is_evolution /
@@ -343,6 +343,61 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
     out[1] = status;
 }
 
+/* ---- Shared by the event engines --------------------------------------
+ *
+ * Each engine's entry points return its err field: ENGINE_NOMEM after an
+ * allocation failure, ENGINE_BROKEN when a bookkeeping invariant failed (an
+ * assertion in the Python methods), ENGINE_DEAD when an event names a
+ * vertex that is gone (a ValueError in Python).  The state is then
+ * unusable.
+ */
+#include <stdlib.h>
+#include <string.h>
+
+#define ENGINE_NOMEM 1
+#define ENGINE_BROKEN 2
+#define ENGINE_DEAD 3
+
+typedef struct {
+    int64_t *data;
+    int64_t len, cap;
+} vec;
+
+static void push(int64_t *err, vec *v, int64_t x)
+{
+    if (v->len == v->cap) {
+        int64_t cap = v->cap ? 2 * v->cap : 64;
+        int64_t *data = realloc(v->data, cap * sizeof *data);
+        if (!data) {
+            *err = ENGINE_NOMEM;
+            return;
+        }
+        v->data = data;
+        v->cap = cap;
+    }
+    v->data[v->len++] = x;
+}
+
+/* a FIFO queue: the items of q from index *head on */
+static void fifo_push(int64_t *err, vec *q, int64_t *head, int64_t x)
+{
+    if (q->len == q->cap && *head > 0) {
+        /* drop the popped front before growing */
+        memmove(q->data, q->data + *head, (q->len - *head) * sizeof *q->data);
+        q->len -= *head;
+        *head = 0;
+    }
+    push(err, q, x);
+}
+
+static int64_t fifo_pop(vec *q, int64_t *head)
+{
+    int64_t x = q->data[(*head)++];
+    if (*head == q->len)
+        *head = q->len = 0;
+    return x;
+}
+
 /* ---- The finite cut process's event engine ----------------------------
  *
  * cut_local_algorithm.CutProcess restated over flat arrays: _reveal, query,
@@ -351,8 +406,9 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * order of effects and every tie-break is the same as in the Python
  * methods, which stay the reference semantics; tests pin the two to equal
  * colourings and counters.  The random draws (the bootstrap pair and the
- * per-round query marks) and the lone-vertex scan stay in Python, which
- * hands the engine the vertices it picked.
+ * per-round query marks) stay in Python, which hands the engine the
+ * vertices it picked; the per-round lone-vertex scan is one fused pass
+ * here (cut_lones) and a numpy scan on the Python path.
  *
  * The rules rest on the module's invariant (P): every survival path
  * component is a simple path (proved in cut_local_algorithm's docstring).
@@ -371,26 +427,11 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  *     re-pend keeps the vertex's place;
  *   - the white marks (source, bit), deferred triples, the FIFO queue and
  *     an int min-heap (it pops the same sequence as heapq).
- *
- * A broken invariant (an assertion in the Python methods) sets err to
- * CUT_BROKEN and an allocation failure to CUT_NOMEM; every entry point
- * returns err, and the state is then unusable.
  */
-#include <stdlib.h>
-#include <string.h>
-
 #define RED 0
 #define GREEN 1
-#define CUT_OK 0
-#define CUT_NOMEM 1
-#define CUT_BROKEN 2
 
 enum { LOOP, INHERITED, DEAD, LIVE };
-
-typedef struct {
-    int64_t *data;
-    int64_t len, cap;
-} vec;
 
 typedef struct {
     int64_t n, err;
@@ -413,40 +454,17 @@ typedef struct {
 #define BAD(s) ((s)->counts[1])
 #define SURVIVAL(s) ((s)->counts[2])
 
-static void push(cut_state *s, vec *v, int64_t x)
-{
-    if (v->len == v->cap) {
-        int64_t cap = v->cap ? 2 * v->cap : 64;
-        int64_t *data = realloc(v->data, cap * sizeof *data);
-        if (!data) {
-            s->err = CUT_NOMEM;
-            return;
-        }
-        v->data = data;
-        v->cap = cap;
-    }
-    v->data[v->len++] = x;
-}
-
 /* -- queue and heap ---------------------------------------------------- */
 
 static void queue_push(cut_state *s, int64_t x)
 {
-    vec *q = &s->queue;
-    if (q->len == q->cap && s->qhead > 0) {
-        /* drop the popped front before growing */
-        memmove(q->data, q->data + s->qhead,
-                (q->len - s->qhead) * sizeof *q->data);
-        q->len -= s->qhead;
-        s->qhead = 0;
-    }
-    push(s, q, x);
+    fifo_push(&s->err, &s->queue, &s->qhead, x);
 }
 
 static void heap_push(cut_state *s, int64_t x)
 {
     vec *h = &s->heap;
-    push(s, h, x);
+    push(&s->err, h, x);
     if (s->err)
         return;
     int64_t i = h->len - 1;
@@ -524,7 +542,7 @@ static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
     if (!s->pending[v]) {  /* a re-pend keeps v's age */
         s->pending[v] = 1;
         s->age[v] = s->order.len;
-        push(s, &s->order, v);
+        push(&s->err, &s->order, v);
     }
     s->target[v] = target;
     s->bit[v] = (uint8_t)bit;
@@ -542,9 +560,9 @@ static void oppose(cut_state *s, int64_t x, int64_t v)
 
 static void defer(cut_state *s, int64_t u, int64_t w, int64_t parity)
 {
-    push(s, &s->deferred, u);
-    push(s, &s->deferred, w);
-    push(s, &s->deferred, parity);
+    push(&s->err, &s->deferred, u);
+    push(&s->err, &s->deferred, w);
+    push(&s->err, &s->deferred, parity);
 }
 
 static void consume_phantom_open(cut_state *s, int64_t x)
@@ -599,7 +617,7 @@ static void give_label(cut_state *s, int64_t x, int color)
 static void add_path_slot(cut_state *s, int64_t x, int64_t y, int parity)
 {
     if (s->pd[x] >= 2) {
-        s->err = CUT_BROKEN;
+        s->err = ENGINE_BROKEN;
         return;
     }
     s->path_nb[2 * x + s->pd[x]] = y;
@@ -613,7 +631,7 @@ static int64_t path_index(cut_state *s, int64_t x, int64_t y)
     for (int64_t i = 0; i < s->pd[x]; i++)
         if (s->path_nb[2 * x + i] == y)
             return 2 * x + i;
-    s->err = CUT_BROKEN;  /* path slot bookkeeping out of sync */
+    s->err = ENGINE_BROKEN;  /* path slot bookkeeping out of sync */
     return -1;
 }
 
@@ -663,7 +681,7 @@ static int connected(cut_state *s, int64_t a, int64_t b)
             steps += 1;
             if (steps > SURVIVAL(s) + 2) {
                 /* a walk longer than any path means (P) broke */
-                s->err = CUT_BROKEN;
+                s->err = ENGINE_BROKEN;
                 return 0;
             }
             int64_t nxt = -1;
@@ -693,7 +711,7 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
         /* an absorbed vertex passes on at most one of its own half-edges,
          * so a self-loop is never inherited */
         if (u != v) {
-            s->err = CUT_BROKEN;
+            s->err = ENGINE_BROKEN;
             return LOOP;
         }
         BAD(s) += 1;  /* a self-loop is monochromatic whatever happens */
@@ -702,7 +720,7 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
         return LOOP;
     }
     if (s->status[x] == 1) {  /* a committed vertex kept an open slot */
-        s->err = CUT_BROKEN;
+        s->err = ENGINE_BROKEN;
         return LOOP;
     }
     if (u != v) {
@@ -736,7 +754,7 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
 static void commit(cut_state *s, int64_t v, int color)
 {
     if (s->status[v] != 0) {
-        s->err = CUT_BROKEN;
+        s->err = ENGINE_BROKEN;
         return;
     }
     s->status[v] = 1;
@@ -770,7 +788,7 @@ static void commit(cut_state *s, int64_t v, int color)
 static void whiten(cut_state *s, int64_t v)
 {
     if (s->status[v] != 0) {
-        s->err = CUT_BROKEN;
+        s->err = ENGINE_BROKEN;
         return;
     }
     if (s->n_r[v] == 1 && s->n_g[v] == 1) {
@@ -807,7 +825,7 @@ static void eliminate_white(cut_state *s, int64_t v)
 {
     if (s->status[v] != 0 || s->n_w[v] != 1
             || s->n_r[v] + s->n_g[v] + s->n_d[v] != 0) {
-        s->err = CUT_BROKEN;
+        s->err = ENGINE_BROKEN;
         return;
     }
     s->status[v] = 2;
@@ -880,7 +898,7 @@ static void query(cut_state *s, int64_t v)
 {
     int64_t h = first_unrevealed(s, v);
     if (s->status[v] != 0 || s->op[v] <= 0 || h < 0) {
-        s->err = CUT_BROKEN;
+        s->err = ENGINE_BROKEN;
         return;
     }
     int64_t x;
@@ -994,9 +1012,7 @@ static void closure(cut_state *s)
 {
     while (!s->err) {
         if (s->qhead < s->queue.len) {
-            int64_t v = s->queue.data[s->qhead++];
-            if (s->qhead == s->queue.len)
-                s->qhead = s->queue.len = 0;
+            int64_t v = fifo_pop(&s->queue, &s->qhead);
             if (s->status[v] == 0)
                 labels_decide(s, v);
             continue;
@@ -1022,7 +1038,7 @@ static void resolve_pending(cut_state *s)
             continue;
         vec *path = &s->walk;
         path->len = 0;
-        push(s, path, v);
+        push(&s->err, path, v);
         s->seen[v] = 0;
         int64_t cycle = -1;  /* index of the pinned cycle member */
         while (!s->err) {
@@ -1039,7 +1055,7 @@ static void resolve_pending(cut_state *s)
             if (!s->pending[t]) {
                 /* an uncoloured target always has a constraint of its
                  * own; its target field was never written */
-                s->err = CUT_BROKEN;
+                s->err = ENGINE_BROKEN;
                 break;
             }
             if (s->seen[t] >= 0) {
@@ -1052,7 +1068,7 @@ static void resolve_pending(cut_state *s)
                 break;
             }
             s->seen[t] = path->len;
-            push(s, path, t);
+            push(&s->err, path, t);
         }
         if (s->err)
             return;
@@ -1063,9 +1079,9 @@ static void resolve_pending(cut_state *s)
             vec *rot = &s->rotated;
             rot->len = 0;
             for (int64_t j = cycle + 1; j < path->len; j++)
-                push(s, rot, path->data[j]);
+                push(&s->err, rot, path->data[j]);
             for (int64_t j = 0; j < cycle; j++)
-                push(s, rot, path->data[j]);
+                push(&s->err, rot, path->data[j]);
             if (s->err)
                 return;
             path = rot;
@@ -1187,6 +1203,48 @@ int64_t cut_queries(cut_state *s, const int64_t *marked, int64_t count)
     return s->err;
 }
 
+/* survival, no path edge, no white or deferred label, one R/G label */
+static int lone(const cut_state *s, int64_t v)
+{
+    return s->status[v] == 0 && s->pd[v] == 0 && s->n_w[v] == 0
+        && s->n_d[v] == 0 && s->n_r[v] + s->n_g[v] == 1;
+}
+
+/* the lone vertices, ascending, into out (room for n); returns their
+ * count.  Eight vertices at a time and without branches: a byte of t is
+ * zero exactly where its vertex is lone (the label counters are at most
+ * 3, so n_r + n_g carries into no other byte), and the top bit of each
+ * byte of zero marks the zero bytes of t.  Each vertex is written to the
+ * next free place, which only a lone one keeps. */
+int64_t cut_lones(const cut_state *s, int64_t *out)
+{
+    const uint64_t ones = 0x0101010101010101u, low7 = 0x7f7f7f7f7f7f7f7fu;
+    int64_t count = 0, v = 0;
+    for (; v + 8 <= s->n; v += 8) {
+        uint64_t st, pd, nw, nd, nr, ng;
+        memcpy(&st, s->status + v, 8);
+        memcpy(&pd, s->pd + v, 8);
+        memcpy(&nw, s->n_w + v, 8);
+        memcpy(&nd, s->n_d + v, 8);
+        memcpy(&nr, s->n_r + v, 8);
+        memcpy(&ng, s->n_g + v, 8);
+        uint64_t t = st | pd | nw | nd | ((nr + ng) ^ ones);
+        uint64_t zero = ~(((t & low7) + low7) | t | low7);
+        if (!zero)
+            continue;
+        uint8_t byte[8];
+        memcpy(byte, &zero, 8);
+        for (int j = 0; j < 8; j++) {
+            out[count] = v + j;
+            count += byte[j] >> 7;
+        }
+    }
+    for (; v < s->n; v++)
+        if (lone(s, v))
+            out[count++] = v;
+    return count;
+}
+
 /* survivors take their majority, unrevealed pairs are deferred, the
  * pending colours resolve and the deferred edges are counted */
 int64_t cut_endgame(cut_state *s)
@@ -1219,5 +1277,398 @@ int64_t cut_endgame(cut_state *s)
         else
             BAD(s) += 1;
     }
+    return s->err;
+}
+
+/* ---- The finite independent-set process's event engine -----------------
+ *
+ * is_local_algorithm.SurvivalGraph restated over flat arrays: _drop_vertex,
+ * delete, _select, the four branches of contract, the settle FIFO, the
+ * per-vertex loops of deletes and probes, and the final commit of the
+ * survivors' out-sets.  Every rule and its order of effects is the same
+ * as in the Python methods, which stay the reference semantics; tests pin
+ * the two to equal sets, round counts and contraction counts.  The round
+ * ladder, the class scans and the random draws stay in Python, which hands
+ * the engine the vertices it picked.
+ *
+ * The neighbour lists keep the Python list order exactly: a removal takes
+ * the first occurrence and shifts the rest down (list.remove), a rename
+ * replaces the first occurrence (nbrs[nbrs.index(z)] = x), a merge appends
+ * z's list to x's with z's loops renamed (list.extend), and every queue
+ * append happens where Python makes it, duplicates included.
+ *
+ * Shared with Python (the SurvivalGraph's own buffers, read by its numpy
+ * scans and round ladder): deg (frozen at death, as in Python), alive, the
+ * degree histogram counts, and chosen, one byte per original vertex, set
+ * when a commit puts it in the independent set; state = {survival count,
+ * contractions}.  Private here:
+ *   - each vertex's live neighbours, pool[off[v] .. off[v] + len[v]), with
+ *     room for cap[v]; a list that outgrows its room moves to the pool's
+ *     end;
+ *   - the commit trees: a reference is -1 (empty), an original vertex id
+ *     (< n), or n + k for the pair node (nodes[2k], nodes[2k + 1]);
+ *   - the settle FIFO and the stack of the commit walk.
+ */
+typedef struct {
+    int64_t n, err, ncounts, cap_degree;
+    int64_t *deg, *counts, *state;
+    uint8_t *alive, *chosen;
+    int64_t *off, *len, *cap;
+    int64_t *in_tree, *out_tree;
+    vec pool, nodes, queue, stack;
+    int64_t qhead;
+} is_state;
+
+#define SURVIVAL_COUNT(s) ((s)->state[0])
+#define CONTRACTIONS(s) ((s)->state[1])
+
+static int64_t *nbrs(is_state *s, int64_t v)
+{
+    return s->pool.data + s->off[v];
+}
+
+/* v's list drops its first occurrence of x (list.remove) */
+static void adj_remove(is_state *s, int64_t v, int64_t x)
+{
+    int64_t *a = nbrs(s, v), m = s->len[v];
+    for (int64_t i = 0; i < m; i++) {
+        if (a[i] == x) {
+            memmove(a + i, a + i + 1, (m - i - 1) * sizeof *a);
+            s->len[v] = m - 1;
+            return;
+        }
+    }
+    s->err = ENGINE_BROKEN;  /* adjacency out of sync */
+}
+
+/* v's list has its first occurrence of old replaced by new_ */
+static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
+{
+    int64_t *a = nbrs(s, v);
+    for (int64_t i = 0; i < s->len[v]; i++) {
+        if (a[i] == old) {
+            a[i] = new_;
+            return;
+        }
+    }
+    s->err = ENGINE_BROKEN;
+}
+
+static int adj_has(is_state *s, int64_t v, int64_t x)
+{
+    const int64_t *a = nbrs(s, v);
+    for (int64_t i = 0; i < s->len[v]; i++)
+        if (a[i] == x)
+            return 1;
+    return 0;
+}
+
+/* room for need entries in v's list; may move the pool */
+static void adj_reserve(is_state *s, int64_t v, int64_t need)
+{
+    if (need <= s->cap[v])
+        return;
+    vec *pool = &s->pool;
+    int64_t cap = 2 * need;
+    if (pool->len + cap > pool->cap) {
+        int64_t grown = 2 * (pool->len + cap);
+        int64_t *data = realloc(pool->data, grown * sizeof *data);
+        if (!data) {
+            s->err = ENGINE_NOMEM;
+            return;
+        }
+        pool->data = data;
+        pool->cap = grown;
+    }
+    memcpy(pool->data + pool->len, nbrs(s, v), s->len[v] * sizeof *pool->data);
+    s->off[v] = pool->len;
+    s->cap[v] = cap;
+    pool->len += cap;
+}
+
+static void is_queue(is_state *s, int64_t v)
+{
+    fifo_push(&s->err, &s->queue, &s->qhead, v);
+}
+
+/* the pair node (a, b) */
+static int64_t tree_pair(is_state *s, int64_t a, int64_t b)
+{
+    int64_t k = s->nodes.len / 2;
+    push(&s->err, &s->nodes, a);
+    push(&s->err, &s->nodes, b);
+    return s->n + k;
+}
+
+/* every original vertex in the tree joins the set, once */
+static void tree_commit(is_state *s, int64_t tree)
+{
+    vec *stack = &s->stack;
+    stack->len = 0;
+    push(&s->err, stack, tree);
+    while (stack->len && !s->err) {
+        int64_t node = stack->data[--stack->len];
+        if (node < 0)
+            continue;
+        if (node < s->n) {
+            if (s->chosen[node]) {
+                s->err = ENGINE_BROKEN;  /* committed twice */
+                return;
+            }
+            s->chosen[node] = 1;
+            continue;
+        }
+        node -= s->n;
+        push(&s->err, stack, s->nodes.data[2 * node]);
+        push(&s->err, stack, s->nodes.data[2 * node + 1]);
+    }
+}
+
+/* remove v and its live edges, decrementing live neighbours */
+static void drop_vertex(is_state *s, int64_t v)
+{
+    for (int64_t i = 0; i < s->len[v] && !s->err; i++) {
+        int64_t u = nbrs(s, v)[i];
+        if (u == v)
+            continue;
+        adj_remove(s, u, v);
+        int64_t du = s->deg[u];
+        s->deg[u] = du - 1;
+        s->counts[du] -= 1;
+        s->counts[du - 1] += 1;
+        if (du <= 3)
+            is_queue(s, u);
+    }
+    s->counts[s->deg[v]] -= 1;
+    s->alive[v] = 0;
+    s->len[v] = 0;
+    SURVIVAL_COUNT(s) -= 1;
+}
+
+/* rule v out of the set: commits its out-set, removes v */
+static void is_delete(is_state *s, int64_t v)
+{
+    if (!s->alive[v]) {
+        s->err = ENGINE_DEAD;
+        return;
+    }
+    tree_commit(s, s->out_tree[v]);
+    drop_vertex(s, v);
+}
+
+/* put v in the set: commits its in-set, removes v */
+static void is_select(is_state *s, int64_t v)
+{
+    tree_commit(s, s->in_tree[v]);
+    drop_vertex(s, v);
+}
+
+/* contract at the live 2-vertex y; returns the merged vertex, or -1 when
+ * a degenerate neighbourhood resolved y instead */
+static int64_t contract(is_state *s, int64_t y)
+{
+    CONTRACTIONS(s) += 1;
+    int64_t x = nbrs(s, y)[0], z = nbrs(s, y)[1];
+    if (x == y) {
+        /* y's remaining edge is a self-loop */
+        is_select(s, y);
+        return -1;
+    }
+    if (x == z) {
+        /* both edges lead to x: y is effectively pendant */
+        is_select(s, y);
+        is_delete(s, x);
+        return -1;
+    }
+    if (adj_has(s, x, z)) {
+        /* neighbours adjacent: y is simplicial */
+        is_select(s, y);
+        is_delete(s, x);
+        is_delete(s, z);
+        return -1;
+    }
+    /* true merge: x absorbs z, y dissolves into the commit trees */
+    adj_remove(s, x, y);
+    adj_remove(s, z, y);
+    for (int64_t i = 0; i < s->len[z] && !s->err; i++) {
+        int64_t w = nbrs(s, z)[i];
+        if (w != z)
+            adj_rename(s, w, z, x);
+    }
+    adj_reserve(s, x, s->len[x] + s->len[z]);
+    if (s->err)
+        return -1;
+    int64_t *ax = nbrs(s, x), *az = nbrs(s, z);
+    for (int64_t i = 0; i < s->len[z]; i++)
+        ax[s->len[x] + i] = az[i] == z ? x : az[i];
+    s->len[x] += s->len[z];
+    s->counts[s->deg[x]] -= 1;
+    s->counts[2] -= 1;
+    s->counts[s->deg[z]] -= 1;
+    int64_t dx = s->deg[x] = s->len[x];
+    if (dx >= s->ncounts) {
+        /* the histogram has room for every degree settle lets arise */
+        s->err = ENGINE_BROKEN;
+        return -1;
+    }
+    s->counts[dx] += 1;
+    int64_t in_x = tree_pair(s, s->in_tree[x], s->in_tree[z]);
+    int64_t out_x = tree_pair(s, s->out_tree[x], s->out_tree[z]);
+    s->in_tree[x] = tree_pair(s, in_x, s->out_tree[y]);
+    s->out_tree[x] = tree_pair(s, out_x, s->in_tree[y]);
+    s->alive[y] = s->alive[z] = 0;
+    s->len[y] = s->len[z] = 0;
+    SURVIVAL_COUNT(s) -= 2;
+    if (dx <= 2)
+        is_queue(s, x);
+    return x;
+}
+
+/* resolve all 0/1/2-degree vertices until none remain */
+static void settle(is_state *s)
+{
+    while (s->qhead < s->queue.len && !s->err) {
+        int64_t v = fifo_pop(&s->queue, &s->qhead);
+        if (!s->alive[v] || s->deg[v] > 2)
+            continue;
+        if (s->deg[v] == 0) {
+            is_select(s, v);
+        } else if (s->deg[v] == 1) {
+            int64_t u = nbrs(s, v)[0];
+            is_select(s, v);
+            is_delete(s, u);
+        } else {
+            int64_t merged = contract(s, v);
+            if (merged >= 0 && s->deg[merged] > s->cap_degree)
+                is_delete(s, merged);
+        }
+    }
+}
+
+/* -- entry points ------------------------------------------------------ */
+
+void is_free(is_state *s)
+{
+    if (!s)
+        return;
+    free(s->off);
+    free(s->len);
+    free(s->cap);
+    free(s->in_tree);
+    free(s->out_tree);
+    free(s->pool.data);
+    free(s->nodes.data);
+    free(s->queue.data);
+    free(s->stack.data);
+    free(s);
+}
+
+/* A fresh engine over a fresh SurvivalGraph: owner and pair of the graph's
+ * half-edges, slots the half-edges grouped by owner (in the order of
+ * Multigraph.slot_array, so v's list is owner[pair[slots]] over v's
+ * degree), the shared buffers (counts with ncounts entries), and the
+ * degree above which settle deletes a merged vertex.  NULL when out of
+ * memory. */
+is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
+                 const int64_t *slots, int64_t *deg, uint8_t *alive,
+                 int64_t *counts, uint8_t *chosen, int64_t *state,
+                 int64_t ncounts, int64_t cap_degree)
+{
+    is_state *s = calloc(1, sizeof *s);
+    if (!s)
+        return NULL;
+    size_t m = n > 0 ? (size_t)n : 1;
+    s->n = n;
+    s->deg = deg;
+    s->alive = alive;
+    s->counts = counts;
+    s->ncounts = ncounts;
+    s->chosen = chosen;
+    s->state = state;
+    s->cap_degree = cap_degree;
+    s->off = malloc(m * sizeof *s->off);
+    s->len = malloc(m * sizeof *s->len);
+    s->cap = malloc(m * sizeof *s->cap);
+    s->in_tree = malloc(m * sizeof *s->in_tree);
+    s->out_tree = malloc(m * sizeof *s->out_tree);
+    int64_t half_edges = 0;
+    for (int64_t v = 0; v < n; v++)
+        half_edges += deg[v];
+    /* room for the merges' relocated lists before the first regrowth */
+    s->pool.cap = 2 * half_edges + 64;
+    s->pool.data = malloc(s->pool.cap * sizeof *s->pool.data);
+    if (!s->off || !s->len || !s->cap || !s->in_tree || !s->out_tree
+            || !s->pool.data) {
+        is_free(s);
+        return NULL;
+    }
+    for (int64_t h = 0; h < half_edges; h++)
+        s->pool.data[h] = owner[pair[slots[h]]];
+    s->pool.len = half_edges;
+    int64_t start = 0;
+    for (int64_t v = 0; v < n; v++) {
+        s->off[v] = start;
+        s->len[v] = s->cap[v] = deg[v];
+        start += deg[v];
+        s->in_tree[v] = v;
+        s->out_tree[v] = -1;
+        if (deg[v] <= 2)
+            is_queue(s, v);
+    }
+    if (s->err) {
+        is_free(s);
+        return NULL;
+    }
+    return s;
+}
+
+int64_t is_settle(is_state *s)
+{
+    settle(s);
+    return s->err;
+}
+
+/* delete each vertex, in order */
+int64_t is_deletes(is_state *s, const int64_t *ids, int64_t count)
+{
+    for (int64_t i = 0; i < count && !s->err; i++)
+        is_delete(s, ids[i]);
+    return s->err;
+}
+
+/* the 4-regular probe of each marked vertex, in order, that still has
+ * degree 3: it goes itself when its neighbours all have degree 3, else the
+ * lowest-id neighbour of the highest degree goes */
+int64_t is_probes(is_state *s, const int64_t *marked, int64_t count)
+{
+    for (int64_t i = 0; i < count && !s->err; i++) {
+        int64_t v = marked[i];
+        if (s->deg[v] != 3)
+            continue;
+        if (s->len[v] != 3) {
+            /* a dead vertex kept degree 3: see SurvivalGraph.probes */
+            s->err = ENGINE_BROKEN;
+            break;
+        }
+        const int64_t *a = nbrs(s, v);
+        int64_t best = -1, target = -1;
+        for (int64_t j = 0; j < 3; j++) {
+            int64_t du = s->deg[a[j]];
+            if (du > best || (du == best && a[j] < target)) {
+                best = du;
+                target = a[j];
+            }
+        }
+        is_delete(s, best == 3 ? v : target);
+    }
+    return s->err;
+}
+
+/* every survivor commits its out-set */
+int64_t is_commit_survivors(is_state *s)
+{
+    for (int64_t v = 0; v < s->n && !s->err; v++)
+        if (s->alive[v])
+            tree_commit(s, s->out_tree[v]);
     return s->err;
 }

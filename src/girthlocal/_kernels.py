@@ -1,4 +1,5 @@
-"""Compiled kernels: the evolution chunk loops and the cut process's events.
+"""Compiled kernels: the evolution chunk loops and the finite processes'
+events.
 
 ``_kernels.c`` holds two kinds of C code.  There is one chunk kernel per
 evolution family: ``is_chunk`` runs both independent-set processes (3- and
@@ -6,11 +7,12 @@ evolution family: ``is_chunk`` runs both independent-set processes (3- and
 recurrence by at most ``max_rounds`` rounds and reports why it stopped via a
 status code.  The kernels unroll the composed operations of ``is_evolution``
 / ``cut_evolution``, which stay the reference semantics: same expressions,
-same evaluation order, pinned bit for bit by tests.  And there is the event
-engine of the finite cut process (``CutEngine``): the methods of
-``cut_local_algorithm.CutProcess`` over flat arrays, pinned by tests to
-give the same colouring and counters.  The process's random draws and its
-lone-vertex scan stay in Python, so both read one random stream.
+same evaluation order, pinned bit for bit by tests.  And there is one event
+engine per finite process: ``CutEngine`` runs the methods of
+``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
+``is_local_algorithm.SurvivalGraph``, over flat arrays, pinned by tests to
+give the same outputs and counters.  Each process's round schedule and
+random draws stay in Python, so both backends read one random stream.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -24,8 +26,9 @@ can be built or loaded (no compiler, a failed or hung build, a cache
 directory that cannot be written), ``BACKEND`` is ``"python"``: the rule
 sets run their composed operations round by round instead
 (``evolution_core._python_chunk``: the same bits, at 90-560 times the cost
-per round), and the cut process runs its Python methods (about 10 times the
-cost).  Otherwise it is ``"c"``.
+per round), and the finite processes run their Python methods (the cut
+process at about 7 times the cost, the independent-set process at about
+5 times).  Otherwise it is ``"c"``.
 """
 import ctypes
 import os
@@ -42,8 +45,9 @@ STATUS_BUDGET = 1  # round budget spent, more work remains
 STATUS_INVALID = 2  # a state left its sane range (NaN, inf, bad sign, law)
 STATUS_EXHAUSTED = 3  # open-edge pool emptied while deletions were pending
 
-CUT_NOMEM = 1  # the cut engine could not allocate its state
-CUT_BROKEN = 2  # a cut bookkeeping invariant failed (an assert in Python)
+ENGINE_NOMEM = 1  # an event engine could not allocate its state
+ENGINE_BROKEN = 2  # a bookkeeping invariant failed (an assert in Python)
+ENGINE_DEAD = 3  # an event named a vertex that is gone (a ValueError)
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -99,12 +103,20 @@ def _load(cc=_CC, cache=_CACHE):
     ptr = ctypes.c_void_p
     lib.cut_new.argtypes = [i64] + [ptr] * 14
     lib.cut_new.restype = ptr
-    lib.cut_free.argtypes = [ptr]
-    lib.cut_free.restype = None
+    lib.is_new.argtypes = [i64] + [ptr] * 8 + [i64, i64]
+    lib.is_new.restype = ptr
+    for name in ("cut_free", "is_free"):
+        getattr(lib, name).argtypes = [ptr]
+        getattr(lib, name).restype = None
     for name, args in (("cut_commit", [ptr, i64, i64]),
                        ("cut_closure", [ptr]),
                        ("cut_queries", [ptr, ptr, i64]),
-                       ("cut_endgame", [ptr])):
+                       ("cut_lones", [ptr, ptr]),
+                       ("cut_endgame", [ptr]),
+                       ("is_settle", [ptr]),
+                       ("is_deletes", [ptr, ptr, i64]),
+                       ("is_probes", [ptr, ptr, i64]),
+                       ("is_commit_survivors", [ptr])):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = i64
     return lib
@@ -142,29 +154,11 @@ def _writable(buf):
     return (ctypes.c_char * memoryview(buf).nbytes).from_buffer(buf)
 
 
-class CutEngine:
-    """The cut process's event engine in C, over one ``CutProcess``'s
-    shared buffers (status, colours, label counters, path degrees, open
-    counts, aliases, revealed flags), which it updates in place.  Its
-    ``commit``, ``closure`` and ``endgame`` are those of the process, and
-    ``queries`` its per-round loop over the marked vertices.  The counters
-    good, bad and survival live in ``counts`` until ``close`` (or leaving
-    the ``with`` block) writes them back.  Needs ``BACKEND == "c"``."""
+class _Engine:
+    """An event engine's C state over shared buffers; ``close`` (or
+    leaving the ``with`` block) frees it and writes the counters back."""
 
-    def __init__(self, proc):
-        self._proc = proc
-        self.counts = array("q", (proc.good, proc.bad, proc.survival))
-        self._views = [_writable(buf) for buf in (
-            proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
-            proc.pd, proc.op, proc.alias, proc.revealed, self.counts)]
-        graph = proc.graph
-        self._graph = [np.ascontiguousarray(a, dtype=np.int64) for a in
-                       (graph.owner, graph.pair, graph.slot_array())]
-        self._state = _lib.cut_new(
-            proc.n, *(a.ctypes.data for a in self._graph),
-            *(ctypes.addressof(view) for view in self._views))
-        if not self._state:
-            raise MemoryError("cut engine: out of memory")
+    _name = None
 
     def __enter__(self):
         return self
@@ -172,21 +166,74 @@ class CutEngine:
     def __exit__(self, *exc):
         self.close()
 
+    def _start(self, state) -> None:
+        if not state:
+            raise MemoryError(f"{self._name}: out of memory")
+        self._state = state
+
+    def _run(self, entry, *args):
+        if not self._state:
+            raise ValueError(f"{self._name}: already closed")
+        err = entry(self._state, *args)
+        if err == ENGINE_NOMEM:
+            raise MemoryError(f"{self._name}: out of memory")
+        if err == ENGINE_DEAD:
+            raise ValueError(f"{self._name}: a vertex that is gone")
+        if err:
+            raise AssertionError(f"{self._name}: bookkeeping out of sync")
+
+    def _ids(self, ids) -> np.ndarray:
+        """ids as a contiguous int64 array of vertices of the graph."""
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        if ids.size and not (0 <= ids.min() and ids.max() < self._n):
+            raise IndexError("vertex out of range")
+        return ids
+
+    def close(self) -> None:
+        if self._state:
+            self._free()
+            self._state = None
+            self._views.clear()
+            self._graph.clear()
+            self._write_back()
+
+
+def _graph_arrays(graph) -> list:
+    return [np.ascontiguousarray(a, dtype=np.int64) for a in
+            (graph.owner, graph.pair, graph.slot_array())]
+
+
+class CutEngine(_Engine):
+    """The cut process's event engine in C, over one ``CutProcess``'s
+    shared buffers (status, colours, label counters, path degrees, open
+    counts, aliases, revealed flags), which it updates in place.  Its
+    ``commit``, ``closure`` and ``endgame`` are those of the process,
+    ``queries`` its per-round loop over the marked vertices and ``lones``
+    its lone-vertex scan.  The counters good, bad and survival live in
+    ``counts`` until ``close`` writes them back.  Needs
+    ``BACKEND == "c"``."""
+
+    _name = "cut engine"
+
+    def __init__(self, proc):
+        self._proc = proc
+        self._n = proc.n
+        self.counts = array("q", (proc.good, proc.bad, proc.survival))
+        self._lones = np.empty(proc.n, dtype=np.int64)
+        self._views = [_writable(buf) for buf in (
+            proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
+            proc.pd, proc.op, proc.alias, proc.revealed, self.counts)]
+        self._graph = _graph_arrays(proc.graph)
+        self._start(_lib.cut_new(
+            proc.n, *(a.ctypes.data for a in self._graph),
+            *(ctypes.addressof(view) for view in self._views)))
+
     @property
     def survival(self) -> int:
         return self.counts[2]
 
-    def _run(self, entry, *args) -> None:
-        if not self._state:
-            raise ValueError("cut engine: already closed")
-        err = entry(self._state, *args)
-        if err == CUT_NOMEM:
-            raise MemoryError("cut engine: out of memory")
-        if err:
-            raise AssertionError("cut engine: bookkeeping out of sync")
-
     def commit(self, v: int, color: int) -> None:
-        if not 0 <= v < self._proc.n:
+        if not 0 <= v < self._n:
             raise IndexError(f"vertex {v} out of range")
         self._run(_lib.cut_commit, v, color)
 
@@ -196,20 +243,76 @@ class CutEngine:
     def queries(self, marked) -> None:
         """Query each marked vertex (int array), in order, that is still a
         survival vertex with an open half-edge."""
-        marked = np.ascontiguousarray(marked, dtype=np.int64)
-        if marked.size and not (0 <= marked.min()
-                                and marked.max() < self._proc.n):
-            raise IndexError("marked vertex out of range")
+        marked = self._ids(marked)
         self._run(_lib.cut_queries, marked.ctypes.data, marked.shape[0])
+
+    def lones(self) -> np.ndarray:
+        """The lone vertices, ascending, as ``CutProcess.lones`` finds
+        them; a view of a buffer the next call overwrites."""
+        if not self._state:
+            raise ValueError(f"{self._name}: already closed")
+        return self._lones[:_lib.cut_lones(self._state,
+                                           self._lones.ctypes.data)]
 
     def endgame(self) -> None:
         self._run(_lib.cut_endgame)
 
-    def close(self) -> None:
-        if self._state:
-            _lib.cut_free(self._state)
-            self._state = None
-            self._views.clear()
-            self._graph.clear()
-            proc = self._proc
-            proc.good, proc.bad, proc.survival = self.counts
+    def _free(self) -> None:
+        _lib.cut_free(self._state)
+
+    def _write_back(self) -> None:
+        proc = self._proc
+        proc.good, proc.bad, proc.survival = self.counts
+
+
+class IsEngine(_Engine):
+    """The independent-set process's event engine in C, over a fresh
+    ``SurvivalGraph``'s degrees, live flags and degree histogram, which it
+    updates in place.  Its ``settle``, ``deletes``, ``probes`` and
+    ``commit_survivors`` are those of the survival graph; a merged vertex
+    above ``cap_degree`` is deleted, as ``DEGREE_CAP`` in settle.  Each
+    committed vertex sets its byte in ``chosen``.  The survival and
+    contraction counts live in ``counts`` until ``close`` writes them back.
+    Needs ``BACKEND == "c"``."""
+
+    _name = "independent-set engine"
+
+    def __init__(self, g, cap_degree: int):
+        self._g = g
+        self._n = g.n
+        self.chosen = bytearray(g.n)
+        self.counts = array("q", (g.survival_count, g.contractions))
+        self._views = [_writable(buf) for buf in (
+            g.deg, g.alive, g.counts, self.chosen, self.counts)]
+        self._graph = _graph_arrays(g.graph)
+        self._start(_lib.is_new(
+            g.n, *(a.ctypes.data for a in self._graph),
+            *(ctypes.addressof(view) for view in self._views),
+            len(g.counts), cap_degree))
+
+    @property
+    def survival_count(self) -> int:
+        return self.counts[0]
+
+    def settle(self) -> None:
+        self._run(_lib.is_settle)
+
+    def deletes(self, ids) -> None:
+        """Delete each vertex (int array), in order."""
+        ids = self._ids(ids)
+        self._run(_lib.is_deletes, ids.ctypes.data, ids.shape[0])
+
+    def probes(self, marked) -> None:
+        """Probe each marked vertex (int array), in order."""
+        marked = self._ids(marked)
+        self._run(_lib.is_probes, marked.ctypes.data, marked.shape[0])
+
+    def commit_survivors(self) -> None:
+        self._run(_lib.is_commit_survivors)
+
+    def _free(self) -> None:
+        _lib.is_free(self._state)
+
+    def _write_back(self) -> None:
+        g = self._g
+        g.survival_count, g.contractions = self.counts

@@ -79,8 +79,9 @@ class RunReport:
 
     ``corollaries`` are always recomputed from the headline figures at
     serialization time, never stored, so a report cannot drift internally.
-    ``backend`` is the one that ran the evolution kernels and the cut
-    process's events: ``"c"`` or ``"python"`` (``_kernels.BACKEND``).
+    ``backend`` is the one that ran the evolution kernels and the events
+    of both finite processes: ``"c"`` or ``"python"``
+    (``_kernels.BACKEND``).
     """
 
     command: str

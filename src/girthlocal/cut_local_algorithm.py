@@ -542,7 +542,9 @@ class CutProcess:
         engine.commit(int(picked[0]), RED)
         engine.commit(int(picked[1]), GREEN)
 
-    def _lone_vertices(self) -> np.ndarray:
+    def lones(self) -> np.ndarray:
+        """The lone vertices, ascending: survival, no path edge, no white
+        or deferred label, exactly one R/G label."""
         status, pd, nR, nG, nW, nD = (
             np.frombuffer(c, np.uint8) for c in
             (self.status, self.pd, self.nR, self.nG, self.nW, self.nD))
@@ -566,15 +568,15 @@ class CutProcess:
         return self._result()
 
     def _drive(self, engine) -> None:
-        """The round schedule.  ``engine`` runs the events: this process,
-        or its C engine.  The random draws and the lone scan are made here
-        either way, so both backends read one random stream."""
+        """The round schedule.  ``engine`` runs the events and the lone
+        scan: this process, or its C engine.  The random draws are made
+        here either way, so both backends read one random stream."""
         threshold = max(ENDGAME_FLOOR, STOP_FRACTION * self.n)
         self._bootstrap(engine)
         engine.closure()
         while engine.survival > threshold and self.rounds < MAX_ROUNDS:
             before = engine.survival
-            lones = self._lone_vertices()
+            lones = engine.lones()
             engine.queries(lones[self.rng.random(lones.shape[0])
                                  < self.query_probability])
             engine.closure()

@@ -20,10 +20,12 @@ from __future__ import annotations
 import collections
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .config_model import Multigraph
 from .is_evolution import DEGREE_CAP
 
@@ -75,27 +77,55 @@ class SurvivalGraph:
     adj[v] lists v's live neighbors in half-edge order, one entry per edge
     end: a loop lists v twice and a parallel edge repeats.  deg (an int64
     array) and alive (a 0/1 bytearray) hold Python ints for the rules and
-    are read as numpy arrays, without copies, by the class scans;
-    counts[k] is the number of live vertices of degree k, kept up to date
-    wherever a degree changes.  Commit sets are cons trees
-    (None | original id | (left, right)) so a merge is O(1); they are
-    flattened only when committed.
+    are read as numpy arrays, without copies, by the class scans; a dead
+    vertex keeps the degree it died with.  counts[k] is the number of live
+    vertices of degree k, kept up to date wherever a degree changes.
+    Commit sets are cons trees (None | original id | (left, right)) so a
+    merge is O(1); they are flattened only when committed.
+
+    An event kills only the vertices it names: a delete or select its
+    argument, a merge y and z.  So a vertex a rule has just read off a live
+    list is still alive when the rule acts on it, and the rules test no
+    liveness; ``delete`` still refuses a dead vertex.
+
+    The methods below are the reference semantics.  run() hands the events
+    to ``_kernels.IsEngine`` (the same rules in C, over deg, alive and
+    counts) when the C kernels are built, and runs these methods otherwise;
+    tests pin the two to the same set, rounds and contractions.
     """
 
     def __init__(self, g: Multigraph):
         self.n = g.n
-        self.adj = g.neighbor_lists()
+        self.graph = g
         degrees = g.degrees().astype(np.int64)
         self.deg = array("q", degrees.tobytes())
         self.alive = bytearray(b"\x01") * g.n
-        self.counts: list = np.bincount(degrees).tolist()
-        self.in_tree: list = list(range(g.n))
-        self.out_tree: list = [None] * g.n
+        # room for every degree settle lets arise: a merge adds two degrees
+        # of at most `top`, less 2, and a merged vertex above DEGREE_CAP is
+        # deleted at once
+        top = max(DEGREE_CAP, int(degrees.max(initial=0)))
+        self.counts = array("q", np.bincount(
+            degrees, minlength=2 * top - 1).tobytes())
         self.survival_count = g.n
         self.selected: list = []
         self.contractions = 0
         self.queue: collections.deque = collections.deque(
             np.flatnonzero(degrees <= 2).tolist())
+
+    # the per-vertex lists only the Python methods use, built on first use
+    # so that a run in C never holds them
+
+    @cached_property
+    def adj(self) -> list:
+        return self.graph.neighbor_lists()
+
+    @cached_property
+    def in_tree(self) -> list:
+        return list(range(self.n))
+
+    @cached_property
+    def out_tree(self) -> list:
+        return [None] * self.n
 
     def scan(self, op, k: int) -> np.ndarray:
         """Live ids, ascending, whose degree passes the numpy comparison
@@ -184,10 +214,8 @@ class SurvivalGraph:
         if z in self.adj[x]:
             # neighbors are adjacent: y is simplicial, selecting it is safe
             self._select(y)
-            if self.alive[x]:
-                self.delete(x)
-            if self.alive[z]:
-                self.delete(z)
+            self.delete(x)
+            self.delete(z)
             return None
         # true merge: x absorbs z, y dissolves into the commit trees
         adj, deg, counts = self.adj, self.deg, self.counts
@@ -234,13 +262,47 @@ class SurvivalGraph:
             elif dv == 1:
                 u = self.adj[v][0]
                 self._select(v)
-                if self.alive[u]:
-                    self.delete(u)
+                self.delete(u)
             else:
                 merged = self.contract(v)
-                if merged is not None and self.alive[merged] \
-                        and self.deg[merged] > DEGREE_CAP:
+                if merged is not None and self.deg[merged] > DEGREE_CAP:
                     self.delete(merged)
+
+    # -- the per-round events -------------------------------------------------
+
+    def deletes(self, ids: np.ndarray) -> None:
+        """delete() each vertex (int array), in order."""
+        for v in ids.tolist():
+            self.delete(v)
+
+    def probes(self, marked: np.ndarray) -> None:
+        """4-regular probe of each marked 3-vertex, in order: one whose
+        neighbors all have degree 3 is deleted itself, otherwise its
+        lowest-id neighbor of the highest degree is (the probe vertex then
+        drops to degree 2 and contracts in the next settle).
+
+        Degrees only fall during the loop.  So a target of degree above 3
+        is never a marked vertex, and a marked vertex deleted as a target
+        died at a degree below 3, which it keeps: the degree test alone
+        skips every marked vertex that is gone.
+        """
+        deg, adj = self.deg, self.adj
+        for v in marked.tolist():
+            if deg[v] != 3:
+                continue
+            nbrs = adj[v]
+            degs = [deg[u] for u in nbrs]
+            best = max(degs)
+            if best == 3:
+                self.delete(v)
+            else:
+                self.delete(min(u for u, dg in zip(nbrs, degs)
+                                if dg == best))
+
+    def commit_survivors(self) -> None:
+        """Every survivor commits its out-set."""
+        for v in self.survivors():
+            self._commit(self.out_tree[v])
 
     def live_edges(self) -> list:
         """Each live edge once as (u, w) with u <= w, loops included."""
@@ -275,73 +337,72 @@ def run(graph: Multigraph, d: int, seed=None,
         raise ValueError("thin_probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     g = SurvivalGraph(graph)
-    stop_at = STOP_FRACTION * graph.n
+    if _kernels.BACKEND == "c":
+        with _kernels.IsEngine(g, DEGREE_CAP) as engine:
+            rounds = _drive(g, engine, rng, d, thin_probability)
+        vertices = np.flatnonzero(engine.chosen).tolist()
+    else:
+        rounds = _drive(g, g, rng, d, thin_probability)
+        vertices = sorted(g.selected)
+    return IsRunResult(vertices=vertices, n=graph.n, d=d, seed=seed,
+                       rounds=rounds, contractions=g.contractions)
+
+
+def _drive(g: SurvivalGraph, engine, rng, d: int,
+           thin_probability: float) -> int:
+    """The round ladder; returns the rounds run.  ``engine`` runs the
+    events: g itself, or its C engine.  The class scans and the random
+    draws are made here either way, so both backends read one random
+    stream."""
+    stop_at = STOP_FRACTION * g.n
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
     floor = 3 if d == 3 else 5
     rounds = 0
-    g.settle()
-    while g.survival_count > stop_at and rounds < MAX_ROUNDS:
-        before = g.survival_count
+    engine.settle()
+    while engine.survival_count > stop_at and rounds < MAX_ROUNDS:
+        before = engine.survival_count
         top = _top_persistent(g.counts, before, PERSISTENCE_FRACTION, floor)
         if top is not None:
-            _delete_class_and_above(g, rng, top, thin_probability)
+            _delete_class_and_above(g, engine, rng, top, thin_probability)
         elif d == 4 and g.counts[3]:
-            _probe_round(g, rng, thin_probability)
+            _probe_round(g, engine, rng, thin_probability)
         else:
             # nothing persistent to thin and nothing to probe: bootstrap
-            _delete_class_and_above(g, rng, d, BOOTSTRAP_PROBABILITY)
-        g.settle()
-        if g.survival_count == before:
-            _force_progress(g, rng)
-            g.settle()
+            _delete_class_and_above(g, engine, rng, d, BOOTSTRAP_PROBABILITY)
+        engine.settle()
+        if engine.survival_count == before:
+            _force_progress(g, engine, rng)
+            engine.settle()
         rounds += 1
-    for v in g.survivors():
-        g._commit(g.out_tree[v])
-    return IsRunResult(vertices=sorted(g.selected), n=graph.n, d=d,
-                       seed=seed, rounds=rounds,
-                       contractions=g.contractions)
+    engine.commit_survivors()
+    return rounds
 
 
-def _delete_class_and_above(g: SurvivalGraph, rng, top: int,
+def _delete_class_and_above(g: SurvivalGraph, engine, rng, top: int,
                             probability: float) -> None:
-    # both scans and the draw see the graph before any deletion
-    outright = []
-    if any(g.counts[top + 1:]):
-        outright = g.scan(np.greater, top).tolist()
+    # both scans and the draw see the graph before any deletion; a delete
+    # kills only its argument, so every marked vertex is still alive when
+    # its turn comes
+    outright = g.scan(np.greater, top) if any(g.counts[top + 1:]) else None
     members = g.scan(np.equal, top)
-    marked = members[rng.random(members.shape[0]) < probability].tolist()
-    for v in outright:
-        g.delete(v)
-    for v in marked:
-        if g.alive[v]:
-            g.delete(v)
+    marked = members[rng.random(members.shape[0]) < probability]
+    if outright is not None:
+        engine.deletes(outright)
+    engine.deletes(marked)
 
 
-def _probe_round(g: SurvivalGraph, rng, probability: float) -> None:
+def _probe_round(g: SurvivalGraph, engine, rng, probability: float) -> None:
     """4-regular variant: probe marked 3-vertices one at a time."""
     if any(g.counts[6:]):
-        for v in g.scan(np.greater, 5).tolist():
-            g.delete(v)
+        engine.deletes(g.scan(np.greater, 5))
     members = g.scan(np.equal, 3)
-    marked = members[rng.random(members.shape[0]) < probability].tolist()
-    deg = g.deg
-    for v in marked:
-        if not g.alive[v] or deg[v] != 3:
-            continue
-        nbrs = g.adj[v]
-        degs = [deg[u] for u in nbrs]
-        if max(degs) == 3:
-            g.delete(v)
-        else:
-            best = max(degs)
-            target = min(u for u, dg in zip(nbrs, degs) if dg == best)
-            g.delete(target)  # v drops to degree 2 and will contract
+    engine.probes(members[rng.random(members.shape[0]) < probability])
 
 
-def _force_progress(g: SurvivalGraph, rng) -> None:
+def _force_progress(g: SurvivalGraph, engine, rng) -> None:
     top = max(k for k, c in enumerate(g.counts) if c)
-    g.delete(int(rng.choice(g.scan(np.equal, top))))
+    engine.deletes(np.array([rng.choice(g.scan(np.equal, top))]))
 
 
 def verify_independent(graph: Multigraph, vertices) -> bool:

@@ -368,6 +368,20 @@ def test_cut_witness_bytes_are_pinned_on_the_python_path(
     test_witness_bytes_are_pinned(capsys, tmp_path, target, seed)
 
 
+IS_WITNESSES = [key for key in sorted(WITNESS_SHA256)
+                if key[0].startswith("is")]
+
+
+@pytest.mark.parametrize("target, seed", IS_WITNESSES,
+                         ids=[f"{t}-{s}" for t, s in IS_WITNESSES])
+def test_is_witness_bytes_are_pinned_on_the_python_path(
+        capsys, tmp_path, monkeypatch, target, seed):
+    # the pins above run on the built backend; the survival graph's Python
+    # methods must give the same bytes
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    test_witness_bytes_are_pinned(capsys, tmp_path, target, seed)
+
+
 # sha256 of each report: the --json file and stdout, wall-time lines
 # dropped, the output directory written as OUT and the backend that ran as
 # BACKEND; a change to the commands that keeps their outputs must keep these

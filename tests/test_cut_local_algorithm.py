@@ -293,6 +293,23 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
 
 
 @compiled
+def test_c_lone_scan_matches_the_numpy_scan(monkeypatch):
+    scans = []
+    c_lones = _kernels.CutEngine.lones
+
+    def checked(engine):
+        lones = c_lones(engine)
+        assert lones.tolist() == engine._proc.lones().tolist()
+        scans.append(lones.shape[0])
+        return lones
+
+    monkeypatch.setattr(_kernels.CutEngine, "lones", checked)
+    for n in (10, 302, 2000):  # whole words of 8 vertices and tails
+        run_cut(generate(n, 3, seed=0), seed=0)
+    assert len(scans) > 100 and max(scans) > 100
+
+
+@compiled
 def test_c_run_builds_no_per_vertex_lists():
     p = CutProcess(generate(64, 3, seed=0), seed=0)
     p.run()
@@ -310,6 +327,7 @@ def test_c_engine_checks_its_calls():
             engine.queries(np.array([3, -1]))
         engine.commit(0, RED)
         assert p.status[0] == 1 and p.f[0] == RED and engine.survival == 9
+        assert engine.lones().tolist() == p.lones().tolist() != []
         # a broken invariant (here: committing twice) surfaces as the
         # Python methods' assertion
         with pytest.raises(AssertionError):
@@ -317,3 +335,5 @@ def test_c_engine_checks_its_calls():
     assert p.survival == 9
     with pytest.raises(ValueError):
         engine.closure()
+    with pytest.raises(ValueError):
+        engine.lones()

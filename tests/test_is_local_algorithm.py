@@ -1,7 +1,10 @@
 """Contraction bookkeeping, cascade behavior, and full independent-set runs."""
+import collections
+
 import numpy as np
 import pytest
 
+from girthlocal import _kernels
 from girthlocal.config_model import Multigraph, generate, load_edge_list
 from girthlocal.exact_oracle import (
     SmallGraph,
@@ -10,8 +13,11 @@ from girthlocal.exact_oracle import (
     small_graph,
 )
 from girthlocal.is_local_algorithm import (
+    DEGREE_CAP,
+    THIN_PROBABILITY,
     IsRunResult,
     SurvivalGraph,
+    _drive,
     run,
     verify_independent,
 )
@@ -294,3 +300,173 @@ def test_verify_ignores_loops():
     g = load_edge_list("2 2\n0 0\n0 1\n")
     assert verify_independent(g, [0])
     assert not verify_independent(g, [0, 1])
+
+
+# -- the C engine against the Python methods ----------------------------------
+
+compiled = pytest.mark.skipif(_kernels.BACKEND != "c",
+                              reason="no C compiler: run() is the reference")
+
+# hand-built multigraphs (d-regular ones with their d): loops, parallel
+# edges and triangles
+REGULAR = {
+    "K4": (3, K4),
+    "triple_edge": (3, "2 3\n0 1\n1 0\n0 1\n"),
+    "two_loops": (3, "2 3\n0 0\n0 1\n1 1\n"),
+    "loop_chain": (3, "4 6\n0 0\n0 1\n1 2\n1 2\n2 3\n3 3\n"),
+    "K5": (4, "5 10\n" + "".join(f"{i} {j}\n" for i in range(5)
+                                 for j in range(i + 1, 5))),
+    "looped_triangle": (4, "3 6\n0 0\n1 1\n2 2\n0 1\n1 2\n2 0\n"),
+    "octahedron": (4, "6 12\n0 1\n0 2\n0 3\n0 4\n1 2\n2 3\n3 4\n"
+                      "4 1\n5 1\n5 2\n5 3\n5 4\n"),
+}
+# 0 joins 1 (looped) to 2 and 3, which have degree 5 through doubled
+# edges to looped vertices: deleting 1 merges 2 and 3 to degree 8
+OVER_CAP = ("8 16\n0 1\n1 1\n0 2\n0 3\n2 4\n2 4\n2 5\n2 5\n"
+            "3 6\n3 6\n3 7\n3 7\n4 4\n5 5\n6 6\n7 7\n")
+
+
+def outputs(graph, d, **options):
+    r = run(graph, d, **options)
+    return r.vertices, r.rounds, r.contractions
+
+
+def backends_agree(monkeypatch, graph, d, seeds):
+    for seed in seeds:
+        for t in (0.0, 0.005, 0.02, 1.0):
+            options = dict(seed=seed, thin_probability=t)
+            monkeypatch.setattr(_kernels, "BACKEND", "c")
+            in_c = outputs(graph, d, **options)
+            monkeypatch.setattr(_kernels, "BACKEND", "python")
+            assert outputs(graph, d, **options) == in_c, options
+
+
+@compiled
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("n", [4, 6, 10, 64, 300, 2000])
+def test_c_engine_matches_python_methods(monkeypatch, n, d):
+    for seed in range(10):
+        backends_agree(monkeypatch, generate(n, d, seed=seed), d, [seed])
+
+
+@compiled
+@pytest.mark.parametrize("name", REGULAR)
+def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
+    d, text = REGULAR[name]
+    backends_agree(monkeypatch, load_edge_list(text), d, range(10))
+
+
+def engine_state(g, engine):
+    if engine is g:
+        chosen = np.zeros(g.n, np.uint8)
+        chosen[g.selected] = 1
+        assert np.count_nonzero(chosen) == len(g.selected)
+        counters = (g.survival_count, g.contractions)
+    else:
+        chosen = np.frombuffer(engine.chosen, np.uint8)
+        counters = tuple(engine.counts)
+    return (bytes(g.alive), g.deg.tobytes(), g.counts.tobytes(),
+            chosen.tobytes(), counters)
+
+
+def play(graph, opening, seed, in_c):
+    """Delete the opening's vertices, then random live ones, one at a time
+    and settling after each, on one backend; returns the state after every
+    step."""
+    g = SurvivalGraph(graph)
+    if not in_c:
+        return play_on(g, g, opening, seed)
+    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
+        return play_on(g, engine, opening, seed)
+
+
+def play_on(g, engine, opening, seed):
+    rng = np.random.default_rng(seed)
+    engine.settle()
+    states = [engine_state(g, engine)]
+    for v in opening:
+        engine.deletes(np.array([v]))
+        engine.settle()
+        states.append(engine_state(g, engine))
+    while any(g.alive):
+        live = np.flatnonzero(np.frombuffer(g.alive, np.bool_))
+        engine.deletes(np.array([rng.choice(live)]))
+        engine.settle()
+        states.append(engine_state(g, engine))
+    engine.commit_survivors()
+    states.append(engine_state(g, engine))
+    return states
+
+
+PLAYED = [(load_edge_list(text), ()) for _, text in REGULAR.values()] \
+    + [(load_edge_list(OVER_CAP), (1,))]
+
+
+@compiled
+def test_c_engine_matches_python_methods_step_by_step():
+    rng = np.random.default_rng(11)
+    games = PLAYED + [(random_multigraph(rng, n, int(rng.integers(n, 3 * n))),
+                       ()) for n in rng.integers(4, 20, size=40).tolist()]
+    for graph, opening in games:
+        for seed in range(10):
+            assert play(graph, opening, seed, True) \
+                == play(graph, opening, seed, False)
+
+
+def test_agreement_inputs_reach_every_contract_branch(monkeypatch):
+    """The hand-built inputs of the agreement tests reach each branch of
+    contract and the over-cap deletion of settle, counted on the Python
+    methods."""
+    fired = collections.Counter()
+    contract = SurvivalGraph.contract
+
+    def counted(g, y):
+        x, z = g.adj[y]
+        fired["loop" if x == y else "twin" if x == z else
+              "simplicial" if z in g.adj[x] else "merge"] += 1
+        merged = contract(g, y)
+        if merged is not None and g.deg[merged] > DEGREE_CAP:
+            fired["over_cap"] += 1
+        return merged
+
+    monkeypatch.setattr(SurvivalGraph, "contract", counted)
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    for d, text in REGULAR.values():
+        outputs(load_edge_list(text), d, seed=0)
+    assert min(fired[kind] for kind in
+               ("loop", "twin", "simplicial", "merge")) > 0, fired
+    assert fired["over_cap"] == 0
+    play(*PLAYED[-1], 0, False)
+    assert fired["over_cap"] == 1
+
+
+@compiled
+def test_c_run_builds_no_per_vertex_lists():
+    g = SurvivalGraph(generate(64, 3, seed=0))
+    rng = np.random.default_rng(0)
+    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
+        assert _drive(g, engine, rng, 3, THIN_PROBABILITY) > 0
+    assert not {"adj", "in_tree", "out_tree"} & set(vars(g))
+    assert not g.selected and g.contractions > 0
+    assert np.count_nonzero(engine.chosen) > 0
+
+
+@compiled
+def test_c_engine_checks_its_calls():
+    g = SurvivalGraph(load_edge_list(K4))
+    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
+        for call in (engine.deletes, engine.probes):
+            with pytest.raises(IndexError):
+                call(np.array([1, 4]))
+            with pytest.raises(IndexError):
+                call(np.array([-1]))
+        engine.deletes(np.array([2]))
+        assert not g.alive[2] and g.deg[0] == 2 and engine.survival_count == 3
+        with pytest.raises(ValueError):
+            engine.deletes(np.array([2]))  # as SurvivalGraph.delete
+    assert g.survival_count == 3
+    for call in (engine.settle, engine.commit_survivors):
+        with pytest.raises(ValueError, match="closed"):
+            call()
+    with pytest.raises(ValueError, match="closed"):
+        engine.deletes(np.array([0]))
