@@ -1203,11 +1203,15 @@ int64_t cut_queries(cut_state *s, const int64_t *marked, int64_t count)
     return s->err;
 }
 
-/* survival, no path edge, no white or deferred label, one R/G label */
+/* survival, no path edge, no white or deferred label, one R/G label.
+ * Called after closure only, which leaves no survival vertex with two or
+ * more labels and none whose single label is white: so n_r + n_g == 1
+ * already rules out a white or deferred label, and n_w and n_d are not
+ * read. */
 static int lone(const cut_state *s, int64_t v)
 {
-    return s->status[v] == 0 && s->pd[v] == 0 && s->n_w[v] == 0
-        && s->n_d[v] == 0 && s->n_r[v] + s->n_g[v] == 1;
+    return s->status[v] == 0 && s->pd[v] == 0
+        && s->n_r[v] + s->n_g[v] == 1;
 }
 
 /* the lone vertices, ascending, into out (room for n); returns their
@@ -1221,14 +1225,12 @@ int64_t cut_lones(const cut_state *s, int64_t *out)
     const uint64_t ones = 0x0101010101010101u, low7 = 0x7f7f7f7f7f7f7f7fu;
     int64_t count = 0, v = 0;
     for (; v + 8 <= s->n; v += 8) {
-        uint64_t st, pd, nw, nd, nr, ng;
+        uint64_t st, pd, nr, ng;
         memcpy(&st, s->status + v, 8);
         memcpy(&pd, s->pd + v, 8);
-        memcpy(&nw, s->n_w + v, 8);
-        memcpy(&nd, s->n_d + v, 8);
         memcpy(&nr, s->n_r + v, 8);
         memcpy(&ng, s->n_g + v, 8);
-        uint64_t t = st | pd | nw | nd | ((nr + ng) ^ ones);
+        uint64_t t = st | pd | ((nr + ng) ^ ones);
         uint64_t zero = ~(((t & low7) + low7) | t | low7);
         if (!zero)
             continue;
@@ -1284,8 +1286,8 @@ int64_t cut_endgame(cut_state *s)
  *
  * is_local_algorithm.SurvivalGraph restated over flat arrays: _drop_vertex,
  * delete, _select, the four branches of contract, the settle FIFO, the
- * per-vertex loops of deletes and probes, and the final commit of the
- * survivors' out-sets.  Every rule and its order of effects is the same
+ * per-vertex loops of deletes and probes, and commit_survivors' backward
+ * read of the merge log.  Every rule and its order of effects is the same
  * as in the Python methods, which stay the reference semantics; tests pin
  * the two to equal sets, round counts and contraction counts.  The round
  * ladder, the class scans and the random draws stay in Python, which hands
@@ -1299,23 +1301,25 @@ int64_t cut_endgame(cut_state *s)
  *
  * Shared with Python (the SurvivalGraph's own buffers, read by its numpy
  * scans and round ladder): deg (frozen at death, as in Python), alive, the
- * degree histogram counts, and chosen, one byte per original vertex, set
- * when a commit puts it in the independent set; state = {survival count,
+ * degree histogram counts, the decision bytes status (UNDECIDED, IN, OUT;
+ * deciding a vertex twice is ENGINE_BROKEN) and state = {survival count,
  * contractions}.  Private here:
  *   - each vertex's live neighbours, pool[off[v] .. off[v] + len[v]), with
  *     room for cap[v]; a list that outgrows its room moves to the pool's
  *     end;
- *   - the commit trees: a reference is -1 (empty), an original vertex id
- *     (< n), or n + k for the pair node (nodes[2k], nodes[2k + 1]);
- *   - the settle FIFO and the stack of the commit walk.
+ *   - the merge log, (x, y, z) for each true merge;
+ *   - the settle FIFO.
  */
+#define UNDECIDED 0
+#define IN 1
+#define OUT 2
+
 typedef struct {
     int64_t n, err, ncounts, cap_degree;
     int64_t *deg, *counts, *state;
-    uint8_t *alive, *chosen;
+    uint8_t *alive, *status;
     int64_t *off, *len, *cap;
-    int64_t *in_tree, *out_tree;
-    vec pool, nodes, queue, stack;
+    vec pool, merges, queue;
     int64_t qhead;
 } is_state;
 
@@ -1391,37 +1395,12 @@ static void is_queue(is_state *s, int64_t v)
     fifo_push(&s->err, &s->queue, &s->qhead, v);
 }
 
-/* the pair node (a, b) */
-static int64_t tree_pair(is_state *s, int64_t a, int64_t b)
+static void decide(is_state *s, int64_t v, uint8_t decision)
 {
-    int64_t k = s->nodes.len / 2;
-    push(&s->err, &s->nodes, a);
-    push(&s->err, &s->nodes, b);
-    return s->n + k;
-}
-
-/* every original vertex in the tree joins the set, once */
-static void tree_commit(is_state *s, int64_t tree)
-{
-    vec *stack = &s->stack;
-    stack->len = 0;
-    push(&s->err, stack, tree);
-    while (stack->len && !s->err) {
-        int64_t node = stack->data[--stack->len];
-        if (node < 0)
-            continue;
-        if (node < s->n) {
-            if (s->chosen[node]) {
-                s->err = ENGINE_BROKEN;  /* committed twice */
-                return;
-            }
-            s->chosen[node] = 1;
-            continue;
-        }
-        node -= s->n;
-        push(&s->err, stack, s->nodes.data[2 * node]);
-        push(&s->err, stack, s->nodes.data[2 * node + 1]);
-    }
+    if (s->status[v] != UNDECIDED)
+        s->err = ENGINE_BROKEN;  /* decided twice */
+    else
+        s->status[v] = decision;
 }
 
 /* remove v and its live edges, decrementing live neighbours */
@@ -1445,21 +1424,21 @@ static void drop_vertex(is_state *s, int64_t v)
     SURVIVAL_COUNT(s) -= 1;
 }
 
-/* rule v out of the set: commits its out-set, removes v */
+/* rule v out of the set: marks it out, removes v */
 static void is_delete(is_state *s, int64_t v)
 {
     if (!s->alive[v]) {
         s->err = ENGINE_DEAD;
         return;
     }
-    tree_commit(s, s->out_tree[v]);
+    decide(s, v, OUT);
     drop_vertex(s, v);
 }
 
-/* put v in the set: commits its in-set, removes v */
+/* put v in the set: marks it in, removes v */
 static void is_select(is_state *s, int64_t v)
 {
-    tree_commit(s, s->in_tree[v]);
+    decide(s, v, IN);
     drop_vertex(s, v);
 }
 
@@ -1487,7 +1466,7 @@ static int64_t contract(is_state *s, int64_t y)
         is_delete(s, z);
         return -1;
     }
-    /* true merge: x absorbs z, y dissolves into the commit trees */
+    /* true merge: x absorbs z and y, which is_commit_survivors decides */
     adj_remove(s, x, y);
     adj_remove(s, z, y);
     for (int64_t i = 0; i < s->len[z] && !s->err; i++) {
@@ -1512,10 +1491,9 @@ static int64_t contract(is_state *s, int64_t y)
         return -1;
     }
     s->counts[dx] += 1;
-    int64_t in_x = tree_pair(s, s->in_tree[x], s->in_tree[z]);
-    int64_t out_x = tree_pair(s, s->out_tree[x], s->out_tree[z]);
-    s->in_tree[x] = tree_pair(s, in_x, s->out_tree[y]);
-    s->out_tree[x] = tree_pair(s, out_x, s->in_tree[y]);
+    push(&s->err, &s->merges, x);
+    push(&s->err, &s->merges, y);
+    push(&s->err, &s->merges, z);
     s->alive[y] = s->alive[z] = 0;
     s->len[y] = s->len[z] = 0;
     SURVIVAL_COUNT(s) -= 2;
@@ -1554,12 +1532,9 @@ void is_free(is_state *s)
     free(s->off);
     free(s->len);
     free(s->cap);
-    free(s->in_tree);
-    free(s->out_tree);
     free(s->pool.data);
-    free(s->nodes.data);
+    free(s->merges.data);
     free(s->queue.data);
-    free(s->stack.data);
     free(s);
 }
 
@@ -1571,7 +1546,7 @@ void is_free(is_state *s)
  * memory. */
 is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
                  const int64_t *slots, int64_t *deg, uint8_t *alive,
-                 int64_t *counts, uint8_t *chosen, int64_t *state,
+                 int64_t *counts, uint8_t *status, int64_t *state,
                  int64_t ncounts, int64_t cap_degree)
 {
     is_state *s = calloc(1, sizeof *s);
@@ -1583,22 +1558,19 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
     s->alive = alive;
     s->counts = counts;
     s->ncounts = ncounts;
-    s->chosen = chosen;
+    s->status = status;
     s->state = state;
     s->cap_degree = cap_degree;
     s->off = malloc(m * sizeof *s->off);
     s->len = malloc(m * sizeof *s->len);
     s->cap = malloc(m * sizeof *s->cap);
-    s->in_tree = malloc(m * sizeof *s->in_tree);
-    s->out_tree = malloc(m * sizeof *s->out_tree);
     int64_t half_edges = 0;
     for (int64_t v = 0; v < n; v++)
         half_edges += deg[v];
     /* room for the merges' relocated lists before the first regrowth */
     s->pool.cap = 2 * half_edges + 64;
     s->pool.data = malloc(s->pool.cap * sizeof *s->pool.data);
-    if (!s->off || !s->len || !s->cap || !s->in_tree || !s->out_tree
-            || !s->pool.data) {
+    if (!s->off || !s->len || !s->cap || !s->pool.data) {
         is_free(s);
         return NULL;
     }
@@ -1610,8 +1582,6 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
         s->off[v] = start;
         s->len[v] = s->cap[v] = deg[v];
         start += deg[v];
-        s->in_tree[v] = v;
-        s->out_tree[v] = -1;
         if (deg[v] <= 2)
             is_queue(s, v);
     }
@@ -1664,11 +1634,20 @@ int64_t is_probes(is_state *s, const int64_t *marked, int64_t count)
     return s->err;
 }
 
-/* every survivor commits its out-set */
+/* every survivor is marked out; then, reading the merge log backwards,
+ * each merge's z takes x's decision and y the opposite one */
 int64_t is_commit_survivors(is_state *s)
 {
     for (int64_t v = 0; v < s->n && !s->err; v++)
         if (s->alive[v])
-            tree_commit(s, s->out_tree[v]);
+            decide(s, v, OUT);
+    const int64_t *m = s->merges.data;
+    for (int64_t i = s->merges.len - 3; i >= 0 && !s->err; i -= 3) {
+        decide(s, m[i + 2], s->status[m[i]]);
+        decide(s, m[i + 1], IN + OUT - s->status[m[i]]);
+    }
+    for (int64_t v = 0; v < s->n && !s->err; v++)
+        if (s->status[v] == UNDECIDED)
+            s->err = ENGINE_BROKEN;  /* left undecided */
     return s->err;
 }

@@ -267,11 +267,11 @@ class CutEngine(_Engine):
 
 class IsEngine(_Engine):
     """The independent-set process's event engine in C, over a fresh
-    ``SurvivalGraph``'s degrees, live flags and degree histogram, which it
-    updates in place.  Its ``settle``, ``deletes``, ``probes`` and
-    ``commit_survivors`` are those of the survival graph; a merged vertex
-    above ``cap_degree`` is deleted, as ``DEGREE_CAP`` in settle.  Each
-    committed vertex sets its byte in ``chosen``.  The survival and
+    ``SurvivalGraph``'s degrees, live flags, degree histogram and decision
+    bytes, which it updates in place.  Its ``settle``, ``deletes``,
+    ``probes`` and ``commit_survivors`` are those of the survival graph; a
+    merged vertex above ``cap_degree`` is deleted, as ``DEGREE_CAP`` in
+    settle.  The merge log is the engine's own.  The survival and
     contraction counts live in ``counts`` until ``close`` writes them back.
     Needs ``BACKEND == "c"``."""
 
@@ -280,10 +280,9 @@ class IsEngine(_Engine):
     def __init__(self, g, cap_degree: int):
         self._g = g
         self._n = g.n
-        self.chosen = bytearray(g.n)
         self.counts = array("q", (g.survival_count, g.contractions))
         self._views = [_writable(buf) for buf in (
-            g.deg, g.alive, g.counts, self.chosen, self.counts)]
+            g.deg, g.alive, g.counts, g.status, self.counts)]
         self._graph = _graph_arrays(g.graph)
         self._start(_lib.is_new(
             g.n, *(a.ctypes.data for a in self._graph),

@@ -469,6 +469,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; a bare MemoryError
+        # says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -544,13 +544,16 @@ class CutProcess:
 
     def lones(self) -> np.ndarray:
         """The lone vertices, ascending: survival, no path edge, no white
-        or deferred label, exactly one R/G label."""
-        status, pd, nR, nG, nW, nD = (
+        or deferred label, exactly one R/G label.
+
+        The scan runs only after ``closure``, which leaves no survival
+        vertex with two or more labels and none whose single label is
+        white; so ``nR + nG == 1`` already rules out a white or deferred
+        label, and ``nW`` and ``nD`` are not read."""
+        status, pd, nR, nG = (
             np.frombuffer(c, np.uint8) for c in
-            (self.status, self.pd, self.nR, self.nG, self.nW, self.nD))
-        mask = (status == 0) & (pd == 0) & (nW == 0) & (nD == 0) \
-            & ((nR + nG) == 1)
-        return np.flatnonzero(mask)
+            (self.status, self.pd, self.nR, self.nG))
+        return np.flatnonzero((status == 0) & (pd == 0) & ((nR + nG) == 1))
 
     def queries(self, marked: np.ndarray) -> None:
         """query() each marked vertex, in order, that is still a survival

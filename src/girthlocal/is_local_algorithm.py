@@ -1,12 +1,14 @@
 """Round-based contraction algorithm for independent sets.
 
-Works on the survival graph: super-vertices carry two alternative commit
-sets (in_set if the super-vertex is ultimately selected, out_set if not),
-so every decision about a merged vertex resolves a whole chain of earlier
-2-vertex contractions at once.  Deleting a vertex commits its out_set to
-the final independent set; selecting commits its in_set.  Each contraction
-keeps |in_set| - |out_set| = 1, which is exactly why the final set grows
-by one per contraction along the committed chain.
+Works on the survival graph.  Contracting a 2-vertex y with neighbors x
+and z folds the three into one super-vertex that keeps x's id: whatever
+is later decided for x, z takes the same decision and y the opposite one.
+So the maximum independent set drops by exactly one per merge, and one
+decision byte per vertex (undecided, in, out) plus a log of the merges is
+all the bookkeeping the fold needs.  Deleting a vertex marks it out,
+selecting it marks it in, and at the end every survivor is marked out;
+the log is then read once, backwards, so each merge finds its x decided
+by the later events before it decides y and z.
 
 Rounds mirror the degree-evolution integrators: the top occupied degree
 class is thinned with a small per-vertex probability, everything above it
@@ -31,7 +33,10 @@ from .is_evolution import DEGREE_CAP
 
 __all__ = [
     "DEGREE_CAP",
+    "IN",
+    "OUT",
     "THIN_PROBABILITY",
+    "UNDECIDED",
     "SurvivalGraph",
     "IsRunResult",
     "run",
@@ -51,6 +56,9 @@ BOOTSTRAP_PROBABILITY = 0.002
 PERSISTENCE_FRACTION = 0.002
 STOP_FRACTION = 1e-3
 MAX_ROUNDS = 10 ** 6
+
+# the values of a vertex's decision byte
+UNDECIDED, IN, OUT = 0, 1, 2
 
 
 @dataclass
@@ -72,7 +80,7 @@ class IsRunResult:
 
 
 class SurvivalGraph:
-    """Mutable multigraph with per-vertex commit bookkeeping.
+    """Mutable multigraph with one decision byte per original vertex.
 
     adj[v] lists v's live neighbors in half-edge order, one entry per edge
     end: a loop lists v twice and a parallel edge repeats.  deg (an int64
@@ -80,8 +88,10 @@ class SurvivalGraph:
     are read as numpy arrays, without copies, by the class scans; a dead
     vertex keeps the degree it died with.  counts[k] is the number of live
     vertices of degree k, kept up to date wherever a degree changes.
-    Commit sets are cons trees (None | original id | (left, right)) so a
-    merge is O(1); they are flattened only when committed.
+    status (a bytearray) holds each vertex's decision, UNDECIDED until it
+    leaves the graph by a delete (OUT) or a select (IN), or until
+    commit_survivors; merges logs each true merge (x, y, z), read by
+    commit_survivors.  Deciding one vertex twice is an AssertionError.
 
     An event kills only the vertices it names: a delete or select its
     argument, a merge y and z.  So a vertex a rule has just read off a live
@@ -89,9 +99,9 @@ class SurvivalGraph:
     liveness; ``delete`` still refuses a dead vertex.
 
     The methods below are the reference semantics.  run() hands the events
-    to ``_kernels.IsEngine`` (the same rules in C, over deg, alive and
-    counts) when the C kernels are built, and runs these methods otherwise;
-    tests pin the two to the same set, rounds and contractions.
+    to ``_kernels.IsEngine`` (the same rules in C, over deg, alive, counts
+    and status) when the C kernels are built, and runs these methods
+    otherwise; tests pin the two to the same set, rounds and contractions.
     """
 
     def __init__(self, g: Multigraph):
@@ -107,7 +117,8 @@ class SurvivalGraph:
         self.counts = array("q", np.bincount(
             degrees, minlength=2 * top - 1).tobytes())
         self.survival_count = g.n
-        self.selected: list = []
+        self.status = bytearray(g.n)
+        self.merges: list = []
         self.contractions = 0
         self.queue: collections.deque = collections.deque(
             np.flatnonzero(degrees <= 2).tolist())
@@ -119,41 +130,18 @@ class SurvivalGraph:
     def adj(self) -> list:
         return self.graph.neighbor_lists()
 
-    @cached_property
-    def in_tree(self) -> list:
-        return list(range(self.n))
-
-    @cached_property
-    def out_tree(self) -> list:
-        return [None] * self.n
-
     def scan(self, op, k: int) -> np.ndarray:
         """Live ids, ascending, whose degree passes the numpy comparison
         `op` against k: one vectorised pass over views of deg and alive."""
         deg = np.frombuffer(self.deg, np.int64)
         return np.flatnonzero(np.frombuffer(self.alive, np.bool_) & op(deg, k))
 
-    # -- commit bookkeeping ------------------------------------------------
-
-    def _flatten(self, tree) -> list:
-        out = []
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                continue
-            if isinstance(node, tuple):
-                stack.extend(node)
-            else:
-                out.append(node)
-        return out
-
-    def _commit(self, tree) -> list:
-        vertices = self._flatten(tree)
-        self.selected.extend(vertices)
-        return vertices
-
     # -- elementary mutations ----------------------------------------------
+
+    def _decide(self, v: int, decision: int) -> None:
+        if self.status[v] != UNDECIDED:
+            raise AssertionError(f"vertex {v} decided twice")
+        self.status[v] = decision
 
     def _drop_vertex(self, v: int) -> None:
         """Remove v and its live edges, decrementing live neighbors."""
@@ -172,23 +160,21 @@ class SurvivalGraph:
         self.adj[v] = []
         self.survival_count -= 1
 
-    def delete(self, v: int) -> list:
-        """Rule v out of the set: commits out_set(v), removes v."""
+    def delete(self, v: int) -> None:
+        """Rule v out of the set: marks it out, removes v."""
         if not self.alive[v]:
             raise ValueError(f"vertex {v} is not in the survival graph")
-        committed = self._commit(self.out_tree[v])
+        self._decide(v, OUT)
         self._drop_vertex(v)
-        return committed
 
-    def _select(self, v: int) -> list:
-        """Put v in the set: commits in_set(v), removes v.
+    def _select(self, v: int) -> None:
+        """Put v in the set: marks it in, removes v.
 
         Only valid once nothing live constrains v (degree 0, or its single
         neighbor is deleted by the caller right after).
         """
-        committed = self._commit(self.in_tree[v])
+        self._decide(v, IN)
         self._drop_vertex(v)
-        return committed
 
     def contract(self, y: int) -> Optional[int]:
         """Contract at the 2-vertex y; returns the merged vertex id if any.
@@ -217,7 +203,7 @@ class SurvivalGraph:
             self.delete(x)
             self.delete(z)
             return None
-        # true merge: x absorbs z, y dissolves into the commit trees
+        # true merge: x absorbs z and y, which commit_survivors decides
         adj, deg, counts = self.adj, self.deg, self.counts
         ax, az = adj[x], adj[z]
         ax.remove(y)
@@ -231,13 +217,10 @@ class SurvivalGraph:
         counts[2] -= 1
         counts[deg[z]] -= 1
         dx = deg[x] = len(ax)
-        if dx >= len(counts):
-            counts.extend([0] * (dx + 1 - len(counts)))
+        # counts has room for every degree settle lets arise
+        assert dx < len(counts), "degree histogram overflow"
         counts[dx] += 1
-        self.in_tree[x] = ((self.in_tree[x], self.in_tree[z]),
-                           self.out_tree[y])
-        self.out_tree[x] = ((self.out_tree[x], self.out_tree[z]),
-                            self.in_tree[y])
+        self.merges.append((x, y, z))
         for gone in (y, z):
             self.alive[gone] = 0
             adj[gone] = []
@@ -300,9 +283,18 @@ class SurvivalGraph:
                                 if dg == best))
 
     def commit_survivors(self) -> None:
-        """Every survivor commits its out-set."""
+        """Mark every survivor out, then decide the vertices each merge
+        folded away: z as x, y the opposite.  The log is read backwards, so
+        a vertex that was a later merge's y or z is decided before its own
+        merges are read.  Every vertex is decided after this."""
         for v in self.survivors():
-            self._commit(self.out_tree[v])
+            self._decide(v, OUT)
+        status = self.status
+        for x, y, z in reversed(self.merges):
+            self._decide(z, status[x])
+            self._decide(y, IN + OUT - status[x])
+        if UNDECIDED in status:
+            raise AssertionError("a vertex was left undecided")
 
     def live_edges(self) -> list:
         """Each live edge once as (u, w) with u <= w, loops included."""
@@ -340,11 +332,10 @@ def run(graph: Multigraph, d: int, seed=None,
     if _kernels.BACKEND == "c":
         with _kernels.IsEngine(g, DEGREE_CAP) as engine:
             rounds = _drive(g, engine, rng, d, thin_probability)
-        vertices = np.flatnonzero(engine.chosen).tolist()
     else:
         rounds = _drive(g, g, rng, d, thin_probability)
-        vertices = sorted(g.selected)
-    return IsRunResult(vertices=vertices, n=graph.n, d=d, seed=seed,
+    vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8) == IN)
+    return IsRunResult(vertices=vertices.tolist(), n=graph.n, d=d, seed=seed,
                        rounds=rounds, contractions=g.contractions)
 
 

@@ -228,6 +228,23 @@ def test_missing_output_directory_fails_before_the_run(
     assert str(missing) in err
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 22.4 TiB for an array with shape (3000000000000,)",
+    "",
+], ids=["numpy", "bare"])
+def test_a_graph_too_large_for_memory_fails_in_one_line(
+        capsys, monkeypatch, message):
+    def no_room(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "generate", no_room)
+    code, out, err = run_cli(capsys, "simulate", "cut", "--n",
+                             "1000000000000")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+
+
 def test_oracle_commands(capsys, tmp_path):
     path = tmp_path / "k4.txt"
     path.write_text(K4_TEXT)

@@ -210,13 +210,26 @@ def check_paths(p):
         done |= component
 
 
-def drive_checking_paths(graph, **options):
+def check_closed(p):
+    """What closure leaves, and the lone scans rely on: no survival vertex
+    with two or more labels, and none whose single label is white."""
+    status, nR, nG, nW, nD = (np.frombuffer(c, np.uint8) for c in
+                              (p.status, p.nR, p.nG, p.nW, p.nD))
+    cd = nR + nG + nW + nD
+    survival = status == 0
+    assert not np.any(survival & (cd >= 2))
+    assert not np.any(survival & (cd == 1) & (nW == 1))
+
+
+def drive_checking(graph, check, **options):
+    """The Python path's round schedule, with check(p) after every closure;
+    returns the number of closures."""
     p = CutProcess(graph, **options)
     closures = []
 
     def closure():
         CutProcess.closure(p)
-        check_paths(p)
+        check(p)
         closures.append(p.survival)
 
     p.closure = closure
@@ -230,12 +243,24 @@ def drive_checking_paths(graph, **options):
 def test_survival_components_stay_simple_paths(q):
     for name, text in MULTIGRAPHS.items():
         for seed in range(3):
-            assert drive_checking_paths(load_edge_list(text), seed=seed,
-                                        query_probability=q) >= 1, name
+            assert drive_checking(load_edge_list(text), check_paths,
+                                  seed=seed, query_probability=q) >= 1, name
     for n in (10, 64, 300):
         for seed in range(3):
-            assert drive_checking_paths(generate(n, 3, seed=seed), seed=seed,
-                                        query_probability=q) >= 1
+            assert drive_checking(generate(n, 3, seed=seed), check_paths,
+                                  seed=seed, query_probability=q) >= 1
+
+
+@pytest.mark.parametrize("q", [0.0, 0.005, 0.02, 0.3, 1.0])
+def test_closure_leaves_no_label_decision_open(q):
+    # why the lone scans need not test the white and deferred counters
+    for name, text in MULTIGRAPHS.items():
+        assert drive_checking(load_edge_list(text), check_closed, seed=0,
+                              query_probability=q) >= 1, name
+    for n in (8, 64, 300, 2000):
+        for seed in range(3):
+            assert drive_checking(generate(n, 3, seed=seed), check_closed,
+                                  seed=seed, query_probability=q) >= 1
 
 
 def hand_built_triangle():

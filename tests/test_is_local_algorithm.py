@@ -1,5 +1,7 @@
 """Contraction bookkeeping, cascade behavior, and full independent-set runs."""
 import collections
+import contextlib
+import copy
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from girthlocal.exact_oracle import (
 )
 from girthlocal.is_local_algorithm import (
     DEGREE_CAP,
+    IN,
+    OUT,
     THIN_PROBABILITY,
+    UNDECIDED,
     IsRunResult,
     SurvivalGraph,
     _drive,
@@ -48,23 +53,34 @@ def live_small_graph(g: SurvivalGraph) -> SmallGraph:
     return small_graph(g.survivors(), g.live_edges())
 
 
+def decided(g: SurvivalGraph, decision: int) -> list:
+    """The vertices whose decision byte reads `decision`, ascending."""
+    return np.flatnonzero(np.frombuffer(g.status, np.uint8)
+                          == decision).tolist()
+
+
 # -- contraction ------------------------------------------------------------
 
 def test_contract_path_base_case():
+    # selecting the merged vertex puts both ends in and the middle out: one
+    # more vertex in than out
     g = SurvivalGraph(load_edge_list(PATH3))
     merged = g.contract(1)
     assert g.deg[merged] == 0
-    assert sorted(g._flatten(g.in_tree[merged])) == [0, 2]
-    assert g._flatten(g.out_tree[merged]) == [1]
-    assert len(g._flatten(g.in_tree[merged])) \
-        - len(g._flatten(g.out_tree[merged])) == 1
+    assert g.merges == [(merged, 1, 2 - merged)]
+    g._select(merged)
+    g.commit_survivors()
+    assert decided(g, IN) == [0, 2]
+    assert decided(g, OUT) == [1]
 
 
 def test_delete_merged_commits_the_middle():
     g = SurvivalGraph(load_edge_list(PATH3))
     merged = g.contract(1)
-    assert g.delete(merged) == [1]
-    assert g.selected == [1]
+    g.delete(merged)
+    g.commit_survivors()
+    assert decided(g, IN) == [1]
+    assert decided(g, OUT) == [0, 2]
 
 
 def test_contract_c4_leaves_parallel_pair():
@@ -80,20 +96,20 @@ def test_contract_c4_leaves_parallel_pair():
 def test_contract_twin_neighbors_selects_the_middle():
     g = SurvivalGraph(load_edge_list("2 2\n0 1\n0 1\n"))
     assert g.contract(1) is None
-    assert g.selected == [1]
+    assert decided(g, IN) == [1]
     assert not any(g.alive)
 
 
 def test_contract_self_loop_selects():
     g = SurvivalGraph(load_edge_list("1 1\n0 0\n"))
     assert g.contract(0) is None
-    assert g.selected == [0]
+    assert decided(g, IN) == [0]
 
 
 def test_contract_triangle_is_simplicial():
     g = SurvivalGraph(load_edge_list("3 3\n0 1\n1 2\n2 0\n"))
     assert g.contract(1) is None
-    assert g.selected == [1]
+    assert decided(g, IN) == [1]
     assert g.survivors() == []
 
 
@@ -109,7 +125,8 @@ def test_contract_rejects_wrong_degree():
 
 def test_delete_uncontracted_commits_nothing():
     g = SurvivalGraph(load_edge_list(K4))
-    assert g.delete(2) == []
+    g.delete(2)
+    assert decided(g, IN) == [] and decided(g, OUT) == [2]
     assert g.deg[0] == 2
 
 
@@ -147,10 +164,19 @@ def test_cardinality_invariant_through_random_play():
                 break
             g.delete(int(rng.choice(alive)))
             g.settle()
-        for v in np.flatnonzero(g.alive):
-            assert len(g._flatten(g.in_tree[v])) \
-                - len(g._flatten(g.out_tree[v])) == 1
-        assert len(set(g.selected)) == len(g.selected)
+        # each live super-vertex holds one more vertex for the set if it
+        # is selected than if it is deleted
+        done = copy.deepcopy(g)
+        done.commit_survivors()
+        for v in g.survivors():
+            h = copy.deepcopy(g)
+            h._select(v)
+            h.commit_survivors()
+            assert len(decided(h, IN)) == len(decided(done, IN)) + 1
+        # so each merge adds exactly one vertex, and every vertex is
+        # decided once
+        assert len(decided(done, IN)) == len(decided(g, IN)) + len(g.merges)
+        assert len(decided(done, IN)) + len(decided(done, OUT)) == g.n
 
 
 def check_adjacency(g: SurvivalGraph) -> None:
@@ -358,15 +384,18 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
 
 def engine_state(g, engine):
     if engine is g:
-        chosen = np.zeros(g.n, np.uint8)
-        chosen[g.selected] = 1
-        assert np.count_nonzero(chosen) == len(g.selected)
         counters = (g.survival_count, g.contractions)
     else:
-        chosen = np.frombuffer(engine.chosen, np.uint8)
         counters = tuple(engine.counts)
     return (bytes(g.alive), g.deg.tobytes(), g.counts.tobytes(),
-            chosen.tobytes(), counters)
+            bytes(g.status), counters)
+
+
+def engine_for(g, in_c):
+    """The C engine over g, or g itself, as a context manager."""
+    if in_c:
+        return _kernels.IsEngine(g, DEGREE_CAP)
+    return contextlib.nullcontext(g)
 
 
 def play(graph, opening, seed, in_c):
@@ -374,9 +403,7 @@ def play(graph, opening, seed, in_c):
     and settling after each, on one backend; returns the state after every
     step."""
     g = SurvivalGraph(graph)
-    if not in_c:
-        return play_on(g, g, opening, seed)
-    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
+    with engine_for(g, in_c) as engine:
         return play_on(g, engine, opening, seed)
 
 
@@ -446,9 +473,31 @@ def test_c_run_builds_no_per_vertex_lists():
     rng = np.random.default_rng(0)
     with _kernels.IsEngine(g, DEGREE_CAP) as engine:
         assert _drive(g, engine, rng, 3, THIN_PROBABILITY) > 0
-    assert not {"adj", "in_tree", "out_tree"} & set(vars(g))
-    assert not g.selected and g.contractions > 0
-    assert np.count_nonzero(engine.chosen) > 0
+    assert "adj" not in vars(g) and not g.merges and g.contractions > 0
+    assert decided(g, UNDECIDED) == [] and decided(g, IN) != []
+
+
+@pytest.mark.parametrize("in_c", [False, pytest.param(True, marks=compiled)],
+                         ids=["python", "c"])
+def test_a_second_decision_of_one_vertex_fails(in_c):
+    g = SurvivalGraph(load_edge_list(K4))
+    g.status[1] = IN  # decided while still in the graph
+    with engine_for(g, in_c) as engine:
+        with pytest.raises(AssertionError):
+            engine.deletes(np.array([1]))
+    g = SurvivalGraph(load_edge_list(K4))
+    with engine_for(g, in_c) as engine:
+        engine.commit_survivors()
+        assert decided(g, OUT) == [0, 1, 2, 3]
+        with pytest.raises(AssertionError):
+            engine.commit_survivors()
+    # and a vertex left undecided fails as well: here no vertex reads as a
+    # survivor, so none is marked out
+    g = SurvivalGraph(load_edge_list(K4))
+    with engine_for(g, in_c) as engine:
+        g.alive[:] = bytes(g.n)
+        with pytest.raises(AssertionError):
+            engine.commit_survivors()
 
 
 @compiled

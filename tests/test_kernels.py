@@ -1,4 +1,7 @@
-"""The compiled chunk kernels against the composed reference, bit for bit."""
+"""The compiled chunk kernels against the composed reference, bit for bit,
+and the build and ctypes declarations that load them."""
+import ctypes
+import re
 import shutil
 import subprocess
 import sys
@@ -83,3 +86,41 @@ def test_c_source_compiles_without_warnings(tmp_path):
          str(_kernels._SOURCE)],
         capture_output=True, text=True, timeout=_kernels._CC_TIMEOUT_S)
     assert build.returncode == 0, build.stderr
+
+
+# a function definition at the top level of the C source: its return type
+# and name at the start of a line, its parameters, then the opening brace
+C_DEFINITION = re.compile(
+    r"^(?!static\b)(\w[\w\s]*?[\s*])(\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
+
+
+def exported_functions():
+    """name -> (return type, parameter count) of each non-static function
+    that _kernels.c defines."""
+    found = {}
+    for ret, name, params in C_DEFINITION.findall(
+            _kernels._SOURCE.read_text()):
+        params = params.strip()
+        count = 0 if params in ("", "void") else params.count(",") + 1
+        found[name] = (ret.strip(), count)
+    return found
+
+
+@compiled
+def test_ctypes_declarations_match_the_c_source():
+    # a wrong pointer count corrupts memory instead of raising, so every
+    # exported function is declared with its parameter count, and every
+    # declaration names a function the source defines
+    lib = _kernels._load()
+    declared = {name for name, f in vars(lib).items()
+                if isinstance(f, lib._FuncPtr)}
+    exported = exported_functions()
+    assert {"is_chunk", "cut_new", "is_new", "is_commit_survivors"} \
+        <= set(exported)
+    for name, (ret, count) in exported.items():
+        f = getattr(lib, name)
+        assert f.argtypes is not None and len(f.argtypes) == count, name
+        restype = ctypes.c_void_p if ret.endswith("*") else \
+            {"void": None, "int64_t": ctypes.c_int64}[ret]
+        assert f.restype is restype, name
+    assert declared <= set(exported)
