@@ -1290,8 +1290,10 @@ int64_t cut_endgame(cut_state *s)
  * read of the merge log.  Every rule and its order of effects is the same
  * as in the Python methods, which stay the reference semantics; tests pin
  * the two to equal sets, round counts and contraction counts.  The round
- * ladder, the class scans and the random draws stay in Python, which hands
- * the engine the vertices it picked.
+ * ladder and the random draws stay in Python, which hands the engine the
+ * vertices it picked; is_scan gives the ladder its class members, the
+ * ascending ids SurvivalGraph.scan finds, at a cost of the members found
+ * (copied off the class lists below and sorted) rather than of n.
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename
@@ -1299,14 +1301,18 @@ int64_t cut_endgame(cut_state *s)
  * z's list to x's with z's loops renamed (list.extend), and every queue
  * append happens where Python makes it, duplicates included.
  *
- * Shared with Python (the SurvivalGraph's own buffers, read by its numpy
- * scans and round ladder): deg (frozen at death, as in Python), alive, the
- * degree histogram counts, the decision bytes status (UNDECIDED, IN, OUT;
+ * Shared with Python (the SurvivalGraph's own buffers, read by its round
+ * ladder): deg (frozen at death, as in Python), alive, the degree
+ * histogram counts, the decision bytes status (UNDECIDED, IN, OUT;
  * deciding a vertex twice is ENGINE_BROKEN) and state = {survival count,
  * contractions}.  Private here:
  *   - each vertex's live neighbours, pool[off[v] .. off[v] + len[v]), with
  *     room for cap[v]; a list that outgrows its room moves to the pool's
  *     end;
+ *   - the class lists: classes[k] holds the live vertices of degree k, in
+ *     no order, and a live v sits at classes[deg[v]].data[slot[v]]; every
+ *     change of a degree or a death goes through reclass, which keeps
+ *     counts[k] equal to the length of classes[k];
  *   - the merge log, (x, y, z) for each true merge;
  *   - the settle FIFO.
  */
@@ -1321,6 +1327,8 @@ typedef struct {
     int64_t *off, *len, *cap;
     vec pool, merges, queue;
     int64_t qhead;
+    vec *classes;
+    int64_t *slot;
 } is_state;
 
 #define SURVIVAL_COUNT(s) ((s)->state[0])
@@ -1390,6 +1398,29 @@ static void adj_reserve(is_state *s, int64_t v, int64_t need)
     pool->len += cap;
 }
 
+/* v leaves the class list of its degree and, unless it dies (to < 0),
+ * takes degree to and joins that class's list */
+static void reclass(is_state *s, int64_t v, int64_t to)
+{
+    int64_t from = s->deg[v];
+    vec *c = &s->classes[from];
+    if (s->slot[v] >= c->len || c->data[s->slot[v]] != v) {
+        s->err = ENGINE_BROKEN;  /* class lists out of sync */
+        return;
+    }
+    int64_t last = c->data[--c->len];
+    c->data[s->slot[v]] = last;
+    s->slot[last] = s->slot[v];
+    s->counts[from] = c->len;
+    if (to < 0)
+        return;
+    c = &s->classes[to];
+    s->deg[v] = to;
+    s->slot[v] = c->len;
+    push(&s->err, c, v);
+    s->counts[to] = c->len;
+}
+
 static void is_queue(is_state *s, int64_t v)
 {
     fifo_push(&s->err, &s->queue, &s->qhead, v);
@@ -1412,13 +1443,11 @@ static void drop_vertex(is_state *s, int64_t v)
             continue;
         adj_remove(s, u, v);
         int64_t du = s->deg[u];
-        s->deg[u] = du - 1;
-        s->counts[du] -= 1;
-        s->counts[du - 1] += 1;
+        reclass(s, u, du - 1);
         if (du <= 3)
             is_queue(s, u);
     }
-    s->counts[s->deg[v]] -= 1;
+    reclass(s, v, -1);
     s->alive[v] = 0;
     s->len[v] = 0;
     SURVIVAL_COUNT(s) -= 1;
@@ -1481,16 +1510,15 @@ static int64_t contract(is_state *s, int64_t y)
     for (int64_t i = 0; i < s->len[z]; i++)
         ax[s->len[x] + i] = az[i] == z ? x : az[i];
     s->len[x] += s->len[z];
-    s->counts[s->deg[x]] -= 1;
-    s->counts[2] -= 1;
-    s->counts[s->deg[z]] -= 1;
-    int64_t dx = s->deg[x] = s->len[x];
+    int64_t dx = s->len[x];
     if (dx >= s->ncounts) {
         /* the histogram has room for every degree settle lets arise */
         s->err = ENGINE_BROKEN;
         return -1;
     }
-    s->counts[dx] += 1;
+    reclass(s, x, dx);
+    reclass(s, y, -1);
+    reclass(s, z, -1);
     push(&s->err, &s->merges, x);
     push(&s->err, &s->merges, y);
     push(&s->err, &s->merges, z);
@@ -1535,15 +1563,20 @@ void is_free(is_state *s)
     free(s->pool.data);
     free(s->merges.data);
     free(s->queue.data);
+    if (s->classes)
+        for (int64_t k = 0; k < s->ncounts; k++)
+            free(s->classes[k].data);
+    free(s->classes);
+    free(s->slot);
     free(s);
 }
 
 /* A fresh engine over a fresh SurvivalGraph: owner and pair of the graph's
  * half-edges, slots the half-edges grouped by owner (in the order of
  * Multigraph.slot_array, so v's list is owner[pair[slots]] over v's
- * degree), the shared buffers (counts with ncounts entries), and the
- * degree above which settle deletes a merged vertex.  NULL when out of
- * memory. */
+ * degree), the shared buffers (counts with ncounts entries, more than
+ * any degree), and the degree above which settle deletes a merged vertex.
+ * NULL when out of memory. */
 is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
                  const int64_t *slots, int64_t *deg, uint8_t *alive,
                  int64_t *counts, uint8_t *status, int64_t *state,
@@ -1564,13 +1597,16 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
     s->off = malloc(m * sizeof *s->off);
     s->len = malloc(m * sizeof *s->len);
     s->cap = malloc(m * sizeof *s->cap);
+    s->slot = malloc(m * sizeof *s->slot);
+    s->classes = calloc(ncounts, sizeof *s->classes);
     int64_t half_edges = 0;
     for (int64_t v = 0; v < n; v++)
         half_edges += deg[v];
     /* room for the merges' relocated lists before the first regrowth */
     s->pool.cap = 2 * half_edges + 64;
     s->pool.data = malloc(s->pool.cap * sizeof *s->pool.data);
-    if (!s->off || !s->len || !s->cap || !s->pool.data) {
+    if (!s->off || !s->len || !s->cap || !s->slot || !s->classes
+        || !s->pool.data) {
         is_free(s);
         return NULL;
     }
@@ -1585,11 +1621,95 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
         if (deg[v] <= 2)
             is_queue(s, v);
     }
+    /* the class lists, each allocated at its size from the start */
+    for (int64_t k = 0; k < ncounts; k++)
+        counts[k] = 0;
+    for (int64_t v = 0; v < n; v++)
+        counts[deg[v]] += alive[v] != 0;
+    for (int64_t k = 0; k < ncounts && !s->err; k++) {
+        s->classes[k].cap = counts[k];
+        s->classes[k].data = malloc((counts[k] ? counts[k] : 1)
+                                    * sizeof *s->classes[k].data);
+        if (!s->classes[k].data)
+            s->err = ENGINE_NOMEM;
+    }
+    for (int64_t v = 0; v < n && !s->err; v++) {
+        if (alive[v]) {
+            vec *c = &s->classes[deg[v]];
+            s->slot[v] = c->len;
+            c->data[c->len++] = v;
+        }
+    }
     if (s->err) {
         is_free(s);
         return NULL;
     }
     return s;
+}
+
+/* sorts a[0 .. m) in place, ascending, when the ids agree on all bits from
+ * shift + 8 up: a radix sort by the byte at shift, most significant first,
+ * that moves each id straight to its bucket (no buffer), then sorts each
+ * bucket by the next byte down; a short run is insertion-sorted */
+static void sort_ids(int64_t *a, int64_t m, int shift)
+{
+    if (m <= 32) {
+        for (int64_t i = 1; i < m; i++) {
+            int64_t x = a[i], j = i;
+            for (; j > 0 && a[j - 1] > x; j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    int64_t next[256] = {0}, end[256];
+    for (int64_t i = 0; i < m; i++)
+        next[(a[i] >> shift) & 255]++;
+    for (int64_t b = 0, at = 0; b < 256; b++) {
+        at += next[b];
+        end[b] = at;
+        next[b] = at - next[b];
+    }
+    for (int b = 0; b < 256; b++) {
+        while (next[b] < end[b]) {
+            /* carry a[next[b]] along the cycle of displaced ids until one
+             * belongs in bucket b */
+            int64_t x = a[next[b]];
+            for (int d = (x >> shift) & 255; d != b; d = (x >> shift) & 255) {
+                int64_t y = a[next[d]];
+                a[next[d]++] = x;
+                x = y;
+            }
+            a[next[b]++] = x;
+        }
+    }
+    if (shift == 0)
+        return;
+    for (int64_t b = 0, from = 0; b < 256; from = end[b++])
+        sort_ids(a + from, end[b] - from, shift > 8 ? shift - 8 : 0);
+}
+
+/* the live vertices of degree lo..hi (0 <= lo <= hi < ncounts), ascending,
+ * into out, which has room for counts[lo] + ... + counts[hi] ids; class
+ * lists whose lengths differ from those counts are ENGINE_BROKEN */
+int64_t is_scan(is_state *s, int64_t lo, int64_t hi, int64_t *out)
+{
+    for (int64_t k = lo; k <= hi && !s->err; k++)
+        if (s->counts[k] != s->classes[k].len)
+            s->err = ENGINE_BROKEN;
+    if (s->err)
+        return s->err;
+    int64_t m = 0;
+    for (int64_t k = lo; k <= hi; k++) {
+        memcpy(out + m, s->classes[k].data, s->classes[k].len * sizeof *out);
+        m += s->classes[k].len;
+    }
+    /* the first byte sorted on is the top byte of n - 1 */
+    int bits = 0;
+    while (bits < 63 && (s->n - 1) >> bits)
+        bits++;
+    sort_ids(out, m, bits > 8 ? bits - 8 : 0);
+    return 0;
 }
 
 int64_t is_settle(is_state *s)

@@ -10,9 +10,10 @@ status code.  The kernels unroll the composed operations of ``is_evolution``
 same evaluation order, pinned bit for bit by tests.  And there is one event
 engine per finite process: ``CutEngine`` runs the methods of
 ``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
-``is_local_algorithm.SurvivalGraph``, over flat arrays, pinned by tests to
-give the same outputs and counters.  Each process's round schedule and
-random draws stay in Python, so both backends read one random stream.
+``is_local_algorithm.SurvivalGraph`` (its class scans included), over flat
+arrays, pinned by tests to give the same outputs and counters.  Each
+process's round schedule and random draws stay in Python, so both backends
+read one random stream.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -28,7 +29,7 @@ sets run their composed operations round by round instead
 (``evolution_core._python_chunk``: the same bits, at 90-560 times the cost
 per round), and the finite processes run their Python methods (the cut
 process at about 7 times the cost, the independent-set process at about
-5 times).  Otherwise it is ``"c"``.
+8 times).  Otherwise it is ``"c"``.
 """
 import ctypes
 import os
@@ -116,6 +117,7 @@ def _load(cc=_CC, cache=_CACHE):
                        ("is_settle", [ptr]),
                        ("is_deletes", [ptr, ptr, i64]),
                        ("is_probes", [ptr, ptr, i64]),
+                       ("is_scan", [ptr, i64, i64, ptr]),
                        ("is_commit_survivors", [ptr])):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = i64
@@ -269,9 +271,10 @@ class IsEngine(_Engine):
     """The independent-set process's event engine in C, over a fresh
     ``SurvivalGraph``'s degrees, live flags, degree histogram and decision
     bytes, which it updates in place.  Its ``settle``, ``deletes``,
-    ``probes`` and ``commit_survivors`` are those of the survival graph; a
-    merged vertex above ``cap_degree`` is deleted, as ``DEGREE_CAP`` in
-    settle.  The merge log is the engine's own.  The survival and
+    ``probes``, ``commit_survivors`` and ``scan`` are those of the survival
+    graph; a merged vertex above ``cap_degree`` is deleted, as
+    ``DEGREE_CAP`` in settle.  The merge log and the per-degree member
+    lists that ``scan`` reads are the engine's own.  The survival and
     contraction counts live in ``counts`` until ``close`` writes them back.
     Needs ``BACKEND == "c"``."""
 
@@ -308,6 +311,24 @@ class IsEngine(_Engine):
 
     def commit_survivors(self) -> None:
         self._run(_lib.is_commit_survivors)
+
+    def scan(self, op, k: int) -> np.ndarray:
+        """The live ids, ascending, of degree equal to (``op`` is
+        ``np.equal``) or greater than (``np.greater``) k, as
+        ``SurvivalGraph.scan`` finds them; read off the engine's class
+        lists, at a cost of the ids found."""
+        k, top = int(k), len(self._g.counts) - 1
+        if op is np.equal:
+            lo, hi = max(k, 0), min(k, top)
+        elif op is np.greater:
+            lo, hi = max(k + 1, 0), top
+        else:
+            raise ValueError(f"{self._name}: scans by np.equal or "
+                             f"np.greater only")
+        out = np.empty(sum(self._g.counts[lo:hi + 1]), dtype=np.int64)
+        if lo <= hi:
+            self._run(_lib.is_scan, lo, hi, out.ctypes.data)
+        return out
 
     def _free(self) -> None:
         _lib.is_free(self._state)

@@ -10,8 +10,9 @@ oracle    exact optimum (plus witness) for a small edge-list file
 
 Every command prints a human-readable summary and can also write a JSON
 report (``--json``).  Identical command line and seed give a byte-identical
-report apart from the wall-time field.  Relative output paths are resolved
-under ``$GIRTHLOCAL_OUT`` when that variable is set.
+report apart from the wall-time fields (each has ``wall_time`` in its key).
+Relative output paths are resolved under ``$GIRTHLOCAL_OUT`` when that
+variable is set.
 """
 from __future__ import annotations
 
@@ -72,6 +73,10 @@ def _resolve_out(path_str: str) -> Path:
 
 # -- reports ----------------------------------------------------------------
 
+# the key suffix of a stage's wall time; with "wall_time" in every such key,
+# the lines that may differ between two runs of one command are all named
+STAGE_SUFFIX = "_wall_time_s"
+
 
 @dataclass
 class RunReport:
@@ -81,7 +86,8 @@ class RunReport:
     serialization time, never stored, so a report cannot drift internally.
     ``backend`` is the one that ran the evolution kernels and the events
     of both finite processes: ``"c"`` or ``"python"``
-    (``_kernels.BACKEND``).
+    (``_kernels.BACKEND``).  ``stage_times`` maps ``<stage>_wall_time_s``
+    to the seconds a stage took; each is a top-level key of the JSON.
     """
 
     command: str
@@ -94,6 +100,7 @@ class RunReport:
     details: dict = field(default_factory=dict)
     wall_time_s: object = None
     backend: str = field(default_factory=lambda: _kernels.BACKEND)
+    stage_times: dict = field(default_factory=dict)
 
     def corollaries(self) -> dict:
         for key in ("independent", "ratio", "mean_ratio", "good"):
@@ -123,6 +130,7 @@ class RunReport:
         }
         if self.details:
             out["details"] = self.details
+        out.update(self.stage_times)
         return out
 
     def to_json(self) -> str:
@@ -132,7 +140,9 @@ class RunReport:
     def from_dict(cls, data: dict) -> "RunReport":
         data = dict(data)
         data.pop("corollaries", None)  # derived, never stored independently
-        return cls(**data)
+        stages = {key: data.pop(key) for key in list(data)
+                  if key.endswith(STAGE_SUFFIX)}
+        return cls(**data, stage_times=stages)
 
 
 def _print_value(name: str, value) -> None:
@@ -153,6 +163,12 @@ def _emit(report: RunReport, json_path) -> None:
     _print_value("valid", report.valid)
     if report.wall_time_s is not None:
         print(f"wall time: {report.wall_time_s:.2f}s")
+    for key, seconds in report.stage_times.items():
+        print(f"wall time {key.removesuffix(STAGE_SUFFIX)}: {seconds:.2f}s")
+    _write_report(report, json_path)
+
+
+def _write_report(report: RunReport, json_path) -> None:
     if json_path:
         json_path.write_text(report.to_json())
         print(f"report written to {json_path}")
@@ -213,37 +229,56 @@ def _cmd_evolve(args) -> int:
 
 # -- simulate ---------------------------------------------------------------
 
+# the stages of one finite run, in order; each key sorts before "valid", so
+# a per-seed entry's last line stays "valid"
+SIMULATE_STAGES = ("generate", "run", "check")
+
 
 def _run_simulation(payload):
     """One finite-graph run: its summary and its witness.
 
-    The witness is the sorted list of set members (``is``) or the colour
-    array (``cut``).  The graph is freed when this returns.
+    The summary carries the wall time of each stage: graph generation,
+    the algorithm's run and the check of its output (the independence
+    check, or the comparison of the recount that ends ``run_cut`` with
+    its counters).  The witness is the sorted list of set
+    members (``is``) or the colour array (``cut``).  The graph is freed
+    when this returns.
     """
     target, n, d, seed, options = payload
     graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
+    marks = [time.perf_counter()]
     graph = generate(n, d, seed=graph_seed)
+    marks.append(time.perf_counter())
     if target == "is":
         result = run_is(graph, d, seed=algo_seed, **options)
-        return {
+        marks.append(time.perf_counter())
+        summary = {
             "seed": seed,
             "size": result.size,
             "ratio": result.ratio,
             "rounds": result.rounds,
             "valid": bool(verify_independent(graph, result.vertices)),
-        }, result.vertices
-    result = run_cut(graph, seed=algo_seed, **options)
-    consistent = (result.good == result.incremental_good
-                  and result.bad == result.incremental_bad
-                  and result.good + result.bad == graph.edge_count)
-    return {
-        "seed": seed,
-        "good": result.good,
-        "bad": result.bad,
-        "ratio": result.good / result.n,
-        "rounds": result.rounds,
-        "valid": bool(consistent),
-    }, result.colors
+        }
+        witness = result.vertices
+    else:
+        result = run_cut(graph, seed=algo_seed, **options)
+        marks.append(time.perf_counter())
+        consistent = (result.good == result.incremental_good
+                      and result.bad == result.incremental_bad
+                      and result.good + result.bad == graph.edge_count)
+        summary = {
+            "seed": seed,
+            "good": result.good,
+            "bad": result.bad,
+            "ratio": result.good / result.n,
+            "rounds": result.rounds,
+            "valid": bool(consistent),
+        }
+        witness = result.colors
+    marks.append(time.perf_counter())
+    for stage, start, end in zip(SIMULATE_STAGES, marks, marks[1:]):
+        summary[stage + STAGE_SUFFIX] = round(end - start, 3)
+    return summary, witness
 
 
 def _one_simulation(payload):
@@ -258,6 +293,15 @@ def _cmd_simulate(args) -> int:
         options = {"thin_probability": args.thin_probability}
     else:
         options = {"query_probability": args.query_probability}
+    # every option is checked before a graph is generated or a pool started
+    for name, value in options.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"--{name.replace('_', '-')} must lie in [0, 1]")
+    if args.n < 2:
+        raise ValueError("--n must be >= 2")
+    if args.n * d % 2:
+        raise ValueError(f"n*d = {args.n * d} must be even to pair all "
+                         f"half-edges")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     if args.seeds < 1:
@@ -286,7 +330,9 @@ def _cmd_simulate(args) -> int:
         report = RunReport(command=args.command_echo, kind=kind,
                            parameters=parameters, seed=args.seed,
                            headline=headline, valid=all_valid,
-                           rounds=only["rounds"], wall_time_s=round(wall, 3))
+                           rounds=only["rounds"], wall_time_s=round(wall, 3),
+                           stage_times={key: only[key] for key in only
+                                        if key.endswith(STAGE_SUFFIX)})
     else:
         ratios = [r["ratio"] for r in runs]
         headline = {
@@ -319,14 +365,24 @@ def _cmd_oracle(args) -> int:
     # the graph's arrays are O(n): reject an oversized n before building it
     check_order(edge_list_header(text)[0], args.problem)
     small = from_multigraph(load_edge_list(text))
+    start = time.perf_counter()
     if args.problem == "mis":
         size, members = max_independent_set(small)
+        kind, headline = "independent", {"size": size}
+        witness = " ".join(str(v) for v in members)
         print(f"maximum independent set: {size}")
-        print("witness:", " ".join(str(v) for v in members))
     else:
         weight, side = max_cut(small)
+        kind, headline = "cut", {"weight": weight}
+        witness = " ".join("RG"[s] for s in side)
         print(f"maximum cut: {weight}")
-        print("witness:", " ".join("RG"[s] for s in side))
+    wall = time.perf_counter() - start
+    print("witness:", witness)
+    _write_report(RunReport(
+        command=args.command_echo, kind=kind,
+        parameters={"problem": args.problem, "n": small.n}, seed=None,
+        headline=headline, details={"witness": witness},
+        wall_time_s=round(wall, 3)), args.json_path)
     return 0
 
 
@@ -448,6 +504,7 @@ def _parser() -> argparse.ArgumentParser:
     oracle.add_argument("problem", choices=("mis", "maxcut"))
     oracle.add_argument("path", help="edge-list file ('n m' header, one "
                                      "'u v' pair per line)")
+    _add_output_flags(oracle)
     oracle.set_defaults(func=_cmd_oracle)
 
     return parser

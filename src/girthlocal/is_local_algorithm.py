@@ -85,8 +85,8 @@ class SurvivalGraph:
     adj[v] lists v's live neighbors in half-edge order, one entry per edge
     end: a loop lists v twice and a parallel edge repeats.  deg (an int64
     array) and alive (a 0/1 bytearray) hold Python ints for the rules and
-    are read as numpy arrays, without copies, by the class scans; a dead
-    vertex keeps the degree it died with.  counts[k] is the number of live
+    are read as numpy arrays, without copies, by ``scan``; a dead vertex
+    keeps the degree it died with.  counts[k] is the number of live
     vertices of degree k, kept up to date wherever a degree changes.
     status (a bytearray) holds each vertex's decision, UNDECIDED until it
     leaves the graph by a delete (OUT) or a select (IN), or until
@@ -99,8 +99,9 @@ class SurvivalGraph:
     liveness; ``delete`` still refuses a dead vertex.
 
     The methods below are the reference semantics.  run() hands the events
-    to ``_kernels.IsEngine`` (the same rules in C, over deg, alive, counts
-    and status) when the C kernels are built, and runs these methods
+    and the class scans to ``_kernels.IsEngine`` (the same rules in C, over
+    deg, alive, counts and status, with per-degree member lists of its own
+    for the scans) when the C kernels are built, and runs these methods
     otherwise; tests pin the two to the same set, rounds and contractions.
     """
 
@@ -342,9 +343,9 @@ def run(graph: Multigraph, d: int, seed=None,
 def _drive(g: SurvivalGraph, engine, rng, d: int,
            thin_probability: float) -> int:
     """The round ladder; returns the rounds run.  ``engine`` runs the
-    events: g itself, or its C engine.  The class scans and the random
-    draws are made here either way, so both backends read one random
-    stream."""
+    events and the class scans: g itself, or its C engine.  The ladder and
+    the random draws are made here either way, over the same ascending
+    member arrays, so both backends read one random stream."""
     stop_at = STOP_FRACTION * g.n
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
@@ -375,8 +376,9 @@ def _delete_class_and_above(g: SurvivalGraph, engine, rng, top: int,
     # both scans and the draw see the graph before any deletion; a delete
     # kills only its argument, so every marked vertex is still alive when
     # its turn comes
-    outright = g.scan(np.greater, top) if any(g.counts[top + 1:]) else None
-    members = g.scan(np.equal, top)
+    outright = (engine.scan(np.greater, top) if any(g.counts[top + 1:])
+                else None)
+    members = engine.scan(np.equal, top)
     marked = members[rng.random(members.shape[0]) < probability]
     if outright is not None:
         engine.deletes(outright)
@@ -386,14 +388,14 @@ def _delete_class_and_above(g: SurvivalGraph, engine, rng, top: int,
 def _probe_round(g: SurvivalGraph, engine, rng, probability: float) -> None:
     """4-regular variant: probe marked 3-vertices one at a time."""
     if any(g.counts[6:]):
-        engine.deletes(g.scan(np.greater, 5))
-    members = g.scan(np.equal, 3)
+        engine.deletes(engine.scan(np.greater, 5))
+    members = engine.scan(np.equal, 3)
     engine.probes(members[rng.random(members.shape[0]) < probability])
 
 
 def _force_progress(g: SurvivalGraph, engine, rng) -> None:
     top = max(k for k, c in enumerate(g.counts) if c)
-    engine.deletes(np.array([rng.choice(g.scan(np.equal, top))]))
+    engine.deletes(np.array([rng.choice(engine.scan(np.equal, top))]))
 
 
 def verify_independent(graph: Multigraph, vertices) -> bool:

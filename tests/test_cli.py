@@ -173,6 +173,66 @@ def test_simulate_rejects_negative_seed(capsys):
     assert "--seed must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["is", "--n", "2000000", "--thin-probability", "1.5"],
+     "--thin-probability must lie in [0, 1]"),
+    (["is", "--n", "600", "--thin-probability", "nan"],
+     "--thin-probability must lie in [0, 1]"),
+    (["is", "--n", "600", "--thin-probability", "-0.1", "--seeds", "3"],
+     "--thin-probability must lie in [0, 1]"),
+    (["cut", "--n", "600", "--query-probability", "1.01", "--seeds", "3"],
+     "--query-probability must lie in [0, 1]"),
+    (["cut", "--n", "600", "--query-probability", "nan"],
+     "--query-probability must lie in [0, 1]"),
+    (["is", "--n", "1", "--d", "4"], "--n must be >= 2"),
+    (["cut", "--n", "0", "--seeds", "3"], "--n must be >= 2"),
+    (["is", "--n", "601", "--d", "3", "--seeds", "3"], "must be even"),
+], ids=["thin_above_one", "thin_nan", "thin_negative_seeds", "query_above",
+        "query_nan", "n_one", "n_zero_seeds", "odd_seeds"])
+def test_simulate_rejects_bad_options_before_any_work(
+        capsys, monkeypatch, argv, message):
+    calls = []
+
+    def no_work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work started before the options were checked")
+
+    monkeypatch.setattr(cli, "generate", no_work)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert message in err
+
+
+def test_simulate_reports_its_stage_times(capsys, tmp_path):
+    jpath = tmp_path / "r.json"
+    stages = ["generate", "run", "check"]
+    for target in ("is", "cut"):
+        code, out, _ = run_cli(capsys, "simulate", target, "--n", "600",
+                               "--json", str(jpath))
+        assert code == 0
+        report = json.loads(jpath.read_text())
+        for stage in stages:
+            assert report[f"{stage}_wall_time_s"] >= 0
+        printed = [ln.split(":")[0] for ln in out.splitlines()
+                   if ln.startswith("wall time ")]
+        assert printed == [f"wall time {stage}" for stage in stages]
+        assert RunReport.from_dict(report).to_dict() == report
+    code, _, _ = run_cli(capsys, "simulate", "is", "--n", "600", "--seeds",
+                         "2", "--json", str(jpath))
+    assert code == 0
+    report = json.loads(jpath.read_text())
+    assert not any(key.endswith("_wall_time_s") for key in report)
+    for run in report["details"]["per_seed"]:
+        assert sorted(key for key in run if key.endswith("_wall_time_s")) \
+            == sorted(f"{stage}_wall_time_s" for stage in stages)
+    # every stage time is on a line of its own that names wall_time
+    text = jpath.read_text()
+    assert text.count("_wall_time_s") == 6
+    assert all("wall_time" in ln for ln in text.splitlines()
+               if "_wall_time_s" in ln)
+
+
 def test_identical_command_gives_identical_report(capsys, tmp_path):
     jpath = tmp_path / "rep.json"
     texts = []
@@ -280,6 +340,31 @@ def test_oracle_outputs_are_pinned(capsys, tmp_path):
         code, out, _ = run_cli(capsys, "oracle", problem, str(path))
         assert code == 0
         assert out == expected
+
+
+def test_oracle_json_report_round_trips(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    jpath = tmp_path / "oracle.json"
+    for problem, n, d, seed, expected in ORACLE_OUTPUTS[2:4]:
+        path.write_text(save_edge_list(generate(n, d, seed=seed)))
+        code, out, _ = run_cli(capsys, "oracle", problem, str(path),
+                               "--json", str(jpath))
+        assert code == 0
+        assert out == expected + f"report written to {jpath}\n"
+        data = json.loads(jpath.read_text())
+        assert RunReport.from_dict(data).to_dict() == data
+        headline, witness = expected.splitlines()
+        value = int(headline.split(": ")[1])
+        if problem == "mis":
+            assert data["kind"] == "independent"
+            assert data["headline"] == {"size": value}
+        else:
+            assert data["kind"] == "cut"
+            assert data["headline"] == {"weight": value}
+        assert data["details"] == {"witness": witness.split(": ")[1]}
+        assert data["parameters"] == {"problem": problem, "n": n}
+        assert data["backend"] == _kernels.BACKEND
+        assert data["corollaries"] == {}
 
 
 def test_oracle_size_limit(capsys, tmp_path):

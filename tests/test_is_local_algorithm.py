@@ -407,19 +407,39 @@ def play(graph, opening, seed, in_c):
         return play_on(g, engine, opening, seed)
 
 
+def check_scans(g, engine):
+    """Every class scan of the engine, each degree k and one beyond either
+    end, equals the numpy scan over the shared deg and alive buffers; a
+    scan by np.equal has counts[k] ids (a C class list whose length is not
+    counts[k] fails the scan)."""
+    for k in range(-1, len(g.counts) + 1):
+        for op in (np.equal, np.greater):
+            found = engine.scan(op, k)
+            assert found.dtype == np.int64
+            assert found.tolist() == g.scan(op, k).tolist(), (op, k)
+    assert [engine.scan(np.equal, k).shape[0]
+            for k in range(len(g.counts))] == g.counts.tolist()
+
+
 def play_on(g, engine, opening, seed):
     rng = np.random.default_rng(seed)
-    engine.settle()
-    states = [engine_state(g, engine)]
+
+    def step():
+        engine.settle()
+        check_scans(g, engine)
+        states.append(engine_state(g, engine))
+
+    states = []
+    check_scans(g, engine)
+    step()
     for v in opening:
         engine.deletes(np.array([v]))
-        engine.settle()
-        states.append(engine_state(g, engine))
+        step()
     while any(g.alive):
         live = np.flatnonzero(np.frombuffer(g.alive, np.bool_))
         engine.deletes(np.array([rng.choice(live)]))
-        engine.settle()
-        states.append(engine_state(g, engine))
+        check_scans(g, engine)
+        step()
     engine.commit_survivors()
     states.append(engine_state(g, engine))
     return states
@@ -513,8 +533,11 @@ def test_c_engine_checks_its_calls():
         assert not g.alive[2] and g.deg[0] == 2 and engine.survival_count == 3
         with pytest.raises(ValueError):
             engine.deletes(np.array([2]))  # as SurvivalGraph.delete
+        with pytest.raises(ValueError, match="np.equal or np.greater"):
+            engine.scan(np.less, 3)
     assert g.survival_count == 3
-    for call in (engine.settle, engine.commit_survivors):
+    for call in (engine.settle, engine.commit_survivors,
+                 lambda: engine.scan(np.equal, 2)):
         with pytest.raises(ValueError, match="closed"):
             call()
     with pytest.raises(ValueError, match="closed"):

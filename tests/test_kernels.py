@@ -115,8 +115,8 @@ def test_ctypes_declarations_match_the_c_source():
     declared = {name for name, f in vars(lib).items()
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
-    assert {"is_chunk", "cut_new", "is_new", "is_commit_survivors"} \
-        <= set(exported)
+    assert {"is_chunk", "cut_new", "is_new", "is_commit_survivors",
+            "is_scan"} <= set(exported)
     for name, (ret, count) in exported.items():
         f = getattr(lib, name)
         assert f.argtypes is not None and len(f.argtypes) == count, name
