@@ -360,6 +360,28 @@ def _cmd_simulate(args) -> int:
 # -- oracle -----------------------------------------------------------------
 
 
+def _oracle_error(small, problem: str, value: int, witness: list) -> str:
+    """What is wrong with an oracle's (value, witness), checked against the
+    graph itself; empty when the witness attains the value."""
+    if problem == "mis":
+        mask = 0
+        for v in witness:
+            if not 0 <= v < small.n or (mask >> v) & 1:
+                return f"witness vertex {v} is out of range or repeated"
+            mask |= 1 << v
+        if any(small.nbr[v] & mask for v in witness):
+            return "witness is not an independent set"
+        if len(witness) != value:
+            return f"witness has {len(witness)} members, stated {value}"
+        return ""
+    if len(witness) != small.n or not set(witness) <= {0, 1}:
+        return "witness is not one side per vertex"
+    recount = sum(w for u, v, w in small.edges if witness[u] != witness[v])
+    if recount != value:
+        return f"witness cuts {recount}, stated {value}"
+    return ""
+
+
 def _cmd_oracle(args) -> int:
     text = Path(args.path).read_text()
     # the graph's arrays are O(n): reject an oversized n before building it
@@ -367,16 +389,21 @@ def _cmd_oracle(args) -> int:
     small = from_multigraph(load_edge_list(text))
     start = time.perf_counter()
     if args.problem == "mis":
-        size, members = max_independent_set(small)
-        kind, headline = "independent", {"size": size}
-        witness = " ".join(str(v) for v in members)
-        print(f"maximum independent set: {size}")
+        value, found = max_independent_set(small)
+        kind, headline = "independent", {"size": value}
+        witness = " ".join(str(v) for v in found)
+        title = "maximum independent set"
     else:
-        weight, side = max_cut(small)
-        kind, headline = "cut", {"weight": weight}
-        witness = " ".join("RG"[s] for s in side)
-        print(f"maximum cut: {weight}")
+        value, found = max_cut(small)
+        kind, headline = "cut", {"weight": value}
+        witness = " ".join("RG"[s] for s in found)
+        title = "maximum cut"
     wall = time.perf_counter() - start
+    error = _oracle_error(small, args.problem, value, found)
+    if error:
+        print(f"error: {title} oracle check failed: {error}", file=sys.stderr)
+        return 1
+    print(f"{title}: {value}")
     print("witness:", witness)
     _write_report(RunReport(
         command=args.command_echo, kind=kind,

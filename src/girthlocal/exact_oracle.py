@@ -21,8 +21,8 @@ __all__ = ["SmallGraph", "check_order", "small_graph", "from_multigraph",
 # problem -> (oracle name, largest n it searches exhaustively)
 LIMITS = {"mis": ("independent-set", 30), "maxcut": ("max-cut", 26)}
 
-# bipartitions max_cut scores per numpy block; larger blocks raise peak RSS
-CUT_BLOCK = 1 << 13
+# max_cut's low vertices, whose 2**LOW_BITS settings form one numpy row
+LOW_BITS = 13
 
 
 @dataclass
@@ -81,20 +81,37 @@ def from_multigraph(g: Multigraph) -> SmallGraph:
     return small_graph(range(g.n), g.edges())
 
 
+def _matching_bound(nbr, avail: int) -> int:
+    """Upper bound on the independence number of the subgraph induced by
+    ``avail``: |avail| minus a greedy maximal matching, since each matched
+    pair holds at most one member."""
+    bound = 0
+    left = avail
+    while left:
+        low = left & -left
+        left ^= low
+        bound += 1
+        mate = nbr[low.bit_length() - 1] & left
+        left ^= mate & -mate
+    return bound
+
+
 def max_independent_set(g: SmallGraph):
     """Exact MIS: (size, sorted vertex list).
 
     Branches on a highest-remaining-degree vertex (in or out); once every
     remaining degree is <= 1 the instance is a matching plus isolated
-    vertices and is solved greedily.  The only bound is the count of
-    remaining vertices, which is already enough at n <= 30.
+    vertices and is solved greedily.  A subtree is pruned when its size
+    plus ``_matching_bound`` of the remaining vertices cannot beat the
+    best found; as only subtrees that cannot strictly improve are cut, the
+    first optimum found, the witness, is the one the full search finds.
     """
     check_order(g.n, "mis")
     nbr = g.nbr
     best = [-1, 0]
 
     def solve(avail: int, size: int, chosen: int) -> None:
-        if size + avail.bit_count() <= best[0]:
+        if size + _matching_bound(nbr, avail) <= best[0]:
             return
         top, top_deg = -1, -1
         for v in _bits(avail):
@@ -123,22 +140,57 @@ def max_independent_set(g: SmallGraph):
 def max_cut(g: SmallGraph):
     """Exact max cut: (weight, side labels with vertex n-1 fixed to 0).
 
-    Scores every bipartition from its definition, CUT_BLOCK per numpy block;
-    bit v of x is vertex v's side.  Gray-code order, x = k ^ (k >> 1), and
-    keeping the first strict best fix which optimum is the witness.
+    Bit v of x is vertex v's side, and bipartitions are taken in Gray-code
+    order, x = k ^ (k >> 1) for k < 2**(n-1); the first strict best in that
+    order is the witness.  The first a = min(n-1, LOW_BITS) vertices are
+    low, the other free ones high.  ``row`` holds the cut of every low
+    setting x_low = kL ^ (kL >> 1) under the current high setting: row 0 is
+    scored from the definition, and each step kH of the Gray walk over the
+    high bits flips one high vertex, which adds or subtracts its precomputed
+    ``gain`` against the low vertices to the row and moves the scalar cut
+    among the high vertices and n-1.  Under an odd kH the full order takes
+    the row backwards, so the argmax runs over the reversed row.
     """
     check_order(g.n, "maxcut")
     if g.n == 0:
         return 0, []
-    total = 1 << (g.n - 1)
+    a = min(g.n - 1, LOW_BITS)
+    h = g.n - 1 - a
+    k = np.arange(1 << a, dtype=np.int64)
+    x = k ^ (k >> 1)
+    row = np.zeros(len(x), dtype=np.int64)
+    for u, v, w in g.edges:
+        row += w * ((x >> u ^ x >> v) & 1)
+    # gain[j]: the row's change when high vertex a+j leaves side 0;
+    # high[j]: its edges to the other high vertices and to n-1
+    gain = np.zeros((h, len(x)), dtype=np.int64)
+    high = [[] for _ in range(h)]
+    for u, v, w in g.edges:
+        for t, o in ((u, v), (v, u)):
+            if a <= t < g.n - 1:
+                if o < a:
+                    gain[t - a] += w * (1 - 2 * ((x >> o) & 1))
+                else:
+                    high[t - a].append((o - a, w))
     best, best_x = 0, 0
-    for start in range(0, total, CUT_BLOCK):
-        k = np.arange(start, min(start + CUT_BLOCK, total), dtype=np.int64)
-        x = k ^ (k >> 1)
-        cut = np.zeros(len(x), dtype=np.int64)
-        for u, v, w in g.edges:
-            cut += w * ((x >> u ^ x >> v) & 1)
-        i = int(np.argmax(cut))
-        if cut[i] > best:
-            best, best_x = int(cut[i]), int(x[i])
+    xh, cut_high = 0, 0   # high sides (bit j is vertex a+j), their cut
+    last = len(x) - 1
+    for kh in range(1 << h):
+        if kh:
+            j = (kh & -kh).bit_length() - 1
+            side = (xh >> j) & 1
+            if side:
+                row -= gain[j]
+            else:
+                row += gain[j]
+            for o, w in high[j]:
+                cut_high += w * (1 - 2 * (side ^ ((xh >> o) & 1)))
+            xh ^= 1 << j
+        if kh & 1:
+            i = last - int(np.argmax(row[::-1]))
+        else:
+            i = int(np.argmax(row))
+        cut = int(row[i]) + cut_high
+        if cut > best:
+            best, best_x = cut, int(x[i]) | xh << a
     return best, [(best_x >> v) & 1 for v in range(g.n)]

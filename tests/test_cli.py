@@ -330,6 +330,8 @@ ORACLE_OUTPUTS = [
      "witness: 2 4 5 6 8 11 12 15 18 20 23 24 28\n"),
     ("mis", 30, 4, 1, "maximum independent set: 12\n"
      "witness: 1 5 6 7 10 11 12 14 17 21 22 28\n"),
+    ("maxcut", 26, 3, 3, "maximum cut: 34\n"
+     "witness: R G G R G R R G R R G G R R R G G G G R G R R R G R\n"),
 ]
 
 
@@ -365,6 +367,26 @@ def test_oracle_json_report_round_trips(capsys, tmp_path):
         assert data["parameters"] == {"problem": problem, "n": n}
         assert data["backend"] == _kernels.BACKEND
         assert data["corollaries"] == {}
+
+
+@pytest.mark.parametrize("problem, name, answer", [
+    ("mis", "max_independent_set", (2, [0, 1])),   # adjacent members
+    ("mis", "max_independent_set", (2, [0])),      # one member short
+    ("maxcut", "max_cut", (5, [1, 0, 0, 0])),      # the witness cuts 3
+    ("maxcut", "max_cut", (4, [1, 0, 0])),         # a side missing
+])
+def test_oracle_rejects_a_wrong_witness(
+        capsys, tmp_path, monkeypatch, problem, name, answer):
+    monkeypatch.setattr(cli, name, lambda small: answer)
+    path = tmp_path / "k4.txt"
+    jpath = tmp_path / "oracle.json"
+    path.write_text(K4_TEXT)
+    code, out, err = run_cli(capsys, "oracle", problem, str(path),
+                             "--json", str(jpath))
+    assert code == 1
+    assert out == ""
+    assert "oracle check failed" in err
+    assert not jpath.exists()
 
 
 def test_oracle_size_limit(capsys, tmp_path):

@@ -161,10 +161,61 @@ def test_max_cut_agrees_with_enumeration():
         assert max_cut(g)[0] == naive_cut(g)
 
 
-def test_cut_block_size_does_not_change_the_answer(monkeypatch):
+def gray_order_cut(g: SmallGraph):
+    """max_cut's contract, one bipartition at a time: Gray-code order with
+    vertex n-1 on side 0, the first strict best is the witness."""
+    best, best_x = 0, 0
+    for k in range(1 << max(g.n - 1, 0)):
+        x = k ^ (k >> 1)
+        cut = sum(w for u, v, w in g.edges if (x >> u ^ x >> v) & 1)
+        if cut > best:
+            best, best_x = cut, x
+    return best, [(best_x >> v) & 1 for v in range(g.n)]
+
+
+def test_low_bits_do_not_change_the_answer(monkeypatch):
+    # at small LOW_BITS the high-bit walk takes both parities of kH, flips
+    # vertices with edges to n-1, and crosses parallel pairs (weight 2)
     rng = np.random.default_rng(4321)
-    graphs = [random_graph(rng, 9) for _ in range(60)]
-    expected = [max_cut(g) for g in graphs]
-    for block in (1, 3, 8):  # 3 does not divide 2**(n-1)
-        monkeypatch.setattr(exact_oracle, "CUT_BLOCK", block)
+    graphs = [random_graph(rng, n) for n in (1, 2, 3) + (9,) * 40 + (12,) * 8]
+    expected = [gray_order_cut(g) for g in graphs]
+    for bits in (1, 3, 8, 13):
+        monkeypatch.setattr(exact_oracle, "LOW_BITS", bits)
         assert [max_cut(g) for g in graphs] == expected
+
+
+def induced(g: SmallGraph, mask: int) -> SmallGraph:
+    keep = [v for v in range(g.n) if (mask >> v) & 1]
+    return exact_oracle.small_graph(
+        keep, [(u, v) for u, v, _ in g.edges if u in keep and v in keep])
+
+
+def test_matching_bound_is_an_upper_bound():
+    rng = np.random.default_rng(77)
+    for _ in range(150):
+        g = random_graph(rng, 11, p=rng.uniform(0.05, 0.6))
+        mask = int(rng.integers(0, 1 << g.n))
+        bound = exact_oracle._matching_bound(g.nbr, mask)
+        assert naive_mis(induced(g, mask)) <= bound <= mask.bit_count()
+
+
+def test_matching_bound_keeps_every_answer(monkeypatch):
+    rng = np.random.default_rng(2024)
+    graphs = [random_graph(rng, int(rng.integers(14, 25)),
+                           p=rng.uniform(0.1, 0.4)) for _ in range(60)]
+    calls = [0, 0]
+
+    def counted(bound, i):
+        def wrapped(nbr, avail):
+            calls[i] += 1
+            return bound(nbr, avail)
+        return wrapped
+
+    monkeypatch.setattr(exact_oracle, "_matching_bound",
+                        counted(exact_oracle._matching_bound, 0))
+    found = [max_independent_set(g) for g in graphs]
+    # the count of remaining vertices, the bound before the matching one
+    monkeypatch.setattr(exact_oracle, "_matching_bound",
+                        counted(lambda nbr, avail: avail.bit_count(), 1))
+    assert [max_independent_set(g) for g in graphs] == found
+    assert calls[0] < calls[1]  # the matching bound did prune
