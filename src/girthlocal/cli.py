@@ -17,6 +17,7 @@ variable is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -31,7 +32,7 @@ import numpy as np
 from . import _kernels
 from .config_model import edge_list_header, generate, load_edge_list
 from .cut_evolution import CutRules
-from .cut_local_algorithm import QUERY_PROBABILITY, run_cut
+from .cut_local_algorithm import QUERY_PROBABILITY, count_cut, run_cut
 from .evolution_core import (
     EvolutionParams,
     IntegrationError,
@@ -239,10 +240,10 @@ def _run_simulation(payload):
 
     The summary carries the wall time of each stage: graph generation,
     the algorithm's run and the check of its output (the independence
-    check, or the comparison of the recount that ends ``run_cut`` with
-    its counters).  The witness is the sorted list of set
-    members (``is``) or the colour array (``cut``).  The graph is freed
-    when this returns.
+    check, or the cut's exact recount by ``count_cut`` and its comparison
+    with the run's counters).  A cut's headline figures are the recount.
+    The witness is the sorted list of set members (``is``) or the colour
+    array (``cut``).  The graph is freed when this returns.
     """
     target, n, d, seed, options = payload
     graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
@@ -263,14 +264,14 @@ def _run_simulation(payload):
     else:
         result = run_cut(graph, seed=algo_seed, **options)
         marks.append(time.perf_counter())
-        consistent = (result.good == result.incremental_good
-                      and result.bad == result.incremental_bad
-                      and result.good + result.bad == graph.edge_count)
+        good, bad = count_cut(graph, result.colors)
+        consistent = ((good, bad) == (result.good, result.bad)
+                      and good + bad == graph.edge_count)
         summary = {
             "seed": seed,
-            "good": result.good,
-            "bad": result.bad,
-            "ratio": result.good / result.n,
+            "good": good,
+            "bad": bad,
+            "ratio": good / result.n,
             "rounds": result.rounds,
             "valid": bool(consistent),
         }
@@ -483,6 +484,10 @@ def _add_simulate_flags(p) -> None:
     _add_output_flags(p)
 
 
+# built on main's first call, not on import, then shared: parse_args makes
+# a fresh Namespace per call, no option has a mutable default, and each
+# func default looks its collaborators up as module globals when it runs
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="girthlocal",
@@ -538,6 +543,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None) and
+    return its exit status.  May be called any number of times in one
+    process: the parser is built on the first call and reused.  Argparse
+    rejections (an unknown option, a bad choice) raise ``SystemExit(2)``."""
     if argv is None:
         argv = sys.argv[1:]
     args = _parser().parse_args(argv)

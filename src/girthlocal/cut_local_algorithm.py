@@ -14,8 +14,9 @@ three-in-a-row reduction banks three good and one bad and aliases its two
 absorbed vertices to the survivor.  Edges whose bookkeeping cannot be
 settled locally (both endpoints undecided, cycle-closing edges, edges
 anchored at an absorbed vertex) are deferred and counted at resolution
-time, still before the final recount — the recount must then reproduce the
-incremental counters exactly, which is the end-to-end check on all of this.
+time, so the run ends with every edge counted.  ``count_cut`` recounts the
+final coloring from the graph; it must reproduce the incremental counters
+exactly, which is the end-to-end check on all of this.
 
 The rules read colors only through R/G label comparisons and parity XORs,
 so they are symmetric in the two colors: witnesses use one convention
@@ -43,7 +44,8 @@ import numpy as np
 from . import _kernels
 from .config_model import Multigraph
 
-__all__ = ["QUERY_PROBABILITY", "CutResult", "CutProcess", "run_cut"]
+__all__ = ["QUERY_PROBABILITY", "CutResult", "CutProcess", "count_cut",
+           "run_cut"]
 
 RED, GREEN = 0, 1
 
@@ -59,13 +61,12 @@ MAX_ROUNDS = 10 ** 6
 
 @dataclass
 class CutResult:
-    """Final coloring with exact counters (recomputed and incremental)."""
+    """Final coloring with the run's incremental good/bad counters;
+    ``count_cut`` recounts them from the coloring."""
 
     colors: np.ndarray
     good: int
     bad: int
-    incremental_good: int
-    incremental_bad: int
     n: int
     seed: object
     rounds: int
@@ -664,14 +665,17 @@ class CutProcess:
     def _result(self) -> CutResult:
         f = np.frombuffer(self.f, np.int8).copy()
         assert np.all(f >= 0), "some vertex was never colored"
-        # each half-edge against its partner: a good edge counts twice
-        fh = f[self.owner]
-        exact_good = int(np.count_nonzero(fh != fh[self.pair])) // 2
-        exact_bad = self.pair.shape[0] // 2 - exact_good
-        return CutResult(colors=f, good=exact_good,
-                         bad=exact_bad, incremental_good=self.good,
-                         incremental_bad=self.bad, n=self.n, seed=self.seed,
-                         rounds=self.rounds)
+        return CutResult(colors=f, good=self.good, bad=self.bad, n=self.n,
+                         seed=self.seed, rounds=self.rounds)
+
+
+def count_cut(graph: Multigraph, colors: np.ndarray) -> tuple:
+    """(good, bad) edge counts of a coloring of ``graph``, recounted from
+    its half-edges; a self-loop is always bad."""
+    # each half-edge against its partner: a good edge counts twice
+    fh = colors[graph.owner]
+    good = int(np.count_nonzero(fh != fh[graph.pair])) // 2
+    return good, graph.pair.shape[0] // 2 - good
 
 
 def run_cut(graph: Multigraph, **options) -> CutResult:

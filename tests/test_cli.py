@@ -1,6 +1,11 @@
 """End-to-end command-line behavior: outputs, reports, witnesses, errors."""
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -596,3 +601,60 @@ def test_every_report_names_its_backend(capsys, tmp_path, argv):
     assert code == 0
     report = json.loads(jpath.read_text())
     assert report["backend"] == _kernels.BACKEND in ("c", "python")
+
+
+def test_main_can_be_called_again_and_again(capsys, tmp_path):
+    # one parser per process: no call sees an earlier call's options, and
+    # an argparse rejection leaves the parser usable
+    cli._parser.cache_clear()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for argv, path in ((["--d", "4"], a), ([], b)):
+        code, _, _ = run_cli(capsys, "simulate", "is", "--n", "600", *argv,
+                             "--json", str(path))
+        assert code == 0
+    assert json.loads(a.read_text())["parameters"]["d"] == 4
+    assert json.loads(b.read_text())["parameters"]["d"] == 3
+    ladders = []
+    for argv in (["--step-sizes", "1e-5", "5e-6"], []):
+        code, _, _ = run_cli(capsys, "refine", "is4", *argv, "--json", str(a))
+        assert code == 0
+        ladders.append(json.loads(a.read_text())["parameters"]["step_sizes"])
+    assert ladders == [[1e-5, 5e-6], [1e-5, 5e-6, 2.5e-6]]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "is", "--n", "600", "--d", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, _, _ = run_cli(capsys, "simulate", "is", "--n", "600", "--json",
+                         str(b))
+    assert code == 0
+    assert json.loads(b.read_text())["parameters"]["d"] == 3
+    assert cli._parser.cache_info().misses == 1
+
+
+def help_texts(parser, path=()):
+    """Command path -> help text, for the parser and every subparser."""
+    texts = {path: parser.format_help()}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                texts.update(help_texts(sub, (*path, name)))
+    return texts
+
+
+def test_the_shared_parser_keeps_a_fresh_parsers_help(capsys):
+    run_cli(capsys, "simulate", "cut", "--n", "200")
+    shared = help_texts(cli._parser())
+    # the top level, 4 commands, 3 evolve and 3 refine targets, 2 simulate
+    assert len(shared) == 13
+    assert shared == help_texts(cli._parser.__wrapped__())
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c", "import girthlocal.cli as c; "
+                               "print(c._parser.cache_info().currsize)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "0\n"

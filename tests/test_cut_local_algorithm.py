@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from girthlocal import _kernels
 from girthlocal.config_model import generate, load_edge_list, save_edge_list
-from girthlocal.cut_local_algorithm import GREEN, RED, CutProcess, run_cut
+from girthlocal.cut_local_algorithm import (
+    GREEN,
+    RED,
+    CutProcess,
+    count_cut,
+    run_cut,
+)
 from girthlocal.exact_oracle import from_multigraph, max_cut
 
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -109,11 +115,12 @@ def test_queries_grow_paths_and_triples_reduce():
 
 
 def test_full_run_on_complete_graph():
-    r = run_cut(load_edge_list(K4), seed=5)
+    g = load_edge_list(K4)
+    r = run_cut(g, seed=5)
     assert r.good + r.bad == 6
     assert r.good <= 4  # exact max cut of K4
     assert set(np.unique(r.colors)) <= {0, 1}
-    assert (r.good, r.bad) == (r.incremental_good, r.incremental_bad)
+    assert count_cut(g, r.colors) == (r.good, r.bad)
 
 
 @given(st.integers(4, 40), st.integers(0, 2 ** 32 - 1))
@@ -121,8 +128,7 @@ def test_full_run_on_complete_graph():
 def test_incremental_counters_match_recount(half_n, seed):
     g = generate(2 * half_n, 3, seed=seed)
     r = run_cut(g, seed=seed)
-    assert r.good == r.incremental_good
-    assert r.bad == r.incremental_bad
+    assert count_cut(g, r.colors) == (r.good, r.bad)
     assert r.good + r.bad == g.edge_count
     assert np.all((r.colors == 0) | (r.colors == 1))
 
@@ -172,6 +178,20 @@ MULTIGRAPHS = {
                     "4 5\n",
     "reloaded_300": save_edge_list(generate(300, 3, seed=3)),
 }
+
+
+def test_count_cut_matches_an_edge_by_edge_count():
+    rng = np.random.default_rng(3)
+    graphs = [load_edge_list(text) for text in MULTIGRAPHS.values()]
+    graphs += [generate(n, 3, seed=n) for n in (4, 10, 64)]
+    for g in graphs:
+        for _ in range(5):
+            colors = rng.integers(0, 2, g.n).astype(np.int8)
+            good = sum(1 for u, v in g.edges() if colors[u] != colors[v])
+            assert count_cut(g, colors) == (good, g.edge_count - good)
+    # K4 split two and two cuts its four cross edges
+    assert count_cut(load_edge_list(K4),
+                     np.array([0, 0, 1, 1], np.int8)) == (4, 2)
 
 
 def check_paths(p):
@@ -235,7 +255,7 @@ def drive_checking(graph, check, **options):
     p.closure = closure
     p._drive(p)
     r = p._result()
-    assert (r.good, r.bad) == (r.incremental_good, r.incremental_bad)
+    assert count_cut(graph, r.colors) == (r.good, r.bad)
     return len(closures)
 
 
@@ -290,8 +310,7 @@ def test_connected_fails_loudly_on_a_cyclic_path():
 
 def outputs(graph, **options):
     r = run_cut(graph, **options)
-    return (r.colors.tobytes(), r.good, r.bad, r.incremental_good,
-            r.incremental_bad, r.rounds)
+    return r.colors.tobytes(), r.good, r.bad, r.rounds
 
 
 def backends_agree(monkeypatch, graph, seeds):
