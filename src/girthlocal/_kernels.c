@@ -363,19 +363,27 @@ typedef struct {
     int64_t len, cap;
 } vec;
 
+/* room for need items in v (and an allocated buffer even for none) */
+static void reserve(int64_t *err, vec *v, int64_t need)
+{
+    if (v->data && need <= v->cap)
+        return;
+    int64_t cap = need > 2 * v->cap ? need : 2 * v->cap;
+    cap = cap > 64 ? cap : 64;
+    int64_t *data = realloc(v->data, cap * sizeof *data);
+    if (!data) {
+        *err = ENGINE_NOMEM;
+        return;
+    }
+    v->data = data;
+    v->cap = cap;
+}
+
 static void push(int64_t *err, vec *v, int64_t x)
 {
-    if (v->len == v->cap) {
-        int64_t cap = v->cap ? 2 * v->cap : 64;
-        int64_t *data = realloc(v->data, cap * sizeof *data);
-        if (!data) {
-            *err = ENGINE_NOMEM;
-            return;
-        }
-        v->data = data;
-        v->cap = cap;
-    }
-    v->data[v->len++] = x;
+    reserve(err, v, v->len + 1);
+    if (v->len < v->cap)
+        v->data[v->len++] = x;
 }
 
 /* a FIFO queue: the items of q from index *head on */
@@ -398,6 +406,85 @@ static int64_t fifo_pop(vec *q, int64_t *head)
     return x;
 }
 
+/* sorts a[0 .. m) in place, ascending, when the ids agree on all bits from
+ * shift + 8 up: a radix sort by the byte at shift, most significant first,
+ * that moves each id straight to its bucket (no buffer), then sorts each
+ * bucket by the next byte down; a short run is insertion-sorted */
+static void sort_ids(int64_t *a, int64_t m, int shift)
+{
+    if (m <= 32) {
+        for (int64_t i = 1; i < m; i++) {
+            int64_t x = a[i], j = i;
+            for (; j > 0 && a[j - 1] > x; j--)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    int64_t next[256] = {0}, end[256];
+    for (int64_t i = 0; i < m; i++)
+        next[(a[i] >> shift) & 255]++;
+    for (int64_t b = 0, at = 0; b < 256; b++) {
+        at += next[b];
+        end[b] = at;
+        next[b] = at - next[b];
+    }
+    for (int b = 0; b < 256; b++) {
+        while (next[b] < end[b]) {
+            /* carry a[next[b]] along the cycle of displaced ids until one
+             * belongs in bucket b */
+            int64_t x = a[next[b]];
+            for (int d = (x >> shift) & 255; d != b; d = (x >> shift) & 255) {
+                int64_t y = a[next[d]];
+                a[next[d]++] = x;
+                x = y;
+            }
+            a[next[b]++] = x;
+        }
+    }
+    if (shift == 0)
+        return;
+    for (int64_t b = 0, from = 0; b < 256; from = end[b++])
+        sort_ids(a + from, end[b] - from, shift > 8 ? shift - 8 : 0);
+}
+
+/* sorts the vertex ids a[0 .. m), each below n, ascending */
+static void sort_vertices(int64_t *a, int64_t m, int64_t n)
+{
+    /* the first byte sorted on is the top byte of n - 1 */
+    int bits = 0;
+    while (bits < 63 && (n - 1) >> bits)
+        bits++;
+    sort_ids(a, m, bits > 8 ? bits - 8 : 0);
+}
+
+/* numpy's bitgen_t, as numpy/random/bitgen.h declares it: a bit
+ * generator's state and its draw functions.  A numpy Generator's
+ * bit_generator.ctypes.bit_generator points at one, and Generator.random
+ * fills its output with one next_double call per entry, in order.  The
+ * caller holds the bit generator's lock, as numpy's own methods do. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* the ids of ids[0 .. m) whose draw falls below p, in order, into out
+ * (which may be ids itself); returns their count.  One draw per id, in
+ * order, so the draws and the marks are those of ids[rng.random(m) < p]
+ * and the generator is left where that expression leaves it. */
+static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
+                    int64_t *out)
+{
+    int64_t kept = 0;
+    for (int64_t i = 0; i < m; i++)
+        if (bg->next_double(bg->state) < p)
+            out[kept++] = ids[i];
+    return kept;
+}
+
 /* ---- The finite cut process's event engine ----------------------------
  *
  * cut_local_algorithm.CutProcess restated over flat arrays: _reveal, query,
@@ -405,10 +492,19 @@ static int64_t fifo_pop(vec *q, int64_t *head)
  * closure, the endgame commits and _resolve_pending.  Every rule, its
  * order of effects and every tie-break is the same as in the Python
  * methods, which stay the reference semantics; tests pin the two to equal
- * colourings and counters.  The random draws (the bootstrap pair and the
- * per-round query marks) stay in Python, which hands the engine the
- * vertices it picked; the per-round lone-vertex scan is one fused pass
- * here (cut_lones) and a numpy scan on the Python path.
+ * colourings and counters.  A round of the schedule (CutProcess.query_round:
+ * the lone-vertex scan, the query marks and the queries, then closure) is
+ * one call, cut_round, which draws the marks from the caller's numpy bit
+ * generator, one draw per lone vertex in ascending order as the Python
+ * round does, so both backends read one random stream.  The bootstrap
+ * pair is drawn in Python, which hands the engine the vertices it picked.
+ *
+ * The lone list is kept as it changes rather than rescanned: a vertex
+ * becomes lone only when a label arrives (give_label) or a path edge goes
+ * (remove_path_slot), since a vertex never returns to survival, so those
+ * two record the vertex they touch, and a scan re-tests the last scan's
+ * list merged with the touched vertices, sorted.  An engine's first scan,
+ * which has no list to start from, tests every vertex.
  *
  * The rules rest on the module's invariant (P): every survival path
  * component is a simple path (proved in cut_local_algorithm's docstring).
@@ -426,7 +522,9 @@ static int64_t fifo_pop(vec *q, int64_t *head)
  *   - the pending colours (target, bit, free) with an age-order list: a
  *     re-pend keeps the vertex's place;
  *   - the white marks (source, bit), deferred triples, the FIFO queue and
- *     an int min-heap (it pops the same sequence as heapq).
+ *     an int min-heap (it pops the same sequence as heapq);
+ *   - the lone list of the last scan, ascending, the vertices touched
+ *     since, and the round's marked vertices.
  */
 #define RED 0
 #define GREEN 1
@@ -448,6 +546,8 @@ typedef struct {
     uint8_t *wbit;
     vec order, deferred, queue, heap, walk, rotated;
     int64_t qhead, *seen;
+    vec lones, fresh, touched, marked;
+    int scanned;  /* lones holds the last scan's list */
 } cut_state;
 
 #define GOOD(s) ((s)->counts[0])
@@ -505,6 +605,13 @@ static int64_t heap_pop(cut_state *s)
 static int64_t cd(const cut_state *s, int64_t v)
 {
     return s->n_r[v] + s->n_g[v] + s->n_w[v] + s->n_d[v];
+}
+
+/* v may have become lone: the next scan re-tests it */
+static void touch(cut_state *s, int64_t v)
+{
+    if (s->scanned)
+        push(&s->err, &s->touched, v);
 }
 
 static void dirty(cut_state *s, int64_t v)
@@ -611,6 +718,7 @@ static void give_label(cut_state *s, int64_t x, int color)
         s->n_r[x] += 1;
     else
         s->n_g[x] += 1;
+    touch(s, x);
     wake(s, x);
 }
 
@@ -647,6 +755,7 @@ static int remove_path_slot(cut_state *s, int64_t x, int64_t y)
         s->path_par[i] = s->path_par[i + 1];
     }
     s->pd[x] -= 1;
+    touch(s, x);
     return parity;
 }
 
@@ -1118,6 +1227,10 @@ void cut_free(cut_state *s)
     free(s->heap.data);
     free(s->walk.data);
     free(s->rotated.data);
+    free(s->lones.data);
+    free(s->fresh.data);
+    free(s->touched.data);
+    free(s->marked.data);
     free(s);
 }
 
@@ -1191,20 +1304,8 @@ int64_t cut_closure(cut_state *s)
     return s->err;
 }
 
-/* query each marked vertex, in order, that is still a survival vertex with
- * an open half-edge */
-int64_t cut_queries(cut_state *s, const int64_t *marked, int64_t count)
-{
-    for (int64_t i = 0; i < count && !s->err; i++) {
-        int64_t v = marked[i];
-        if (s->status[v] == 0 && s->op[v] > 0)
-            query(s, v);
-    }
-    return s->err;
-}
-
 /* survival, no path edge, no white or deferred label, one R/G label.
- * Called after closure only, which leaves no survival vertex with two or
+ * Tested after closure only, which leaves no survival vertex with two or
  * more labels and none whose single label is white: so n_r + n_g == 1
  * already rules out a white or deferred label, and n_w and n_d are not
  * read. */
@@ -1214,37 +1315,75 @@ static int lone(const cut_state *s, int64_t v)
         && s->n_r[v] + s->n_g[v] == 1;
 }
 
-/* the lone vertices, ascending, into out (room for n); returns their
- * count.  Eight vertices at a time and without branches: a byte of t is
- * zero exactly where its vertex is lone (the label counters are at most
- * 3, so n_r + n_g carries into no other byte), and the top bit of each
- * byte of zero marks the zero bytes of t.  Each vertex is written to the
- * next free place, which only a lone one keeps. */
-int64_t cut_lones(const cut_state *s, int64_t *out)
+/* brings lones up to date: the lone vertices, ascending, as
+ * CutProcess.lones finds them */
+static void scan_lones(cut_state *s)
 {
-    const uint64_t ones = 0x0101010101010101u, low7 = 0x7f7f7f7f7f7f7f7fu;
-    int64_t count = 0, v = 0;
-    for (; v + 8 <= s->n; v += 8) {
-        uint64_t st, pd, nr, ng;
-        memcpy(&st, s->status + v, 8);
-        memcpy(&pd, s->pd + v, 8);
-        memcpy(&nr, s->n_r + v, 8);
-        memcpy(&ng, s->n_g + v, 8);
-        uint64_t t = st | pd | ((nr + ng) ^ ones);
-        uint64_t zero = ~(((t & low7) + low7) | t | low7);
-        if (!zero)
-            continue;
-        uint8_t byte[8];
-        memcpy(byte, &zero, 8);
-        for (int j = 0; j < 8; j++) {
-            out[count] = v + j;
-            count += byte[j] >> 7;
+    vec *out = &s->fresh;
+    out->len = 0;
+    if (!s->scanned) {
+        reserve(&s->err, out, s->n);
+        if (s->err)
+            return;
+        for (int64_t v = 0; v < s->n; v++)
+            if (lone(s, v))
+                out->data[out->len++] = v;
+        s->scanned = 1;
+    } else {
+        /* the last list merged with the touched vertices, each tested
+         * once; a vertex touched twice, or touched and listed, comes up
+         * in a run of equal ids */
+        const int64_t *a = s->lones.data, *b = s->touched.data;
+        int64_t na = s->lones.len, nb = s->touched.len;
+        reserve(&s->err, out, na + nb);
+        if (s->err)
+            return;
+        sort_vertices(s->touched.data, nb, s->n);
+        int64_t i = 0, j = 0, last = -1;
+        while (i < na || j < nb) {
+            int64_t v = j == nb || (i < na && a[i] <= b[j]) ? a[i++] : b[j++];
+            if (v != last && lone(s, v))
+                out->data[out->len++] = v;
+            last = v;
         }
     }
-    for (; v < s->n; v++)
-        if (lone(s, v))
-            out[count++] = v;
-    return count;
+    vec swap = s->lones;
+    s->lones = *out;
+    *out = swap;
+    s->touched.len = 0;
+}
+
+/* the lone list, as a scan leaves it, into out (room for n); its length
+ * into count */
+int64_t cut_lones(cut_state *s, int64_t *out, int64_t *count)
+{
+    scan_lones(s);
+    if (s->err)
+        return s->err;
+    memcpy(out, s->lones.data, s->lones.len * sizeof *out);
+    *count = s->lones.len;
+    return 0;
+}
+
+/* one round of the schedule (CutProcess.query_round): each lone vertex is
+ * marked when its draw from bg falls below q, and each marked vertex that
+ * is still a survival vertex with an open half-edge is queried, in
+ * ascending order; then closure */
+int64_t cut_round(cut_state *s, bitgen_t *bg, double q)
+{
+    scan_lones(s);
+    reserve(&s->err, &s->marked, s->lones.len);
+    if (s->err)
+        return s->err;
+    int64_t *marked = s->marked.data;
+    int64_t count = mark(bg, s->lones.data, s->lones.len, q, marked);
+    for (int64_t i = 0; i < count && !s->err; i++) {
+        int64_t v = marked[i];
+        if (s->status[v] == 0 && s->op[v] > 0)
+            query(s, v);
+    }
+    closure(s);
+    return s->err;
 }
 
 /* survivors take their majority, unrevealed pairs are deferred, the
@@ -1286,14 +1425,19 @@ int64_t cut_endgame(cut_state *s)
  *
  * is_local_algorithm.SurvivalGraph restated over flat arrays: _drop_vertex,
  * delete, _select, the four branches of contract, the settle FIFO, the
- * per-vertex loops of deletes and probes, and commit_survivors' backward
- * read of the merge log.  Every rule and its order of effects is the same
- * as in the Python methods, which stay the reference semantics; tests pin
- * the two to equal sets, round counts and contraction counts.  The round
- * ladder and the random draws stay in Python, which hands the engine the
- * vertices it picked; is_scan gives the ladder its class members, the
- * ascending ids SurvivalGraph.scan finds, at a cost of the members found
- * (copied off the class lists below and sorted) rather than of n.
+ * per-vertex loop of deletes, the two kinds of round (thin and
+ * probe_round) and commit_survivors' backward read of the merge log.
+ * Every rule and its order of effects is the same as in the Python
+ * methods, which stay the reference semantics; tests pin the two to equal
+ * sets, round counts and contraction counts.  The round ladder, which
+ * picks each round's kind and class, stays in Python.  A round is one
+ * call (is_thin, is_probe_round) that draws its marks from the caller's
+ * numpy bit generator, one draw per class member in ascending order as
+ * the Python round does, so both backends read one random stream.  The
+ * class members are the ascending ids SurvivalGraph.scan finds, at a cost
+ * of the members found (copied off the class lists below and sorted)
+ * rather than of n; is_scan hands them to the forced deletion, which is
+ * drawn in Python.
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename
@@ -1314,7 +1458,8 @@ int64_t cut_endgame(cut_state *s)
  *     change of a degree or a death goes through reclass, which keeps
  *     counts[k] equal to the length of classes[k];
  *   - the merge log, (x, y, z) for each true merge;
- *   - the settle FIFO.
+ *   - the settle FIFO;
+ *   - a round's vertices above its class and its marked members.
  */
 #define UNDECIDED 0
 #define IN 1
@@ -1329,6 +1474,7 @@ typedef struct {
     int64_t qhead;
     vec *classes;
     int64_t *slot;
+    vec above, marked;
 } is_state;
 
 #define SURVIVAL_COUNT(s) ((s)->state[0])
@@ -1563,6 +1709,8 @@ void is_free(is_state *s)
     free(s->pool.data);
     free(s->merges.data);
     free(s->queue.data);
+    free(s->above.data);
+    free(s->marked.data);
     if (s->classes)
         for (int64_t k = 0; k < s->ncounts; k++)
             free(s->classes[k].data);
@@ -1647,69 +1795,45 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
     return s;
 }
 
-/* sorts a[0 .. m) in place, ascending, when the ids agree on all bits from
- * shift + 8 up: a radix sort by the byte at shift, most significant first,
- * that moves each id straight to its bucket (no buffer), then sorts each
- * bucket by the next byte down; a short run is insertion-sorted */
-static void sort_ids(int64_t *a, int64_t m, int shift)
+/* the live vertices of degree lo..hi (0 <= lo, hi < ncounts), ascending,
+ * into out, which has room for counts[lo] + ... + counts[hi] ids; returns
+ * their count.  Class lists whose lengths differ from those counts are
+ * ENGINE_BROKEN. */
+static int64_t collect(is_state *s, int64_t lo, int64_t hi, int64_t *out)
 {
-    if (m <= 32) {
-        for (int64_t i = 1; i < m; i++) {
-            int64_t x = a[i], j = i;
-            for (; j > 0 && a[j - 1] > x; j--)
-                a[j] = a[j - 1];
-            a[j] = x;
-        }
-        return;
-    }
-    int64_t next[256] = {0}, end[256];
-    for (int64_t i = 0; i < m; i++)
-        next[(a[i] >> shift) & 255]++;
-    for (int64_t b = 0, at = 0; b < 256; b++) {
-        at += next[b];
-        end[b] = at;
-        next[b] = at - next[b];
-    }
-    for (int b = 0; b < 256; b++) {
-        while (next[b] < end[b]) {
-            /* carry a[next[b]] along the cycle of displaced ids until one
-             * belongs in bucket b */
-            int64_t x = a[next[b]];
-            for (int d = (x >> shift) & 255; d != b; d = (x >> shift) & 255) {
-                int64_t y = a[next[d]];
-                a[next[d]++] = x;
-                x = y;
-            }
-            a[next[b]++] = x;
-        }
-    }
-    if (shift == 0)
-        return;
-    for (int64_t b = 0, from = 0; b < 256; from = end[b++])
-        sort_ids(a + from, end[b] - from, shift > 8 ? shift - 8 : 0);
-}
-
-/* the live vertices of degree lo..hi (0 <= lo <= hi < ncounts), ascending,
- * into out, which has room for counts[lo] + ... + counts[hi] ids; class
- * lists whose lengths differ from those counts are ENGINE_BROKEN */
-int64_t is_scan(is_state *s, int64_t lo, int64_t hi, int64_t *out)
-{
-    for (int64_t k = lo; k <= hi && !s->err; k++)
-        if (s->counts[k] != s->classes[k].len)
+    for (int64_t k = lo; k <= hi; k++) {
+        if (s->counts[k] != s->classes[k].len) {
             s->err = ENGINE_BROKEN;
-    if (s->err)
-        return s->err;
+            return 0;
+        }
+    }
     int64_t m = 0;
     for (int64_t k = lo; k <= hi; k++) {
         memcpy(out + m, s->classes[k].data, s->classes[k].len * sizeof *out);
         m += s->classes[k].len;
     }
-    /* the first byte sorted on is the top byte of n - 1 */
-    int bits = 0;
-    while (bits < 63 && (s->n - 1) >> bits)
-        bits++;
-    sort_ids(out, m, bits > 8 ? bits - 8 : 0);
-    return 0;
+    sort_vertices(out, m, s->n);
+    return m;
+}
+
+/* collect, into a vector of the engine's */
+static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
+{
+    int64_t need = 0;
+    for (int64_t k = lo; k <= hi; k++)
+        need += s->counts[k];
+    out->len = 0;
+    reserve(&s->err, out, need);
+    if (!s->err)
+        out->len = collect(s, lo, hi, out->data);
+}
+
+/* the live vertices of degree lo..hi (0 <= lo <= hi < ncounts), ascending,
+ * into out, as collect */
+int64_t is_scan(is_state *s, int64_t lo, int64_t hi, int64_t *out)
+{
+    collect(s, lo, hi, out);
+    return s->err;
 }
 
 int64_t is_settle(is_state *s)
@@ -1726,31 +1850,65 @@ int64_t is_deletes(is_state *s, const int64_t *ids, int64_t count)
     return s->err;
 }
 
-/* the 4-regular probe of each marked vertex, in order, that still has
- * degree 3: it goes itself when its neighbours all have degree 3, else the
- * lowest-id neighbour of the highest degree goes */
-int64_t is_probes(is_state *s, const int64_t *marked, int64_t count)
+/* one thinning round (SurvivalGraph.thin): every live vertex above class
+ * top goes, then each member of class top whose draw from bg falls below
+ * p; both lists are read, and the marks drawn, before any deletion.  Then
+ * settle. */
+int64_t is_thin(is_state *s, bitgen_t *bg, int64_t top, double p)
 {
-    for (int64_t i = 0; i < count && !s->err; i++) {
-        int64_t v = marked[i];
-        if (s->deg[v] != 3)
-            continue;
-        if (s->len[v] != 3) {
-            /* a dead vertex kept degree 3: see SurvivalGraph.probes */
-            s->err = ENGINE_BROKEN;
-            break;
-        }
-        const int64_t *a = nbrs(s, v);
-        int64_t best = -1, target = -1;
-        for (int64_t j = 0; j < 3; j++) {
-            int64_t du = s->deg[a[j]];
-            if (du > best || (du == best && a[j] < target)) {
-                best = du;
-                target = a[j];
-            }
-        }
-        is_delete(s, best == 3 ? v : target);
+    members(s, top + 1, s->ncounts - 1, &s->above);
+    if (!s->err)
+        members(s, top, top, &s->marked);
+    if (s->err)
+        return s->err;
+    vec *marked = &s->marked;
+    marked->len = mark(bg, marked->data, marked->len, p, marked->data);
+    is_deletes(s, s->above.data, s->above.len);
+    is_deletes(s, marked->data, marked->len);
+    settle(s);
+    return s->err;
+}
+
+/* the 4-regular probe of v, which goes itself when its neighbours all
+ * have degree 3, else the lowest-id neighbour of the highest degree goes;
+ * a vertex no longer of degree 3 is skipped */
+static void probe(is_state *s, int64_t v)
+{
+    if (s->deg[v] != 3)
+        return;
+    if (s->len[v] != 3) {
+        /* a dead vertex kept degree 3: see SurvivalGraph.probe_round */
+        s->err = ENGINE_BROKEN;
+        return;
     }
+    const int64_t *a = nbrs(s, v);
+    int64_t best = -1, target = -1;
+    for (int64_t j = 0; j < 3; j++) {
+        int64_t du = s->deg[a[j]];
+        if (du > best || (du == best && a[j] < target)) {
+            best = du;
+            target = a[j];
+        }
+    }
+    is_delete(s, best == 3 ? v : target);
+}
+
+/* one probe round (SurvivalGraph.probe_round): every live vertex above
+ * class 5 goes; then each member of class 3 whose draw from bg falls below
+ * p is probed, in order.  Then settle. */
+int64_t is_probe_round(is_state *s, bitgen_t *bg, double p)
+{
+    members(s, 6, s->ncounts - 1, &s->above);
+    is_deletes(s, s->above.data, s->above.len);
+    if (!s->err)
+        members(s, 3, 3, &s->marked);
+    if (s->err)
+        return s->err;
+    vec *marked = &s->marked;
+    marked->len = mark(bg, marked->data, marked->len, p, marked->data);
+    for (int64_t i = 0; i < marked->len && !s->err; i++)
+        probe(s, marked->data[i]);
+    settle(s);
     return s->err;
 }
 

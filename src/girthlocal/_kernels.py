@@ -12,8 +12,12 @@ engine per finite process: ``CutEngine`` runs the methods of
 ``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
 ``is_local_algorithm.SurvivalGraph`` (its class scans included), over flat
 arrays, pinned by tests to give the same outputs and counters.  Each
-process's round schedule and random draws stay in Python, so both backends
-read one random stream.
+process's round schedule is written once, in Python, and runs each round
+as one engine call.  The marks of a round are drawn in C from the caller's
+numpy Generator, through its bit generator's C interface
+(``bit_generator.ctypes``): one ``next_double`` per candidate, in
+ascending order, which is what ``ids[rng.random(m) < p]`` draws.  So both
+backends read one random stream and leave the generator in one state.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -27,9 +31,8 @@ can be built or loaded (no compiler, a failed or hung build, a cache
 directory that cannot be written), ``BACKEND`` is ``"python"``: the rule
 sets run their composed operations round by round instead
 (``evolution_core._python_chunk``: the same bits, at 90-560 times the cost
-per round), and the finite processes run their Python methods (the cut
-process at about 7 times the cost, the independent-set process at about
-8 times).  Otherwise it is ``"c"``.
+per round), and the finite processes run their Python methods (at 15-18
+times the cost).  Otherwise it is ``"c"``.
 """
 import ctypes
 import os
@@ -111,12 +114,13 @@ def _load(cc=_CC, cache=_CACHE):
         getattr(lib, name).restype = None
     for name, args in (("cut_commit", [ptr, i64, i64]),
                        ("cut_closure", [ptr]),
-                       ("cut_queries", [ptr, ptr, i64]),
-                       ("cut_lones", [ptr, ptr]),
+                       ("cut_round", [ptr, ptr, f64]),
+                       ("cut_lones", [ptr, ptr, ptr]),
                        ("cut_endgame", [ptr]),
                        ("is_settle", [ptr]),
                        ("is_deletes", [ptr, ptr, i64]),
-                       ("is_probes", [ptr, ptr, i64]),
+                       ("is_thin", [ptr, ptr, i64, f64]),
+                       ("is_probe_round", [ptr, ptr, f64]),
                        ("is_scan", [ptr, i64, i64, ptr]),
                        ("is_commit_survivors", [ptr])):
         getattr(lib, name).argtypes = args
@@ -184,12 +188,12 @@ class _Engine:
         if err:
             raise AssertionError(f"{self._name}: bookkeeping out of sync")
 
-    def _ids(self, ids) -> np.ndarray:
-        """ids as a contiguous int64 array of vertices of the graph."""
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        if ids.size and not (0 <= ids.min() and ids.max() < self._n):
-            raise IndexError("vertex out of range")
-        return ids
+    def _run_drawing(self, entry, rng, *args):
+        """_run, with ``rng``'s bit generator passed to C for the draws
+        and locked meanwhile, as numpy's own methods lock it."""
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            self._run(entry, bitgen.ctypes.bit_generator, *args)
 
     def close(self) -> None:
         if self._state:
@@ -209,9 +213,10 @@ class CutEngine(_Engine):
     """The cut process's event engine in C, over one ``CutProcess``'s
     shared buffers (status, colours, label counters, path degrees, open
     counts, aliases, revealed flags), which it updates in place.  Its
-    ``commit``, ``closure`` and ``endgame`` are those of the process,
-    ``queries`` its per-round loop over the marked vertices and ``lones``
-    its lone-vertex scan.  The counters good, bad and survival live in
+    ``commit``, ``closure``, ``query_round`` and ``endgame`` are those of
+    the process; ``query_round`` draws from the process's ``rng``.
+    ``lones`` is the lone list that the engine keeps up to date as labels
+    arrive and path edges go.  The counters good, bad and survival live in
     ``counts`` until ``close`` writes them back.  Needs
     ``BACKEND == "c"``."""
 
@@ -221,7 +226,6 @@ class CutEngine(_Engine):
         self._proc = proc
         self._n = proc.n
         self.counts = array("q", (proc.good, proc.bad, proc.survival))
-        self._lones = np.empty(proc.n, dtype=np.int64)
         self._views = [_writable(buf) for buf in (
             proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
             proc.pd, proc.op, proc.alias, proc.revealed, self.counts)]
@@ -242,19 +246,17 @@ class CutEngine(_Engine):
     def closure(self) -> None:
         self._run(_lib.cut_closure)
 
-    def queries(self, marked) -> None:
-        """Query each marked vertex (int array), in order, that is still a
-        survival vertex with an open half-edge."""
-        marked = self._ids(marked)
-        self._run(_lib.cut_queries, marked.ctypes.data, marked.shape[0])
+    def query_round(self) -> None:
+        self._run_drawing(_lib.cut_round, self._proc.rng,
+                          self._proc.query_probability)
 
     def lones(self) -> np.ndarray:
         """The lone vertices, ascending, as ``CutProcess.lones`` finds
-        them; a view of a buffer the next call overwrites."""
-        if not self._state:
-            raise ValueError(f"{self._name}: already closed")
-        return self._lones[:_lib.cut_lones(self._state,
-                                           self._lones.ctypes.data)]
+        them: the engine's own list, brought up to date."""
+        out = np.empty(self._n, dtype=np.int64)
+        count = np.zeros(1, dtype=np.int64)
+        self._run(_lib.cut_lones, out.ctypes.data, count.ctypes.data)
+        return out[:count[0]]
 
     def endgame(self) -> None:
         self._run(_lib.cut_endgame)
@@ -271,8 +273,9 @@ class IsEngine(_Engine):
     """The independent-set process's event engine in C, over a fresh
     ``SurvivalGraph``'s degrees, live flags, degree histogram and decision
     bytes, which it updates in place.  Its ``settle``, ``deletes``,
-    ``probes``, ``commit_survivors`` and ``scan`` are those of the survival
-    graph; a merged vertex above ``cap_degree`` is deleted, as
+    ``thin``, ``probe_round``, ``commit_survivors`` and ``scan`` are those
+    of the survival graph, and the two rounds draw their marks from the
+    ``rng`` passed in; a merged vertex above ``cap_degree`` is deleted, as
     ``DEGREE_CAP`` in settle.  The merge log and the per-degree member
     lists that ``scan`` reads are the engine's own.  The survival and
     contraction counts live in ``counts`` until ``close`` writes them back.
@@ -301,13 +304,18 @@ class IsEngine(_Engine):
 
     def deletes(self, ids) -> None:
         """Delete each vertex (int array), in order."""
-        ids = self._ids(ids)
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        if ids.size and not (0 <= ids.min() and ids.max() < self._n):
+            raise IndexError("vertex out of range")
         self._run(_lib.is_deletes, ids.ctypes.data, ids.shape[0])
 
-    def probes(self, marked) -> None:
-        """Probe each marked vertex (int array), in order."""
-        marked = self._ids(marked)
-        self._run(_lib.is_probes, marked.ctypes.data, marked.shape[0])
+    def thin(self, rng, top: int, probability: float) -> None:
+        if not 0 <= top < len(self._g.counts):
+            raise IndexError(f"degree class {top} out of range")
+        self._run_drawing(_lib.is_thin, rng, top, probability)
+
+    def probe_round(self, rng, probability: float) -> None:
+        self._run_drawing(_lib.is_probe_round, rng, probability)
 
     def commit_survivors(self) -> None:
         self._run(_lib.is_commit_survivors)

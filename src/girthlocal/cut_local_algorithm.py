@@ -81,9 +81,10 @@ class CutProcess:
     the staged methods.
 
     The methods below are the reference semantics.  run() hands the events
-    to ``_kernels.CutEngine`` (the same rules in C, over this object's
-    counter buffers) when the C kernels are built, and runs these methods
-    otherwise; tests pin the two to the same colouring and counters.
+    and the rounds to ``_kernels.CutEngine`` (the same rules in C, over this
+    object's counter buffers) when the C kernels are built, and runs these
+    methods otherwise; tests pin the two to the same colouring, counters
+    and random stream.
     """
 
     def __init__(self, graph: Multigraph, seed=None,
@@ -556,12 +557,17 @@ class CutProcess:
             (self.status, self.pd, self.nR, self.nG))
         return np.flatnonzero((status == 0) & (pd == 0) & ((nR + nG) == 1))
 
-    def queries(self, marked: np.ndarray) -> None:
-        """query() each marked vertex, in order, that is still a survival
-        vertex with an open half-edge."""
+    def query_round(self) -> None:
+        """One round: each lone vertex is marked with the query
+        probability, and each marked vertex that is still a survival vertex
+        with an open half-edge is queried, in order; then closure."""
+        lones = self.lones()
+        marked = lones[self.rng.random(lones.shape[0])
+                       < self.query_probability]
         for v in marked.tolist():
             if self.status[v] == 0 and self.op[v] > 0:
                 self.query(v)
+        self.closure()
 
     def run(self) -> CutResult:
         if _kernels.BACKEND == "c":
@@ -572,18 +578,17 @@ class CutProcess:
         return self._result()
 
     def _drive(self, engine) -> None:
-        """The round schedule.  ``engine`` runs the events and the lone
-        scan: this process, or its C engine.  The random draws are made
-        here either way, so both backends read one random stream."""
+        """The round schedule.  ``engine`` runs the events and the rounds:
+        this process, or its C engine.  Both draw a round's query marks
+        from self.rng, one draw per lone vertex in ascending order, and the
+        bootstrap pair is drawn here, so both backends read one random
+        stream."""
         threshold = max(ENDGAME_FLOOR, STOP_FRACTION * self.n)
         self._bootstrap(engine)
         engine.closure()
         while engine.survival > threshold and self.rounds < MAX_ROUNDS:
             before = engine.survival
-            lones = engine.lones()
-            engine.queries(lones[self.rng.random(lones.shape[0])
-                                 < self.query_probability])
-            engine.closure()
+            engine.query_round()
             if engine.survival == before:
                 self._bootstrap(engine)
                 engine.closure()

@@ -203,7 +203,8 @@ def refine(initial_state, rules, step_sizes) -> RefinementReport:
 
     ``step_sizes`` must hold at least two strictly decreasing entries, all
     checked before the first run.  Each run stops when the tracked mass
-    falls to its own step size, as a single run does.
+    falls to its own step size, as a single run does; a run that fails
+    names its step size in the ``IntegrationError``.
     """
     steps = tuple(float(s) for s in step_sizes)
     if len(steps) < 2:
@@ -214,7 +215,11 @@ def refine(initial_state, rules, step_sizes) -> RefinementReport:
             raise ValueError("step sizes must be strictly decreasing")
     finals = []
     for params in ladder:
-        state, _ = integrate(initial_state, rules, params)
+        try:
+            state, _ = integrate(initial_state, rules, params)
+        except IntegrationError as exc:
+            raise IntegrationError(
+                f"at step size {params.step_size:g}: {exc}") from exc
         finals.append(rules.accumulator(state))
     diffs = tuple(abs(b - a) for a, b in zip(finals, finals[1:]))
     ratios = tuple(d2 / d1 if d1 > 0 else math.inf

@@ -98,11 +98,12 @@ class SurvivalGraph:
     list is still alive when the rule acts on it, and the rules test no
     liveness; ``delete`` still refuses a dead vertex.
 
-    The methods below are the reference semantics.  run() hands the events
-    and the class scans to ``_kernels.IsEngine`` (the same rules in C, over
-    deg, alive, counts and status, with per-degree member lists of its own
-    for the scans) when the C kernels are built, and runs these methods
-    otherwise; tests pin the two to the same set, rounds and contractions.
+    The methods below are the reference semantics.  run() hands the events,
+    the rounds and the class scans to ``_kernels.IsEngine`` (the same rules
+    in C, over deg, alive, counts and status, with per-degree member lists
+    of its own for the scans) when the C kernels are built, and runs these
+    methods otherwise; tests pin the two to the same set, rounds,
+    contractions and random stream.
     """
 
     def __init__(self, g: Multigraph):
@@ -259,19 +260,41 @@ class SurvivalGraph:
         for v in ids.tolist():
             self.delete(v)
 
-    def probes(self, marked: np.ndarray) -> None:
-        """4-regular probe of each marked 3-vertex, in order: one whose
-        neighbors all have degree 3 is deleted itself, otherwise its
-        lowest-id neighbor of the highest degree is (the probe vertex then
-        drops to degree 2 and contracts in the next settle).
+    def thin(self, rng, top: int, probability: float) -> None:
+        """One thinning round: every live vertex above class top is
+        deleted, then each member of class top with the given probability;
+        then settle.
 
-        Degrees only fall during the loop.  So a target of degree above 3
+        Both scans and the draw see the graph before any deletion; a delete
+        kills only its argument, so every marked vertex is still alive when
+        its turn comes.
+        """
+        above = (self.scan(np.greater, top).tolist()
+                 if any(self.counts[top + 1:]) else [])
+        members = self.scan(np.equal, top)
+        marked = members[rng.random(members.shape[0]) < probability]
+        for v in above + marked.tolist():
+            self.delete(v)
+        self.settle()
+
+    def probe_round(self, rng, probability: float) -> None:
+        """4-regular round: every live vertex above class 5 is deleted;
+        then each 3-vertex is marked with the given probability and probed,
+        in order: one whose neighbors all have degree 3 is deleted itself,
+        otherwise its lowest-id neighbor of the highest degree is (the
+        probe vertex then drops to degree 2 and contracts in the settle
+        that ends the round).
+
+        Degrees only fall during the probes.  So a target of degree above 3
         is never a marked vertex, and a marked vertex deleted as a target
         died at a degree below 3, which it keeps: the degree test alone
         skips every marked vertex that is gone.
         """
+        if any(self.counts[6:]):
+            self.deletes(self.scan(np.greater, 5))
+        members = self.scan(np.equal, 3)
         deg, adj = self.deg, self.adj
-        for v in marked.tolist():
+        for v in members[rng.random(members.shape[0]) < probability].tolist():
             if deg[v] != 3:
                 continue
             nbrs = adj[v]
@@ -282,6 +305,7 @@ class SurvivalGraph:
             else:
                 self.delete(min(u for u, dg in zip(nbrs, degs)
                                 if dg == best))
+        self.settle()
 
     def commit_survivors(self) -> None:
         """Mark every survivor out, then decide the vertices each merge
@@ -343,9 +367,11 @@ def run(graph: Multigraph, d: int, seed=None,
 def _drive(g: SurvivalGraph, engine, rng, d: int,
            thin_probability: float) -> int:
     """The round ladder; returns the rounds run.  ``engine`` runs the
-    events and the class scans: g itself, or its C engine.  The ladder and
-    the random draws are made here either way, over the same ascending
-    member arrays, so both backends read one random stream."""
+    rounds, the events and the class scans: g itself, or its C engine.  The
+    ladder picks each round's kind and class here, from the shared degree
+    histogram; a round draws its marks from rng over the ascending members
+    of its class, in Python or in C, so both backends read one random
+    stream."""
     stop_at = STOP_FRACTION * g.n
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
@@ -356,41 +382,18 @@ def _drive(g: SurvivalGraph, engine, rng, d: int,
         before = engine.survival_count
         top = _top_persistent(g.counts, before, PERSISTENCE_FRACTION, floor)
         if top is not None:
-            _delete_class_and_above(g, engine, rng, top, thin_probability)
+            engine.thin(rng, top, thin_probability)
         elif d == 4 and g.counts[3]:
-            _probe_round(g, engine, rng, thin_probability)
+            engine.probe_round(rng, thin_probability)
         else:
             # nothing persistent to thin and nothing to probe: bootstrap
-            _delete_class_and_above(g, engine, rng, d, BOOTSTRAP_PROBABILITY)
-        engine.settle()
+            engine.thin(rng, d, BOOTSTRAP_PROBABILITY)
         if engine.survival_count == before:
             _force_progress(g, engine, rng)
             engine.settle()
         rounds += 1
     engine.commit_survivors()
     return rounds
-
-
-def _delete_class_and_above(g: SurvivalGraph, engine, rng, top: int,
-                            probability: float) -> None:
-    # both scans and the draw see the graph before any deletion; a delete
-    # kills only its argument, so every marked vertex is still alive when
-    # its turn comes
-    outright = (engine.scan(np.greater, top) if any(g.counts[top + 1:])
-                else None)
-    members = engine.scan(np.equal, top)
-    marked = members[rng.random(members.shape[0]) < probability]
-    if outright is not None:
-        engine.deletes(outright)
-    engine.deletes(marked)
-
-
-def _probe_round(g: SurvivalGraph, engine, rng, probability: float) -> None:
-    """4-regular variant: probe marked 3-vertices one at a time."""
-    if any(g.counts[6:]):
-        engine.deletes(engine.scan(np.greater, 5))
-    members = engine.scan(np.equal, 3)
-    engine.probes(members[rng.random(members.shape[0]) < probability])
 
 
 def _force_progress(g: SurvivalGraph, engine, rng) -> None:

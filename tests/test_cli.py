@@ -108,6 +108,14 @@ def test_evolve_coarse_step_out_of_range_fails(capsys):
     assert "valid range" in err
 
 
+def test_refine_names_the_step_size_that_left_the_range(capsys):
+    code, out, err = run_cli(capsys, "refine", "is4", "--step-sizes",
+                             "1e-5", "5e-6", "2e-6")
+    assert code == 1
+    assert out == ""
+    assert "at step size 2e-06: state left its valid range at round" in err
+
+
 def test_simulate_is_parity_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "is", "--n", "3", "--d", "3")
     assert code == 2

@@ -336,21 +336,111 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
     backends_agree(monkeypatch, load_edge_list(MULTIGRAPHS[name]), range(10))
 
 
-@compiled
-def test_c_lone_scan_matches_the_numpy_scan(monkeypatch):
+def check_lones_before_each_round(monkeypatch):
+    """Make every C round first compare the engine's lone list with the
+    numpy scan over the shared buffers; returns the list of lone counts,
+    one per round."""
     scans = []
-    c_lones = _kernels.CutEngine.lones
+    query_round = _kernels.CutEngine.query_round
 
     def checked(engine):
-        lones = c_lones(engine)
+        lones = engine.lones()
         assert lones.tolist() == engine._proc.lones().tolist()
         scans.append(lones.shape[0])
-        return lones
+        query_round(engine)
 
-    monkeypatch.setattr(_kernels.CutEngine, "lones", checked)
-    for n in (10, 302, 2000):  # whole words of 8 vertices and tails
-        run_cut(generate(n, 3, seed=0), seed=0)
+    monkeypatch.setattr(_kernels.CutEngine, "query_round", checked)
+    return scans
+
+
+def reductions_leaving_a_lone(graph, seed):
+    """How many reduce_rrr calls of a run of the Python methods leave s1
+    lone: a labelled path end that loses its only path edge.  No label
+    arrives there, so the lone list learns of s1 only through the path
+    slot that goes."""
+    p = CutProcess(graph, seed=seed)
+    reduce_rrr, count = p.reduce_rrr, 0
+
+    def counted(s1, s2, s3):
+        nonlocal count
+        reduce_rrr(s1, s2, s3)
+        count += p.pd[s1] == 0 and p._label_of(s1) >= 0
+
+    p.reduce_rrr = counted
+    p._drive(p)
+    return count
+
+
+# a run at n = 302 with a reduction that leaves its s1 lone (rare: about
+# two per run at n = 20000, none in the seeds 0-1 runs below)
+LONE_BY_REDUCTION = (302, 269)
+
+
+@compiled
+def test_c_lone_scan_matches_the_numpy_scan(monkeypatch):
+    # the engine's first scan tests every vertex; each later one re-tests
+    # the last list and the vertices touched since
+    n, seed = LONE_BY_REDUCTION
+    assert reductions_leaving_a_lone(generate(n, 3, seed=seed), seed) > 0
+    scans = check_lones_before_each_round(monkeypatch)
+    for n, seed in [(n, s) for n in (10, 302, 2000) for s in range(2)] \
+            + [LONE_BY_REDUCTION]:
+        graph = generate(n, 3, seed=seed)
+        r = run_cut(graph, seed=seed)
+        assert count_cut(graph, r.colors) == (r.good, r.bad)
     assert len(scans) > 100 and max(scans) > 100
+
+
+@compiled
+def test_c_lone_scan_on_an_engine_opened_mid_run(monkeypatch):
+    # the Python methods label the neighbours of a few far-apart vertices
+    # (no path edge or pending colour, which only the engine would hold);
+    # an engine opened then finds those lones by its first, full scan, and
+    # the run it finishes matches the Python methods finishing it
+    scans = check_lones_before_each_round(monkeypatch)
+    graph = generate(2000, 3, seed=4)
+    nbrs = graph.neighbor_lists()
+    runs = []
+    for in_c in (True, False):
+        p = CutProcess(graph, seed=4)
+        near = set()
+        for v in range(0, graph.n, 23):
+            ball = {v, *nbrs[v], *(w for u in nbrs[v] for w in nbrs[u])}
+            if near.isdisjoint(ball):
+                p.commit(v, RED if v % 2 else GREEN)
+                near |= ball
+        p.closure()
+        assert p.lones().shape[0] > 50
+        if in_c:
+            with _kernels.CutEngine(p) as engine:
+                p._drive(engine)
+        else:
+            p._drive(p)
+        r = p._result()
+        assert count_cut(graph, r.colors) == (r.good, r.bad)
+        runs.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
+                     p.rng.bit_generator.state))
+    assert runs[0] == runs[1]
+    assert scans and scans[0] > 50
+
+
+@compiled
+@pytest.mark.parametrize("q", [0.005, 0.02])
+def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
+    # C draws from numpy's bit generator: exactly the draws the Python
+    # round makes, so a full run leaves the generator in one state
+    for seed in range(3):
+        graph = generate(2000, 3, seed=seed)
+        ends = []
+        for backend in ("c", "python"):
+            monkeypatch.setattr(_kernels, "BACKEND", backend)
+            p = CutProcess(graph, seed=seed, query_probability=q)
+            r = p.run()
+            ends.append((r.colors.tobytes(), r.rounds,
+                         p.rng.bit_generator.state))
+        assert ends[0] == ends[1]
+        fresh = np.random.default_rng(seed).bit_generator.state
+        assert ends[0][2] != fresh
 
 
 @compiled
@@ -368,7 +458,7 @@ def test_c_engine_checks_its_calls():
         with pytest.raises(IndexError):
             engine.commit(10, RED)
         with pytest.raises(IndexError):
-            engine.queries(np.array([3, -1]))
+            engine.commit(-1, RED)
         engine.commit(0, RED)
         assert p.status[0] == 1 and p.f[0] == RED and engine.survival == 9
         assert engine.lones().tolist() == p.lones().tolist() != []
@@ -377,7 +467,6 @@ def test_c_engine_checks_its_calls():
         with pytest.raises(AssertionError):
             engine.commit(0, GREEN)
     assert p.survival == 9
-    with pytest.raises(ValueError):
-        engine.closure()
-    with pytest.raises(ValueError):
-        engine.lones()
+    for call in (engine.closure, engine.query_round, engine.lones):
+        with pytest.raises(ValueError, match="closed"):
+            call()

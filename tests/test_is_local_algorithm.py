@@ -497,6 +497,29 @@ def test_c_run_builds_no_per_vertex_lists():
     assert decided(g, UNDECIDED) == [] and decided(g, IN) != []
 
 
+def drive_to_the_end(graph, d, seed, thin_probability, in_c):
+    """A full run on one backend, returning its outputs and the state it
+    leaves its generator in."""
+    g = SurvivalGraph(graph)
+    rng = np.random.default_rng(seed)
+    with engine_for(g, in_c) as engine:
+        rounds = _drive(g, engine, rng, d, thin_probability)
+    return bytes(g.status), rounds, rng.bit_generator.state
+
+
+@compiled
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("t", [0.005, 0.02])
+def test_backends_leave_the_generator_in_one_state(d, t):
+    # C draws from numpy's bit generator: exactly the draws the Python
+    # rounds make, so a full run leaves the generator in one state
+    for seed in range(3):
+        graph = generate(2000, d, seed=seed)
+        in_c = drive_to_the_end(graph, d, seed, t, True)
+        assert in_c == drive_to_the_end(graph, d, seed, t, False)
+        assert in_c[2] != np.random.default_rng(seed).bit_generator.state
+
+
 @pytest.mark.parametrize("in_c", [False, pytest.param(True, marks=compiled)],
                          ids=["python", "c"])
 def test_a_second_decision_of_one_vertex_fails(in_c):
@@ -523,12 +546,14 @@ def test_a_second_decision_of_one_vertex_fails(in_c):
 @compiled
 def test_c_engine_checks_its_calls():
     g = SurvivalGraph(load_edge_list(K4))
+    rng = np.random.default_rng(0)
     with _kernels.IsEngine(g, DEGREE_CAP) as engine:
-        for call in (engine.deletes, engine.probes):
+        for ids in ([1, 4], [-1]):
             with pytest.raises(IndexError):
-                call(np.array([1, 4]))
+                engine.deletes(np.array(ids))
+        for top in (-1, len(g.counts)):
             with pytest.raises(IndexError):
-                call(np.array([-1]))
+                engine.thin(rng, top, 0.5)
         engine.deletes(np.array([2]))
         assert not g.alive[2] and g.deg[0] == 2 and engine.survival_count == 3
         with pytest.raises(ValueError):
@@ -537,7 +562,9 @@ def test_c_engine_checks_its_calls():
             engine.scan(np.less, 3)
     assert g.survival_count == 3
     for call in (engine.settle, engine.commit_survivors,
-                 lambda: engine.scan(np.equal, 2)):
+                 lambda: engine.scan(np.equal, 2),
+                 lambda: engine.thin(rng, 3, 0.5),
+                 lambda: engine.probe_round(rng, 0.5)):
         with pytest.raises(ValueError, match="closed"):
             call()
     with pytest.raises(ValueError, match="closed"):

@@ -116,7 +116,8 @@ def test_ctypes_declarations_match_the_c_source():
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
     assert {"is_chunk", "cut_new", "is_new", "is_commit_survivors",
-            "is_scan"} <= set(exported)
+            "is_scan", "is_thin", "is_probe_round", "cut_round"} \
+        <= set(exported)
     for name, (ret, count) in exported.items():
         f = getattr(lib, name)
         assert f.argtypes is not None and len(f.argtypes) == count, name
