@@ -1426,7 +1426,7 @@ int64_t cut_endgame(cut_state *s)
  * is_local_algorithm.SurvivalGraph restated over flat arrays: _drop_vertex,
  * delete, _select, the four branches of contract, the settle FIFO, the
  * per-vertex loop of deletes, the two kinds of round (thin and
- * probe_round) and commit_survivors' backward read of the merge log.
+ * probe_round) and unfold_merges' backward read of the merge log.
  * Every rule and its order of effects is the same as in the Python
  * methods, which stay the reference semantics; tests pin the two to equal
  * sets, round counts and contraction counts.  The round ladder, which
@@ -1641,7 +1641,7 @@ static int64_t contract(is_state *s, int64_t y)
         is_delete(s, z);
         return -1;
     }
-    /* true merge: x absorbs z and y, which is_commit_survivors decides */
+    /* true merge: x absorbs z and y, which is_unfold_merges decides */
     adj_remove(s, x, y);
     adj_remove(s, z, y);
     for (int64_t i = 0; i < s->len[z] && !s->err; i++) {
@@ -1912,13 +1912,12 @@ int64_t is_probe_round(is_state *s, bitgen_t *bg, double p)
     return s->err;
 }
 
-/* every survivor is marked out; then, reading the merge log backwards,
+/* once no vertex is left in the graph: reading the merge log backwards,
  * each merge's z takes x's decision and y the opposite one */
-int64_t is_commit_survivors(is_state *s)
+int64_t is_unfold_merges(is_state *s)
 {
-    for (int64_t v = 0; v < s->n && !s->err; v++)
-        if (s->alive[v])
-            decide(s, v, OUT);
+    if (SURVIVAL_COUNT(s))
+        s->err = ENGINE_BROKEN;  /* a vertex is still in the graph */
     const int64_t *m = s->merges.data;
     for (int64_t i = s->merges.len - 3; i >= 0 && !s->err; i -= 3) {
         decide(s, m[i + 2], s->status[m[i]]);

@@ -122,7 +122,7 @@ def _load(cc=_CC, cache=_CACHE):
                        ("is_thin", [ptr, ptr, i64, f64]),
                        ("is_probe_round", [ptr, ptr, f64]),
                        ("is_scan", [ptr, i64, i64, ptr]),
-                       ("is_commit_survivors", [ptr])):
+                       ("is_unfold_merges", [ptr])):
         getattr(lib, name).argtypes = args
         getattr(lib, name).restype = i64
     return lib
@@ -273,7 +273,7 @@ class IsEngine(_Engine):
     """The independent-set process's event engine in C, over a fresh
     ``SurvivalGraph``'s degrees, live flags, degree histogram and decision
     bytes, which it updates in place.  Its ``settle``, ``deletes``,
-    ``thin``, ``probe_round``, ``commit_survivors`` and ``scan`` are those
+    ``thin``, ``probe_round``, ``unfold_merges`` and ``scan`` are those
     of the survival graph, and the two rounds draw their marks from the
     ``rng`` passed in; a merged vertex above ``cap_degree`` is deleted, as
     ``DEGREE_CAP`` in settle.  The merge log and the per-degree member
@@ -317,8 +317,8 @@ class IsEngine(_Engine):
     def probe_round(self, rng, probability: float) -> None:
         self._run_drawing(_lib.is_probe_round, rng, probability)
 
-    def commit_survivors(self) -> None:
-        self._run(_lib.is_commit_survivors)
+    def unfold_merges(self) -> None:
+        self._run(_lib.is_unfold_merges)
 
     def scan(self, op, k: int) -> np.ndarray:
         """The live ids, ascending, of degree equal to (``op`` is

@@ -522,12 +522,16 @@ def _parser() -> argparse.ArgumentParser:
     sim_is.add_argument("--d", type=int, choices=(3, 4), default=3,
                         help="graph degree (default 3)")
     sim_is.add_argument("--thin-probability", type=float,
-                        default=THIN_PROBABILITY)
+                        default=THIN_PROBABILITY,
+                        help="chance that a round deletes or probes each "
+                             "vertex of its class (default %(default)s)")
     _add_simulate_flags(sim_is)
     sim_is.set_defaults(func=_cmd_simulate)
     sim_cut = sim_targets.add_parser("cut", help="red/green cut coloring")
     sim_cut.add_argument("--query-probability", type=float,
-                         default=QUERY_PROBABILITY)
+                         default=QUERY_PROBABILITY,
+                         help="chance that a round queries each lone "
+                              "vertex (default %(default)s)")
     _add_simulate_flags(sim_cut)
     sim_cut.set_defaults(func=_cmd_simulate)
 

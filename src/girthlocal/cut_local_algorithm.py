@@ -50,13 +50,10 @@ __all__ = ["QUERY_PROBABILITY", "CutResult", "CutProcess", "count_cut",
 RED, GREEN = 0, 1
 
 # Round discretization: each round queries a lone vertex with
-# QUERY_PROBABILITY.  The rounds stop once at most max(ENDGAME_FLOOR,
-# STOP_FRACTION * n) vertices survive, and the endgame colors the rest by
-# majority; MAX_ROUNDS only guards against a stall.
+# QUERY_PROBABILITY.  The rounds go on while more than ENDGAME_FLOOR
+# vertices survive, and the endgame colors the rest by majority.
 QUERY_PROBABILITY = 0.02
-STOP_FRACTION = 1e-3
 ENDGAME_FLOOR = 64
-MAX_ROUNDS = 10 ** 6
 
 
 @dataclass
@@ -535,7 +532,9 @@ class CutProcess:
     # -- the full run -------------------------------------------------------
 
     def _bootstrap(self, engine) -> None:
-        # the first call sees all n (even) vertices, later ones more than
+        # _drive calls this after each round that removes no survival
+        # vertex, so every round lowers the survival count (no cap needed).
+        # The first call sees all n (even) vertices, later ones more than
         # ENDGAME_FLOOR; only the empty graph has no pair to draw
         alive = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         if alive.shape[0] == 0:
@@ -583,10 +582,9 @@ class CutProcess:
         from self.rng, one draw per lone vertex in ascending order, and the
         bootstrap pair is drawn here, so both backends read one random
         stream."""
-        threshold = max(ENDGAME_FLOOR, STOP_FRACTION * self.n)
         self._bootstrap(engine)
         engine.closure()
-        while engine.survival > threshold and self.rounds < MAX_ROUNDS:
+        while engine.survival > ENDGAME_FLOOR:
             before = engine.survival
             engine.query_round()
             if engine.survival == before:

@@ -6,9 +6,9 @@ is later decided for x, z takes the same decision and y the opposite one.
 So the maximum independent set drops by exactly one per merge, and one
 decision byte per vertex (undecided, in, out) plus a log of the merges is
 all the bookkeeping the fold needs.  Deleting a vertex marks it out,
-selecting it marks it in, and at the end every survivor is marked out;
-the log is then read once, backwards, so each merge finds its x decided
-by the later events before it decides y and z.
+selecting it marks it in, and a run goes on until none is left in the
+graph; the log is then read once, backwards, so each merge finds its x
+decided by the later events before it decides y and z.
 
 Rounds mirror the degree-evolution integrators: the top occupied degree
 class is thinned with a small per-vertex probability, everything above it
@@ -48,14 +48,10 @@ __all__ = [
 # class; classes above it (and transient dust below the persistence cutoff)
 # are deleted outright.  BOOTSTRAP_PROBABILITY seeds the process while no
 # class above the base degree has formed yet.  A class is persistent when it
-# holds at least PERSISTENCE_FRACTION of the survival count.  A run stops
-# once at most STOP_FRACTION of the vertices survive; MAX_ROUNDS only guards
-# against a stall (runs at n = 1e5 take a few thousand rounds).
+# holds at least PERSISTENCE_FRACTION of the survival count.
 THIN_PROBABILITY = 0.02
 BOOTSTRAP_PROBABILITY = 0.002
 PERSISTENCE_FRACTION = 0.002
-STOP_FRACTION = 1e-3
-MAX_ROUNDS = 10 ** 6
 
 # the values of a vertex's decision byte
 UNDECIDED, IN, OUT = 0, 1, 2
@@ -90,8 +86,8 @@ class SurvivalGraph:
     vertices of degree k, kept up to date wherever a degree changes.
     status (a bytearray) holds each vertex's decision, UNDECIDED until it
     leaves the graph by a delete (OUT) or a select (IN), or until
-    commit_survivors; merges logs each true merge (x, y, z), read by
-    commit_survivors.  Deciding one vertex twice is an AssertionError.
+    unfold_merges; merges logs each true merge (x, y, z), read by
+    unfold_merges.  Deciding one vertex twice is an AssertionError.
 
     An event kills only the vertices it names: a delete or select its
     argument, a merge y and z.  So a vertex a rule has just read off a live
@@ -205,7 +201,7 @@ class SurvivalGraph:
             self.delete(x)
             self.delete(z)
             return None
-        # true merge: x absorbs z and y, which commit_survivors decides
+        # true merge: x absorbs z and y, which unfold_merges decides
         adj, deg, counts = self.adj, self.deg, self.counts
         ax, az = adj[x], adj[z]
         ax.remove(y)
@@ -307,13 +303,14 @@ class SurvivalGraph:
                                 if dg == best))
         self.settle()
 
-    def commit_survivors(self) -> None:
-        """Mark every survivor out, then decide the vertices each merge
-        folded away: z as x, y the opposite.  The log is read backwards, so
-        a vertex that was a later merge's y or z is decided before its own
-        merges are read.  Every vertex is decided after this."""
-        for v in self.survivors():
-            self._decide(v, OUT)
+    def unfold_merges(self) -> None:
+        """Decide the vertices each merge folded away, once no vertex is
+        left in the graph: z as x, y the opposite.  The log is read
+        backwards, so a vertex that was a later merge's y or z is decided
+        before its own merges are read.  Every vertex is decided after
+        this."""
+        if self.survival_count:
+            raise AssertionError("a vertex is still in the graph")
         status = self.status
         for x, y, z in reversed(self.merges):
             self._decide(z, status[x])
@@ -371,14 +368,15 @@ def _drive(g: SurvivalGraph, engine, rng, d: int,
     ladder picks each round's kind and class here, from the shared degree
     histogram; a round draws its marks from rng over the ascending members
     of its class, in Python or in C, so both backends read one random
-    stream."""
-    stop_at = STOP_FRACTION * g.n
+    stream.  The rounds go on until no vertex is left and need no cap: one
+    that removes no vertex is followed by a forced deletion, so each round
+    lowers the survival count and a run ends within n rounds."""
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
     floor = 3 if d == 3 else 5
     rounds = 0
     engine.settle()
-    while engine.survival_count > stop_at and rounds < MAX_ROUNDS:
+    while engine.survival_count:
         before = engine.survival_count
         top = _top_persistent(g.counts, before, PERSISTENCE_FRACTION, floor)
         if top is not None:
@@ -392,7 +390,7 @@ def _drive(g: SurvivalGraph, engine, rng, d: int,
             _force_progress(g, engine, rng)
             engine.settle()
         rounds += 1
-    engine.commit_survivors()
+    engine.unfold_merges()
     return rounds
 
 

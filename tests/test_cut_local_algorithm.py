@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from girthlocal import _kernels
 from girthlocal.config_model import generate, load_edge_list, save_edge_list
 from girthlocal.cut_local_algorithm import (
+    ENDGAME_FLOOR,
     GREEN,
     RED,
     CutProcess,
@@ -425,22 +426,37 @@ def test_c_lone_scan_on_an_engine_opened_mid_run(monkeypatch):
 
 
 @compiled
-@pytest.mark.parametrize("q", [0.005, 0.02])
+@pytest.mark.parametrize("q", [0.0, 0.005, 0.02, 1.0])
 def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
     # C draws from numpy's bit generator: exactly the draws the Python
-    # round makes, so a full run leaves the generator in one state
+    # round makes, so a full run leaves the generator in one state.  The
+    # rounds have no cap: one that leaves the survival count unchanged is
+    # followed by a bootstrap, which commits two of the more than
+    # ENDGAME_FLOOR survival vertices, so the count falls every round.  At
+    # q = 0 no round queries, and every round takes that path
+    starts = []
+    for cls in (_kernels.CutEngine, CutProcess):
+        def recorded(engine, query_round=cls.query_round):
+            starts.append(engine.survival)
+            query_round(engine)
+
+        monkeypatch.setattr(cls, "query_round", recorded)
     for seed in range(3):
         graph = generate(2000, 3, seed=seed)
         ends = []
         for backend in ("c", "python"):
             monkeypatch.setattr(_kernels, "BACKEND", backend)
+            starts.clear()
             p = CutProcess(graph, seed=seed, query_probability=q)
             r = p.run()
-            ends.append((r.colors.tobytes(), r.rounds,
+            assert 0 < len(starts) == r.rounds <= graph.n // 2
+            assert all(a > b for a, b in zip(starts, starts[1:]))
+            assert starts[-1] > ENDGAME_FLOOR
+            ends.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
                          p.rng.bit_generator.state))
         assert ends[0] == ends[1]
         fresh = np.random.default_rng(seed).bit_generator.state
-        assert ends[0][2] != fresh
+        assert ends[0][4] != fresh
 
 
 @compiled

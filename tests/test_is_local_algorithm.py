@@ -6,7 +6,7 @@ import copy
 import numpy as np
 import pytest
 
-from girthlocal import _kernels
+from girthlocal import _kernels, is_local_algorithm
 from girthlocal.config_model import Multigraph, generate, load_edge_list
 from girthlocal.exact_oracle import (
     SmallGraph,
@@ -69,7 +69,7 @@ def test_contract_path_base_case():
     assert g.deg[merged] == 0
     assert g.merges == [(merged, 1, 2 - merged)]
     g._select(merged)
-    g.commit_survivors()
+    g.unfold_merges()
     assert decided(g, IN) == [0, 2]
     assert decided(g, OUT) == [1]
 
@@ -78,7 +78,7 @@ def test_delete_merged_commits_the_middle():
     g = SurvivalGraph(load_edge_list(PATH3))
     merged = g.contract(1)
     g.delete(merged)
-    g.commit_survivors()
+    g.unfold_merges()
     assert decided(g, IN) == [1]
     assert decided(g, OUT) == [0, 2]
 
@@ -165,13 +165,18 @@ def test_cardinality_invariant_through_random_play():
             g.delete(int(rng.choice(alive)))
             g.settle()
         # each live super-vertex holds one more vertex for the set if it
-        # is selected than if it is deleted
+        # is selected than if it is deleted: select it and delete the
+        # rest, against deleting them all
+        survivors = g.survivors()
         done = copy.deepcopy(g)
-        done.commit_survivors()
-        for v in g.survivors():
+        done.deletes(np.array(survivors, dtype=np.int64))
+        done.unfold_merges()
+        for v in survivors:
             h = copy.deepcopy(g)
             h._select(v)
-            h.commit_survivors()
+            h.deletes(np.array([u for u in survivors if u != v],
+                               dtype=np.int64))
+            h.unfold_merges()
             assert len(decided(h, IN)) == len(decided(done, IN)) + 1
         # so each merge adds exactly one vertex, and every vertex is
         # decided once
@@ -440,7 +445,7 @@ def play_on(g, engine, opening, seed):
         engine.deletes(np.array([rng.choice(live)]))
         check_scans(g, engine)
         step()
-    engine.commit_survivors()
+    engine.unfold_merges()
     states.append(engine_state(g, engine))
     return states
 
@@ -498,26 +503,44 @@ def test_c_run_builds_no_per_vertex_lists():
 
 
 def drive_to_the_end(graph, d, seed, thin_probability, in_c):
-    """A full run on one backend, returning its outputs and the state it
-    leaves its generator in."""
+    """A full run on one backend, which leaves no survivor; returns its
+    outputs and the state it leaves its generator in."""
     g = SurvivalGraph(graph)
     rng = np.random.default_rng(seed)
     with engine_for(g, in_c) as engine:
         rounds = _drive(g, engine, rng, d, thin_probability)
+    assert g.survival_count == 0
     return bytes(g.status), rounds, rng.bit_generator.state
 
 
 @compiled
 @pytest.mark.parametrize("d", [3, 4])
-@pytest.mark.parametrize("t", [0.005, 0.02])
-def test_backends_leave_the_generator_in_one_state(d, t):
+@pytest.mark.parametrize("t", [0.0, 0.005, 0.02, 1.0])
+def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
     # C draws from numpy's bit generator: exactly the draws the Python
-    # rounds make, so a full run leaves the generator in one state
+    # rounds make, so a full run leaves the generator in one state.  The
+    # rounds have no cap: one that removes nothing is followed by a forced
+    # deletion, so the survival count that each round's class pick reads
+    # falls every round, and a run ends within n rounds.  At t = 0 a
+    # thinning round marks nothing and takes that path
+    starts = []
+    top_persistent = is_local_algorithm._top_persistent
+
+    def recorded(counts, survival, *rest):
+        starts.append(survival)
+        return top_persistent(counts, survival, *rest)
+
+    monkeypatch.setattr(is_local_algorithm, "_top_persistent", recorded)
     for seed in range(3):
         graph = generate(2000, d, seed=seed)
-        in_c = drive_to_the_end(graph, d, seed, t, True)
-        assert in_c == drive_to_the_end(graph, d, seed, t, False)
-        assert in_c[2] != np.random.default_rng(seed).bit_generator.state
+        ends = []
+        for in_c in (True, False):
+            starts.clear()
+            ends.append(drive_to_the_end(graph, d, seed, t, in_c))
+            assert 0 < len(starts) == ends[-1][1] <= graph.n
+            assert all(a > b for a, b in zip(starts, starts[1:]))
+        assert ends[0] == ends[1]
+        assert ends[0][2] != np.random.default_rng(seed).bit_generator.state
 
 
 @pytest.mark.parametrize("in_c", [False, pytest.param(True, marks=compiled)],
@@ -528,19 +551,36 @@ def test_a_second_decision_of_one_vertex_fails(in_c):
     with engine_for(g, in_c) as engine:
         with pytest.raises(AssertionError):
             engine.deletes(np.array([1]))
+    # the merge log is read only once every vertex is out of the graph
     g = SurvivalGraph(load_edge_list(K4))
     with engine_for(g, in_c) as engine:
-        engine.commit_survivors()
+        engine.deletes(np.array([0, 1, 2]))
+        with pytest.raises(AssertionError):
+            engine.unfold_merges()
+    g = SurvivalGraph(load_edge_list(K4))
+    with engine_for(g, in_c) as engine:
+        engine.deletes(np.array([0, 1, 2, 3]))
+        engine.unfold_merges()
         assert decided(g, OUT) == [0, 1, 2, 3]
+    # reading the log a second time decides its vertices again: C4 settles
+    # by one true merge, then a twin contraction
+    g = SurvivalGraph(load_edge_list(C4))
+    with engine_for(g, in_c) as engine:
+        engine.settle()
+        engine.unfold_merges()
+        assert decided(g, UNDECIDED) == [] and len(decided(g, IN)) == 2
         with pytest.raises(AssertionError):
-            engine.commit_survivors()
-    # and a vertex left undecided fails as well: here no vertex reads as a
-    # survivor, so none is marked out
+            engine.unfold_merges()
+    # and a vertex left undecided fails as well: here the survival count
+    # reads 0 while no vertex is decided
     g = SurvivalGraph(load_edge_list(K4))
     with engine_for(g, in_c) as engine:
-        g.alive[:] = bytes(g.n)
+        if in_c:
+            engine.counts[0] = 0
+        else:
+            g.survival_count = 0
         with pytest.raises(AssertionError):
-            engine.commit_survivors()
+            engine.unfold_merges()
 
 
 @compiled
@@ -561,7 +601,7 @@ def test_c_engine_checks_its_calls():
         with pytest.raises(ValueError, match="np.equal or np.greater"):
             engine.scan(np.less, 3)
     assert g.survival_count == 3
-    for call in (engine.settle, engine.commit_survivors,
+    for call in (engine.settle, engine.unfold_merges,
                  lambda: engine.scan(np.equal, 2),
                  lambda: engine.thin(rng, 3, 0.5),
                  lambda: engine.probe_round(rng, 0.5)):

@@ -115,7 +115,7 @@ def test_ctypes_declarations_match_the_c_source():
     declared = {name for name, f in vars(lib).items()
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
-    assert {"is_chunk", "cut_new", "is_new", "is_commit_survivors",
+    assert {"is_chunk", "cut_new", "is_new", "is_unfold_merges",
             "is_scan", "is_thin", "is_probe_round", "cut_round"} \
         <= set(exported)
     for name, (ret, count) in exported.items():
