@@ -406,56 +406,24 @@ static int64_t fifo_pop(vec *q, int64_t *head)
     return x;
 }
 
-/* sorts a[0 .. m) in place, ascending, when the ids agree on all bits from
- * shift + 8 up: a radix sort by the byte at shift, most significant first,
- * that moves each id straight to its bucket (no buffer), then sorts each
- * bucket by the next byte down; a short run is insertion-sorted */
-static void sort_ids(int64_t *a, int64_t m, int shift)
+/* Vertex sets as bit sets: vertex v is bit v % 64 of word v / 64, so a
+ * set over n vertices takes words(n) words, and reading each word's set
+ * bits lowest first gives the members in ascending order. */
+static int64_t words(int64_t n)
 {
-    if (m <= 32) {
-        for (int64_t i = 1; i < m; i++) {
-            int64_t x = a[i], j = i;
-            for (; j > 0 && a[j - 1] > x; j--)
-                a[j] = a[j - 1];
-            a[j] = x;
-        }
-        return;
-    }
-    int64_t next[256] = {0}, end[256];
-    for (int64_t i = 0; i < m; i++)
-        next[(a[i] >> shift) & 255]++;
-    for (int64_t b = 0, at = 0; b < 256; b++) {
-        at += next[b];
-        end[b] = at;
-        next[b] = at - next[b];
-    }
-    for (int b = 0; b < 256; b++) {
-        while (next[b] < end[b]) {
-            /* carry a[next[b]] along the cycle of displaced ids until one
-             * belongs in bucket b */
-            int64_t x = a[next[b]];
-            for (int d = (x >> shift) & 255; d != b; d = (x >> shift) & 255) {
-                int64_t y = a[next[d]];
-                a[next[d]++] = x;
-                x = y;
-            }
-            a[next[b]++] = x;
-        }
-    }
-    if (shift == 0)
-        return;
-    for (int64_t b = 0, from = 0; b < 256; from = end[b++])
-        sort_ids(a + from, end[b] - from, shift > 8 ? shift - 8 : 0);
+    return (n + 63) / 64;
 }
 
-/* sorts the vertex ids a[0 .. m), each below n, ascending */
-static void sort_vertices(int64_t *a, int64_t m, int64_t n)
+static uint64_t bit_of(int64_t v)
 {
-    /* the first byte sorted on is the top byte of n - 1 */
-    int bits = 0;
-    while (bits < 63 && (n - 1) >> bits)
-        bits++;
-    sort_ids(a, m, bits > 8 ? bits - 8 : 0);
+    return (uint64_t)1 << (v % 64);
+}
+
+/* the lowest set bit of w != 0, by the count-trailing-zeros builtin that
+ * gcc and clang both provide (__builtin_ctzll) */
+static int64_t lowest(uint64_t w)
+{
+    return __builtin_ctzll(w);
 }
 
 /* numpy's bitgen_t, as numpy/random/bitgen.h declares it: a bit
@@ -499,12 +467,12 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
  * round does, so both backends read one random stream.  The bootstrap
  * pair is drawn in Python, which hands the engine the vertices it picked.
  *
- * The lone list is kept as it changes rather than rescanned: a vertex
- * becomes lone only when a label arrives (give_label) or a path edge goes
- * (remove_path_slot), since a vertex never returns to survival, so those
- * two record the vertex they touch, and a scan re-tests the last scan's
- * list merged with the touched vertices, sorted.  An engine's first scan,
- * which has no list to start from, tests every vertex.
+ * The lone scan tests only the vertices that may be lone, a bit set read
+ * in ascending order.  Every vertex starts in it, so an engine's first scan
+ * tests all n.  A scan keeps the lone ones and drops the rest, and touch
+ * puts a vertex back: it becomes lone only when a label arrives
+ * (give_label) or a path edge goes (remove_path_slot), since a vertex never
+ * returns to survival, and both of those call touch.
  *
  * The rules rest on the module's invariant (P): every survival path
  * component is a simple path (proved in cut_local_algorithm's docstring).
@@ -523,8 +491,9 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
  *     re-pend keeps the vertex's place;
  *   - the white marks (source, bit), deferred triples, the FIFO queue and
  *     an int min-heap (it pops the same sequence as heapq);
- *   - the lone list of the last scan, ascending, the vertices touched
- *     since, and the round's marked vertices.
+ *   - the "maybe lone" bit set (the last scan's lone vertices and those
+ *     put back since), the last scan's lone list and the round's marked
+ *     vertices.
  */
 #define RED 0
 #define GREEN 1
@@ -546,8 +515,8 @@ typedef struct {
     uint8_t *wbit;
     vec order, deferred, queue, heap, walk, rotated;
     int64_t qhead, *seen;
-    vec lones, fresh, touched, marked;
-    int scanned;  /* lones holds the last scan's list */
+    uint64_t *maybe;
+    vec lones, marked;
 } cut_state;
 
 #define GOOD(s) ((s)->counts[0])
@@ -610,8 +579,7 @@ static int64_t cd(const cut_state *s, int64_t v)
 /* v may have become lone: the next scan re-tests it */
 static void touch(cut_state *s, int64_t v)
 {
-    if (s->scanned)
-        push(&s->err, &s->touched, v);
+    s->maybe[v / 64] |= bit_of(v);
 }
 
 static void dirty(cut_state *s, int64_t v)
@@ -1227,9 +1195,8 @@ void cut_free(cut_state *s)
     free(s->heap.data);
     free(s->walk.data);
     free(s->rotated.data);
+    free(s->maybe);
     free(s->lones.data);
-    free(s->fresh.data);
-    free(s->touched.data);
     free(s->marked.data);
     free(s);
 }
@@ -1275,9 +1242,13 @@ cut_state *cut_new(int64_t n, const int64_t *owner,
     s->wsrc = malloc(m * sizeof *s->wsrc);
     s->wbit = malloc(m);
     s->seen = malloc(m * sizeof *s->seen);
+    s->maybe = calloc(words(m), sizeof *s->maybe);
+    s->lones.data = malloc(m * sizeof *s->lones.data);
+    s->lones.cap = n;
     if (!s->path_nb || !s->path_par || !s->head || !s->tail || !s->next
             || !s->target || !s->age || !s->bit || !s->free_ || !s->pending
-            || !s->wsrc || !s->wbit || !s->seen) {
+            || !s->wsrc || !s->wbit || !s->seen || !s->maybe
+            || !s->lones.data) {
         cut_free(s);
         return NULL;
     }
@@ -1288,6 +1259,7 @@ cut_state *cut_new(int64_t n, const int64_t *owner,
         s->next[slots[3 * v + 1]] = slots[3 * v + 2];
         s->next[slots[3 * v + 2]] = -1;
         s->seen[v] = -1;
+        touch(s, v);
     }
     return s;
 }
@@ -1316,41 +1288,20 @@ static int lone(const cut_state *s, int64_t v)
 }
 
 /* brings lones up to date: the lone vertices, ascending, as
- * CutProcess.lones finds them */
+ * CutProcess.lones finds them; each vertex that may be lone is tested, and
+ * one that is not leaves the bit set */
 static void scan_lones(cut_state *s)
 {
-    vec *out = &s->fresh;
-    out->len = 0;
-    if (!s->scanned) {
-        reserve(&s->err, out, s->n);
-        if (s->err)
-            return;
-        for (int64_t v = 0; v < s->n; v++)
+    s->lones.len = 0;
+    for (int64_t i = 0; i < words(s->n); i++) {
+        for (uint64_t w = s->maybe[i]; w; w &= w - 1) {
+            int64_t v = 64 * i + lowest(w);
             if (lone(s, v))
-                out->data[out->len++] = v;
-        s->scanned = 1;
-    } else {
-        /* the last list merged with the touched vertices, each tested
-         * once; a vertex touched twice, or touched and listed, comes up
-         * in a run of equal ids */
-        const int64_t *a = s->lones.data, *b = s->touched.data;
-        int64_t na = s->lones.len, nb = s->touched.len;
-        reserve(&s->err, out, na + nb);
-        if (s->err)
-            return;
-        sort_vertices(s->touched.data, nb, s->n);
-        int64_t i = 0, j = 0, last = -1;
-        while (i < na || j < nb) {
-            int64_t v = j == nb || (i < na && a[i] <= b[j]) ? a[i++] : b[j++];
-            if (v != last && lone(s, v))
-                out->data[out->len++] = v;
-            last = v;
+                s->lones.data[s->lones.len++] = v;
+            else
+                s->maybe[i] &= ~bit_of(v);
         }
     }
-    vec swap = s->lones;
-    s->lones = *out;
-    *out = swap;
-    s->touched.len = 0;
 }
 
 /* the lone list, as a scan leaves it, into out (room for n); its length
@@ -1434,10 +1385,10 @@ int64_t cut_endgame(cut_state *s)
  * call (is_thin, is_probe_round) that draws its marks from the caller's
  * numpy bit generator, one draw per class member in ascending order as
  * the Python round does, so both backends read one random stream.  The
- * class members are the ascending ids SurvivalGraph.scan finds, at a cost
- * of the members found (copied off the class lists below and sorted)
- * rather than of n; is_scan hands them to the forced deletion, which is
- * drawn in Python.
+ * class members are the ascending ids SurvivalGraph.scan finds, read off
+ * the class bit sets below in ascending order, at a cost of n / 64 words
+ * per non-empty class scanned (none for an empty range); is_scan hands them
+ * to the forced deletion, which is drawn in Python.
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename
@@ -1453,13 +1404,13 @@ int64_t cut_endgame(cut_state *s)
  *   - each vertex's live neighbours, pool[off[v] .. off[v] + len[v]), with
  *     room for cap[v]; a list that outgrows its room moves to the pool's
  *     end;
- *   - the class lists: classes[k] holds the live vertices of degree k, in
- *     no order, and a live v sits at classes[deg[v]].data[slot[v]]; every
- *     change of a degree or a death goes through reclass, which keeps
- *     counts[k] equal to the length of classes[k];
+ *   - one bit set per degree class, class_set(s, k) holding the live
+ *     vertices of degree k; every change of a degree or a death goes
+ *     through reclass, which keeps counts[k] equal to the size of class k;
  *   - the merge log, (x, y, z) for each true merge;
  *   - the settle FIFO;
- *   - a round's vertices above its class and its marked members.
+ *   - a round's vertices above its class and its marked members, and a
+ *     scan's non-empty class sets.
  */
 #define UNDECIDED 0
 #define IN 1
@@ -1472,13 +1423,19 @@ typedef struct {
     int64_t *off, *len, *cap;
     vec pool, merges, queue;
     int64_t qhead;
-    vec *classes;
-    int64_t *slot;
+    uint64_t *classes;
+    const uint64_t **picked;
     vec above, marked;
 } is_state;
 
 #define SURVIVAL_COUNT(s) ((s)->state[0])
 #define CONTRACTIONS(s) ((s)->state[1])
+
+/* the bit set of degree class k */
+static uint64_t *class_set(is_state *s, int64_t k)
+{
+    return s->classes + k * words(s->n);
+}
 
 static int64_t *nbrs(is_state *s, int64_t v)
 {
@@ -1544,27 +1501,23 @@ static void adj_reserve(is_state *s, int64_t v, int64_t need)
     pool->len += cap;
 }
 
-/* v leaves the class list of its degree and, unless it dies (to < 0),
- * takes degree to and joins that class's list */
+/* v leaves the class of its degree and, unless it dies (to < 0), takes
+ * degree to and joins that class */
 static void reclass(is_state *s, int64_t v, int64_t to)
 {
     int64_t from = s->deg[v];
-    vec *c = &s->classes[from];
-    if (s->slot[v] >= c->len || c->data[s->slot[v]] != v) {
-        s->err = ENGINE_BROKEN;  /* class lists out of sync */
+    uint64_t *word = class_set(s, from) + v / 64;
+    if (!(*word & bit_of(v))) {
+        s->err = ENGINE_BROKEN;  /* class sets out of sync */
         return;
     }
-    int64_t last = c->data[--c->len];
-    c->data[s->slot[v]] = last;
-    s->slot[last] = s->slot[v];
-    s->counts[from] = c->len;
+    *word &= ~bit_of(v);
+    s->counts[from] -= 1;
     if (to < 0)
         return;
-    c = &s->classes[to];
     s->deg[v] = to;
-    s->slot[v] = c->len;
-    push(&s->err, c, v);
-    s->counts[to] = c->len;
+    class_set(s, to)[v / 64] |= bit_of(v);
+    s->counts[to] += 1;
 }
 
 static void is_queue(is_state *s, int64_t v)
@@ -1711,11 +1664,8 @@ void is_free(is_state *s)
     free(s->queue.data);
     free(s->above.data);
     free(s->marked.data);
-    if (s->classes)
-        for (int64_t k = 0; k < s->ncounts; k++)
-            free(s->classes[k].data);
     free(s->classes);
-    free(s->slot);
+    free(s->picked);
     free(s);
 }
 
@@ -1745,15 +1695,15 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
     s->off = malloc(m * sizeof *s->off);
     s->len = malloc(m * sizeof *s->len);
     s->cap = malloc(m * sizeof *s->cap);
-    s->slot = malloc(m * sizeof *s->slot);
-    s->classes = calloc(ncounts, sizeof *s->classes);
+    s->classes = calloc(ncounts * words(m), sizeof *s->classes);
+    s->picked = malloc(ncounts * sizeof *s->picked);
     int64_t half_edges = 0;
     for (int64_t v = 0; v < n; v++)
         half_edges += deg[v];
     /* room for the merges' relocated lists before the first regrowth */
     s->pool.cap = 2 * half_edges + 64;
     s->pool.data = malloc(s->pool.cap * sizeof *s->pool.data);
-    if (!s->off || !s->len || !s->cap || !s->slot || !s->classes
+    if (!s->off || !s->len || !s->cap || !s->classes || !s->picked
         || !s->pool.data) {
         is_free(s);
         return NULL;
@@ -1769,23 +1719,12 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
         if (deg[v] <= 2)
             is_queue(s, v);
     }
-    /* the class lists, each allocated at its size from the start */
     for (int64_t k = 0; k < ncounts; k++)
         counts[k] = 0;
-    for (int64_t v = 0; v < n; v++)
-        counts[deg[v]] += alive[v] != 0;
-    for (int64_t k = 0; k < ncounts && !s->err; k++) {
-        s->classes[k].cap = counts[k];
-        s->classes[k].data = malloc((counts[k] ? counts[k] : 1)
-                                    * sizeof *s->classes[k].data);
-        if (!s->classes[k].data)
-            s->err = ENGINE_NOMEM;
-    }
-    for (int64_t v = 0; v < n && !s->err; v++) {
+    for (int64_t v = 0; v < n; v++) {
         if (alive[v]) {
-            vec *c = &s->classes[deg[v]];
-            s->slot[v] = c->len;
-            c->data[c->len++] = v;
+            class_set(s, deg[v])[v / 64] |= bit_of(v);
+            counts[deg[v]] += 1;
         }
     }
     if (s->err) {
@@ -1796,23 +1735,34 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
 }
 
 /* the live vertices of degree lo..hi (0 <= lo, hi < ncounts), ascending,
- * into out, which has room for counts[lo] + ... + counts[hi] ids; returns
- * their count.  Class lists whose lengths differ from those counts are
+ * into out, which has room for counts[lo] + ... + counts[hi] ids: each
+ * word of the union of the non-empty classes, lowest bit first; returns
+ * their count.  Finding another number of ids than those counts sum to is
  * ENGINE_BROKEN. */
 static int64_t collect(is_state *s, int64_t lo, int64_t hi, int64_t *out)
 {
+    int64_t need = 0, npicked = 0, m = 0, nw = words(s->n);
     for (int64_t k = lo; k <= hi; k++) {
-        if (s->counts[k] != s->classes[k].len) {
-            s->err = ENGINE_BROKEN;
-            return 0;
+        need += s->counts[k];
+        if (s->counts[k])
+            s->picked[npicked++] = class_set(s, k);
+    }
+    for (int64_t i = 0; npicked && i < nw; i++) {
+        uint64_t w = 0;
+        for (int64_t j = 0; j < npicked; j++)
+            w |= s->picked[j][i];
+        for (; w; w &= w - 1) {
+            if (m == need) {
+                s->err = ENGINE_BROKEN;  /* more ids than counted */
+                return 0;
+            }
+            out[m++] = 64 * i + lowest(w);
         }
     }
-    int64_t m = 0;
-    for (int64_t k = lo; k <= hi; k++) {
-        memcpy(out + m, s->classes[k].data, s->classes[k].len * sizeof *out);
-        m += s->classes[k].len;
+    if (m != need) {
+        s->err = ENGINE_BROKEN;  /* fewer ids than counted */
+        return 0;
     }
-    sort_vertices(out, m, s->n);
     return m;
 }
 

@@ -36,6 +36,7 @@ times the cost).  Otherwise it is ``"c"``.
 """
 import ctypes
 import os
+import shutil
 import subprocess
 import sys
 import zlib
@@ -72,7 +73,15 @@ def _load(cc=_CC, cache=_CACHE):
         tag = zlib.crc32(_SOURCE.read_bytes() + " ".join(cc).encode())
         lib_path = cache / f"_kernels-{tag:08x}.so"
         if not lib_path.exists():
-            cache.mkdir(exist_ok=True)
+            try:
+                cache.mkdir(exist_ok=True)
+            except OSError as err:
+                # with a compiler at hand, the missing library is news
+                if shutil.which(cc[0]) is not None:
+                    print(f"girthlocal: cannot create the C kernels' cache "
+                          f"directory ({err}); evolutions run the Python "
+                          f"reference instead", file=sys.stderr)
+                return None
             # build under a private name, then rename: a process building
             # at the same time never loads a half-written library
             tmp = lib_path.with_name(f"{lib_path.name}.{os.getpid()}.tmp")
@@ -214,9 +223,11 @@ class CutEngine(_Engine):
     shared buffers (status, colours, label counters, path degrees, open
     counts, aliases, revealed flags), which it updates in place.  Its
     ``commit``, ``closure``, ``query_round`` and ``endgame`` are those of
-    the process; ``query_round`` draws from the process's ``rng``.
-    ``lones`` is the lone list that the engine keeps up to date as labels
-    arrive and path edges go.  The counters good, bad and survival live in
+    the process; ``query_round`` draws from the process's ``rng``.  Its
+    lone scan (``lones``, and the start of each round) tests only the
+    vertices that may be lone, a bit set read in ascending order: a vertex
+    joins it when a label arrives or a path edge goes and leaves it when a
+    scan finds it not lone.  The counters good, bad and survival live in
     ``counts`` until ``close`` writes them back.  Needs
     ``BACKEND == "c"``."""
 
@@ -252,7 +263,7 @@ class CutEngine(_Engine):
 
     def lones(self) -> np.ndarray:
         """The lone vertices, ascending, as ``CutProcess.lones`` finds
-        them: the engine's own list, brought up to date."""
+        them: the engine's lone scan."""
         out = np.empty(self._n, dtype=np.int64)
         count = np.zeros(1, dtype=np.int64)
         self._run(_lib.cut_lones, out.ctypes.data, count.ctypes.data)
@@ -276,8 +287,8 @@ class IsEngine(_Engine):
     ``thin``, ``probe_round``, ``unfold_merges`` and ``scan`` are those
     of the survival graph, and the two rounds draw their marks from the
     ``rng`` passed in; a merged vertex above ``cap_degree`` is deleted, as
-    ``DEGREE_CAP`` in settle.  The merge log and the per-degree member
-    lists that ``scan`` reads are the engine's own.  The survival and
+    ``DEGREE_CAP`` in settle.  The merge log and the bit set of each
+    degree class that ``scan`` reads are the engine's own.  The survival and
     contraction counts live in ``counts`` until ``close`` writes them back.
     Needs ``BACKEND == "c"``."""
 
@@ -323,8 +334,9 @@ class IsEngine(_Engine):
     def scan(self, op, k: int) -> np.ndarray:
         """The live ids, ascending, of degree equal to (``op`` is
         ``np.equal``) or greater than (``np.greater``) k, as
-        ``SurvivalGraph.scan`` finds them; read off the engine's class
-        lists, at a cost of the ids found."""
+        ``SurvivalGraph.scan`` finds them; read off the engine's class bit
+        sets in ascending order, at a cost of n/64 words per non-empty
+        class in the range."""
         k, top = int(k), len(self._g.counts) - 1
         if op is np.equal:
             lo, hi = max(k, 0), min(k, top)

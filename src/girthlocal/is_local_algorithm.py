@@ -96,10 +96,10 @@ class SurvivalGraph:
 
     The methods below are the reference semantics.  run() hands the events,
     the rounds and the class scans to ``_kernels.IsEngine`` (the same rules
-    in C, over deg, alive, counts and status, with per-degree member lists
-    of its own for the scans) when the C kernels are built, and runs these
-    methods otherwise; tests pin the two to the same set, rounds,
-    contractions and random stream.
+    in C, over deg, alive, counts and status, with one bit set of its own
+    per degree class for the scans, read in ascending order) when the C
+    kernels are built, and runs these methods otherwise; tests pin the two
+    to the same set, rounds, contractions and random stream.
     """
 
     def __init__(self, g: Multigraph):

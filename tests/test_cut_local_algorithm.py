@@ -324,8 +324,9 @@ def backends_agree(monkeypatch, graph, seeds):
             assert outputs(graph, **options) == in_c, options
 
 
+# 66 and 130 straddle a 64-bit word of the engine's bit sets
 @compiled
-@pytest.mark.parametrize("n", [4, 6, 10, 64, 300, 2000])
+@pytest.mark.parametrize("n", [4, 6, 10, 64, 66, 130, 300, 2000])
 def test_c_engine_matches_python_methods(monkeypatch, n):
     for seed in range(10):
         backends_agree(monkeypatch, generate(n, 3, seed=seed), [seed])
@@ -380,11 +381,12 @@ LONE_BY_REDUCTION = (302, 269)
 @compiled
 def test_c_lone_scan_matches_the_numpy_scan(monkeypatch):
     # the engine's first scan tests every vertex; each later one re-tests
-    # the last list and the vertices touched since
+    # the last list and the vertices touched since.  130 ends in a partial
+    # 64-bit word of the engine's bit set
     n, seed = LONE_BY_REDUCTION
     assert reductions_leaving_a_lone(generate(n, 3, seed=seed), seed) > 0
     scans = check_lones_before_each_round(monkeypatch)
-    for n, seed in [(n, s) for n in (10, 302, 2000) for s in range(2)] \
+    for n, seed in [(n, s) for n in (10, 130, 302, 2000) for s in range(2)] \
             + [LONE_BY_REDUCTION]:
         graph = generate(n, 3, seed=seed)
         r = run_cut(graph, seed=seed)

@@ -372,9 +372,12 @@ def backends_agree(monkeypatch, graph, d, seeds):
             assert outputs(graph, d, **options) == in_c, options
 
 
+# 66, 130 (d = 3) and 65 (d = 4) straddle a 64-bit word of the engine's
+# bit sets
 @compiled
-@pytest.mark.parametrize("d", [3, 4])
-@pytest.mark.parametrize("n", [4, 6, 10, 64, 300, 2000])
+@pytest.mark.parametrize("n, d", [(n, d) for d in (3, 4)
+                                  for n in (4, 6, 10, 64, 300, 2000)]
+                         + [(66, 3), (130, 3), (65, 4)])
 def test_c_engine_matches_python_methods(monkeypatch, n, d):
     for seed in range(10):
         backends_agree(monkeypatch, generate(n, d, seed=seed), d, [seed])
@@ -463,6 +466,28 @@ def test_c_engine_matches_python_methods_step_by_step():
         for seed in range(10):
             assert play(graph, opening, seed, True) \
                 == play(graph, opening, seed, False)
+
+
+def staircase(rng) -> Multigraph:
+    """One vertex of each degree 3 .. 73 (an even degree sum), its
+    half-edges paired at random (loops and parallel edges included)."""
+    degrees = np.arange(3, 74)
+    owner = rng.permutation(np.repeat(np.arange(degrees.size), degrees))
+    pair = np.arange(owner.size, dtype=np.int64)
+    pair[0::2] += 1
+    pair[1::2] -= 1
+    return Multigraph(n=degrees.size, owner=owner.astype(np.int64), pair=pair)
+
+
+@compiled
+def test_c_engine_scans_many_degree_classes():
+    # 71 non-empty degree classes at the start, up to degree 73, so
+    # len(counts) is 145: the first scans above class 2 read more than 64
+    # classes, and the engine holds more than 128
+    graph = staircase(np.random.default_rng(5))
+    assert len(SurvivalGraph(graph).counts) > 128
+    for seed in range(3):
+        assert play(graph, (), seed, True) == play(graph, (), seed, False)
 
 
 def test_agreement_inputs_reach_every_contract_branch(monkeypatch):

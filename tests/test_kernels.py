@@ -77,13 +77,28 @@ def test_a_failed_build_removes_nothing(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_a_cache_directory_that_cannot_be_made_is_reported(tmp_path, capsys):
+    assert _kernels._load(cache=tmp_path / "missing" / "cache") is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "cache directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_compiler_and_no_cache_directory_say_nothing(tmp_path, capsys):
+    cc = ("no-such-compiler",) + _kernels._CC[1:]
+    assert _kernels._load(cc=cc, cache=tmp_path / "missing" / "cache") is None
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_c_source_compiles_without_warnings(tmp_path):
-    # the build flags plus every warning as an error: a local left unused
-    # by a deleted rule branch fails here
+    # the build flags plus strict C99 and every warning as an error: a
+    # local left unused by a deleted rule branch, or a compiler extension
+    # other than the named builtins, fails here
     build = subprocess.run(
-        ["cc", "-O2", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror",
-         "-shared", "-fPIC", "-o", str(tmp_path / "k.so"),
-         str(_kernels._SOURCE)],
+        ["cc", "-O2", "-ffp-contract=off", "-std=c99", "-pedantic", "-Wall",
+         "-Wextra", "-Werror", "-shared", "-fPIC",
+         "-o", str(tmp_path / "k.so"), str(_kernels._SOURCE)],
         capture_output=True, text=True, timeout=_kernels._CC_TIMEOUT_S)
     assert build.returncode == 0, build.stderr
 
