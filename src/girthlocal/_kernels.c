@@ -492,8 +492,8 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
  *   - the white marks (source, bit), deferred triples, the FIFO queue and
  *     an int min-heap (it pops the same sequence as heapq);
  *   - the "maybe lone" bit set (the last scan's lone vertices and those
- *     put back since), the last scan's lone list and the round's marked
- *     vertices.
+ *     put back since) and the last scan's lone list, which a round's
+ *     marks overwrite in place.
  */
 #define RED 0
 #define GREEN 1
@@ -513,10 +513,10 @@ typedef struct {
     uint8_t *bit, *free_, *pending;
     int64_t *wsrc;
     uint8_t *wbit;
-    vec order, deferred, queue, heap, walk, rotated;
+    vec order, deferred, queue, heap, walk;
     int64_t qhead, *seen;
     uint64_t *maybe;
-    vec lones, marked;
+    vec lones;
 } cut_state;
 
 #define GOOD(s) ((s)->counts[0])
@@ -1151,19 +1151,15 @@ static void resolve_pending(cut_state *s)
             return;
         for (int64_t j = 0; j < path->len; j++)
             s->seen[path->data[j]] = -1;
-        if (cycle >= 0) {
-            /* the pin's predecessors, then the cycle's far side */
-            vec *rot = &s->rotated;
-            rot->len = 0;
-            for (int64_t j = cycle + 1; j < path->len; j++)
-                push(&s->err, rot, path->data[j]);
-            for (int64_t j = 0; j < cycle; j++)
-                push(&s->err, rot, path->data[j]);
-            if (s->err)
-                return;
-            path = rot;
+        /* last to first, skipping a pinned cycle member: the order of
+         * reversed(path[m + 1:] + path[:m]) in Python, path[cycle - 1 .. 0]
+         * and then path[len - 1 .. cycle + 1] */
+        int64_t split = cycle >= 0 ? cycle : path->len;
+        for (int64_t j = split - 1; j >= 0; j--) {
+            int64_t u = path->data[j];
+            f[u] = (int8_t)(f[s->target[u]] ^ s->bit[u]);
         }
-        for (int64_t j = path->len - 1; j >= 0; j--) {
+        for (int64_t j = path->len - 1; j > split; j--) {
             int64_t u = path->data[j];
             f[u] = (int8_t)(f[s->target[u]] ^ s->bit[u]);
         }
@@ -1194,10 +1190,8 @@ void cut_free(cut_state *s)
     free(s->queue.data);
     free(s->heap.data);
     free(s->walk.data);
-    free(s->rotated.data);
     free(s->maybe);
     free(s->lones.data);
-    free(s->marked.data);
     free(s);
 }
 
@@ -1323,11 +1317,8 @@ int64_t cut_lones(cut_state *s, int64_t *out, int64_t *count)
 int64_t cut_round(cut_state *s, bitgen_t *bg, double q)
 {
     scan_lones(s);
-    reserve(&s->err, &s->marked, s->lones.len);
-    if (s->err)
-        return s->err;
-    int64_t *marked = s->marked.data;
-    int64_t count = mark(bg, s->lones.data, s->lones.len, q, marked);
+    int64_t *marked = s->lones.data;
+    int64_t count = mark(bg, marked, s->lones.len, q, marked);
     for (int64_t i = 0; i < count && !s->err; i++) {
         int64_t v = marked[i];
         if (s->status[v] == 0 && s->op[v] > 0)

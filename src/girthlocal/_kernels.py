@@ -28,12 +28,15 @@ removes the libraries of other sources) and loaded with ctypes.
 no fast-math or host-specific flag is used, and the source refuses to
 compile where doubles are evaluated at a wider precision.  When no library
 can be built or loaded (no compiler, a failed or hung build, a cache
-directory that cannot be written), ``BACKEND`` is ``"python"``: the rule
-sets run their composed operations round by round instead
-(``evolution_core._python_chunk``: the same bits, at 90-560 times the cost
-per round), and the finite processes run their Python methods (at 15-18
-times the cost).  Otherwise it is ``"c"``.
+directory that cannot be written, a cached library that does not load,
+which is then removed so that the next import builds it again), ``BACKEND``
+is ``"python"``: ``evolution_core.integrate`` steps the rule sets' composed
+operations round by round instead (``evolution_core._python_chunk``: the
+same bits, at 90-560 times the cost per round), and the finite processes
+run their Python methods (at 15-18 times the cost).  Otherwise it is
+``"c"``.
 """
+import contextlib
 import ctypes
 import os
 import shutil
@@ -97,7 +100,6 @@ def _load(cc=_CC, cache=_CACHE):
             for stale in cache.glob("_kernels-*.so"):
                 if stale != lib_path:
                     stale.unlink(missing_ok=True)
-        lib = ctypes.CDLL(str(lib_path))
     except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as err:
         # a compiler ran but gave no library: say so, since every evolution
         # now runs at the composed operations' speed
@@ -105,6 +107,17 @@ def _load(cc=_CC, cache=_CACHE):
               f"evolutions run the Python reference instead", file=sys.stderr)
         return None
     except OSError:
+        return None
+    try:
+        lib = ctypes.CDLL(str(lib_path))
+    except OSError as err:
+        # a cached library that does not load would be loaded, and fail,
+        # on every import: remove it, so that the next import builds afresh
+        print(f"girthlocal: cannot load the C kernels from {lib_path} "
+              f"({err}); removing it, evolutions run the Python reference "
+              f"instead", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            lib_path.unlink()
         return None
     i64, f64 = ctypes.c_int64, ctypes.c_double
     lib.is_chunk.argtypes = [ctypes.POINTER(f64), f64, i64, i64, i64,
@@ -331,23 +344,15 @@ class IsEngine(_Engine):
     def unfold_merges(self) -> None:
         self._run(_lib.is_unfold_merges)
 
-    def scan(self, op, k: int) -> np.ndarray:
-        """The live ids, ascending, of degree equal to (``op`` is
-        ``np.equal``) or greater than (``np.greater``) k, as
+    def scan(self, lo: int, hi: int) -> np.ndarray:
+        """The live ids, ascending, of degree lo..hi, as
         ``SurvivalGraph.scan`` finds them; read off the engine's class bit
         sets in ascending order, at a cost of n/64 words per non-empty
         class in the range."""
-        k, top = int(k), len(self._g.counts) - 1
-        if op is np.equal:
-            lo, hi = max(k, 0), min(k, top)
-        elif op is np.greater:
-            lo, hi = max(k + 1, 0), top
-        else:
-            raise ValueError(f"{self._name}: scans by np.equal or "
-                             f"np.greater only")
+        if not 0 <= lo <= hi < len(self._g.counts):
+            raise IndexError(f"degree classes {lo}..{hi} out of range")
         out = np.empty(sum(self._g.counts[lo:hi + 1]), dtype=np.int64)
-        if lo <= hi:
-            self._run(_lib.is_scan, lo, hi, out.ctypes.data)
+        self._run(_lib.is_scan, lo, hi, out.ctypes.data)
         return out
 
     def _free(self) -> None:

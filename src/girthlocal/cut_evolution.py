@@ -14,14 +14,14 @@ Two interchangeable rate routes are kept deliberately:
 
 They must agree to rounding; divergence means one of the transcriptions is
 wrong.  As in ``is_evolution``, the expressions here mirror the C chunk
-kernel in ``_kernels`` exactly, and run themselves when it is not built.
+kernel in ``_kernels`` exactly, and the integrator steps them without it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import _kernels
-from .evolution_core import EvolutionParams, ProcessExhausted, _python_chunk
+from .evolution_core import EvolutionParams, ProcessExhausted
 
 __all__ = [
     "CutEvolutionState",
@@ -198,9 +198,6 @@ class CutRules:
         return (float(state.good), float(state.bad),
                 float(state.rat3), float(state.rat2))
 
-    def accumulator(self, state: CutEvolutionState) -> float:
-        return float(state.good)
-
     def state_in_range(self, state, params: EvolutionParams) -> bool:
         eps = params.step_size
         lo = -8.0 * eps
@@ -214,8 +211,6 @@ class CutRules:
                 and -1e-9 <= law <= 1e-9)
 
     def run_chunk(self, state, params, max_rounds):
-        if _kernels.BACKEND != "c":
-            return _python_chunk(self, state, params, max_rounds)
         out = _kernels.cut_chunk(
             float(state.rat2), float(state.rat3),
             float(state.good), float(state.bad),

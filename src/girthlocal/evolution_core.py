@@ -12,13 +12,12 @@ checking and step-size refinement.  Rule sets implement::
     state_in_range(state, params) -> bool
     run_chunk(state, params, max_rounds) -> (rounds_done, status)
     snapshot(state) -> tuple[float, ...]
-    accumulator(state) -> float
 
-``step`` is the reference path: :func:`_python_chunk` runs it round by round,
-and each ``run_chunk`` (the compiled kernel from ``_kernels``) must
-reproduce that run bit for bit; without a compiled kernel ``run_chunk`` is
-:func:`_python_chunk` itself.  ``run_chunk`` statuses are the codes from
-``_kernels``.
+``step`` is the reference path: :func:`_python_chunk` runs it round by round.
+``run_chunk`` is the compiled kernel from ``_kernels``, which needs
+``_kernels.BACKEND == "c"`` and must reproduce that run bit for bit;
+:func:`integrate` picks one of the two once per run.  Chunk statuses are the
+codes from ``_kernels``.  The first monotone column is the run's headline.
 """
 from __future__ import annotations
 
@@ -27,7 +26,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
+from . import _kernels
 from ._kernels import (
     STATUS_BUDGET,
     STATUS_EXHAUSTED,
@@ -114,7 +115,7 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class RefinementReport:
-    """Final accumulator values across a decreasing step-size sweep."""
+    """Final headline values across a decreasing step-size sweep."""
 
     step_sizes: tuple
     finals: tuple
@@ -150,7 +151,7 @@ def _python_chunk(rules, state, params, max_rounds):
     """Reference chunk runner: ``rules.step`` round by round.
 
     Same contract as ``rules.run_chunk``; the compiled kernels are tested
-    against it, and stand in for it when ``_kernels.BACKEND`` is "python".
+    against it, and :func:`integrate` runs it when they are not built.
     """
     rounds = 0
     while rounds < max_rounds:
@@ -174,14 +175,15 @@ def integrate(initial_state, rules, params: EvolutionParams):
     naming the round.  Pool exhaustion in the terminal dust rounds counts as
     normal completion.
     """
+    run_chunk = (rules.run_chunk if _kernels.BACKEND == "c"
+                 else partial(_python_chunk, rules))
     state = copy.deepcopy(initial_state)
     columns = ("round",) + tuple(rules.columns(params))
     traj = Trajectory(columns=columns)
     traj.rows.append((0,) + tuple(rules.snapshot(state)))
     total = 0
     while not rules.done(state, params):
-        done_rounds, status = rules.run_chunk(state, params,
-                                              params.record_interval)
+        done_rounds, status = run_chunk(state, params, params.record_interval)
         total += done_rounds
         if status == STATUS_INVALID:
             raise IntegrationError(
@@ -220,7 +222,7 @@ def refine(initial_state, rules, step_sizes) -> RefinementReport:
         except IntegrationError as exc:
             raise IntegrationError(
                 f"at step size {params.step_size:g}: {exc}") from exc
-        finals.append(rules.accumulator(state))
+        finals.append(float(getattr(state, rules.monotone_columns[0])))
     diffs = tuple(abs(b - a) for a, b in zip(finals, finals[1:]))
     ratios = tuple(d2 / d1 if d1 > 0 else math.inf
                    for d1, d2 in zip(diffs, diffs[1:]))

@@ -11,8 +11,8 @@ occupied degree class (with optional four-neighbour correction terms for the
 
 The composed operations below are the reference semantics of one round; the
 C chunk kernel ``_kernels.is_chunk`` runs both processes and is arithmetically
-identical to them (pinned by tests).  Without a compiled kernel the rule sets
-step the composed operations themselves.
+identical to them (pinned by tests).  Without a compiled kernel the integrator
+steps the composed operations itself.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .evolution_core import EvolutionParams, ProcessExhausted, _python_chunk
+from .evolution_core import EvolutionParams, ProcessExhausted
 
 __all__ = [
     "DegreeState",
@@ -280,9 +280,6 @@ class _IsRulesBase:
         return (float(state.independent), float(state.erase)) + tuple(
             float(x) for x in state.v[2:])
 
-    def accumulator(self, state: DegreeState) -> float:
-        return float(state.independent)
-
     def state_in_range(self, state: DegreeState, params: EvolutionParams):
         eps = params.step_size
         lo = -8.0 * eps
@@ -297,8 +294,6 @@ class _IsRulesBase:
 
     def _run_kernel(self, state: DegreeState, params: EvolutionParams,
                     max_rounds, improvement: bool):
-        if _kernels.BACKEND != "c":
-            return _python_chunk(self, state, params, max_rounds)
         v = state.v
         out = _kernels.is_chunk(
             float(v[2]), float(v[3]), float(v[4]), float(v[5]),

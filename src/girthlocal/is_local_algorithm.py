@@ -128,11 +128,12 @@ class SurvivalGraph:
     def adj(self) -> list:
         return self.graph.neighbor_lists()
 
-    def scan(self, op, k: int) -> np.ndarray:
-        """Live ids, ascending, whose degree passes the numpy comparison
-        `op` against k: one vectorised pass over views of deg and alive."""
+    def scan(self, lo: int, hi: int) -> np.ndarray:
+        """Live ids, ascending, of degree lo..hi: one numpy mask over views
+        of deg and alive."""
         deg = np.frombuffer(self.deg, np.int64)
-        return np.flatnonzero(np.frombuffer(self.alive, np.bool_) & op(deg, k))
+        return np.flatnonzero(np.frombuffer(self.alive, np.bool_)
+                              & (lo <= deg) & (deg <= hi))
 
     # -- elementary mutations ----------------------------------------------
 
@@ -265,9 +266,9 @@ class SurvivalGraph:
         kills only its argument, so every marked vertex is still alive when
         its turn comes.
         """
-        above = (self.scan(np.greater, top).tolist()
+        above = (self.scan(top + 1, len(self.counts) - 1).tolist()
                  if any(self.counts[top + 1:]) else [])
-        members = self.scan(np.equal, top)
+        members = self.scan(top, top)
         marked = members[rng.random(members.shape[0]) < probability]
         for v in above + marked.tolist():
             self.delete(v)
@@ -287,8 +288,8 @@ class SurvivalGraph:
         skips every marked vertex that is gone.
         """
         if any(self.counts[6:]):
-            self.deletes(self.scan(np.greater, 5))
-        members = self.scan(np.equal, 3)
+            self.deletes(self.scan(6, len(self.counts) - 1))
+        members = self.scan(3, 3)
         deg, adj = self.deg, self.adj
         for v in members[rng.random(members.shape[0]) < probability].tolist():
             if deg[v] != 3:
@@ -370,12 +371,12 @@ def _drive(g: SurvivalGraph, engine, rng, d: int,
     of its class, in Python or in C, so both backends read one random
     stream.  The rounds go on until no vertex is left and need no cap: one
     that removes no vertex is followed by a forced deletion, so each round
-    lowers the survival count and a run ends within n rounds."""
+    lowers the survival count and a run ends within n rounds.  A d-regular
+    graph (d >= 3) starts with nothing to settle."""
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
     floor = 3 if d == 3 else 5
     rounds = 0
-    engine.settle()
     while engine.survival_count:
         before = engine.survival_count
         top = _top_persistent(g.counts, before, PERSISTENCE_FRACTION, floor)
@@ -396,7 +397,7 @@ def _drive(g: SurvivalGraph, engine, rng, d: int,
 
 def _force_progress(g: SurvivalGraph, engine, rng) -> None:
     top = max(k for k, c in enumerate(g.counts) if c)
-    engine.deletes(np.array([rng.choice(engine.scan(np.equal, top))]))
+    engine.deletes(np.array([rng.choice(engine.scan(top, top))]))
 
 
 def verify_independent(graph: Multigraph, vertices) -> bool:

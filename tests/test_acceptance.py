@@ -127,12 +127,13 @@ def test_criterion_04_cut_headline_and_mode_agreement(cut_runs):
 
 
 def test_criterion_05_rate_solver_matches_polynomials():
-    """For 100 random edge probabilities the triangular rate solve times
-    the pool polynomial reproduces the closed-form polynomials to 1e-10
-    relative."""
+    """For 100 random edge probabilities, and for q = 0.5 - 10^-k
+    (k = 2..6) towards the cut ODE's singular end, the triangular rate
+    solve times the pool polynomial reproduces the closed-form polynomials
+    to 1e-10 relative."""
     rng = np.random.default_rng(505)
-    for p in rng.uniform(0.0, 0.45, size=100):
-        p = float(p)
+    near_end = [0.5 - 10.0 ** -k for k in range(2, 7)]
+    for p in rng.uniform(0.0, 0.45, size=100).tolist() + near_end:
         rates = solve_cut_rates(p)
         v_r, g, b, d_pool = closed_form_rates(p)
         for computed, closed in ((rates.v_R * d_pool, v_r),

@@ -241,7 +241,7 @@ def test_failed_build_falls_back_to_the_composed_ops(monkeypatch, capsys,
     # a compiler that ran and gave no library is reported; none at all is not
     err = capsys.readouterr().err
     assert ("building the C kernels failed" in err) == notice
-    # with no library, run_chunk steps the composed operations
+    # with no library, integrate steps the composed operations
     monkeypatch.setattr(_kernels, "BACKEND", "python")
     monkeypatch.setattr(_kernels, "_lib", None)
     rules = Is3Rules()

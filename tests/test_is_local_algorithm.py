@@ -416,17 +416,19 @@ def play(graph, opening, seed, in_c):
 
 
 def check_scans(g, engine):
-    """Every class scan of the engine, each degree k and one beyond either
-    end, equals the numpy scan over the shared deg and alive buffers; a
-    scan by np.equal has counts[k] ids (a C class list whose length is not
-    counts[k] fails the scan)."""
-    for k in range(-1, len(g.counts) + 1):
-        for op in (np.equal, np.greater):
-            found = engine.scan(op, k)
-            assert found.dtype == np.int64
-            assert found.tolist() == g.scan(op, k).tolist(), (op, k)
-    assert [engine.scan(np.equal, k).shape[0]
-            for k in range(len(g.counts))] == g.counts.tolist()
+    """The engine's class scans, of each degree k alone and of the classes
+    above each k, equal the numpy scans over the shared deg and alive
+    buffers; a scan of class k has counts[k] ids (a C class set whose size
+    is not counts[k] fails the scan)."""
+    last = len(g.counts) - 1
+    ranges = [(k, k) for k in range(last + 1)] \
+        + [(k + 1, last) for k in range(last)]
+    for lo, hi in ranges:
+        found = engine.scan(lo, hi)
+        assert found.dtype == np.int64
+        assert found.tolist() == g.scan(lo, hi).tolist(), (lo, hi)
+    assert [engine.scan(k, k).shape[0]
+            for k in range(last + 1)] == g.counts.tolist()
 
 
 def play_on(g, engine, opening, seed):
@@ -623,11 +625,12 @@ def test_c_engine_checks_its_calls():
         assert not g.alive[2] and g.deg[0] == 2 and engine.survival_count == 3
         with pytest.raises(ValueError):
             engine.deletes(np.array([2]))  # as SurvivalGraph.delete
-        with pytest.raises(ValueError, match="np.equal or np.greater"):
-            engine.scan(np.less, 3)
+        for lo, hi in ((-1, 0), (3, 2), (0, len(g.counts))):
+            with pytest.raises(IndexError):
+                engine.scan(lo, hi)
     assert g.survival_count == 3
     for call in (engine.settle, engine.unfold_merges,
-                 lambda: engine.scan(np.equal, 2),
+                 lambda: engine.scan(2, 2),
                  lambda: engine.thin(rng, 3, 0.5),
                  lambda: engine.probe_round(rng, 0.5)):
         with pytest.raises(ValueError, match="closed"):

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from girthlocal.is_evolution import Is3Rules, Is4Rules
 GRID = [float(eps) for eps in np.geomspace(1e-3, 1e-5, 9)] + [2e-5]
 
 compiled = pytest.mark.skipif(_kernels.BACKEND != "c",
-                              reason="no C compiler: run_chunk is the reference")
+                              reason="no C compiler: run_chunk needs it")
 
 RULES = {
     "is3": Is3Rules(),
@@ -44,6 +45,15 @@ def test_c_kernel_matches_composed_ops_bitwise(target):
     for eps in GRID:
         assert exact(rules, type(rules).run_chunk, eps, 10 ** 7) == \
             exact(rules, _python_chunk, eps, 10 ** 7), eps
+
+
+@compiled
+@pytest.mark.parametrize("target", RULES)
+def test_c_kernel_matches_composed_ops_bitwise_1000_rounds(target):
+    # a run its budget cuts short, at a step size below the grid's
+    rules = RULES[target]
+    assert exact(rules, type(rules).run_chunk, 1e-6, 1000) == \
+        exact(rules, _python_chunk, 1e-6, 1000)
 
 
 @compiled
@@ -82,6 +92,21 @@ def test_a_cache_directory_that_cannot_be_made_is_reported(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "cache directory" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unloadable_cached_library_is_reported_and_removed(tmp_path,
+                                                            capsys):
+    # the library this source and these flags would build, planted as a
+    # file that is no library: loading it fails, and the next import must
+    # not find it again
+    tag = zlib.crc32(_kernels._SOURCE.read_bytes()
+                     + " ".join(_kernels._CC).encode())
+    planted = tmp_path / f"_kernels-{tag:08x}.so"
+    planted.write_bytes(b"not a library")
+    assert _kernels._load(cache=tmp_path) is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(planted) in err
+    assert not planted.exists()
 
 
 def test_no_compiler_and_no_cache_directory_say_nothing(tmp_path, capsys):
