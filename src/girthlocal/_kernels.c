@@ -456,13 +456,13 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
 /* ---- The finite cut process's event engine ----------------------------
  *
  * cut_local_algorithm.CutProcess restated over flat arrays: _reveal, query,
- * commit, whiten, eliminate_white, reduce_rrr, _connected, the queue/heap
- * closure, the endgame commits and _resolve_pending.  Every rule, its
- * order of effects and every tie-break is the same as in the Python
- * methods, which stay the reference semantics; tests pin the two to equal
- * colourings and counters.  A round of the schedule (CutProcess.query_round:
- * the lone-vertex scan, the query marks and the queries, then closure) is
- * one call, cut_round, which draws the marks from the caller's numpy bit
+ * commit, whiten, eliminate_white, reduce_rrr, _connected, closure, the
+ * endgame commits and _resolve_pending.  Every rule, its order of effects
+ * and every tie-break is the same as in the Python methods, which stay
+ * the reference semantics; tests pin the two to equal colourings and
+ * counters.  A round of the schedule (CutProcess.query_round: the
+ * lone-vertex scan, the query marks and the queries, then closure) is one
+ * call, cut_round, which draws the marks from the caller's numpy bit
  * generator, one draw per lone vertex in ascending order as the Python
  * round does, so both backends read one random stream.  The bootstrap
  * pair is drawn in Python, which hands the engine the vertices it picked.
@@ -490,7 +490,9 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
  *   - the pending colours (target, bit, free) with an age-order list: a
  *     re-pend keeps the vertex's place;
  *   - the white marks (source, bit), deferred triples, the FIFO queue and
- *     an int min-heap (it pops the same sequence as heapq);
+ *     the pattern-scan candidates: a two-level bit set read lowest first,
+ *     which holds each vertex at most once (CutProcess.closure says why
+ *     once is enough);
  *   - the "maybe lone" bit set (the last scan's lone vertices and those
  *     put back since) and the last scan's lone list, which a round's
  *     marks overwrite in place.
@@ -513,9 +515,9 @@ typedef struct {
     uint8_t *bit, *free_, *pending;
     int64_t *wsrc;
     uint8_t *wbit;
-    vec order, deferred, queue, heap, walk;
-    int64_t qhead, *seen;
-    uint64_t *maybe;
+    vec order, deferred, queue, walk;
+    int64_t qhead, *seen, cand_lo;
+    uint64_t *cand, *cand_sum, *maybe;
     vec lones;
 } cut_state;
 
@@ -523,50 +525,39 @@ typedef struct {
 #define BAD(s) ((s)->counts[1])
 #define SURVIVAL(s) ((s)->counts[2])
 
-/* -- queue and heap ---------------------------------------------------- */
+/* -- queue and candidate set ------------------------------------------ */
 
 static void queue_push(cut_state *s, int64_t x)
 {
     fifo_push(&s->err, &s->queue, &s->qhead, x);
 }
 
-static void heap_push(cut_state *s, int64_t x)
+/* The pattern-scan candidates, each vertex at most once: one bit per
+ * vertex in cand, one bit per non-zero word of cand in cand_sum (a summary
+ * word covers 4096 vertices), and no non-zero summary word below cand_lo.
+ * A pop takes the lowest id, as CutProcess.closure pops its heap. */
+static void cand_add(cut_state *s, int64_t v)
 {
-    vec *h = &s->heap;
-    push(&s->err, h, x);
-    if (s->err)
-        return;
-    int64_t i = h->len - 1;
-    while (i > 0) {
-        int64_t up = (i - 1) / 2;
-        if (h->data[up] <= x)
-            break;
-        h->data[i] = h->data[up];
-        i = up;
-    }
-    h->data[i] = x;
+    s->cand[v / 64] |= bit_of(v);
+    s->cand_sum[v / 4096] |= bit_of(v / 64);
+    if (v / 4096 < s->cand_lo)
+        s->cand_lo = v / 4096;
 }
 
-static int64_t heap_pop(cut_state *s)
+/* the lowest candidate, taken out of the set; -1 when it is empty */
+static int64_t cand_pop(cut_state *s)
 {
-    vec *h = &s->heap;
-    int64_t top = h->data[0];
-    int64_t x = h->data[--h->len];
-    int64_t i = 0;
-    for (;;) {
-        int64_t c = 2 * i + 1;
-        if (c >= h->len)
-            break;
-        if (c + 1 < h->len && h->data[c + 1] < h->data[c])
-            c += 1;
-        if (x <= h->data[c])
-            break;
-        h->data[i] = h->data[c];
-        i = c;
-    }
-    if (h->len)
-        h->data[i] = x;
-    return top;
+    int64_t nsum = words(words(s->n));
+    while (s->cand_lo < nsum && !s->cand_sum[s->cand_lo])
+        s->cand_lo++;
+    if (s->cand_lo == nsum)
+        return -1;
+    int64_t i = 64 * s->cand_lo + lowest(s->cand_sum[s->cand_lo]);
+    int64_t v = 64 * i + lowest(s->cand[i]);
+    s->cand[i] &= ~bit_of(v);
+    if (!s->cand[i])
+        s->cand_sum[s->cand_lo] &= ~bit_of(i);
+    return v;
 }
 
 /* -- small helpers ----------------------------------------------------- */
@@ -585,7 +576,7 @@ static void touch(cut_state *s, int64_t v)
 static void dirty(cut_state *s, int64_t v)
 {
     if (s->status[v] == 0)
-        heap_push(s, v);
+        cand_add(s, v);
 }
 
 static void dirty_area(cut_state *s, int64_t v)
@@ -1094,13 +1085,11 @@ static void closure(cut_state *s)
                 labels_decide(s, v);
             continue;
         }
-        if (s->heap.len) {
-            int64_t v = heap_pop(s);
-            if (s->status[v] == 0 && !labels_decide(s, v))
-                try_patterns(s, v);
-            continue;
-        }
-        break;
+        int64_t v = cand_pop(s);
+        if (v < 0)
+            break;
+        if (s->status[v] == 0 && !labels_decide(s, v))
+            try_patterns(s, v);
     }
 }
 
@@ -1188,8 +1177,9 @@ void cut_free(cut_state *s)
     free(s->order.data);
     free(s->deferred.data);
     free(s->queue.data);
-    free(s->heap.data);
     free(s->walk.data);
+    free(s->cand);
+    free(s->cand_sum);
     free(s->maybe);
     free(s->lones.data);
     free(s);
@@ -1236,13 +1226,15 @@ cut_state *cut_new(int64_t n, const int64_t *owner,
     s->wsrc = malloc(m * sizeof *s->wsrc);
     s->wbit = malloc(m);
     s->seen = malloc(m * sizeof *s->seen);
+    s->cand = calloc(words(m), sizeof *s->cand);
+    s->cand_sum = calloc(words(words(m)), sizeof *s->cand_sum);
     s->maybe = calloc(words(m), sizeof *s->maybe);
     s->lones.data = malloc(m * sizeof *s->lones.data);
     s->lones.cap = n;
     if (!s->path_nb || !s->path_par || !s->head || !s->tail || !s->next
             || !s->target || !s->age || !s->bit || !s->free_ || !s->pending
-            || !s->wsrc || !s->wbit || !s->seen || !s->maybe
-            || !s->lones.data) {
+            || !s->wsrc || !s->wbit || !s->seen || !s->cand
+            || !s->cand_sum || !s->maybe || !s->lones.data) {
         cut_free(s);
         return NULL;
     }

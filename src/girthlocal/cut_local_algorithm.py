@@ -122,7 +122,7 @@ class CutProcess:
         self.bad = 0
         self.survival = n
         self.queue: deque = deque()
-        self.heap: list = []  # pattern-scan candidates (lazy duplicates)
+        self.heap: list = []  # pattern-scan candidates, each at most once
         self.rounds = 0
 
     # the per-vertex lists only the Python methods use, built on first use
@@ -138,13 +138,19 @@ class CutProcess:
         """Each vertex's (neighbor, edge parity) path edges, at most two."""
         return [[] for _ in range(self.n)]
 
+    @cached_property
+    def in_heap(self) -> bytearray:
+        """1 for the vertices in the heap."""
+        return bytearray(self.n)
+
     # -- small helpers ------------------------------------------------------
 
     def _cd(self, v: int) -> int:
         return self.nR[v] + self.nG[v] + self.nW[v] + self.nD[v]
 
     def _dirty(self, v: int) -> None:
-        if self.status[v] == 0:
+        if self.status[v] == 0 and not self.in_heap[v]:
+            self.in_heap[v] = 1
             heapq.heappush(self.heap, v)
 
     def _dirty_area(self, v: int) -> None:
@@ -515,7 +521,20 @@ class CutProcess:
         return False
 
     def closure(self) -> None:
-        """Exhaust label decisions first, then path-shape rules."""
+        """Exhaust label decisions first, then path-shape rules.
+
+        The pattern-scan candidates pop lowest id first, and each vertex is
+        in the heap at most once: _dirty pushes nothing for a vertex that is
+        there already.  A push per _dirty call would pop the same vertices
+        in the same order, plus repeats that do nothing.  For every action
+        that _labels_decide or _try_patterns takes at v either decides v
+        (commit, whiten, eliminate_white, reduce_rrr with v as s2) or wakes
+        v again (a path neighbour's commit gives v a label, and query wakes
+        or dirties v).  So a repeat of v still waiting after a pop of v
+        finds v decided (and is skipped), or finds v pushed again anyway,
+        or else follows a pop that took no action: then nothing changed and
+        nothing was pushed or queued, so the repeat comes up next and takes
+        no action either.  The C engine keeps the same rule."""
         while True:
             if self.queue:
                 v = self.queue.popleft()
@@ -524,6 +543,7 @@ class CutProcess:
                 continue
             if self.heap:
                 v = heapq.heappop(self.heap)
+                self.in_heap[v] = 0
                 if self.status[v] == 0 and not self._labels_decide(v):
                     self._try_patterns(v)
                 continue

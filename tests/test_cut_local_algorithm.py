@@ -1,4 +1,6 @@
 """Staged micro-scenarios and full runs of the red/green/white cut process."""
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,9 +311,12 @@ def test_connected_fails_loudly_on_a_cyclic_path():
         p._connected(0, 5)
 
 
-def outputs(graph, **options):
-    r = run_cut(graph, **options)
+def outputs_of(r):
     return r.colors.tobytes(), r.good, r.bad, r.rounds
+
+
+def outputs(graph, **options):
+    return outputs_of(run_cut(graph, **options))
 
 
 def backends_agree(monkeypatch, graph, seeds):
@@ -324,12 +329,43 @@ def backends_agree(monkeypatch, graph, seeds):
             assert outputs(graph, **options) == in_c, options
 
 
-# 66 and 130 straddle a 64-bit word of the engine's bit sets
+# 66 and 130 straddle a 64-bit word of the engine's bit sets; 4160 crosses
+# the first summary word of the candidate set (4096 vertices) and ends in a
+# partial word
 @compiled
-@pytest.mark.parametrize("n", [4, 6, 10, 64, 66, 130, 300, 2000])
+@pytest.mark.parametrize("n", [4, 6, 10, 64, 66, 130, 300, 2000, 4160])
 def test_c_engine_matches_python_methods(monkeypatch, n):
-    for seed in range(10):
+    for seed in range(10 if n < 4096 else 4):
         backends_agree(monkeypatch, generate(n, 3, seed=seed), [seed])
+
+
+def python_run(graph, seed, q):
+    p = CutProcess(graph, seed=seed, query_probability=q)
+    return outputs_of(p.run()), p.rng.bit_generator.state
+
+
+def test_candidates_held_once_match_a_push_per_dirty(monkeypatch):
+    # _dirty without the in_heap flag pushes on every call, so the heap
+    # holds repeats; each repeated pop must be a no-op (CutProcess.closure
+    # says why), so holding each candidate once changes nothing
+    repeats = 0
+
+    def push_per_dirty(self, v):
+        nonlocal repeats
+        if self.status[v] == 0:
+            repeats += v in self.heap
+            heapq.heappush(self.heap, v)
+
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    for n in (66, 300, 2000):
+        for seed in range(3):
+            graph = generate(n, 3, seed=seed)
+            for q in (0.0, 0.02, 1.0):
+                once = python_run(graph, seed, q)
+                with monkeypatch.context() as m:
+                    m.setattr(CutProcess, "_dirty", push_per_dirty)
+                    assert python_run(graph, seed, q) == once, (n, seed, q)
+    assert repeats > 1000
 
 
 @compiled
