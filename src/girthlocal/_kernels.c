@@ -1363,15 +1363,17 @@ int64_t cut_endgame(cut_state *s)
  * probe_round) and unfold_merges' backward read of the merge log.
  * Every rule and its order of effects is the same as in the Python
  * methods, which stay the reference semantics; tests pin the two to equal
- * sets, round counts and contraction counts.  The round ladder, which
- * picks each round's kind and class, stays in Python.  A round is one
- * call (is_thin, is_probe_round) that draws its marks from the caller's
- * numpy bit generator, one draw per class member in ascending order as
- * the Python round does, so both backends read one random stream.  The
- * class members are the ascending ids SurvivalGraph.scan finds, read off
- * the class bit sets below in ascending order, at a cost of n / 64 words
- * per non-empty class scanned (none for an empty range); is_scan hands them
- * to the forced deletion, which is drawn in Python.
+ * sets, round counts and contraction counts.  A whole run is one call,
+ * is_run: the round ladder of is_local_algorithm._drive (which stays its
+ * reference), with the persistence fraction and the bootstrap probability
+ * passed in from Python, then the unfolding of the merges.  The rounds
+ * (is_thin, is_probe_round) draw their marks from the caller's numpy bit
+ * generator, one next_double per class member in ascending order as the
+ * Python round does, and the forced deletion draws its member as
+ * Generator.choice does (choice_index), so both backends read one random
+ * stream.  The class members are the ascending ids SurvivalGraph.scan
+ * finds, read off the class bit sets below in ascending order, at a cost
+ * of n / 64 words per non-empty class scanned (none for an empty range).
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename
@@ -1379,10 +1381,10 @@ int64_t cut_endgame(cut_state *s)
  * z's list to x's with z's loops renamed (list.extend), and every queue
  * append happens where Python makes it, duplicates included.
  *
- * Shared with Python (the SurvivalGraph's own buffers, read by its round
- * ladder): deg (frozen at death, as in Python), alive, the degree
- * histogram counts, the decision bytes status (UNDECIDED, IN, OUT;
- * deciding a vertex twice is ENGINE_BROKEN) and state = {survival count,
+ * Shared with Python (the SurvivalGraph's own buffers): deg (frozen at
+ * death, as in Python), alive, the degree histogram counts, the decision
+ * bytes status (UNDECIDED, IN, OUT; deciding a vertex twice is
+ * ENGINE_BROKEN), which give the run's set, and state = {survival count,
  * contractions}.  Private here:
  *   - each vertex's live neighbours, pool[off[v] .. off[v] + len[v]), with
  *     room for cap[v]; a list that outgrows its room moves to the pool's
@@ -1787,19 +1789,18 @@ int64_t is_deletes(is_state *s, const int64_t *ids, int64_t count)
  * top goes, then each member of class top whose draw from bg falls below
  * p; both lists are read, and the marks drawn, before any deletion.  Then
  * settle. */
-int64_t is_thin(is_state *s, bitgen_t *bg, int64_t top, double p)
+static void is_thin(is_state *s, bitgen_t *bg, int64_t top, double p)
 {
     members(s, top + 1, s->ncounts - 1, &s->above);
     if (!s->err)
         members(s, top, top, &s->marked);
     if (s->err)
-        return s->err;
+        return;
     vec *marked = &s->marked;
     marked->len = mark(bg, marked->data, marked->len, p, marked->data);
     is_deletes(s, s->above.data, s->above.len);
     is_deletes(s, marked->data, marked->len);
     settle(s);
-    return s->err;
 }
 
 /* the 4-regular probe of v, which goes itself when its neighbours all
@@ -1829,20 +1830,88 @@ static void probe(is_state *s, int64_t v)
 /* one probe round (SurvivalGraph.probe_round): every live vertex above
  * class 5 goes; then each member of class 3 whose draw from bg falls below
  * p is probed, in order.  Then settle. */
-int64_t is_probe_round(is_state *s, bitgen_t *bg, double p)
+static void is_probe_round(is_state *s, bitgen_t *bg, double p)
 {
     members(s, 6, s->ncounts - 1, &s->above);
     is_deletes(s, s->above.data, s->above.len);
     if (!s->err)
         members(s, 3, 3, &s->marked);
     if (s->err)
-        return s->err;
+        return;
     vec *marked = &s->marked;
     marked->len = mark(bg, marked->data, marked->len, p, marked->data);
     for (int64_t i = 0; i < marked->len && !s->err; i++)
         probe(s, marked->data[i]);
     settle(s);
-    return s->err;
+}
+
+/* max(1, round(x)) with Python's round, half to even: x - floor(x) is
+ * exact for 0 <= x < 2^53, so the halfway test is too, and no libm call
+ * is needed.  An x outside that range (or NaN) is ENGINE_BROKEN. */
+static int64_t at_least_one_rounded(is_state *s, double x)
+{
+    if (!(x < 9007199254740992.0)) {
+        s->err = ENGINE_BROKEN;
+        return 1;
+    }
+    if (x < 1.0)
+        return 1;  /* round(x) <= 1 */
+    int64_t whole = (int64_t)x;
+    double frac = x - (double)whole;
+    return whole + (frac > 0.5 || (frac == 0.5 && whole % 2));
+}
+
+/* the highest class above floor holding at least max(1, round(fraction *
+ * survival)) live vertices, or -1 (is_local_algorithm._top_persistent) */
+static int64_t top_persistent(is_state *s, double fraction, int64_t floor)
+{
+    int64_t need = at_least_one_rounded(
+        s, fraction * (double)SURVIVAL_COUNT(s));
+    for (int64_t k = s->ncounts - 1; k > floor; k--)
+        if (s->counts[k] >= need)
+            return k;
+    return -1;
+}
+
+/* an index into m items drawn as numpy's Generator.choice draws it over
+ * an array of m: none for one item, else one bounded draw by Lemire's
+ * rule on next_uint32 (numpy's buffered_bounded_lemire_uint32, whose
+ * 32-bit path numpy takes for m <= 2^32 - 1; more items are
+ * ENGINE_BROKEN) */
+static int64_t choice_index(is_state *s, bitgen_t *bg, int64_t m)
+{
+    if (m < 1 || m > (int64_t)UINT32_MAX) {
+        s->err = ENGINE_BROKEN;
+        return 0;
+    }
+    if (m == 1)
+        return 0;
+    uint32_t range = (uint32_t)m;
+    uint64_t x = (uint64_t)bg->next_uint32(bg->state) * range;
+    if ((uint32_t)x < range) {
+        uint32_t threshold = (UINT32_MAX - (range - 1)) % range;
+        while ((uint32_t)x < threshold)
+            x = (uint64_t)bg->next_uint32(bg->state) * range;
+    }
+    return (int64_t)(x >> 32);
+}
+
+/* the forced deletion after a round that removed nothing: one member of
+ * the top non-empty class goes, drawn as rng.choice draws it; then
+ * settle */
+static void force_progress(is_state *s, bitgen_t *bg)
+{
+    int64_t top = s->ncounts - 1;
+    while (top > 0 && !s->counts[top])
+        top--;
+    members(s, top, top, &s->marked);
+    if (s->err)
+        return;
+    int64_t i = choice_index(s, bg, s->marked.len);
+    if (s->err)
+        return;
+    is_delete(s, s->marked.data[i]);
+    settle(s);
 }
 
 /* once no vertex is left in the graph: reading the merge log backwards,
@@ -1859,5 +1928,37 @@ int64_t is_unfold_merges(is_state *s)
     for (int64_t v = 0; v < s->n && !s->err; v++)
         if (s->status[v] == UNDECIDED)
             s->err = ENGINE_BROKEN;  /* left undecided */
+    return s->err;
+}
+
+/* a whole run (is_local_algorithm._drive): rounds until no vertex is left,
+ * their count into *rounds, then the merges unfolded.  Each round is the
+ * thinning of the top persistent class above floor (3, or 5 when d = 4)
+ * with probability p; else, for d = 4 with a live 3-vertex, a probe round
+ * with p; else the bootstrap thinning of class d with bootstrap_p.  A
+ * round that removes no vertex is followed by the forced deletion, so the
+ * survival count falls every round. */
+int64_t is_run(is_state *s, bitgen_t *bg, int64_t d, double p,
+               double bootstrap_p, double fraction, int64_t *rounds)
+{
+    int64_t floor = d == 3 ? 3 : 5;
+    *rounds = 0;
+    while (SURVIVAL_COUNT(s) && !s->err) {
+        int64_t before = SURVIVAL_COUNT(s);
+        int64_t top = top_persistent(s, fraction, floor);
+        if (s->err)
+            break;
+        if (top >= 0)
+            is_thin(s, bg, top, p);
+        else if (d == 4 && s->counts[3])
+            is_probe_round(s, bg, p);
+        else
+            is_thin(s, bg, d, bootstrap_p);
+        if (!s->err && SURVIVAL_COUNT(s) == before)
+            force_progress(s, bg);
+        *rounds += 1;
+    }
+    if (!s->err)
+        is_unfold_merges(s);
     return s->err;
 }

@@ -11,13 +11,17 @@ same evaluation order, pinned bit for bit by tests.  And there is one event
 engine per finite process: ``CutEngine`` runs the methods of
 ``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
 ``is_local_algorithm.SurvivalGraph`` (its class scans included), over flat
-arrays, pinned by tests to give the same outputs and counters.  Each
+arrays, pinned by tests to give the same outputs and counters.  The cut
 process's round schedule is written once, in Python, and runs each round
-as one engine call.  The marks of a round are drawn in C from the caller's
-numpy Generator, through its bit generator's C interface
+as one engine call; the independent-set ladder runs whole in C, one call
+per run (``IsEngine.run``), with ``is_local_algorithm._drive`` as its
+reference.  The marks of a round are drawn in C from the caller's numpy
+Generator, through its bit generator's C interface
 (``bit_generator.ctypes``): one ``next_double`` per candidate, in
-ascending order, which is what ``ids[rng.random(m) < p]`` draws.  So both
-backends read one random stream and leave the generator in one state.
+ascending order, which is what ``ids[rng.random(m) < p]`` draws; the
+independent-set forced deletion draws its member as ``rng.choice`` does,
+by numpy's bounded Lemire draw on ``next_uint32``.  So both backends read
+one random stream and leave the generator in one state.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -141,8 +145,7 @@ def _load(cc=_CC, cache=_CACHE):
                        ("cut_endgame", [ptr]),
                        ("is_settle", [ptr]),
                        ("is_deletes", [ptr, ptr, i64]),
-                       ("is_thin", [ptr, ptr, i64, f64]),
-                       ("is_probe_round", [ptr, ptr, f64]),
+                       ("is_run", [ptr, ptr, i64, f64, f64, f64, ptr]),
                        ("is_scan", [ptr, i64, i64, ptr]),
                        ("is_unfold_merges", [ptr])):
         getattr(lib, name).argtypes = args
@@ -297,13 +300,13 @@ class IsEngine(_Engine):
     """The independent-set process's event engine in C, over a fresh
     ``SurvivalGraph``'s degrees, live flags, degree histogram and decision
     bytes, which it updates in place.  Its ``settle``, ``deletes``,
-    ``thin``, ``probe_round``, ``unfold_merges`` and ``scan`` are those
-    of the survival graph, and the two rounds draw their marks from the
-    ``rng`` passed in; a merged vertex above ``cap_degree`` is deleted, as
-    ``DEGREE_CAP`` in settle.  The merge log and the bit set of each
-    degree class that ``scan`` reads are the engine's own.  The survival and
-    contraction counts live in ``counts`` until ``close`` writes them back.
-    Needs ``BACKEND == "c"``."""
+    ``unfold_merges`` and ``scan`` are those of the survival graph, and
+    ``run`` is a whole run of the round ladder ``_drive`` in one call,
+    drawing from the ``rng`` passed in; a merged vertex above
+    ``cap_degree`` is deleted, as ``DEGREE_CAP`` in settle.  The merge log
+    and the bit set of each degree class that ``scan`` reads are the
+    engine's own.  The survival and contraction counts live in ``counts``
+    until ``close`` writes them back.  Needs ``BACKEND == "c"``."""
 
     _name = "independent-set engine"
 
@@ -333,13 +336,19 @@ class IsEngine(_Engine):
             raise IndexError("vertex out of range")
         self._run(_lib.is_deletes, ids.ctypes.data, ids.shape[0])
 
-    def thin(self, rng, top: int, probability: float) -> None:
-        if not 0 <= top < len(self._g.counts):
-            raise IndexError(f"degree class {top} out of range")
-        self._run_drawing(_lib.is_thin, rng, top, probability)
-
-    def probe_round(self, rng, probability: float) -> None:
-        self._run_drawing(_lib.is_probe_round, rng, probability)
+    def run(self, rng, d: int, thin_probability: float,
+            bootstrap_probability: float, persistence_fraction: float) -> int:
+        """The whole run of ``is_local_algorithm._drive`` in one call: the
+        rounds until no vertex is left, then ``unfold_merges``; returns the
+        rounds run.  The rounds draw their marks, and the forced deletions
+        their vertex, from ``rng``, as the Python ladder does."""
+        if not 0 <= d < len(self._g.counts):
+            raise IndexError(f"degree class {d} out of range")
+        rounds = ctypes.c_int64()
+        self._run_drawing(_lib.is_run, rng, d, thin_probability,
+                          bootstrap_probability, persistence_fraction,
+                          ctypes.byref(rounds))
+        return rounds.value
 
     def unfold_merges(self) -> None:
         self._run(_lib.is_unfold_merges)

@@ -109,7 +109,8 @@ class CutProcess:
         self.nD = bytearray(n)
         self.pd = bytearray(n)  # len(path[v]), for the round scan
         self.op = array("b", [3]) * n
-        self.alias = array("q", range(n))  # open-slot inheritance
+        # open-slot inheritance: alias[v] = v at the start
+        self.alias = array("q", np.arange(n, dtype=np.int64).tobytes())
         self.wmark: dict = {}  # v -> (who whitened at v last, its parity)
         # pending colors, oldest first: v -> (target, bit, free) with
         # f[v] = f[target] ^ bit (target -1: f[v] = bit).  free marks

@@ -94,12 +94,13 @@ class SurvivalGraph:
     list is still alive when the rule acts on it, and the rules test no
     liveness; ``delete`` still refuses a dead vertex.
 
-    The methods below are the reference semantics.  run() hands the events,
-    the rounds and the class scans to ``_kernels.IsEngine`` (the same rules
-    in C, over deg, alive, counts and status, with one bit set of its own
-    per degree class for the scans, read in ascending order) when the C
-    kernels are built, and runs these methods otherwise; tests pin the two
-    to the same set, rounds, contractions and random stream.
+    The methods below are the reference semantics.  run() hands the whole
+    run, its round ladder included, to ``_kernels.IsEngine`` (the same
+    rules in C, over deg, alive, counts and status, with one bit set of its
+    own per degree class for the scans, read in ascending order) when the C
+    kernels are built, and runs these methods under ``_drive`` otherwise;
+    tests pin the two to the same set, rounds, contractions and random
+    stream.
     """
 
     def __init__(self, g: Multigraph):
@@ -354,50 +355,46 @@ def run(graph: Multigraph, d: int, seed=None,
     g = SurvivalGraph(graph)
     if _kernels.BACKEND == "c":
         with _kernels.IsEngine(g, DEGREE_CAP) as engine:
-            rounds = _drive(g, engine, rng, d, thin_probability)
+            rounds = engine.run(rng, d, thin_probability,
+                                BOOTSTRAP_PROBABILITY, PERSISTENCE_FRACTION)
     else:
-        rounds = _drive(g, g, rng, d, thin_probability)
+        rounds = _drive(g, rng, d, thin_probability)
     vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8) == IN)
     return IsRunResult(vertices=vertices.tolist(), n=graph.n, d=d, seed=seed,
                        rounds=rounds, contractions=g.contractions)
 
 
-def _drive(g: SurvivalGraph, engine, rng, d: int,
-           thin_probability: float) -> int:
-    """The round ladder; returns the rounds run.  ``engine`` runs the
-    rounds, the events and the class scans: g itself, or its C engine.  The
-    ladder picks each round's kind and class here, from the shared degree
+def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
+    """The round ladder on g's Python methods; returns the rounds run.  It
+    is the reference of the C engine's ``IsEngine.run``, which restates it
+    whole in one call.  Each round's kind and class come from the degree
     histogram; a round draws its marks from rng over the ascending members
-    of its class, in Python or in C, so both backends read one random
-    stream.  The rounds go on until no vertex is left and need no cap: one
-    that removes no vertex is followed by a forced deletion, so each round
-    lowers the survival count and a run ends within n rounds.  A d-regular
-    graph (d >= 3) starts with nothing to settle."""
+    of its class.  The rounds go on until no vertex is left and need no
+    cap: after one that removes no vertex, one member of the top non-empty
+    class is deleted, drawn by ``rng.choice``, so each round lowers the
+    survival count and a run ends within n rounds.  A d-regular graph
+    (d >= 3) starts with nothing to settle."""
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
     floor = 3 if d == 3 else 5
     rounds = 0
-    while engine.survival_count:
-        before = engine.survival_count
+    while g.survival_count:
+        before = g.survival_count
         top = _top_persistent(g.counts, before, PERSISTENCE_FRACTION, floor)
         if top is not None:
-            engine.thin(rng, top, thin_probability)
+            g.thin(rng, top, thin_probability)
         elif d == 4 and g.counts[3]:
-            engine.probe_round(rng, thin_probability)
+            g.probe_round(rng, thin_probability)
         else:
             # nothing persistent to thin and nothing to probe: bootstrap
-            engine.thin(rng, d, BOOTSTRAP_PROBABILITY)
-        if engine.survival_count == before:
-            _force_progress(g, engine, rng)
-            engine.settle()
+            g.thin(rng, d, BOOTSTRAP_PROBABILITY)
+        if g.survival_count == before:
+            top = max(k for k, c in enumerate(g.counts) if c)
+            g.delete(int(rng.choice(g.scan(top, top))))
+            g.settle()
         rounds += 1
-    engine.unfold_merges()
+    g.unfold_merges()
     return rounds
-
-
-def _force_progress(g: SurvivalGraph, engine, rng) -> None:
-    top = max(k for k, c in enumerate(g.counts) if c)
-    engine.deletes(np.array([rng.choice(engine.scan(top, top))]))
 
 
 def verify_independent(graph: Multigraph, vertices) -> bool:

@@ -519,12 +519,20 @@ def test_agreement_inputs_reach_every_contract_branch(monkeypatch):
     assert fired["over_cap"] == 1
 
 
+def run_in_c(g, rng, d, thin_probability):
+    """A whole run of g in its C engine, which closes once the run is
+    over; returns the rounds run."""
+    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
+        return engine.run(rng, d, thin_probability,
+                          is_local_algorithm.BOOTSTRAP_PROBABILITY,
+                          is_local_algorithm.PERSISTENCE_FRACTION)
+
+
 @compiled
 def test_c_run_builds_no_per_vertex_lists():
     g = SurvivalGraph(generate(64, 3, seed=0))
     rng = np.random.default_rng(0)
-    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
-        assert _drive(g, engine, rng, 3, THIN_PROBABILITY) > 0
+    assert run_in_c(g, rng, 3, THIN_PROBABILITY) > 0
     assert "adj" not in vars(g) and not g.merges and g.contractions > 0
     assert decided(g, UNDECIDED) == [] and decided(g, IN) != []
 
@@ -534,8 +542,10 @@ def drive_to_the_end(graph, d, seed, thin_probability, in_c):
     outputs and the state it leaves its generator in."""
     g = SurvivalGraph(graph)
     rng = np.random.default_rng(seed)
-    with engine_for(g, in_c) as engine:
-        rounds = _drive(g, engine, rng, d, thin_probability)
+    if in_c:
+        rounds = run_in_c(g, rng, d, thin_probability)
+    else:
+        rounds = _drive(g, rng, d, thin_probability)
     assert g.survival_count == 0
     return bytes(g.status), rounds, rng.bit_generator.state
 
@@ -548,8 +558,11 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
     # rounds make, so a full run leaves the generator in one state.  The
     # rounds have no cap: one that removes nothing is followed by a forced
     # deletion, so the survival count that each round's class pick reads
-    # falls every round, and a run ends within n rounds.  At t = 0 a
-    # thinning round marks nothing and takes that path
+    # falls every round, and a run ends within n rounds (recorded on the
+    # Python ladder, which the C run must then match round for round).  At
+    # t = 0 a thinning round marks nothing and takes that path; at 0.005
+    # and 0.02 the forced draws' next_uint32 calls fall between the marks'
+    # next_double calls
     starts = []
     top_persistent = is_local_algorithm._top_persistent
 
@@ -560,14 +573,103 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
     monkeypatch.setattr(is_local_algorithm, "_top_persistent", recorded)
     for seed in range(3):
         graph = generate(2000, d, seed=seed)
-        ends = []
-        for in_c in (True, False):
-            starts.clear()
-            ends.append(drive_to_the_end(graph, d, seed, t, in_c))
-            assert 0 < len(starts) == ends[-1][1] <= graph.n
-            assert all(a > b for a, b in zip(starts, starts[1:]))
-        assert ends[0] == ends[1]
-        assert ends[0][2] != np.random.default_rng(seed).bit_generator.state
+        starts.clear()
+        in_python = drive_to_the_end(graph, d, seed, t, False)
+        assert 0 < len(starts) == in_python[1] <= graph.n
+        assert all(a > b for a, b in zip(starts, starts[1:]))
+        assert drive_to_the_end(graph, d, seed, t, True) == in_python
+        assert in_python[2] != np.random.default_rng(seed).bit_generator.state
+
+
+class RecordedChoices:
+    """A Generator's random and choice, recording the size of each array
+    that choice draws from: what the Python ladder reads of its rng."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def choice(self, members):
+        self.sizes.append(len(members))
+        return self.rng.choice(members)
+
+
+# 65 (d = 4) and 66 straddle a 64-bit word of the engine's bit sets
+@compiled
+@pytest.mark.parametrize("n, d", [(n, d) for d in (3, 4)
+                                  for n in (4, 6, 66, 2000)] + [(65, 4)])
+def test_forced_deletions_draw_as_rng_choice(n, d):
+    # at t = 0 every thinning of a persistent class stalls, so forced
+    # deletions come often: the C draw (numpy's bounded Lemire draw on
+    # next_uint32, none for a one-member class) must pick the member
+    # rng.choice picks and leave the generator where rng.choice leaves it
+    sizes = []
+    for seed in range(5):
+        graph = generate(n, d, seed=seed)
+        python = SurvivalGraph(graph)
+        rng = RecordedChoices(np.random.default_rng(seed))
+        rounds = _drive(python, rng, d, 0.0)
+        sizes += rng.sizes
+        g = SurvivalGraph(graph)
+        in_c = np.random.default_rng(seed)
+        assert run_in_c(g, in_c, d, 0.0) == rounds, seed
+        assert bytes(g.status) == bytes(python.status), seed
+        assert in_c.bit_generator.state == rng.rng.bit_generator.state, seed
+    # both kinds of forced draw ran: from one member and from several
+    assert 1 in sizes and max(sizes) > 1, sizes
+
+
+def test_persistence_threshold_rounds_half_to_even():
+    """On 1,250 vertices, two of degree 4 and the rest of degree 3, the
+    first round's threshold is round(0.002 * 1250) = round(2.5) = 2, so it
+    thins class 4; rounding half up would give 3 and a bootstrap thinning
+    of class 3 instead.  The C ladder must round as Python does."""
+    assert is_local_algorithm.PERSISTENCE_FRACTION * 1250 == 2.5
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        degrees = np.array([4, 4] + [3] * 1248)
+        owner = rng.permutation(np.repeat(np.arange(1250), degrees))
+        pair = np.arange(owner.size, dtype=np.int64)
+        pair[0::2] += 1
+        pair[1::2] -= 1
+        graph = Multigraph(n=1250, owner=owner.astype(np.int64), pair=pair)
+        python = SurvivalGraph(graph)
+        assert is_local_algorithm._top_persistent(
+            python.counts, 1250, is_local_algorithm.PERSISTENCE_FRACTION,
+            3) == 4
+        python_rng = np.random.default_rng(seed)
+        rounds = _drive(python, python_rng, 3, THIN_PROBABILITY)
+        if _kernels.BACKEND != "c":
+            continue
+        g = SurvivalGraph(graph)
+        c_rng = np.random.default_rng(seed)
+        assert run_in_c(g, c_rng, 3, THIN_PROBABILITY) == rounds
+        assert bytes(g.status) == bytes(python.status)
+        assert c_rng.bit_generator.state == python_rng.bit_generator.state
+
+
+@compiled
+def test_a_c_run_is_one_engine_call(monkeypatch):
+    # the ladder runs in C: the engine calls of a run do not grow with its
+    # rounds
+    calls = []
+    engine_run = _kernels._Engine._run
+
+    def counted(engine, entry, *args):
+        calls.append(entry)
+        return engine_run(engine, entry, *args)
+
+    monkeypatch.setattr(_kernels._Engine, "_run", counted)
+    rounds = []
+    for n, d, t in ((64, 3, 0.02), (2000, 3, 0.0), (2000, 4, 0.005)):
+        calls.clear()
+        rounds.append(run(generate(n, d, seed=1), d, seed=1,
+                          thin_probability=t).rounds)
+        assert calls == [_kernels._lib.is_run], (n, d, t)
+    assert len(set(rounds)) == 3 and max(rounds) > 100, rounds
 
 
 @pytest.mark.parametrize("in_c", [False, pytest.param(True, marks=compiled)],
@@ -618,9 +720,9 @@ def test_c_engine_checks_its_calls():
         for ids in ([1, 4], [-1]):
             with pytest.raises(IndexError):
                 engine.deletes(np.array(ids))
-        for top in (-1, len(g.counts)):
+        for d in (-1, len(g.counts)):
             with pytest.raises(IndexError):
-                engine.thin(rng, top, 0.5)
+                engine.run(rng, d, 0.5, 0.5, 0.5)
         engine.deletes(np.array([2]))
         assert not g.alive[2] and g.deg[0] == 2 and engine.survival_count == 3
         with pytest.raises(ValueError):
@@ -631,8 +733,7 @@ def test_c_engine_checks_its_calls():
     assert g.survival_count == 3
     for call in (engine.settle, engine.unfold_merges,
                  lambda: engine.scan(2, 2),
-                 lambda: engine.thin(rng, 3, 0.5),
-                 lambda: engine.probe_round(rng, 0.5)):
+                 lambda: engine.run(rng, 3, 0.5, 0.5, 0.5)):
         with pytest.raises(ValueError, match="closed"):
             call()
     with pytest.raises(ValueError, match="closed"):

@@ -156,7 +156,7 @@ def test_ctypes_declarations_match_the_c_source():
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
     assert {"is_chunk", "cut_new", "is_new", "is_unfold_merges",
-            "is_scan", "is_thin", "is_probe_round", "cut_round"} \
+            "is_scan", "is_run", "cut_round"} \
         <= set(exported)
     for name, (ret, count) in exported.items():
         f = getattr(lib, name)
