@@ -350,6 +350,11 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * assertion in the Python methods), ENGINE_DEAD when an event names a
  * vertex that is gone (a ValueError in Python).  The state is then
  * unusable.
+ *
+ * An engine reads and writes only its own state and the buffers it was
+ * given: this file has no mutable file-scope state.  So engines over
+ * distinct buffers may run at once on different threads; ctypes releases
+ * the GIL for each call.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -460,12 +465,15 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
  * endgame commits and _resolve_pending.  Every rule, its order of effects
  * and every tie-break is the same as in the Python methods, which stay
  * the reference semantics; tests pin the two to equal colourings and
- * counters.  A round of the schedule (CutProcess.query_round: the
- * lone-vertex scan, the query marks and the queries, then closure) is one
- * call, cut_round, which draws the marks from the caller's numpy bit
- * generator, one draw per lone vertex in ascending order as the Python
- * round does, so both backends read one random stream.  The bootstrap
- * pair is drawn in Python, which hands the engine the vertices it picked.
+ * counters.  A stretch of rounds of the schedule, up to the first that
+ * removes no survival vertex (CutProcess.query_rounds), is one call,
+ * cut_rounds.  Each of its rounds is cut_round (CutProcess.query_round:
+ * the lone-vertex scan, the query marks and the queries, then closure),
+ * which draws the marks from the caller's numpy bit generator, one draw
+ * per lone vertex in ascending order as the Python round does, so both
+ * backends read one random stream.  The bootstrap pair that follows a
+ * stalled round is drawn in Python, which hands the engine the vertices it
+ * picked.
  *
  * The lone scan tests only the vertices that may be lone, a bit set read
  * in ascending order.  Every vertex starts in it, so an engine's first scan
@@ -1317,6 +1325,24 @@ int64_t cut_round(cut_state *s, bitgen_t *bg, double q)
             query(s, v);
     }
     closure(s);
+    return s->err;
+}
+
+/* the rounds while more than floor vertices survive, their count into
+ * *rounds (CutProcess.query_rounds): cut_round until the survival count
+ * falls to floor, or up to and including the first round that removes no
+ * survival vertex */
+int64_t cut_rounds(cut_state *s, bitgen_t *bg, double q, int64_t floor,
+                   int64_t *rounds)
+{
+    *rounds = 0;
+    while (SURVIVAL(s) > floor && !s->err) {
+        int64_t before = SURVIVAL(s);
+        cut_round(s, bg, q);
+        *rounds += 1;
+        if (SURVIVAL(s) == before)
+            break;
+    }
     return s->err;
 }
 

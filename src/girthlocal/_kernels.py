@@ -12,16 +12,20 @@ engine per finite process: ``CutEngine`` runs the methods of
 ``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
 ``is_local_algorithm.SurvivalGraph`` (its class scans included), over flat
 arrays, pinned by tests to give the same outputs and counters.  The cut
-process's round schedule is written once, in Python, and runs each round
-as one engine call; the independent-set ladder runs whole in C, one call
-per run (``IsEngine.run``), with ``is_local_algorithm._drive`` as its
-reference.  The marks of a round are drawn in C from the caller's numpy
-Generator, through its bit generator's C interface
-(``bit_generator.ctypes``): one ``next_double`` per candidate, in
-ascending order, which is what ``ids[rng.random(m) < p]`` draws; the
-independent-set forced deletion draws its member as ``rng.choice`` does,
-by numpy's bounded Lemire draw on ``next_uint32``.  So both backends read
-one random stream and leave the generator in one state.
+process's round schedule is written once, in Python
+(``CutProcess._drive``), and runs each stretch of rounds between two
+bootstraps as one engine call (``CutEngine.query_rounds``); the
+independent-set ladder runs whole in C, one call per run
+(``IsEngine.run``), with ``is_local_algorithm._drive`` as its reference.
+The marks of a round are drawn in C from the caller's numpy Generator,
+through its bit generator's C interface (``bit_generator.ctypes``): one
+``next_double`` per candidate, in ascending order, which is what
+``ids[rng.random(m) < p]`` draws; the independent-set forced deletion
+draws its member as ``rng.choice`` does, by numpy's bounded Lemire draw
+on ``next_uint32``.  So both backends read one random stream and leave the
+generator in one state.  ctypes releases the GIL for each call, and an
+engine touches only its own state and buffers, so engines of different
+runs may run at once on different threads.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -141,6 +145,7 @@ def _load(cc=_CC, cache=_CACHE):
     for name, args in (("cut_commit", [ptr, i64, i64]),
                        ("cut_closure", [ptr]),
                        ("cut_round", [ptr, ptr, f64]),
+                       ("cut_rounds", [ptr, ptr, f64, i64, ptr]),
                        ("cut_lones", [ptr, ptr, ptr]),
                        ("cut_endgame", [ptr]),
                        ("is_settle", [ptr]),
@@ -238,8 +243,9 @@ class CutEngine(_Engine):
     """The cut process's event engine in C, over one ``CutProcess``'s
     shared buffers (status, colours, label counters, path degrees, open
     counts, aliases, revealed flags), which it updates in place.  Its
-    ``commit``, ``closure``, ``query_round`` and ``endgame`` are those of
-    the process; ``query_round`` draws from the process's ``rng``.  Its
+    ``commit``, ``closure``, ``query_round``, ``query_rounds`` and
+    ``endgame`` are those of the process; the rounds draw from the
+    process's ``rng``.  Its
     lone scan (``lones``, and the start of each round) tests only the
     vertices that may be lone, a bit set read in ascending order: a vertex
     joins it when a label arrives or a path edge goes and leaves it when a
@@ -276,6 +282,15 @@ class CutEngine(_Engine):
     def query_round(self) -> None:
         self._run_drawing(_lib.cut_round, self._proc.rng,
                           self._proc.query_probability)
+
+    def query_rounds(self, floor: int) -> int:
+        """The stretch of rounds of ``CutProcess.query_rounds`` in one
+        call; returns the rounds run."""
+        rounds = ctypes.c_int64()
+        self._run_drawing(_lib.cut_rounds, self._proc.rng,
+                          self._proc.query_probability, floor,
+                          ctypes.byref(rounds))
+        return rounds.value
 
     def lones(self) -> np.ndarray:
         """The lone vertices, ascending, as ``CutProcess.lones`` finds

@@ -13,6 +13,11 @@ report (``--json``).  Identical command line and seed give a byte-identical
 report apart from the wall-time fields (each has ``wall_time`` in its key).
 Relative output paths are resolved under ``$GIRTHLOCAL_OUT`` when that
 variable is set.
+
+``simulate --seeds K`` runs its K independent runs on min(K, CPU count)
+threads of this process.  The C engines release the GIL while they run,
+so the runs overlap; with the Python fallback they take turns.  A run that
+fails, or an interrupt, cancels the runs not yet started.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ import os
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -235,8 +240,9 @@ def _cmd_evolve(args) -> int:
 SIMULATE_STAGES = ("generate", "run", "check")
 
 
-def _run_simulation(payload):
-    """One finite-graph run: its summary and its witness.
+def _run_simulation(target, n, d, seed, options, keep_witness):
+    """One finite-graph run: its summary, and its witness when
+    ``keep_witness`` is set (else None).
 
     The summary carries the wall time of each stage: graph generation,
     the algorithm's run and the check of its output (the independence
@@ -245,7 +251,6 @@ def _run_simulation(payload):
     The witness is the sorted list of set members (``is``) or the colour
     array (``cut``).  The graph is freed when this returns.
     """
-    target, n, d, seed, options = payload
     graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
     marks = [time.perf_counter()]
     graph = generate(n, d, seed=graph_seed)
@@ -279,12 +284,7 @@ def _run_simulation(payload):
     marks.append(time.perf_counter())
     for stage, start, end in zip(SIMULATE_STAGES, marks, marks[1:]):
         summary[stage + STAGE_SUFFIX] = round(end - start, 3)
-    return summary, witness
-
-
-def _one_simulation(payload):
-    """Pool worker: the summary of one run only; must stay picklable."""
-    return _run_simulation(payload)[0]
+    return summary, witness if keep_witness else None
 
 
 def _cmd_simulate(args) -> int:
@@ -310,15 +310,23 @@ def _cmd_simulate(args) -> int:
     if args.witness and args.seeds > 1:
         raise ValueError("--witness needs a single run, not --seeds > 1")
     seeds = [args.seed + i for i in range(args.seeds)]
-    payloads = [(target, args.n, d, s, options) for s in seeds]
     start = time.perf_counter()
-    if len(payloads) == 1:
-        summary, witness = _run_simulation(payloads[0])
-        runs = [summary]
-    else:
-        workers = min(len(payloads), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_one_simulation, payloads))
+    workers = min(len(seeds), os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_run_simulation, target, args.n, d, seed,
+                               options, bool(args.witness))
+                   for seed in seeds]
+        for future in as_completed(futures):
+            future.result()  # the first failure ends the fan-out at once
+    finally:
+        # a failure or an interrupt cancels the runs not yet started; a
+        # running one cannot be stopped inside its engine call, and is
+        # waited for
+        pool.shutdown(cancel_futures=True)
+    outcomes = [future.result() for future in futures]
+    runs = [summary for summary, _ in outcomes]
+    witness = outcomes[0][1]
     wall = time.perf_counter() - start
     all_valid = all(r["valid"] for r in runs)
     parameters = {"target": target, "n": args.n, "d": d,

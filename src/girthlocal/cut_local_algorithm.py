@@ -589,6 +589,19 @@ class CutProcess:
                 self.query(v)
         self.closure()
 
+    def query_rounds(self, floor: int) -> int:
+        """Rounds while more than ``floor`` vertices survive, up to and
+        including the first that removes no survival vertex; returns the
+        rounds run."""
+        rounds = 0
+        while self.survival > floor:
+            before = self.survival
+            self.query_round()
+            rounds += 1
+            if self.survival == before:
+                break
+        return rounds
+
     def run(self) -> CutResult:
         if _kernels.BACKEND == "c":
             with _kernels.CutEngine(self) as engine:
@@ -599,19 +612,21 @@ class CutProcess:
 
     def _drive(self, engine) -> None:
         """The round schedule.  ``engine`` runs the events and the rounds:
-        this process, or its C engine.  Both draw a round's query marks
-        from self.rng, one draw per lone vertex in ascending order, and the
+        this process, or its C engine, which runs each stretch of rounds
+        (``query_rounds``) in one call.  A stretch ends at the endgame
+        floor or after a round that removed no survival vertex; after such
+        a stall a bootstrap pair is committed, so the survival count falls
+        every round.  Both engines draw a round's query marks from
+        self.rng, one draw per lone vertex in ascending order, and the
         bootstrap pair is drawn here, so both backends read one random
         stream."""
         self._bootstrap(engine)
         engine.closure()
         while engine.survival > ENDGAME_FLOOR:
-            before = engine.survival
-            engine.query_round()
-            if engine.survival == before:
+            self.rounds += engine.query_rounds(ENDGAME_FLOOR)
+            if engine.survival > ENDGAME_FLOOR:
                 self._bootstrap(engine)
                 engine.closure()
-            self.rounds += 1
         engine.endgame()
 
     def endgame(self) -> None:

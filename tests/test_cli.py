@@ -3,8 +3,11 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -150,18 +153,98 @@ def test_simulate_cut_witness_has_one_line_per_vertex(capsys, tmp_path):
 
 def test_simulate_seed_fanout_aggregates(capsys, tmp_path):
     jpath = tmp_path / "agg.json"
-    code, out, _ = run_cli(capsys, "simulate", "cut", "--n", "600",
-                           "--seed", "5", "--seeds", "3",
-                           "--json", str(jpath))
-    assert code == 0
-    report = json.loads(jpath.read_text())
-    per_seed = report["details"]["per_seed"]
-    assert [r["seed"] for r in per_seed] == [5, 6, 7]
-    ratios = [r["ratio"] for r in per_seed]
-    assert report["headline"]["mean_ratio"] == pytest.approx(
-        sum(ratios) / 3)
-    assert report["headline"]["runs"] == 3
-    assert all(r["valid"] for r in per_seed)
+    for target in ("is", "cut"):
+        code, out, _ = run_cli(capsys, "simulate", target, "--n", "600",
+                               "--seed", "5", "--seeds", "3",
+                               "--json", str(jpath))
+        assert code == 0
+        report = json.loads(jpath.read_text())
+        per_seed = report["details"]["per_seed"]
+        assert [r["seed"] for r in per_seed] == [5, 6, 7]
+        ratios = [r["ratio"] for r in per_seed]
+        assert report["headline"]["mean_ratio"] == pytest.approx(
+            sum(ratios) / 3)
+        assert report["headline"]["runs"] == 3
+        assert all(r["valid"] for r in per_seed)
+        # each fanned-out run is the single run of its seed
+        for entry in per_seed:
+            code, _, _ = run_cli(capsys, "simulate", target, "--n", "600",
+                                 "--seed", str(entry["seed"]),
+                                 "--json", str(jpath))
+            assert code == 0
+            single = json.loads(jpath.read_text())
+            assert {key: value for key, value in entry.items()
+                    if not key.endswith("_wall_time_s")} == {
+                "seed": single["seed"], **single["headline"],
+                "rounds": single["rounds"], "valid": single["valid"]}
+
+
+def test_a_failed_run_cancels_the_runs_not_started(capsys, monkeypatch):
+    # two threads; the first seed fails at once while the second runs, so
+    # the runs still queued are cancelled, not run
+    started = []
+    run_simulation = cli._run_simulation
+
+    def first_fails(target, n, d, seed, *rest):
+        started.append(seed)
+        if seed == 0:
+            raise MemoryError("no room for seed 0")
+        time.sleep(0.2)
+        return run_simulation(target, n, d, seed, *rest)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_run_simulation", first_fails)
+    code, out, err = run_cli(capsys, "simulate", "cut", "--n", "600",
+                             "--seeds", "6")
+    assert (code, out, err) == (2, "", "error: no room for seed 0\n")
+    assert 0 in started and len(started) < 6, started
+
+
+def test_an_interrupt_cancels_the_runs_not_started(capsys, monkeypatch):
+    # Ctrl-C reaches the main thread while it waits on the runs: the runs
+    # still queued are cancelled, and the running ones are waited for
+    started, finished = [], []
+    run_simulation = cli._run_simulation
+
+    def first_interrupts(target, n, d, seed, *rest):
+        started.append(seed)
+        if seed == 0:
+            # once both threads run and the main thread waits on them
+            deadline = time.monotonic() + 10
+            while len(started) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)
+            signal.pthread_kill(threading.main_thread().ident,
+                                signal.SIGINT)
+        time.sleep(0.2)
+        finished.append(seed)
+        return run_simulation(target, n, d, seed, *rest)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_run_simulation", first_interrupts)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["simulate", "cut", "--n", "600", "--seeds", "6"])
+    assert capsys.readouterr().out == ""
+    assert 0 in started and len(started) < 6, started
+    assert sorted(finished) == sorted(started)
+
+
+def test_a_seed_fanout_starts_no_process():
+    # the runs are threads of this process: nothing forks, and the
+    # multiprocessing machinery is never imported
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys\n"
+         "import girthlocal.cli as c\n"
+         "forks = []\n"
+         "os.register_at_fork(before=lambda: forks.append(1))\n"
+         "code = c.main(['simulate', 'is', '--n', '600', '--seeds', '3'])\n"
+         "print(code, len(forks), 'multiprocessing' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "0 0 False"
 
 
 def test_simulate_witness_excludes_fanout(capsys):
@@ -211,7 +294,7 @@ def test_simulate_rejects_bad_options_before_any_work(
         raise AssertionError("work started before the options were checked")
 
     monkeypatch.setattr(cli, "generate", no_work)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_work)
     code, out, err = run_cli(capsys, "simulate", *argv)
     assert (code, out, calls) == (2, "", [])
     assert message in err

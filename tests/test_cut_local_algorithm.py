@@ -375,9 +375,10 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
 
 
 def check_lones_before_each_round(monkeypatch):
-    """Make every C round first compare the engine's lone list with the
-    numpy scan over the shared buffers; returns the list of lone counts,
-    one per round."""
+    """Make C run one round per engine call, through cut_round (the entry
+    that cut_rounds calls for each round), and compare the engine's lone
+    list with the numpy scan over the shared buffers before each round;
+    returns the list of lone counts, one per round."""
     scans = []
     query_round = _kernels.CutEngine.query_round
 
@@ -388,6 +389,9 @@ def check_lones_before_each_round(monkeypatch):
         query_round(engine)
 
     monkeypatch.setattr(_kernels.CutEngine, "query_round", checked)
+    # the reference stretch, built on the engine's query_round
+    monkeypatch.setattr(_kernels.CutEngine, "query_rounds",
+                        CutProcess.query_rounds)
     return scans
 
 
@@ -470,31 +474,64 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
     # round makes, so a full run leaves the generator in one state.  The
     # rounds have no cap: one that leaves the survival count unchanged is
     # followed by a bootstrap, which commits two of the more than
-    # ENDGAME_FLOOR survival vertices, so the count falls every round.  At
-    # q = 0 no round queries, and every round takes that path
+    # ENDGAME_FLOOR survival vertices, so the count falls every round
+    # (recorded on the Python rounds, which the C stretches must then match
+    # round for round).  At q = 0 no round queries, and every round takes
+    # that path
     starts = []
-    for cls in (_kernels.CutEngine, CutProcess):
-        def recorded(engine, query_round=cls.query_round):
-            starts.append(engine.survival)
-            query_round(engine)
+    query_round = CutProcess.query_round
 
-        monkeypatch.setattr(cls, "query_round", recorded)
+    def recorded(p):
+        starts.append(p.survival)
+        query_round(p)
+
+    monkeypatch.setattr(CutProcess, "query_round", recorded)
     for seed in range(3):
         graph = generate(2000, 3, seed=seed)
         ends = []
-        for backend in ("c", "python"):
+        for backend in ("python", "c"):
             monkeypatch.setattr(_kernels, "BACKEND", backend)
             starts.clear()
             p = CutProcess(graph, seed=seed, query_probability=q)
             r = p.run()
-            assert 0 < len(starts) == r.rounds <= graph.n // 2
-            assert all(a > b for a, b in zip(starts, starts[1:]))
-            assert starts[-1] > ENDGAME_FLOOR
             ends.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
                          p.rng.bit_generator.state))
+            if backend == "python":
+                assert 0 < len(starts) == r.rounds <= graph.n // 2
+                assert all(a > b for a, b in zip(starts, starts[1:]))
+                assert starts[-1] > ENDGAME_FLOOR
+            else:
+                assert starts == []  # C ran every round
         assert ends[0] == ends[1]
         fresh = np.random.default_rng(seed).bit_generator.state
         assert ends[0][4] != fresh
+
+
+@compiled
+def test_a_c_run_takes_one_engine_call_per_stretch(monkeypatch):
+    # the rounds between two bootstraps run in C as one cut_rounds call; a
+    # stretch ends at a stall (then a bootstrap follows) or at the endgame
+    # floor (then none does, unless a bootstrap reached the floor itself)
+    calls = []
+    engine_run = _kernels._Engine._run
+
+    def counted(engine, entry, *args):
+        calls.append(entry)
+        return engine_run(engine, entry, *args)
+
+    monkeypatch.setattr(_kernels._Engine, "_run", counted)
+    lib = _kernels._lib
+    for n, q in ((300, 0.02), (2000, 0.0), (2000, 0.02), (20000, 0.005)):
+        calls.clear()
+        r = run_cut(generate(n, 3, seed=1), seed=1, query_probability=q)
+        stretches = calls.count(lib.cut_rounds)
+        bootstraps = calls.count(lib.cut_commit) // 2
+        assert lib.cut_round not in calls, (n, q)
+        assert bootstraps - 1 <= stretches <= bootstraps, (n, q)
+        assert calls.count(lib.cut_closure) == bootstraps, (n, q)
+        # at q = 0 every round stalls, and is a stretch of its own
+        assert r.rounds == stretches if q == 0 else \
+            r.rounds > 2 * stretches, (n, q, r.rounds, stretches)
 
 
 @compiled
@@ -521,6 +558,7 @@ def test_c_engine_checks_its_calls():
         with pytest.raises(AssertionError):
             engine.commit(0, GREEN)
     assert p.survival == 9
-    for call in (engine.closure, engine.query_round, engine.lones):
+    for call in (engine.closure, engine.query_round, engine.lones,
+                 lambda: engine.query_rounds(0)):
         with pytest.raises(ValueError, match="closed"):
             call()

@@ -1,19 +1,24 @@
 """The compiled chunk kernels against the composed reference, bit for bit,
-and the build and ctypes declarations that load them."""
+the build and ctypes declarations that load them, and the event engines
+run at once on threads."""
 import ctypes
 import re
 import shutil
 import subprocess
 import sys
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
-from girthlocal import _kernels
+from girthlocal import _kernels, is_local_algorithm
+from girthlocal.config_model import generate
 from girthlocal.cut_evolution import CutRules
+from girthlocal.cut_local_algorithm import CutProcess
 from girthlocal.evolution_core import EvolutionParams, _python_chunk
-from girthlocal.is_evolution import Is3Rules, Is4Rules
+from girthlocal.is_evolution import DEGREE_CAP, Is3Rules, Is4Rules
+from girthlocal.is_local_algorithm import SurvivalGraph
 
 GRID = [float(eps) for eps in np.geomspace(1e-3, 1e-5, 9)] + [2e-5]
 
@@ -156,7 +161,7 @@ def test_ctypes_declarations_match_the_c_source():
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
     assert {"is_chunk", "cut_new", "is_new", "is_unfold_merges",
-            "is_scan", "is_run", "cut_round"} \
+            "is_scan", "is_run", "cut_round", "cut_rounds"} \
         <= set(exported)
     for name, (ret, count) in exported.items():
         f = getattr(lib, name)
@@ -165,3 +170,61 @@ def test_ctypes_declarations_match_the_c_source():
             {"void": None, "int64_t": ctypes.c_int64}[ret]
         assert f.restype is restype, name
     assert declared <= set(exported)
+
+
+def is_run(graph, d, seed):
+    """A whole independent-set run in one ``IsEngine.run`` call: its
+    decisions, contractions and rounds, and its generator's final state."""
+    g = SurvivalGraph(graph)
+    rng = np.random.default_rng(seed)
+    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
+        rounds = engine.run(rng, d, is_local_algorithm.THIN_PROBABILITY,
+                            is_local_algorithm.BOOTSTRAP_PROBABILITY,
+                            is_local_algorithm.PERSISTENCE_FRACTION)
+    return bytes(g.status), g.contractions, rounds, rng.bit_generator.state
+
+
+def cut_run(graph, seed):
+    """A whole cut run on the C engine: its colours, counters and rounds,
+    and its generator's final state."""
+    p = CutProcess(graph, seed=seed, query_probability=0.005)
+    r = p.run()
+    return r.colors.tobytes(), r.good, r.bad, r.rounds, \
+        p.rng.bit_generator.state
+
+
+@compiled
+@pytest.mark.parametrize("n", [2000, 20000])
+def test_engines_on_threads_match_engines_in_turn(n):
+    # the engines share no C state, and ctypes releases the GIL for each
+    # call: two independent-set runs and two cut runs started at once on
+    # four threads (more than the cores of a small machine), with a short
+    # switch interval, give what the same runs give one after the other.
+    # A race shows only when the runs overlap, so the start is repeated
+    jobs = [(is_run, generate(n, 3, seed=0), 3, 0),
+            (is_run, generate(n, 4, seed=1), 4, 1),
+            (cut_run, generate(n, 3, seed=2), 2),
+            (cut_run, generate(n, 3, seed=3), 3)]
+    in_turn = [run(*args) for run, *args in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def work(i, at_once):
+        run, *args = jobs[i]
+        start.wait(timeout=60)
+        at_once[i] = run(*args)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            at_once = [None] * len(jobs)
+            threads = [threading.Thread(target=work, args=(i, at_once))
+                       for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert at_once == in_turn
+    finally:
+        sys.setswitchinterval(interval)
