@@ -424,11 +424,17 @@ static uint64_t bit_of(int64_t v)
     return (uint64_t)1 << (v % 64);
 }
 
-/* the lowest set bit of w != 0, by the count-trailing-zeros builtin that
- * gcc and clang both provide (__builtin_ctzll) */
+/* the lowest set bit of w != 0, and the number of set bits of w, by the
+ * count-trailing-zeros and population-count builtins that gcc and clang
+ * both provide (__builtin_ctzll, __builtin_popcountll) */
 static int64_t lowest(uint64_t w)
 {
     return __builtin_ctzll(w);
+}
+
+static int64_t ones(uint64_t w)
+{
+    return __builtin_popcountll(w);
 }
 
 /* numpy's bitgen_t, as numpy/random/bitgen.h declares it: a bit
@@ -443,6 +449,23 @@ typedef struct {
     double (*next_double)(void *st);
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
+
+/* an index into range >= 1 items, drawn by Lemire's rule on next_uint32:
+ * numpy's buffered_bounded_lemire_uint32, which its bounded draws (and so
+ * Generator.choice) take below 2^32 items.  No draw for one item, as numpy
+ * makes none for an empty range. */
+static int64_t lemire(bitgen_t *bg, uint32_t range)
+{
+    if (range == 1)
+        return 0;
+    uint64_t x = (uint64_t)bg->next_uint32(bg->state) * range;
+    if ((uint32_t)x < range) {
+        uint32_t threshold = (UINT32_MAX - (range - 1)) % range;
+        while ((uint32_t)x < threshold)
+            x = (uint64_t)bg->next_uint32(bg->state) * range;
+    }
+    return (int64_t)(x >> 32);
+}
 
 /* the ids of ids[0 .. m) whose draw falls below p, in order, into out
  * (which may be ids itself); returns their count.  One draw per id, in
@@ -465,22 +488,25 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
  * endgame commits and _resolve_pending.  Every rule, its order of effects
  * and every tie-break is the same as in the Python methods, which stay
  * the reference semantics; tests pin the two to equal colourings and
- * counters.  A stretch of rounds of the schedule, up to the first that
- * removes no survival vertex (CutProcess.query_rounds), is one call,
- * cut_rounds.  Each of its rounds is cut_round (CutProcess.query_round:
- * the lone-vertex scan, the query marks and the queries, then closure),
- * which draws the marks from the caller's numpy bit generator, one draw
- * per lone vertex in ascending order as the Python round does, so both
- * backends read one random stream.  The bootstrap pair that follows a
- * stalled round is drawn in Python, which hands the engine the vertices it
- * picked.
+ * counters.  A whole run is one call, cut_run: the round schedule of
+ * CutProcess._drive (which stays its reference), with the endgame floor
+ * passed in from Python.  Each round is cut_round (CutProcess.query_round:
+ * the lone vertices, the query marks and the queries, then closure), which
+ * draws the marks from the caller's numpy bit generator, one next_double
+ * per lone vertex in ascending order as the Python round does.  The
+ * bootstrap pair after a stalled round is drawn as
+ * rng.choice(alive, 2, replace=False) draws it (bootstrap), and each
+ * picked survivor is found by its rank, counting the zero status bytes
+ * eight at a time, with no list of the survivors.  So both backends read
+ * one random stream.
  *
- * The lone scan tests only the vertices that may be lone, a bit set read
- * in ascending order.  Every vertex starts in it, so an engine's first scan
- * tests all n.  A scan keeps the lone ones and drops the rest, and touch
- * puts a vertex back: it becomes lone only when a label arrives
- * (give_label) or a path edge goes (remove_path_slot), since a vertex never
- * returns to survival, and both of those call touch.
+ * The lone set is exact as of the last scan: a bit set of the lone
+ * vertices, read in ascending order.  Whether v is lone depends on its
+ * status, its path degree and its R/G labels only, and every change of
+ * one of them calls touch (leave, add_path_slot, remove_path_slot,
+ * give_label), which puts v in the touched bit set.  A scan re-tests the
+ * touched vertices alone and empties that set.  Every vertex starts
+ * touched, so an engine's first scan tests all n.
  *
  * The rules rest on the module's invariant (P): every survival path
  * component is a simple path (proved in cut_local_algorithm's docstring).
@@ -501,9 +527,7 @@ static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
  *     the pattern-scan candidates: a two-level bit set read lowest first,
  *     which holds each vertex at most once (CutProcess.closure says why
  *     once is enough);
- *   - the "maybe lone" bit set (the last scan's lone vertices and those
- *     put back since) and the last scan's lone list, which a round's
- *     marks overwrite in place.
+ *   - the lone and touched bit sets, and a round's marked vertices.
  */
 #define RED 0
 #define GREEN 1
@@ -525,8 +549,8 @@ typedef struct {
     uint8_t *wbit;
     vec order, deferred, queue, walk;
     int64_t qhead, *seen, cand_lo;
-    uint64_t *cand, *cand_sum, *maybe;
-    vec lones;
+    uint64_t *cand, *cand_sum, *lones, *touched;
+    int64_t *marked;
 } cut_state;
 
 #define GOOD(s) ((s)->counts[0])
@@ -575,10 +599,19 @@ static int64_t cd(const cut_state *s, int64_t v)
     return s->n_r[v] + s->n_g[v] + s->n_w[v] + s->n_d[v];
 }
 
-/* v may have become lone: the next scan re-tests it */
+/* v's status, path degree or R/G labels changed: the next scan re-tests
+ * whether it is lone */
 static void touch(cut_state *s, int64_t v)
 {
-    s->maybe[v / 64] |= bit_of(v);
+    s->touched[v / 64] |= bit_of(v);
+}
+
+/* v leaves survival, committed (1) or white (2) */
+static void leave(cut_state *s, int64_t v, uint8_t status)
+{
+    s->status[v] = status;
+    SURVIVAL(s) -= 1;
+    touch(s, v);
 }
 
 static void dirty(cut_state *s, int64_t v)
@@ -698,6 +731,7 @@ static void add_path_slot(cut_state *s, int64_t x, int64_t y, int parity)
     s->path_nb[2 * x + s->pd[x]] = y;
     s->path_par[2 * x + s->pd[x]] = (uint8_t)parity;
     s->pd[x] += 1;
+    touch(s, x);
 }
 
 /* index of x's first path slot pointing at y */
@@ -833,9 +867,8 @@ static void commit(cut_state *s, int64_t v, int color)
         s->err = ENGINE_BROKEN;
         return;
     }
-    s->status[v] = 1;
+    leave(s, v, 1);
     s->f[v] = (int8_t)color;
-    SURVIVAL(s) -= 1;
     if (color == GREEN) {
         GOOD(s) += s->n_r[v];
         BAD(s) += s->n_g[v];
@@ -871,8 +904,7 @@ static void whiten(cut_state *s, int64_t v)
         GOOD(s) += 1;
         BAD(s) += 1;
     }
-    s->status[v] = 2;
-    SURVIVAL(s) -= 1;
+    leave(s, v, 2);
     if (s->pd[v] == 1) {
         pend_on_path_end(s, v);
     } else {
@@ -904,8 +936,7 @@ static void eliminate_white(cut_state *s, int64_t v)
         s->err = ENGINE_BROKEN;
         return;
     }
-    s->status[v] = 2;
-    SURVIVAL(s) -= 1;
+    leave(s, v, 2);
     if (s->pd[v] == 2) {
         /* by (P), joining v's two path neighbours keeps a path */
         int64_t a = s->path_nb[2 * v], b = s->path_nb[2 * v + 1];
@@ -938,9 +969,8 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
     BAD(s) += 1;
     set_pending(s, s2, s1, 1 ^ p12, 0);
     set_pending(s, s3, s1, p12 ^ p23, 0);
-    s->status[s2] = 2;
-    s->status[s3] = 2;
-    SURVIVAL(s) -= 2;
+    leave(s, s2, 2);
+    leave(s, s3, 2);
     if (s->pd[s3]) {
         int64_t t = s->path_nb[2 * s3];
         int p3t = remove_path_slot(s, s3, t);
@@ -1188,8 +1218,9 @@ void cut_free(cut_state *s)
     free(s->walk.data);
     free(s->cand);
     free(s->cand_sum);
-    free(s->maybe);
-    free(s->lones.data);
+    free(s->lones);
+    free(s->touched);
+    free(s->marked);
     free(s);
 }
 
@@ -1236,13 +1267,13 @@ cut_state *cut_new(int64_t n, const int64_t *owner,
     s->seen = malloc(m * sizeof *s->seen);
     s->cand = calloc(words(m), sizeof *s->cand);
     s->cand_sum = calloc(words(words(m)), sizeof *s->cand_sum);
-    s->maybe = calloc(words(m), sizeof *s->maybe);
-    s->lones.data = malloc(m * sizeof *s->lones.data);
-    s->lones.cap = n;
+    s->lones = calloc(words(m), sizeof *s->lones);
+    s->touched = calloc(words(m), sizeof *s->touched);
+    s->marked = malloc(m * sizeof *s->marked);
     if (!s->path_nb || !s->path_par || !s->head || !s->tail || !s->next
             || !s->target || !s->age || !s->bit || !s->free_ || !s->pending
             || !s->wsrc || !s->wbit || !s->seen || !s->cand
-            || !s->cand_sum || !s->maybe || !s->lones.data) {
+            || !s->cand_sum || !s->lones || !s->touched || !s->marked) {
         cut_free(s);
         return NULL;
     }
@@ -1281,33 +1312,31 @@ static int lone(const cut_state *s, int64_t v)
         && s->n_r[v] + s->n_g[v] == 1;
 }
 
-/* brings lones up to date: the lone vertices, ascending, as
- * CutProcess.lones finds them; each vertex that may be lone is tested, and
- * one that is not leaves the bit set */
-static void scan_lones(cut_state *s)
+/* word i of the lone set, brought up to date: each touched vertex in it
+ * is re-tested and leaves the touched set */
+static uint64_t lone_word(cut_state *s, int64_t i)
 {
-    s->lones.len = 0;
-    for (int64_t i = 0; i < words(s->n); i++) {
-        for (uint64_t w = s->maybe[i]; w; w &= w - 1) {
-            int64_t v = 64 * i + lowest(w);
-            if (lone(s, v))
-                s->lones.data[s->lones.len++] = v;
-            else
-                s->maybe[i] &= ~bit_of(v);
-        }
+    for (uint64_t w = s->touched[i]; w; w &= w - 1) {
+        int64_t v = 64 * i + lowest(w);
+        if (lone(s, v))
+            s->lones[i] |= bit_of(v);
+        else
+            s->lones[i] &= ~bit_of(v);
     }
+    s->touched[i] = 0;
+    return s->lones[i];
 }
 
-/* the lone list, as a scan leaves it, into out (room for n); its length
- * into count */
+/* the lone vertices, ascending, as CutProcess.lones finds them, into out
+ * (room for n); their count into count */
 int64_t cut_lones(cut_state *s, int64_t *out, int64_t *count)
 {
-    scan_lones(s);
-    if (s->err)
-        return s->err;
-    memcpy(out, s->lones.data, s->lones.len * sizeof *out);
-    *count = s->lones.len;
-    return 0;
+    int64_t m = 0;
+    for (int64_t i = 0; i < words(s->n); i++)
+        for (uint64_t w = lone_word(s, i); w; w &= w - 1)
+            out[m++] = 64 * i + lowest(w);
+    *count = m;
+    return s->err;
 }
 
 /* one round of the schedule (CutProcess.query_round): each lone vertex is
@@ -1316,33 +1345,17 @@ int64_t cut_lones(cut_state *s, int64_t *out, int64_t *count)
  * ascending order; then closure */
 int64_t cut_round(cut_state *s, bitgen_t *bg, double q)
 {
-    scan_lones(s);
-    int64_t *marked = s->lones.data;
-    int64_t count = mark(bg, marked, s->lones.len, q, marked);
+    int64_t count = 0;
+    for (int64_t i = 0; i < words(s->n); i++)
+        for (uint64_t w = lone_word(s, i); w; w &= w - 1)
+            if (bg->next_double(bg->state) < q)
+                s->marked[count++] = 64 * i + lowest(w);
     for (int64_t i = 0; i < count && !s->err; i++) {
-        int64_t v = marked[i];
+        int64_t v = s->marked[i];
         if (s->status[v] == 0 && s->op[v] > 0)
             query(s, v);
     }
     closure(s);
-    return s->err;
-}
-
-/* the rounds while more than floor vertices survive, their count into
- * *rounds (CutProcess.query_rounds): cut_round until the survival count
- * falls to floor, or up to and including the first round that removes no
- * survival vertex */
-int64_t cut_rounds(cut_state *s, bitgen_t *bg, double q, int64_t floor,
-                   int64_t *rounds)
-{
-    *rounds = 0;
-    while (SURVIVAL(s) > floor && !s->err) {
-        int64_t before = SURVIVAL(s);
-        cut_round(s, bg, q);
-        *rounds += 1;
-        if (SURVIVAL(s) == before)
-            break;
-    }
     return s->err;
 }
 
@@ -1378,6 +1391,88 @@ int64_t cut_endgame(cut_state *s)
         else
             BAD(s) += 1;
     }
+    return s->err;
+}
+
+/* the survivor of rank r (0 for the first) among the ids at or after
+ * from.  Eight status bytes at a time: x's zero bytes are the 0x80 bits of
+ * ~(((x & low) + low) | x | low), exactly, as no byte's sum carries into
+ * the next, and their count skips the word. */
+static int64_t survivor_of_rank(cut_state *s, int64_t from, int64_t r)
+{
+    const uint64_t low = 0x7f7f7f7f7f7f7f7fULL;
+    int64_t v = from;
+    for (; v + 8 <= s->n; v += 8) {
+        uint64_t x;
+        memcpy(&x, s->status + v, sizeof x);
+        int64_t zeros = ones(~(((x & low) + low) | x | low));
+        if (zeros > r)
+            break;
+        r -= zeros;
+    }
+    for (; v < s->n; v++)
+        if (s->status[v] == 0 && r-- == 0)
+            return v;
+    s->err = ENGINE_BROKEN;  /* fewer survivors than counted */
+    return -1;
+}
+
+/* CutProcess._bootstrap: two of the m survivors commit red and green,
+ * drawn as rng.choice(alive, 2, replace=False) draws them from the
+ * ascending survivors, by Floyd's method: an index over m - 1, then one
+ * over m, which takes m - 1 when it repeats the first; then a draw over 2
+ * swaps the pair when it returns 0 (the shuffle).  None for no survivor */
+static void bootstrap(cut_state *s, bitgen_t *bg)
+{
+    int64_t m = SURVIVAL(s);
+    if (m == 0)
+        return;
+    if (m < 2 || m > (int64_t)UINT32_MAX) {
+        s->err = ENGINE_BROKEN;  /* rng.choice would raise */
+        return;
+    }
+    int64_t a = lemire(bg, (uint32_t)(m - 1));
+    int64_t b = lemire(bg, (uint32_t)m);
+    if (b == a)
+        b = m - 1;
+    if (lemire(bg, 2) == 0) {
+        int64_t t = a;
+        a = b;
+        b = t;
+    }
+    int64_t lo = a < b ? a : b, hi = a < b ? b : a;
+    int64_t v_lo = survivor_of_rank(s, 0, lo);
+    if (s->err)
+        return;
+    int64_t v_hi = survivor_of_rank(s, v_lo + 1, hi - lo - 1);
+    if (s->err)
+        return;
+    commit(s, a == lo ? v_lo : v_hi, RED);
+    commit(s, a == lo ? v_hi : v_lo, GREEN);
+}
+
+/* a whole run (CutProcess._drive): a bootstrap pair and closure, then
+ * rounds while more than floor vertices survive, their count into *rounds,
+ * with a bootstrap pair and closure after each round that removes no
+ * survival vertex, so the survival count falls every round; then the
+ * endgame */
+int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
+                int64_t *rounds)
+{
+    *rounds = 0;
+    bootstrap(s, bg);
+    closure(s);
+    while (SURVIVAL(s) > floor && !s->err) {
+        int64_t before = SURVIVAL(s);
+        cut_round(s, bg, q);
+        *rounds += 1;
+        if (SURVIVAL(s) == before && !s->err) {
+            bootstrap(s, bg);
+            closure(s);
+        }
+    }
+    if (!s->err)
+        cut_endgame(s);
     return s->err;
 }
 
@@ -1900,9 +1995,7 @@ static int64_t top_persistent(is_state *s, double fraction, int64_t floor)
 }
 
 /* an index into m items drawn as numpy's Generator.choice draws it over
- * an array of m: none for one item, else one bounded draw by Lemire's
- * rule on next_uint32 (numpy's buffered_bounded_lemire_uint32, whose
- * 32-bit path numpy takes for m <= 2^32 - 1; more items are
+ * an array of m: lemire over m (more than 2^32 - 1 items are
  * ENGINE_BROKEN) */
 static int64_t choice_index(is_state *s, bitgen_t *bg, int64_t m)
 {
@@ -1910,16 +2003,7 @@ static int64_t choice_index(is_state *s, bitgen_t *bg, int64_t m)
         s->err = ENGINE_BROKEN;
         return 0;
     }
-    if (m == 1)
-        return 0;
-    uint32_t range = (uint32_t)m;
-    uint64_t x = (uint64_t)bg->next_uint32(bg->state) * range;
-    if ((uint32_t)x < range) {
-        uint32_t threshold = (UINT32_MAX - (range - 1)) % range;
-        while ((uint32_t)x < threshold)
-            x = (uint64_t)bg->next_uint32(bg->state) * range;
-    }
-    return (int64_t)(x >> 32);
+    return lemire(bg, (uint32_t)m);
 }
 
 /* the forced deletion after a round that removed nothing: one member of

@@ -11,19 +11,19 @@ same evaluation order, pinned bit for bit by tests.  And there is one event
 engine per finite process: ``CutEngine`` runs the methods of
 ``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
 ``is_local_algorithm.SurvivalGraph`` (its class scans included), over flat
-arrays, pinned by tests to give the same outputs and counters.  The cut
-process's round schedule is written once, in Python
-(``CutProcess._drive``), and runs each stretch of rounds between two
-bootstraps as one engine call (``CutEngine.query_rounds``); the
-independent-set ladder runs whole in C, one call per run
-(``IsEngine.run``), with ``is_local_algorithm._drive`` as its reference.
-The marks of a round are drawn in C from the caller's numpy Generator,
-through its bit generator's C interface (``bit_generator.ctypes``): one
-``next_double`` per candidate, in ascending order, which is what
-``ids[rng.random(m) < p]`` draws; the independent-set forced deletion
-draws its member as ``rng.choice`` does, by numpy's bounded Lemire draw
-on ``next_uint32``.  So both backends read one random stream and leave the
-generator in one state.  ctypes releases the GIL for each call, and an
+arrays, pinned by tests to give the same outputs and counters.  Each
+process's run is one engine call: ``CutEngine.run`` runs the cut
+process's round schedule whole, with ``CutProcess._drive`` as its
+reference, and ``IsEngine.run`` the independent-set ladder, with
+``is_local_algorithm._drive`` as its reference.  The marks of a round are
+drawn in C from the caller's numpy Generator, through its bit generator's
+C interface (``bit_generator.ctypes``): one ``next_double`` per
+candidate, in ascending order, which is what ``ids[rng.random(m) < p]``
+draws.  The independent-set forced deletion draws its member as
+``rng.choice`` does, and the cut's bootstrap its pair as
+``rng.choice(alive, 2, replace=False)`` does, both by numpy's bounded
+Lemire draw on ``next_uint32``.  So both backends read one random stream
+and leave the generator in one state.  ctypes releases the GIL for each call, and an
 engine touches only its own state and buffers, so engines of different
 runs may run at once on different threads.
 
@@ -84,14 +84,16 @@ def _load(cc=_CC, cache=_CACHE):
         tag = zlib.crc32(_SOURCE.read_bytes() + " ".join(cc).encode())
         lib_path = cache / f"_kernels-{tag:08x}.so"
         if not lib_path.exists():
+            # with no compiler there is nothing to build, and nothing to
+            # say: fork no failing compiler on every import
+            if shutil.which(cc[0]) is None:
+                return None
             try:
                 cache.mkdir(exist_ok=True)
             except OSError as err:
-                # with a compiler at hand, the missing library is news
-                if shutil.which(cc[0]) is not None:
-                    print(f"girthlocal: cannot create the C kernels' cache "
-                          f"directory ({err}); evolutions run the Python "
-                          f"reference instead", file=sys.stderr)
+                print(f"girthlocal: cannot create the C kernels' cache "
+                      f"directory ({err}); evolutions run the Python "
+                      f"reference instead", file=sys.stderr)
                 return None
             # build under a private name, then rename: a process building
             # at the same time never loads a half-written library
@@ -145,7 +147,7 @@ def _load(cc=_CC, cache=_CACHE):
     for name, args in (("cut_commit", [ptr, i64, i64]),
                        ("cut_closure", [ptr]),
                        ("cut_round", [ptr, ptr, f64]),
-                       ("cut_rounds", [ptr, ptr, f64, i64, ptr]),
+                       ("cut_run", [ptr, ptr, f64, i64, ptr]),
                        ("cut_lones", [ptr, ptr, ptr]),
                        ("cut_endgame", [ptr]),
                        ("is_settle", [ptr]),
@@ -243,13 +245,14 @@ class CutEngine(_Engine):
     """The cut process's event engine in C, over one ``CutProcess``'s
     shared buffers (status, colours, label counters, path degrees, open
     counts, aliases, revealed flags), which it updates in place.  Its
-    ``commit``, ``closure``, ``query_round``, ``query_rounds`` and
-    ``endgame`` are those of the process; the rounds draw from the
-    process's ``rng``.  Its
-    lone scan (``lones``, and the start of each round) tests only the
-    vertices that may be lone, a bit set read in ascending order: a vertex
-    joins it when a label arrives or a path edge goes and leaves it when a
-    scan finds it not lone.  The counters good, bad and survival live in
+    ``commit``, ``closure``, ``query_round``, ``lones`` and ``endgame``
+    are those of the process, and ``run`` is a whole run of the round
+    schedule ``CutProcess._drive`` in one call; the rounds and the
+    bootstrap pairs draw from the process's ``rng``.  It keeps the lone
+    vertices as an exact bit set, read in ascending order: a change of a
+    vertex's status, path degree or R/G labels marks it touched, and a
+    scan (``lones``, and the start of each round) re-tests the touched
+    vertices alone.  The counters good, bad and survival live in
     ``counts`` until ``close`` writes them back.  Needs
     ``BACKEND == "c"``."""
 
@@ -283,11 +286,13 @@ class CutEngine(_Engine):
         self._run_drawing(_lib.cut_round, self._proc.rng,
                           self._proc.query_probability)
 
-    def query_rounds(self, floor: int) -> int:
-        """The stretch of rounds of ``CutProcess.query_rounds`` in one
-        call; returns the rounds run."""
+    def run(self, floor: int) -> int:
+        """The whole run of ``CutProcess._drive`` in one call: bootstrap,
+        closure, rounds while more than ``floor`` vertices survive (a
+        bootstrap and closure after each that removes none), endgame;
+        returns the rounds run."""
         rounds = ctypes.c_int64()
-        self._run_drawing(_lib.cut_rounds, self._proc.rng,
+        self._run_drawing(_lib.cut_run, self._proc.rng,
                           self._proc.query_probability, floor,
                           ctypes.byref(rounds))
         return rounds.value

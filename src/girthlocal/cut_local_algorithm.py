@@ -77,11 +77,11 @@ class CutProcess:
     """One run's mutable state; drive a fresh process with run() or with
     the staged methods.
 
-    The methods below are the reference semantics.  run() hands the events
-    and the rounds to ``_kernels.CutEngine`` (the same rules in C, over this
-    object's counter buffers) when the C kernels are built, and runs these
-    methods otherwise; tests pin the two to the same colouring, counters
-    and random stream.
+    The methods below are the reference semantics.  run() hands the whole
+    run to ``_kernels.CutEngine`` (the same rules and round schedule in C,
+    over this object's counter buffers) when the C kernels are built, and
+    runs these methods otherwise; tests pin the two to the same colouring,
+    counters and random stream.
     """
 
     def __init__(self, graph: Multigraph, seed=None,
@@ -556,7 +556,8 @@ class CutProcess:
         # _drive calls this after each round that removes no survival
         # vertex, so every round lowers the survival count (no cap needed).
         # The first call sees all n (even) vertices, later ones more than
-        # ENDGAME_FLOOR; only the empty graph has no pair to draw
+        # ENDGAME_FLOOR; only the empty graph has no pair to draw.  The C
+        # engine's run draws the pair as rng.choice does here
         alive = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         if alive.shape[0] == 0:
             return
@@ -589,42 +590,34 @@ class CutProcess:
                 self.query(v)
         self.closure()
 
-    def query_rounds(self, floor: int) -> int:
-        """Rounds while more than ``floor`` vertices survive, up to and
-        including the first that removes no survival vertex; returns the
-        rounds run."""
-        rounds = 0
-        while self.survival > floor:
-            before = self.survival
-            self.query_round()
-            rounds += 1
-            if self.survival == before:
-                break
-        return rounds
-
     def run(self) -> CutResult:
+        """The whole run: in C, one ``CutEngine.run`` call, which restates
+        ``_drive``; else ``_drive`` on these methods."""
         if _kernels.BACKEND == "c":
             with _kernels.CutEngine(self) as engine:
-                self._drive(engine)
+                self.rounds += engine.run(ENDGAME_FLOOR)
         else:
             self._drive(self)
         return self._result()
 
     def _drive(self, engine) -> None:
-        """The round schedule.  ``engine`` runs the events and the rounds:
-        this process, or its C engine, which runs each stretch of rounds
-        (``query_rounds``) in one call.  A stretch ends at the endgame
-        floor or after a round that removed no survival vertex; after such
-        a stall a bootstrap pair is committed, so the survival count falls
-        every round.  Both engines draw a round's query marks from
-        self.rng, one draw per lone vertex in ascending order, and the
-        bootstrap pair is drawn here, so both backends read one random
+        """The round schedule, the Python backend and the reference of
+        ``CutEngine.run``.  ``engine`` runs the events and the rounds: this
+        process, or (in tests) its C engine, one round per call.  Rounds
+        go on while more than ENDGAME_FLOOR vertices survive; a bootstrap
+        pair is committed before the first and after each round that
+        removed no survival vertex, so the survival count falls every
+        round.  A round draws its query marks from self.rng, one draw per
+        lone vertex in ascending order, and the bootstrap its pair, as
+        ``CutEngine.run`` draws them, so both backends read one random
         stream."""
         self._bootstrap(engine)
         engine.closure()
         while engine.survival > ENDGAME_FLOOR:
-            self.rounds += engine.query_rounds(ENDGAME_FLOOR)
-            if engine.survival > ENDGAME_FLOOR:
+            before = engine.survival
+            engine.query_round()
+            self.rounds += 1
+            if engine.survival == before:
                 self._bootstrap(engine)
                 engine.closure()
         engine.endgame()

@@ -11,6 +11,7 @@ from girthlocal.config_model import generate, load_edge_list, save_edge_list
 from girthlocal.cut_local_algorithm import (
     ENDGAME_FLOOR,
     GREEN,
+    QUERY_PROBABILITY,
     RED,
     CutProcess,
     count_cut,
@@ -375,10 +376,10 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
 
 
 def check_lones_before_each_round(monkeypatch):
-    """Make C run one round per engine call, through cut_round (the entry
-    that cut_rounds calls for each round), and compare the engine's lone
-    list with the numpy scan over the shared buffers before each round;
-    returns the list of lone counts, one per round."""
+    """Compare the C engine's lone list with the numpy scan over the shared
+    buffers before each of its rounds (cut_round, the entry cut_run calls
+    for each round) that ``_drive`` runs on it; returns the list of lone
+    counts, one per round."""
     scans = []
     query_round = _kernels.CutEngine.query_round
 
@@ -389,10 +390,15 @@ def check_lones_before_each_round(monkeypatch):
         query_round(engine)
 
     monkeypatch.setattr(_kernels.CutEngine, "query_round", checked)
-    # the reference stretch, built on the engine's query_round
-    monkeypatch.setattr(_kernels.CutEngine, "query_rounds",
-                        CutProcess.query_rounds)
     return scans
+
+
+def drive_in_c(p):
+    """The reference schedule ``_drive`` on p's C engine, one round per
+    engine call; returns the result."""
+    with _kernels.CutEngine(p) as engine:
+        p._drive(engine)
+    return p._result()
 
 
 def reductions_leaving_a_lone(graph, seed):
@@ -421,16 +427,22 @@ LONE_BY_REDUCTION = (302, 269)
 @compiled
 def test_c_lone_scan_matches_the_numpy_scan(monkeypatch):
     # the engine's first scan tests every vertex; each later one re-tests
-    # the last list and the vertices touched since.  130 ends in a partial
-    # 64-bit word of the engine's bit set
+    # only the vertices touched since (a change of status, path degree or
+    # R/G labels).  130 ends in a partial 64-bit word of the engine's bit
+    # sets.  At q = 0 every round is followed by a bootstrap, whose commits
+    # can take a lone vertex out of survival; at q = 1 every lone vertex
+    # is queried.  The one-call run must give what the rounds gave
     n, seed = LONE_BY_REDUCTION
     assert reductions_leaving_a_lone(generate(n, 3, seed=seed), seed) > 0
     scans = check_lones_before_each_round(monkeypatch)
-    for n, seed in [(n, s) for n in (10, 130, 302, 2000) for s in range(2)] \
-            + [LONE_BY_REDUCTION]:
-        graph = generate(n, 3, seed=seed)
-        r = run_cut(graph, seed=seed)
-        assert count_cut(graph, r.colors) == (r.good, r.bad)
+    for q in (0.0, 0.02, 1.0):
+        for n, seed in [(n, s) for n in (10, 130, 302, 2000)
+                        for s in range(2)] + [LONE_BY_REDUCTION]:
+            graph = generate(n, 3, seed=seed)
+            options = dict(seed=seed, query_probability=q)
+            r = drive_in_c(CutProcess(graph, **options))
+            assert count_cut(graph, r.colors) == (r.good, r.bad)
+            assert outputs_of(r) == outputs(graph, **options), (n, seed, q)
     assert len(scans) > 100 and max(scans) > 100
 
 
@@ -439,12 +451,13 @@ def test_c_lone_scan_on_an_engine_opened_mid_run(monkeypatch):
     # the Python methods label the neighbours of a few far-apart vertices
     # (no path edge or pending colour, which only the engine would hold);
     # an engine opened then finds those lones by its first, full scan, and
-    # the run it finishes matches the Python methods finishing it
+    # the run it finishes, round by round or in one call, matches the
+    # Python methods finishing it
     scans = check_lones_before_each_round(monkeypatch)
     graph = generate(2000, 3, seed=4)
     nbrs = graph.neighbor_lists()
     runs = []
-    for in_c in (True, False):
+    for finish in ("rounds", "one call", "python"):
         p = CutProcess(graph, seed=4)
         near = set()
         for v in range(0, graph.n, 23):
@@ -454,16 +467,19 @@ def test_c_lone_scan_on_an_engine_opened_mid_run(monkeypatch):
                 near |= ball
         p.closure()
         assert p.lones().shape[0] > 50
-        if in_c:
+        if finish == "rounds":
+            r = drive_in_c(p)
+        elif finish == "one call":
             with _kernels.CutEngine(p) as engine:
-                p._drive(engine)
+                p.rounds += engine.run(ENDGAME_FLOOR)
+            r = p._result()
         else:
             p._drive(p)
-        r = p._result()
+            r = p._result()
         assert count_cut(graph, r.colors) == (r.good, r.bad)
         runs.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
                      p.rng.bit_generator.state))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert scans and scans[0] > 50
 
 
@@ -475,9 +491,9 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
     # rounds have no cap: one that leaves the survival count unchanged is
     # followed by a bootstrap, which commits two of the more than
     # ENDGAME_FLOOR survival vertices, so the count falls every round
-    # (recorded on the Python rounds, which the C stretches must then match
-    # round for round).  At q = 0 no round queries, and every round takes
-    # that path
+    # (recorded on the Python rounds, which the one-call C run must then
+    # match round for round).  At q = 0 no round queries, and every round
+    # takes that path
     starts = []
     query_round = CutProcess.query_round
 
@@ -508,10 +524,10 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
 
 
 @compiled
-def test_a_c_run_takes_one_engine_call_per_stretch(monkeypatch):
-    # the rounds between two bootstraps run in C as one cut_rounds call; a
-    # stretch ends at a stall (then a bootstrap follows) or at the endgame
-    # floor (then none does, unless a bootstrap reached the floor itself)
+def test_a_c_cut_run_is_one_engine_call(monkeypatch):
+    # the schedule runs in C, bootstraps included: the engine calls of a
+    # run do not grow with its rounds or its bootstraps (at q = 0 every
+    # round stalls and is followed by one)
     calls = []
     engine_run = _kernels._Engine._run
 
@@ -520,18 +536,65 @@ def test_a_c_run_takes_one_engine_call_per_stretch(monkeypatch):
         return engine_run(engine, entry, *args)
 
     monkeypatch.setattr(_kernels._Engine, "_run", counted)
-    lib = _kernels._lib
+    rounds = []
     for n, q in ((300, 0.02), (2000, 0.0), (2000, 0.02), (20000, 0.005)):
         calls.clear()
-        r = run_cut(generate(n, 3, seed=1), seed=1, query_probability=q)
-        stretches = calls.count(lib.cut_rounds)
-        bootstraps = calls.count(lib.cut_commit) // 2
-        assert lib.cut_round not in calls, (n, q)
-        assert bootstraps - 1 <= stretches <= bootstraps, (n, q)
-        assert calls.count(lib.cut_closure) == bootstraps, (n, q)
-        # at q = 0 every round stalls, and is a stretch of its own
-        assert r.rounds == stretches if q == 0 else \
-            r.rounds > 2 * stretches, (n, q, r.rounds, stretches)
+        rounds.append(run_cut(generate(n, 3, seed=1), seed=1,
+                              query_probability=q).rounds)
+        assert calls == [_kernels._lib.cut_run], (n, q)
+    assert len(set(rounds)) == 4 and max(rounds) > 100, rounds
+
+
+def replayed_bootstraps(graph, seed, q):
+    """A run of the Python methods whose bootstrap pairs are replayed on a
+    copy of its generator by Floyd's method, as the C bootstrap draws them:
+    an index over m - 1, then one over m (m - 1 if it repeats the first),
+    then a draw over 2 that swaps the pair when it gives 0.  Each replayed
+    pair must be the one rng.choice picked, with the generator left in one
+    state; returns (collisions, bootstraps)."""
+    p = CutProcess(graph, seed=seed, query_probability=q)
+    bootstrap = p._bootstrap
+    collisions = bootstraps = 0
+
+    def replayed(engine):
+        nonlocal collisions, bootstraps
+        alive = np.flatnonzero(np.frombuffer(p.status, np.uint8) == 0)
+        m = alive.shape[0]
+        copy = np.random.default_rng()
+        copy.bit_generator.state = p.rng.bit_generator.state
+        first, second = int(copy.integers(m - 1)), int(copy.integers(m))
+        if second == first:
+            second = m - 1
+            collisions += 1
+        pair = [first, second] if copy.integers(2) else [second, first]
+        bootstrap(engine)
+        bootstraps += 1
+        assert [p.f[v] for v in alive[pair]] == [RED, GREEN]
+        assert copy.bit_generator.state == p.rng.bit_generator.state
+
+    p._bootstrap = replayed
+    p._drive(p)
+    return collisions, bootstraps
+
+
+# a run with a bootstrap pair whose second index repeats the first (Floyd's
+# collision branch; about one pair in m, with m >= 65 after the first)
+PAIR_BY_COLLISION = (130, 6)
+
+
+def test_bootstrap_pairs_draw_as_floyds_method(monkeypatch):
+    # two vertices draw no first index (one over a single value); the
+    # Python half also runs without cc
+    graphs = [load_edge_list(MULTIGRAPHS["triple_edge"])]
+    graphs += [generate(n, 3, seed=n) for n in (10, 302, 2000)]
+    for graph in graphs:
+        for q in (0.0, 1.0):
+            assert replayed_bootstraps(graph, graph.n, q)[1] > 0
+    n, seed = PAIR_BY_COLLISION
+    graph = generate(n, 3, seed=seed)
+    assert replayed_bootstraps(graph, seed, QUERY_PROBABILITY)[0] > 0
+    if _kernels.BACKEND == "c":
+        backends_agree(monkeypatch, graph, [seed])
 
 
 @compiled
@@ -559,6 +622,6 @@ def test_c_engine_checks_its_calls():
             engine.commit(0, GREEN)
     assert p.survival == 9
     for call in (engine.closure, engine.query_round, engine.lones,
-                 lambda: engine.query_rounds(0)):
+                 lambda: engine.run(0)):
         with pytest.raises(ValueError, match="closed"):
             call()

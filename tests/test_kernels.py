@@ -2,12 +2,14 @@
 the build and ctypes declarations that load them, and the event engines
 run at once on threads."""
 import ctypes
+import os
 import re
 import shutil
 import subprocess
 import sys
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from girthlocal.cut_local_algorithm import CutProcess
 from girthlocal.evolution_core import EvolutionParams, _python_chunk
 from girthlocal.is_evolution import DEGREE_CAP, Is3Rules, Is4Rules
 from girthlocal.is_local_algorithm import SurvivalGraph
+
+SRC = Path(_kernels.__file__).resolve().parents[1]
 
 GRID = [float(eps) for eps in np.geomspace(1e-3, 1e-5, 9)] + [2e-5]
 
@@ -120,6 +124,28 @@ def test_no_compiler_and_no_cache_directory_say_nothing(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_no_compiler_starts_no_build(tmp_path, capsys, monkeypatch):
+    # a library built earlier still loads with no compiler on the path;
+    # without one, an import forks no failing build, prints nothing and
+    # makes no cache directory
+    built = tmp_path / "built"
+    has_cc = shutil.which("cc") is not None
+    if has_cc:
+        assert _kernels._load(cache=built) is not None
+
+    def no_build(*args, **kwargs):
+        raise AssertionError(f"a build was started: {args}")
+
+    monkeypatch.setattr(subprocess, "run", no_build)
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    if has_cc:
+        assert _kernels._load(cache=built) is not None
+    cache = tmp_path / "cache"
+    assert _kernels._load(cache=cache) is None
+    assert capsys.readouterr() == ("", "")
+    assert not cache.exists()
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_c_source_compiles_without_warnings(tmp_path):
     # the build flags plus strict C99 and every warning as an error: a
@@ -131,6 +157,55 @@ def test_c_source_compiles_without_warnings(tmp_path):
          "-o", str(tmp_path / "k.so"), str(_kernels._SOURCE)],
         capture_output=True, text=True, timeout=_kernels._CC_TIMEOUT_S)
     assert build.returncode == 0, build.stderr
+
+
+# runs in a fresh interpreter, since a sanitizer finding aborts it: small
+# cut and independent-set runs on the normal library, then on the one that
+# _load builds into argv[1] with the flags argv[2:], must agree
+SANITIZED_RUNS = """
+import sys
+from pathlib import Path
+from girthlocal import _kernels, is_local_algorithm
+from girthlocal.config_model import generate
+from girthlocal.cut_local_algorithm import CutProcess
+
+def outputs():
+    out = []
+    for q in (0.0, 0.02, 1.0):
+        for n, seed in ((10, 0), (130, 6), (2000, 2)):
+            p = CutProcess(generate(n, 3, seed=seed), seed=seed,
+                           query_probability=q)
+            r = p.run()
+            out.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
+                        p.rng.bit_generator.state))
+    for d in (3, 4):
+        for n, seed in ((66, 0), (2000, 1)):
+            r = is_local_algorithm.run(generate(n, d, seed=seed), d,
+                                       seed=seed)
+            out.append((r.vertices, r.rounds, r.contractions))
+    return out
+
+normal = outputs()
+_kernels._lib = _kernels._load(cc=tuple(sys.argv[2:]),
+                               cache=Path(sys.argv[1]))
+assert _kernels._lib is not None
+assert outputs() == normal
+print("same")
+"""
+
+
+@compiled
+def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
+        tmp_path):
+    cc = (*_kernels._CC, "-fsanitize=undefined",
+          "-fno-sanitize-recover=undefined")
+    assert _kernels._load(cc=cc, cache=tmp_path) is not None
+    check = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUNS, str(tmp_path), *cc],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=300)
+    assert check.returncode == 0, check.stderr
+    assert check.stdout == "same\n" and check.stderr == ""
 
 
 # a function definition at the top level of the C source: its return type
@@ -161,7 +236,7 @@ def test_ctypes_declarations_match_the_c_source():
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
     assert {"is_chunk", "cut_new", "is_new", "is_unfold_merges",
-            "is_scan", "is_run", "cut_round", "cut_rounds"} \
+            "is_scan", "is_run", "cut_round", "cut_run"} \
         <= set(exported)
     for name, (ret, count) in exported.items():
         f = getattr(lib, name)
