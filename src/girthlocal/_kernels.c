@@ -1480,19 +1480,18 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  *
  * is_local_algorithm.SurvivalGraph restated over flat arrays: _drop_vertex,
  * delete, _select, the four branches of contract, the settle FIFO, the
- * per-vertex loop of deletes, the two kinds of round (thin and
- * probe_round) and unfold_merges' backward read of the merge log.
+ * per-vertex loops of deletes and delete_above, the two kinds of round
+ * (thin and probe_round) and unfold_merges' backward read of merges.
  * Every rule and its order of effects is the same as in the Python
  * methods, which stay the reference semantics; tests pin the two to equal
  * sets, round counts and contraction counts.  A whole run is one call,
  * is_run: the round ladder of is_local_algorithm._drive (which stays its
- * reference), with the persistence fraction and the bootstrap probability
- * passed in from Python, then the unfolding of the merges.  The rounds
- * (is_thin, is_probe_round) draw their marks from the caller's numpy bit
- * generator, one next_double per class member in ascending order as the
- * Python round does, and the forced deletion draws its member as
- * Generator.choice does (choice_index), so both backends read one random
- * stream.  The class members are the ascending ids SurvivalGraph.scan
+ * reference), with the persistence fraction passed in from Python, then
+ * the unfolding of the merges.  The rounds (is_thin, is_probe_round) draw
+ * their marks from the caller's numpy bit generator, one next_double per
+ * class member in ascending order as the Python round does, and the
+ * forced deletion draws its member as Generator.choice does
+ * (choice_index), so both backends read one random stream.  The class members are the ascending ids SurvivalGraph.scan
  * finds, read off the class bit sets below in ascending order, at a cost
  * of n / 64 words per non-empty class scanned (none for an empty range).
  *
@@ -1906,22 +1905,25 @@ int64_t is_deletes(is_state *s, const int64_t *ids, int64_t count)
     return s->err;
 }
 
+/* SurvivalGraph.delete_above: every live vertex above class k goes */
+static void delete_above(is_state *s, int64_t k)
+{
+    members(s, k + 1, s->ncounts - 1, &s->above);
+    is_deletes(s, s->above.data, s->above.len);
+}
+
 /* one thinning round (SurvivalGraph.thin): every live vertex above class
  * top goes, then each member of class top whose draw from bg falls below
- * p; both lists are read, and the marks drawn, before any deletion.  Then
- * settle. */
+ * p; both lists are read, and the marks drawn, before any deletion */
 static void is_thin(is_state *s, bitgen_t *bg, int64_t top, double p)
 {
-    members(s, top + 1, s->ncounts - 1, &s->above);
-    if (!s->err)
-        members(s, top, top, &s->marked);
+    members(s, top, top, &s->marked);
     if (s->err)
         return;
     vec *marked = &s->marked;
     marked->len = mark(bg, marked->data, marked->len, p, marked->data);
-    is_deletes(s, s->above.data, s->above.len);
+    delete_above(s, top);
     is_deletes(s, marked->data, marked->len);
-    settle(s);
 }
 
 /* the 4-regular probe of v, which goes itself when its neighbours all
@@ -1950,11 +1952,10 @@ static void probe(is_state *s, int64_t v)
 
 /* one probe round (SurvivalGraph.probe_round): every live vertex above
  * class 5 goes; then each member of class 3 whose draw from bg falls below
- * p is probed, in order.  Then settle. */
+ * p is probed, in order */
 static void is_probe_round(is_state *s, bitgen_t *bg, double p)
 {
-    members(s, 6, s->ncounts - 1, &s->above);
-    is_deletes(s, s->above.data, s->above.len);
+    delete_above(s, 5);
     if (!s->err)
         members(s, 3, 3, &s->marked);
     if (s->err)
@@ -1963,7 +1964,6 @@ static void is_probe_round(is_state *s, bitgen_t *bg, double p)
     marked->len = mark(bg, marked->data, marked->len, p, marked->data);
     for (int64_t i = 0; i < marked->len && !s->err; i++)
         probe(s, marked->data[i]);
-    settle(s);
 }
 
 /* max(1, round(x)) with Python's round, half to even: x - floor(x) is
@@ -2045,11 +2045,11 @@ int64_t is_unfold_merges(is_state *s)
  * their count into *rounds, then the merges unfolded.  Each round is the
  * thinning of the top persistent class above floor (3, or 5 when d = 4)
  * with probability p; else, for d = 4 with a live 3-vertex, a probe round
- * with p; else the bootstrap thinning of class d with bootstrap_p.  A
- * round that removes no vertex is followed by the forced deletion, so the
+ * with p; else every vertex above class d goes.  Each round then settles;
+ * one that removes no vertex is followed by the forced deletion, so the
  * survival count falls every round. */
 int64_t is_run(is_state *s, bitgen_t *bg, int64_t d, double p,
-               double bootstrap_p, double fraction, int64_t *rounds)
+               double fraction, int64_t *rounds)
 {
     int64_t floor = d == 3 ? 3 : 5;
     *rounds = 0;
@@ -2063,7 +2063,8 @@ int64_t is_run(is_state *s, bitgen_t *bg, int64_t d, double p,
         else if (d == 4 && s->counts[3])
             is_probe_round(s, bg, p);
         else
-            is_thin(s, bg, d, bootstrap_p);
+            delete_above(s, d);
+        settle(s);
         if (!s->err && SURVIVAL_COUNT(s) == before)
             force_progress(s, bg);
         *rounds += 1;

@@ -152,7 +152,7 @@ def _load(cc=_CC, cache=_CACHE):
                        ("cut_endgame", [ptr]),
                        ("is_settle", [ptr]),
                        ("is_deletes", [ptr, ptr, i64]),
-                       ("is_run", [ptr, ptr, i64, f64, f64, f64, ptr]),
+                       ("is_run", [ptr, ptr, i64, f64, f64, ptr]),
                        ("is_scan", [ptr, i64, i64, ptr]),
                        ("is_unfold_merges", [ptr])):
         getattr(lib, name).argtypes = args
@@ -357,7 +357,7 @@ class IsEngine(_Engine):
         self._run(_lib.is_deletes, ids.ctypes.data, ids.shape[0])
 
     def run(self, rng, d: int, thin_probability: float,
-            bootstrap_probability: float, persistence_fraction: float) -> int:
+            persistence_fraction: float) -> int:
         """The whole run of ``is_local_algorithm._drive`` in one call: the
         rounds until no vertex is left, then ``unfold_merges``; returns the
         rounds run.  The rounds draw their marks, and the forced deletions
@@ -366,8 +366,7 @@ class IsEngine(_Engine):
             raise IndexError(f"degree class {d} out of range")
         rounds = ctypes.c_int64()
         self._run_drawing(_lib.is_run, rng, d, thin_probability,
-                          bootstrap_probability, persistence_fraction,
-                          ctypes.byref(rounds))
+                          persistence_fraction, ctypes.byref(rounds))
         return rounds.value
 
     def unfold_merges(self) -> None:

@@ -15,7 +15,8 @@ class is thinned with a small per-vertex probability, everything above it
 goes outright, and the resulting 2-vertices are contracted to exhaustion.
 The 4-regular variant instead probes 3-vertices: one whose neighbors are
 all 3-vertices is deleted itself, otherwise its highest-degree neighbor
-is deleted and the probe vertex gets contracted.
+is deleted and the probe vertex gets contracted.  With neither to do, a
+round deletes everything above degree d, with no draw.
 """
 from __future__ import annotations
 
@@ -46,11 +47,9 @@ __all__ = [
 
 # Round discretization.  THIN_PROBABILITY thins the top persistent degree
 # class; classes above it (and transient dust below the persistence cutoff)
-# are deleted outright.  BOOTSTRAP_PROBABILITY seeds the process while no
-# class above the base degree has formed yet.  A class is persistent when it
-# holds at least PERSISTENCE_FRACTION of the survival count.
+# are deleted outright.  A class is persistent when it holds at least
+# PERSISTENCE_FRACTION of the survival count.
 THIN_PROBABILITY = 0.02
-BOOTSTRAP_PROBABILITY = 0.002
 PERSISTENCE_FRACTION = 0.002
 
 # the values of a vertex's decision byte
@@ -258,22 +257,23 @@ class SurvivalGraph:
         for v in ids.tolist():
             self.delete(v)
 
+    def delete_above(self, k: int) -> None:
+        """deletes() every live vertex above class k."""
+        if any(self.counts[k + 1:]):
+            self.deletes(self.scan(k + 1, len(self.counts) - 1))
+
     def thin(self, rng, top: int, probability: float) -> None:
         """One thinning round: every live vertex above class top is
-        deleted, then each member of class top with the given probability;
-        then settle.
+        deleted, then each member of class top with the given probability.
 
         Both scans and the draw see the graph before any deletion; a delete
         kills only its argument, so every marked vertex is still alive when
         its turn comes.
         """
-        above = (self.scan(top + 1, len(self.counts) - 1).tolist()
-                 if any(self.counts[top + 1:]) else [])
         members = self.scan(top, top)
         marked = members[rng.random(members.shape[0]) < probability]
-        for v in above + marked.tolist():
-            self.delete(v)
-        self.settle()
+        self.delete_above(top)
+        self.deletes(marked)
 
     def probe_round(self, rng, probability: float) -> None:
         """4-regular round: every live vertex above class 5 is deleted;
@@ -281,15 +281,14 @@ class SurvivalGraph:
         in order: one whose neighbors all have degree 3 is deleted itself,
         otherwise its lowest-id neighbor of the highest degree is (the
         probe vertex then drops to degree 2 and contracts in the settle
-        that ends the round).
+        after the round).
 
         Degrees only fall during the probes.  So a target of degree above 3
         is never a marked vertex, and a marked vertex deleted as a target
         died at a degree below 3, which it keeps: the degree test alone
         skips every marked vertex that is gone.
         """
-        if any(self.counts[6:]):
-            self.deletes(self.scan(6, len(self.counts) - 1))
+        self.delete_above(5)
         members = self.scan(3, 3)
         deg, adj = self.deg, self.adj
         for v in members[rng.random(members.shape[0]) < probability].tolist():
@@ -303,7 +302,6 @@ class SurvivalGraph:
             else:
                 self.delete(min(u for u, dg in zip(nbrs, degs)
                                 if dg == best))
-        self.settle()
 
     def unfold_merges(self) -> None:
         """Decide the vertices each merge folded away, once no vertex is
@@ -356,7 +354,7 @@ def run(graph: Multigraph, d: int, seed=None,
     if _kernels.BACKEND == "c":
         with _kernels.IsEngine(g, DEGREE_CAP) as engine:
             rounds = engine.run(rng, d, thin_probability,
-                                BOOTSTRAP_PROBABILITY, PERSISTENCE_FRACTION)
+                                PERSISTENCE_FRACTION)
     else:
         rounds = _drive(g, rng, d, thin_probability)
     vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8) == IN)
@@ -369,11 +367,12 @@ def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
     is the reference of the C engine's ``IsEngine.run``, which restates it
     whole in one call.  Each round's kind and class come from the degree
     histogram; a round draws its marks from rng over the ascending members
-    of its class.  The rounds go on until no vertex is left and need no
-    cap: after one that removes no vertex, one member of the top non-empty
-    class is deleted, drawn by ``rng.choice``, so each round lowers the
-    survival count and a run ends within n rounds.  A d-regular graph
-    (d >= 3) starts with nothing to settle."""
+    of its class, then settles.  The rounds go on until no vertex is left
+    and need no cap: after one that removes no vertex, one member of the
+    top non-empty class is deleted, drawn by ``rng.choice``, so each round
+    lowers the survival count and a run ends within n rounds.  At
+    thin_probability 0 no round marks a vertex: a 3-regular run is then the
+    sequential process of the no-correction is3 evolution."""
     # thinning acts on persistent classes above this; d = 4 probes its
     # classes 3-5 instead
     floor = 3 if d == 3 else 5
@@ -386,8 +385,8 @@ def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
         elif d == 4 and g.counts[3]:
             g.probe_round(rng, thin_probability)
         else:
-            # nothing persistent to thin and nothing to probe: bootstrap
-            g.thin(rng, d, BOOTSTRAP_PROBABILITY)
+            g.delete_above(d)
+        g.settle()
         if g.survival_count == before:
             top = max(k for k, c in enumerate(g.counts) if c)
             g.delete(int(rng.choice(g.scan(top, top))))

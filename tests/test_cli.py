@@ -527,14 +527,14 @@ def test_refine_explicit_ladder_json(capsys, tmp_path):
 # sha256 of the --witness file bytes at n = 2000; a change to the finite
 # algorithms that keeps their outputs must keep these
 WITNESS_SHA256 = {
-    ("is3", 0): "c040879687dc991da63a6d6b30bb4888"
-                "732f248bdc62cf09a8a199d3582fbd4d",
-    ("is3", 1): "fdb77d65f60d82fa419e51867b895039"
-                "e23c8c70bdc11dc1e4872f9d181a6034",
-    ("is4", 0): "dba5320ee4eeceecd8d7fb57f75982d5"
-                "edd004ecafb1944d7f469888b3b9ff35",
-    ("is4", 1): "7ed536811319474317c6998277eff0f5"
-                "0f6faeacbae794f7c393fb9d57477647",
+    ("is3", 0): "67566bb7bc91b1e55afc3a18b917a979"
+                "add76440289e983ccec78d5f8d39f128",
+    ("is3", 1): "deb0bd712835ab3e22a6dc92aa6691c8"
+                "4fc35f4a3d4aa8ddd19366fa17f83810",
+    ("is4", 0): "045bd5f5c05b95a2cca36cf48709303e"
+                "165c62d105a64a9dc492846b7333ee54",
+    ("is4", 1): "0e6708867dee711b8fda574d05d10fc7"
+                "74d963236cf0d481d497a0e7b8e6fd6c",
     ("cut", 0): "db3b56f6f8bb575b59d8ecad7b268965"
                 "32404451884201d53ace89d07aa97d11",
     ("cut", 1): "c3bef74ab4dc2ad91cc16b70dd236f66"
@@ -543,14 +543,14 @@ WITNESS_SHA256 = {
                      "2994c95decec3b40f10835191eccf38b",
     ("cut_q005", 1): "c106b0b48f31758aa46b5d2c4d24547c"
                      "f208acfc9023f718c13350f05988012a",
-    ("is3_t005", 0): "a8be193113d4e2d18ea398be5c9b7b7e"
-                     "039657caec769ef9110cfc465d8ef300",
-    ("is3_t005", 1): "4f230423d48776cb19905d88936c66b9"
-                     "84ce7faf6b846c274647591211ab87a5",
-    ("is4_t005", 0): "546adc9939b5a01f267b6381cfcf4bef"
-                     "0a6f8163ddf807284ac5df9e42ce53b3",
-    ("is4_t005", 1): "80f4eea7df4a0369e26b19d2109d1313"
-                     "a8eafa8203d5ad791584763cfdba6d06",
+    ("is3_t005", 0): "be18a56fd90698ace62721749f6945f0"
+                     "5d77473533102e4f8ae0570a41bec307",
+    ("is3_t005", 1): "61305644d74efc440c72832e7b456c7d"
+                     "94f6e52f53b5cb1f22ac197834afaaaa",
+    ("is4_t005", 0): "a56be9c37696dbfc195ba842b08fe2df"
+                     "c86f636bc1888ca5d2c9f5c727a88341",
+    ("is4_t005", 1): "3383ddfc5151c0d4e2a1c8876bf51d30"
+                     "fd22f16057850d26c8eac0858590f8d2",
 }
 # cut_q005 is the query-starved regime: over 100 bootstraps per run at
 # n = 2000, against about 20 at the default query probability; is3_t005
@@ -637,10 +637,10 @@ REPORT_SHA256 = {  # name: (json, stdout)
                     "d41b12a23e4b6860bcc3ec53839c8dee",
                     "0a27b898dc78c750390ebbaf85aa942e"
                     "43fd9e3349bdbcd090bd2db792618e01"),
-    "simulate_is3": ("e9b576a9dd004a8b9727721fdc9d59c1"
-                     "fc0ceef349105507ba43489c156a7671",
-                     "a03872a3acf3294af180b9f0a3aedad7"
-                     "23a1e6736618a8b35a3831f8995e0c79"),
+    "simulate_is3": ("d112fc4674bceec69416f01dba6cf2a6"
+                     "ad344e0a2518fcefd2aed22ff516744b",
+                     "1e2f3fdbb4415d19b3db816d4a4f3045"
+                     "470e35d05cd1df783afb81ed13adbcb6"),
     "simulate_cut": ("19853c4b539ac0a51d779de24db5b9a6"
                      "f051e0cc610901e11fb8f084ad464985",
                      "ab339829b4a36f1707335d739c13f3a6"

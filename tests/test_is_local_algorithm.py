@@ -524,7 +524,6 @@ def run_in_c(g, rng, d, thin_probability):
     over; returns the rounds run."""
     with _kernels.IsEngine(g, DEGREE_CAP) as engine:
         return engine.run(rng, d, thin_probability,
-                          is_local_algorithm.BOOTSTRAP_PROBABILITY,
                           is_local_algorithm.PERSISTENCE_FRACTION)
 
 
@@ -582,18 +581,24 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
 
 
 class RecordedChoices:
-    """A Generator's random and choice, recording the size of each array
-    that choice draws from: what the Python ladder reads of its rng."""
+    """A Generator's random and choice, logging each call in order as
+    (name, size): the number of draws random makes, or the size of the
+    array choice draws from.  What the Python ladder reads of its rng."""
 
     def __init__(self, rng):
         self.rng = rng
-        self.sizes = []
+        self.draws = []
+
+    @property
+    def sizes(self) -> list:
+        return [size for name, size in self.draws if name == "choice"]
 
     def random(self, size):
+        self.draws.append(("random", size))
         return self.rng.random(size)
 
     def choice(self, members):
-        self.sizes.append(len(members))
+        self.draws.append(("choice", len(members)))
         return self.rng.choice(members)
 
 
@@ -607,7 +612,7 @@ def test_forced_deletions_draw_as_rng_choice(n, d):
     # next_uint32, none for a one-member class) must pick the member
     # rng.choice picks and leave the generator where rng.choice leaves it
     sizes = []
-    for seed in range(5):
+    for seed in range(8):
         graph = generate(n, d, seed=seed)
         python = SurvivalGraph(graph)
         rng = RecordedChoices(np.random.default_rng(seed))
@@ -622,11 +627,49 @@ def test_forced_deletions_draw_as_rng_choice(n, d):
     assert 1 in sizes and max(sizes) > 1, sizes
 
 
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_round_with_nothing_to_thin_or_probe_draws_nothing(monkeypatch, d):
+    # a d-regular graph has no class above d and no 3-vertex: its first
+    # round deletes everything above class d, which is nothing, with no
+    # draw, and the forced deletion that follows draws one of all n
+    # vertices by rng.choice
+    top_persistent = is_local_algorithm._top_persistent
+    for seed in range(3):
+        rng = RecordedChoices(np.random.default_rng(seed))
+
+        def recorded(counts, survival, *rest):
+            rng.draws.append(("round", survival))
+            return top_persistent(counts, survival, *rest)
+
+        monkeypatch.setattr(is_local_algorithm, "_top_persistent", recorded)
+        _drive(SurvivalGraph(generate(2000, d, seed=seed)), rng, d,
+               THIN_PROBABILITY)
+        assert rng.draws[:2] == [("round", 2000), ("choice", 2000)], seed
+        assert rng.draws[2][0] == "round", seed
+
+
+# the no-correction is3 evolution's final at step 1e-7 (test_acceptance
+# pins it); its finite counterpart is the ladder at thin probability 0,
+# where no round marks a vertex and each forced deletion takes one random
+# vertex of the top class
+IS3_PLAIN_FINAL = 0.4453115
+
+
+@compiled
+def test_the_sequential_is3_run_lands_on_the_evolution():
+    ratios = [run(generate(100000, 3, seed=s), 3, seed=s,
+                  thin_probability=0.0).ratio for s in range(20)]
+    stderr = np.std(ratios, ddof=1) / np.sqrt(len(ratios))
+    assert abs(np.mean(ratios) - IS3_PLAIN_FINAL) < 3 * stderr, \
+        (np.mean(ratios), stderr)
+
+
 def test_persistence_threshold_rounds_half_to_even():
     """On 1,250 vertices, two of degree 4 and the rest of degree 3, the
     first round's threshold is round(0.002 * 1250) = round(2.5) = 2, so it
-    thins class 4; rounding half up would give 3 and a bootstrap thinning
-    of class 3 instead.  The C ladder must round as Python does."""
+    thins class 4; rounding half up would give 3, no persistent class and
+    the outright deletion of both 4-vertices, with no draw, instead.  The
+    C ladder must round as Python does."""
     assert is_local_algorithm.PERSISTENCE_FRACTION * 1250 == 2.5
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -722,7 +765,7 @@ def test_c_engine_checks_its_calls():
                 engine.deletes(np.array(ids))
         for d in (-1, len(g.counts)):
             with pytest.raises(IndexError):
-                engine.run(rng, d, 0.5, 0.5, 0.5)
+                engine.run(rng, d, 0.5, 0.5)
         engine.deletes(np.array([2]))
         assert not g.alive[2] and g.deg[0] == 2 and engine.survival_count == 3
         with pytest.raises(ValueError):
@@ -733,7 +776,7 @@ def test_c_engine_checks_its_calls():
     assert g.survival_count == 3
     for call in (engine.settle, engine.unfold_merges,
                  lambda: engine.scan(2, 2),
-                 lambda: engine.run(rng, 3, 0.5, 0.5, 0.5)):
+                 lambda: engine.run(rng, 3, 0.5, 0.5)):
         with pytest.raises(ValueError, match="closed"):
             call()
     with pytest.raises(ValueError, match="closed"):

@@ -212,25 +212,41 @@ def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
 # and name at the start of a line, its parameters, then the opening brace
 C_DEFINITION = re.compile(
     r"^(?!static\b)(\w[\w\s]*?[\s*])(\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
+# one parameter: an optional const, its type, an optional star, its name
+C_PARAMETER = re.compile(r"(?:const\s+)?(\w+)\s*(\*?)\s*\w+")
+C_SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
 
 
 def exported_functions():
-    """name -> (return type, parameter count) of each non-static function
-    that _kernels.c defines."""
+    """name -> (return type, parameters) of each non-static function that
+    _kernels.c defines; each parameter is (type, is a pointer)."""
     found = {}
     for ret, name, params in C_DEFINITION.findall(
             _kernels._SOURCE.read_text()):
         params = params.strip()
-        count = 0 if params in ("", "void") else params.count(",") + 1
-        found[name] = (ret.strip(), count)
+        found[name] = (ret.strip(), [] if params in ("", "void") else [
+            (kind, star == "*") for kind, star in
+            (C_PARAMETER.fullmatch(p.strip()).groups()
+             for p in params.split(","))])
     return found
+
+
+def declares(argtype, kind: str, pointer: bool) -> bool:
+    """Whether a ctypes argtypes entry passes a C parameter of this type:
+    a pointer as c_void_p or as a pointer to its own scalar type, a scalar
+    as its own ctypes type."""
+    if pointer:
+        return argtype is ctypes.c_void_p or (
+            kind in C_SCALARS and argtype is ctypes.POINTER(C_SCALARS[kind]))
+    return argtype is C_SCALARS.get(kind)
 
 
 @compiled
 def test_ctypes_declarations_match_the_c_source():
-    # a wrong pointer count corrupts memory instead of raising, so every
-    # exported function is declared with its parameter count, and every
-    # declaration names a function the source defines
+    # a wrong pointer count corrupts memory, and a double passed where an
+    # int64_t is read (or the reverse) garbles it, instead of raising: so
+    # every exported function is declared with its parameters' count and
+    # kinds, and every declaration names a function the source defines
     lib = _kernels._load()
     declared = {name for name, f in vars(lib).items()
                 if isinstance(f, lib._FuncPtr)}
@@ -238,9 +254,13 @@ def test_ctypes_declarations_match_the_c_source():
     assert {"is_chunk", "cut_new", "is_new", "is_unfold_merges",
             "is_scan", "is_run", "cut_round", "cut_run"} \
         <= set(exported)
-    for name, (ret, count) in exported.items():
+    for name, (ret, params) in exported.items():
         f = getattr(lib, name)
-        assert f.argtypes is not None and len(f.argtypes) == count, name
+        assert f.argtypes is not None and len(f.argtypes) == len(params), \
+            name
+        for i, (argtype, (kind, pointer)) in enumerate(
+                zip(f.argtypes, params)):
+            assert declares(argtype, kind, pointer), (name, i)
         restype = ctypes.c_void_p if ret.endswith("*") else \
             {"void": None, "int64_t": ctypes.c_int64}[ret]
         assert f.restype is restype, name
@@ -254,7 +274,6 @@ def is_run(graph, d, seed):
     rng = np.random.default_rng(seed)
     with _kernels.IsEngine(g, DEGREE_CAP) as engine:
         rounds = engine.run(rng, d, is_local_algorithm.THIN_PROBABILITY,
-                            is_local_algorithm.BOOTSTRAP_PROBABILITY,
                             is_local_algorithm.PERSISTENCE_FRACTION)
     return bytes(g.status), g.contractions, rounds, rng.bit_generator.state
 
