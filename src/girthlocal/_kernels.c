@@ -194,7 +194,7 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
                 v5 -= 2 * eps;
             else
                 v4 -= 2 * eps;
-            erase += 2 * mx * eps;
+            erase += (double)(2 * mx) * eps;
         }
 
         /* Four-neighbour correction terms, applied only once the 4-class
@@ -355,6 +355,14 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * given: this file has no mutable file-scope state.  So engines over
  * distinct buffers may run at once on different threads; ctypes releases
  * the GIL for each call.
+ *
+ * Vertex and half-edge ids are stored as int32_t: the graph's owner, pair
+ * and slots arrays (config_model.Multigraph builds them so, for graphs of
+ * fewer than 2^31 vertices and half-edges), and every id an engine keeps of
+ * its own.  Arithmetic on ids and counts runs in int64_t locals, and each
+ * store into 32-bit storage is an explicit (int32_t) cast of a value that
+ * fits.  The buffers shared with Python (degrees, aliases, counters) stay
+ * int64_t, and so do the independent-set engine's pool offsets.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -363,8 +371,9 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
 #define ENGINE_BROKEN 2
 #define ENGINE_DEAD 3
 
+/* a growable vector of ids */
 typedef struct {
-    int64_t *data;
+    int32_t *data;
     int64_t len, cap;
 } vec;
 
@@ -375,7 +384,7 @@ static void reserve(int64_t *err, vec *v, int64_t need)
         return;
     int64_t cap = need > 2 * v->cap ? need : 2 * v->cap;
     cap = cap > 64 ? cap : 64;
-    int64_t *data = realloc(v->data, cap * sizeof *data);
+    int32_t *data = realloc(v->data, cap * sizeof *data);
     if (!data) {
         *err = ENGINE_NOMEM;
         return;
@@ -388,7 +397,7 @@ static void push(int64_t *err, vec *v, int64_t x)
 {
     reserve(err, v, v->len + 1);
     if (v->len < v->cap)
-        v->data[v->len++] = x;
+        v->data[v->len++] = (int32_t)x;
 }
 
 /* a FIFO queue: the items of q from index *head on */
@@ -471,8 +480,8 @@ static int64_t lemire(bitgen_t *bg, uint32_t range)
  * (which may be ids itself); returns their count.  One draw per id, in
  * order, so the draws and the marks are those of ids[rng.random(m) < p]
  * and the generator is left where that expression leaves it. */
-static int64_t mark(bitgen_t *bg, const int64_t *ids, int64_t m, double p,
-                    int64_t *out)
+static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
+                    int32_t *out)
 {
     int64_t kept = 0;
     for (int64_t i = 0; i < m; i++)
@@ -536,21 +545,22 @@ enum { LOOP, INHERITED, DEAD, LIVE };
 
 typedef struct {
     int64_t n, err;
-    const int64_t *owner, *pair;
+    const int32_t *owner, *pair;
     uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
     int8_t *f, *op;
     int64_t *alias, *counts;
-    int64_t *path_nb;
+    int32_t *path_nb;
     uint8_t *path_par;
-    int64_t *head, *tail, *next;
-    int64_t *target, *age;
+    int32_t *head, *tail, *next;
+    int32_t *target, *age;
     uint8_t *bit, *free_, *pending;
-    int64_t *wsrc;
+    int32_t *wsrc;
     uint8_t *wbit;
     vec order, deferred, queue, walk;
-    int64_t qhead, *seen, cand_lo;
+    int64_t qhead, cand_lo;
+    int32_t *seen;
     uint64_t *cand, *cand_sum, *lones, *touched;
-    int64_t *marked;
+    int32_t *marked;
 } cut_state;
 
 #define GOOD(s) ((s)->counts[0])
@@ -648,10 +658,10 @@ static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
 {
     if (!s->pending[v]) {  /* a re-pend keeps v's age */
         s->pending[v] = 1;
-        s->age[v] = s->order.len;
+        s->age[v] = (int32_t)s->order.len;
         push(&s->err, &s->order, v);
     }
-    s->target[v] = target;
+    s->target[v] = (int32_t)target;
     s->bit[v] = (uint8_t)bit;
     s->free_[v] = (uint8_t)free_;
 }
@@ -659,7 +669,7 @@ static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
 static void oppose(cut_state *s, int64_t x, int64_t v)
 {
     if (s->pending[x] && s->free_[x]) {
-        s->target[x] = v;
+        s->target[x] = (int32_t)v;
         s->bit[x] = 1;
         s->free_[x] = 0;
     }
@@ -684,7 +694,7 @@ static void consume_phantom_open(cut_state *s, int64_t x)
 static void mark_white(cut_state *s, int64_t x, int64_t src, int bit)
 {
     s->n_w[x] += 1;
-    s->wsrc[x] = src;
+    s->wsrc[x] = (int32_t)src;
     s->wbit[x] = (uint8_t)bit;
 }
 
@@ -728,7 +738,7 @@ static void add_path_slot(cut_state *s, int64_t x, int64_t y, int parity)
         s->err = ENGINE_BROKEN;
         return;
     }
-    s->path_nb[2 * x + s->pd[x]] = y;
+    s->path_nb[2 * x + s->pd[x]] = (int32_t)y;
     s->path_par[2 * x + s->pd[x]] = (uint8_t)parity;
     s->pd[x] += 1;
     touch(s, x);
@@ -766,7 +776,7 @@ static void replace_path_slot(cut_state *s, int64_t x, int64_t old,
     int64_t i = path_index(s, x, old);
     if (i < 0)
         return;
-    s->path_nb[i] = new_;
+    s->path_nb[i] = (int32_t)new_;
     s->path_par[i] = (uint8_t)parity;
 }
 
@@ -988,10 +998,10 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
             if (!s->revealed[h]) {
                 s->next[h] = -1;
                 if (s->tail[s1] >= 0)
-                    s->next[s->tail[s1]] = h;
+                    s->next[s->tail[s1]] = (int32_t)h;
                 else
-                    s->head[s1] = h;
-                s->tail[s1] = h;
+                    s->head[s1] = (int32_t)h;
+                s->tail[s1] = (int32_t)h;
             }
             h = nx;
         }
@@ -1171,7 +1181,7 @@ static void resolve_pending(cut_state *s)
                 cycle = m;
                 break;
             }
-            s->seen[t] = path->len;
+            s->seen[t] = (int32_t)path->len;
             push(&s->err, path, t);
         }
         if (s->err)
@@ -1226,10 +1236,11 @@ void cut_free(cut_state *s)
 
 /* A fresh engine over a 3-regular graph: owner and pair of its 3n
  * half-edges, slots the half-edges grouped by owner (vertex v's are
- * slots[3v..3v+2], in the order of the Python slot lists), and the shared
- * buffers.  NULL when out of memory. */
-cut_state *cut_new(int64_t n, const int64_t *owner,
-                   const int64_t *pair, const int64_t *slots,
+ * slots[3v..3v+2], in the order of the Python slot lists), all three the
+ * graph's own int32 arrays, and the shared buffers.  NULL when out of
+ * memory. */
+cut_state *cut_new(int64_t n, const int32_t *owner,
+                   const int32_t *pair, const int32_t *slots,
                    uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
                    uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int8_t *op,
                    int64_t *alias, uint8_t *revealed, int64_t *counts)
@@ -1349,7 +1360,7 @@ int64_t cut_round(cut_state *s, bitgen_t *bg, double q)
     for (int64_t i = 0; i < words(s->n); i++)
         for (uint64_t w = lone_word(s, i); w; w &= w - 1)
             if (bg->next_double(bg->state) < q)
-                s->marked[count++] = 64 * i + lowest(w);
+                s->marked[count++] = (int32_t)(64 * i + lowest(w));
     for (int64_t i = 0; i < count && !s->err; i++) {
         int64_t v = s->marked[i];
         if (s->status[v] == 0 && s->op[v] > 0)
@@ -1384,7 +1395,7 @@ int64_t cut_endgame(cut_state *s)
     if (s->err)
         return s->err;
     resolve_pending(s);
-    const int64_t *d = s->deferred.data;
+    const int32_t *d = s->deferred.data;
     for (int64_t i = 0; i + 2 < s->deferred.len; i += 3) {
         if ((s->f[d[i]] ^ s->f[d[i + 1]]) == (1 ^ d[i + 2]))
             GOOD(s) += 1;
@@ -1508,7 +1519,8 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  * contractions}.  Private here:
  *   - each vertex's live neighbours, pool[off[v] .. off[v] + len[v]), with
  *     room for cap[v]; a list that outgrows its room moves to the pool's
- *     end;
+ *     end.  The pool holds int32 ids and off int64 offsets, so the pool
+ *     may outgrow 2^31 entries;
  *   - one bit set per degree class, class_set(s, k) holding the live
  *     vertices of degree k; every change of a degree or a death goes
  *     through reclass, which keeps counts[k] equal to the size of class k;
@@ -1525,7 +1537,8 @@ typedef struct {
     int64_t n, err, ncounts, cap_degree;
     int64_t *deg, *counts, *state;
     uint8_t *alive, *status;
-    int64_t *off, *len, *cap;
+    int64_t *off;
+    int32_t *len, *cap;
     vec pool, merges, queue;
     int64_t qhead;
     uint64_t *classes;
@@ -1542,7 +1555,7 @@ static uint64_t *class_set(is_state *s, int64_t k)
     return s->classes + k * words(s->n);
 }
 
-static int64_t *nbrs(is_state *s, int64_t v)
+static int32_t *nbrs(is_state *s, int64_t v)
 {
     return s->pool.data + s->off[v];
 }
@@ -1550,11 +1563,12 @@ static int64_t *nbrs(is_state *s, int64_t v)
 /* v's list drops its first occurrence of x (list.remove) */
 static void adj_remove(is_state *s, int64_t v, int64_t x)
 {
-    int64_t *a = nbrs(s, v), m = s->len[v];
+    int32_t *a = nbrs(s, v);
+    int64_t m = s->len[v];
     for (int64_t i = 0; i < m; i++) {
         if (a[i] == x) {
             memmove(a + i, a + i + 1, (m - i - 1) * sizeof *a);
-            s->len[v] = m - 1;
+            s->len[v] = (int32_t)(m - 1);
             return;
         }
     }
@@ -1564,10 +1578,10 @@ static void adj_remove(is_state *s, int64_t v, int64_t x)
 /* v's list has its first occurrence of old replaced by new_ */
 static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
 {
-    int64_t *a = nbrs(s, v);
+    int32_t *a = nbrs(s, v);
     for (int64_t i = 0; i < s->len[v]; i++) {
         if (a[i] == old) {
-            a[i] = new_;
+            a[i] = (int32_t)new_;
             return;
         }
     }
@@ -1576,7 +1590,7 @@ static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
 
 static int adj_has(is_state *s, int64_t v, int64_t x)
 {
-    const int64_t *a = nbrs(s, v);
+    const int32_t *a = nbrs(s, v);
     for (int64_t i = 0; i < s->len[v]; i++)
         if (a[i] == x)
             return 1;
@@ -1592,7 +1606,7 @@ static void adj_reserve(is_state *s, int64_t v, int64_t need)
     int64_t cap = 2 * need;
     if (pool->len + cap > pool->cap) {
         int64_t grown = 2 * (pool->len + cap);
-        int64_t *data = realloc(pool->data, grown * sizeof *data);
+        int32_t *data = realloc(pool->data, grown * sizeof *data);
         if (!data) {
             s->err = ENGINE_NOMEM;
             return;
@@ -1602,7 +1616,7 @@ static void adj_reserve(is_state *s, int64_t v, int64_t need)
     }
     memcpy(pool->data + pool->len, nbrs(s, v), s->len[v] * sizeof *pool->data);
     s->off[v] = pool->len;
-    s->cap[v] = cap;
+    s->cap[v] = (int32_t)cap;
     pool->len += cap;
 }
 
@@ -1710,9 +1724,9 @@ static int64_t contract(is_state *s, int64_t y)
     adj_reserve(s, x, s->len[x] + s->len[z]);
     if (s->err)
         return -1;
-    int64_t *ax = nbrs(s, x), *az = nbrs(s, z);
+    int32_t *ax = nbrs(s, x), *az = nbrs(s, z);
     for (int64_t i = 0; i < s->len[z]; i++)
-        ax[s->len[x] + i] = az[i] == z ? x : az[i];
+        ax[s->len[x] + i] = az[i] == z ? (int32_t)x : az[i];
     s->len[x] += s->len[z];
     int64_t dx = s->len[x];
     if (dx >= s->ncounts) {
@@ -1777,11 +1791,11 @@ void is_free(is_state *s)
 /* A fresh engine over a fresh SurvivalGraph: owner and pair of the graph's
  * half-edges, slots the half-edges grouped by owner (in the order of
  * Multigraph.slot_array, so v's list is owner[pair[slots]] over v's
- * degree), the shared buffers (counts with ncounts entries, more than
- * any degree), and the degree above which settle deletes a merged vertex.
- * NULL when out of memory. */
-is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
-                 const int64_t *slots, int64_t *deg, uint8_t *alive,
+ * degree), all three the graph's own int32 arrays, the shared buffers
+ * (counts with ncounts entries, more than any degree), and the degree above
+ * which settle deletes a merged vertex.  NULL when out of memory. */
+is_state *is_new(int64_t n, const int32_t *owner, const int32_t *pair,
+                 const int32_t *slots, int64_t *deg, uint8_t *alive,
                  int64_t *counts, uint8_t *status, int64_t *state,
                  int64_t ncounts, int64_t cap_degree)
 {
@@ -1819,7 +1833,7 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
     int64_t start = 0;
     for (int64_t v = 0; v < n; v++) {
         s->off[v] = start;
-        s->len[v] = s->cap[v] = deg[v];
+        s->len[v] = s->cap[v] = (int32_t)deg[v];
         start += deg[v];
         if (deg[v] <= 2)
             is_queue(s, v);
@@ -1840,11 +1854,10 @@ is_state *is_new(int64_t n, const int64_t *owner, const int64_t *pair,
 }
 
 /* the live vertices of degree lo..hi (0 <= lo, hi < ncounts), ascending,
- * into out, which has room for counts[lo] + ... + counts[hi] ids: each
- * word of the union of the non-empty classes, lowest bit first; returns
- * their count.  Finding another number of ids than those counts sum to is
- * ENGINE_BROKEN. */
-static int64_t collect(is_state *s, int64_t lo, int64_t hi, int64_t *out)
+ * into out, a vector of the engine's: each word of the union of the
+ * non-empty classes, lowest bit first.  Finding another number of ids than
+ * counts[lo] + ... + counts[hi] is ENGINE_BROKEN. */
+static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
 {
     int64_t need = 0, npicked = 0, m = 0, nw = words(s->n);
     for (int64_t k = lo; k <= hi; k++) {
@@ -1852,6 +1865,10 @@ static int64_t collect(is_state *s, int64_t lo, int64_t hi, int64_t *out)
         if (s->counts[k])
             s->picked[npicked++] = class_set(s, k);
     }
+    out->len = 0;
+    reserve(&s->err, out, need);
+    if (s->err)
+        return;
     for (int64_t i = 0; npicked && i < nw; i++) {
         uint64_t w = 0;
         for (int64_t j = 0; j < npicked; j++)
@@ -1859,35 +1876,26 @@ static int64_t collect(is_state *s, int64_t lo, int64_t hi, int64_t *out)
         for (; w; w &= w - 1) {
             if (m == need) {
                 s->err = ENGINE_BROKEN;  /* more ids than counted */
-                return 0;
+                return;
             }
-            out[m++] = 64 * i + lowest(w);
+            out->data[m++] = (int32_t)(64 * i + lowest(w));
         }
     }
     if (m != need) {
         s->err = ENGINE_BROKEN;  /* fewer ids than counted */
-        return 0;
+        return;
     }
-    return m;
-}
-
-/* collect, into a vector of the engine's */
-static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
-{
-    int64_t need = 0;
-    for (int64_t k = lo; k <= hi; k++)
-        need += s->counts[k];
-    out->len = 0;
-    reserve(&s->err, out, need);
-    if (!s->err)
-        out->len = collect(s, lo, hi, out->data);
+    out->len = m;
 }
 
 /* the live vertices of degree lo..hi (0 <= lo <= hi < ncounts), ascending,
- * into out, as collect */
+ * as members finds them, into out (int64_t, as numpy's own scans give
+ * them), which has room for counts[lo] + ... + counts[hi] ids */
 int64_t is_scan(is_state *s, int64_t lo, int64_t hi, int64_t *out)
 {
-    collect(s, lo, hi, out);
+    members(s, lo, hi, &s->above);
+    for (int64_t i = 0; i < s->above.len; i++)
+        out[i] = s->above.data[i];
     return s->err;
 }
 
@@ -1898,7 +1906,7 @@ int64_t is_settle(is_state *s)
 }
 
 /* delete each vertex, in order */
-int64_t is_deletes(is_state *s, const int64_t *ids, int64_t count)
+int64_t is_deletes(is_state *s, const int32_t *ids, int64_t count)
 {
     for (int64_t i = 0; i < count && !s->err; i++)
         is_delete(s, ids[i]);
@@ -1938,7 +1946,7 @@ static void probe(is_state *s, int64_t v)
         s->err = ENGINE_BROKEN;
         return;
     }
-    const int64_t *a = nbrs(s, v);
+    const int32_t *a = nbrs(s, v);
     int64_t best = -1, target = -1;
     for (int64_t j = 0; j < 3; j++) {
         int64_t du = s->deg[a[j]];
@@ -2030,7 +2038,7 @@ int64_t is_unfold_merges(is_state *s)
 {
     if (SURVIVAL_COUNT(s))
         s->err = ENGINE_BROKEN;  /* a vertex is still in the graph */
-    const int64_t *m = s->merges.data;
+    const int32_t *m = s->merges.data;
     for (int64_t i = s->merges.len - 3; i >= 0 && !s->err; i -= 3) {
         decide(s, m[i + 2], s->status[m[i]]);
         decide(s, m[i + 1], IN + OUT - s->status[m[i]]);

@@ -25,7 +25,10 @@ draws.  The independent-set forced deletion draws its member as
 Lemire draw on ``next_uint32``.  So both backends read one random stream
 and leave the generator in one state.  ctypes releases the GIL for each call, and an
 engine touches only its own state and buffers, so engines of different
-runs may run at once on different threads.
+runs may run at once on different threads.  The engines read the graph's
+int32 owner, pair and slot arrays in place (``_graph_arrays``: no copy, no
+widening) and keep their own vertex and half-edge ids as int32 too; the
+buffers they share with the Python processes stay as those allocate them.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -237,7 +240,10 @@ class _Engine:
 
 
 def _graph_arrays(graph) -> list:
-    return [np.ascontiguousarray(a, dtype=np.int64) for a in
+    """The graph's owner, pair and slot arrays as the engines read them:
+    ``Multigraph`` stores them as contiguous int32, so these are the
+    graph's own arrays, not copies."""
+    return [np.ascontiguousarray(a, dtype=np.int32) for a in
             (graph.owner, graph.pair, graph.slot_array())]
 
 
@@ -351,9 +357,11 @@ class IsEngine(_Engine):
 
     def deletes(self, ids) -> None:
         """Delete each vertex (int array), in order."""
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        ids = np.asarray(ids)
         if ids.size and not (0 <= ids.min() and ids.max() < self._n):
             raise IndexError("vertex out of range")
+        # checked before the narrowing, so an id out of range never wraps
+        ids = np.ascontiguousarray(ids, dtype=np.int32)
         self._run(_lib.is_deletes, ids.ctypes.data, ids.shape[0])
 
     def run(self, rng, d: int, thin_probability: float,

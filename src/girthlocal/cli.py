@@ -17,7 +17,8 @@ variable is set.
 ``simulate --seeds K`` runs its K independent runs on min(K, CPU count)
 threads of this process.  The C engines release the GIL while they run,
 so the runs overlap; with the Python fallback they take turns.  A run that
-fails, or an interrupt, cancels the runs not yet started.
+fails, or an interrupt, cancels the runs not yet started.  A single run
+goes on the calling thread.
 """
 from __future__ import annotations
 
@@ -35,7 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .config_model import edge_list_header, generate, load_edge_list
+from .config_model import (
+    check_id_range,
+    edge_list_header,
+    generate,
+    load_edge_list,
+)
 from .cut_evolution import CutRules
 from .cut_local_algorithm import QUERY_PROBABILITY, count_cut, run_cut
 from .evolution_core import (
@@ -90,6 +96,11 @@ class RunReport:
 
     ``corollaries`` are always recomputed from the headline figures at
     serialization time, never stored, so a report cannot drift internally.
+    Only an evolution's headline has them: its ratio is a bound for every
+    large-girth graph, and so is its fractional colouring number.  A finite
+    run's headline (``simulate``'s, which carries a ``ratio`` or
+    ``mean_ratio``) has none, as 1/ratio bounds nothing on the graph it
+    ran on.
     ``backend`` is the one that ran the evolution kernels and the events
     of both finite processes: ``"c"`` or ``"python"``
     (``_kernels.BACKEND``).  ``stage_times`` maps ``<stage>_wall_time_s``
@@ -109,16 +120,14 @@ class RunReport:
     stage_times: dict = field(default_factory=dict)
 
     def corollaries(self) -> dict:
-        for key in ("independent", "ratio", "mean_ratio", "good"):
-            if key in self.headline and self.headline[key]:
-                x = float(self.headline[key])
-                break
-        else:
+        if "ratio" in self.headline or "mean_ratio" in self.headline:
             return {}
-        if self.kind == "independent":
-            return {"fractional_coloring_number": 1.0 / x}
-        if self.kind == "cut":
-            return {"fractional_edge_coloring_number": 1.5 / x}
+        if self.kind == "independent" and self.headline.get("independent"):
+            return {"fractional_coloring_number":
+                    1.0 / float(self.headline["independent"])}
+        if self.kind == "cut" and self.headline.get("good"):
+            return {"fractional_edge_coloring_number":
+                    1.5 / float(self.headline["good"])}
         return {}
 
     def to_dict(self) -> dict:
@@ -287,6 +296,25 @@ def _run_simulation(target, n, d, seed, options, keep_witness):
     return summary, witness if keep_witness else None
 
 
+def _fan_out(target, n, d, seeds, options) -> list:
+    """The runs of several seeds, on min(len(seeds), CPU count) threads;
+    their outcomes in seed order."""
+    workers = min(len(seeds), os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(_run_simulation, target, n, d, seed, options,
+                               False)
+                   for seed in seeds]
+        for future in as_completed(futures):
+            future.result()  # the first failure ends the fan-out at once
+    finally:
+        # a failure or an interrupt cancels the runs not yet started; a
+        # running one cannot be stopped inside its engine call, and is
+        # waited for
+        pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
+
+
 def _cmd_simulate(args) -> int:
     target = args.target
     d = args.d if target == "is" else 3
@@ -303,6 +331,7 @@ def _cmd_simulate(args) -> int:
     if args.n * d % 2:
         raise ValueError(f"n*d = {args.n * d} must be even to pair all "
                          f"half-edges")
+    check_id_range(args.n, args.n * d)
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     if args.seeds < 1:
@@ -311,20 +340,14 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--witness needs a single run, not --seeds > 1")
     seeds = [args.seed + i for i in range(args.seeds)]
     start = time.perf_counter()
-    workers = min(len(seeds), os.cpu_count() or 1)
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures = [pool.submit(_run_simulation, target, args.n, d, seed,
-                               options, bool(args.witness))
-                   for seed in seeds]
-        for future in as_completed(futures):
-            future.result()  # the first failure ends the fan-out at once
-    finally:
-        # a failure or an interrupt cancels the runs not yet started; a
-        # running one cannot be stopped inside its engine call, and is
-        # waited for
-        pool.shutdown(cancel_futures=True)
-    outcomes = [future.result() for future in futures]
+    if len(seeds) == 1:
+        # on this thread: in a one-worker pool the run's arrays come from
+        # the worker's own malloc arena, and the peak memory of the process
+        # then changes from run to run by several MB
+        outcomes = [_run_simulation(target, args.n, d, seeds[0], options,
+                                    bool(args.witness))]
+    else:
+        outcomes = _fan_out(target, args.n, d, seeds, options)
     runs = [summary for summary, _ in outcomes]
     witness = outcomes[0][1]
     wall = time.perf_counter() - start

@@ -6,6 +6,11 @@ slots joined by the pairing form one edge.  Self-loops and parallel edges
 are permitted — the downstream algorithms must tolerate them — but they
 become vanishingly rare locally as n grows, which is what lets finite runs
 approximate the large-girth limit.
+
+Vertex and half-edge ids are stored as int32, here and in the C engines
+that read these arrays, so a graph holds fewer than 2**31 vertices and
+fewer than 2**31 half-edges; ``check_id_range`` rejects a larger one
+before anything of its size is allocated.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import numpy as np
 __all__ = [
     "Multigraph",
     "GraphStats",
+    "check_id_range",
     "generate",
     "stats",
     "edge_list_header",
@@ -24,10 +30,28 @@ __all__ = [
     "save_edge_list",
 ]
 
+# vertex and half-edge ids are int32: a graph has fewer than this many of each
+ID_LIMIT = 2 ** 31
+
+
+def check_id_range(n: int, half_edges: int) -> None:
+    """Reject a graph whose vertex or half-edge ids would not fit in int32;
+    it allocates nothing, so it runs before anything of the graph's size
+    is built."""
+    if n >= ID_LIMIT or half_edges >= ID_LIMIT:
+        raise ValueError(f"a graph of {n} vertices and {half_edges} "
+                         f"half-edges is too large: vertex and half-edge "
+                         f"ids are 32-bit, so each count must be below "
+                         f"2**31 = {ID_LIMIT}")
+
 
 @dataclass
 class Multigraph:
-    """Half-edge pairing representation; immutable after construction."""
+    """Half-edge pairing representation; immutable after construction.
+
+    owner, pair and the arrays derived from them are int32, whatever
+    integer arrays they were given as; the given values are range-checked
+    first, so an id out of range raises instead of wrapping."""
 
     n: int
     owner: np.ndarray  # owner[h] = vertex owning half-edge h
@@ -36,20 +60,25 @@ class Multigraph:
     _slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.owner = np.asarray(self.owner, dtype=np.int64)
-        self.pair = np.asarray(self.pair, dtype=np.int64)
-        h = self.owner.shape[0]
-        if self.pair.shape != (h,) or h % 2 != 0:
+        owner, pair = np.asarray(self.owner), np.asarray(self.pair)
+        h = owner.shape[0]
+        check_id_range(self.n, h)
+        if owner.shape != (h,) or pair.shape != (h,) or h % 2 != 0:
             raise ValueError("owner and pair must be equal even-length arrays")
-        idx = np.arange(h)
+        if h and (owner.min() < 0 or owner.max() >= self.n):
+            raise ValueError("half-edge owner out of range")
+        if h and (pair.min() < 0 or pair.max() >= h):
+            raise ValueError("pairing must be a fixed-point-free involution")
+        self.owner = owner.astype(np.int32, copy=False)
+        self.pair = pair.astype(np.int32, copy=False)
+        idx = np.arange(h, dtype=np.int32)
         if h and (np.any(self.pair[self.pair] != idx) or np.any(self.pair == idx)):
             raise ValueError("pairing must be a fixed-point-free involution")
-        if h and (self.owner.min() < 0 or self.owner.max() >= self.n):
-            raise ValueError("half-edge owner out of range")
         # group half-edges by owner once; everything else reads these
-        self._slots = np.argsort(self.owner, kind="stable")
+        self._slots = np.argsort(self.owner, kind="stable").astype(np.int32)
         counts = np.bincount(self.owner, minlength=self.n)
-        self._indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(counts, out=self._indptr[1:])
         for arr in (self.owner, self.pair, self._slots, self._indptr):
             arr.setflags(write=False)
 
@@ -109,12 +138,16 @@ def generate(n: int, d: int, seed) -> Multigraph:
         raise ValueError("need n >= 2 and d >= 3")
     if (n * d) % 2 != 0:
         raise ValueError("n*d must be even to pair all half-edges")
+    check_id_range(n, n * d)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n * d)
-    pair = np.empty(n * d, dtype=np.int64)
+    pair = np.empty(n * d, dtype=np.int32)
     pair[perm[0::2]] = perm[1::2]
     pair[perm[1::2]] = perm[0::2]
-    owner = np.arange(n * d, dtype=np.int64) // d
+    # the int64 permutation is the largest array here: free it before the
+    # graph's own arrays are built
+    del perm
+    owner = np.repeat(np.arange(n, dtype=np.int32), d)
     return Multigraph(n=n, owner=owner, pair=pair)
 
 
@@ -184,10 +217,11 @@ def edge_list_header(text: str) -> tuple:
 def load_edge_list(text: str) -> Multigraph:
     """Parse the "n m" + edge-lines format into a Multigraph."""
     n, m = edge_list_header(text)
+    check_id_range(n, 2 * m)
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    owner = np.empty(2 * m, dtype=np.int64)
+    owner = np.empty(2 * m, dtype=np.int32)
     for i, ln in enumerate(lines[1:]):
         parts = ln.split()
         if len(parts) != 2:
@@ -200,7 +234,7 @@ def load_edge_list(text: str) -> Multigraph:
             raise ValueError(f"vertex index out of range on line: {ln!r}")
         owner[2 * i] = u
         owner[2 * i + 1] = v
-    pair = np.arange(2 * m, dtype=np.int64)
+    pair = np.arange(2 * m, dtype=np.int32)
     pair[0::2] += 1
     pair[1::2] -= 1
     return Multigraph(n=n, owner=owner, pair=pair)

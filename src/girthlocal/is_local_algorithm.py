@@ -95,11 +95,11 @@ class SurvivalGraph:
 
     The methods below are the reference semantics.  run() hands the whole
     run, its round ladder included, to ``_kernels.IsEngine`` (the same
-    rules in C, over deg, alive, counts and status, with one bit set of its
-    own per degree class for the scans, read in ascending order) when the C
-    kernels are built, and runs these methods under ``_drive`` otherwise;
-    tests pin the two to the same set, rounds, contractions and random
-    stream.
+    rules in C, over deg, alive, counts and status, with neighbour lists of
+    int32 ids and one bit set per degree class of its own, the sets read in
+    ascending order for the scans) when the C kernels are built, and runs
+    these methods under ``_drive`` otherwise; tests pin the two to the same
+    set, rounds, contractions and random stream.
     """
 
     def __init__(self, g: Multigraph):

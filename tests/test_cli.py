@@ -350,9 +350,8 @@ def test_report_round_trips_losslessly(capsys, tmp_path):
     data = json.loads(jpath.read_text())
     rebuilt = RunReport.from_dict(data)
     assert rebuilt.to_dict() == data
-    corr = data["corollaries"]["fractional_coloring_number"]
-    assert corr * data["headline"]["ratio"] == pytest.approx(1.0,
-                                                             abs=1e-15)
+    # a finite run's 1/ratio is no fractional colouring number of its graph
+    assert data["corollaries"] == {}
 
 
 def test_output_directory_env_var(capsys, tmp_path, monkeypatch):
@@ -394,11 +393,29 @@ def test_a_graph_too_large_for_memory_fails_in_one_line(
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "generate", no_room)
-    code, out, err = run_cli(capsys, "simulate", "cut", "--n",
-                             "1000000000000")
+    # the largest n whose 3n half-edges have 32-bit ids
+    code, out, err = run_cli(capsys, "simulate", "cut", "--n", "715827882")
     assert code == 2
     assert out == ""
     assert err == f"error: {message or 'out of memory'}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "cut", "--n", "1000000000000"],
+    ["simulate", "cut", "--n", "715827884"],    # 3n = 2**31 + 4 half-edges
+    ["simulate", "is", "--d", "4", "--n", "536870912"],  # 4n = 2**31
+    ["simulate", "is", "--n", "2147483648"],    # n = 2**31
+], ids=["1e12", "cut_half_edges", "is4_half_edges", "is3_vertices"])
+def test_a_graph_too_large_for_32_bit_ids_fails_before_any_work(
+        capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "generate", no_run)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a graph of ") and "2**31" in err
 
 
 def test_oracle_commands(capsys, tmp_path):
@@ -637,18 +654,18 @@ REPORT_SHA256 = {  # name: (json, stdout)
                     "d41b12a23e4b6860bcc3ec53839c8dee",
                     "0a27b898dc78c750390ebbaf85aa942e"
                     "43fd9e3349bdbcd090bd2db792618e01"),
-    "simulate_is3": ("d112fc4674bceec69416f01dba6cf2a6"
-                     "ad344e0a2518fcefd2aed22ff516744b",
-                     "1e2f3fdbb4415d19b3db816d4a4f3045"
-                     "470e35d05cd1df783afb81ed13adbcb6"),
-    "simulate_cut": ("19853c4b539ac0a51d779de24db5b9a6"
-                     "f051e0cc610901e11fb8f084ad464985",
-                     "ab339829b4a36f1707335d739c13f3a6"
-                     "e85ae4a6cc5236e3c2a884951623a4dd"),
-    "simulate_cut_seeds2": ("efd8066336163f0d8be5356c589133ea"
-                            "f622b4e48983ad2d6e8f8255106ba4c5",
-                            "57808d1c4182c44b334868e1077ce931"
-                            "1a23769ebbad55ca271e9033f7f5ca59"),
+    "simulate_is3": ("198db531efaeead3eb1022cc50cb05ea"
+                     "088a3d4c8b3abacf75d59e4830dcb4b4",
+                     "17aabd956184e4c7e610d6caac23c235"
+                     "fbbe91fb9350ddadd2dc368f26bf9da0"),
+    "simulate_cut": ("b5bfe0e629bb063b7557d08bdf22dcc7"
+                     "6e1626f221e72183d90a21808ebc2520",
+                     "29d43f7b16fdaf4d29198ddffe4df095"
+                     "489fc1d4ed20677136124b89d4d5df04"),
+    "simulate_cut_seeds2": ("6f68266d012f69739bde3ea2514d4319"
+                            "4da2acda54fa0e43f5466fa0b5e713ac",
+                            "ebbe88c6f788f4f159f6b9bd2c261f45"
+                            "5d89e7de6ce7921e8c9571cf8d844dda"),
 }
 
 

@@ -51,6 +51,37 @@ def test_generate_is_regular_and_reproducible():
     assert np.all(a.degrees() == 4)
 
 
+def test_ids_are_32_bit():
+    for g in (generate(60, 3, seed=1), load_edge_list(TRIANGLE)):
+        for a in (g.owner, g.pair, g.slot_array(), g.degrees()):
+            assert a.dtype == np.int32
+
+
+@pytest.mark.parametrize("build", [
+    lambda: generate(2 ** 30, 4, 0),               # 2**32 half-edges
+    lambda: generate(2 ** 31, 4, 0),               # 2**31 vertices
+    lambda: load_edge_list("3000000000 0\n"),
+    lambda: load_edge_list("4 1073741824\n"),      # 2**31 half-edges
+    lambda: Multigraph(n=2 ** 31, owner=np.zeros(0, dtype=np.int64),
+                       pair=np.zeros(0, dtype=np.int64)),
+], ids=["generate_half_edges", "generate_vertices", "load_vertices",
+        "load_half_edges", "multigraph_vertices"])
+def test_graphs_too_large_for_32_bit_ids_fail_before_allocating(build):
+    # each would ask for gigabytes before any check of its own
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        build()
+
+
+def test_an_id_out_of_32_bit_range_raises_instead_of_wrapping():
+    # 2**32 + 1 narrowed to int32 would read as 1, a valid owner
+    with pytest.raises(ValueError, match="owner out of range"):
+        Multigraph(n=2, owner=np.array([0, 2 ** 32 + 1], dtype=np.int64),
+                   pair=np.array([1, 0]))
+    with pytest.raises(ValueError, match="involution"):
+        Multigraph(n=2, owner=np.array([0, 1]),
+                   pair=np.array([2 ** 32 + 1, 0], dtype=np.int64))
+
+
 def test_pairing_must_be_involution():
     with pytest.raises(ValueError):
         Multigraph(n=2, owner=np.array([0, 0, 1, 1]),

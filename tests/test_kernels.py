@@ -150,13 +150,26 @@ def test_no_compiler_starts_no_build(tmp_path, capsys, monkeypatch):
 def test_c_source_compiles_without_warnings(tmp_path):
     # the build flags plus strict C99 and every warning as an error: a
     # local left unused by a deleted rule branch, or a compiler extension
-    # other than the named builtins, fails here
+    # other than the named builtins, fails here.  -Wconversion makes every
+    # store into 32-bit id storage (and every integer-to-double conversion)
+    # an explicit cast; the sign conversions of sizes passed to malloc and
+    # memmove are not flagged
     build = subprocess.run(
         ["cc", "-O2", "-ffp-contract=off", "-std=c99", "-pedantic", "-Wall",
-         "-Wextra", "-Werror", "-shared", "-fPIC",
+         "-Wextra", "-Wconversion", "-Wno-sign-conversion", "-Werror",
+         "-shared", "-fPIC",
          "-o", str(tmp_path / "k.so"), str(_kernels._SOURCE)],
         capture_output=True, text=True, timeout=_kernels._CC_TIMEOUT_S)
     assert build.returncode == 0, build.stderr
+
+
+def test_engines_read_the_graph_arrays_in_place():
+    # the engines take the graph's int32 arrays as they are: no copy, and
+    # no widening to int64
+    g = generate(1000, 3, seed=0)
+    for given, own in zip(_kernels._graph_arrays(g),
+                          (g.owner, g.pair, g.slot_array())):
+        assert given.dtype == np.int32 and np.shares_memory(given, own)
 
 
 # runs in a fresh interpreter, since a sanitizer finding aborts it: small
