@@ -497,10 +497,11 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
  * endgame commits and _resolve_pending.  Every rule, its order of effects
  * and every tie-break is the same as in the Python methods, which stay
  * the reference semantics; tests pin the two to equal colourings and
- * counters.  A whole run is one call, cut_run: the round schedule of
- * CutProcess._drive (which stays its reference), with the endgame floor
- * passed in from Python.  Each round is cut_round (CutProcess.query_round:
- * the lone vertices, the query marks and the queries, then closure), which
+ * counters.  The engine exports cut_new, cut_run and cut_free, and a
+ * whole run is one call, cut_run: the round schedule of CutProcess._drive
+ * (which stays its reference), with the endgame floor passed in from
+ * Python.  Each round is query_round (CutProcess.query_round: the lone
+ * vertices, the query marks and the queries, then closure), which
  * draws the marks from the caller's numpy bit generator, one next_double
  * per lone vertex in ascending order as the Python round does.  The
  * bootstrap pair after a stalled round is drawn as
@@ -509,13 +510,13 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
  * eight at a time, with no list of the survivors.  So both backends read
  * one random stream.
  *
- * The lone set is exact as of the last scan: a bit set of the lone
- * vertices, read in ascending order.  Whether v is lone depends on its
- * status, its path degree and its R/G labels only, and every change of
- * one of them calls touch (leave, add_path_slot, remove_path_slot,
- * give_label), which puts v in the touched bit set.  A scan re-tests the
- * touched vertices alone and empties that set.  Every vertex starts
- * touched, so an engine's first scan tests all n.
+ * The lone set is exact as of the start of the last round: a bit set of
+ * the lone vertices, read in ascending order.  Whether v is lone depends
+ * on its status, its path degree and its R/G labels only, and every change
+ * of one of them calls touch (leave, add_path_slot, remove_path_slot,
+ * give_label), which puts v in the touched bit set.  Each round re-tests
+ * the touched vertices alone and empties that set.  Every vertex starts
+ * touched, so an engine's first round tests all n.
  *
  * The rules rest on the module's invariant (P): every survival path
  * component is a simple path (proved in cut_local_algorithm's docstring).
@@ -609,7 +610,7 @@ static int64_t cd(const cut_state *s, int64_t v)
     return s->n_r[v] + s->n_g[v] + s->n_w[v] + s->n_d[v];
 }
 
-/* v's status, path degree or R/G labels changed: the next scan re-tests
+/* v's status, path degree or R/G labels changed: the next round re-tests
  * whether it is lone */
 static void touch(cut_state *s, int64_t v)
 {
@@ -1300,17 +1301,7 @@ cut_state *cut_new(int64_t n, const int32_t *owner,
     return s;
 }
 
-int64_t cut_commit(cut_state *s, int64_t v, int64_t color)
-{
-    commit(s, v, (int)color);
-    return s->err;
-}
-
-int64_t cut_closure(cut_state *s)
-{
-    closure(s);
-    return s->err;
-}
+/* -- the round schedule: cut_run and its helpers ----------------------- */
 
 /* survival, no path edge, no white or deferred label, one R/G label.
  * Tested after closure only, which leaves no survival vertex with two or
@@ -1338,23 +1329,12 @@ static uint64_t lone_word(cut_state *s, int64_t i)
     return s->lones[i];
 }
 
-/* the lone vertices, ascending, as CutProcess.lones finds them, into out
- * (room for n); their count into count */
-int64_t cut_lones(cut_state *s, int64_t *out, int64_t *count)
-{
-    int64_t m = 0;
-    for (int64_t i = 0; i < words(s->n); i++)
-        for (uint64_t w = lone_word(s, i); w; w &= w - 1)
-            out[m++] = 64 * i + lowest(w);
-    *count = m;
-    return s->err;
-}
-
-/* one round of the schedule (CutProcess.query_round): each lone vertex is
- * marked when its draw from bg falls below q, and each marked vertex that
- * is still a survival vertex with an open half-edge is queried, in
- * ascending order; then closure */
-int64_t cut_round(cut_state *s, bitgen_t *bg, double q)
+/* one round of the schedule (CutProcess.query_round): each lone vertex,
+ * ascending, as CutProcess.lones finds them, is marked when its draw from
+ * bg falls below q, and each marked vertex that is still a survival
+ * vertex with an open half-edge is queried, in ascending order; then
+ * closure */
+static void query_round(cut_state *s, bitgen_t *bg, double q)
 {
     int64_t count = 0;
     for (int64_t i = 0; i < words(s->n); i++)
@@ -1367,12 +1347,11 @@ int64_t cut_round(cut_state *s, bitgen_t *bg, double q)
             query(s, v);
     }
     closure(s);
-    return s->err;
 }
 
 /* survivors take their majority, unrevealed pairs are deferred, the
  * pending colours resolve and the deferred edges are counted */
-int64_t cut_endgame(cut_state *s)
+static void endgame(cut_state *s)
 {
     for (int64_t v = 0; v < s->n && !s->err; v++)
         if (s->status[v] == 0)
@@ -1393,7 +1372,7 @@ int64_t cut_endgame(cut_state *s)
         }
     }
     if (s->err)
-        return s->err;
+        return;
     resolve_pending(s);
     const int32_t *d = s->deferred.data;
     for (int64_t i = 0; i + 2 < s->deferred.len; i += 3) {
@@ -1402,7 +1381,6 @@ int64_t cut_endgame(cut_state *s)
         else
             BAD(s) += 1;
     }
-    return s->err;
 }
 
 /* the survivor of rank r (0 for the first) among the ids at or after
@@ -1475,7 +1453,7 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
     closure(s);
     while (SURVIVAL(s) > floor && !s->err) {
         int64_t before = SURVIVAL(s);
-        cut_round(s, bg, q);
+        query_round(s, bg, q);
         *rounds += 1;
         if (SURVIVAL(s) == before && !s->err) {
             bootstrap(s, bg);
@@ -1483,7 +1461,7 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
         }
     }
     if (!s->err)
-        cut_endgame(s);
+        endgame(s);
     return s->err;
 }
 
@@ -1502,9 +1480,10 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  * their marks from the caller's numpy bit generator, one next_double per
  * class member in ascending order as the Python round does, and the
  * forced deletion draws its member as Generator.choice does
- * (choice_index), so both backends read one random stream.  The class members are the ascending ids SurvivalGraph.scan
- * finds, read off the class bit sets below in ascending order, at a cost
- * of n / 64 words per non-empty class scanned (none for an empty range).
+ * (choice_index), so both backends read one random stream.  The class
+ * members are the ascending ids SurvivalGraph.scan finds, read off the
+ * class bit sets below in ascending order, at a cost of n / 64 words per
+ * non-empty class scanned (none for an empty range).
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename

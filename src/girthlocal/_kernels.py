@@ -8,22 +8,24 @@ recurrence by at most ``max_rounds`` rounds and reports why it stopped via a
 status code.  The kernels unroll the composed operations of ``is_evolution``
 / ``cut_evolution``, which stay the reference semantics: same expressions,
 same evaluation order, pinned bit for bit by tests.  And there is one event
-engine per finite process: ``CutEngine`` runs the methods of
+engine per finite process: ``CutEngine`` restates the methods of
 ``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
 ``is_local_algorithm.SurvivalGraph`` (its class scans included), over flat
 arrays, pinned by tests to give the same outputs and counters.  Each
 process's run is one engine call: ``CutEngine.run`` runs the cut
 process's round schedule whole, with ``CutProcess._drive`` as its
 reference, and ``IsEngine.run`` the independent-set ladder, with
-``is_local_algorithm._drive`` as its reference.  The marks of a round are
-drawn in C from the caller's numpy Generator, through its bit generator's
-C interface (``bit_generator.ctypes``): one ``next_double`` per
-candidate, in ascending order, which is what ``ids[rng.random(m) < p]``
-draws.  The independent-set forced deletion draws its member as
-``rng.choice`` does, and the cut's bootstrap its pair as
-``rng.choice(alive, 2, replace=False)`` does, both by numpy's bounded
-Lemire draw on ``next_uint32``.  So both backends read one random stream
-and leave the generator in one state.  ctypes releases the GIL for each call, and an
+``is_local_algorithm._drive`` as its reference.  ``run`` is the cut
+engine's one entry; the independent-set engine also exposes its staged
+events, which tests play one at a time.  The marks of a round are drawn
+in C from the caller's numpy Generator, through its bit generator's C
+interface (``bit_generator.ctypes``): one ``next_double`` per candidate,
+in ascending order, which is what ``ids[rng.random(m) < p]`` draws.  The
+independent-set forced deletion draws its member as ``rng.choice`` does,
+and the cut's bootstrap its pair as ``rng.choice(alive, 2,
+replace=False)`` does, both by numpy's bounded Lemire draw on
+``next_uint32``.  So both backends read one random stream and leave the
+generator in one state.  ctypes releases the GIL for each call, and an
 engine touches only its own state and buffers, so engines of different
 runs may run at once on different threads.  The engines read the graph's
 int32 owner, pair and slot arrays in place (``_graph_arrays``: no copy, no
@@ -147,12 +149,7 @@ def _load(cc=_CC, cache=_CACHE):
     for name in ("cut_free", "is_free"):
         getattr(lib, name).argtypes = [ptr]
         getattr(lib, name).restype = None
-    for name, args in (("cut_commit", [ptr, i64, i64]),
-                       ("cut_closure", [ptr]),
-                       ("cut_round", [ptr, ptr, f64]),
-                       ("cut_run", [ptr, ptr, f64, i64, ptr]),
-                       ("cut_lones", [ptr, ptr, ptr]),
-                       ("cut_endgame", [ptr]),
+    for name, args in (("cut_run", [ptr, ptr, f64, i64, ptr]),
                        ("is_settle", [ptr]),
                        ("is_deletes", [ptr, ptr, i64]),
                        ("is_run", [ptr, ptr, i64, f64, f64, ptr]),
@@ -250,15 +247,14 @@ def _graph_arrays(graph) -> list:
 class CutEngine(_Engine):
     """The cut process's event engine in C, over one ``CutProcess``'s
     shared buffers (status, colours, label counters, path degrees, open
-    counts, aliases, revealed flags), which it updates in place.  Its
-    ``commit``, ``closure``, ``query_round``, ``lones`` and ``endgame``
-    are those of the process, and ``run`` is a whole run of the round
-    schedule ``CutProcess._drive`` in one call; the rounds and the
-    bootstrap pairs draw from the process's ``rng``.  It keeps the lone
-    vertices as an exact bit set, read in ascending order: a change of a
-    vertex's status, path degree or R/G labels marks it touched, and a
-    scan (``lones``, and the start of each round) re-tests the touched
-    vertices alone.  The counters good, bad and survival live in
+    counts, aliases, revealed flags), which it updates in place.  Its one
+    entry is ``run``, a whole run of the round schedule
+    ``CutProcess._drive`` in one call, with the process's methods as its
+    reference; the rounds and the bootstrap pairs draw from the process's
+    ``rng``.  It keeps the lone vertices as an exact bit set, read in
+    ascending order: a change of a vertex's status, path degree or R/G
+    labels marks it touched, and the start of each round re-tests the
+    touched vertices alone.  The counters good, bad and survival live in
     ``counts`` until ``close`` writes them back.  Needs
     ``BACKEND == "c"``."""
 
@@ -266,7 +262,6 @@ class CutEngine(_Engine):
 
     def __init__(self, proc):
         self._proc = proc
-        self._n = proc.n
         self.counts = array("q", (proc.good, proc.bad, proc.survival))
         self._views = [_writable(buf) for buf in (
             proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
@@ -275,22 +270,6 @@ class CutEngine(_Engine):
         self._start(_lib.cut_new(
             proc.n, *(a.ctypes.data for a in self._graph),
             *(ctypes.addressof(view) for view in self._views)))
-
-    @property
-    def survival(self) -> int:
-        return self.counts[2]
-
-    def commit(self, v: int, color: int) -> None:
-        if not 0 <= v < self._n:
-            raise IndexError(f"vertex {v} out of range")
-        self._run(_lib.cut_commit, v, color)
-
-    def closure(self) -> None:
-        self._run(_lib.cut_closure)
-
-    def query_round(self) -> None:
-        self._run_drawing(_lib.cut_round, self._proc.rng,
-                          self._proc.query_probability)
 
     def run(self, floor: int) -> int:
         """The whole run of ``CutProcess._drive`` in one call: bootstrap,
@@ -302,17 +281,6 @@ class CutEngine(_Engine):
                           self._proc.query_probability, floor,
                           ctypes.byref(rounds))
         return rounds.value
-
-    def lones(self) -> np.ndarray:
-        """The lone vertices, ascending, as ``CutProcess.lones`` finds
-        them: the engine's lone scan."""
-        out = np.empty(self._n, dtype=np.int64)
-        count = np.zeros(1, dtype=np.int64)
-        self._run(_lib.cut_lones, out.ctypes.data, count.ctypes.data)
-        return out[:count[0]]
-
-    def endgame(self) -> None:
-        self._run(_lib.cut_endgame)
 
     def _free(self) -> None:
         _lib.cut_free(self._state)

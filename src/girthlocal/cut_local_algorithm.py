@@ -77,11 +77,11 @@ class CutProcess:
     """One run's mutable state; drive a fresh process with run() or with
     the staged methods.
 
-    The methods below are the reference semantics.  run() hands the whole
-    run to ``_kernels.CutEngine`` (the same rules and round schedule in C,
-    over this object's counter buffers) when the C kernels are built, and
-    runs these methods otherwise; tests pin the two to the same colouring,
-    counters and random stream.
+    The methods below are the reference semantics.  A run takes one of two
+    paths: one ``_kernels.CutEngine.run`` call (the same rules and round
+    schedule in C, over this object's counter buffers) when the C kernels
+    are built, else ``_drive`` on these methods; tests pin the two to the
+    same colouring, counters and random stream.
     """
 
     def __init__(self, graph: Multigraph, seed=None,
@@ -552,7 +552,7 @@ class CutProcess:
 
     # -- the full run -------------------------------------------------------
 
-    def _bootstrap(self, engine) -> None:
+    def _bootstrap(self) -> None:
         # _drive calls this after each round that removes no survival
         # vertex, so every round lowers the survival count (no cap needed).
         # The first call sees all n (even) vertices, later ones more than
@@ -562,8 +562,8 @@ class CutProcess:
         if alive.shape[0] == 0:
             return
         picked = self.rng.choice(alive, size=2, replace=False)
-        engine.commit(int(picked[0]), RED)
-        engine.commit(int(picked[1]), GREEN)
+        self.commit(int(picked[0]), RED)
+        self.commit(int(picked[1]), GREEN)
 
     def lones(self) -> np.ndarray:
         """The lone vertices, ascending: survival, no path edge, no white
@@ -597,30 +597,28 @@ class CutProcess:
             with _kernels.CutEngine(self) as engine:
                 self.rounds += engine.run(ENDGAME_FLOOR)
         else:
-            self._drive(self)
+            self._drive()
         return self._result()
 
-    def _drive(self, engine) -> None:
+    def _drive(self) -> None:
         """The round schedule, the Python backend and the reference of
-        ``CutEngine.run``.  ``engine`` runs the events and the rounds: this
-        process, or (in tests) its C engine, one round per call.  Rounds
-        go on while more than ENDGAME_FLOOR vertices survive; a bootstrap
-        pair is committed before the first and after each round that
-        removed no survival vertex, so the survival count falls every
-        round.  A round draws its query marks from self.rng, one draw per
-        lone vertex in ascending order, and the bootstrap its pair, as
-        ``CutEngine.run`` draws them, so both backends read one random
-        stream."""
-        self._bootstrap(engine)
-        engine.closure()
-        while engine.survival > ENDGAME_FLOOR:
-            before = engine.survival
-            engine.query_round()
+        ``CutEngine.run``.  Rounds go on while more than ENDGAME_FLOOR
+        vertices survive; a bootstrap pair is committed before the first
+        and after each round that removed no survival vertex, so the
+        survival count falls every round.  A round draws its query marks
+        from self.rng, one draw per lone vertex in ascending order, and the
+        bootstrap its pair, as ``CutEngine.run`` draws them, so both
+        backends read one random stream."""
+        self._bootstrap()
+        self.closure()
+        while self.survival > ENDGAME_FLOOR:
+            before = self.survival
+            self.query_round()
             self.rounds += 1
-            if engine.survival == before:
-                self._bootstrap(engine)
-                engine.closure()
-        engine.endgame()
+            if self.survival == before:
+                self._bootstrap()
+                self.closure()
+        self.endgame()
 
     def endgame(self) -> None:
         # last stretch never uses white: survivors take their local majority

@@ -74,8 +74,10 @@ class EvolutionParams:
     """Knobs for one integration run.
 
     step_size is the mass deleted per round (the recurrences' epsilon); a
-    run halts once its tracked mass falls to step_size.  record_interval is
-    the number of rounds between trajectory samples.
+    run halts once its tracked mass falls to step_size.  It must lie below
+    0.5: the first round consumes 2ε of the start class (is3, is4), or
+    ε·D(0) = 2ε of rat3 (cut3), so at 0.5 it takes the whole start mass.
+    record_interval is the number of rounds between trajectory samples.
     """
 
     step_size: float
@@ -84,6 +86,10 @@ class EvolutionParams:
     def __post_init__(self):
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be positive and finite")
+        if self.step_size >= 0.5:
+            raise ValueError(f"step size {self.step_size:g} must be below "
+                             f"0.5: at 0.5 or more the first round consumes "
+                             f"the whole start mass")
         if self.record_interval < 1:
             raise ValueError("record_interval must be >= 1")
 

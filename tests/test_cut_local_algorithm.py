@@ -257,7 +257,7 @@ def drive_checking(graph, check, **options):
         closures.append(p.survival)
 
     p.closure = closure
-    p._drive(p)
+    p._drive()
     r = p._result()
     assert count_cut(graph, r.colors) == (r.good, r.bad)
     return len(closures)
@@ -375,32 +375,6 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
     backends_agree(monkeypatch, load_edge_list(MULTIGRAPHS[name]), range(10))
 
 
-def check_lones_before_each_round(monkeypatch):
-    """Compare the C engine's lone list with the numpy scan over the shared
-    buffers before each of its rounds (cut_round, the entry cut_run calls
-    for each round) that ``_drive`` runs on it; returns the list of lone
-    counts, one per round."""
-    scans = []
-    query_round = _kernels.CutEngine.query_round
-
-    def checked(engine):
-        lones = engine.lones()
-        assert lones.tolist() == engine._proc.lones().tolist()
-        scans.append(lones.shape[0])
-        query_round(engine)
-
-    monkeypatch.setattr(_kernels.CutEngine, "query_round", checked)
-    return scans
-
-
-def drive_in_c(p):
-    """The reference schedule ``_drive`` on p's C engine, one round per
-    engine call; returns the result."""
-    with _kernels.CutEngine(p) as engine:
-        p._drive(engine)
-    return p._result()
-
-
 def reductions_leaving_a_lone(graph, seed):
     """How many reduce_rrr calls of a run of the Python methods leave s1
     lone: a labelled path end that loses its only path edge.  No label
@@ -415,49 +389,45 @@ def reductions_leaving_a_lone(graph, seed):
         count += p.pd[s1] == 0 and p._label_of(s1) >= 0
 
     p.reduce_rrr = counted
-    p._drive(p)
+    p._drive()
     return count
 
 
 # a run at n = 302 with a reduction that leaves its s1 lone (rare: about
 # two per run at n = 20000, none in the seeds 0-1 runs below)
 LONE_BY_REDUCTION = (302, 269)
+# a run with a bootstrap pair whose second index repeats the first (Floyd's
+# collision branch; about one pair in m, with m >= 65 after the first)
+PAIR_BY_COLLISION = (130, 6)
 
 
 @compiled
-def test_c_lone_scan_matches_the_numpy_scan(monkeypatch):
-    # the engine's first scan tests every vertex; each later one re-tests
-    # only the vertices touched since (a change of status, path degree or
-    # R/G labels).  130 ends in a partial 64-bit word of the engine's bit
-    # sets.  At q = 0 every round is followed by a bootstrap, whose commits
-    # can take a lone vertex out of survival; at q = 1 every lone vertex
-    # is queried.  The one-call run must give what the rounds gave
+def test_c_run_matches_python_where_the_lone_set_changes(monkeypatch):
+    # the engine's first round tests every vertex for being lone; each
+    # later one re-tests only the vertices touched since (a change of
+    # status, path degree or R/G labels).  130 ends in a partial 64-bit
+    # word of the engine's bit sets.  At q = 0 every round is followed by
+    # a bootstrap, whose commits can take a lone vertex out of survival;
+    # at q = 1 every lone vertex is queried.  A touch missing from the lone
+    # set's upkeep makes the C run differ from the Python one
     n, seed = LONE_BY_REDUCTION
     assert reductions_leaving_a_lone(generate(n, 3, seed=seed), seed) > 0
-    scans = check_lones_before_each_round(monkeypatch)
-    for q in (0.0, 0.02, 1.0):
-        for n, seed in [(n, s) for n in (10, 130, 302, 2000)
-                        for s in range(2)] + [LONE_BY_REDUCTION]:
-            graph = generate(n, 3, seed=seed)
-            options = dict(seed=seed, query_probability=q)
-            r = drive_in_c(CutProcess(graph, **options))
-            assert count_cut(graph, r.colors) == (r.good, r.bad)
-            assert outputs_of(r) == outputs(graph, **options), (n, seed, q)
-    assert len(scans) > 100 and max(scans) > 100
+    inputs = [(n, s) for n in (10, 130, 302, 2000) for s in range(2)]
+    for n, seed in inputs + [LONE_BY_REDUCTION, PAIR_BY_COLLISION]:
+        backends_agree(monkeypatch, generate(n, 3, seed=seed), [seed])
 
 
 @compiled
-def test_c_lone_scan_on_an_engine_opened_mid_run(monkeypatch):
+def test_c_lone_scan_on_an_engine_opened_mid_run():
     # the Python methods label the neighbours of a few far-apart vertices
     # (no path edge or pending colour, which only the engine would hold);
     # an engine opened then finds those lones by its first, full scan, and
-    # the run it finishes, round by round or in one call, matches the
-    # Python methods finishing it
-    scans = check_lones_before_each_round(monkeypatch)
+    # the run it finishes in one call matches the Python methods
+    # finishing it
     graph = generate(2000, 3, seed=4)
     nbrs = graph.neighbor_lists()
     runs = []
-    for finish in ("rounds", "one call", "python"):
+    for finish in ("one call", "python"):
         p = CutProcess(graph, seed=4)
         near = set()
         for v in range(0, graph.n, 23):
@@ -467,20 +437,16 @@ def test_c_lone_scan_on_an_engine_opened_mid_run(monkeypatch):
                 near |= ball
         p.closure()
         assert p.lones().shape[0] > 50
-        if finish == "rounds":
-            r = drive_in_c(p)
-        elif finish == "one call":
+        if finish == "one call":
             with _kernels.CutEngine(p) as engine:
                 p.rounds += engine.run(ENDGAME_FLOOR)
-            r = p._result()
         else:
-            p._drive(p)
-            r = p._result()
+            p._drive()
+        r = p._result()
         assert count_cut(graph, r.colors) == (r.good, r.bad)
         runs.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
                      p.rng.bit_generator.state))
-    assert runs[0] == runs[1] == runs[2]
-    assert scans and scans[0] > 50
+    assert runs[0] == runs[1]
 
 
 @compiled
@@ -556,7 +522,7 @@ def replayed_bootstraps(graph, seed, q):
     bootstrap = p._bootstrap
     collisions = bootstraps = 0
 
-    def replayed(engine):
+    def replayed():
         nonlocal collisions, bootstraps
         alive = np.flatnonzero(np.frombuffer(p.status, np.uint8) == 0)
         m = alive.shape[0]
@@ -567,19 +533,14 @@ def replayed_bootstraps(graph, seed, q):
             second = m - 1
             collisions += 1
         pair = [first, second] if copy.integers(2) else [second, first]
-        bootstrap(engine)
+        bootstrap()
         bootstraps += 1
         assert [p.f[v] for v in alive[pair]] == [RED, GREEN]
         assert copy.bit_generator.state == p.rng.bit_generator.state
 
     p._bootstrap = replayed
-    p._drive(p)
+    p._drive()
     return collisions, bootstraps
-
-
-# a run with a bootstrap pair whose second index repeats the first (Floyd's
-# collision branch; about one pair in m, with m >= 65 after the first)
-PAIR_BY_COLLISION = (130, 6)
 
 
 def test_bootstrap_pairs_draw_as_floyds_method(monkeypatch):
@@ -607,21 +568,13 @@ def test_c_run_builds_no_per_vertex_lists():
 
 @compiled
 def test_c_engine_checks_its_calls():
+    # a broken invariant (here: a vertex marked committed that still holds
+    # its open slots) surfaces as the Python methods' assertion
     p = CutProcess(generate(10, 3, seed=0), seed=0)
+    p.status[0] = 1
+    p.survival -= 1
     with _kernels.CutEngine(p) as engine:
-        with pytest.raises(IndexError):
-            engine.commit(10, RED)
-        with pytest.raises(IndexError):
-            engine.commit(-1, RED)
-        engine.commit(0, RED)
-        assert p.status[0] == 1 and p.f[0] == RED and engine.survival == 9
-        assert engine.lones().tolist() == p.lones().tolist() != []
-        # a broken invariant (here: committing twice) surfaces as the
-        # Python methods' assertion
         with pytest.raises(AssertionError):
-            engine.commit(0, GREEN)
-    assert p.survival == 9
-    for call in (engine.closure, engine.query_round, engine.lones,
-                 lambda: engine.run(0)):
-        with pytest.raises(ValueError, match="closed"):
-            call()
+            engine.run(ENDGAME_FLOOR)
+    with pytest.raises(ValueError, match="closed"):
+        engine.run(ENDGAME_FLOOR)

@@ -24,6 +24,7 @@ from girthlocal.cut_evolution import CutRules
     dict(step_size=1e-5, record_interval=-3),
     dict(step_size=float("nan")),
     dict(step_size=float("inf")),
+    dict(step_size=0.5),
 ])
 def test_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -54,13 +55,16 @@ def test_trajectory_check_rejects_non_increasing_rounds():
         _check_trajectory(traj, ("acc",))
 
 
-def test_stop_threshold_at_one_runs_zero_rounds():
-    # a run halts once its tracked mass falls to the step size
+def test_start_mass_at_the_stop_threshold_runs_zero_rounds():
+    # a run halts once its tracked mass falls to the step size, which it
+    # tests before the first round too
     rules = Is3Rules()
-    params = EvolutionParams(step_size=1.0)
-    state, traj = integrate(rules.initial_state(params), rules, params)
+    params = EvolutionParams(step_size=1e-3)
+    initial = rules.initial_state(params)
+    initial.v[3] = params.step_size
+    state, traj = integrate(initial, rules, params)
     assert state.independent == 0.0
-    assert traj.rows == [(0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)]
+    assert traj.rows == [(0, 0.0, 0.0, 0.0, 1e-3, 0.0, 0.0, 0.0, 0.0)]
 
 
 def test_integrate_does_not_mutate_input():
