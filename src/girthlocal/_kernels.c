@@ -345,11 +345,11 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
 
 /* ---- Shared by the event engines --------------------------------------
  *
- * Each engine's entry points return its err field: ENGINE_NOMEM after an
- * allocation failure, ENGINE_BROKEN when a bookkeeping invariant failed (an
- * assertion in the Python methods), ENGINE_DEAD when an event names a
- * vertex that is gone (a ValueError in Python).  The state is then
- * unusable.
+ * Each engine's run (cut_run, is_run) returns its err field: ENGINE_NOMEM
+ * after an allocation failure, ENGINE_BROKEN when a bookkeeping invariant
+ * failed (an assertion in the Python methods), ENGINE_DEAD when an event
+ * names a vertex that is gone (a ValueError in Python).  The run stops at
+ * the first error.
  *
  * An engine reads and writes only its own state and the buffers it was
  * given: this file has no mutable file-scope state.  So engines over
@@ -1473,13 +1473,14 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  * (thin and probe_round) and unfold_merges' backward read of merges.
  * Every rule and its order of effects is the same as in the Python
  * methods, which stay the reference semantics; tests pin the two to equal
- * sets, round counts and contraction counts.  A whole run is one call,
- * is_run: the round ladder of is_local_algorithm._drive (which stays its
- * reference), with the persistence fraction passed in from Python, then
- * the unfolding of the merges.  The rounds (is_thin, is_probe_round) draw
- * their marks from the caller's numpy bit generator, one next_double per
- * class member in ascending order as the Python round does, and the
- * forced deletion draws its member as Generator.choice does
+ * sets, round counts and contraction counts.  The engine exports is_new,
+ * is_run and is_free, and a whole run is one call, is_run: the round
+ * ladder of is_local_algorithm._drive (which stays its reference), with
+ * the persistence fraction passed in from Python, then the unfolding of
+ * the merges; no event is exported on its own.  The rounds (is_thin,
+ * is_probe_round) draw their marks from the caller's numpy bit generator,
+ * one next_double per class member in ascending order as the Python round
+ * does, and the forced deletion draws its member as Generator.choice does
  * (choice_index), so both backends read one random stream.  The class
  * members are the ascending ids SurvivalGraph.scan finds, read off the
  * class bit sets below in ascending order, at a cost of n / 64 words per
@@ -1505,8 +1506,8 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  *     through reclass, which keeps counts[k] equal to the size of class k;
  *   - the merge log, (x, y, z) for each true merge;
  *   - the settle FIFO;
- *   - a round's vertices above its class and its marked members, and a
- *     scan's non-empty class sets.
+ *   - a round's vertices above its class and its marked members, and the
+ *     non-empty class sets a scan reads.
  */
 #define UNDECIDED 0
 #define IN 1
@@ -1692,7 +1693,7 @@ static int64_t contract(is_state *s, int64_t y)
         is_delete(s, z);
         return -1;
     }
-    /* true merge: x absorbs z and y, which is_unfold_merges decides */
+    /* true merge: x absorbs z and y, which unfold_merges decides */
     adj_remove(s, x, y);
     adj_remove(s, z, y);
     for (int64_t i = 0; i < s->len[z] && !s->err; i++) {
@@ -1832,6 +1833,8 @@ is_state *is_new(int64_t n, const int32_t *owner, const int32_t *pair,
     return s;
 }
 
+/* -- the round ladder: is_run and its helpers -------------------------- */
+
 /* the live vertices of degree lo..hi (0 <= lo, hi < ncounts), ascending,
  * into out, a vector of the engine's: each word of the union of the
  * non-empty classes, lowest bit first.  Finding another number of ids than
@@ -1867,36 +1870,18 @@ static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
     out->len = m;
 }
 
-/* the live vertices of degree lo..hi (0 <= lo <= hi < ncounts), ascending,
- * as members finds them, into out (int64_t, as numpy's own scans give
- * them), which has room for counts[lo] + ... + counts[hi] ids */
-int64_t is_scan(is_state *s, int64_t lo, int64_t hi, int64_t *out)
-{
-    members(s, lo, hi, &s->above);
-    for (int64_t i = 0; i < s->above.len; i++)
-        out[i] = s->above.data[i];
-    return s->err;
-}
-
-int64_t is_settle(is_state *s)
-{
-    settle(s);
-    return s->err;
-}
-
-/* delete each vertex, in order */
-int64_t is_deletes(is_state *s, const int32_t *ids, int64_t count)
+/* delete each vertex, in order (SurvivalGraph.deletes) */
+static void deletes(is_state *s, const int32_t *ids, int64_t count)
 {
     for (int64_t i = 0; i < count && !s->err; i++)
         is_delete(s, ids[i]);
-    return s->err;
 }
 
 /* SurvivalGraph.delete_above: every live vertex above class k goes */
 static void delete_above(is_state *s, int64_t k)
 {
     members(s, k + 1, s->ncounts - 1, &s->above);
-    is_deletes(s, s->above.data, s->above.len);
+    deletes(s, s->above.data, s->above.len);
 }
 
 /* one thinning round (SurvivalGraph.thin): every live vertex above class
@@ -1910,7 +1895,7 @@ static void is_thin(is_state *s, bitgen_t *bg, int64_t top, double p)
     vec *marked = &s->marked;
     marked->len = mark(bg, marked->data, marked->len, p, marked->data);
     delete_above(s, top);
-    is_deletes(s, marked->data, marked->len);
+    deletes(s, marked->data, marked->len);
 }
 
 /* the 4-regular probe of v, which goes itself when its neighbours all
@@ -2013,7 +1998,7 @@ static void force_progress(is_state *s, bitgen_t *bg)
 
 /* once no vertex is left in the graph: reading the merge log backwards,
  * each merge's z takes x's decision and y the opposite one */
-int64_t is_unfold_merges(is_state *s)
+static void unfold_merges(is_state *s)
 {
     if (SURVIVAL_COUNT(s))
         s->err = ENGINE_BROKEN;  /* a vertex is still in the graph */
@@ -2025,7 +2010,6 @@ int64_t is_unfold_merges(is_state *s)
     for (int64_t v = 0; v < s->n && !s->err; v++)
         if (s->status[v] == UNDECIDED)
             s->err = ENGINE_BROKEN;  /* left undecided */
-    return s->err;
 }
 
 /* a whole run (is_local_algorithm._drive): rounds until no vertex is left,
@@ -2057,6 +2041,6 @@ int64_t is_run(is_state *s, bitgen_t *bg, int64_t d, double p,
         *rounds += 1;
     }
     if (!s->err)
-        is_unfold_merges(s);
+        unfold_merges(s);
     return s->err;
 }

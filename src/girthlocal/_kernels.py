@@ -8,29 +8,29 @@ recurrence by at most ``max_rounds`` rounds and reports why it stopped via a
 status code.  The kernels unroll the composed operations of ``is_evolution``
 / ``cut_evolution``, which stay the reference semantics: same expressions,
 same evaluation order, pinned bit for bit by tests.  And there is one event
-engine per finite process: ``CutEngine`` restates the methods of
-``cut_local_algorithm.CutProcess`` and ``IsEngine`` those of
-``is_local_algorithm.SurvivalGraph`` (its class scans included), over flat
-arrays, pinned by tests to give the same outputs and counters.  Each
-process's run is one engine call: ``CutEngine.run`` runs the cut
-process's round schedule whole, with ``CutProcess._drive`` as its
-reference, and ``IsEngine.run`` the independent-set ladder, with
-``is_local_algorithm._drive`` as its reference.  ``run`` is the cut
-engine's one entry; the independent-set engine also exposes its staged
-events, which tests play one at a time.  The marks of a round are drawn
-in C from the caller's numpy Generator, through its bit generator's C
-interface (``bit_generator.ctypes``): one ``next_double`` per candidate,
-in ascending order, which is what ``ids[rng.random(m) < p]`` draws.  The
+engine per finite process, run whole by one call: ``cut_run`` restates the
+methods of ``cut_local_algorithm.CutProcess`` and their round schedule
+``CutProcess._drive``, and ``is_run`` those of
+``is_local_algorithm.SurvivalGraph`` (its class scans included) and the
+round ladder ``is_local_algorithm._drive``, over flat arrays, pinned by
+tests to give the same outputs, counters and random stream as their
+references.  Each function builds its engine's C state over the process's
+buffers, makes the one call and frees the state; no event is exported on
+its own.  The marks of a round are drawn in C from the caller's numpy
+Generator, through its bit generator's C interface
+(``bit_generator.ctypes``): one ``next_double`` per candidate, in
+ascending order, which is what ``ids[rng.random(m) < p]`` draws.  The
 independent-set forced deletion draws its member as ``rng.choice`` does,
 and the cut's bootstrap its pair as ``rng.choice(alive, 2,
 replace=False)`` does, both by numpy's bounded Lemire draw on
 ``next_uint32``.  So both backends read one random stream and leave the
 generator in one state.  ctypes releases the GIL for each call, and an
-engine touches only its own state and buffers, so engines of different
-runs may run at once on different threads.  The engines read the graph's
-int32 owner, pair and slot arrays in place (``_graph_arrays``: no copy, no
-widening) and keep their own vertex and half-edge ids as int32 too; the
-buffers they share with the Python processes stay as those allocate them.
+engine touches only its own state and buffers, so runs of different
+processes may run at once on different threads.  The engines read the
+graph's int32 owner, pair and slot arrays in place (``_graph_arrays``: no
+copy, no widening) and keep their own vertex and half-edge ids as int32
+too; the buffers they share with the Python processes stay as those
+allocate them.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -149,14 +149,10 @@ def _load(cc=_CC, cache=_CACHE):
     for name in ("cut_free", "is_free"):
         getattr(lib, name).argtypes = [ptr]
         getattr(lib, name).restype = None
-    for name, args in (("cut_run", [ptr, ptr, f64, i64, ptr]),
-                       ("is_settle", [ptr]),
-                       ("is_deletes", [ptr, ptr, i64]),
-                       ("is_run", [ptr, ptr, i64, f64, f64, ptr]),
-                       ("is_scan", [ptr, i64, i64, ptr]),
-                       ("is_unfold_merges", [ptr])):
-        getattr(lib, name).argtypes = args
-        getattr(lib, name).restype = i64
+    lib.cut_run.argtypes = [ptr, ptr, f64, i64, ptr]
+    lib.cut_run.restype = i64
+    lib.is_run.argtypes = [ptr, ptr, i64, f64, f64, ptr]
+    lib.is_run.restype = i64
     return lib
 
 
@@ -192,50 +188,6 @@ def _writable(buf):
     return (ctypes.c_char * memoryview(buf).nbytes).from_buffer(buf)
 
 
-class _Engine:
-    """An event engine's C state over shared buffers; ``close`` (or
-    leaving the ``with`` block) frees it and writes the counters back."""
-
-    _name = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def _start(self, state) -> None:
-        if not state:
-            raise MemoryError(f"{self._name}: out of memory")
-        self._state = state
-
-    def _run(self, entry, *args):
-        if not self._state:
-            raise ValueError(f"{self._name}: already closed")
-        err = entry(self._state, *args)
-        if err == ENGINE_NOMEM:
-            raise MemoryError(f"{self._name}: out of memory")
-        if err == ENGINE_DEAD:
-            raise ValueError(f"{self._name}: a vertex that is gone")
-        if err:
-            raise AssertionError(f"{self._name}: bookkeeping out of sync")
-
-    def _run_drawing(self, entry, rng, *args):
-        """_run, with ``rng``'s bit generator passed to C for the draws
-        and locked meanwhile, as numpy's own methods lock it."""
-        bitgen = rng.bit_generator
-        with bitgen.lock:
-            self._run(entry, bitgen.ctypes.bit_generator, *args)
-
-    def close(self) -> None:
-        if self._state:
-            self._free()
-            self._state = None
-            self._views.clear()
-            self._graph.clear()
-            self._write_back()
-
-
 def _graph_arrays(graph) -> list:
     """The graph's owner, pair and slot arrays as the engines read them:
     ``Multigraph`` stores them as contiguous int32, so these are the
@@ -244,124 +196,76 @@ def _graph_arrays(graph) -> list:
             (graph.owner, graph.pair, graph.slot_array())]
 
 
-class CutEngine(_Engine):
-    """The cut process's event engine in C, over one ``CutProcess``'s
-    shared buffers (status, colours, label counters, path degrees, open
-    counts, aliases, revealed flags), which it updates in place.  Its one
-    entry is ``run``, a whole run of the round schedule
-    ``CutProcess._drive`` in one call, with the process's methods as its
-    reference; the rounds and the bootstrap pairs draw from the process's
-    ``rng``.  It keeps the lone vertices as an exact bit set, read in
-    ascending order: a change of a vertex's status, path degree or R/G
-    labels marks it touched, and the start of each round re-tests the
-    touched vertices alone.  The counters good, bad and survival live in
-    ``counts`` until ``close`` writes them back.  Needs
+def _run(name: str, entry, state, rng, *args) -> None:
+    """One engine's run: ``entry`` over its C ``state`` (NULL when it could
+    not be allocated), with ``rng``'s bit generator passed to C for the
+    draws and locked meanwhile, as numpy's own methods lock it; the
+    engine's error codes raise as the Python methods would."""
+    if not state:
+        raise MemoryError(f"{name}: out of memory")
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        err = entry(state, bitgen.ctypes.bit_generator, *args)
+    if err == ENGINE_NOMEM:
+        raise MemoryError(f"{name}: out of memory")
+    if err == ENGINE_DEAD:
+        raise ValueError(f"{name}: a vertex that is gone")
+    if err:
+        raise AssertionError(f"{name}: bookkeeping out of sync")
+
+
+def cut_run(proc, floor: int) -> int:
+    """The whole run of ``CutProcess._drive`` in one C call, over the
+    process's shared buffers (status, colours, label counters, path
+    degrees, open counts, aliases, revealed flags), which it updates in
+    place: bootstrap, closure, rounds while more than ``floor`` vertices
+    survive (a bootstrap and closure after each that removes none),
+    endgame; returns the rounds run.  The rounds and the bootstrap pairs
+    draw from the process's ``rng``.  The counters good, bad and survival
+    are written back to the process, also when the run fails.  Needs
     ``BACKEND == "c"``."""
-
-    _name = "cut engine"
-
-    def __init__(self, proc):
-        self._proc = proc
-        self.counts = array("q", (proc.good, proc.bad, proc.survival))
-        self._views = [_writable(buf) for buf in (
-            proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
-            proc.pd, proc.op, proc.alias, proc.revealed, self.counts)]
-        self._graph = _graph_arrays(proc.graph)
-        self._start(_lib.cut_new(
-            proc.n, *(a.ctypes.data for a in self._graph),
-            *(ctypes.addressof(view) for view in self._views)))
-
-    def run(self, floor: int) -> int:
-        """The whole run of ``CutProcess._drive`` in one call: bootstrap,
-        closure, rounds while more than ``floor`` vertices survive (a
-        bootstrap and closure after each that removes none), endgame;
-        returns the rounds run."""
-        rounds = ctypes.c_int64()
-        self._run_drawing(_lib.cut_run, self._proc.rng,
-                          self._proc.query_probability, floor,
-                          ctypes.byref(rounds))
-        return rounds.value
-
-    def _free(self) -> None:
-        _lib.cut_free(self._state)
-
-    def _write_back(self) -> None:
-        proc = self._proc
-        proc.good, proc.bad, proc.survival = self.counts
+    counts = array("q", (proc.good, proc.bad, proc.survival))
+    views = [_writable(buf) for buf in (
+        proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
+        proc.pd, proc.op, proc.alias, proc.revealed, counts)]
+    graph = _graph_arrays(proc.graph)
+    state = _lib.cut_new(proc.n, *(a.ctypes.data for a in graph),
+                         *(ctypes.addressof(view) for view in views))
+    rounds = ctypes.c_int64()
+    try:
+        _run("cut engine", _lib.cut_run, state, proc.rng,
+             proc.query_probability, floor, ctypes.byref(rounds))
+    finally:
+        _lib.cut_free(state)
+        proc.good, proc.bad, proc.survival = counts
+    return rounds.value
 
 
-class IsEngine(_Engine):
-    """The independent-set process's event engine in C, over a fresh
-    ``SurvivalGraph``'s degrees, live flags, degree histogram and decision
-    bytes, which it updates in place.  Its ``settle``, ``deletes``,
-    ``unfold_merges`` and ``scan`` are those of the survival graph, and
-    ``run`` is a whole run of the round ladder ``_drive`` in one call,
-    drawing from the ``rng`` passed in; a merged vertex above
-    ``cap_degree`` is deleted, as ``DEGREE_CAP`` in settle.  The merge log
-    and the bit set of each degree class that ``scan`` reads are the
-    engine's own.  The survival and contraction counts live in ``counts``
-    until ``close`` writes them back.  Needs ``BACKEND == "c"``."""
-
-    _name = "independent-set engine"
-
-    def __init__(self, g, cap_degree: int):
-        self._g = g
-        self._n = g.n
-        self.counts = array("q", (g.survival_count, g.contractions))
-        self._views = [_writable(buf) for buf in (
-            g.deg, g.alive, g.counts, g.status, self.counts)]
-        self._graph = _graph_arrays(g.graph)
-        self._start(_lib.is_new(
-            g.n, *(a.ctypes.data for a in self._graph),
-            *(ctypes.addressof(view) for view in self._views),
-            len(g.counts), cap_degree))
-
-    @property
-    def survival_count(self) -> int:
-        return self.counts[0]
-
-    def settle(self) -> None:
-        self._run(_lib.is_settle)
-
-    def deletes(self, ids) -> None:
-        """Delete each vertex (int array), in order."""
-        ids = np.asarray(ids)
-        if ids.size and not (0 <= ids.min() and ids.max() < self._n):
-            raise IndexError("vertex out of range")
-        # checked before the narrowing, so an id out of range never wraps
-        ids = np.ascontiguousarray(ids, dtype=np.int32)
-        self._run(_lib.is_deletes, ids.ctypes.data, ids.shape[0])
-
-    def run(self, rng, d: int, thin_probability: float,
-            persistence_fraction: float) -> int:
-        """The whole run of ``is_local_algorithm._drive`` in one call: the
-        rounds until no vertex is left, then ``unfold_merges``; returns the
-        rounds run.  The rounds draw their marks, and the forced deletions
-        their vertex, from ``rng``, as the Python ladder does."""
-        if not 0 <= d < len(self._g.counts):
-            raise IndexError(f"degree class {d} out of range")
-        rounds = ctypes.c_int64()
-        self._run_drawing(_lib.is_run, rng, d, thin_probability,
-                          persistence_fraction, ctypes.byref(rounds))
-        return rounds.value
-
-    def unfold_merges(self) -> None:
-        self._run(_lib.is_unfold_merges)
-
-    def scan(self, lo: int, hi: int) -> np.ndarray:
-        """The live ids, ascending, of degree lo..hi, as
-        ``SurvivalGraph.scan`` finds them; read off the engine's class bit
-        sets in ascending order, at a cost of n/64 words per non-empty
-        class in the range."""
-        if not 0 <= lo <= hi < len(self._g.counts):
-            raise IndexError(f"degree classes {lo}..{hi} out of range")
-        out = np.empty(sum(self._g.counts[lo:hi + 1]), dtype=np.int64)
-        self._run(_lib.is_scan, lo, hi, out.ctypes.data)
-        return out
-
-    def _free(self) -> None:
-        _lib.is_free(self._state)
-
-    def _write_back(self) -> None:
-        g = self._g
-        g.survival_count, g.contractions = self.counts
+def is_run(g, rng, d: int, thin_probability: float,
+           persistence_fraction: float, cap_degree: int) -> int:
+    """The whole run of ``is_local_algorithm._drive`` in one C call, over a
+    fresh ``SurvivalGraph``'s degrees, live flags, degree histogram and
+    decision bytes, which it updates in place: the rounds until no vertex
+    is left, then the merges unfolded; returns the rounds run.  The rounds
+    draw their marks, and the forced deletions their vertex, from ``rng``,
+    as the Python ladder does; a merged vertex above ``cap_degree`` is
+    deleted, as ``DEGREE_CAP`` in settle.  The survival and contraction
+    counts are written back to g, also when the run fails.  Needs
+    ``BACKEND == "c"``."""
+    if not 0 <= d < len(g.counts):
+        raise IndexError(f"degree class {d} out of range")
+    counts = array("q", (g.survival_count, g.contractions))
+    views = [_writable(buf) for buf in (
+        g.deg, g.alive, g.counts, g.status, counts)]
+    graph = _graph_arrays(g.graph)
+    state = _lib.is_new(g.n, *(a.ctypes.data for a in graph),
+                        *(ctypes.addressof(view) for view in views),
+                        len(g.counts), cap_degree)
+    rounds = ctypes.c_int64()
+    try:
+        _run("independent-set engine", _lib.is_run, state, rng, d,
+             thin_probability, persistence_fraction, ctypes.byref(rounds))
+    finally:
+        _lib.is_free(state)
+        g.survival_count, g.contractions = counts
+    return rounds.value

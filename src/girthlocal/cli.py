@@ -71,8 +71,9 @@ TARGETS = {
 
 
 def _resolve_out(path_str: str) -> Path:
-    """The output path, checked before any work so that a missing directory
-    does not fail only after a long run."""
+    """The output path, checked before any work so that a missing directory,
+    or a path that names a directory, does not fail only after a long
+    run."""
     p = Path(path_str)
     base = os.environ.get("GIRTHLOCAL_OUT")
     if base and not p.is_absolute():
@@ -80,6 +81,8 @@ def _resolve_out(path_str: str) -> Path:
     if not p.parent.is_dir():
         raise ValueError(f"output directory {p.parent} does not exist or is "
                          "not a directory")
+    if p.is_dir():
+        raise ValueError(f"output path {p} is a directory")
     return p
 
 

@@ -74,14 +74,14 @@ class CutResult:
 
 
 class CutProcess:
-    """One run's mutable state; drive a fresh process with run() or with
-    the staged methods.
+    """One run's mutable state; a fresh process runs whole with run().
 
     The methods below are the reference semantics.  A run takes one of two
-    paths: one ``_kernels.CutEngine.run`` call (the same rules and round
-    schedule in C, over this object's counter buffers) when the C kernels
-    are built, else ``_drive`` on these methods; tests pin the two to the
-    same colouring, counters and random stream.
+    paths: one ``_kernels.cut_run`` call (the same rules and round schedule
+    in C, over this object's counter buffers, with no event exported on
+    its own) when the C kernels are built, else ``_drive`` on these
+    methods; tests pin the two to the same colouring, counters and random
+    stream.
     """
 
     def __init__(self, graph: Multigraph, seed=None,
@@ -591,23 +591,22 @@ class CutProcess:
         self.closure()
 
     def run(self) -> CutResult:
-        """The whole run: in C, one ``CutEngine.run`` call, which restates
-        ``_drive``; else ``_drive`` on these methods."""
+        """The whole run: in C, one ``_kernels.cut_run`` call, which
+        restates ``_drive``; else ``_drive`` on these methods."""
         if _kernels.BACKEND == "c":
-            with _kernels.CutEngine(self) as engine:
-                self.rounds += engine.run(ENDGAME_FLOOR)
+            self.rounds += _kernels.cut_run(self, ENDGAME_FLOOR)
         else:
             self._drive()
         return self._result()
 
     def _drive(self) -> None:
         """The round schedule, the Python backend and the reference of
-        ``CutEngine.run``.  Rounds go on while more than ENDGAME_FLOOR
+        ``_kernels.cut_run``.  Rounds go on while more than ENDGAME_FLOOR
         vertices survive; a bootstrap pair is committed before the first
         and after each round that removed no survival vertex, so the
         survival count falls every round.  A round draws its query marks
         from self.rng, one draw per lone vertex in ascending order, and the
-        bootstrap its pair, as ``CutEngine.run`` draws them, so both
+        bootstrap its pair, as ``_kernels.cut_run`` draws them, so both
         backends read one random stream."""
         self._bootstrap()
         self.closure()

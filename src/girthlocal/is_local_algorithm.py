@@ -94,12 +94,13 @@ class SurvivalGraph:
     liveness; ``delete`` still refuses a dead vertex.
 
     The methods below are the reference semantics.  run() hands the whole
-    run, its round ladder included, to ``_kernels.IsEngine`` (the same
-    rules in C, over deg, alive, counts and status, with neighbour lists of
-    int32 ids and one bit set per degree class of its own, the sets read in
-    ascending order for the scans) when the C kernels are built, and runs
-    these methods under ``_drive`` otherwise; tests pin the two to the same
-    set, rounds, contractions and random stream.
+    run, its round ladder included, to one ``_kernels.is_run`` call (the
+    same rules in C, over deg, alive, counts and status, with neighbour
+    lists of int32 ids and one bit set per degree class of its own, the
+    sets read in ascending order for the scans) when the C kernels are
+    built, and runs these methods under ``_drive`` otherwise; tests pin the
+    two to the same set, rounds, contractions and random stream.  C runs
+    only whole runs, never a single event.
     """
 
     def __init__(self, g: Multigraph):
@@ -352,9 +353,8 @@ def run(graph: Multigraph, d: int, seed=None,
     rng = np.random.default_rng(seed)
     g = SurvivalGraph(graph)
     if _kernels.BACKEND == "c":
-        with _kernels.IsEngine(g, DEGREE_CAP) as engine:
-            rounds = engine.run(rng, d, thin_probability,
-                                PERSISTENCE_FRACTION)
+        rounds = _kernels.is_run(g, rng, d, thin_probability,
+                                 PERSISTENCE_FRACTION, DEGREE_CAP)
     else:
         rounds = _drive(g, rng, d, thin_probability)
     vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8) == IN)
@@ -364,8 +364,8 @@ def run(graph: Multigraph, d: int, seed=None,
 
 def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
     """The round ladder on g's Python methods; returns the rounds run.  It
-    is the reference of the C engine's ``IsEngine.run``, which restates it
-    whole in one call.  Each round's kind and class come from the degree
+    is the reference of ``_kernels.is_run``, which restates it whole in one
+    C call.  Each round's kind and class come from the degree
     histogram; a round draws its marks from rng over the ascending members
     of its class, then settles.  The rounds go on until no vertex is left
     and need no cap: after one that removes no vertex, one member of the

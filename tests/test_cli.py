@@ -362,6 +362,16 @@ def test_output_directory_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "sub.json").exists()
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """Every run fails: a command must check its output paths first."""
+    def fail(*args):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("integrate", "refine", "_run_simulation"):
+        monkeypatch.setattr(cli, name, fail)
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "cut3", "--epsilon", "1e-6", "--json"],
     ["evolve", "cut3", "--epsilon", "1e-6", "--trajectory"],
@@ -370,17 +380,25 @@ def test_output_directory_env_var(capsys, tmp_path, monkeypatch):
 ], ids=["evolve_json", "evolve_trajectory", "simulate_witness",
         "refine_json"])
 def test_missing_output_directory_fails_before_the_run(
-        capsys, tmp_path, monkeypatch, argv):
-    def no_run(*args):
-        raise AssertionError("ran before the output path was checked")
-
-    for name in ("integrate", "refine", "_run_simulation"):
-        monkeypatch.setattr(cli, name, no_run)
+        capsys, tmp_path, no_run, argv):
     missing = tmp_path / "nodir"
     code, out, err = run_cli(capsys, *argv, str(missing / "out.txt"))
     assert code == 2
     assert out == ""
     assert str(missing) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "is4", "--epsilon", "1e-6", "--json"],
+    ["evolve", "is4", "--epsilon", "1e-6", "--trajectory"],
+    ["simulate", "cut", "--n", "100000", "--witness"],
+], ids=["json", "trajectory", "witness"])
+def test_an_output_path_that_is_a_directory_fails_before_the_run(
+        capsys, tmp_path, no_run, argv):
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: output path {tmp_path} is a directory\n"
 
 
 @pytest.mark.parametrize("message", [

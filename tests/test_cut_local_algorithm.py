@@ -438,8 +438,7 @@ def test_c_lone_scan_on_an_engine_opened_mid_run():
         p.closure()
         assert p.lones().shape[0] > 50
         if finish == "one call":
-            with _kernels.CutEngine(p) as engine:
-                p.rounds += engine.run(ENDGAME_FLOOR)
+            p.rounds += _kernels.cut_run(p, ENDGAME_FLOOR)
         else:
             p._drive()
         r = p._result()
@@ -495,13 +494,13 @@ def test_a_c_cut_run_is_one_engine_call(monkeypatch):
     # run do not grow with its rounds or its bootstraps (at q = 0 every
     # round stalls and is followed by one)
     calls = []
-    engine_run = _kernels._Engine._run
+    shared = _kernels._run
 
-    def counted(engine, entry, *args):
+    def counted(name, entry, *args):
         calls.append(entry)
-        return engine_run(engine, entry, *args)
+        return shared(name, entry, *args)
 
-    monkeypatch.setattr(_kernels._Engine, "_run", counted)
+    monkeypatch.setattr(_kernels, "_run", counted)
     rounds = []
     for n, q in ((300, 0.02), (2000, 0.0), (2000, 0.02), (20000, 0.005)):
         calls.clear()
@@ -573,8 +572,5 @@ def test_c_engine_checks_its_calls():
     p = CutProcess(generate(10, 3, seed=0), seed=0)
     p.status[0] = 1
     p.survival -= 1
-    with _kernels.CutEngine(p) as engine:
-        with pytest.raises(AssertionError):
-            engine.run(ENDGAME_FLOOR)
-    with pytest.raises(ValueError, match="closed"):
-        engine.run(ENDGAME_FLOOR)
+    with pytest.raises(AssertionError):
+        _kernels.cut_run(p, ENDGAME_FLOOR)

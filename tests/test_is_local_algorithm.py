@@ -1,6 +1,5 @@
 """Contraction bookkeeping, cascade behavior, and full independent-set runs."""
 import collections
-import contextlib
 import copy
 
 import numpy as np
@@ -18,6 +17,7 @@ from girthlocal.is_local_algorithm import (
     DEGREE_CAP,
     IN,
     OUT,
+    PERSISTENCE_FRACTION,
     THIN_PROBABILITY,
     UNDECIDED,
     IsRunResult,
@@ -390,90 +390,11 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
     backends_agree(monkeypatch, load_edge_list(text), d, range(10))
 
 
-def engine_state(g, engine):
-    if engine is g:
-        counters = (g.survival_count, g.contractions)
-    else:
-        counters = tuple(engine.counts)
-    return (bytes(g.alive), g.deg.tobytes(), g.counts.tobytes(),
-            bytes(g.status), counters)
-
-
-def engine_for(g, in_c):
-    """The C engine over g, or g itself, as a context manager."""
-    if in_c:
-        return _kernels.IsEngine(g, DEGREE_CAP)
-    return contextlib.nullcontext(g)
-
-
-def play(graph, opening, seed, in_c):
-    """Delete the opening's vertices, then random live ones, one at a time
-    and settling after each, on one backend; returns the state after every
-    step."""
-    g = SurvivalGraph(graph)
-    with engine_for(g, in_c) as engine:
-        return play_on(g, engine, opening, seed)
-
-
-def check_scans(g, engine):
-    """The engine's class scans, of each degree k alone and of the classes
-    above each k, equal the numpy scans over the shared deg and alive
-    buffers; a scan of class k has counts[k] ids (a C class set whose size
-    is not counts[k] fails the scan)."""
-    last = len(g.counts) - 1
-    ranges = [(k, k) for k in range(last + 1)] \
-        + [(k + 1, last) for k in range(last)]
-    for lo, hi in ranges:
-        found = engine.scan(lo, hi)
-        assert found.dtype == np.int64
-        assert found.tolist() == g.scan(lo, hi).tolist(), (lo, hi)
-    assert [engine.scan(k, k).shape[0]
-            for k in range(last + 1)] == g.counts.tolist()
-
-
-def play_on(g, engine, opening, seed):
-    rng = np.random.default_rng(seed)
-
-    def step():
-        engine.settle()
-        check_scans(g, engine)
-        states.append(engine_state(g, engine))
-
-    states = []
-    check_scans(g, engine)
-    step()
-    for v in opening:
-        engine.deletes(np.array([v]))
-        step()
-    while any(g.alive):
-        live = np.flatnonzero(np.frombuffer(g.alive, np.bool_))
-        engine.deletes(np.array([rng.choice(live)]))
-        check_scans(g, engine)
-        step()
-    engine.unfold_merges()
-    states.append(engine_state(g, engine))
-    return states
-
-
-PLAYED = [(load_edge_list(text), ()) for _, text in REGULAR.values()] \
-    + [(load_edge_list(OVER_CAP), (1,))]
-
-
-@compiled
-def test_c_engine_matches_python_methods_step_by_step():
-    rng = np.random.default_rng(11)
-    games = PLAYED + [(random_multigraph(rng, n, int(rng.integers(n, 3 * n))),
-                       ()) for n in rng.integers(4, 20, size=40).tolist()]
-    for graph, opening in games:
-        for seed in range(10):
-            assert play(graph, opening, seed, True) \
-                == play(graph, opening, seed, False)
-
-
-def staircase(rng) -> Multigraph:
-    """One vertex of each degree 3 .. 73 (an even degree sum), its
-    half-edges paired at random (loops and parallel edges included)."""
-    degrees = np.arange(3, 74)
+def staircase(rng, threes: int = 0) -> Multigraph:
+    """One vertex of each degree 3 .. 73, then `threes` more of degree 3
+    (an even degree sum for an even `threes`), its half-edges paired at
+    random (loops and parallel edges included)."""
+    degrees = np.concatenate([np.arange(3, 74), np.full(threes, 3)])
     owner = rng.permutation(np.repeat(np.arange(degrees.size), degrees))
     pair = np.arange(owner.size, dtype=np.int64)
     pair[0::2] += 1
@@ -481,19 +402,84 @@ def staircase(rng) -> Multigraph:
     return Multigraph(n=degrees.size, owner=owner.astype(np.int64), pair=pair)
 
 
+# the staircase padded with 1,300 vertices of degree 3 (n = 1,371): see
+# test_c_engine_scans_many_degree_classes
+PADDED_THREES = 1300
+
+
+def staircases() -> list:
+    """The staircase, and the staircase padded with PADDED_THREES."""
+    return [staircase(np.random.default_rng(5), threes)
+            for threes in (0, PADDED_THREES)]
+
+
+def played_inputs() -> list:
+    """The hand-built multigraphs, OVER_CAP and 40 random multigraphs, on
+    which merges rename loops and parallel edges."""
+    rng = np.random.default_rng(11)
+    return [load_edge_list(text) for _, text in REGULAR.values()] \
+        + [load_edge_list(OVER_CAP)] \
+        + [random_multigraph(rng, n, int(rng.integers(n, 3 * n)))
+           for n in rng.integers(4, 20, size=40).tolist()]
+
+
+def run_on(g, rng, d, thin_probability, in_c) -> int:
+    """A whole run of the survival graph g on one backend, one
+    ``_kernels.is_run`` call or ``_drive``; returns its rounds."""
+    if in_c:
+        return _kernels.is_run(g, rng, d, thin_probability,
+                               PERSISTENCE_FRACTION, DEGREE_CAP)
+    return _drive(g, rng, d, thin_probability)
+
+
+def whole_run(graph, d, seed, thin_probability, in_c):
+    """A whole run on one backend, which leaves no survivor; returns the
+    decisions, degrees (frozen at death) and degree histogram it leaves,
+    its contractions and rounds, and its generator's final state."""
+    g = SurvivalGraph(graph)
+    rng = np.random.default_rng(seed)
+    rounds = run_on(g, rng, d, thin_probability, in_c)
+    assert g.survival_count == 0 and not any(g.alive)
+    return (bytes(g.status), g.deg.tobytes(), g.counts.tobytes(),
+            g.contractions, rounds, rng.bit_generator.state)
+
+
+def runs_agree(graph) -> None:
+    """Whole runs in C and on the Python methods leave the same state, at
+    d in {3, 4}, thin probabilities 0, 0.02 and 1, and seeds 0-2."""
+    for d in (3, 4):
+        for t in (0.0, 0.02, 1.0):
+            for seed in range(3):
+                assert whole_run(graph, d, seed, t, True) \
+                    == whole_run(graph, d, seed, t, False), (d, t, seed)
+
+
+@compiled
+def test_c_runs_match_python_methods_on_played_inputs():
+    for graph in played_inputs():
+        runs_agree(graph)
+
+
 @compiled
 def test_c_engine_scans_many_degree_classes():
     # 71 non-empty degree classes at the start, up to degree 73, so
-    # len(counts) is 145: the first scans above class 2 read more than 64
-    # classes, and the engine holds more than 128
-    graph = staircase(np.random.default_rng(5))
-    assert len(SurvivalGraph(graph).counts) > 128
-    for seed in range(3):
-        assert play(graph, (), seed, True) == play(graph, (), seed, False)
+    # len(counts) is 145 and the engine holds more than 128 class sets.  On
+    # the staircase alone a class of one vertex is persistent, so each
+    # round thins one class; padded with 1,300 3-vertices, none above class
+    # 3 is, and the first round deletes every vertex above class 3 (d = 3)
+    # or 5 (d = 4): a scan of 70 or 68 classes, more than one word's worth
+    plain, padded = staircases()
+    assert len(SurvivalGraph(plain).counts) > 128
+    counts = SurvivalGraph(padded).counts
+    assert is_local_algorithm._top_persistent(
+        counts, padded.n, PERSISTENCE_FRACTION, 3) is None
+    assert np.count_nonzero(counts[6:]) > 64
+    for graph in (plain, padded):
+        runs_agree(graph)
 
 
 def test_agreement_inputs_reach_every_contract_branch(monkeypatch):
-    """The hand-built inputs of the agreement tests reach each branch of
+    """The inputs of the whole-run agreement tests reach each branch of
     contract and the over-cap deletion of settle, counted on the Python
     methods."""
     fired = collections.Counter()
@@ -509,44 +495,22 @@ def test_agreement_inputs_reach_every_contract_branch(monkeypatch):
         return merged
 
     monkeypatch.setattr(SurvivalGraph, "contract", counted)
-    monkeypatch.setattr(_kernels, "BACKEND", "python")
-    for d, text in REGULAR.values():
-        outputs(load_edge_list(text), d, seed=0)
+    for graph in played_inputs() + staircases():
+        for d in (3, 4):
+            for t in (0.0, 0.02, 1.0):
+                whole_run(graph, d, 0, t, False)
     assert min(fired[kind] for kind in
-               ("loop", "twin", "simplicial", "merge")) > 0, fired
-    assert fired["over_cap"] == 0
-    play(*PLAYED[-1], 0, False)
-    assert fired["over_cap"] == 1
-
-
-def run_in_c(g, rng, d, thin_probability):
-    """A whole run of g in its C engine, which closes once the run is
-    over; returns the rounds run."""
-    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
-        return engine.run(rng, d, thin_probability,
-                          is_local_algorithm.PERSISTENCE_FRACTION)
+               ("loop", "twin", "simplicial", "merge", "over_cap")) > 0, \
+        fired
 
 
 @compiled
 def test_c_run_builds_no_per_vertex_lists():
     g = SurvivalGraph(generate(64, 3, seed=0))
     rng = np.random.default_rng(0)
-    assert run_in_c(g, rng, 3, THIN_PROBABILITY) > 0
+    assert run_on(g, rng, 3, THIN_PROBABILITY, True) > 0
     assert "adj" not in vars(g) and not g.merges and g.contractions > 0
     assert decided(g, UNDECIDED) == [] and decided(g, IN) != []
-
-
-def drive_to_the_end(graph, d, seed, thin_probability, in_c):
-    """A full run on one backend, which leaves no survivor; returns its
-    outputs and the state it leaves its generator in."""
-    g = SurvivalGraph(graph)
-    rng = np.random.default_rng(seed)
-    if in_c:
-        rounds = run_in_c(g, rng, d, thin_probability)
-    else:
-        rounds = _drive(g, rng, d, thin_probability)
-    assert g.survival_count == 0
-    return bytes(g.status), rounds, rng.bit_generator.state
 
 
 @compiled
@@ -573,11 +537,12 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
     for seed in range(3):
         graph = generate(2000, d, seed=seed)
         starts.clear()
-        in_python = drive_to_the_end(graph, d, seed, t, False)
-        assert 0 < len(starts) == in_python[1] <= graph.n
+        in_python = whole_run(graph, d, seed, t, False)
+        *_, rounds, state = in_python
+        assert 0 < len(starts) == rounds <= graph.n
         assert all(a > b for a, b in zip(starts, starts[1:]))
-        assert drive_to_the_end(graph, d, seed, t, True) == in_python
-        assert in_python[2] != np.random.default_rng(seed).bit_generator.state
+        assert whole_run(graph, d, seed, t, True) == in_python
+        assert state != np.random.default_rng(seed).bit_generator.state
 
 
 class RecordedChoices:
@@ -620,7 +585,7 @@ def test_forced_deletions_draw_as_rng_choice(n, d):
         sizes += rng.sizes
         g = SurvivalGraph(graph)
         in_c = np.random.default_rng(seed)
-        assert run_in_c(g, in_c, d, 0.0) == rounds, seed
+        assert run_on(g, in_c, d, 0.0, True) == rounds, seed
         assert bytes(g.status) == bytes(python.status), seed
         assert in_c.bit_generator.state == rng.rng.bit_generator.state, seed
     # both kinds of forced draw ran: from one member and from several
@@ -670,7 +635,7 @@ def test_persistence_threshold_rounds_half_to_even():
     thins class 4; rounding half up would give 3, no persistent class and
     the outright deletion of both 4-vertices, with no draw, instead.  The
     C ladder must round as Python does."""
-    assert is_local_algorithm.PERSISTENCE_FRACTION * 1250 == 2.5
+    assert PERSISTENCE_FRACTION * 1250 == 2.5
     for seed in range(3):
         rng = np.random.default_rng(seed)
         degrees = np.array([4, 4] + [3] * 1248)
@@ -681,15 +646,14 @@ def test_persistence_threshold_rounds_half_to_even():
         graph = Multigraph(n=1250, owner=owner.astype(np.int64), pair=pair)
         python = SurvivalGraph(graph)
         assert is_local_algorithm._top_persistent(
-            python.counts, 1250, is_local_algorithm.PERSISTENCE_FRACTION,
-            3) == 4
+            python.counts, 1250, PERSISTENCE_FRACTION, 3) == 4
         python_rng = np.random.default_rng(seed)
         rounds = _drive(python, python_rng, 3, THIN_PROBABILITY)
         if _kernels.BACKEND != "c":
             continue
         g = SurvivalGraph(graph)
         c_rng = np.random.default_rng(seed)
-        assert run_in_c(g, c_rng, 3, THIN_PROBABILITY) == rounds
+        assert run_on(g, c_rng, 3, THIN_PROBABILITY, True) == rounds
         assert bytes(g.status) == bytes(python.status)
         assert c_rng.bit_generator.state == python_rng.bit_generator.state
 
@@ -699,13 +663,13 @@ def test_a_c_run_is_one_engine_call(monkeypatch):
     # the ladder runs in C: the engine calls of a run do not grow with its
     # rounds
     calls = []
-    engine_run = _kernels._Engine._run
+    shared = _kernels._run
 
-    def counted(engine, entry, *args):
+    def counted(name, entry, *args):
         calls.append(entry)
-        return engine_run(engine, entry, *args)
+        return shared(name, entry, *args)
 
-    monkeypatch.setattr(_kernels._Engine, "_run", counted)
+    monkeypatch.setattr(_kernels, "_run", counted)
     rounds = []
     for n, d, t in ((64, 3, 0.02), (2000, 3, 0.0), (2000, 4, 0.005)):
         calls.clear()
@@ -718,66 +682,49 @@ def test_a_c_run_is_one_engine_call(monkeypatch):
 @pytest.mark.parametrize("in_c", [False, pytest.param(True, marks=compiled)],
                          ids=["python", "c"])
 def test_a_second_decision_of_one_vertex_fails(in_c):
-    g = SurvivalGraph(load_edge_list(K4))
-    g.status[1] = IN  # decided while still in the graph
-    with engine_for(g, in_c) as engine:
-        with pytest.raises(AssertionError):
-            engine.deletes(np.array([1]))
+    # a vertex decided while still in the graph fails when the run decides
+    # it again
+    g = load_edge_list(K4)
+    survival = SurvivalGraph(g)
+    survival.status[1] = IN
+    with pytest.raises(AssertionError):
+        run_on(survival, np.random.default_rng(0), 3, THIN_PROBABILITY, in_c)
+    # and a vertex left undecided fails the unfolding: here the survival
+    # count reads 0, so no round runs, while no vertex is decided
+    survival = SurvivalGraph(g)
+    survival.survival_count = 0
+    with pytest.raises(AssertionError):
+        run_on(survival, np.random.default_rng(0), 3, THIN_PROBABILITY, in_c)
+    assert decided(survival, UNDECIDED) == [0, 1, 2, 3]
+
+
+def test_the_merge_log_is_read_once_every_vertex_is_out():
     # the merge log is read only once every vertex is out of the graph
     g = SurvivalGraph(load_edge_list(K4))
-    with engine_for(g, in_c) as engine:
-        engine.deletes(np.array([0, 1, 2]))
-        with pytest.raises(AssertionError):
-            engine.unfold_merges()
+    g.deletes(np.array([0, 1, 2]))
+    with pytest.raises(AssertionError):
+        g.unfold_merges()
     g = SurvivalGraph(load_edge_list(K4))
-    with engine_for(g, in_c) as engine:
-        engine.deletes(np.array([0, 1, 2, 3]))
-        engine.unfold_merges()
-        assert decided(g, OUT) == [0, 1, 2, 3]
+    g.deletes(np.array([0, 1, 2, 3]))
+    g.unfold_merges()
+    assert decided(g, OUT) == [0, 1, 2, 3]
     # reading the log a second time decides its vertices again: C4 settles
     # by one true merge, then a twin contraction
     g = SurvivalGraph(load_edge_list(C4))
-    with engine_for(g, in_c) as engine:
-        engine.settle()
-        engine.unfold_merges()
-        assert decided(g, UNDECIDED) == [] and len(decided(g, IN)) == 2
-        with pytest.raises(AssertionError):
-            engine.unfold_merges()
-    # and a vertex left undecided fails as well: here the survival count
-    # reads 0 while no vertex is decided
-    g = SurvivalGraph(load_edge_list(K4))
-    with engine_for(g, in_c) as engine:
-        if in_c:
-            engine.counts[0] = 0
-        else:
-            g.survival_count = 0
-        with pytest.raises(AssertionError):
-            engine.unfold_merges()
+    g.settle()
+    g.unfold_merges()
+    assert decided(g, UNDECIDED) == [] and len(decided(g, IN)) == 2
+    with pytest.raises(AssertionError):
+        g.unfold_merges()
 
 
 @compiled
 def test_c_engine_checks_its_calls():
+    # a degree class out of the histogram's range is refused before the
+    # engine is built
     g = SurvivalGraph(load_edge_list(K4))
     rng = np.random.default_rng(0)
-    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
-        for ids in ([1, 4], [-1]):
-            with pytest.raises(IndexError):
-                engine.deletes(np.array(ids))
-        for d in (-1, len(g.counts)):
-            with pytest.raises(IndexError):
-                engine.run(rng, d, 0.5, 0.5)
-        engine.deletes(np.array([2]))
-        assert not g.alive[2] and g.deg[0] == 2 and engine.survival_count == 3
-        with pytest.raises(ValueError):
-            engine.deletes(np.array([2]))  # as SurvivalGraph.delete
-        for lo, hi in ((-1, 0), (3, 2), (0, len(g.counts))):
-            with pytest.raises(IndexError):
-                engine.scan(lo, hi)
-    assert g.survival_count == 3
-    for call in (engine.settle, engine.unfold_merges,
-                 lambda: engine.scan(2, 2),
-                 lambda: engine.run(rng, 3, 0.5, 0.5)):
-        with pytest.raises(ValueError, match="closed"):
-            call()
-    with pytest.raises(ValueError, match="closed"):
-        engine.deletes(np.array([0]))
+    for d in (-1, len(g.counts)):
+        with pytest.raises(IndexError):
+            _kernels.is_run(g, rng, d, 0.5, 0.5, DEGREE_CAP)
+    assert g.survival_count == 4 and decided(g, UNDECIDED) == [0, 1, 2, 3]

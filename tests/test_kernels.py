@@ -174,13 +174,17 @@ def test_engines_read_the_graph_arrays_in_place():
 
 # runs in a fresh interpreter, since a sanitizer finding aborts it: small
 # cut and independent-set runs on the normal library, then on the one that
-# _load builds into argv[1] with the flags argv[2:], must agree
+# _load builds into argv[1] with the flags argv[2:], must agree.  Besides
+# d-regular runs, whole independent-set runs on OVER_CAP and the two
+# staircases of test_is_local_algorithm reach the neighbour pool's
+# relocation, the over-cap deletion and scans of more than 64 classes
 SANITIZED_RUNS = """
 import sys
 from pathlib import Path
 from girthlocal import _kernels, is_local_algorithm
-from girthlocal.config_model import generate
+from girthlocal.config_model import generate, load_edge_list
 from girthlocal.cut_local_algorithm import CutProcess
+from test_is_local_algorithm import OVER_CAP, staircases, whole_run
 
 def outputs():
     out = []
@@ -196,6 +200,10 @@ def outputs():
             r = is_local_algorithm.run(generate(n, d, seed=seed), d,
                                        seed=seed)
             out.append((r.vertices, r.rounds, r.contractions))
+    for graph in [load_edge_list(OVER_CAP), *staircases()]:
+        for d in (3, 4):
+            for t in (0.0, 0.02, 1.0):
+                out.append(whole_run(graph, d, 0, t, True))
     return out
 
 normal = outputs()
@@ -215,8 +223,9 @@ def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
     assert _kernels._load(cc=cc, cache=tmp_path) is not None
     check = subprocess.run(
         [sys.executable, "-c", SANITIZED_RUNS, str(tmp_path), *cc],
-        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
-        text=True, timeout=300)
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            (str(SRC), str(Path(__file__).resolve().parent)))),
+        capture_output=True, text=True, timeout=300)
     assert check.returncode == 0, check.stderr
     assert check.stdout == "same\n" and check.stderr == ""
 
@@ -264,11 +273,9 @@ def test_ctypes_declarations_match_the_c_source():
     declared = {name for name, f in vars(lib).items()
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
-    assert {"is_chunk", "is_new", "is_unfold_merges", "is_scan",
-            "is_run"} <= set(exported)
-    # the cut engine's whole interface: a run is one call
-    assert {name for name in exported if name.startswith("cut_")} == \
-        {"cut_chunk", "cut_new", "cut_run", "cut_free"}
+    # the chunk kernels and each engine's whole interface: a run is one call
+    assert set(exported) == {"is_chunk", "cut_chunk", "is_new", "is_run",
+                             "is_free", "cut_new", "cut_run", "cut_free"}
     for name, (ret, params) in exported.items():
         f = getattr(lib, name)
         assert f.argtypes is not None and len(f.argtypes) == len(params), \
@@ -282,18 +289,18 @@ def test_ctypes_declarations_match_the_c_source():
     assert declared <= set(exported)
 
 
-def is_run(graph, d, seed):
-    """A whole independent-set run in one ``IsEngine.run`` call: its
+def is_outputs(graph, d, seed):
+    """A whole independent-set run in one ``_kernels.is_run`` call: its
     decisions, contractions and rounds, and its generator's final state."""
     g = SurvivalGraph(graph)
     rng = np.random.default_rng(seed)
-    with _kernels.IsEngine(g, DEGREE_CAP) as engine:
-        rounds = engine.run(rng, d, is_local_algorithm.THIN_PROBABILITY,
-                            is_local_algorithm.PERSISTENCE_FRACTION)
+    rounds = _kernels.is_run(g, rng, d, is_local_algorithm.THIN_PROBABILITY,
+                             is_local_algorithm.PERSISTENCE_FRACTION,
+                             DEGREE_CAP)
     return bytes(g.status), g.contractions, rounds, rng.bit_generator.state
 
 
-def cut_run(graph, seed):
+def cut_outputs(graph, seed):
     """A whole cut run on the C engine: its colours, counters and rounds,
     and its generator's final state."""
     p = CutProcess(graph, seed=seed, query_probability=0.005)
@@ -310,10 +317,10 @@ def test_engines_on_threads_match_engines_in_turn(n):
     # four threads (more than the cores of a small machine), with a short
     # switch interval, give what the same runs give one after the other.
     # A race shows only when the runs overlap, so the start is repeated
-    jobs = [(is_run, generate(n, 3, seed=0), 3, 0),
-            (is_run, generate(n, 4, seed=1), 4, 1),
-            (cut_run, generate(n, 3, seed=2), 2),
-            (cut_run, generate(n, 3, seed=3), 3)]
+    jobs = [(is_outputs, generate(n, 3, seed=0), 3, 0),
+            (is_outputs, generate(n, 4, seed=1), 4, 1),
+            (cut_outputs, generate(n, 3, seed=2), 2),
+            (cut_outputs, generate(n, 3, seed=3), 3)]
     in_turn = [run(*args) for run, *args in jobs]
     start = threading.Barrier(len(jobs))
 
