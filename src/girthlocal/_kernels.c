@@ -356,13 +356,16 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * distinct buffers may run at once on different threads; ctypes releases
  * the GIL for each call.
  *
- * Vertex and half-edge ids are stored as int32_t: the graph's owner, pair
- * and slots arrays (config_model.Multigraph builds them so, for graphs of
- * fewer than 2^31 vertices and half-edges), and every id an engine keeps of
- * its own.  Arithmetic on ids and counts runs in int64_t locals, and each
- * store into 32-bit storage is an explicit (int32_t) cast of a value that
- * fits.  The buffers shared with Python (degrees, aliases, counters) stay
- * int64_t, and so do the independent-set engine's pool offsets.
+ * Vertex and half-edge ids are stored as int32_t: the graph's owner and
+ * pair arrays (config_model.Multigraph builds them so, for graphs of fewer
+ * than 2^31 vertices and half-edges), and every id an engine keeps of its
+ * own.  Multigraph groups the half-edges by owner in ascending vertex
+ * order, so vertex v's half-edges are the contiguous block that starts
+ * after those of the vertices below v.  Arithmetic on ids and counts runs
+ * in int64_t locals, and each store into 32-bit storage is an explicit
+ * (int32_t) cast of a value that fits.  The buffers shared with Python
+ * (degrees, aliases, counters) stay int64_t, and so do the independent-set
+ * engine's pool offsets.
  */
 #include <stdlib.h>
 #include <string.h>
@@ -1236,12 +1239,10 @@ void cut_free(cut_state *s)
 }
 
 /* A fresh engine over a 3-regular graph: owner and pair of its 3n
- * half-edges, slots the half-edges grouped by owner (vertex v's are
- * slots[3v..3v+2], in the order of the Python slot lists), all three the
- * graph's own int32 arrays, and the shared buffers.  NULL when out of
- * memory. */
-cut_state *cut_new(int64_t n, const int32_t *owner,
-                   const int32_t *pair, const int32_t *slots,
+ * half-edges (vertex v's are 3v, 3v+1, 3v+2, in the order of the Python
+ * slot lists), both the graph's own int32 arrays, and the shared buffers.
+ * NULL when out of memory. */
+cut_state *cut_new(int64_t n, const int32_t *owner, const int32_t *pair,
                    uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
                    uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int8_t *op,
                    int64_t *alias, uint8_t *revealed, int64_t *counts)
@@ -1290,11 +1291,11 @@ cut_state *cut_new(int64_t n, const int32_t *owner,
         return NULL;
     }
     for (int64_t v = 0; v < n; v++) {
-        s->head[v] = slots[3 * v];
-        s->tail[v] = slots[3 * v + 2];
-        s->next[slots[3 * v]] = slots[3 * v + 1];
-        s->next[slots[3 * v + 1]] = slots[3 * v + 2];
-        s->next[slots[3 * v + 2]] = -1;
+        s->head[v] = (int32_t)(3 * v);
+        s->tail[v] = (int32_t)(3 * v + 2);
+        s->next[3 * v] = (int32_t)(3 * v + 1);
+        s->next[3 * v + 1] = (int32_t)(3 * v + 2);
+        s->next[3 * v + 2] = -1;
         s->seen[v] = -1;
         touch(s, v);
     }
@@ -1769,15 +1770,15 @@ void is_free(is_state *s)
 }
 
 /* A fresh engine over a fresh SurvivalGraph: owner and pair of the graph's
- * half-edges, slots the half-edges grouped by owner (in the order of
- * Multigraph.slot_array, so v's list is owner[pair[slots]] over v's
- * degree), all three the graph's own int32 arrays, the shared buffers
- * (counts with ncounts entries, more than any degree), and the degree above
- * which settle deletes a merged vertex.  NULL when out of memory. */
+ * half-edges (grouped by owner, so v's neighbour list is owner[pair[h]]
+ * over v's block of deg[v] half-edges), both the graph's own int32 arrays,
+ * the shared buffers (counts with ncounts entries, more than any degree),
+ * and the degree above which settle deletes a merged vertex.  NULL when
+ * out of memory. */
 is_state *is_new(int64_t n, const int32_t *owner, const int32_t *pair,
-                 const int32_t *slots, int64_t *deg, uint8_t *alive,
-                 int64_t *counts, uint8_t *status, int64_t *state,
-                 int64_t ncounts, int64_t cap_degree)
+                 int64_t *deg, uint8_t *alive, int64_t *counts,
+                 uint8_t *status, int64_t *state, int64_t ncounts,
+                 int64_t cap_degree)
 {
     is_state *s = calloc(1, sizeof *s);
     if (!s)
@@ -1808,7 +1809,7 @@ is_state *is_new(int64_t n, const int32_t *owner, const int32_t *pair,
         return NULL;
     }
     for (int64_t h = 0; h < half_edges; h++)
-        s->pool.data[h] = owner[pair[slots[h]]];
+        s->pool.data[h] = owner[pair[h]];
     s->pool.len = half_edges;
     int64_t start = 0;
     for (int64_t v = 0; v < n; v++) {

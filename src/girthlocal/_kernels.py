@@ -27,10 +27,10 @@ replace=False)`` does, both by numpy's bounded Lemire draw on
 generator in one state.  ctypes releases the GIL for each call, and an
 engine touches only its own state and buffers, so runs of different
 processes may run at once on different threads.  The engines read the
-graph's int32 owner, pair and slot arrays in place (``_graph_arrays``: no
-copy, no widening) and keep their own vertex and half-edge ids as int32
-too; the buffers they share with the Python processes stay as those
-allocate them.
+graph's int32 owner and pair arrays in place (``_graph_arrays``: no copy,
+no widening), whose half-edges ``Multigraph`` groups by owner, and keep
+their own vertex and half-edge ids as int32 too; the buffers they share
+with the Python processes stay as those allocate them.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -142,9 +142,9 @@ def _load(cc=_CC, cache=_CACHE):
                               ctypes.POINTER(i64)]
     lib.cut_chunk.restype = None
     ptr = ctypes.c_void_p
-    lib.cut_new.argtypes = [i64] + [ptr] * 14
+    lib.cut_new.argtypes = [i64] + [ptr] * 13
     lib.cut_new.restype = ptr
-    lib.is_new.argtypes = [i64] + [ptr] * 8 + [i64, i64]
+    lib.is_new.argtypes = [i64] + [ptr] * 7 + [i64, i64]
     lib.is_new.restype = ptr
     for name in ("cut_free", "is_free"):
         getattr(lib, name).argtypes = [ptr]
@@ -189,11 +189,11 @@ def _writable(buf):
 
 
 def _graph_arrays(graph) -> list:
-    """The graph's owner, pair and slot arrays as the engines read them:
-    ``Multigraph`` stores them as contiguous int32, so these are the
-    graph's own arrays, not copies."""
+    """The graph's owner and pair arrays as the engines read them:
+    ``Multigraph`` stores them as contiguous int32, with the half-edges
+    grouped by owner, so these are the graph's own arrays, not copies."""
     return [np.ascontiguousarray(a, dtype=np.int32) for a in
-            (graph.owner, graph.pair, graph.slot_array())]
+            (graph.owner, graph.pair)]
 
 
 def _run(name: str, entry, state, rng, *args) -> None:

@@ -2,10 +2,13 @@
 
 A multigraph is stored as a pairing (fixed-point-free involution) on
 half-edges: vertex v owns a contiguous block of half-edge slots, and two
-slots joined by the pairing form one edge.  Self-loops and parallel edges
-are permitted — the downstream algorithms must tolerate them — but they
-become vanishingly rare locally as n grows, which is what lets finite runs
-approximate the large-girth limit.
+slots joined by the pairing form one edge.  The blocks come in ascending
+vertex order: ``Multigraph`` renumbers half-edges given in any other order
+(an edge list's, say) to group them so, each vertex's in the order given,
+and every reader (the slot and neighbour lists, the C engines) relies on
+it.  Self-loops and parallel edges are permitted — the downstream
+algorithms must tolerate them — but they become vanishingly rare locally as
+n grows, which is what lets finite runs approximate the large-girth limit.
 
 Vertex and half-edge ids are stored as int32, here and in the C engines
 that read these arrays, so a graph holds fewer than 2**31 vertices and
@@ -21,10 +24,8 @@ import numpy as np
 
 __all__ = [
     "Multigraph",
-    "GraphStats",
     "check_id_range",
     "generate",
-    "stats",
     "edge_list_header",
     "load_edge_list",
     "save_edge_list",
@@ -51,16 +52,21 @@ class Multigraph:
 
     owner, pair and the arrays derived from them are int32, whatever
     integer arrays they were given as; the given values are range-checked
-    first, so an id out of range raises instead of wrapping."""
+    first, so an id out of range raises instead of wrapping, and arrays of
+    any other dtype (float, bool) raise.  Half-edges not grouped by owner
+    are renumbered by a stable sort, so that vertex v's are the block
+    ``_indptr[v]:_indptr[v + 1]``; grouped ones are kept as given."""
 
     n: int
     owner: np.ndarray  # owner[h] = vertex owning half-edge h
     pair: np.ndarray   # pair[pair[h]] == h, pair[h] != h
     _indptr: np.ndarray = field(init=False, repr=False)
-    _slots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         owner, pair = np.asarray(self.owner), np.asarray(self.pair)
+        if not (np.issubdtype(owner.dtype, np.integer)
+                and np.issubdtype(pair.dtype, np.integer)):
+            raise ValueError("owner and pair must be integer arrays")
         h = owner.shape[0]
         check_id_range(self.n, h)
         if owner.shape != (h,) or pair.shape != (h,) or h % 2 != 0:
@@ -69,17 +75,22 @@ class Multigraph:
             raise ValueError("half-edge owner out of range")
         if h and (pair.min() < 0 or pair.max() >= h):
             raise ValueError("pairing must be a fixed-point-free involution")
-        self.owner = owner.astype(np.int32, copy=False)
-        self.pair = pair.astype(np.int32, copy=False)
+        owner = owner.astype(np.int32, copy=False)
+        pair = pair.astype(np.int32, copy=False)
         idx = np.arange(h, dtype=np.int32)
-        if h and (np.any(self.pair[self.pair] != idx) or np.any(self.pair == idx)):
+        if h and (np.any(pair[pair] != idx) or np.any(pair == idx)):
             raise ValueError("pairing must be a fixed-point-free involution")
-        # group half-edges by owner once; everything else reads these
-        self._slots = np.argsort(self.owner, kind="stable").astype(np.int32)
-        counts = np.bincount(self.owner, minlength=self.n)
+        if h and np.any(owner[1:] < owner[:-1]):
+            # h' = rank[h] is h's place once grouped by owner
+            order = np.argsort(owner, kind="stable")
+            rank = np.empty(h, dtype=np.int32)
+            rank[order] = idx
+            owner, pair = owner[order], rank[pair[order]]
+        self.owner, self.pair = owner, pair
+        counts = np.bincount(owner, minlength=self.n)
         self._indptr = np.zeros(self.n + 1, dtype=np.int32)
         np.cumsum(counts, out=self._indptr[1:])
-        for arr in (self.owner, self.pair, self._slots, self._indptr):
+        for arr in (self.owner, self.pair, self._indptr):
             arr.setflags(write=False)
 
     @property
@@ -89,19 +100,14 @@ class Multigraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
-    def slot_array(self) -> np.ndarray:
-        """Every half-edge, grouped by owner in ascending vertex order and
-        within a vertex in slot order (read-only, not a copy)."""
-        return self._slots
-
     def slot_lists(self) -> list:
         """A fresh Python list of slots per vertex, for mutable copies."""
-        return self._per_vertex(self._slots)
+        return self._per_vertex(np.arange(self.pair.shape[0]))
 
     def neighbor_lists(self) -> list:
         """A fresh Python list per vertex of the neighbor across each of
         its half-edges, in slot order (a loop lists the vertex twice)."""
-        return self._per_vertex(self.owner[self.pair[self._slots]])
+        return self._per_vertex(self.owner[self.pair])
 
     def _per_vertex(self, flat: np.ndarray) -> list:
         items = flat.tolist()
@@ -114,17 +120,6 @@ class Multigraph:
             k = int(self.pair[h])
             if h < k:
                 yield int(self.owner[h]), int(self.owner[k])
-
-
-@dataclass
-class GraphStats:
-    """Defect counts: how far the graph is from simple and large-girth."""
-
-    self_loops: int
-    parallel_pairs: int
-    cycles3: int
-    cycles4: int
-    cycles5: int
 
 
 def generate(n: int, d: int, seed) -> Multigraph:
@@ -149,53 +144,6 @@ def generate(n: int, d: int, seed) -> Multigraph:
     del perm
     owner = np.repeat(np.arange(n, dtype=np.int32), d)
     return Multigraph(n=n, owner=owner, pair=pair)
-
-
-def _simple_adjacency(g: Multigraph) -> list:
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.edges():
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
-def _count_short_cycles(adj: list) -> tuple:
-    """Cycle counts of lengths 3..5 in a simple graph.
-
-    Depth-first over simple paths anchored at each cycle's minimum vertex;
-    every cycle is met exactly twice (once per direction).
-    """
-    counts = [0, 0, 0]  # lengths 3, 4, 5
-    n = len(adj)
-    for s in range(n):
-        # interior vertices must exceed s, so each cycle is counted from
-        # its minimum vertex only
-        stack = [(s, 0, (s,))]
-        while stack:
-            v, depth, path = stack.pop()
-            for w in adj[v]:
-                if w == s and depth >= 2:
-                    counts[depth - 2] += 1
-                elif w > s and depth < 4 and w not in path:
-                    stack.append((w, depth + 1, path + (w,)))
-    return counts[0] // 2, counts[1] // 2, counts[2] // 2
-
-
-def stats(g: Multigraph) -> GraphStats:
-    """Exact defect counts by enumeration."""
-    loops = 0
-    multiplicity: dict = {}
-    for u, v in g.edges():
-        if u == v:
-            loops += 1
-        else:
-            key = (u, v) if u < v else (v, u)
-            multiplicity[key] = multiplicity.get(key, 0) + 1
-    parallel = sum(k * (k - 1) // 2 for k in multiplicity.values())
-    c3, c4, c5 = _count_short_cycles(_simple_adjacency(g))
-    return GraphStats(self_loops=loops, parallel_pairs=parallel,
-                      cycles3=c3, cycles4=c4, cycles5=c5)
 
 
 def edge_list_header(text: str) -> tuple:

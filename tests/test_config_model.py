@@ -1,28 +1,20 @@
-"""Configuration-model generation, defect statistics, and edge-list IO."""
+"""Configuration-model generation, the half-edge order, and edge-list IO."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from girthlocal import config_model
 from girthlocal.config_model import (
-    GraphStats,
     Multigraph,
     generate,
     load_edge_list,
     save_edge_list,
-    stats,
 )
 
 TRIANGLE = "3 3\n0 1\n1 2\n2 0\n"
-
-
-def petersen() -> Multigraph:
-    lines = ["10 15"]
-    for i in range(5):
-        lines.append(f"{i} {(i + 1) % 5}")          # outer cycle
-        lines.append(f"{5 + i} {5 + (i + 2) % 5}")  # inner pentagram
-        lines.append(f"{i} {5 + i}")                # spokes
-    return load_edge_list("\n".join(lines) + "\n")
+# loops and parallel edges, on lines not grouped by vertex
+LOOP_CHAIN = "4 6\n0 0\n0 1\n1 2\n1 2\n2 3\n3 3\n"
 
 
 def test_handshake_smallest_cubic():
@@ -53,7 +45,7 @@ def test_generate_is_regular_and_reproducible():
 
 def test_ids_are_32_bit():
     for g in (generate(60, 3, seed=1), load_edge_list(TRIANGLE)):
-        for a in (g.owner, g.pair, g.slot_array(), g.degrees()):
+        for a in (g.owner, g.pair, g.degrees()):
             assert a.dtype == np.int32
 
 
@@ -82,6 +74,51 @@ def test_an_id_out_of_32_bit_range_raises_instead_of_wrapping():
                    pair=np.array([2 ** 32 + 1, 0], dtype=np.int64))
 
 
+@pytest.mark.parametrize("owner, pair", [
+    (np.array([0.7, 0.2, 1.9, 1.1]), np.array([1, 0, 3, 2])),
+    (np.array([0, 0, 1, 1]), np.array([1.0, 0.0, 3.0, 2.0])),
+    (np.array([False, False, True, True]), np.array([1, 0, 3, 2])),
+], ids=["float_owner", "float_pair", "bool_owner"])
+def test_ids_that_are_not_integers_raise_instead_of_casting(owner, pair):
+    # a float owner would be truncated to [0, 0, 1, 1], a valid graph
+    with pytest.raises(ValueError, match="integer arrays"):
+        Multigraph(n=2, owner=owner, pair=pair)
+
+
+def test_half_edges_are_grouped_by_owner_in_the_given_order(monkeypatch):
+    g = load_edge_list(LOOP_CHAIN)
+    h = np.arange(g.pair.shape[0])
+    assert np.all(np.diff(g.owner) >= 0)
+    assert np.all(g.pair[g.pair] == h) and np.all(g.pair != h)
+    # each vertex's half-edges keep the file's line order
+    lines = [tuple(map(int, ln.split()))
+             for ln in LOOP_CHAIN.splitlines()[1:]]
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in lines:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    assert g.neighbor_lists() == nbrs
+    bounds = np.cumsum([0, *g.degrees()]).tolist()
+    assert g.slot_lists() == [list(range(a, b))
+                              for a, b in zip(bounds, bounds[1:])]
+    assert [g.owner[g.pair[slots]].tolist()
+            for slots in g.slot_lists()] == nbrs
+    assert sorted(g.edges()) == sorted(
+        (u, v) if u <= v else (v, u) for u, v in lines)
+    # generate's half-edges are grouped already, so the graph keeps the
+    # arrays generate gives it: no renumbering copy
+    given = {}
+
+    def recorded(n, owner, pair):
+        given.update(owner=owner, pair=pair)
+        return Multigraph(n=n, owner=owner, pair=pair)
+
+    monkeypatch.setattr(config_model, "Multigraph", recorded)
+    g = generate(1000, 3, seed=0)
+    assert np.shares_memory(g.owner, given["owner"])
+    assert np.shares_memory(g.pair, given["pair"])
+
+
 def test_pairing_must_be_involution():
     with pytest.raises(ValueError):
         Multigraph(n=2, owner=np.array([0, 0, 1, 1]),
@@ -98,32 +135,6 @@ def test_neighbors_and_edges_on_triangle():
     assert g.degrees()[1] == 2
     assert sorted(tuple(sorted(e)) for e in g.edges()) == [
         (0, 1), (0, 2), (1, 2)]
-
-
-def test_stats_on_hexagon():
-    text = "6 6\n" + "".join(f"{i} {(i + 1) % 6}\n" for i in range(6))
-    s = stats(load_edge_list(text))
-    assert s == GraphStats(0, 0, 0, 0, 0)
-
-
-def test_stats_counts_parallel_pairs():
-    s = stats(load_edge_list("2 3\n0 1\n0 1\n0 1\n"))
-    assert s.parallel_pairs == 3  # C(3,2)
-    assert s.self_loops == 0 and s.cycles3 == 0
-
-
-def test_stats_counts_loops():
-    s = stats(load_edge_list("2 2\n0 0\n0 1\n"))
-    assert s.self_loops == 1
-
-
-def test_stats_triangle():
-    assert stats(load_edge_list(TRIANGLE)).cycles3 == 1
-
-
-def test_stats_petersen_five_cycles():
-    s = stats(petersen())
-    assert (s.cycles3, s.cycles4, s.cycles5) == (0, 0, 12)
 
 
 @pytest.mark.parametrize("bad", [

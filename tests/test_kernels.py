@@ -1,7 +1,8 @@
 """The compiled chunk kernels against the composed reference, bit for bit,
-the build and ctypes declarations that load them, and the event engines
-run at once on threads."""
+the build and ctypes declarations that load them, the event engines run at
+once on threads, and both backends' runs on loaded graphs against a pin."""
 import ctypes
+import hashlib
 import os
 import re
 import shutil
@@ -15,12 +16,14 @@ import numpy as np
 import pytest
 
 from girthlocal import _kernels, is_local_algorithm
-from girthlocal.config_model import generate
+from girthlocal.config_model import generate, load_edge_list, save_edge_list
 from girthlocal.cut_evolution import CutRules
 from girthlocal.cut_local_algorithm import CutProcess
 from girthlocal.evolution_core import EvolutionParams, _python_chunk
 from girthlocal.is_evolution import DEGREE_CAP, Is3Rules, Is4Rules
 from girthlocal.is_local_algorithm import SurvivalGraph
+from test_cut_local_algorithm import MULTIGRAPHS
+from test_is_local_algorithm import OVER_CAP, REGULAR, whole_run
 
 SRC = Path(_kernels.__file__).resolve().parents[1]
 
@@ -166,35 +169,95 @@ def test_c_source_compiles_without_warnings(tmp_path):
 def test_engines_read_the_graph_arrays_in_place():
     # the engines take the graph's int32 arrays as they are: no copy, and
     # no widening to int64
-    g = generate(1000, 3, seed=0)
-    for given, own in zip(_kernels._graph_arrays(g),
-                          (g.owner, g.pair, g.slot_array())):
-        assert given.dtype == np.int32 and np.shares_memory(given, own)
+    for g in (generate(1000, 3, seed=0), load_edge_list(MULTIGRAPHS["K4"])):
+        given = _kernels._graph_arrays(g)
+        assert len(given) == 2
+        for a, own in zip(given, (g.owner, g.pair)):
+            assert a.dtype == np.int32 and np.shares_memory(a, own)
+
+
+def reloaded(n: int, d: int, seed: int):
+    """A generated graph saved and loaded again: its edge list's half-edges
+    are not grouped by owner, so Multigraph renumbers them."""
+    return load_edge_list(save_edge_list(generate(n, d, seed=seed)))
+
+
+def loaded_graph_digest(in_c: bool) -> str:
+    """sha256 of whole runs on one backend over loaded graphs: the cut's
+    colours, counters, rounds and generator state on MULTIGRAPHS and
+    reloaded cubic graphs, and the independent set's decisions, degrees,
+    histogram, contractions, rounds and generator state (``whole_run``) on
+    REGULAR, OVER_CAP and reloaded 3- and 4-regular graphs."""
+    out = []
+    sizes = (10, 130, 302, 2000)
+    cut_graphs = [load_edge_list(text) for text in MULTIGRAPHS.values()] \
+        + [reloaded(n, 3, s) for n in sizes for s in range(3)]
+    for graph in cut_graphs:
+        for seed in range(2):
+            for q in (0.0, 0.005, 0.02, 1.0):
+                out.append(cut_outputs(graph, seed, q))
+    is_graphs = [(d, load_edge_list(text)) for d, text in REGULAR.values()] \
+        + [(d, load_edge_list(OVER_CAP)) for d in (3, 4)] \
+        + [(d, reloaded(n, d, s)) for d in (3, 4) for n in sizes
+           for s in range(3)]
+    for d, graph in is_graphs:
+        for seed in range(2):
+            for t in (0.0, 0.02, 1.0):
+                out.append(whole_run(graph, d, seed, t, in_c))
+    return hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+# loaded_graph_digest on either backend.  Multigraph renumbers these
+# graphs' half-edges, and the engines read each vertex's as one block: a
+# renumbering that moved a half-edge within or out of its vertex's order
+# would change the outputs
+LOADED_GRAPH_DIGEST = \
+    "349591ce1547981767cda9144a1cabb936cb028194f17d1b3b37942f03c66500"
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_runs_on_loaded_graphs_match_their_pin(monkeypatch, backend):
+    if backend == "c" and _kernels.BACKEND != "c":
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(_kernels, "BACKEND", backend)
+    assert loaded_graph_digest(backend == "c") == LOADED_GRAPH_DIGEST
 
 
 # runs in a fresh interpreter, since a sanitizer finding aborts it: small
 # cut and independent-set runs on the normal library, then on the one that
 # _load builds into argv[1] with the flags argv[2:], must agree.  Besides
-# d-regular runs, whole independent-set runs on OVER_CAP and the two
-# staircases of test_is_local_algorithm reach the neighbour pool's
-# relocation, the over-cap deletion and scans of more than 64 classes
+# d-regular runs, whole cut runs on four MULTIGRAPHS of
+# test_cut_local_algorithm (loops and parallel edges, their half-edges
+# renumbered by Multigraph) reach the engine's chains over loaded graphs,
+# and whole independent-set runs on OVER_CAP and the two staircases of
+# test_is_local_algorithm reach the neighbour pool's relocation, the
+# over-cap deletion and scans of more than 64 classes
 SANITIZED_RUNS = """
 import sys
 from pathlib import Path
 from girthlocal import _kernels, is_local_algorithm
 from girthlocal.config_model import generate, load_edge_list
 from girthlocal.cut_local_algorithm import CutProcess
+from test_cut_local_algorithm import MULTIGRAPHS
 from test_is_local_algorithm import OVER_CAP, staircases, whole_run
+
+LOADED = ("triple_edge", "loop_chain", "double_square", "loops_and_k4")
+
+def cut(graph, seed, q):
+    p = CutProcess(graph, seed=seed, query_probability=q)
+    r = p.run()
+    return (r.colors.tobytes(), r.good, r.bad, r.rounds,
+            p.rng.bit_generator.state)
 
 def outputs():
     out = []
     for q in (0.0, 0.02, 1.0):
         for n, seed in ((10, 0), (130, 6), (2000, 2)):
-            p = CutProcess(generate(n, 3, seed=seed), seed=seed,
-                           query_probability=q)
-            r = p.run()
-            out.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
-                        p.rng.bit_generator.state))
+            out.append(cut(generate(n, 3, seed=seed), seed, q))
+    for name in LOADED:
+        for q in (0.0, 1.0):
+            for seed in range(3):
+                out.append(cut(load_edge_list(MULTIGRAPHS[name]), seed, q))
     for d in (3, 4):
         for n, seed in ((66, 0), (2000, 1)):
             r = is_local_algorithm.run(generate(n, d, seed=seed), d,
@@ -300,10 +363,10 @@ def is_outputs(graph, d, seed):
     return bytes(g.status), g.contractions, rounds, rng.bit_generator.state
 
 
-def cut_outputs(graph, seed):
-    """A whole cut run on the C engine: its colours, counters and rounds,
-    and its generator's final state."""
-    p = CutProcess(graph, seed=seed, query_probability=0.005)
+def cut_outputs(graph, seed, q=0.005):
+    """A whole cut run (on the C engine when it is built): its colours,
+    counters and rounds, and its generator's final state."""
+    p = CutProcess(graph, seed=seed, query_probability=q)
     r = p.run()
     return r.colors.tobytes(), r.good, r.bad, r.rounds, \
         p.rng.bit_generator.state
