@@ -347,9 +347,8 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  *
  * Each engine's run (cut_run, is_run) returns its err field: ENGINE_NOMEM
  * after an allocation failure, ENGINE_BROKEN when a bookkeeping invariant
- * failed (an assertion in the Python methods), ENGINE_DEAD when an event
- * names a vertex that is gone (a ValueError in Python).  The run stops at
- * the first error.
+ * failed (an assertion in the Python methods).  The run stops at the first
+ * error.
  *
  * An engine reads and writes only its own state and the buffers it was
  * given: this file has no mutable file-scope state.  So engines over
@@ -372,7 +371,6 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
 
 #define ENGINE_NOMEM 1
 #define ENGINE_BROKEN 2
-#define ENGINE_DEAD 3
 
 /* a growable vector of ids */
 typedef struct {
@@ -453,7 +451,8 @@ static int64_t ones(uint64_t w)
  * generator's state and its draw functions.  A numpy Generator's
  * bit_generator.ctypes.bit_generator points at one, and Generator.random
  * fills its output with one next_double call per entry, in order.  The
- * caller holds the bit generator's lock, as numpy's own methods do. */
+ * engines draw with next_double alone.  The caller holds the bit
+ * generator's lock, as numpy's own methods do. */
 typedef struct {
     void *state;
     uint64_t (*next_uint64)(void *st);
@@ -462,21 +461,10 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* an index into range >= 1 items, drawn by Lemire's rule on next_uint32:
- * numpy's buffered_bounded_lemire_uint32, which its bounded draws (and so
- * Generator.choice) take below 2^32 items.  No draw for one item, as numpy
- * makes none for an empty range. */
-static int64_t lemire(bitgen_t *bg, uint32_t range)
+/* int(u * m) for one draw u <= 1 - 2^-53: an index below m < 2^31 */
+static int64_t draw_index(bitgen_t *bg, int64_t m)
 {
-    if (range == 1)
-        return 0;
-    uint64_t x = (uint64_t)bg->next_uint32(bg->state) * range;
-    if ((uint32_t)x < range) {
-        uint32_t threshold = (UINT32_MAX - (range - 1)) % range;
-        while ((uint32_t)x < threshold)
-            x = (uint64_t)bg->next_uint32(bg->state) * range;
-    }
-    return (int64_t)(x >> 32);
+    return (int64_t)(bg->next_double(bg->state) * (double)m);
 }
 
 /* the ids of ids[0 .. m) whose draw falls below p, in order, into out
@@ -507,11 +495,11 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
  * vertices, the query marks and the queries, then closure), which
  * draws the marks from the caller's numpy bit generator, one next_double
  * per lone vertex in ascending order as the Python round does.  The
- * bootstrap pair after a stalled round is drawn as
- * rng.choice(alive, 2, replace=False) draws it (bootstrap), and each
- * picked survivor is found by its rank, counting the zero status bytes
- * eight at a time, with no list of the survivors.  So both backends read
- * one random stream.
+ * bootstrap pair after a stalled round takes two next_double draws, as
+ * CutProcess._bootstrap takes two rng.random() draws, and each picked
+ * survivor is found by its rank, counting the zero status bytes eight at
+ * a time, with no list of the survivors.  So both backends read one
+ * random stream.
  *
  * The lone set is exact as of the start of the last round: a bit set of
  * the lone vertices, read in ascending order.  Whether v is lone depends
@@ -1408,28 +1396,21 @@ static int64_t survivor_of_rank(cut_state *s, int64_t from, int64_t r)
 }
 
 /* CutProcess._bootstrap: two of the m survivors commit red and green,
- * drawn as rng.choice(alive, 2, replace=False) draws them from the
- * ascending survivors, by Floyd's method: an index over m - 1, then one
- * over m, which takes m - 1 when it repeats the first; then a draw over 2
- * swaps the pair when it returns 0 (the shuffle).  None for no survivor */
+ * the ones of ranks red = draw_index(m) and green = draw_index(m - 1),
+ * bumped by one when at or past red, among the ascending survivors.  None
+ * for no survivor */
 static void bootstrap(cut_state *s, bitgen_t *bg)
 {
     int64_t m = SURVIVAL(s);
     if (m == 0)
         return;
-    if (m < 2 || m > (int64_t)UINT32_MAX) {
-        s->err = ENGINE_BROKEN;  /* rng.choice would raise */
+    if (m < 2) {
+        s->err = ENGINE_BROKEN;  /* no pair to draw */
         return;
     }
-    int64_t a = lemire(bg, (uint32_t)(m - 1));
-    int64_t b = lemire(bg, (uint32_t)m);
-    if (b == a)
-        b = m - 1;
-    if (lemire(bg, 2) == 0) {
-        int64_t t = a;
-        a = b;
-        b = t;
-    }
+    int64_t a = draw_index(bg, m);
+    int64_t b = draw_index(bg, m - 1);
+    b += b >= a;
     int64_t lo = a < b ? a : b, hi = a < b ? b : a;
     int64_t v_lo = survivor_of_rank(s, 0, lo);
     if (s->err)
@@ -1481,11 +1462,12 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  * the merges; no event is exported on its own.  The rounds (is_thin,
  * is_probe_round) draw their marks from the caller's numpy bit generator,
  * one next_double per class member in ascending order as the Python round
- * does, and the forced deletion draws its member as Generator.choice does
- * (choice_index), so both backends read one random stream.  The class
- * members are the ascending ids SurvivalGraph.scan finds, read off the
- * class bit sets below in ascending order, at a cost of n / 64 words per
- * non-empty class scanned (none for an empty range).
+ * does, and the forced deletion its member by one next_double
+ * (draw_index), as the ladder by one rng.random(), so both backends read
+ * one random stream.  The class members are the ascending ids
+ * SurvivalGraph.scan finds, read off the class bit sets below in
+ * ascending order, at a cost of n / 64 words per non-empty class scanned
+ * (none for an empty range).
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename
@@ -1656,7 +1638,7 @@ static void drop_vertex(is_state *s, int64_t v)
 static void is_delete(is_state *s, int64_t v)
 {
     if (!s->alive[v]) {
-        s->err = ENGINE_DEAD;
+        s->err = ENGINE_BROKEN;  /* a vertex that is gone */
         return;
     }
     decide(s, v, OUT);
@@ -1939,61 +1921,34 @@ static void is_probe_round(is_state *s, bitgen_t *bg, double p)
         probe(s, marked->data[i]);
 }
 
-/* max(1, round(x)) with Python's round, half to even: x - floor(x) is
- * exact for 0 <= x < 2^53, so the halfway test is too, and no libm call
- * is needed.  An x outside that range (or NaN) is ENGINE_BROKEN. */
-static int64_t at_least_one_rounded(is_state *s, double x)
-{
-    if (!(x < 9007199254740992.0)) {
-        s->err = ENGINE_BROKEN;
-        return 1;
-    }
-    if (x < 1.0)
-        return 1;  /* round(x) <= 1 */
-    int64_t whole = (int64_t)x;
-    double frac = x - (double)whole;
-    return whole + (frac > 0.5 || (frac == 0.5 && whole % 2));
-}
-
-/* the highest class above floor holding at least max(1, round(fraction *
- * survival)) live vertices, or -1 (is_local_algorithm._top_persistent) */
+/* the highest class above floor holding at least max(1, int(fraction *
+ * survival + 0.5)) live vertices, the share rounded half up, or -1
+ * (is_local_algorithm._top_persistent) */
 static int64_t top_persistent(is_state *s, double fraction, int64_t floor)
 {
-    int64_t need = at_least_one_rounded(
-        s, fraction * (double)SURVIVAL_COUNT(s));
+    int64_t need = (int64_t)(fraction * (double)SURVIVAL_COUNT(s) + 0.5);
+    if (need < 1)
+        need = 1;
     for (int64_t k = s->ncounts - 1; k > floor; k--)
         if (s->counts[k] >= need)
             return k;
     return -1;
 }
 
-/* an index into m items drawn as numpy's Generator.choice draws it over
- * an array of m: lemire over m (more than 2^32 - 1 items are
- * ENGINE_BROKEN) */
-static int64_t choice_index(is_state *s, bitgen_t *bg, int64_t m)
-{
-    if (m < 1 || m > (int64_t)UINT32_MAX) {
-        s->err = ENGINE_BROKEN;
-        return 0;
-    }
-    return lemire(bg, (uint32_t)m);
-}
-
-/* the forced deletion after a round that removed nothing: one member of
- * the top non-empty class goes, drawn as rng.choice draws it; then
- * settle */
+/* the forced deletion after a round that removed nothing: the member of
+ * rank draw_index(m) among the m ascending members of the top non-empty
+ * class goes; then settle */
 static void force_progress(is_state *s, bitgen_t *bg)
 {
     int64_t top = s->ncounts - 1;
     while (top > 0 && !s->counts[top])
         top--;
     members(s, top, top, &s->marked);
+    if (!s->err && !s->marked.len)
+        s->err = ENGINE_BROKEN;  /* no live vertex */
     if (s->err)
         return;
-    int64_t i = choice_index(s, bg, s->marked.len);
-    if (s->err)
-        return;
-    is_delete(s, s->marked.data[i]);
+    is_delete(s, s->marked.data[draw_index(bg, s->marked.len)]);
     settle(s);
 }
 
@@ -2028,8 +1983,6 @@ int64_t is_run(is_state *s, bitgen_t *bg, int64_t d, double p,
     while (SURVIVAL_COUNT(s) && !s->err) {
         int64_t before = SURVIVAL_COUNT(s);
         int64_t top = top_persistent(s, fraction, floor);
-        if (s->err)
-            break;
         if (top >= 0)
             is_thin(s, bg, top, p);
         else if (d == 4 && s->counts[3])

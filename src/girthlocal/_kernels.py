@@ -19,11 +19,12 @@ buffers, makes the one call and frees the state; no event is exported on
 its own.  The marks of a round are drawn in C from the caller's numpy
 Generator, through its bit generator's C interface
 (``bit_generator.ctypes``): one ``next_double`` per candidate, in
-ascending order, which is what ``ids[rng.random(m) < p]`` draws.  The
-independent-set forced deletion draws its member as ``rng.choice`` does,
-and the cut's bootstrap its pair as ``rng.choice(alive, 2,
-replace=False)`` does, both by numpy's bounded Lemire draw on
-``next_uint32``.  So both backends read one random stream and leave the
+ascending order, which is what ``ids[rng.random(m) < p]`` draws.  Every
+other pick is one ``next_double`` too, as one ``rng.random()`` in Python:
+an index into m items is ``int(u * m)``, which never reaches m.  The
+independent-set forced deletion draws one such index into its class, and
+the cut's bootstrap two, red over the m survivors and green over the
+m - 1 others.  So both backends read one random stream and leave the
 generator in one state.  ctypes releases the GIL for each call, and an
 engine touches only its own state and buffers, so runs of different
 processes may run at once on different threads.  The engines read the
@@ -68,7 +69,6 @@ STATUS_EXHAUSTED = 3  # open-edge pool emptied while deletions were pending
 
 ENGINE_NOMEM = 1  # an event engine could not allocate its state
 ENGINE_BROKEN = 2  # a bookkeeping invariant failed (an assert in Python)
-ENGINE_DEAD = 3  # an event named a vertex that is gone (a ValueError)
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
 _CACHE = Path(__file__).with_name("__pycache__")
@@ -208,8 +208,6 @@ def _run(name: str, entry, state, rng, *args) -> None:
         err = entry(state, bitgen.ctypes.bit_generator, *args)
     if err == ENGINE_NOMEM:
         raise MemoryError(f"{name}: out of memory")
-    if err == ENGINE_DEAD:
-        raise ValueError(f"{name}: a vertex that is gone")
     if err:
         raise AssertionError(f"{name}: bookkeeping out of sync")
 

@@ -556,14 +556,19 @@ class CutProcess:
         # _drive calls this after each round that removes no survival
         # vertex, so every round lowers the survival count (no cap needed).
         # The first call sees all n (even) vertices, later ones more than
-        # ENDGAME_FLOOR; only the empty graph has no pair to draw.  The C
-        # engine's run draws the pair as rng.choice does here
+        # ENDGAME_FLOOR; only the empty graph has no pair to draw.  Red and
+        # green are ranks among the m ascending survivors, one rng.random()
+        # draw each: green's draw is over the m - 1 survivors other than
+        # red.  The C engine's run draws the pair as here
         alive = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
-        if alive.shape[0] == 0:
+        m = alive.shape[0]
+        if m == 0:
             return
-        picked = self.rng.choice(alive, size=2, replace=False)
-        self.commit(int(picked[0]), RED)
-        self.commit(int(picked[1]), GREEN)
+        red = int(self.rng.random() * m)
+        green = int(self.rng.random() * (m - 1))
+        green += green >= red
+        self.commit(int(alive[red]), RED)
+        self.commit(int(alive[green]), GREEN)
 
     def lones(self) -> np.ndarray:
         """The lone vertices, ascending: survival, no path edge, no white

@@ -333,8 +333,9 @@ class SurvivalGraph:
 
 def _top_persistent(counts, survival: int, fraction: float,
                     floor: int) -> Optional[int]:
-    """Highest degree class above `floor` that is more than dust."""
-    need = max(1, int(round(fraction * survival)))
+    """Highest degree class above `floor` that is more than dust: one
+    holding at least fraction * survival vertices, rounded half up."""
+    need = max(1, int(fraction * survival + 0.5))
     for d in range(len(counts) - 1, floor, -1):
         if counts[d] >= need:
             return d
@@ -369,8 +370,9 @@ def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
     histogram; a round draws its marks from rng over the ascending members
     of its class, then settles.  The rounds go on until no vertex is left
     and need no cap: after one that removes no vertex, one member of the
-    top non-empty class is deleted, drawn by ``rng.choice``, so each round
-    lowers the survival count and a run ends within n rounds.  At
+    top non-empty class is deleted, the one of rank ``int(u * m)`` among
+    its m ascending members for one draw u of ``rng.random()``, so each
+    round lowers the survival count and a run ends within n rounds.  At
     thin_probability 0 no round marks a vertex: a 3-regular run is then the
     sequential process of the no-correction is3 evolution."""
     # thinning acts on persistent classes above this; d = 4 probes its
@@ -389,7 +391,8 @@ def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
         g.settle()
         if g.survival_count == before:
             top = max(k for k, c in enumerate(g.counts) if c)
-            g.delete(int(rng.choice(g.scan(top, top))))
+            members = g.scan(top, top)
+            g.delete(int(members[int(rng.random() * len(members))]))
             g.settle()
         rounds += 1
     g.unfold_merges()

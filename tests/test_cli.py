@@ -562,30 +562,30 @@ def test_refine_explicit_ladder_json(capsys, tmp_path):
 # sha256 of the --witness file bytes at n = 2000; a change to the finite
 # algorithms that keeps their outputs must keep these
 WITNESS_SHA256 = {
-    ("is3", 0): "67566bb7bc91b1e55afc3a18b917a979"
-                "add76440289e983ccec78d5f8d39f128",
-    ("is3", 1): "deb0bd712835ab3e22a6dc92aa6691c8"
-                "4fc35f4a3d4aa8ddd19366fa17f83810",
-    ("is4", 0): "045bd5f5c05b95a2cca36cf48709303e"
-                "165c62d105a64a9dc492846b7333ee54",
-    ("is4", 1): "0e6708867dee711b8fda574d05d10fc7"
-                "74d963236cf0d481d497a0e7b8e6fd6c",
-    ("cut", 0): "db3b56f6f8bb575b59d8ecad7b268965"
-                "32404451884201d53ace89d07aa97d11",
-    ("cut", 1): "c3bef74ab4dc2ad91cc16b70dd236f66"
-                "40741d890cc6b3c4c769480c08912da1",
-    ("cut_q005", 0): "4751ab81ee4d3c458740eea52972e0a7"
-                     "2994c95decec3b40f10835191eccf38b",
-    ("cut_q005", 1): "c106b0b48f31758aa46b5d2c4d24547c"
-                     "f208acfc9023f718c13350f05988012a",
-    ("is3_t005", 0): "be18a56fd90698ace62721749f6945f0"
-                     "5d77473533102e4f8ae0570a41bec307",
-    ("is3_t005", 1): "61305644d74efc440c72832e7b456c7d"
-                     "94f6e52f53b5cb1f22ac197834afaaaa",
-    ("is4_t005", 0): "a56be9c37696dbfc195ba842b08fe2df"
-                     "c86f636bc1888ca5d2c9f5c727a88341",
-    ("is4_t005", 1): "3383ddfc5151c0d4e2a1c8876bf51d30"
-                     "fd22f16057850d26c8eac0858590f8d2",
+    ("is3", 0): "e82572a8cd342b966b420c65391532dc"
+                "274844290ac7459244199ed96f9a5511",
+    ("is3", 1): "97ae2cd11d657f2f9d8055fc698a34d7"
+                "e282c672baa14eae3c6dd19a2e0628f7",
+    ("is4", 0): "6045454d7de14f21f868fd492e20b0db"
+                "dd6e25e47b6b86733ca77f31df850e42",
+    ("is4", 1): "d3d65988e185834e05bfa298a53a3d87"
+                "6ee8b298b065ebf0c892682eb5ef05d2",
+    ("cut", 0): "a1cb7a61129b640b6b1a334a684f16cd"
+                "0139920cf74dfd3ce5db71a434f55cf4",
+    ("cut", 1): "004fdff9309e383d8b3c95f1379ee581"
+                "b8818a1c96954f3f07c8740cacb8064b",
+    ("cut_q005", 0): "d4e8bc4a86e850f86ba0d3c2b42b49ba"
+                     "25a3d31d69836217b9ebb4ca74d26b2c",
+    ("cut_q005", 1): "4a9803dc89a98849de883aee513c8751"
+                     "5e6746fec90053067776aba3ce20eb4e",
+    ("is3_t005", 0): "1aed9e7fbbd900e300d4850e7b6733e9"
+                     "20021794415491b7d9461766548b4a4b",
+    ("is3_t005", 1): "98332ff78dfc6f2ea4a4881eb76b33cb"
+                     "2c99201a36e42ff3c513aeef4ecb88e7",
+    ("is4_t005", 0): "7bf2565073c2b197a8565afb192aeb5b"
+                     "5271c1c4ec54100aeb13ee366a21edbb",
+    ("is4_t005", 1): "80ea1f9793a0961b4f165de597b50105"
+                     "601abc6bd294fec9ecda9fe12cc7f393",
 }
 # cut_q005 is the query-starved regime: over 100 bootstraps per run at
 # n = 2000, against about 20 at the default query probability; is3_t005
@@ -672,18 +672,18 @@ REPORT_SHA256 = {  # name: (json, stdout)
                     "d41b12a23e4b6860bcc3ec53839c8dee",
                     "0a27b898dc78c750390ebbaf85aa942e"
                     "43fd9e3349bdbcd090bd2db792618e01"),
-    "simulate_is3": ("198db531efaeead3eb1022cc50cb05ea"
-                     "088a3d4c8b3abacf75d59e4830dcb4b4",
-                     "17aabd956184e4c7e610d6caac23c235"
-                     "fbbe91fb9350ddadd2dc368f26bf9da0"),
-    "simulate_cut": ("b5bfe0e629bb063b7557d08bdf22dcc7"
-                     "6e1626f221e72183d90a21808ebc2520",
-                     "29d43f7b16fdaf4d29198ddffe4df095"
-                     "489fc1d4ed20677136124b89d4d5df04"),
-    "simulate_cut_seeds2": ("6f68266d012f69739bde3ea2514d4319"
-                            "4da2acda54fa0e43f5466fa0b5e713ac",
-                            "ebbe88c6f788f4f159f6b9bd2c261f45"
-                            "5d89e7de6ce7921e8c9571cf8d844dda"),
+    "simulate_is3": ("9e24eb4653aea57e461c8535ae17d707"
+                     "2554ab28eaeed86b47e9c5143be26d07",
+                     "7028e7659df1824a5c9dcf7e1a097777"
+                     "071cf1e48cddc004bf4647f60dc7b2f8"),
+    "simulate_cut": ("33e33c0c3cf3e75e37dacbc453a74bab"
+                     "8c69332b33c43ac0e057855473108e8c",
+                     "15f9ac8fabbe556697c55a2483676ee0"
+                     "f99d6a08e9713b6c958bc20e47fc816f"),
+    "simulate_cut_seeds2": ("d12e03cafe482213a18ca1fd860fce6f"
+                            "fb5d48b4e36f4719d979a09d48453167",
+                            "fd92625df559bfc6084227e268628301"
+                            "2ee2b0cccbc3d3c3ce7406fa31a03712"),
 }
 
 

@@ -11,13 +11,13 @@ from girthlocal.config_model import generate, load_edge_list, save_edge_list
 from girthlocal.cut_local_algorithm import (
     ENDGAME_FLOOR,
     GREEN,
-    QUERY_PROBABILITY,
     RED,
     CutProcess,
     count_cut,
     run_cut,
 )
 from girthlocal.exact_oracle import from_multigraph, max_cut
+from test_is_local_algorithm import LastDraws
 
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -393,12 +393,9 @@ def reductions_leaving_a_lone(graph, seed):
     return count
 
 
-# a run at n = 302 with a reduction that leaves its s1 lone (rare: about
-# two per run at n = 20000, none in the seeds 0-1 runs below)
-LONE_BY_REDUCTION = (302, 269)
-# a run with a bootstrap pair whose second index repeats the first (Floyd's
-# collision branch; about one pair in m, with m >= 65 after the first)
-PAIR_BY_COLLISION = (130, 6)
+# a run at n = 302 with a reduction that leaves its s1 lone (rare: the
+# runs at n = 302 and seeds 0-11 reach 0 to 3 of them, 8 in all)
+LONE_BY_REDUCTION = (302, 2)
 
 
 @compiled
@@ -413,7 +410,7 @@ def test_c_run_matches_python_where_the_lone_set_changes(monkeypatch):
     n, seed = LONE_BY_REDUCTION
     assert reductions_leaving_a_lone(generate(n, 3, seed=seed), seed) > 0
     inputs = [(n, s) for n in (10, 130, 302, 2000) for s in range(2)]
-    for n, seed in inputs + [LONE_BY_REDUCTION, PAIR_BY_COLLISION]:
+    for n, seed in inputs + [LONE_BY_REDUCTION]:
         backends_agree(monkeypatch, generate(n, 3, seed=seed), [seed])
 
 
@@ -512,49 +509,71 @@ def test_a_c_cut_run_is_one_engine_call(monkeypatch):
 
 def replayed_bootstraps(graph, seed, q):
     """A run of the Python methods whose bootstrap pairs are replayed on a
-    copy of its generator by Floyd's method, as the C bootstrap draws them:
-    an index over m - 1, then one over m (m - 1 if it repeats the first),
-    then a draw over 2 that swaps the pair when it gives 0.  Each replayed
-    pair must be the one rng.choice picked, with the generator left in one
-    state; returns (collisions, bootstraps)."""
+    copy of its generator, two random() draws each, as the C bootstrap
+    draws them: red is rank int(u1 * m) of the m ascending survivors, and
+    green rank int(u2 * (m - 1)) of the m - 1 others.  Each replayed pair
+    must be the one the run committed, with the generator left in one
+    state; returns how many greens ranked below red and how many above."""
     p = CutProcess(graph, seed=seed, query_probability=q)
     bootstrap = p._bootstrap
-    collisions = bootstraps = 0
+    sides = [0, 0]
 
     def replayed():
-        nonlocal collisions, bootstraps
         alive = np.flatnonzero(np.frombuffer(p.status, np.uint8) == 0)
         m = alive.shape[0]
         copy = np.random.default_rng()
         copy.bit_generator.state = p.rng.bit_generator.state
-        first, second = int(copy.integers(m - 1)), int(copy.integers(m))
-        if second == first:
-            second = m - 1
-            collisions += 1
-        pair = [first, second] if copy.integers(2) else [second, first]
+        red = int(copy.random() * m)
+        others = np.delete(alive, red)
+        green = int(others[int(copy.random() * (m - 1))])
         bootstrap()
-        bootstraps += 1
-        assert [p.f[v] for v in alive[pair]] == [RED, GREEN]
+        sides[int(green > alive[red])] += 1
+        assert p.f[alive[red]] == RED and p.f[green] == GREEN
         assert copy.bit_generator.state == p.rng.bit_generator.state
 
     p._bootstrap = replayed
     p._drive()
-    return collisions, bootstraps
+    return sides
 
 
-def test_bootstrap_pairs_draw_as_floyds_method(monkeypatch):
-    # two vertices draw no first index (one over a single value); the
-    # Python half also runs without cc
+def test_bootstrap_pairs_draw_two_random_ranks(monkeypatch):
+    # two vertices give green one survivor to draw from; greens below and
+    # above red both occur.  The Python half also runs without cc
     graphs = [load_edge_list(MULTIGRAPHS["triple_edge"])]
     graphs += [generate(n, 3, seed=n) for n in (10, 302, 2000)]
+    below = above = 0
     for graph in graphs:
         for q in (0.0, 1.0):
-            assert replayed_bootstraps(graph, graph.n, q)[1] > 0
-    n, seed = PAIR_BY_COLLISION
-    graph = generate(n, 3, seed=seed)
-    assert replayed_bootstraps(graph, seed, QUERY_PROBABILITY)[0] > 0
+            sides = replayed_bootstraps(graph, graph.n, q)
+            assert sum(sides) > 0
+            below, above = below + sides[0], above + sides[1]
+    assert below > 0 and above > 0
     if _kernels.BACKEND == "c":
-        backends_agree(monkeypatch, graph, [seed])
+        backends_agree(monkeypatch, graphs[0], [0, 1, 2])
+
+
+@pytest.mark.parametrize("n", [2, 128, 2000])
+def test_the_largest_draws_pair_the_last_two_survivors(n):
+    # red = int(u * m) is rank m - 1 and green = int(u * (m - 1)) rank
+    # m - 2, with no index past the end, also when m is a power of two
+    # (the first pair draws from all n vertices).  No mark falls below the
+    # query probability, so every round stalls and is followed by a pair
+    graph = load_edge_list(MULTIGRAPHS["triple_edge"]) if n == 2 \
+        else generate(n, 3, seed=0)
+    p = CutProcess(graph, seed=0)
+    p.rng = LastDraws()
+    bootstrap = p._bootstrap
+    sizes = []
+
+    def checked():
+        alive = np.flatnonzero(np.frombuffer(p.status, np.uint8) == 0)
+        bootstrap()
+        sizes.append(alive.shape[0])
+        assert p.f[alive[-1]] == RED and p.f[alive[-2]] == GREEN
+
+    p._bootstrap = checked
+    p._drive()
+    assert sizes[0] == n and (len(sizes) > 1 or n == 2)
 
 
 @compiled

@@ -545,26 +545,29 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
         assert state != np.random.default_rng(seed).bit_generator.state
 
 
-class RecordedChoices:
-    """A Generator's random and choice, logging each call in order as
-    (name, size): the number of draws random makes, or the size of the
-    array choice draws from.  What the Python ladder reads of its rng."""
+class RecordedDraws:
+    """A generator's random, logging each call in order: ("random", size)
+    for a round's marks, and ("forced", m) for a single draw, which only
+    the forced deletion makes, over the m members of g's top non-empty
+    class; those members go to ``classes``.  What the Python ladder reads
+    of its rng; it has no other method."""
 
-    def __init__(self, rng):
-        self.rng = rng
-        self.draws = []
+    def __init__(self, rng, g):
+        self.rng, self.g = rng, g
+        self.draws, self.classes = [], []
 
     @property
     def sizes(self) -> list:
-        return [size for name, size in self.draws if name == "choice"]
+        return [len(members) for members in self.classes]
 
-    def random(self, size):
-        self.draws.append(("random", size))
+    def random(self, size=None):
+        if size is None:
+            top = max(k for k, c in enumerate(self.g.counts) if c)
+            self.classes.append(self.g.scan(top, top).tolist())
+            self.draws.append(("forced", len(self.classes[-1])))
+        else:
+            self.draws.append(("random", size))
         return self.rng.random(size)
-
-    def choice(self, members):
-        self.draws.append(("choice", len(members)))
-        return self.rng.choice(members)
 
 
 # 65 (d = 4) and 66 straddle a 64-bit word of the engine's bit sets
@@ -573,14 +576,14 @@ class RecordedChoices:
                                   for n in (4, 6, 66, 2000)] + [(65, 4)])
 def test_forced_deletions_draw_as_rng_choice(n, d):
     # at t = 0 every thinning of a persistent class stalls, so forced
-    # deletions come often: the C draw (numpy's bounded Lemire draw on
-    # next_uint32, none for a one-member class) must pick the member
-    # rng.choice picks and leave the generator where rng.choice leaves it
+    # deletions come often: the C draw (one next_double, also for a
+    # one-member class) must pick the member that rng.random() picks in
+    # the Python ladder and leave the generator where that leaves it
     sizes = []
     for seed in range(8):
         graph = generate(n, d, seed=seed)
         python = SurvivalGraph(graph)
-        rng = RecordedChoices(np.random.default_rng(seed))
+        rng = RecordedDraws(np.random.default_rng(seed), python)
         rounds = _drive(python, rng, d, 0.0)
         sizes += rng.sizes
         g = SurvivalGraph(graph)
@@ -597,20 +600,56 @@ def test_a_round_with_nothing_to_thin_or_probe_draws_nothing(monkeypatch, d):
     # a d-regular graph has no class above d and no 3-vertex: its first
     # round deletes everything above class d, which is nothing, with no
     # draw, and the forced deletion that follows draws one of all n
-    # vertices by rng.choice
+    # vertices by one rng.random()
     top_persistent = is_local_algorithm._top_persistent
     for seed in range(3):
-        rng = RecordedChoices(np.random.default_rng(seed))
+        g = SurvivalGraph(generate(2000, d, seed=seed))
+        rng = RecordedDraws(np.random.default_rng(seed), g)
 
         def recorded(counts, survival, *rest):
             rng.draws.append(("round", survival))
             return top_persistent(counts, survival, *rest)
 
         monkeypatch.setattr(is_local_algorithm, "_top_persistent", recorded)
-        _drive(SurvivalGraph(generate(2000, d, seed=seed)), rng, d,
-               THIN_PROBABILITY)
-        assert rng.draws[:2] == [("round", 2000), ("choice", 2000)], seed
+        _drive(g, rng, d, THIN_PROBABILITY)
+        assert rng.draws[:2] == [("round", 2000), ("forced", 2000)], seed
         assert rng.draws[2][0] == "round", seed
+
+
+# the largest double below 1, the most that next_double (and so
+# rng.random) returns
+U_MAX = float(np.nextafter(1.0, 0.0))
+
+
+class LastDraws:
+    """A generator stub whose every draw is U_MAX."""
+
+    def random(self, size=None):
+        return U_MAX if size is None else np.full(size, U_MAX)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for d in (3, 4)
+                                  for n in (64, 2000)])
+def test_the_largest_draw_forces_the_last_member_of_its_class(n, d):
+    # int(u * m) stays below m at the largest u, also when m is a power of
+    # two (the first forced deletion draws from all n vertices, and
+    # U_MAX * 64 is 64 - 2^-47 exactly): each forced deletion takes the
+    # last member of its class.  No mark falls below 0.02, so every round
+    # with a class to thin stalls
+    g = SurvivalGraph(generate(n, d, seed=0))
+    rng = RecordedDraws(LastDraws(), g)
+    deleted = []
+    delete = g.delete
+
+    def logged(v):
+        if len(deleted) < len(rng.classes):
+            deleted.append(v)  # the first deletion after a forced draw
+        delete(v)
+
+    g.delete = logged
+    _drive(g, rng, d, THIN_PROBABILITY)
+    assert deleted == [members[-1] for members in rng.classes]
+    assert rng.sizes[0] == n and len(rng.sizes) > 1
 
 
 # the no-correction is3 evolution's final at step 1e-7 (test_acceptance
@@ -629,13 +668,16 @@ def test_the_sequential_is3_run_lands_on_the_evolution():
         (np.mean(ratios), stderr)
 
 
-def test_persistence_threshold_rounds_half_to_even():
+def test_persistence_threshold_rounds_half_up():
     """On 1,250 vertices, two of degree 4 and the rest of degree 3, the
-    first round's threshold is round(0.002 * 1250) = round(2.5) = 2, so it
-    thins class 4; rounding half up would give 3, no persistent class and
-    the outright deletion of both 4-vertices, with no draw, instead.  The
-    C ladder must round as Python does."""
+    first round's threshold is 0.002 * 1250 = 2.5 rounded half up, 3, so
+    no class above 3 is persistent and the first round deletes both
+    4-vertices outright, with no draw; rounding half to even would give 2
+    and a thinning of class 4 instead.  The C ladder must round as the
+    Python ladder does."""
     assert PERSISTENCE_FRACTION * 1250 == 2.5
+    assert is_local_algorithm._top_persistent(
+        [0, 0, 0, 1247, 3], 1250, PERSISTENCE_FRACTION, 3) == 4
     for seed in range(3):
         rng = np.random.default_rng(seed)
         degrees = np.array([4, 4] + [3] * 1248)
@@ -646,7 +688,7 @@ def test_persistence_threshold_rounds_half_to_even():
         graph = Multigraph(n=1250, owner=owner.astype(np.int64), pair=pair)
         python = SurvivalGraph(graph)
         assert is_local_algorithm._top_persistent(
-            python.counts, 1250, PERSISTENCE_FRACTION, 3) == 4
+            python.counts, 1250, PERSISTENCE_FRACTION, 3) is None
         python_rng = np.random.default_rng(seed)
         rounds = _drive(python, python_rng, 3, THIN_PROBABILITY)
         if _kernels.BACKEND != "c":
