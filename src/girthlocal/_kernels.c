@@ -345,10 +345,14 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
 
 /* ---- Shared by the event engines --------------------------------------
  *
- * Each engine's run (cut_run, is_run) returns its err field: ENGINE_NOMEM
- * after an allocation failure, ENGINE_BROKEN when a bookkeeping invariant
- * failed (an assertion in the Python methods).  The run stops at the first
- * error.
+ * The library exports four functions: the two chunk kernels above and one
+ * run per engine, cut_run and is_run.  A run is one call with one exit: it
+ * allocates its engine's state, runs the whole process and frees the state,
+ * and returns 0, ENGINE_NOMEM after an allocation failure, or ENGINE_BROKEN
+ * when a bookkeeping invariant failed (an assertion in the Python methods).
+ * A failed check or allocation calls fail, which jumps straight back to the
+ * run's entry: the run stops at once, as the Python method's exception ends
+ * the reference run, and leaves the shared buffers where that stops.
  *
  * An engine reads and writes only its own state and the buffers it was
  * given: this file has no mutable file-scope state.  So engines over
@@ -362,15 +366,28 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * order, so vertex v's half-edges are the contiguous block that starts
  * after those of the vertices below v.  Arithmetic on ids and counts runs
  * in int64_t locals, and each store into 32-bit storage is an explicit
- * (int32_t) cast of a value that fits.  The buffers shared with Python
- * (degrees, aliases, counters) stay int64_t, and so do the independent-set
- * engine's pool offsets.
+ * (int32_t) cast of a value that fits.  Of the buffers shared with Python,
+ * the cut's aliases are int32_t ids too, while the degrees and counters
+ * stay int64_t, as do the independent-set engine's pool offsets.
  */
+#include <setjmp.h>
 #include <stdlib.h>
 #include <string.h>
 
 #define ENGINE_NOMEM 1
 #define ENGINE_BROKEN 2
+
+/* a run's exit: its entry's setjmp point, and the code that fail leaves */
+typedef struct {
+    jmp_buf at;
+    int64_t err;
+} failure;
+
+static void fail(failure *f, int64_t code)
+{
+    f->err = code;
+    longjmp(f->at, 1);
+}
 
 /* a growable vector of ids */
 typedef struct {
@@ -378,31 +395,29 @@ typedef struct {
     int64_t len, cap;
 } vec;
 
-/* room for need items in v (and an allocated buffer even for none) */
-static void reserve(int64_t *err, vec *v, int64_t need)
+/* room for need items in v (and an allocated buffer even for none); a
+ * failed realloc leaves the old buffer in v, for the engine's free */
+static void reserve(failure *f, vec *v, int64_t need)
 {
     if (v->data && need <= v->cap)
         return;
     int64_t cap = need > 2 * v->cap ? need : 2 * v->cap;
     cap = cap > 64 ? cap : 64;
     int32_t *data = realloc(v->data, cap * sizeof *data);
-    if (!data) {
-        *err = ENGINE_NOMEM;
-        return;
-    }
+    if (!data)
+        fail(f, ENGINE_NOMEM);
     v->data = data;
     v->cap = cap;
 }
 
-static void push(int64_t *err, vec *v, int64_t x)
+static void push(failure *f, vec *v, int64_t x)
 {
-    reserve(err, v, v->len + 1);
-    if (v->len < v->cap)
-        v->data[v->len++] = (int32_t)x;
+    reserve(f, v, v->len + 1);
+    v->data[v->len++] = (int32_t)x;
 }
 
 /* a FIFO queue: the items of q from index *head on */
-static void fifo_push(int64_t *err, vec *q, int64_t *head, int64_t x)
+static void fifo_push(failure *f, vec *q, int64_t *head, int64_t x)
 {
     if (q->len == q->cap && *head > 0) {
         /* drop the popped front before growing */
@@ -410,7 +425,7 @@ static void fifo_push(int64_t *err, vec *q, int64_t *head, int64_t x)
         q->len -= *head;
         *head = 0;
     }
-    push(err, q, x);
+    push(f, q, x);
 }
 
 static int64_t fifo_pop(vec *q, int64_t *head)
@@ -488,13 +503,13 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
  * endgame commits and _resolve_pending.  Every rule, its order of effects
  * and every tie-break is the same as in the Python methods, which stay
  * the reference semantics; tests pin the two to equal colourings and
- * counters.  The engine exports cut_new, cut_run and cut_free, and a
- * whole run is one call, cut_run: the round schedule of CutProcess._drive
- * (which stays its reference), with the endgame floor passed in from
- * Python.  Each round is query_round (CutProcess.query_round: the lone
- * vertices, the query marks and the queries, then closure), which
- * draws the marks from the caller's numpy bit generator, one next_double
- * per lone vertex in ascending order as the Python round does.  The
+ * counters.  The engine exports one function, cut_run, and a whole run
+ * is one call of it: the round schedule of CutProcess._drive (which stays
+ * its reference), with the endgame floor passed in from Python.  Each
+ * round is query_round (CutProcess.query_round: the lone vertices, the
+ * query marks and the queries, then closure), which draws the marks from
+ * the caller's numpy bit generator, one next_double per lone vertex in
+ * ascending order as the Python round does.  The
  * bootstrap pair after a stalled round takes two next_double draws, as
  * CutProcess._bootstrap takes two rng.random() draws, and each picked
  * survivor is found by its rank, counting the zero status bytes eight at
@@ -536,11 +551,13 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
 enum { LOOP, INHERITED, DEAD, LIVE };
 
 typedef struct {
-    int64_t n, err;
+    failure fail;
+    int64_t n;
     const int32_t *owner, *pair;
     uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
     int8_t *f, *op;
-    int64_t *alias, *counts;
+    int32_t *alias;
+    int64_t *counts;
     int32_t *path_nb;
     uint8_t *path_par;
     int32_t *head, *tail, *next;
@@ -563,7 +580,7 @@ typedef struct {
 
 static void queue_push(cut_state *s, int64_t x)
 {
-    fifo_push(&s->err, &s->queue, &s->qhead, x);
+    fifo_push(&s->fail, &s->queue, &s->qhead, x);
 }
 
 /* The pattern-scan candidates, each vertex at most once: one bit per
@@ -637,7 +654,7 @@ static void wake(cut_state *s, int64_t x)
 
 static int64_t holder(cut_state *s, int64_t v)
 {
-    int64_t *alias = s->alias;
+    int32_t *alias = s->alias;
     while (alias[v] != v) {
         alias[v] = alias[alias[v]];
         v = alias[v];
@@ -651,7 +668,7 @@ static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
     if (!s->pending[v]) {  /* a re-pend keeps v's age */
         s->pending[v] = 1;
         s->age[v] = (int32_t)s->order.len;
-        push(&s->err, &s->order, v);
+        push(&s->fail, &s->order, v);
     }
     s->target[v] = (int32_t)target;
     s->bit[v] = (uint8_t)bit;
@@ -669,9 +686,9 @@ static void oppose(cut_state *s, int64_t x, int64_t v)
 
 static void defer(cut_state *s, int64_t u, int64_t w, int64_t parity)
 {
-    push(&s->err, &s->deferred, u);
-    push(&s->err, &s->deferred, w);
-    push(&s->err, &s->deferred, parity);
+    push(&s->fail, &s->deferred, u);
+    push(&s->fail, &s->deferred, w);
+    push(&s->fail, &s->deferred, parity);
 }
 
 static void consume_phantom_open(cut_state *s, int64_t x)
@@ -726,10 +743,8 @@ static void give_label(cut_state *s, int64_t x, int color)
 
 static void add_path_slot(cut_state *s, int64_t x, int64_t y, int parity)
 {
-    if (s->pd[x] >= 2) {
-        s->err = ENGINE_BROKEN;
-        return;
-    }
+    if (s->pd[x] >= 2)
+        fail(&s->fail, ENGINE_BROKEN);
     s->path_nb[2 * x + s->pd[x]] = (int32_t)y;
     s->path_par[2 * x + s->pd[x]] = (uint8_t)parity;
     s->pd[x] += 1;
@@ -742,7 +757,7 @@ static int64_t path_index(cut_state *s, int64_t x, int64_t y)
     for (int64_t i = 0; i < s->pd[x]; i++)
         if (s->path_nb[2 * x + i] == y)
             return 2 * x + i;
-    s->err = ENGINE_BROKEN;  /* path slot bookkeeping out of sync */
+    fail(&s->fail, ENGINE_BROKEN);  /* path slot bookkeeping out of sync */
     return -1;
 }
 
@@ -750,8 +765,6 @@ static int64_t path_index(cut_state *s, int64_t x, int64_t y)
 static int remove_path_slot(cut_state *s, int64_t x, int64_t y)
 {
     int64_t i = path_index(s, x, y);
-    if (i < 0)
-        return 0;
     int parity = s->path_par[i];
     if (i == 2 * x && s->pd[x] == 2) {
         s->path_nb[i] = s->path_nb[i + 1];
@@ -766,8 +779,6 @@ static void replace_path_slot(cut_state *s, int64_t x, int64_t old,
                               int64_t new_, int parity)
 {
     int64_t i = path_index(s, x, old);
-    if (i < 0)
-        return;
     s->path_nb[i] = (int32_t)new_;
     s->path_par[i] = (uint8_t)parity;
 }
@@ -791,11 +802,9 @@ static int connected(cut_state *s, int64_t a, int64_t b)
             if (cur == b)
                 return 1;
             steps += 1;
-            if (steps > SURVIVAL(s) + 2) {
-                /* a walk longer than any path means (P) broke */
-                s->err = ENGINE_BROKEN;
-                return 0;
-            }
+            /* a walk longer than any path means (P) broke */
+            if (steps > SURVIVAL(s) + 2)
+                fail(&s->fail, ENGINE_BROKEN);
             int64_t nxt = -1;
             for (int64_t j = 0; j < s->pd[cur]; j++) {
                 int64_t w = s->path_nb[2 * cur + j];
@@ -822,19 +831,15 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
     if (u == x) {
         /* an absorbed vertex passes on at most one of its own half-edges,
          * so a self-loop is never inherited */
-        if (u != v) {
-            s->err = ENGINE_BROKEN;
-            return LOOP;
-        }
+        if (u != v)
+            fail(&s->fail, ENGINE_BROKEN);
         BAD(s) += 1;  /* a self-loop is monochromatic whatever happens */
         s->op[v] -= 2;
         *xo = -1;
         return LOOP;
     }
-    if (s->status[x] == 1) {  /* a committed vertex kept an open slot */
-        s->err = ENGINE_BROKEN;
-        return LOOP;
-    }
+    if (s->status[x] == 1)  /* a committed vertex kept an open slot */
+        fail(&s->fail, ENGINE_BROKEN);
     if (u != v) {
         /* inherited slot: the real edge belongs to an absorbed vertex */
         defer(s, u, x, 0);
@@ -865,10 +870,8 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
 
 static void commit(cut_state *s, int64_t v, int color)
 {
-    if (s->status[v] != 0) {
-        s->err = ENGINE_BROKEN;
-        return;
-    }
+    if (s->status[v] != 0)
+        fail(&s->fail, ENGINE_BROKEN);
     leave(s, v, 1);
     s->f[v] = (int8_t)color;
     if (color == GREEN) {
@@ -878,13 +881,13 @@ static void commit(cut_state *s, int64_t v, int color)
         GOOD(s) += s->n_g[v];
         BAD(s) += s->n_r[v];
     }
-    while (s->pd[v] && !s->err) {
+    while (s->pd[v]) {
         int64_t x = s->path_nb[2 * v];
         int parity = remove_path_slot(s, v, x);
         remove_path_slot(s, x, v);
         give_label(s, x, color ^ parity);
     }
-    for (int64_t h = s->head[v]; h >= 0 && !s->err; h = s->next[h]) {
+    for (int64_t h = s->head[v]; h >= 0; h = s->next[h]) {
         if (s->revealed[h])
             continue;
         int64_t x;
@@ -898,10 +901,8 @@ static void commit(cut_state *s, int64_t v, int color)
 
 static void whiten(cut_state *s, int64_t v)
 {
-    if (s->status[v] != 0) {
-        s->err = ENGINE_BROKEN;
-        return;
-    }
+    if (s->status[v] != 0)
+        fail(&s->fail, ENGINE_BROKEN);
     if (s->n_r[v] == 1 && s->n_g[v] == 1) {
         GOOD(s) += 1;
         BAD(s) += 1;
@@ -934,10 +935,8 @@ static void whiten(cut_state *s, int64_t v)
 static void eliminate_white(cut_state *s, int64_t v)
 {
     if (s->status[v] != 0 || s->n_w[v] != 1
-            || s->n_r[v] + s->n_g[v] + s->n_d[v] != 0) {
-        s->err = ENGINE_BROKEN;
-        return;
-    }
+            || s->n_r[v] + s->n_g[v] + s->n_d[v] != 0)
+        fail(&s->fail, ENGINE_BROKEN);
     leave(s, v, 2);
     if (s->pd[v] == 2) {
         /* by (P), joining v's two path neighbours keeps a path */
@@ -982,7 +981,7 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
         dirty_area(s, t);
     } else if (s->op[s3]) {
         /* s3's unrevealed slots now belong (logically) to s1 */
-        s->alias[s3] = s1;
+        s->alias[s3] = (int32_t)s1;
         s->op[s1] += s->op[s3];
         int64_t h = s->head[s3];
         while (h >= 0) {
@@ -1005,10 +1004,8 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
 static void query(cut_state *s, int64_t v)
 {
     int64_t h = first_unrevealed(s, v);
-    if (s->status[v] != 0 || s->op[v] <= 0 || h < 0) {
-        s->err = ENGINE_BROKEN;
-        return;
-    }
+    if (s->status[v] != 0 || s->op[v] <= 0 || h < 0)
+        fail(&s->fail, ENGINE_BROKEN);
     int64_t x;
     int kind = reveal(s, v, h, &x);
     if (kind == DEAD) {
@@ -1118,7 +1115,7 @@ static void try_patterns(cut_state *s, int64_t v)
 
 static void closure(cut_state *s)
 {
-    while (!s->err) {
+    for (;;) {
         if (s->qhead < s->queue.len) {
             int64_t v = fifo_pop(&s->queue, &s->qhead);
             if (s->status[v] == 0)
@@ -1138,16 +1135,16 @@ static void closure(cut_state *s)
 static void resolve_pending(cut_state *s)
 {
     int8_t *f = s->f;
-    for (int64_t i = 0; i < s->order.len && !s->err; i++) {
+    for (int64_t i = 0; i < s->order.len; i++) {
         int64_t v = s->order.data[i];
         if (f[v] >= 0)
             continue;
         vec *path = &s->walk;
         path->len = 0;
-        push(&s->err, path, v);
+        push(&s->fail, path, v);
         s->seen[v] = 0;
         int64_t cycle = -1;  /* index of the pinned cycle member */
-        while (!s->err) {
+        for (;;) {
             int64_t u = path->data[path->len - 1];
             int64_t t = s->target[u];
             if (t == -1) {
@@ -1158,12 +1155,10 @@ static void resolve_pending(cut_state *s)
             }
             if (f[t] >= 0)
                 break;
-            if (!s->pending[t]) {
-                /* an uncoloured target always has a constraint of its
-                 * own; its target field was never written */
-                s->err = ENGINE_BROKEN;
-                break;
-            }
+            /* an uncoloured target always has a constraint of its own;
+             * its target field was never written */
+            if (!s->pending[t])
+                fail(&s->fail, ENGINE_BROKEN);
             if (s->seen[t] >= 0) {
                 int64_t m = s->seen[t];
                 for (int64_t j = m + 1; j < path->len; j++)
@@ -1174,10 +1169,8 @@ static void resolve_pending(cut_state *s)
                 break;
             }
             s->seen[t] = (int32_t)path->len;
-            push(&s->err, path, t);
+            push(&s->fail, path, t);
         }
-        if (s->err)
-            return;
         for (int64_t j = 0; j < path->len; j++)
             s->seen[path->data[j]] = -1;
         /* last to first, skipping a pinned cycle member: the order of
@@ -1195,12 +1188,10 @@ static void resolve_pending(cut_state *s)
     }
 }
 
-/* -- entry points ------------------------------------------------------ */
+/* -- the engine's private state ---------------------------------------- */
 
-void cut_free(cut_state *s)
+static void cut_free(cut_state *s)
 {
-    if (!s)
-        return;
     free(s->path_nb);
     free(s->path_par);
     free(s->head);
@@ -1226,33 +1217,13 @@ void cut_free(cut_state *s)
     free(s);
 }
 
-/* A fresh engine over a 3-regular graph: owner and pair of its 3n
- * half-edges (vertex v's are 3v, 3v+1, 3v+2, in the order of the Python
- * slot lists), both the graph's own int32 arrays, and the shared buffers.
- * NULL when out of memory. */
-cut_state *cut_new(int64_t n, const int32_t *owner, const int32_t *pair,
-                   uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
-                   uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int8_t *op,
-                   int64_t *alias, uint8_t *revealed, int64_t *counts)
+/* the private state of a fresh engine over s->n vertices, every vertex
+ * touched; vertex v's half-edges are 3v, 3v+1, 3v+2, in the order of the
+ * Python slot lists */
+static void cut_alloc(cut_state *s)
 {
-    cut_state *s = calloc(1, sizeof *s);
-    if (!s)
-        return NULL;
+    int64_t n = s->n;
     size_t m = n > 0 ? (size_t)n : 1;
-    s->n = n;
-    s->owner = owner;
-    s->pair = pair;
-    s->status = status;
-    s->f = f;
-    s->n_r = n_r;
-    s->n_g = n_g;
-    s->n_w = n_w;
-    s->n_d = n_d;
-    s->pd = pd;
-    s->op = op;
-    s->alias = alias;
-    s->revealed = revealed;
-    s->counts = counts;
     s->path_nb = malloc(2 * m * sizeof *s->path_nb);
     s->path_par = malloc(2 * m);
     s->head = malloc(m * sizeof *s->head);
@@ -1274,10 +1245,8 @@ cut_state *cut_new(int64_t n, const int32_t *owner, const int32_t *pair,
     if (!s->path_nb || !s->path_par || !s->head || !s->tail || !s->next
             || !s->target || !s->age || !s->bit || !s->free_ || !s->pending
             || !s->wsrc || !s->wbit || !s->seen || !s->cand
-            || !s->cand_sum || !s->lones || !s->touched || !s->marked) {
-        cut_free(s);
-        return NULL;
-    }
+            || !s->cand_sum || !s->lones || !s->touched || !s->marked)
+        fail(&s->fail, ENGINE_NOMEM);
     for (int64_t v = 0; v < n; v++) {
         s->head[v] = (int32_t)(3 * v);
         s->tail[v] = (int32_t)(3 * v + 2);
@@ -1287,10 +1256,9 @@ cut_state *cut_new(int64_t n, const int32_t *owner, const int32_t *pair,
         s->seen[v] = -1;
         touch(s, v);
     }
-    return s;
 }
 
-/* -- the round schedule: cut_run and its helpers ----------------------- */
+/* -- the round schedule: cut_drive and its helpers --------------------- */
 
 /* survival, no path edge, no white or deferred label, one R/G label.
  * Tested after closure only, which leaves no survival vertex with two or
@@ -1330,7 +1298,7 @@ static void query_round(cut_state *s, bitgen_t *bg, double q)
         for (uint64_t w = lone_word(s, i); w; w &= w - 1)
             if (bg->next_double(bg->state) < q)
                 s->marked[count++] = (int32_t)(64 * i + lowest(w));
-    for (int64_t i = 0; i < count && !s->err; i++) {
+    for (int64_t i = 0; i < count; i++) {
         int64_t v = s->marked[i];
         if (s->status[v] == 0 && s->op[v] > 0)
             query(s, v);
@@ -1342,10 +1310,10 @@ static void query_round(cut_state *s, bitgen_t *bg, double q)
  * pending colours resolve and the deferred edges are counted */
 static void endgame(cut_state *s)
 {
-    for (int64_t v = 0; v < s->n && !s->err; v++)
+    for (int64_t v = 0; v < s->n; v++)
         if (s->status[v] == 0)
             commit(s, v, majority(s, v, RED));
-    for (int64_t h = 0; h < 3 * s->n && !s->err; h++) {
+    for (int64_t h = 0; h < 3 * s->n; h++) {
         int64_t k = s->pair[h];
         if (s->revealed[h] || h >= k)
             continue;
@@ -1360,8 +1328,6 @@ static void endgame(cut_state *s)
             oppose(s, x, u);
         }
     }
-    if (s->err)
-        return;
     resolve_pending(s);
     const int32_t *d = s->deferred.data;
     for (int64_t i = 0; i + 2 < s->deferred.len; i += 3) {
@@ -1391,7 +1357,7 @@ static int64_t survivor_of_rank(cut_state *s, int64_t from, int64_t r)
     for (; v < s->n; v++)
         if (s->status[v] == 0 && r-- == 0)
             return v;
-    s->err = ENGINE_BROKEN;  /* fewer survivors than counted */
+    fail(&s->fail, ENGINE_BROKEN);  /* fewer survivors than counted */
     return -1;
 }
 
@@ -1404,20 +1370,14 @@ static void bootstrap(cut_state *s, bitgen_t *bg)
     int64_t m = SURVIVAL(s);
     if (m == 0)
         return;
-    if (m < 2) {
-        s->err = ENGINE_BROKEN;  /* no pair to draw */
-        return;
-    }
+    if (m < 2)
+        fail(&s->fail, ENGINE_BROKEN);  /* no pair to draw */
     int64_t a = draw_index(bg, m);
     int64_t b = draw_index(bg, m - 1);
     b += b >= a;
     int64_t lo = a < b ? a : b, hi = a < b ? b : a;
     int64_t v_lo = survivor_of_rank(s, 0, lo);
-    if (s->err)
-        return;
     int64_t v_hi = survivor_of_rank(s, v_lo + 1, hi - lo - 1);
-    if (s->err)
-        return;
     commit(s, a == lo ? v_lo : v_hi, RED);
     commit(s, a == lo ? v_hi : v_lo, GREEN);
 }
@@ -1427,24 +1387,51 @@ static void bootstrap(cut_state *s, bitgen_t *bg)
  * with a bootstrap pair and closure after each round that removes no
  * survival vertex, so the survival count falls every round; then the
  * endgame */
-int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
-                int64_t *rounds)
+static void cut_drive(cut_state *s, bitgen_t *bg, double q, int64_t floor,
+                      int64_t *rounds)
 {
     *rounds = 0;
     bootstrap(s, bg);
     closure(s);
-    while (SURVIVAL(s) > floor && !s->err) {
+    while (SURVIVAL(s) > floor) {
         int64_t before = SURVIVAL(s);
         query_round(s, bg, q);
         *rounds += 1;
-        if (SURVIVAL(s) == before && !s->err) {
+        if (SURVIVAL(s) == before) {
             bootstrap(s, bg);
             closure(s);
         }
     }
-    if (!s->err)
-        endgame(s);
-    return s->err;
+    endgame(s);
+}
+
+/* -- the entry --------------------------------------------------------- */
+
+/* A whole run over a 3-regular graph: owner and pair of its 3n half-edges,
+ * both the graph's own int32 arrays, the shared buffers, the caller's bit
+ * generator, the query probability and the endgame floor; the rounds run
+ * go into *rounds.  Returns 0 or the code of the failure that stopped the
+ * run. */
+int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
+                uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
+                uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int8_t *op,
+                int32_t *alias, uint8_t *revealed, int64_t *counts,
+                bitgen_t *bg, double q, int64_t floor, int64_t *rounds)
+{
+    cut_state *s = calloc(1, sizeof *s);
+    if (!s)
+        return ENGINE_NOMEM;
+    *s = (cut_state){.n = n, .owner = owner, .pair = pair, .status = status,
+                     .f = f, .n_r = n_r, .n_g = n_g, .n_w = n_w, .n_d = n_d,
+                     .pd = pd, .op = op, .alias = alias, .revealed = revealed,
+                     .counts = counts};
+    if (!setjmp(s->fail.at)) {
+        cut_alloc(s);
+        cut_drive(s, bg, q, floor, rounds);
+    }
+    int64_t err = s->fail.err;
+    cut_free(s);
+    return err;
 }
 
 /* ---- The finite independent-set process's event engine -----------------
@@ -1455,11 +1442,11 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  * (thin and probe_round) and unfold_merges' backward read of merges.
  * Every rule and its order of effects is the same as in the Python
  * methods, which stay the reference semantics; tests pin the two to equal
- * sets, round counts and contraction counts.  The engine exports is_new,
- * is_run and is_free, and a whole run is one call, is_run: the round
- * ladder of is_local_algorithm._drive (which stays its reference), with
- * the persistence fraction passed in from Python, then the unfolding of
- * the merges; no event is exported on its own.  The rounds (is_thin,
+ * sets, round counts and contraction counts.  The engine exports one
+ * function, is_run, and a whole run is one call of it: the round ladder of
+ * is_local_algorithm._drive (which stays its reference), with the
+ * persistence fraction passed in from Python, then the unfolding of the
+ * merges; no event is exported on its own.  The rounds (is_thin,
  * is_probe_round) draw their marks from the caller's numpy bit generator,
  * one next_double per class member in ascending order as the Python round
  * does, and the forced deletion its member by one next_double
@@ -1497,7 +1484,8 @@ int64_t cut_run(cut_state *s, bitgen_t *bg, double q, int64_t floor,
 #define OUT 2
 
 typedef struct {
-    int64_t n, err, ncounts, cap_degree;
+    failure fail;
+    int64_t n, ncounts, cap_degree;
     int64_t *deg, *counts, *state;
     uint8_t *alive, *status;
     int64_t *off;
@@ -1535,7 +1523,7 @@ static void adj_remove(is_state *s, int64_t v, int64_t x)
             return;
         }
     }
-    s->err = ENGINE_BROKEN;  /* adjacency out of sync */
+    fail(&s->fail, ENGINE_BROKEN);  /* adjacency out of sync */
 }
 
 /* v's list has its first occurrence of old replaced by new_ */
@@ -1548,7 +1536,7 @@ static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
             return;
         }
     }
-    s->err = ENGINE_BROKEN;
+    fail(&s->fail, ENGINE_BROKEN);
 }
 
 static int adj_has(is_state *s, int64_t v, int64_t x)
@@ -1570,10 +1558,8 @@ static void adj_reserve(is_state *s, int64_t v, int64_t need)
     if (pool->len + cap > pool->cap) {
         int64_t grown = 2 * (pool->len + cap);
         int32_t *data = realloc(pool->data, grown * sizeof *data);
-        if (!data) {
-            s->err = ENGINE_NOMEM;
-            return;
-        }
+        if (!data)
+            fail(&s->fail, ENGINE_NOMEM);
         pool->data = data;
         pool->cap = grown;
     }
@@ -1589,10 +1575,8 @@ static void reclass(is_state *s, int64_t v, int64_t to)
 {
     int64_t from = s->deg[v];
     uint64_t *word = class_set(s, from) + v / 64;
-    if (!(*word & bit_of(v))) {
-        s->err = ENGINE_BROKEN;  /* class sets out of sync */
-        return;
-    }
+    if (!(*word & bit_of(v)))
+        fail(&s->fail, ENGINE_BROKEN);  /* class sets out of sync */
     *word &= ~bit_of(v);
     s->counts[from] -= 1;
     if (to < 0)
@@ -1604,21 +1588,20 @@ static void reclass(is_state *s, int64_t v, int64_t to)
 
 static void is_queue(is_state *s, int64_t v)
 {
-    fifo_push(&s->err, &s->queue, &s->qhead, v);
+    fifo_push(&s->fail, &s->queue, &s->qhead, v);
 }
 
 static void decide(is_state *s, int64_t v, uint8_t decision)
 {
     if (s->status[v] != UNDECIDED)
-        s->err = ENGINE_BROKEN;  /* decided twice */
-    else
-        s->status[v] = decision;
+        fail(&s->fail, ENGINE_BROKEN);  /* decided twice */
+    s->status[v] = decision;
 }
 
 /* remove v and its live edges, decrementing live neighbours */
 static void drop_vertex(is_state *s, int64_t v)
 {
-    for (int64_t i = 0; i < s->len[v] && !s->err; i++) {
+    for (int64_t i = 0; i < s->len[v]; i++) {
         int64_t u = nbrs(s, v)[i];
         if (u == v)
             continue;
@@ -1637,10 +1620,8 @@ static void drop_vertex(is_state *s, int64_t v)
 /* rule v out of the set: marks it out, removes v */
 static void is_delete(is_state *s, int64_t v)
 {
-    if (!s->alive[v]) {
-        s->err = ENGINE_BROKEN;  /* a vertex that is gone */
-        return;
-    }
+    if (!s->alive[v])
+        fail(&s->fail, ENGINE_BROKEN);  /* a vertex that is gone */
     decide(s, v, OUT);
     drop_vertex(s, v);
 }
@@ -1679,30 +1660,26 @@ static int64_t contract(is_state *s, int64_t y)
     /* true merge: x absorbs z and y, which unfold_merges decides */
     adj_remove(s, x, y);
     adj_remove(s, z, y);
-    for (int64_t i = 0; i < s->len[z] && !s->err; i++) {
+    for (int64_t i = 0; i < s->len[z]; i++) {
         int64_t w = nbrs(s, z)[i];
         if (w != z)
             adj_rename(s, w, z, x);
     }
     adj_reserve(s, x, s->len[x] + s->len[z]);
-    if (s->err)
-        return -1;
     int32_t *ax = nbrs(s, x), *az = nbrs(s, z);
     for (int64_t i = 0; i < s->len[z]; i++)
         ax[s->len[x] + i] = az[i] == z ? (int32_t)x : az[i];
     s->len[x] += s->len[z];
     int64_t dx = s->len[x];
-    if (dx >= s->ncounts) {
-        /* the histogram has room for every degree settle lets arise */
-        s->err = ENGINE_BROKEN;
-        return -1;
-    }
+    /* the histogram has room for every degree settle lets arise */
+    if (dx >= s->ncounts)
+        fail(&s->fail, ENGINE_BROKEN);
     reclass(s, x, dx);
     reclass(s, y, -1);
     reclass(s, z, -1);
-    push(&s->err, &s->merges, x);
-    push(&s->err, &s->merges, y);
-    push(&s->err, &s->merges, z);
+    push(&s->fail, &s->merges, x);
+    push(&s->fail, &s->merges, y);
+    push(&s->fail, &s->merges, z);
     s->alive[y] = s->alive[z] = 0;
     s->len[y] = s->len[z] = 0;
     SURVIVAL_COUNT(s) -= 2;
@@ -1714,7 +1691,7 @@ static int64_t contract(is_state *s, int64_t y)
 /* resolve all 0/1/2-degree vertices until none remain */
 static void settle(is_state *s)
 {
-    while (s->qhead < s->queue.len && !s->err) {
+    while (s->qhead < s->queue.len) {
         int64_t v = fifo_pop(&s->queue, &s->qhead);
         if (!s->alive[v] || s->deg[v] > 2)
             continue;
@@ -1732,12 +1709,10 @@ static void settle(is_state *s)
     }
 }
 
-/* -- entry points ------------------------------------------------------ */
+/* -- the engine's private state ---------------------------------------- */
 
-void is_free(is_state *s)
+static void is_free(is_state *s)
 {
-    if (!s)
-        return;
     free(s->off);
     free(s->len);
     free(s->cap);
@@ -1751,29 +1726,16 @@ void is_free(is_state *s)
     free(s);
 }
 
-/* A fresh engine over a fresh SurvivalGraph: owner and pair of the graph's
- * half-edges (grouped by owner, so v's neighbour list is owner[pair[h]]
- * over v's block of deg[v] half-edges), both the graph's own int32 arrays,
- * the shared buffers (counts with ncounts entries, more than any degree),
- * and the degree above which settle deletes a merged vertex.  NULL when
- * out of memory. */
-is_state *is_new(int64_t n, const int32_t *owner, const int32_t *pair,
-                 int64_t *deg, uint8_t *alive, int64_t *counts,
-                 uint8_t *status, int64_t *state, int64_t ncounts,
-                 int64_t cap_degree)
+/* the private state of a fresh engine over a fresh SurvivalGraph: owner
+ * and pair of the graph's half-edges (grouped by owner, so v's neighbour
+ * list is owner[pair[h]] over v's block of deg[v] half-edges), the class
+ * sets and the settle queue; the histogram counts is rebuilt from deg and
+ * alive */
+static void is_alloc(is_state *s, const int32_t *owner, const int32_t *pair)
 {
-    is_state *s = calloc(1, sizeof *s);
-    if (!s)
-        return NULL;
+    int64_t n = s->n, ncounts = s->ncounts;
+    int64_t *deg = s->deg, *counts = s->counts;
     size_t m = n > 0 ? (size_t)n : 1;
-    s->n = n;
-    s->deg = deg;
-    s->alive = alive;
-    s->counts = counts;
-    s->ncounts = ncounts;
-    s->status = status;
-    s->state = state;
-    s->cap_degree = cap_degree;
     s->off = malloc(m * sizeof *s->off);
     s->len = malloc(m * sizeof *s->len);
     s->cap = malloc(m * sizeof *s->cap);
@@ -1786,10 +1748,8 @@ is_state *is_new(int64_t n, const int32_t *owner, const int32_t *pair,
     s->pool.cap = 2 * half_edges + 64;
     s->pool.data = malloc(s->pool.cap * sizeof *s->pool.data);
     if (!s->off || !s->len || !s->cap || !s->classes || !s->picked
-        || !s->pool.data) {
-        is_free(s);
-        return NULL;
-    }
+        || !s->pool.data)
+        fail(&s->fail, ENGINE_NOMEM);
     for (int64_t h = 0; h < half_edges; h++)
         s->pool.data[h] = owner[pair[h]];
     s->pool.len = half_edges;
@@ -1804,19 +1764,14 @@ is_state *is_new(int64_t n, const int32_t *owner, const int32_t *pair,
     for (int64_t k = 0; k < ncounts; k++)
         counts[k] = 0;
     for (int64_t v = 0; v < n; v++) {
-        if (alive[v]) {
+        if (s->alive[v]) {
             class_set(s, deg[v])[v / 64] |= bit_of(v);
             counts[deg[v]] += 1;
         }
     }
-    if (s->err) {
-        is_free(s);
-        return NULL;
-    }
-    return s;
 }
 
-/* -- the round ladder: is_run and its helpers -------------------------- */
+/* -- the round ladder: is_drive and its helpers ------------------------ */
 
 /* the live vertices of degree lo..hi (0 <= lo, hi < ncounts), ascending,
  * into out, a vector of the engine's: each word of the union of the
@@ -1831,32 +1786,26 @@ static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
             s->picked[npicked++] = class_set(s, k);
     }
     out->len = 0;
-    reserve(&s->err, out, need);
-    if (s->err)
-        return;
+    reserve(&s->fail, out, need);
     for (int64_t i = 0; npicked && i < nw; i++) {
         uint64_t w = 0;
         for (int64_t j = 0; j < npicked; j++)
             w |= s->picked[j][i];
         for (; w; w &= w - 1) {
-            if (m == need) {
-                s->err = ENGINE_BROKEN;  /* more ids than counted */
-                return;
-            }
+            if (m == need)
+                fail(&s->fail, ENGINE_BROKEN);  /* more ids than counted */
             out->data[m++] = (int32_t)(64 * i + lowest(w));
         }
     }
-    if (m != need) {
-        s->err = ENGINE_BROKEN;  /* fewer ids than counted */
-        return;
-    }
+    if (m != need)
+        fail(&s->fail, ENGINE_BROKEN);  /* fewer ids than counted */
     out->len = m;
 }
 
 /* delete each vertex, in order (SurvivalGraph.deletes) */
 static void deletes(is_state *s, const int32_t *ids, int64_t count)
 {
-    for (int64_t i = 0; i < count && !s->err; i++)
+    for (int64_t i = 0; i < count; i++)
         is_delete(s, ids[i]);
 }
 
@@ -1873,8 +1822,6 @@ static void delete_above(is_state *s, int64_t k)
 static void is_thin(is_state *s, bitgen_t *bg, int64_t top, double p)
 {
     members(s, top, top, &s->marked);
-    if (s->err)
-        return;
     vec *marked = &s->marked;
     marked->len = mark(bg, marked->data, marked->len, p, marked->data);
     delete_above(s, top);
@@ -1888,11 +1835,9 @@ static void probe(is_state *s, int64_t v)
 {
     if (s->deg[v] != 3)
         return;
-    if (s->len[v] != 3) {
-        /* a dead vertex kept degree 3: see SurvivalGraph.probe_round */
-        s->err = ENGINE_BROKEN;
-        return;
-    }
+    /* a dead vertex kept degree 3: see SurvivalGraph.probe_round */
+    if (s->len[v] != 3)
+        fail(&s->fail, ENGINE_BROKEN);
     const int32_t *a = nbrs(s, v);
     int64_t best = -1, target = -1;
     for (int64_t j = 0; j < 3; j++) {
@@ -1911,13 +1856,10 @@ static void probe(is_state *s, int64_t v)
 static void is_probe_round(is_state *s, bitgen_t *bg, double p)
 {
     delete_above(s, 5);
-    if (!s->err)
-        members(s, 3, 3, &s->marked);
-    if (s->err)
-        return;
+    members(s, 3, 3, &s->marked);
     vec *marked = &s->marked;
     marked->len = mark(bg, marked->data, marked->len, p, marked->data);
-    for (int64_t i = 0; i < marked->len && !s->err; i++)
+    for (int64_t i = 0; i < marked->len; i++)
         probe(s, marked->data[i]);
 }
 
@@ -1944,10 +1886,8 @@ static void force_progress(is_state *s, bitgen_t *bg)
     while (top > 0 && !s->counts[top])
         top--;
     members(s, top, top, &s->marked);
-    if (!s->err && !s->marked.len)
-        s->err = ENGINE_BROKEN;  /* no live vertex */
-    if (s->err)
-        return;
+    if (!s->marked.len)
+        fail(&s->fail, ENGINE_BROKEN);  /* no live vertex */
     is_delete(s, s->marked.data[draw_index(bg, s->marked.len)]);
     settle(s);
 }
@@ -1957,15 +1897,15 @@ static void force_progress(is_state *s, bitgen_t *bg)
 static void unfold_merges(is_state *s)
 {
     if (SURVIVAL_COUNT(s))
-        s->err = ENGINE_BROKEN;  /* a vertex is still in the graph */
+        fail(&s->fail, ENGINE_BROKEN);  /* a vertex is still in the graph */
     const int32_t *m = s->merges.data;
-    for (int64_t i = s->merges.len - 3; i >= 0 && !s->err; i -= 3) {
+    for (int64_t i = s->merges.len - 3; i >= 0; i -= 3) {
         decide(s, m[i + 2], s->status[m[i]]);
         decide(s, m[i + 1], IN + OUT - s->status[m[i]]);
     }
-    for (int64_t v = 0; v < s->n && !s->err; v++)
+    for (int64_t v = 0; v < s->n; v++)
         if (s->status[v] == UNDECIDED)
-            s->err = ENGINE_BROKEN;  /* left undecided */
+            fail(&s->fail, ENGINE_BROKEN);  /* left undecided */
 }
 
 /* a whole run (is_local_algorithm._drive): rounds until no vertex is left,
@@ -1975,12 +1915,12 @@ static void unfold_merges(is_state *s)
  * with p; else every vertex above class d goes.  Each round then settles;
  * one that removes no vertex is followed by the forced deletion, so the
  * survival count falls every round. */
-int64_t is_run(is_state *s, bitgen_t *bg, int64_t d, double p,
-               double fraction, int64_t *rounds)
+static void is_drive(is_state *s, bitgen_t *bg, int64_t d, double p,
+                     double fraction, int64_t *rounds)
 {
     int64_t floor = d == 3 ? 3 : 5;
     *rounds = 0;
-    while (SURVIVAL_COUNT(s) && !s->err) {
+    while (SURVIVAL_COUNT(s)) {
         int64_t before = SURVIVAL_COUNT(s);
         int64_t top = top_persistent(s, fraction, floor);
         if (top >= 0)
@@ -1990,11 +1930,39 @@ int64_t is_run(is_state *s, bitgen_t *bg, int64_t d, double p,
         else
             delete_above(s, d);
         settle(s);
-        if (!s->err && SURVIVAL_COUNT(s) == before)
+        if (SURVIVAL_COUNT(s) == before)
             force_progress(s, bg);
         *rounds += 1;
     }
-    if (!s->err)
-        unfold_merges(s);
-    return s->err;
+    unfold_merges(s);
+}
+
+/* -- the entry --------------------------------------------------------- */
+
+/* A whole run over a fresh SurvivalGraph: owner and pair of the graph's
+ * half-edges, both the graph's own int32 arrays, the shared buffers
+ * (counts with ncounts entries, more than any degree), the caller's bit
+ * generator, the degree above which settle deletes a merged vertex, d, the
+ * thinning probability and the persistence fraction; the rounds run go
+ * into *rounds.  Returns 0 or the code of the failure that stopped the
+ * run. */
+int64_t is_run(int64_t n, const int32_t *owner, const int32_t *pair,
+               int64_t *deg, uint8_t *alive, int64_t *counts,
+               uint8_t *status, int64_t *state, bitgen_t *bg,
+               int64_t ncounts, int64_t cap_degree, int64_t d, double p,
+               double fraction, int64_t *rounds)
+{
+    is_state *s = calloc(1, sizeof *s);
+    if (!s)
+        return ENGINE_NOMEM;
+    *s = (is_state){.n = n, .deg = deg, .alive = alive, .counts = counts,
+                    .status = status, .state = state, .ncounts = ncounts,
+                    .cap_degree = cap_degree};
+    if (!setjmp(s->fail.at)) {
+        is_alloc(s, owner, pair);
+        is_drive(s, bg, d, p, fraction, rounds);
+    }
+    int64_t err = s->fail.err;
+    is_free(s);
+    return err;
 }

@@ -14,9 +14,11 @@ methods of ``cut_local_algorithm.CutProcess`` and their round schedule
 ``is_local_algorithm.SurvivalGraph`` (its class scans included) and the
 round ladder ``is_local_algorithm._drive``, over flat arrays, pinned by
 tests to give the same outputs, counters and random stream as their
-references.  Each function builds its engine's C state over the process's
-buffers, makes the one call and frees the state; no event is exported on
-its own.  The marks of a round are drawn in C from the caller's numpy
+references.  So the library exports four functions: the two chunk kernels
+and the two runs.  A run allocates its engine's C state over the process's
+buffers, runs and frees it in that one call, and stops at its first failed
+check, where the Python methods raise; no event is exported on its own.
+The marks of a round are drawn in C from the caller's numpy
 Generator, through its bit generator's C interface
 (``bit_generator.ctypes``): one ``next_double`` per candidate, in
 ascending order, which is what ``ids[rng.random(m) < p]`` draws.  Every
@@ -142,17 +144,11 @@ def _load(cc=_CC, cache=_CACHE):
                               ctypes.POINTER(i64)]
     lib.cut_chunk.restype = None
     ptr = ctypes.c_void_p
-    lib.cut_new.argtypes = [i64] + [ptr] * 13
-    lib.cut_new.restype = ptr
-    lib.is_new.argtypes = [i64] + [ptr] * 7 + [i64, i64]
-    lib.is_new.restype = ptr
-    for name in ("cut_free", "is_free"):
-        getattr(lib, name).argtypes = [ptr]
-        getattr(lib, name).restype = None
-    lib.cut_run.argtypes = [ptr, ptr, f64, i64, ptr]
-    lib.cut_run.restype = i64
-    lib.is_run.argtypes = [ptr, ptr, i64, f64, f64, ptr]
-    lib.is_run.restype = i64
+    # n, the graph's two arrays, the shared buffers and the bit generator,
+    # then each engine's scalars and the rounds
+    lib.cut_run.argtypes = [i64] + [ptr] * 14 + [f64, i64, ptr]
+    lib.is_run.argtypes = [i64] + [ptr] * 8 + [i64, i64, i64, f64, f64, ptr]
+    lib.cut_run.restype = lib.is_run.restype = i64
     return lib
 
 
@@ -196,20 +192,28 @@ def _graph_arrays(graph) -> list:
             (graph.owner, graph.pair)]
 
 
-def _run(name: str, entry, state, rng, *args) -> None:
-    """One engine's run: ``entry`` over its C ``state`` (NULL when it could
-    not be allocated), with ``rng``'s bit generator passed to C for the
-    draws and locked meanwhile, as numpy's own methods lock it; the
-    engine's error codes raise as the Python methods would."""
-    if not state:
-        raise MemoryError(f"{name}: out of memory")
+def _run(name: str, entry, graph, buffers, rng, *args) -> int:
+    """One engine's whole run, one call of ``entry`` over the graph's
+    arrays and the shared ``buffers``, which it updates in place, with
+    ``rng``'s bit generator passed to C for the draws and locked meanwhile,
+    as numpy's own methods lock it; returns the rounds run.  The run stops
+    at its first failed check, where the Python methods raise: a broken
+    invariant raises AssertionError, and an allocation that fails
+    MemoryError.  (The Python ``SurvivalGraph.delete`` of a dead vertex
+    raises ValueError; in C that is a broken invariant too.)"""
+    arrays = _graph_arrays(graph)
+    views = [_writable(buf) for buf in buffers]
+    rounds = ctypes.c_int64()
     bitgen = rng.bit_generator
     with bitgen.lock:
-        err = entry(state, bitgen.ctypes.bit_generator, *args)
+        err = entry(graph.n, *(a.ctypes.data for a in arrays),
+                    *(ctypes.addressof(view) for view in views),
+                    bitgen.ctypes.bit_generator, *args, ctypes.byref(rounds))
     if err == ENGINE_NOMEM:
         raise MemoryError(f"{name}: out of memory")
     if err:
         raise AssertionError(f"{name}: bookkeeping out of sync")
+    return rounds.value
 
 
 def cut_run(proc, floor: int) -> int:
@@ -223,20 +227,13 @@ def cut_run(proc, floor: int) -> int:
     are written back to the process, also when the run fails.  Needs
     ``BACKEND == "c"``."""
     counts = array("q", (proc.good, proc.bad, proc.survival))
-    views = [_writable(buf) for buf in (
-        proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
-        proc.pd, proc.op, proc.alias, proc.revealed, counts)]
-    graph = _graph_arrays(proc.graph)
-    state = _lib.cut_new(proc.n, *(a.ctypes.data for a in graph),
-                         *(ctypes.addressof(view) for view in views))
-    rounds = ctypes.c_int64()
+    buffers = (proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
+               proc.pd, proc.op, proc.alias, proc.revealed, counts)
     try:
-        _run("cut engine", _lib.cut_run, state, proc.rng,
-             proc.query_probability, floor, ctypes.byref(rounds))
+        return _run("cut engine", _lib.cut_run, proc.graph, buffers,
+                    proc.rng, proc.query_probability, floor)
     finally:
-        _lib.cut_free(state)
         proc.good, proc.bad, proc.survival = counts
-    return rounds.value
 
 
 def is_run(g, rng, d: int, thin_probability: float,
@@ -253,17 +250,10 @@ def is_run(g, rng, d: int, thin_probability: float,
     if not 0 <= d < len(g.counts):
         raise IndexError(f"degree class {d} out of range")
     counts = array("q", (g.survival_count, g.contractions))
-    views = [_writable(buf) for buf in (
-        g.deg, g.alive, g.counts, g.status, counts)]
-    graph = _graph_arrays(g.graph)
-    state = _lib.is_new(g.n, *(a.ctypes.data for a in graph),
-                        *(ctypes.addressof(view) for view in views),
-                        len(g.counts), cap_degree)
-    rounds = ctypes.c_int64()
+    buffers = (g.deg, g.alive, g.counts, g.status, counts)
     try:
-        _run("independent-set engine", _lib.is_run, state, rng, d,
-             thin_probability, persistence_fraction, ctypes.byref(rounds))
+        return _run("independent-set engine", _lib.is_run, g.graph, buffers,
+                    rng, len(g.counts), cap_degree, d, thin_probability,
+                    persistence_fraction)
     finally:
-        _lib.is_free(state)
         g.survival_count, g.contractions = counts
-    return rounds.value

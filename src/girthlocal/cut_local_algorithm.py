@@ -110,7 +110,7 @@ class CutProcess:
         self.pd = bytearray(n)  # len(path[v]), for the round scan
         self.op = array("b", [3]) * n
         # open-slot inheritance: alias[v] = v at the start
-        self.alias = array("q", np.arange(n, dtype=np.int64).tobytes())
+        self.alias = array("i", np.arange(n, dtype=np.int32).tobytes())
         self.wmark: dict = {}  # v -> (who whitened at v last, its parity)
         # pending colors, oldest first: v -> (target, bit, free) with
         # f[v] = f[target] ^ bit (target -1: f[v] = bit).  free marks

@@ -584,6 +584,24 @@ def test_c_run_builds_no_per_vertex_lists():
     assert not p.pending and not p.deferred
 
 
+def failed_run(graph, v, in_c):
+    """A run on one backend, one ``_kernels.cut_run`` call or ``_drive``,
+    of a process whose vertex v was marked committed before the run, which
+    fails when the run reveals an edge to v; returns what the failed run
+    leaves: the shared buffers, the counters and its generator's state."""
+    p = CutProcess(graph, seed=0)
+    p.status[v] = 1
+    p.survival -= 1
+    with pytest.raises(AssertionError):
+        if in_c:
+            _kernels.cut_run(p, ENDGAME_FLOOR)
+        else:
+            p._drive()
+    return (*(bytes(buf) for buf in (
+        p.status, p.f, p.nR, p.nG, p.nW, p.nD, p.pd, p.op, p.alias,
+        p.revealed)), p.good, p.bad, p.survival, p.rng.bit_generator.state)
+
+
 @compiled
 def test_c_engine_checks_its_calls():
     # a broken invariant (here: a vertex marked committed that still holds

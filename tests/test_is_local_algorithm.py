@@ -740,6 +740,22 @@ def test_a_second_decision_of_one_vertex_fails(in_c):
     assert decided(survival, UNDECIDED) == [0, 1, 2, 3]
 
 
+def failed_run(graph, v, in_c):
+    """A 3-regular run on one backend of a survival graph whose vertex v
+    was decided in before the run, which fails when the run decides v
+    again; returns what the failed run leaves: the decisions, degrees,
+    histogram and live flags, the survival and contraction counts, and its
+    generator's state."""
+    g = SurvivalGraph(graph)
+    g.status[v] = IN
+    rng = np.random.default_rng(0)
+    with pytest.raises(AssertionError):
+        run_on(g, rng, 3, THIN_PROBABILITY, in_c)
+    return (bytes(g.status), g.deg.tobytes(), g.counts.tobytes(),
+            bytes(g.alive), g.survival_count, g.contractions,
+            rng.bit_generator.state)
+
+
 def test_the_merge_log_is_read_once_every_vertex_is_out():
     # the merge log is read only once every vertex is out of the graph
     g = SurvivalGraph(load_edge_list(K4))

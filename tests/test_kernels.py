@@ -24,7 +24,9 @@ from girthlocal.evolution_core import EvolutionParams, _python_chunk
 from girthlocal.is_evolution import DEGREE_CAP, Is3Rules, Is4Rules
 from girthlocal.is_local_algorithm import SurvivalGraph
 from test_cut_local_algorithm import MULTIGRAPHS
+from test_cut_local_algorithm import failed_run as failed_cut_run
 from test_is_local_algorithm import OVER_CAP, REGULAR, whole_run
+from test_is_local_algorithm import failed_run as failed_is_run
 
 SRC = Path(_kernels.__file__).resolve().parents[1]
 
@@ -230,9 +232,10 @@ def test_runs_on_loaded_graphs_match_their_pin(monkeypatch, backend):
 # d-regular runs, whole cut runs on four MULTIGRAPHS of
 # test_cut_local_algorithm (loops and parallel edges, their half-edges
 # renumbered by Multigraph) reach the engine's chains over loaded graphs,
-# and whole independent-set runs on OVER_CAP and the two staircases of
+# whole independent-set runs on OVER_CAP and the two staircases of
 # test_is_local_algorithm reach the neighbour pool's relocation, the
-# over-cap deletion and scans of more than 64 classes
+# over-cap deletion and scans of more than 64 classes, and the FAILED_RUNS
+# below take each engine's failure exit
 SANITIZED_RUNS = """
 import sys
 from pathlib import Path
@@ -241,6 +244,7 @@ from girthlocal.config_model import generate, load_edge_list
 from girthlocal.cut_local_algorithm import CutProcess
 from test_cut_local_algorithm import MULTIGRAPHS
 from test_is_local_algorithm import OVER_CAP, staircases, whole_run
+from test_kernels import FAILED_RUNS, failed_run
 
 LOADED = ("triple_edge", "loop_chain", "double_square", "loops_and_k4")
 
@@ -268,6 +272,8 @@ def outputs():
         for d in (3, 4):
             for t in (0.0, 0.02, 1.0):
                 out.append(whole_run(graph, d, 0, t, True))
+    for case in FAILED_RUNS:
+        out.append(failed_run(*case, True))
     return out
 
 normal = outputs()
@@ -294,6 +300,80 @@ def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
         capture_output=True, text=True, timeout=300)
     assert check.returncode == 0, check.stderr
     assert check.stdout == "same\n" and check.stderr == ""
+
+
+# a vertex decided (independent set) or committed (cut) before the run, on
+# a 3-regular graph: the run fails where it meets that vertex.  Each case is
+# (engine, n, graph seed, vertex).  The cut runs fail in a reveal, called
+# from a query (vertex 0 at n = 300, 7 at n = 2000), from a commit in
+# closure (1), a whitening (2), a bootstrap commit (5) and an endgame
+# commit (7 at n = 300)
+FAILED_RUNS = [("is", 300, 1, 5), ("is", 2000, 2, 17),
+               *(("cut", 300, 1, v) for v in (0, 1, 2, 5, 7)),
+               ("cut", 2000, 2, 7)]
+
+
+def failed_run(engine, n, seed, v, in_c):
+    """What a run that fails leaves, on one backend (``failed_run`` of the
+    engine's test module)."""
+    run = failed_is_run if engine == "is" else failed_cut_run
+    return run(generate(n, 3, seed=seed), v, in_c)
+
+
+@compiled
+@pytest.mark.parametrize("case", FAILED_RUNS,
+                         ids=["-".join(map(str, c)) for c in FAILED_RUNS])
+def test_a_failed_check_stops_the_engine_where_the_reference_stops(case):
+    # the Python methods stop at their first failed assertion; the engine
+    # stops at the same check and leaves every shared buffer, counter and
+    # the generator as they do
+    assert failed_run(*case, True) == failed_run(*case, False)
+
+
+# runs in a fresh interpreter, which builds a graph of 2e6 vertices and
+# each engine's process over it, then caps its own address space at its
+# size plus 16 MB, well below either engine's private state: each run must
+# raise MemoryError, free what it allocated and write its counters back
+OUT_OF_MEMORY = """
+import resource
+import numpy as np
+from girthlocal import _kernels
+from girthlocal.config_model import generate
+from girthlocal.cut_local_algorithm import ENDGAME_FLOOR, CutProcess
+from girthlocal.is_local_algorithm import (
+    DEGREE_CAP, PERSISTENCE_FRACTION, SurvivalGraph)
+
+graph = generate(2_000_000, 3, seed=0)
+proc = CutProcess(graph, seed=0)
+g = SurvivalGraph(graph)
+rng = np.random.default_rng(0)
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * resource.getpagesize()
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (size + 16 * 2 ** 20, hard))
+for run in (lambda: _kernels.cut_run(proc, ENDGAME_FLOOR),
+            lambda: _kernels.is_run(g, rng, 3, 0.02, PERSISTENCE_FRACTION,
+                                    DEGREE_CAP)):
+    try:
+        run()
+    except MemoryError as err:
+        print(err)
+print(proc.good, proc.bad, proc.survival, g.survival_count, g.contractions)
+"""
+
+
+@compiled
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the process size from /proc/self/statm")
+def test_an_engine_out_of_memory_raises_memory_error():
+    check = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=300)
+    assert check.returncode == 0 and check.stderr == "", check.stderr
+    assert check.stdout == ("cut engine: out of memory\n"
+                            "independent-set engine: out of memory\n"
+                            "0 0 2000000 2000000 0\n")
 
 
 def generator_methods_called(path) -> set:
@@ -368,8 +448,7 @@ def test_ctypes_declarations_match_the_c_source():
                 if isinstance(f, lib._FuncPtr)}
     exported = exported_functions()
     # the chunk kernels and each engine's whole interface: a run is one call
-    assert set(exported) == {"is_chunk", "cut_chunk", "is_new", "is_run",
-                             "is_free", "cut_new", "cut_run", "cut_free"}
+    assert set(exported) == {"is_chunk", "cut_chunk", "is_run", "cut_run"}
     for name, (ret, params) in exported.items():
         f = getattr(lib, name)
         assert f.argtypes is not None and len(f.argtypes) == len(params), \
