@@ -48,23 +48,22 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
         }
         rounds += 1;
 
-        /* open-edge mass, counting only classes above the dust threshold */
+        /* Redistribute the erasure backlog over the open-edge mass s, which
+         * counts only classes above the dust threshold: every hit moves a
+         * vertex one degree class down.  Ascending order so each class is
+         * read before the class above it spills into it. */
         double s = 0.0;
-        if (v3 > eps)
-            s += 3 * v3;
-        if (v4 > eps)
-            s += 4 * v4;
-        if (v5 > eps)
-            s += 5 * v5;
-        if (v6 > eps)
-            s += 6 * v6;
-        if (v7 > eps)
-            s += 7 * v7;
-
-        /* Redistribute the erasure backlog: every hit moves a vertex one
-         * degree class down.  Ascending order so each class is read before
-         * the class above it spills into it. */
         if (erase > eps) {
+            if (v3 > eps)
+                s += 3 * v3;
+            if (v4 > eps)
+                s += 4 * v4;
+            if (v5 > eps)
+                s += 5 * v5;
+            if (v6 > eps)
+                s += 6 * v6;
+            if (v7 > eps)
+                s += 7 * v7;
             double r = (erase + eps) / s;
             double dl;
             if (v3 > eps) {
@@ -207,7 +206,6 @@ void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
             v3 -= 4 * p4444;
             erase += 12 * p4444;
             independent += p4444;
-            x = 4 * v4 / s;
             double p4443 = 8 * eps * x * x * x * 3 * v3 / s;
             v3 -= 3 * p4443;
             v2 -= p4443;
@@ -530,15 +528,17 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
  * closes a cycle.
  *
  * Shared with Python (the CutProcess's own buffers, read by its numpy
- * scans): status, f, the label counters nR/nG/nW/nD, pd, op, alias,
- * revealed, and counts = {good, bad, survival}.  Private here:
+ * scans): status, f, the label counters nR/nG/nW/nD, pd, alias, revealed,
+ * and counts = {good, bad, survival}.  Private here:
  *   - two (neighbour, parity) path slots per vertex, kept in list order
  *     (a pop shifts the second slot down, as list.pop does);
- *   - a chain of half-edges per vertex (head, tail, next), the order of
- *     the Python slot list; reduce_rrr moves s3's unrevealed ones to s1's
- *     tail (s3 never reads its chain again);
+ *   - a chain of half-edges per vertex (head, next), the order of the
+ *     Python slot list, whose unrevealed ones are the vertex's open
+ *     half-edges; reduce_rrr moves s3's unrevealed ones to the end of
+ *     s1's chain (s3 never reads its chain again);
  *   - the pending colours (target, bit, free) with an age-order list: a
- *     re-pend keeps the vertex's place;
+ *     vertex is pending iff its age is not -1, and a re-pend keeps its
+ *     place;
  *   - the white marks (source, bit), deferred triples, the FIFO queue and
  *     the pattern-scan candidates: a two-level bit set read lowest first,
  *     which holds each vertex at most once (CutProcess.closure says why
@@ -555,14 +555,14 @@ typedef struct {
     int64_t n;
     const int32_t *owner, *pair;
     uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
-    int8_t *f, *op;
+    int8_t *f;
     int32_t *alias;
     int64_t *counts;
     int32_t *path_nb;
     uint8_t *path_par;
-    int32_t *head, *tail, *next;
+    int32_t *head, *next;
     int32_t *target, *age;
-    uint8_t *bit, *free_, *pending;
+    uint8_t *bit, *free_;
     int32_t *wsrc;
     uint8_t *wbit;
     vec order, deferred, queue, walk;
@@ -665,8 +665,7 @@ static int64_t holder(cut_state *s, int64_t v)
 static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
                         int free_)
 {
-    if (!s->pending[v]) {  /* a re-pend keeps v's age */
-        s->pending[v] = 1;
+    if (s->age[v] < 0) {  /* a re-pend keeps v's age */
         s->age[v] = (int32_t)s->order.len;
         push(&s->fail, &s->order, v);
     }
@@ -677,7 +676,7 @@ static void set_pending(cut_state *s, int64_t v, int64_t target, int bit,
 
 static void oppose(cut_state *s, int64_t x, int64_t v)
 {
-    if (s->pending[x] && s->free_[x]) {
+    if (s->age[x] >= 0 && s->free_[x]) {
         s->target[x] = (int32_t)v;
         s->bit[x] = 1;
         s->free_[x] = 0;
@@ -691,13 +690,11 @@ static void defer(cut_state *s, int64_t u, int64_t w, int64_t parity)
     push(&s->fail, &s->deferred, parity);
 }
 
-static void consume_phantom_open(cut_state *s, int64_t x)
+static void wake_holder(cut_state *s, int64_t x)
 {
     int64_t h = holder(s, x);
-    if (s->status[h] == 0) {
-        s->op[h] -= 1;
+    if (s->status[h] == 0)
         wake(s, h);
-    }
 }
 
 static void mark_white(cut_state *s, int64_t x, int64_t src, int bit)
@@ -834,7 +831,6 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
         if (u != v)
             fail(&s->fail, ENGINE_BROKEN);
         BAD(s) += 1;  /* a self-loop is monochromatic whatever happens */
-        s->op[v] -= 2;
         *xo = -1;
         return LOOP;
     }
@@ -845,22 +841,19 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
         defer(s, u, x, 0);
         oppose(s, u, x);
         s->n_d[v] += 1;
-        s->op[v] -= 1;
         if (s->status[x] == 0) {
             s->n_d[x] += 1;
-            s->op[x] -= 1;
             wake(s, x);
         } else {
             oppose(s, x, u);
-            consume_phantom_open(s, x);
+            wake_holder(s, x);
         }
         return INHERITED;
     }
-    s->op[v] -= 1;
     if (s->status[x] == 2) {
         defer(s, v, x, 0);
         oppose(s, x, v);
-        consume_phantom_open(s, x);
+        wake_holder(s, x);
         return DEAD;
     }
     return LIVE;
@@ -891,12 +884,9 @@ static void commit(cut_state *s, int64_t v, int color)
         if (s->revealed[h])
             continue;
         int64_t x;
-        if (reveal(s, v, h, &x) == LIVE) {
-            s->op[x] -= 1;
+        if (reveal(s, v, h, &x) == LIVE)
             give_label(s, x, color);
-        }
     }
-    s->op[v] = 0;
 }
 
 static void whiten(cut_state *s, int64_t v)
@@ -920,7 +910,6 @@ static void whiten(cut_state *s, int64_t v)
             int kind = reveal(s, v, h, &x);
             if (kind == LIVE) {
                 pend_against(s, v, x, 1);
-                s->op[x] -= 1;
                 wake(s, x);
             } else if (kind == DEAD) {
                 set_pending(s, v, x, 1, 0);
@@ -929,7 +918,6 @@ static void whiten(cut_state *s, int64_t v)
             }
         }
     }
-    s->op[v] = 0;
 }
 
 static void eliminate_white(cut_state *s, int64_t v)
@@ -957,7 +945,6 @@ static void eliminate_white(cut_state *s, int64_t v)
         set_pending(s, v, s->wsrc[v], s->wbit[v], 1);
     }
     s->pd[v] = 0;
-    s->op[v] = 0;
 }
 
 static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
@@ -979,24 +966,25 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
         replace_path_slot(s, t, s3, s1, carried);
         add_path_slot(s, s1, t, carried);
         dirty_area(s, t);
-    } else if (s->op[s3]) {
-        /* s3's unrevealed slots now belong (logically) to s1 */
+    } else if (first_unrevealed(s, s3) >= 0) {
+        /* s3's unrevealed slots now belong (logically) to s1, after the
+         * end of s1's chain, which is never empty: only an s3's head is
+         * reset, and an s3 never survives again */
         s->alias[s3] = (int32_t)s1;
-        s->op[s1] += s->op[s3];
+        int64_t end = s->head[s1];
+        while (s->next[end] >= 0)
+            end = s->next[end];
         int64_t h = s->head[s3];
         while (h >= 0) {
             int64_t nx = s->next[h];
             if (!s->revealed[h]) {
                 s->next[h] = -1;
-                if (s->tail[s1] >= 0)
-                    s->next[s->tail[s1]] = (int32_t)h;
-                else
-                    s->head[s1] = (int32_t)h;
-                s->tail[s1] = (int32_t)h;
+                s->next[end] = (int32_t)h;
+                end = h;
             }
             h = nx;
         }
-        s->head[s3] = s->tail[s3] = -1;
+        s->head[s3] = -1;
     }
     wake(s, s1);
 }
@@ -1004,7 +992,7 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
 static void query(cut_state *s, int64_t v)
 {
     int64_t h = first_unrevealed(s, v);
-    if (s->status[v] != 0 || s->op[v] <= 0 || h < 0)
+    if (s->status[v] != 0 || h < 0)
         fail(&s->fail, ENGINE_BROKEN);
     int64_t x;
     int kind = reveal(s, v, h, &x);
@@ -1023,13 +1011,11 @@ static void query(cut_state *s, int64_t v)
         defer(s, v, x, 0);
         s->n_d[v] += 1;
         s->n_d[x] += 1;
-        s->op[x] -= 1;
         wake(s, v);
         wake(s, x);
     } else {
         add_path_slot(s, v, x, 0);
         add_path_slot(s, x, v, 0);
-        s->op[x] -= 1;
         dirty_area(s, v);
         dirty_area(s, x);
     }
@@ -1109,7 +1095,7 @@ static void try_patterns(cut_state *s, int64_t v)
             return;
         }
     }
-    if (s->pd[v] == 1 && s->op[v] >= 1)
+    if (s->pd[v] == 1 && first_unrevealed(s, v) >= 0)
         query(s, v);  /* terminal labeled endpoint extends its path */
 }
 
@@ -1157,7 +1143,7 @@ static void resolve_pending(cut_state *s)
                 break;
             /* an uncoloured target always has a constraint of its own;
              * its target field was never written */
-            if (!s->pending[t])
+            if (s->age[t] < 0)
                 fail(&s->fail, ENGINE_BROKEN);
             if (s->seen[t] >= 0) {
                 int64_t m = s->seen[t];
@@ -1195,13 +1181,11 @@ static void cut_free(cut_state *s)
     free(s->path_nb);
     free(s->path_par);
     free(s->head);
-    free(s->tail);
     free(s->next);
     free(s->target);
     free(s->age);
     free(s->bit);
     free(s->free_);
-    free(s->pending);
     free(s->wsrc);
     free(s->wbit);
     free(s->seen);
@@ -1218,8 +1202,8 @@ static void cut_free(cut_state *s)
 }
 
 /* the private state of a fresh engine over s->n vertices, every vertex
- * touched; vertex v's half-edges are 3v, 3v+1, 3v+2, in the order of the
- * Python slot lists */
+ * touched and none pending; vertex v's half-edges are 3v, 3v+1, 3v+2, in
+ * the order of the Python slot lists */
 static void cut_alloc(cut_state *s)
 {
     int64_t n = s->n;
@@ -1227,13 +1211,11 @@ static void cut_alloc(cut_state *s)
     s->path_nb = malloc(2 * m * sizeof *s->path_nb);
     s->path_par = malloc(2 * m);
     s->head = malloc(m * sizeof *s->head);
-    s->tail = malloc(m * sizeof *s->tail);
     s->next = malloc(3 * m * sizeof *s->next);
     s->target = malloc(m * sizeof *s->target);
     s->age = malloc(m * sizeof *s->age);
     s->bit = malloc(m);
     s->free_ = malloc(m);
-    s->pending = calloc(m, 1);
     s->wsrc = malloc(m * sizeof *s->wsrc);
     s->wbit = malloc(m);
     s->seen = malloc(m * sizeof *s->seen);
@@ -1242,18 +1224,17 @@ static void cut_alloc(cut_state *s)
     s->lones = calloc(words(m), sizeof *s->lones);
     s->touched = calloc(words(m), sizeof *s->touched);
     s->marked = malloc(m * sizeof *s->marked);
-    if (!s->path_nb || !s->path_par || !s->head || !s->tail || !s->next
-            || !s->target || !s->age || !s->bit || !s->free_ || !s->pending
-            || !s->wsrc || !s->wbit || !s->seen || !s->cand
-            || !s->cand_sum || !s->lones || !s->touched || !s->marked)
+    if (!s->path_nb || !s->path_par || !s->head || !s->next || !s->target
+            || !s->age || !s->bit || !s->free_ || !s->wsrc || !s->wbit
+            || !s->seen || !s->cand || !s->cand_sum || !s->lones
+            || !s->touched || !s->marked)
         fail(&s->fail, ENGINE_NOMEM);
     for (int64_t v = 0; v < n; v++) {
         s->head[v] = (int32_t)(3 * v);
-        s->tail[v] = (int32_t)(3 * v + 2);
         s->next[3 * v] = (int32_t)(3 * v + 1);
         s->next[3 * v + 1] = (int32_t)(3 * v + 2);
         s->next[3 * v + 2] = -1;
-        s->seen[v] = -1;
+        s->seen[v] = s->age[v] = -1;
         touch(s, v);
     }
 }
@@ -1300,7 +1281,7 @@ static void query_round(cut_state *s, bitgen_t *bg, double q)
                 s->marked[count++] = (int32_t)(64 * i + lowest(w));
     for (int64_t i = 0; i < count; i++) {
         int64_t v = s->marked[i];
-        if (s->status[v] == 0 && s->op[v] > 0)
+        if (s->status[v] == 0 && first_unrevealed(s, v) >= 0)
             query(s, v);
     }
     closure(s);
@@ -1414,16 +1395,16 @@ static void cut_drive(cut_state *s, bitgen_t *bg, double q, int64_t floor,
  * run. */
 int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
                 uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
-                uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int8_t *op,
-                int32_t *alias, uint8_t *revealed, int64_t *counts,
-                bitgen_t *bg, double q, int64_t floor, int64_t *rounds)
+                uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int32_t *alias,
+                uint8_t *revealed, int64_t *counts, bitgen_t *bg, double q,
+                int64_t floor, int64_t *rounds)
 {
     cut_state *s = calloc(1, sizeof *s);
     if (!s)
         return ENGINE_NOMEM;
     *s = (cut_state){.n = n, .owner = owner, .pair = pair, .status = status,
                      .f = f, .n_r = n_r, .n_g = n_g, .n_w = n_w, .n_d = n_d,
-                     .pd = pd, .op = op, .alias = alias, .revealed = revealed,
+                     .pd = pd, .alias = alias, .revealed = revealed,
                      .counts = counts};
     if (!setjmp(s->fail.at)) {
         cut_alloc(s);
@@ -1467,9 +1448,9 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
  * bytes status (UNDECIDED, IN, OUT; deciding a vertex twice is
  * ENGINE_BROKEN), which give the run's set, and state = {survival count,
  * contractions}.  Private here:
- *   - each vertex's live neighbours, pool[off[v] .. off[v] + len[v]), with
- *     room for cap[v]; a list that outgrows its room moves to the pool's
- *     end.  The pool holds int32 ids and off int64 offsets, so the pool
+ *   - each live vertex's neighbours, pool[off[v] .. off[v] + deg[v]),
+ *     with room for cap[v]; a list that outgrows its room moves to the
+ *     pool's end.  The pool holds int32 ids and off int64 offsets, so the pool
  *     may outgrow 2^31 entries;
  *   - one bit set per degree class, class_set(s, k) holding the live
  *     vertices of degree k; every change of a degree or a death goes
@@ -1489,7 +1470,7 @@ typedef struct {
     int64_t *deg, *counts, *state;
     uint8_t *alive, *status;
     int64_t *off;
-    int32_t *len, *cap;
+    int32_t *cap;
     vec pool, merges, queue;
     int64_t qhead;
     uint64_t *classes;
@@ -1511,15 +1492,13 @@ static int32_t *nbrs(is_state *s, int64_t v)
     return s->pool.data + s->off[v];
 }
 
-/* v's list drops its first occurrence of x (list.remove) */
-static void adj_remove(is_state *s, int64_t v, int64_t x)
+/* v's list of m entries drops its first occurrence of x (list.remove) */
+static void adj_remove(is_state *s, int64_t v, int64_t x, int64_t m)
 {
     int32_t *a = nbrs(s, v);
-    int64_t m = s->len[v];
     for (int64_t i = 0; i < m; i++) {
         if (a[i] == x) {
             memmove(a + i, a + i + 1, (m - i - 1) * sizeof *a);
-            s->len[v] = (int32_t)(m - 1);
             return;
         }
     }
@@ -1530,7 +1509,7 @@ static void adj_remove(is_state *s, int64_t v, int64_t x)
 static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
 {
     int32_t *a = nbrs(s, v);
-    for (int64_t i = 0; i < s->len[v]; i++) {
+    for (int64_t i = 0; i < s->deg[v]; i++) {
         if (a[i] == old) {
             a[i] = (int32_t)new_;
             return;
@@ -1542,14 +1521,14 @@ static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
 static int adj_has(is_state *s, int64_t v, int64_t x)
 {
     const int32_t *a = nbrs(s, v);
-    for (int64_t i = 0; i < s->len[v]; i++)
+    for (int64_t i = 0; i < s->deg[v]; i++)
         if (a[i] == x)
             return 1;
     return 0;
 }
 
-/* room for need entries in v's list; may move the pool */
-static void adj_reserve(is_state *s, int64_t v, int64_t need)
+/* room for need entries in v's list of m entries; may move the pool */
+static void adj_reserve(is_state *s, int64_t v, int64_t need, int64_t m)
 {
     if (need <= s->cap[v])
         return;
@@ -1563,7 +1542,7 @@ static void adj_reserve(is_state *s, int64_t v, int64_t need)
         pool->data = data;
         pool->cap = grown;
     }
-    memcpy(pool->data + pool->len, nbrs(s, v), s->len[v] * sizeof *pool->data);
+    memcpy(pool->data + pool->len, nbrs(s, v), m * sizeof *pool->data);
     s->off[v] = pool->len;
     s->cap[v] = (int32_t)cap;
     pool->len += cap;
@@ -1601,19 +1580,18 @@ static void decide(is_state *s, int64_t v, uint8_t decision)
 /* remove v and its live edges, decrementing live neighbours */
 static void drop_vertex(is_state *s, int64_t v)
 {
-    for (int64_t i = 0; i < s->len[v]; i++) {
+    for (int64_t i = 0; i < s->deg[v]; i++) {
         int64_t u = nbrs(s, v)[i];
         if (u == v)
             continue;
-        adj_remove(s, u, v);
         int64_t du = s->deg[u];
+        adj_remove(s, u, v, du);
         reclass(s, u, du - 1);
         if (du <= 3)
             is_queue(s, u);
     }
     reclass(s, v, -1);
     s->alive[v] = 0;
-    s->len[v] = 0;
     SURVIVAL_COUNT(s) -= 1;
 }
 
@@ -1657,20 +1635,21 @@ static int64_t contract(is_state *s, int64_t y)
         is_delete(s, z);
         return -1;
     }
-    /* true merge: x absorbs z and y, which unfold_merges decides */
-    adj_remove(s, x, y);
-    adj_remove(s, z, y);
-    for (int64_t i = 0; i < s->len[z]; i++) {
+    /* true merge: x absorbs z and y, which unfold_merges decides; x and z
+     * keep their degrees until reclass, their lists shrink at once */
+    int64_t lx = s->deg[x] - 1, lz = s->deg[z] - 1;
+    adj_remove(s, x, y, lx + 1);
+    adj_remove(s, z, y, lz + 1);
+    for (int64_t i = 0; i < lz; i++) {
         int64_t w = nbrs(s, z)[i];
         if (w != z)
             adj_rename(s, w, z, x);
     }
-    adj_reserve(s, x, s->len[x] + s->len[z]);
+    adj_reserve(s, x, lx + lz, lx);
     int32_t *ax = nbrs(s, x), *az = nbrs(s, z);
-    for (int64_t i = 0; i < s->len[z]; i++)
-        ax[s->len[x] + i] = az[i] == z ? (int32_t)x : az[i];
-    s->len[x] += s->len[z];
-    int64_t dx = s->len[x];
+    for (int64_t i = 0; i < lz; i++)
+        ax[lx + i] = az[i] == z ? (int32_t)x : az[i];
+    int64_t dx = lx + lz;
     /* the histogram has room for every degree settle lets arise */
     if (dx >= s->ncounts)
         fail(&s->fail, ENGINE_BROKEN);
@@ -1681,7 +1660,6 @@ static int64_t contract(is_state *s, int64_t y)
     push(&s->fail, &s->merges, y);
     push(&s->fail, &s->merges, z);
     s->alive[y] = s->alive[z] = 0;
-    s->len[y] = s->len[z] = 0;
     SURVIVAL_COUNT(s) -= 2;
     if (dx <= 2)
         is_queue(s, x);
@@ -1714,7 +1692,6 @@ static void settle(is_state *s)
 static void is_free(is_state *s)
 {
     free(s->off);
-    free(s->len);
     free(s->cap);
     free(s->pool.data);
     free(s->merges.data);
@@ -1737,7 +1714,6 @@ static void is_alloc(is_state *s, const int32_t *owner, const int32_t *pair)
     int64_t *deg = s->deg, *counts = s->counts;
     size_t m = n > 0 ? (size_t)n : 1;
     s->off = malloc(m * sizeof *s->off);
-    s->len = malloc(m * sizeof *s->len);
     s->cap = malloc(m * sizeof *s->cap);
     s->classes = calloc(ncounts * words(m), sizeof *s->classes);
     s->picked = malloc(ncounts * sizeof *s->picked);
@@ -1747,8 +1723,7 @@ static void is_alloc(is_state *s, const int32_t *owner, const int32_t *pair)
     /* room for the merges' relocated lists before the first regrowth */
     s->pool.cap = 2 * half_edges + 64;
     s->pool.data = malloc(s->pool.cap * sizeof *s->pool.data);
-    if (!s->off || !s->len || !s->cap || !s->classes || !s->picked
-        || !s->pool.data)
+    if (!s->off || !s->cap || !s->classes || !s->picked || !s->pool.data)
         fail(&s->fail, ENGINE_NOMEM);
     for (int64_t h = 0; h < half_edges; h++)
         s->pool.data[h] = owner[pair[h]];
@@ -1756,7 +1731,7 @@ static void is_alloc(is_state *s, const int32_t *owner, const int32_t *pair)
     int64_t start = 0;
     for (int64_t v = 0; v < n; v++) {
         s->off[v] = start;
-        s->len[v] = s->cap[v] = (int32_t)deg[v];
+        s->cap[v] = (int32_t)deg[v];
         start += deg[v];
         if (deg[v] <= 2)
             is_queue(s, v);
@@ -1836,7 +1811,7 @@ static void probe(is_state *s, int64_t v)
     if (s->deg[v] != 3)
         return;
     /* a dead vertex kept degree 3: see SurvivalGraph.probe_round */
-    if (s->len[v] != 3)
+    if (!s->alive[v])
         fail(&s->fail, ENGINE_BROKEN);
     const int32_t *a = nbrs(s, v);
     int64_t best = -1, target = -1;

@@ -146,7 +146,7 @@ def _load(cc=_CC, cache=_CACHE):
     ptr = ctypes.c_void_p
     # n, the graph's two arrays, the shared buffers and the bit generator,
     # then each engine's scalars and the rounds
-    lib.cut_run.argtypes = [i64] + [ptr] * 14 + [f64, i64, ptr]
+    lib.cut_run.argtypes = [i64] + [ptr] * 13 + [f64, i64, ptr]
     lib.is_run.argtypes = [i64] + [ptr] * 8 + [i64, i64, i64, f64, f64, ptr]
     lib.cut_run.restype = lib.is_run.restype = i64
     return lib
@@ -219,16 +219,16 @@ def _run(name: str, entry, graph, buffers, rng, *args) -> int:
 def cut_run(proc, floor: int) -> int:
     """The whole run of ``CutProcess._drive`` in one C call, over the
     process's shared buffers (status, colours, label counters, path
-    degrees, open counts, aliases, revealed flags), which it updates in
-    place: bootstrap, closure, rounds while more than ``floor`` vertices
-    survive (a bootstrap and closure after each that removes none),
-    endgame; returns the rounds run.  The rounds and the bootstrap pairs
+    degrees, aliases, revealed flags), which it updates in place:
+    bootstrap, closure, rounds while more than ``floor`` vertices survive
+    (a bootstrap and closure after each that removes none), endgame;
+    returns the rounds run.  The rounds and the bootstrap pairs
     draw from the process's ``rng``.  The counters good, bad and survival
     are written back to the process, also when the run fails.  Needs
     ``BACKEND == "c"``."""
     counts = array("q", (proc.good, proc.bad, proc.survival))
     buffers = (proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
-               proc.pd, proc.op, proc.alias, proc.revealed, counts)
+               proc.pd, proc.alias, proc.revealed, counts)
     try:
         return _run("cut engine", _lib.cut_run, proc.graph, buffers,
                     proc.rng, proc.query_probability, floor)

@@ -99,8 +99,9 @@ class CutProcess:
         self.owner = graph.owner
         self.pair = graph.pair
         self.revealed = bytearray(self.pair.shape[0])
-        # per-vertex counters: labels (cd = nR+nG+nW+nD), path degree and
-        # open half-edges; the round scan reads them through numpy views
+        # per-vertex counters: labels (cd = nR+nG+nW+nD) and path degree;
+        # the round scan reads them through numpy views.  A vertex's open
+        # half-edges are the unrevealed ones of its slot list
         self.status = bytearray(n)  # 0 survival 1 done 2 white
         self.f = array("b", [-1]) * n
         self.nR = bytearray(n)
@@ -108,7 +109,6 @@ class CutProcess:
         self.nW = bytearray(n)
         self.nD = bytearray(n)
         self.pd = bytearray(n)  # len(path[v]), for the round scan
-        self.op = array("b", [3]) * n
         # open-slot inheritance: alias[v] = v at the start
         self.alias = array("i", np.arange(n, dtype=np.int32).tobytes())
         self.wmark: dict = {}  # v -> (who whitened at v last, its parity)
@@ -180,10 +180,9 @@ class CutProcess:
         if pend is not None and pend[2]:
             self.pending[x] = (v, 1, False)
 
-    def _consume_phantom_open(self, x: int) -> None:
+    def _wake_holder(self, x: int) -> None:
         h = self._holder(x)
         if self.status[h] == 0:
-            self.op[h] -= 1
             self._wake(h)
 
     def _mark_white(self, x: int, src: int, bit: int) -> None:
@@ -281,7 +280,6 @@ class CutProcess:
             # half-edges, so a self-loop is never inherited
             assert u == v, "inherited both ends of a self-loop"
             self.bad += 1  # a self-loop is monochromatic whatever happens
-            self.op[v] -= 2
             return "loop", -1
         assert self.status[x] != 1, "a committed vertex kept an open slot"
         if u != v:
@@ -289,20 +287,17 @@ class CutProcess:
             self.deferred.append((u, x, 0))
             self._oppose(u, x)
             self.nD[v] += 1
-            self.op[v] -= 1
             if self.status[x] == 0:
                 self.nD[x] += 1
-                self.op[x] -= 1
                 self._wake(x)
             else:
                 self._oppose(x, u)
-                self._consume_phantom_open(x)
+                self._wake_holder(x)
             return "inherited", x
-        self.op[v] -= 1
         if self.status[x] == 2:
             self.deferred.append((v, x, 0))
             self._oppose(x, v)
-            self._consume_phantom_open(x)
+            self._wake_holder(x)
             return "dead", x
         return "live", x
 
@@ -330,9 +325,7 @@ class CutProcess:
                 continue  # its partner was an earlier slot of this loop
             kind, x = self._reveal(v, h)
             if kind == "live":
-                self.op[x] -= 1
                 self._give_label(x, color)
-        self.op[v] = 0
 
     def whiten(self, v: int) -> None:
         """Tie vertex goes white: anti its unique reference edge."""
@@ -351,7 +344,6 @@ class CutProcess:
             kind, x = self._reveal(v, self._unrevealed(v)[0])
             if kind == "live":
                 self._pend_against(v, x, 1)
-                self.op[x] -= 1
                 self._wake(x)
             elif kind == "dead":
                 # the reference chains through another pending vertex; the
@@ -359,7 +351,6 @@ class CutProcess:
                 self._set_pending(v, x, 1)
             else:
                 self._set_pending(v, -1, RED, free=True)
-        self.op[v] = 0
 
     def eliminate_white(self, v: int) -> None:
         """Remove a [W] vertex; its pending color opposes one neighbor.
@@ -395,7 +386,6 @@ class CutProcess:
             self._set_pending(v, w, bit, free=True)
         self.path[v].clear()
         self.pd[v] = 0
-        self.op[v] = 0
 
     def reduce_rrr(self, s1: int, s2: int, s3: int) -> None:
         """Three same-aligned labeled path vertices collapse onto s1.
@@ -422,17 +412,17 @@ class CutProcess:
             self._replace_path_slot(t, s3, s1, carried)
             self._add_path_slot(s1, t, carried)
             self._dirty_area(t)
-        elif self.op[s3]:
-            # s3's unrevealed slot now belongs (logically) to s1
+        elif open_ := self._unrevealed(s3):
+            # s3's unrevealed slots now belong (logically) to s1
             self.alias[s3] = s1
-            self.op[s1] += self.op[s3]
-            self.slots[s1].extend(self._unrevealed(s3))
+            self.slots[s1].extend(open_)
         self._wake(s1)
 
     def query(self, v: int) -> None:
         """Reveal v's lowest open half-edge and take the partner on board."""
-        assert self.status[v] == 0 and self.op[v] > 0
-        kind, x = self._reveal(v, self._unrevealed(v)[0])
+        open_ = self._unrevealed(v)
+        assert self.status[v] == 0 and open_
+        kind, x = self._reveal(v, open_[0])
         if kind == "dead":
             # the neighbor's color is pending off a white chain, so v is
             # white-adjacent now; the deferred pair carries the edge count
@@ -447,13 +437,11 @@ class CutProcess:
             self.deferred.append((v, x, 0))
             self.nD[v] += 1
             self.nD[x] += 1
-            self.op[x] -= 1
             self._wake(v)
             self._wake(x)
         else:
             self._add_path_slot(v, x, 0)
             self._add_path_slot(x, v, 0)
-            self.op[x] -= 1
             self._dirty_area(v)
             self._dirty_area(x)
 
@@ -516,7 +504,7 @@ class CutProcess:
             if la >= 0 and lb >= 0:
                 self.reduce_rrr(min(a, b), v, max(a, b))
                 return True
-        if self.pd[v] == 1 and self.op[v] >= 1:
+        if self.pd[v] == 1 and self._unrevealed(v):
             self.query(v)  # terminal labeled endpoint extends its path
             return True
         return False
@@ -591,7 +579,7 @@ class CutProcess:
         marked = lones[self.rng.random(lones.shape[0])
                        < self.query_probability]
         for v in marked.tolist():
-            if self.status[v] == 0 and self.op[v] > 0:
+            if self.status[v] == 0 and self._unrevealed(v):
                 self.query(v)
         self.closure()
 

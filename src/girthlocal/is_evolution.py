@@ -102,23 +102,20 @@ def redistribute_erasures(state: DegreeState, step_size: float) -> DegreeState:
     return state
 
 
-def apply_contractions(state: DegreeState, step_size: float,
-                       edge_pool: float | None = None) -> DegreeState:
+def apply_contractions(state: DegreeState, step_size: float) -> DegreeState:
     """Consume the 2-vertex mass by contraction.
 
     Each unit of 2-vertex mass picks two open-edge endpoints (probability
     proportional to d*v[d]) and merges them into a single vertex of degree
     i+j-2, adding the contracted mass to ``independent``.  Merged degrees
     beyond the cap are not tracked: their full degree converts to erasures.
-
-    ``edge_pool`` lets the caller supply the open-edge mass measured at a
-    specific moment of the round; by default it is measured on entry.
+    The open-edge mass is measured on entry.
     """
     eps = step_size
     v = state.v
     if not v[2] > eps:
         return state
-    s = edge_pool if edge_pool is not None else open_edge_mass(state, eps)
+    s = open_edge_mass(state, eps)
     if not s > 0.0:
         raise ProcessExhausted(
             "contraction pending but no open edges remain")
@@ -181,7 +178,6 @@ def is3_delete_step(state: DegreeState, step_size: float,
         v[3] -= 4 * p4444
         state.erase += 12 * p4444
         state.independent += p4444
-        x = 4 * v[4] / s
         p4443 = 8 * eps * x * x * x * 3 * v[3] / s
         v[3] -= 3 * p4443
         v[2] -= p4443
@@ -318,7 +314,7 @@ class Is3Rules(_IsRulesBase):
         eps = params.step_size
         redistribute_erasures(state, eps)
         pool = open_edge_mass(state, eps)
-        apply_contractions(state, eps, edge_pool=pool)
+        apply_contractions(state, eps)
         is3_delete_step(state, eps, self.improvement, edge_pool=pool)
 
     def run_chunk(self, state, params, max_rounds):
@@ -334,8 +330,7 @@ class Is4Rules(_IsRulesBase):
     def step(self, state: DegreeState, params: EvolutionParams) -> None:
         eps = params.step_size
         redistribute_erasures(state, eps)
-        pool = open_edge_mass(state, eps)
-        apply_contractions(state, eps, edge_pool=pool)
+        apply_contractions(state, eps)
         if all(x < eps for x in state.v[6:]):  # only classes 3-5 are left
             is4_special_step(state, eps)
         else:

@@ -115,7 +115,7 @@ def test_queries_grow_paths_and_triples_reduce():
     # keeps the absorbed open half-edge, and 3 good + 1 bad edges are banked
     assert (p.good, p.bad) == (3, 1)
     assert p.status[1] == 2 and p.status[3] == 2
-    assert p.status[2] == 0 and p.op[2] == 2
+    assert p.status[2] == 0 and len(p._unrevealed(2)) == 2
 
 
 def test_full_run_on_complete_graph():
@@ -598,7 +598,7 @@ def failed_run(graph, v, in_c):
         else:
             p._drive()
     return (*(bytes(buf) for buf in (
-        p.status, p.f, p.nR, p.nG, p.nW, p.nD, p.pd, p.op, p.alias,
+        p.status, p.f, p.nR, p.nG, p.nW, p.nD, p.pd, p.alias,
         p.revealed)), p.good, p.bad, p.survival, p.rng.bit_generator.state)
 
 

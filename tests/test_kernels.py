@@ -20,7 +20,8 @@ from girthlocal import _kernels, cut_local_algorithm, is_local_algorithm
 from girthlocal.config_model import generate, load_edge_list, save_edge_list
 from girthlocal.cut_evolution import CutRules
 from girthlocal.cut_local_algorithm import CutProcess
-from girthlocal.evolution_core import EvolutionParams, _python_chunk
+from girthlocal.evolution_core import (STATUS_EXHAUSTED, STATUS_INVALID,
+                                       EvolutionParams, _python_chunk)
 from girthlocal.is_evolution import DEGREE_CAP, Is3Rules, Is4Rules
 from girthlocal.is_local_algorithm import SurvivalGraph
 from test_cut_local_algorithm import MULTIGRAPHS
@@ -44,9 +45,12 @@ RULES = {
 }
 
 
-def exact(rules, run, eps, max_rounds):
+def exact(rules, run, eps, max_rounds, **fields):
+    """A run from the rule set's start state, with ``fields`` set on it."""
     params = EvolutionParams(step_size=eps)
     state = rules.initial_state(params)
+    for name, value in fields.items():
+        setattr(state, name, value)
     rounds, status = run(rules, state, params, max_rounds)
     return tuple(x.hex() for x in rules.snapshot(state)), rounds, status
 
@@ -79,6 +83,31 @@ def test_c_kernels_take_budgets_beyond_int64(budget):
     for rules in (RULES["is3"], RULES["cut3"]):
         assert exact(rules, type(rules).run_chunk, 1e-3, budget) == \
             exact(rules, _python_chunk, 1e-3, budget)
+
+
+# start states, each the rule set's own (v3 = 1 for is3, v4 = 1 for is4)
+# with these fields set, that leave the first round through a range or
+# exhaustion exit of the kernel which the runs above never take: (target,
+# fields, expected rounds and status)
+ODD_STARTS = [
+    ("is3", {"independent": -1.0}, (1, STATUS_INVALID)),
+    ("is3", {"independent": 0.6}, (1, STATUS_INVALID)),
+    ("is4", {"erase": -1.0}, (1, STATUS_INVALID)),
+    *((target, {"rat2": 1.0, "rat3": -0.7}, (1, STATUS_EXHAUSTED))
+      for target in ("cut3", "cut3-linear")),
+    *((target, {"rat2": 1.5, "rat3": 0.1}, (1, STATUS_INVALID))
+      for target in ("cut3", "cut3-linear")),
+]
+
+
+@compiled
+@pytest.mark.parametrize("target, fields, expected", ODD_STARTS)
+def test_c_kernel_exits_match_composed_ops_from_odd_starts(target, fields,
+                                                           expected):
+    rules = RULES[target]
+    got = exact(rules, type(rules).run_chunk, 1e-3, 10, **fields)
+    assert got == exact(rules, _python_chunk, 1e-3, 10, **fields)
+    assert got[1:] == expected
 
 
 @compiled
@@ -289,15 +318,25 @@ print("same")
 def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
         tmp_path):
     # gcc leaves float-cast-overflow out of undefined: name it, for the
-    # double -> int64_t conversions of the engines' index draws
-    cc = (*_kernels._CC, "-fsanitize=undefined,float-cast-overflow",
+    # double -> int64_t conversions of the engines' index draws.  Where cc
+    # names its AddressSanitizer runtime, every read and write of the
+    # engines' arrays is checked too; that runtime must come first in the
+    # child, so the child (not this process) builds and loads the library,
+    # and the interpreter's own unfreed blocks are not reported as leaks
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(SRC), str(Path(__file__).resolve().parent))))
+    sanitizers = "undefined,float-cast-overflow"
+    runtime = Path(subprocess.run(
+        ["cc", "-print-file-name=libasan.so"], capture_output=True,
+        text=True, timeout=_kernels._CC_TIMEOUT_S).stdout.strip())
+    if runtime.is_absolute() and runtime.is_file():
+        sanitizers = "address," + sanitizers
+        env.update(LD_PRELOAD=str(runtime), ASAN_OPTIONS="detect_leaks=0")
+    cc = (*_kernels._CC, f"-fsanitize={sanitizers}",
           "-fno-sanitize-recover=undefined,float-cast-overflow")
-    assert _kernels._load(cc=cc, cache=tmp_path) is not None
     check = subprocess.run(
         [sys.executable, "-c", SANITIZED_RUNS, str(tmp_path), *cc],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-            (str(SRC), str(Path(__file__).resolve().parent)))),
-        capture_output=True, text=True, timeout=300)
+        env=env, capture_output=True, text=True, timeout=300)
     assert check.returncode == 0, check.stderr
     assert check.stdout == "same\n" and check.stderr == ""
 
