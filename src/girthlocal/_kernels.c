@@ -532,10 +532,11 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
  * and counts = {good, bad, survival}.  Private here:
  *   - two (neighbour, parity) path slots per vertex, kept in list order
  *     (a pop shifts the second slot down, as list.pop does);
- *   - a chain of half-edges per vertex (head, next), the order of the
- *     Python slot list, whose unrevealed ones are the vertex's open
- *     half-edges; reduce_rrr moves s3's unrevealed ones to the end of
- *     s1's chain (s3 never reads its chain again);
+ *   - a chain of half-edges per vertex (next), the order of the Python
+ *     slot list, whose unrevealed ones are the vertex's open half-edges;
+ *     vertex v's chain starts at its first half-edge, 3v, and reduce_rrr
+ *     moves s3's unrevealed ones to the end of s1's chain (s3 never reads
+ *     its chain again);
  *   - the pending colours (target, bit, free) with an age-order list: a
  *     vertex is pending iff its age is not -1, and a re-pend keeps its
  *     place;
@@ -560,7 +561,7 @@ typedef struct {
     int64_t *counts;
     int32_t *path_nb;
     uint8_t *path_par;
-    int32_t *head, *next;
+    int32_t *next;
     int32_t *target, *age;
     uint8_t *bit, *free_;
     int32_t *wsrc;
@@ -722,7 +723,7 @@ static int majority(const cut_state *s, int64_t v, int tie)
 
 static int64_t first_unrevealed(const cut_state *s, int64_t v)
 {
-    for (int64_t h = s->head[v]; h >= 0; h = s->next[h])
+    for (int64_t h = 3 * v; h >= 0; h = s->next[h])
         if (!s->revealed[h])
             return h;
     return -1;
@@ -880,7 +881,7 @@ static void commit(cut_state *s, int64_t v, int color)
         remove_path_slot(s, x, v);
         give_label(s, x, color ^ parity);
     }
-    for (int64_t h = s->head[v]; h >= 0; h = s->next[h]) {
+    for (int64_t h = 3 * v; h >= 0; h = s->next[h]) {
         if (s->revealed[h])
             continue;
         int64_t x;
@@ -968,13 +969,12 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
         dirty_area(s, t);
     } else if (first_unrevealed(s, s3) >= 0) {
         /* s3's unrevealed slots now belong (logically) to s1, after the
-         * end of s1's chain, which is never empty: only an s3's head is
-         * reset, and an s3 never survives again */
+         * end of s1's chain */
         s->alias[s3] = (int32_t)s1;
-        int64_t end = s->head[s1];
+        int64_t end = 3 * s1;
         while (s->next[end] >= 0)
             end = s->next[end];
-        int64_t h = s->head[s3];
+        int64_t h = 3 * s3;
         while (h >= 0) {
             int64_t nx = s->next[h];
             if (!s->revealed[h]) {
@@ -984,7 +984,6 @@ static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
             }
             h = nx;
         }
-        s->head[s3] = -1;
     }
     wake(s, s1);
 }
@@ -1180,7 +1179,6 @@ static void cut_free(cut_state *s)
 {
     free(s->path_nb);
     free(s->path_par);
-    free(s->head);
     free(s->next);
     free(s->target);
     free(s->age);
@@ -1210,7 +1208,6 @@ static void cut_alloc(cut_state *s)
     size_t m = n > 0 ? (size_t)n : 1;
     s->path_nb = malloc(2 * m * sizeof *s->path_nb);
     s->path_par = malloc(2 * m);
-    s->head = malloc(m * sizeof *s->head);
     s->next = malloc(3 * m * sizeof *s->next);
     s->target = malloc(m * sizeof *s->target);
     s->age = malloc(m * sizeof *s->age);
@@ -1224,13 +1221,12 @@ static void cut_alloc(cut_state *s)
     s->lones = calloc(words(m), sizeof *s->lones);
     s->touched = calloc(words(m), sizeof *s->touched);
     s->marked = malloc(m * sizeof *s->marked);
-    if (!s->path_nb || !s->path_par || !s->head || !s->next || !s->target
+    if (!s->path_nb || !s->path_par || !s->next || !s->target
             || !s->age || !s->bit || !s->free_ || !s->wsrc || !s->wbit
             || !s->seen || !s->cand || !s->cand_sum || !s->lones
             || !s->touched || !s->marked)
         fail(&s->fail, ENGINE_NOMEM);
     for (int64_t v = 0; v < n; v++) {
-        s->head[v] = (int32_t)(3 * v);
         s->next[3 * v] = (int32_t)(3 * v + 1);
         s->next[3 * v + 1] = (int32_t)(3 * v + 2);
         s->next[3 * v + 2] = -1;
