@@ -460,59 +460,49 @@ static int64_t ones(uint64_t w)
     return __builtin_popcountll(w);
 }
 
-/* numpy's bitgen_t, as numpy/random/bitgen.h declares it: a bit
- * generator's state and its draw functions.  A numpy Generator's
- * bit_generator.ctypes.bit_generator points at one, and Generator.random
- * fills its output with one next_double call per entry, in order.  The
- * engines draw with next_double alone.  The caller holds the bit
- * generator's lock, as numpy's own methods do. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *st);
-    uint32_t (*next_uint32)(void *st);
-    double (*next_double)(void *st);
-    uint64_t (*next_raw)(void *st);
-} bitgen_t;
+/* The draws, made as _kernels.draw makes them: round t's pick for a
+ * purpose is u(key, t, purpose, label), with no label for a rank pick, and
+ * depends on no id and on no order of draws. */
+enum { MARK, FORCE, RED_PICK, GREEN_PICK };
 
-/* int(u * m) for one draw u <= 1 - 2^-53: an index below m < 2^31 */
-static int64_t draw_index(bitgen_t *bg, int64_t m)
+/* splitmix64's finalizer */
+static uint64_t mix64(uint64_t z)
 {
-    return (int64_t)(bg->next_double(bg->state) * (double)m);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
 }
 
-/* the ids of ids[0 .. m) whose draw falls below p, in order, into out
- * (which may be ids itself); returns their count.  One draw per id, in
- * order, so the draws and the marks are those of ids[rng.random(m) < p]
- * and the generator is left where that expression leaves it. */
-static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
-                    int32_t *out)
+static uint64_t round_key(uint64_t key, int64_t t, int64_t purpose)
 {
-    int64_t kept = 0;
-    for (int64_t i = 0; i < m; i++)
-        if (bg->next_double(bg->state) < p)
-            out[kept++] = ids[i];
-    return kept;
+    return mix64(key + 0x9e3779b97f4a7c15ULL
+                 * (uint64_t)(4 * t + purpose + 1));
+}
+
+/* int(u * m) for round t's pick u, which has no label: below m < 2^31 */
+static int64_t draw_index(uint64_t key, int64_t t, int64_t purpose,
+                          int64_t m)
+{
+    return (int64_t)((double)(round_key(key, t, purpose) >> 11) * 0x1p-53
+                     * (double)m);
+}
+
+/* whether label's draw under the round key rk falls below p */
+static int marked_by(uint64_t rk, int32_t label, double p)
+{
+    return (double)(mix64(rk ^ (uint64_t)label) >> 11) * 0x1p-53 < p;
 }
 
 /* ---- The finite cut process's event engine ----------------------------
  *
  * cut_local_algorithm.CutProcess restated over flat arrays: _reveal, query,
  * commit, whiten, eliminate_white, reduce_rrr, _connected, closure, the
- * endgame commits and _resolve_pending.  Every rule, its order of effects
- * and every tie-break is the same as in the Python methods, which stay
- * the reference semantics; tests pin the two to equal colourings and
- * counters.  The engine exports one function, cut_run, and a whole run
- * is one call of it: the round schedule of CutProcess._drive (which stays
- * its reference), with the endgame floor passed in from Python.  Each
- * round is query_round (CutProcess.query_round: the lone vertices, the
- * query marks and the queries, then closure), which draws the marks from
- * the caller's numpy bit generator, one next_double per lone vertex in
- * ascending order as the Python round does.  The
- * bootstrap pair after a stalled round takes two next_double draws, as
- * CutProcess._bootstrap takes two rng.random() draws, and each picked
- * survivor is found by its rank, counting the zero status bytes eight at
- * a time, with no list of the survivors.  So both backends read one
- * random stream.
+ * endgame commits and _resolve_pending, run by cut_run as CutProcess._drive
+ * runs them (each round is query_round), with the endgame floor passed in
+ * from Python.  Every rule, its order of effects and every tie-break is
+ * the same as in the Python methods, the reference semantics.  The
+ * bootstrap pair is found by its ranks, counting the zero status bytes
+ * eight at a time, with no list of the survivors.
  *
  * The lone set is exact as of the start of the last round: a bit set of
  * the lone vertices, read in ascending order.  Whether v is lone depends
@@ -532,11 +522,10 @@ static int64_t mark(bitgen_t *bg, const int32_t *ids, int64_t m, double p,
  * and counts = {good, bad, survival}.  Private here:
  *   - two (neighbour, parity) path slots per vertex, kept in list order
  *     (a pop shifts the second slot down, as list.pop does);
- *   - a chain of half-edges per vertex (next), the order of the Python
- *     slot list, whose unrevealed ones are the vertex's open half-edges;
- *     vertex v's chain starts at its first half-edge, 3v, and reduce_rrr
- *     moves s3's unrevealed ones to the end of s1's chain (s3 never reads
- *     its chain again);
+ *   - a chain of half-edges per vertex v (next), from 3v in the order of
+ *     the Python slot list, whose unrevealed ones are v's open half-edges;
+ *     reduce_rrr moves s3's unrevealed ones to the end of s1's chain (s3
+ *     never reads its chain again);
  *   - the pending colours (target, bit, free) with an age-order list: a
  *     vertex is pending iff its age is not -1, and a re-pend keeps its
  *     place;
@@ -554,7 +543,8 @@ enum { LOOP, INHERITED, DEAD, LIVE };
 typedef struct {
     failure fail;
     int64_t n;
-    const int32_t *owner, *pair;
+    const int32_t *owner, *pair, *labels;
+    uint64_t key;
     uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
     int8_t *f;
     int32_t *alias;
@@ -1263,17 +1253,17 @@ static uint64_t lone_word(cut_state *s, int64_t i)
     return s->lones[i];
 }
 
-/* one round of the schedule (CutProcess.query_round): each lone vertex,
- * ascending, as CutProcess.lones finds them, is marked when its draw from
- * bg falls below q, and each marked vertex that is still a survival
- * vertex with an open half-edge is queried, in ascending order; then
- * closure */
-static void query_round(cut_state *s, bitgen_t *bg, double q)
+/* round t of the schedule (CutProcess.query_round): each lone vertex, as
+ * CutProcess.lones finds them, is marked when its draw falls below q, and
+ * each marked vertex that is still a survival vertex with an open
+ * half-edge is queried, in ascending order; then closure */
+static void query_round(cut_state *s, int64_t t, double q)
 {
+    uint64_t rk = round_key(s->key, t, MARK);
     int64_t count = 0;
     for (int64_t i = 0; i < words(s->n); i++)
         for (uint64_t w = lone_word(s, i); w; w &= w - 1)
-            if (bg->next_double(bg->state) < q)
+            if (marked_by(rk, s->labels[64 * i + lowest(w)], q))
                 s->marked[count++] = (int32_t)(64 * i + lowest(w));
     for (int64_t i = 0; i < count; i++) {
         int64_t v = s->marked[i];
@@ -1315,14 +1305,14 @@ static void endgame(cut_state *s)
     }
 }
 
-/* the survivor of rank r (0 for the first) among the ids at or after
- * from.  Eight status bytes at a time: x's zero bytes are the 0x80 bits of
- * ~(((x & low) + low) | x | low), exactly, as no byte's sum carries into
- * the next, and their count skips the word. */
-static int64_t survivor_of_rank(cut_state *s, int64_t from, int64_t r)
+/* the survivor of rank r (0 for the first).  Eight status bytes at a
+ * time: x's zero bytes are the 0x80 bits of ~(((x & low) + low) | x | low),
+ * exactly, as no byte's sum carries into the next, and their count skips
+ * the word. */
+static int64_t survivor_of_rank(cut_state *s, int64_t r)
 {
     const uint64_t low = 0x7f7f7f7f7f7f7f7fULL;
-    int64_t v = from;
+    int64_t v = 0;
     for (; v + 8 <= s->n; v += 8) {
         uint64_t x;
         memcpy(&x, s->status + v, sizeof x);
@@ -1338,25 +1328,22 @@ static int64_t survivor_of_rank(cut_state *s, int64_t from, int64_t r)
     return -1;
 }
 
-/* CutProcess._bootstrap: two of the m survivors commit red and green,
- * the ones of ranks red = draw_index(m) and green = draw_index(m - 1),
- * bumped by one when at or past red, among the ascending survivors.  None
- * for no survivor */
-static void bootstrap(cut_state *s, bitgen_t *bg)
+/* CutProcess._bootstrap at round t: among the m ascending survivors, the
+ * ones of ranks red = draw_index(m) and green = draw_index(m - 1), bumped
+ * by one when at or past red, commit red and green.  None for none */
+static void bootstrap(cut_state *s, int64_t t)
 {
     int64_t m = SURVIVAL(s);
     if (m == 0)
         return;
     if (m < 2)
         fail(&s->fail, ENGINE_BROKEN);  /* no pair to draw */
-    int64_t a = draw_index(bg, m);
-    int64_t b = draw_index(bg, m - 1);
-    b += b >= a;
-    int64_t lo = a < b ? a : b, hi = a < b ? b : a;
-    int64_t v_lo = survivor_of_rank(s, 0, lo);
-    int64_t v_hi = survivor_of_rank(s, v_lo + 1, hi - lo - 1);
-    commit(s, a == lo ? v_lo : v_hi, RED);
-    commit(s, a == lo ? v_hi : v_lo, GREEN);
+    int64_t a = draw_index(s->key, t, RED_PICK, m);
+    int64_t b = draw_index(s->key, t, GREEN_PICK, m - 1);
+    int64_t red = survivor_of_rank(s, a);
+    int64_t green = survivor_of_rank(s, b + (b >= a));
+    commit(s, red, RED);
+    commit(s, green, GREEN);
 }
 
 /* a whole run (CutProcess._drive): a bootstrap pair and closure, then
@@ -1364,18 +1351,18 @@ static void bootstrap(cut_state *s, bitgen_t *bg)
  * with a bootstrap pair and closure after each round that removes no
  * survival vertex, so the survival count falls every round; then the
  * endgame */
-static void cut_drive(cut_state *s, bitgen_t *bg, double q, int64_t floor,
+static void cut_drive(cut_state *s, double q, int64_t floor,
                       int64_t *rounds)
 {
     *rounds = 0;
-    bootstrap(s, bg);
+    bootstrap(s, 0);
     closure(s);
     while (SURVIVAL(s) > floor) {
         int64_t before = SURVIVAL(s);
-        query_round(s, bg, q);
+        query_round(s, *rounds, q);
         *rounds += 1;
         if (SURVIVAL(s) == before) {
-            bootstrap(s, bg);
+            bootstrap(s, *rounds);
             closure(s);
         }
     }
@@ -1384,27 +1371,27 @@ static void cut_drive(cut_state *s, bitgen_t *bg, double q, int64_t floor,
 
 /* -- the entry --------------------------------------------------------- */
 
-/* A whole run over a 3-regular graph: owner and pair of its 3n half-edges,
- * both the graph's own int32 arrays, the shared buffers, the caller's bit
- * generator, the query probability and the endgame floor; the rounds run
- * go into *rounds.  Returns 0 or the code of the failure that stopped the
- * run. */
+/* A whole run over a 3-regular graph: owner and pair of its 3n half-edges
+ * (the graph's own int32 arrays), the run's labels, the shared buffers,
+ * the run's key, the query probability and the endgame floor; the rounds
+ * run go into *rounds.  Returns 0 or the failure that stopped the run. */
 int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
-                uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
-                uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int32_t *alias,
-                uint8_t *revealed, int64_t *counts, bitgen_t *bg, double q,
-                int64_t floor, int64_t *rounds)
+                const int32_t *labels, uint8_t *status, int8_t *f,
+                uint8_t *n_r, uint8_t *n_g, uint8_t *n_w, uint8_t *n_d,
+                uint8_t *pd, int32_t *alias, uint8_t *revealed,
+                int64_t *counts, uint64_t key, double q, int64_t floor,
+                int64_t *rounds)
 {
     cut_state *s = calloc(1, sizeof *s);
     if (!s)
         return ENGINE_NOMEM;
-    *s = (cut_state){.n = n, .owner = owner, .pair = pair, .status = status,
-                     .f = f, .n_r = n_r, .n_g = n_g, .n_w = n_w, .n_d = n_d,
-                     .pd = pd, .alias = alias, .revealed = revealed,
-                     .counts = counts};
+    *s = (cut_state){.n = n, .owner = owner, .pair = pair, .labels = labels,
+                     .key = key, .status = status, .f = f, .n_r = n_r,
+                     .n_g = n_g, .n_w = n_w, .n_d = n_d, .pd = pd,
+                     .alias = alias, .revealed = revealed, .counts = counts};
     if (!setjmp(s->fail.at)) {
         cut_alloc(s);
-        cut_drive(s, bg, q, floor, rounds);
+        cut_drive(s, q, floor, rounds);
     }
     int64_t err = s->fail.err;
     cut_free(s);
@@ -1416,22 +1403,13 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
  * is_local_algorithm.SurvivalGraph restated over flat arrays: _drop_vertex,
  * delete, _select, the four branches of contract, the settle FIFO, the
  * per-vertex loops of deletes and delete_above, the two kinds of round
- * (thin and probe_round) and unfold_merges' backward read of merges.
- * Every rule and its order of effects is the same as in the Python
- * methods, which stay the reference semantics; tests pin the two to equal
- * sets, round counts and contraction counts.  The engine exports one
- * function, is_run, and a whole run is one call of it: the round ladder of
- * is_local_algorithm._drive (which stays its reference), with the
- * persistence fraction passed in from Python, then the unfolding of the
- * merges; no event is exported on its own.  The rounds (is_thin,
- * is_probe_round) draw their marks from the caller's numpy bit generator,
- * one next_double per class member in ascending order as the Python round
- * does, and the forced deletion its member by one next_double
- * (draw_index), as the ladder by one rng.random(), so both backends read
- * one random stream.  The class members are the ascending ids
- * SurvivalGraph.scan finds, read off the class bit sets below in
- * ascending order, at a cost of n / 64 words per non-empty class scanned
- * (none for an empty range).
+ * (thin and probe_round) and unfold_merges' backward read of merges, run
+ * by is_run as the round ladder is_local_algorithm._drive runs them, with
+ * the persistence fraction passed in from Python.  Every rule and its
+ * order of effects is the same as in the Python methods, the reference
+ * semantics.  The class members are the ascending ids SurvivalGraph.scan
+ * finds, read off the class bit sets below, at a cost of n / 64 words per
+ * non-empty class scanned (none for an empty range).
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename
@@ -1446,8 +1424,8 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
  * contractions}.  Private here:
  *   - each live vertex's neighbours, pool[off[v] .. off[v] + deg[v]),
  *     with room for cap[v]; a list that outgrows its room moves to the
- *     pool's end.  The pool holds int32 ids and off int64 offsets, so the pool
- *     may outgrow 2^31 entries;
+ *     pool's end.  The pool holds int32 ids and off int64 offsets, so the
+ *     pool may outgrow 2^31 entries;
  *   - one bit set per degree class, class_set(s, k) holding the live
  *     vertices of degree k; every change of a degree or a death goes
  *     through reclass, which keeps counts[k] equal to the size of class k;
@@ -1463,6 +1441,8 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
 typedef struct {
     failure fail;
     int64_t n, ncounts, cap_degree;
+    const int32_t *labels;
+    uint64_t key;
     int64_t *deg, *counts, *state;
     uint8_t *alive, *status;
     int64_t *off;
@@ -1631,8 +1611,9 @@ static int64_t contract(is_state *s, int64_t y)
         is_delete(s, z);
         return -1;
     }
-    /* true merge: x absorbs z and y, which unfold_merges decides; x and z
-     * keep their degrees until reclass, their lists shrink at once */
+    /* true merge: x absorbs z and y, which unfold_merges decides, and the
+     * merged vertex keeps x's id and so x's label; x and z keep their
+     * degrees until reclass, their lists shrink at once */
     int64_t lx = s->deg[x] - 1, lz = s->deg[z] - 1;
     adj_remove(s, x, y, lx + 1);
     adj_remove(s, z, y, lz + 1);
@@ -1787,16 +1768,27 @@ static void delete_above(is_state *s, int64_t k)
     deletes(s, s->above.data, s->above.len);
 }
 
-/* one thinning round (SurvivalGraph.thin): every live vertex above class
- * top goes, then each member of class top whose draw from bg falls below
- * p; both lists are read, and the marks drawn, before any deletion */
-static void is_thin(is_state *s, bitgen_t *bg, int64_t top, double p)
+/* the members of class k marked in round t, ascending, into s->marked */
+static void marked_members(is_state *s, int64_t t, int64_t k, double p)
 {
-    members(s, top, top, &s->marked);
-    vec *marked = &s->marked;
-    marked->len = mark(bg, marked->data, marked->len, p, marked->data);
+    vec *ids = &s->marked;
+    uint64_t rk = round_key(s->key, t, MARK);
+    int64_t kept = 0;
+    members(s, k, k, ids);
+    for (int64_t i = 0; i < ids->len; i++)
+        if (marked_by(rk, s->labels[ids->data[i]], p))
+            ids->data[kept++] = ids->data[i];
+    ids->len = kept;
+}
+
+/* thinning round t (SurvivalGraph.thin): every live vertex above class top
+ * goes, then each marked member of class top; both lists are read, and
+ * the marks drawn, before any deletion */
+static void is_thin(is_state *s, int64_t t, int64_t top, double p)
+{
+    marked_members(s, t, top, p);
     delete_above(s, top);
-    deletes(s, marked->data, marked->len);
+    deletes(s, s->marked.data, s->marked.len);
 }
 
 /* the 4-regular probe of v, which goes itself when its neighbours all
@@ -1821,17 +1813,14 @@ static void probe(is_state *s, int64_t v)
     is_delete(s, best == 3 ? v : target);
 }
 
-/* one probe round (SurvivalGraph.probe_round): every live vertex above
- * class 5 goes; then each member of class 3 whose draw from bg falls below
- * p is probed, in order */
-static void is_probe_round(is_state *s, bitgen_t *bg, double p)
+/* probe round t (SurvivalGraph.probe_round): every live vertex above
+ * class 5 goes; then each marked member of class 3 is probed, in order */
+static void is_probe_round(is_state *s, int64_t t, double p)
 {
     delete_above(s, 5);
-    members(s, 3, 3, &s->marked);
-    vec *marked = &s->marked;
-    marked->len = mark(bg, marked->data, marked->len, p, marked->data);
-    for (int64_t i = 0; i < marked->len; i++)
-        probe(s, marked->data[i]);
+    marked_members(s, t, 3, p);
+    for (int64_t i = 0; i < s->marked.len; i++)
+        probe(s, s->marked.data[i]);
 }
 
 /* the highest class above floor holding at least max(1, int(fraction *
@@ -1848,10 +1837,10 @@ static int64_t top_persistent(is_state *s, double fraction, int64_t floor)
     return -1;
 }
 
-/* the forced deletion after a round that removed nothing: the member of
+/* the forced deletion after round t, which removed nothing: the member of
  * rank draw_index(m) among the m ascending members of the top non-empty
  * class goes; then settle */
-static void force_progress(is_state *s, bitgen_t *bg)
+static void force_progress(is_state *s, int64_t t)
 {
     int64_t top = s->ncounts - 1;
     while (top > 0 && !s->counts[top])
@@ -1859,7 +1848,8 @@ static void force_progress(is_state *s, bitgen_t *bg)
     members(s, top, top, &s->marked);
     if (!s->marked.len)
         fail(&s->fail, ENGINE_BROKEN);  /* no live vertex */
-    is_delete(s, s->marked.data[draw_index(bg, s->marked.len)]);
+    is_delete(s, s->marked.data[draw_index(s->key, t, FORCE,
+                                           s->marked.len)]);
     settle(s);
 }
 
@@ -1886,8 +1876,8 @@ static void unfold_merges(is_state *s)
  * with p; else every vertex above class d goes.  Each round then settles;
  * one that removes no vertex is followed by the forced deletion, so the
  * survival count falls every round. */
-static void is_drive(is_state *s, bitgen_t *bg, int64_t d, double p,
-                     double fraction, int64_t *rounds)
+static void is_drive(is_state *s, int64_t d, double p, double fraction,
+                     int64_t *rounds)
 {
     int64_t floor = d == 3 ? 3 : 5;
     *rounds = 0;
@@ -1895,14 +1885,14 @@ static void is_drive(is_state *s, bitgen_t *bg, int64_t d, double p,
         int64_t before = SURVIVAL_COUNT(s);
         int64_t top = top_persistent(s, fraction, floor);
         if (top >= 0)
-            is_thin(s, bg, top, p);
+            is_thin(s, *rounds, top, p);
         else if (d == 4 && s->counts[3])
-            is_probe_round(s, bg, p);
+            is_probe_round(s, *rounds, p);
         else
             delete_above(s, d);
         settle(s);
         if (SURVIVAL_COUNT(s) == before)
-            force_progress(s, bg);
+            force_progress(s, *rounds);
         *rounds += 1;
     }
     unfold_merges(s);
@@ -1911,27 +1901,27 @@ static void is_drive(is_state *s, bitgen_t *bg, int64_t d, double p,
 /* -- the entry --------------------------------------------------------- */
 
 /* A whole run over a fresh SurvivalGraph: owner and pair of the graph's
- * half-edges, both the graph's own int32 arrays, the shared buffers
- * (counts with ncounts entries, more than any degree), the caller's bit
- * generator, the degree above which settle deletes a merged vertex, d, the
+ * half-edges (the graph's own int32 arrays), the run's labels, the shared
+ * buffers (counts with ncounts entries, more than any degree), the run's
+ * key, the degree above which settle deletes a merged vertex, d, the
  * thinning probability and the persistence fraction; the rounds run go
- * into *rounds.  Returns 0 or the code of the failure that stopped the
- * run. */
+ * into *rounds.  Returns 0 or the failure that stopped the run. */
 int64_t is_run(int64_t n, const int32_t *owner, const int32_t *pair,
-               int64_t *deg, uint8_t *alive, int64_t *counts,
-               uint8_t *status, int64_t *state, bitgen_t *bg,
-               int64_t ncounts, int64_t cap_degree, int64_t d, double p,
-               double fraction, int64_t *rounds)
+               const int32_t *labels, int64_t *deg, uint8_t *alive,
+               int64_t *counts, uint8_t *status, int64_t *state,
+               uint64_t key, int64_t ncounts, int64_t cap_degree, int64_t d,
+               double p, double fraction, int64_t *rounds)
 {
     is_state *s = calloc(1, sizeof *s);
     if (!s)
         return ENGINE_NOMEM;
-    *s = (is_state){.n = n, .deg = deg, .alive = alive, .counts = counts,
-                    .status = status, .state = state, .ncounts = ncounts,
+    *s = (is_state){.n = n, .labels = labels, .key = key, .deg = deg,
+                    .alive = alive, .counts = counts, .status = status,
+                    .state = state, .ncounts = ncounts,
                     .cap_degree = cap_degree};
     if (!setjmp(s->fail.at)) {
         is_alloc(s, owner, pair);
-        is_drive(s, bg, d, p, fraction, rounds);
+        is_drive(s, d, p, fraction, rounds);
     }
     int64_t err = s->fail.err;
     is_free(s);

@@ -1,5 +1,5 @@
 """Compiled kernels: the evolution chunk loops and the finite processes'
-events.
+runs.
 
 ``_kernels.c`` holds two kinds of C code.  There is one chunk kernel per
 evolution family: ``is_chunk`` runs both independent-set processes (3- and
@@ -8,32 +8,18 @@ recurrence by at most ``max_rounds`` rounds and reports why it stopped via a
 status code.  The kernels unroll the composed operations of ``is_evolution``
 / ``cut_evolution``, which stay the reference semantics: same expressions,
 same evaluation order, pinned bit for bit by tests.  And there is one event
-engine per finite process, run whole by one call: ``cut_run`` restates the
-methods of ``cut_local_algorithm.CutProcess`` and their round schedule
-``CutProcess._drive``, and ``is_run`` those of
-``is_local_algorithm.SurvivalGraph`` (its class scans included) and the
-round ladder ``is_local_algorithm._drive``, over flat arrays, pinned by
-tests to give the same outputs, counters and random stream as their
-references.  So the library exports four functions: the two chunk kernels
-and the two runs.  A run allocates its engine's C state over the process's
+engine per finite process, ``cut_run`` and ``is_run``, each a whole run in
+one call over flat arrays: it restates the Python methods and round
+schedule of ``CutProcess`` or ``SurvivalGraph``, which tests pin it to,
+output for output.  A run allocates its engine's state over the process's
 buffers, runs and frees it in that one call, and stops at its first failed
-check, where the Python methods raise; no event is exported on its own.
-The marks of a round are drawn in C from the caller's numpy
-Generator, through its bit generator's C interface
-(``bit_generator.ctypes``): one ``next_double`` per candidate, in
-ascending order, which is what ``ids[rng.random(m) < p]`` draws.  Every
-other pick is one ``next_double`` too, as one ``rng.random()`` in Python:
-an index into m items is ``int(u * m)``, which never reaches m.  The
-independent-set forced deletion draws one such index into its class, and
-the cut's bootstrap two, red over the m survivors and green over the
-m - 1 others.  So both backends read one random stream and leave the
-generator in one state.  ctypes releases the GIL for each call, and an
-engine touches only its own state and buffers, so runs of different
-processes may run at once on different threads.  The engines read the
-graph's int32 owner and pair arrays in place (``_graph_arrays``: no copy,
-no widening), whose half-edges ``Multigraph`` groups by owner, and keep
-their own vertex and half-edge ids as int32 too; the buffers they share
-with the Python processes stay as those allocate them.
+check, where the Python methods raise.  Every random pick of a run is
+``draw``, a pure function of the run's key and labels (``run_labels``),
+which both languages compute alike.  ctypes releases the GIL for each
+call, and an engine touches only its own state and buffers, so runs may
+overlap on threads.  The engines read the graph's int32 owner and pair
+arrays in place (``_graph_arrays``: no copy, no widening), whose
+half-edges ``Multigraph`` groups by owner.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -143,11 +129,12 @@ def _load(cc=_CC, cache=_CACHE):
     lib.cut_chunk.argtypes = [ctypes.POINTER(f64), f64, i64, i64,
                               ctypes.POINTER(i64)]
     lib.cut_chunk.restype = None
-    ptr = ctypes.c_void_p
-    # n, the graph's two arrays, the shared buffers and the bit generator,
-    # then each engine's scalars and the rounds
-    lib.cut_run.argtypes = [i64] + [ptr] * 13 + [f64, i64, ptr]
-    lib.is_run.argtypes = [i64] + [ptr] * 8 + [i64, i64, i64, f64, f64, ptr]
+    ptr, u64 = ctypes.c_void_p, ctypes.c_uint64
+    # n, the graph's two arrays, the labels, the shared buffers and the
+    # key, then each engine's scalars and the rounds
+    lib.cut_run.argtypes = [i64] + [ptr] * 13 + [u64, f64, i64, ptr]
+    lib.is_run.argtypes = [i64] + [ptr] * 8 + [u64, i64, i64, i64, f64, f64,
+                                                ptr]
     lib.cut_run.restype = lib.is_run.restype = i64
     return lib
 
@@ -178,6 +165,38 @@ def cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
     return (*state, *out)
 
 
+# A finite run's picks, u(key, t, purpose, label): round t's key for a
+# purpose is splitmix64's output number 4t + purpose + 1 from the run's
+# key, a vertex's draw is splitmix64's finalizer of that xor its label, a
+# pick with no label is the round key, and u is the 53 high bits over 2^53.
+MARK, FORCE, RED_PICK, GREEN_PICK = range(4)  # the purposes
+_MASK = 2 ** 64 - 1
+
+
+def _mix64(z):
+    """splitmix64's finalizer, of a Python int or of a uint64 array."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def draw(key: int, t: int, purpose: int, labels=None):
+    """u in [0, 1) for each label of the int32 array ``labels``, or, with
+    none, round t's pick for the purpose, a float (``int(u * m) < m``)."""
+    h = _mix64((key + 0x9E3779B97F4A7C15 * (4 * t + purpose + 1)) & _MASK)
+    if labels is not None:
+        h = _mix64(labels.astype(np.uint64) ^ h)
+    return (h >> 11) * 2.0 ** -53
+
+
+def run_labels(n: int, seed):
+    """A run's key and labels (a random permutation of 0 .. n - 1, as
+    int32), its only draws from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(n).astype(np.int32)
+    return int(rng.integers(2 ** 64, dtype=np.uint64)), labels
+
+
 def _writable(buf):
     """A ctypes view of a writable buffer (bytearray, array, ndarray); the
     caller keeps it alive for as long as C holds the address."""
@@ -192,23 +211,23 @@ def _graph_arrays(graph) -> list:
             (graph.owner, graph.pair)]
 
 
-def _run(name: str, entry, graph, buffers, rng, *args) -> int:
-    """One engine's whole run, one call of ``entry`` over the graph's
-    arrays and the shared ``buffers``, which it updates in place, with
-    ``rng``'s bit generator passed to C for the draws and locked meanwhile,
-    as numpy's own methods lock it; returns the rounds run.  The run stops
-    at its first failed check, where the Python methods raise: a broken
-    invariant raises AssertionError, and an allocation that fails
+def _run(name: str, entry, proc, buffers, *args) -> int:
+    """One engine's whole run of the process ``proc``, one call of
+    ``entry`` over its graph's arrays, labels and key and the shared
+    ``buffers``, which it updates in place; returns the rounds run.  The
+    run stops at its first failed check, where the Python methods raise:
+    a broken invariant raises AssertionError, and an allocation that fails
     MemoryError.  (The Python ``SurvivalGraph.delete`` of a dead vertex
     raises ValueError; in C that is a broken invariant too.)"""
-    arrays = _graph_arrays(graph)
+    graph, labels = proc.graph, np.ascontiguousarray(proc.labels, np.int32)
+    if labels.shape != (graph.n,):
+        raise ValueError("a run needs one label per vertex")
+    arrays = [*_graph_arrays(graph), labels]
     views = [_writable(buf) for buf in buffers]
     rounds = ctypes.c_int64()
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        err = entry(graph.n, *(a.ctypes.data for a in arrays),
-                    *(ctypes.addressof(view) for view in views),
-                    bitgen.ctypes.bit_generator, *args, ctypes.byref(rounds))
+    err = entry(graph.n, *(a.ctypes.data for a in arrays),
+                *(ctypes.addressof(view) for view in views), proc.key,
+                *args, ctypes.byref(rounds))
     if err == ENGINE_NOMEM:
         raise MemoryError(f"{name}: out of memory")
     if err:
@@ -217,43 +236,38 @@ def _run(name: str, entry, graph, buffers, rng, *args) -> int:
 
 
 def cut_run(proc, floor: int) -> int:
-    """The whole run of ``CutProcess._drive`` in one C call, over the
-    process's shared buffers (status, colours, label counters, path
-    degrees, aliases, revealed flags), which it updates in place:
-    bootstrap, closure, rounds while more than ``floor`` vertices survive
-    (a bootstrap and closure after each that removes none), endgame;
-    returns the rounds run.  The rounds and the bootstrap pairs
-    draw from the process's ``rng``.  The counters good, bad and survival
-    are written back to the process, also when the run fails.  Needs
-    ``BACKEND == "c"``."""
+    """The whole run of ``CutProcess._drive``, with the endgame at
+    ``floor`` survivors, in one C call over the process's shared buffers
+    (status, colours, label counters, path degrees, aliases, revealed
+    flags), which it updates in place; returns the rounds run.  The
+    counters good, bad and survival are written back to the process, also
+    when the run fails.  Needs ``BACKEND == "c"``."""
     counts = array("q", (proc.good, proc.bad, proc.survival))
     buffers = (proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
                proc.pd, proc.alias, proc.revealed, counts)
     try:
-        return _run("cut engine", _lib.cut_run, proc.graph, buffers,
-                    proc.rng, proc.query_probability, floor)
+        return _run("cut engine", _lib.cut_run, proc, buffers,
+                    proc.query_probability, floor)
     finally:
         proc.good, proc.bad, proc.survival = counts
 
 
-def is_run(g, rng, d: int, thin_probability: float,
+def is_run(g, d: int, thin_probability: float,
            persistence_fraction: float, cap_degree: int) -> int:
     """The whole run of ``is_local_algorithm._drive`` in one C call, over a
     fresh ``SurvivalGraph``'s degrees, live flags, degree histogram and
     decision bytes, which it updates in place: the rounds until no vertex
-    is left, then the merges unfolded; returns the rounds run.  The rounds
-    draw their marks, and the forced deletions their vertex, from ``rng``,
-    as the Python ladder does; a merged vertex above ``cap_degree`` is
-    deleted, as ``DEGREE_CAP`` in settle.  The survival and contraction
-    counts are written back to g, also when the run fails.  Needs
-    ``BACKEND == "c"``."""
+    is left, then the merges unfolded; returns the rounds run.  A merged
+    vertex above ``cap_degree`` is deleted, as ``DEGREE_CAP`` in settle.
+    The survival and contraction counts are written back to g, also when
+    the run fails.  Needs ``BACKEND == "c"``."""
     if not 0 <= d < len(g.counts):
         raise IndexError(f"degree class {d} out of range")
     counts = array("q", (g.survival_count, g.contractions))
     buffers = (g.deg, g.alive, g.counts, g.status, counts)
     try:
-        return _run("independent-set engine", _lib.is_run, g.graph, buffers,
-                    rng, len(g.counts), cap_degree, d, thin_probability,
+        return _run("independent-set engine", _lib.is_run, g, buffers,
+                    len(g.counts), cap_degree, d, thin_probability,
                     persistence_fraction)
     finally:
         g.survival_count, g.contractions = counts

@@ -248,9 +248,10 @@ def _run_simulation(target, n, d, seed, options, keep_witness):
     The summary carries the wall time of each stage: graph generation,
     the algorithm's run and the check of its output (the independence
     check, or the cut's exact recount by ``count_cut`` and its comparison
-    with the run's counters).  A cut's headline figures are the recount.
-    The witness is the ascending list of set members (``is``) or the
-    colour array (``cut``).  The graph is freed when this returns.
+    with the run's counters).  A cut's headline figures are the recount
+    and the ``imbalance``, green vertices less red.  The witness is the
+    ascending list of set members (``is``) or the colour array (``cut``).
+    The graph is freed when this returns.
     """
     graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
     marks = [time.perf_counter()]
@@ -278,6 +279,7 @@ def _run_simulation(target, n, d, seed, options, keep_witness):
             "good": good,
             "bad": bad,
             "ratio": good / result.n,
+            "imbalance": 2 * int(np.count_nonzero(result.colors)) - n,
             "rounds": result.rounds,
             "valid": bool(consistent),
         }
@@ -349,8 +351,8 @@ def _cmd_simulate(args) -> int:
     kind = "independent" if target == "is" else "cut"
     if len(runs) == 1:
         only = runs[0]
-        headline = {k: only[k] for k in ("size", "good", "bad", "ratio")
-                    if k in only}
+        headline = {k: only[k] for k in ("size", "good", "bad", "ratio",
+                                         "imbalance") if k in only}
         report = RunReport(command=args.command_echo, kind=kind,
                            parameters=parameters, seed=args.seed,
                            headline=headline, valid=all_valid,

@@ -80,8 +80,7 @@ class CutProcess:
     paths: one ``_kernels.cut_run`` call (the same rules and round schedule
     in C, over this object's counter buffers, with no event exported on
     its own) when the C kernels are built, else ``_drive`` on these
-    methods; tests pin the two to the same colouring, counters and random
-    stream.
+    methods; tests pin the two to the same colouring and counters.
     """
 
     def __init__(self, graph: Multigraph, seed=None,
@@ -94,7 +93,7 @@ class CutProcess:
         self.n = n
         self.seed = seed
         self.query_probability = query_probability
-        self.rng = np.random.default_rng(seed)
+        self.key, self.labels = _kernels.run_labels(n, seed)
         self.graph = graph
         self.owner = graph.owner
         self.pair = graph.pair
@@ -545,15 +544,15 @@ class CutProcess:
         # vertex, so every round lowers the survival count (no cap needed).
         # The first call sees all n (even) vertices, later ones more than
         # ENDGAME_FLOOR; only the empty graph has no pair to draw.  Red and
-        # green are ranks among the m ascending survivors, one rng.random()
-        # draw each: green's draw is over the m - 1 survivors other than
-        # red.  The C engine's run draws the pair as here
+        # green are ranks among the m ascending survivors, one pick each of
+        # the round: green's is over the m - 1 survivors other than red
         alive = np.flatnonzero(np.frombuffer(self.status, np.uint8) == 0)
         m = alive.shape[0]
         if m == 0:
             return
-        red = int(self.rng.random() * m)
-        green = int(self.rng.random() * (m - 1))
+        key, t = self.key, self.rounds
+        red = int(_kernels.draw(key, t, _kernels.RED_PICK) * m)
+        green = int(_kernels.draw(key, t, _kernels.GREEN_PICK) * (m - 1))
         green += green >= red
         self.commit(int(alive[red]), RED)
         self.commit(int(alive[green]), GREEN)
@@ -572,13 +571,14 @@ class CutProcess:
         return np.flatnonzero((status == 0) & (pd == 0) & ((nR + nG) == 1))
 
     def query_round(self) -> None:
-        """One round: each lone vertex is marked with the query
-        probability, and each marked vertex that is still a survival vertex
-        with an open half-edge is queried, in order; then closure."""
+        """Round ``self.rounds``: each lone vertex whose draw falls below
+        the query probability is marked, and each marked vertex that is
+        still a survival vertex with an open half-edge is queried, in
+        order; then closure."""
         lones = self.lones()
-        marked = lones[self.rng.random(lones.shape[0])
-                       < self.query_probability]
-        for v in marked.tolist():
+        u = _kernels.draw(self.key, self.rounds, _kernels.MARK,
+                          self.labels[lones])
+        for v in lones[u < self.query_probability].tolist():
             if self.status[v] == 0 and self._unrevealed(v):
                 self.query(v)
         self.closure()
@@ -597,10 +597,8 @@ class CutProcess:
         ``_kernels.cut_run``.  Rounds go on while more than ENDGAME_FLOOR
         vertices survive; a bootstrap pair is committed before the first
         and after each round that removed no survival vertex, so the
-        survival count falls every round.  A round draws its query marks
-        from self.rng, one draw per lone vertex in ascending order, and the
-        bootstrap its pair, as ``_kernels.cut_run`` draws them, so both
-        backends read one random stream."""
+        survival count falls every round.  Round t and the bootstrap after
+        it draw at t and t + 1, as in ``_kernels.cut_run``."""
         self._bootstrap()
         self.closure()
         while self.survival > ENDGAME_FLOOR:

@@ -95,17 +95,15 @@ class SurvivalGraph:
 
     The methods below are the reference semantics.  run() hands the whole
     run, its round ladder included, to one ``_kernels.is_run`` call (the
-    same rules in C, over deg, alive, counts and status, with neighbour
-    lists of int32 ids and one bit set per degree class of its own, the
-    sets read in ascending order for the scans) when the C kernels are
-    built, and runs these methods under ``_drive`` otherwise; tests pin the
-    two to the same set, rounds, contractions and random stream.  C runs
-    only whole runs, never a single event.
+    same rules in C, over deg, alive, counts and status) when the C
+    kernels are built, and runs these methods under ``_drive`` otherwise;
+    tests pin the two to the same set, rounds and contractions.
     """
 
-    def __init__(self, g: Multigraph):
+    def __init__(self, g: Multigraph, seed=None):
         self.n = g.n
         self.graph = g
+        self.key, self.labels = _kernels.run_labels(g.n, seed)
         degrees = g.degrees().astype(np.int64)
         self.deg = array("q", degrees.tobytes())
         self.alive = bytearray(b"\x01") * g.n
@@ -203,7 +201,8 @@ class SurvivalGraph:
             self.delete(x)
             self.delete(z)
             return None
-        # true merge: x absorbs z and y, which unfold_merges decides
+        # true merge: x absorbs z and y, which unfold_merges decides; the
+        # merged vertex keeps x's id and so x's label
         adj, deg, counts = self.adj, self.deg, self.counts
         ax, az = adj[x], adj[z]
         ax.remove(y)
@@ -263,26 +262,26 @@ class SurvivalGraph:
         if any(self.counts[k + 1:]):
             self.deletes(self.scan(k + 1, len(self.counts) - 1))
 
-    def thin(self, rng, top: int, probability: float) -> None:
-        """One thinning round: every live vertex above class top is
-        deleted, then each member of class top with the given probability.
+    def thin(self, t: int, top: int, probability: float) -> None:
+        """Thinning round t: every live vertex above class top is deleted,
+        then each member of class top whose draw falls below probability.
 
-        Both scans and the draw see the graph before any deletion; a delete
-        kills only its argument, so every marked vertex is still alive when
-        its turn comes.
+        Both scans and the draws see the graph before any deletion; a
+        delete kills only its argument, so every marked vertex is still
+        alive when its turn comes.
         """
         members = self.scan(top, top)
-        marked = members[rng.random(members.shape[0]) < probability]
+        u = _kernels.draw(self.key, t, _kernels.MARK, self.labels[members])
         self.delete_above(top)
-        self.deletes(marked)
+        self.deletes(members[u < probability])
 
-    def probe_round(self, rng, probability: float) -> None:
-        """4-regular round: every live vertex above class 5 is deleted;
-        then each 3-vertex is marked with the given probability and probed,
-        in order: one whose neighbors all have degree 3 is deleted itself,
-        otherwise its lowest-id neighbor of the highest degree is (the
-        probe vertex then drops to degree 2 and contracts in the settle
-        after the round).
+    def probe_round(self, t: int, probability: float) -> None:
+        """4-regular round t: every live vertex above class 5 is deleted;
+        then each 3-vertex whose draw falls below the given probability is
+        probed, in order: one whose neighbors all have degree 3 is deleted
+        itself, otherwise its lowest-id neighbor of the highest degree is
+        (the probe vertex then drops to degree 2 and contracts in the
+        settle after the round).
 
         Degrees only fall during the probes.  So a target of degree above 3
         is never a marked vertex, and a marked vertex deleted as a target
@@ -291,8 +290,9 @@ class SurvivalGraph:
         """
         self.delete_above(5)
         members = self.scan(3, 3)
+        u = _kernels.draw(self.key, t, _kernels.MARK, self.labels[members])
         deg, adj = self.deg, self.adj
-        for v in members[rng.random(members.shape[0]) < probability].tolist():
+        for v in members[u < probability].tolist():
             if deg[v] != 3:
                 continue
             nbrs = adj[v]
@@ -351,28 +351,26 @@ def run(graph: Multigraph, d: int, seed=None,
         raise ValueError(f"input graph is not {d}-regular")
     if not 0.0 <= thin_probability <= 1.0:
         raise ValueError("thin_probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    g = SurvivalGraph(graph)
+    g = SurvivalGraph(graph, seed)
     if _kernels.BACKEND == "c":
-        rounds = _kernels.is_run(g, rng, d, thin_probability,
+        rounds = _kernels.is_run(g, d, thin_probability,
                                  PERSISTENCE_FRACTION, DEGREE_CAP)
     else:
-        rounds = _drive(g, rng, d, thin_probability)
+        rounds = _drive(g, d, thin_probability)
     vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8) == IN)
     return IsRunResult(vertices=vertices.tolist(), n=graph.n, d=d, seed=seed,
                        rounds=rounds, contractions=g.contractions)
 
 
-def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
-    """The round ladder on g's Python methods; returns the rounds run.  It
-    is the reference of ``_kernels.is_run``, which restates it whole in one
-    C call.  Each round's kind and class come from the degree
-    histogram; a round draws its marks from rng over the ascending members
-    of its class, then settles.  The rounds go on until no vertex is left
-    and need no cap: after one that removes no vertex, one member of the
-    top non-empty class is deleted, the one of rank ``int(u * m)`` among
-    its m ascending members for one draw u of ``rng.random()``, so each
-    round lowers the survival count and a run ends within n rounds.  At
+def _drive(g: SurvivalGraph, d: int, thin_probability: float) -> int:
+    """The round ladder on g's Python methods, the reference of
+    ``_kernels.is_run``; returns the rounds run.  Each round's kind and
+    class come from the degree histogram; round t marks the members of its
+    class by their draws, then settles.  The rounds go on until no vertex
+    is left and need no cap: after round t removes no vertex, the member
+    of rank ``int(u * m)`` among the m ascending members of the top
+    non-empty class is deleted, for round t's pick u, so each round lowers
+    the survival count and a run ends within n rounds.  At
     thin_probability 0 no round marks a vertex: a 3-regular run is then the
     sequential process of the no-correction is3 evolution."""
     # thinning acts on persistent classes above this; d = 4 probes its
@@ -383,16 +381,17 @@ def _drive(g: SurvivalGraph, rng, d: int, thin_probability: float) -> int:
         before = g.survival_count
         top = _top_persistent(g.counts, before, PERSISTENCE_FRACTION, floor)
         if top is not None:
-            g.thin(rng, top, thin_probability)
+            g.thin(rounds, top, thin_probability)
         elif d == 4 and g.counts[3]:
-            g.probe_round(rng, thin_probability)
+            g.probe_round(rounds, thin_probability)
         else:
             g.delete_above(d)
         g.settle()
         if g.survival_count == before:
             top = max(k for k, c in enumerate(g.counts) if c)
             members = g.scan(top, top)
-            g.delete(int(members[int(rng.random() * len(members))]))
+            u = _kernels.draw(g.key, rounds, _kernels.FORCE)
+            g.delete(int(members[int(u * len(members))]))
             g.settle()
         rounds += 1
     g.unfold_merges()

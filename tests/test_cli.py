@@ -562,30 +562,30 @@ def test_refine_explicit_ladder_json(capsys, tmp_path):
 # sha256 of the --witness file bytes at n = 2000; a change to the finite
 # algorithms that keeps their outputs must keep these
 WITNESS_SHA256 = {
-    ("is3", 0): "e82572a8cd342b966b420c65391532dc"
-                "274844290ac7459244199ed96f9a5511",
-    ("is3", 1): "97ae2cd11d657f2f9d8055fc698a34d7"
-                "e282c672baa14eae3c6dd19a2e0628f7",
-    ("is4", 0): "6045454d7de14f21f868fd492e20b0db"
-                "dd6e25e47b6b86733ca77f31df850e42",
-    ("is4", 1): "d3d65988e185834e05bfa298a53a3d87"
-                "6ee8b298b065ebf0c892682eb5ef05d2",
-    ("cut", 0): "a1cb7a61129b640b6b1a334a684f16cd"
-                "0139920cf74dfd3ce5db71a434f55cf4",
-    ("cut", 1): "004fdff9309e383d8b3c95f1379ee581"
-                "b8818a1c96954f3f07c8740cacb8064b",
-    ("cut_q005", 0): "d4e8bc4a86e850f86ba0d3c2b42b49ba"
-                     "25a3d31d69836217b9ebb4ca74d26b2c",
-    ("cut_q005", 1): "4a9803dc89a98849de883aee513c8751"
-                     "5e6746fec90053067776aba3ce20eb4e",
-    ("is3_t005", 0): "1aed9e7fbbd900e300d4850e7b6733e9"
-                     "20021794415491b7d9461766548b4a4b",
-    ("is3_t005", 1): "98332ff78dfc6f2ea4a4881eb76b33cb"
-                     "2c99201a36e42ff3c513aeef4ecb88e7",
-    ("is4_t005", 0): "7bf2565073c2b197a8565afb192aeb5b"
-                     "5271c1c4ec54100aeb13ee366a21edbb",
-    ("is4_t005", 1): "80ea1f9793a0961b4f165de597b50105"
-                     "601abc6bd294fec9ecda9fe12cc7f393",
+    ("is3", 0): "f5846feb3cc679fe563a9b9f40629b59"
+                "bf18abc807aa8d878d7312a8fe1220c1",
+    ("is3", 1): "1828fe59861a5d0ea693ac28bca89ee9"
+                "ad20202e2349e109c8ae5e51fcf3e3bc",
+    ("is4", 0): "091e22f0774e19479dde33895e098718"
+                "d2aae8f98eb0c042b14b061dd7b5e143",
+    ("is4", 1): "b40ce34fb5dd29313e0e4e517cadf395"
+                "4f9928c0228e42b724c569857eaced0d",
+    ("cut", 0): "4c3c9b6b54c1fbb58c69a2f4d9a58be2"
+                "c59655d49c0214a67c6539ca3b0c2099",
+    ("cut", 1): "2c912818b1b07b0291ad9839c0bb0063"
+                "05c235d34a1bb33b66ff676d11b2e818",
+    ("cut_q005", 0): "2305c38669dba65d8d6fd5ba58e410ce"
+                     "6bff54f7702981b5de1712cb05f551a2",
+    ("cut_q005", 1): "1cffe3f395cf50fb4c317a14e2e3801a"
+                     "de64638b53cd30ca6c7f616501b02497",
+    ("is3_t005", 0): "9c9ca9b142315974c7fbec79fa1d6d5c"
+                     "7acadff26b4d2abdd4f8456dbd6b71f7",
+    ("is3_t005", 1): "5dcb61bfb131b5403cab54146d923b5f"
+                     "92db0af606031853e5411a75c5ab2eec",
+    ("is4_t005", 0): "94e884f55d61a8ffb9f94d261e420481"
+                     "b810ae7881b2a7e030d9a0d3e6581a22",
+    ("is4_t005", 1): "c309e668580fb56e68dca02d785f6c7f"
+                     "eda78f5605fde676505d318aa5dda0db",
 }
 # cut_q005 is the query-starved regime: over 100 bootstraps per run at
 # n = 2000, against about 20 at the default query probability; is3_t005
@@ -672,18 +672,18 @@ REPORT_SHA256 = {  # name: (json, stdout)
                     "d41b12a23e4b6860bcc3ec53839c8dee",
                     "0a27b898dc78c750390ebbaf85aa942e"
                     "43fd9e3349bdbcd090bd2db792618e01"),
-    "simulate_is3": ("9e24eb4653aea57e461c8535ae17d707"
-                     "2554ab28eaeed86b47e9c5143be26d07",
-                     "7028e7659df1824a5c9dcf7e1a097777"
-                     "071cf1e48cddc004bf4647f60dc7b2f8"),
-    "simulate_cut": ("33e33c0c3cf3e75e37dacbc453a74bab"
-                     "8c69332b33c43ac0e057855473108e8c",
-                     "15f9ac8fabbe556697c55a2483676ee0"
-                     "f99d6a08e9713b6c958bc20e47fc816f"),
-    "simulate_cut_seeds2": ("d12e03cafe482213a18ca1fd860fce6f"
-                            "fb5d48b4e36f4719d979a09d48453167",
-                            "fd92625df559bfc6084227e268628301"
-                            "2ee2b0cccbc3d3c3ce7406fa31a03712"),
+    "simulate_is3": ("8009b3149492924634a0a7a2c6664474"
+                     "79dc1dadffc6340f1a7e5e3eb2c36b22",
+                     "b43b8a54202b07006b3b4435bdbfa961"
+                     "41346eb1dc3fe4d944bf84da9ef3aaf5"),
+    "simulate_cut": ("9d0dc1e21104092212734eab48a18503"
+                     "557be885f44377d482c5a0c6e8126e8b",
+                     "213295c9452e8033732a37cdcc8bd606"
+                     "135bddd67f812efeffbbac81b59ed161"),
+    "simulate_cut_seeds2": ("28099d75bcd34e08822a66ae60589526"
+                            "1826f493288a07b0e7e5f45a099eec43",
+                            "49ce7f65acadea5fc3ab42664f7fef20"
+                            "f45b6c84d1503ff3ed45c94f723c8147"),
 }
 
 

@@ -119,6 +119,24 @@ def test_half_edges_are_grouped_by_owner_in_the_given_order(monkeypatch):
     assert np.shares_memory(g.pair, given["pair"])
 
 
+def relabelled(graph: Multigraph, pi: np.ndarray) -> Multigraph:
+    """The graph with each vertex v renamed pi[v], for a permutation pi:
+    Multigraph regroups the half-edges by their new owners, stably."""
+    return Multigraph(n=graph.n, owner=pi[graph.owner], pair=graph.pair)
+
+
+def test_a_relabelled_graph_keeps_each_neighbour_list_in_order():
+    # vertex pi[v] of the relabelled graph lists the images of v's
+    # neighbours, loops and parallel edges included, in v's order
+    rng = np.random.default_rng(6)
+    for graph in (load_edge_list(LOOP_CHAIN), generate(300, 3, seed=1)):
+        pi = rng.permutation(graph.n)
+        nbrs = graph.neighbor_lists()
+        moved = relabelled(graph, pi).neighbor_lists()
+        assert all(moved[pi[v]] == [pi[w] for w in nbrs[v]]
+                   for v in range(graph.n))
+
+
 def test_pairing_must_be_involution():
     with pytest.raises(ValueError):
         Multigraph(n=2, owner=np.array([0, 0, 1, 1]),

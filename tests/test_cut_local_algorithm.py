@@ -17,7 +17,8 @@ from girthlocal.cut_local_algorithm import (
     run_cut,
 )
 from girthlocal.exact_oracle import from_multigraph, max_cut
-from test_is_local_algorithm import LastDraws
+from test_config_model import relabelled
+from test_is_local_algorithm import last_draws
 
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -341,8 +342,8 @@ def test_c_engine_matches_python_methods(monkeypatch, n):
 
 
 def python_run(graph, seed, q):
-    p = CutProcess(graph, seed=seed, query_probability=q)
-    return outputs_of(p.run()), p.rng.bit_generator.state
+    return outputs_of(CutProcess(graph, seed=seed,
+                                 query_probability=q).run())
 
 
 def test_candidates_held_once_match_a_push_per_dirty(monkeypatch):
@@ -440,22 +441,21 @@ def test_c_lone_scan_on_an_engine_opened_mid_run():
             p._drive()
         r = p._result()
         assert count_cut(graph, r.colors) == (r.good, r.bad)
-        runs.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
-                     p.rng.bit_generator.state))
+        runs.append((r.colors.tobytes(), r.good, r.bad, r.rounds))
     assert runs[0] == runs[1]
 
 
 @compiled
 @pytest.mark.parametrize("q", [0.0, 0.005, 0.02, 1.0])
 def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
-    # C draws from numpy's bit generator: exactly the draws the Python
-    # round makes, so a full run leaves the generator in one state.  The
-    # rounds have no cap: one that leaves the survival count unchanged is
-    # followed by a bootstrap, which commits two of the more than
-    # ENDGAME_FLOOR survival vertices, so the count falls every round
-    # (recorded on the Python rounds, which the one-call C run must then
-    # match round for round).  At q = 0 no round queries, and every round
-    # takes that path
+    # the run's only draws from its numpy Generator are its key and
+    # labels, at set-up; both backends read them and leave them as drawn,
+    # and draw every pick from them alike.  The rounds have no cap: one
+    # that leaves the survival count unchanged is followed by a bootstrap,
+    # which commits two of the more than ENDGAME_FLOOR survival vertices,
+    # so the count falls every round (recorded on the Python rounds, which
+    # the one-call C run must then match round for round).  At q = 0 no
+    # round queries, and every round takes that path
     starts = []
     query_round = CutProcess.query_round
 
@@ -466,14 +466,15 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
     monkeypatch.setattr(CutProcess, "query_round", recorded)
     for seed in range(3):
         graph = generate(2000, 3, seed=seed)
+        key, labels = _kernels.run_labels(graph.n, seed)
         ends = []
         for backend in ("python", "c"):
             monkeypatch.setattr(_kernels, "BACKEND", backend)
             starts.clear()
             p = CutProcess(graph, seed=seed, query_probability=q)
             r = p.run()
-            ends.append((r.colors.tobytes(), r.good, r.bad, r.rounds,
-                         p.rng.bit_generator.state))
+            ends.append((r.colors.tobytes(), r.good, r.bad, r.rounds))
+            assert p.key == key and np.array_equal(p.labels, labels)
             if backend == "python":
                 assert 0 < len(starts) == r.rounds <= graph.n // 2
                 assert all(a > b for a, b in zip(starts, starts[1:]))
@@ -481,8 +482,6 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
             else:
                 assert starts == []  # C ran every round
         assert ends[0] == ends[1]
-        fresh = np.random.default_rng(seed).bit_generator.state
-        assert ends[0][4] != fresh
 
 
 @compiled
@@ -508,12 +507,12 @@ def test_a_c_cut_run_is_one_engine_call(monkeypatch):
 
 
 def replayed_bootstraps(graph, seed, q):
-    """A run of the Python methods whose bootstrap pairs are replayed on a
-    copy of its generator, two random() draws each, as the C bootstrap
-    draws them: red is rank int(u1 * m) of the m ascending survivors, and
-    green rank int(u2 * (m - 1)) of the m - 1 others.  Each replayed pair
-    must be the one the run committed, with the generator left in one
-    state; returns how many greens ranked below red and how many above."""
+    """A run of the Python methods whose bootstrap pairs are replayed from
+    their two picks of the round, as the C bootstrap draws them: red is
+    rank int(u1 * m) of the m ascending survivors, and green rank
+    int(u2 * (m - 1)) of the m - 1 others.  Each replayed pair must be the
+    one the run committed; returns how many greens ranked below red and
+    how many above."""
     p = CutProcess(graph, seed=seed, query_probability=q)
     bootstrap = p._bootstrap
     sides = [0, 0]
@@ -521,15 +520,13 @@ def replayed_bootstraps(graph, seed, q):
     def replayed():
         alive = np.flatnonzero(np.frombuffer(p.status, np.uint8) == 0)
         m = alive.shape[0]
-        copy = np.random.default_rng()
-        copy.bit_generator.state = p.rng.bit_generator.state
-        red = int(copy.random() * m)
-        others = np.delete(alive, red)
-        green = int(others[int(copy.random() * (m - 1))])
+        u1, u2 = (_kernels.draw(p.key, p.rounds, purpose) for purpose in
+                  (_kernels.RED_PICK, _kernels.GREEN_PICK))
+        red = int(u1 * m)
+        green = int(np.delete(alive, red)[int(u2 * (m - 1))])
         bootstrap()
         sides[int(green > alive[red])] += 1
         assert p.f[alive[red]] == RED and p.f[green] == GREEN
-        assert copy.bit_generator.state == p.rng.bit_generator.state
 
     p._bootstrap = replayed
     p._drive()
@@ -553,7 +550,7 @@ def test_bootstrap_pairs_draw_two_random_ranks(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 128, 2000])
-def test_the_largest_draws_pair_the_last_two_survivors(n):
+def test_the_largest_draws_pair_the_last_two_survivors(monkeypatch, n):
     # red = int(u * m) is rank m - 1 and green = int(u * (m - 1)) rank
     # m - 2, with no index past the end, also when m is a power of two
     # (the first pair draws from all n vertices).  No mark falls below the
@@ -561,7 +558,7 @@ def test_the_largest_draws_pair_the_last_two_survivors(n):
     graph = load_edge_list(MULTIGRAPHS["triple_edge"]) if n == 2 \
         else generate(n, 3, seed=0)
     p = CutProcess(graph, seed=0)
-    p.rng = LastDraws()
+    monkeypatch.setattr(_kernels, "draw", last_draws)
     bootstrap = p._bootstrap
     sizes = []
 
@@ -576,6 +573,75 @@ def test_the_largest_draws_pair_the_last_two_survivors(n):
     assert sizes[0] == n and (len(sizes) > 1 or n == 2)
 
 
+# -- relabelling: the draws follow the labels, not the ids --------------------
+
+def carried(p: CutProcess, pi, **options) -> CutProcess:
+    """A fresh process on p's graph relabelled by the permutation pi, under
+    p's key, each vertex v carrying its label to pi[v]."""
+    h = CutProcess(relabelled(p.graph, pi), **options)
+    h.key = p.key
+    h.labels[pi] = p.labels
+    return h
+
+
+def queried_in_one_round(p: CutProcess, centres, colour) -> set:
+    """The vertices that one query round of p queries, after each centre
+    commits colour[centre]: their neighbours are the lone vertices."""
+    for v in centres:
+        p.commit(int(v), int(colour[v]))
+    p.closure()
+    queried, query = set(), p.query
+
+    def logged(v):
+        queried.add(v)
+        query(v)
+
+    p.query = logged
+    p.query_round()
+    return queried
+
+
+def test_a_round_s_marks_commute_with_relabelling():
+    # the query marks are a function of the labels alone: with the same
+    # lone vertices, relabelled by pi and carrying their labels, a round
+    # queries the images of the vertices it queries on the original
+    graph = generate(2000, 3, seed=4)
+    nbrs = graph.neighbor_lists()
+    centres, near = [], set()
+    for v in range(0, graph.n, 7):
+        ball = {v, *nbrs[v], *(w for u in nbrs[v] for w in nbrs[u])}
+        if near.isdisjoint(ball):
+            centres.append(v)
+            near |= ball
+    colour = np.arange(graph.n) % 2
+    for seed in range(3):
+        p = CutProcess(graph, seed=seed, query_probability=0.3)
+        pi = np.random.default_rng(seed).permutation(graph.n)
+        h = carried(p, pi, query_probability=0.3)
+        queried = queried_in_one_round(p, centres, colour)
+        assert p.lones().shape[0] > 200 and len(queried) > 50
+        moved = np.empty_like(colour)
+        moved[pi] = colour
+        assert queried_in_one_round(h, pi[centres], moved) == \
+            {int(pi[v]) for v in queried}
+
+
+def relabelled_run_difference(graph, seed, pi) -> float:
+    """The fraction of vertices whose colour in a whole run differs from
+    their image's in the run on the graph relabelled by pi with the labels
+    carried along: how much the run depends on the ids."""
+    p = CutProcess(graph, seed=seed)
+    h = carried(p, pi)
+    return float(np.mean(h.run().colors[pi] != p.run().colors))
+
+
+def test_relabelling_by_the_identity_changes_no_colour():
+    graph = generate(2000, 3, seed=0)
+    assert relabelled_run_difference(graph, 0, np.arange(graph.n)) == 0
+    assert 0 < relabelled_run_difference(
+        graph, 0, np.random.default_rng(0).permutation(graph.n)) < 1
+
+
 @compiled
 def test_c_run_builds_no_per_vertex_lists():
     p = CutProcess(generate(64, 3, seed=0), seed=0)
@@ -588,7 +654,7 @@ def failed_run(graph, v, in_c):
     """A run on one backend, one ``_kernels.cut_run`` call or ``_drive``,
     of a process whose vertex v was marked committed before the run, which
     fails when the run reveals an edge to v; returns what the failed run
-    leaves: the shared buffers, the counters and its generator's state."""
+    leaves: the shared buffers and the counters."""
     p = CutProcess(graph, seed=0)
     p.status[v] = 1
     p.survival -= 1
@@ -599,7 +665,7 @@ def failed_run(graph, v, in_c):
             p._drive()
     return (*(bytes(buf) for buf in (
         p.status, p.f, p.nR, p.nG, p.nW, p.nD, p.pd, p.alias,
-        p.revealed)), p.good, p.bad, p.survival, p.rng.bit_generator.state)
+        p.revealed)), p.good, p.bad, p.survival)
 
 
 @compiled

@@ -26,6 +26,7 @@ from girthlocal.is_local_algorithm import (
     run,
     verify_independent,
 )
+from test_config_model import relabelled
 
 PATH3 = "3 2\n0 1\n1 2\n"
 C4 = "4 4\n0 1\n1 2\n2 3\n3 0\n"
@@ -423,25 +424,24 @@ def played_inputs() -> list:
            for n in rng.integers(4, 20, size=40).tolist()]
 
 
-def run_on(g, rng, d, thin_probability, in_c) -> int:
+def run_on(g, d, thin_probability, in_c) -> int:
     """A whole run of the survival graph g on one backend, one
     ``_kernels.is_run`` call or ``_drive``; returns its rounds."""
     if in_c:
-        return _kernels.is_run(g, rng, d, thin_probability,
+        return _kernels.is_run(g, d, thin_probability,
                                PERSISTENCE_FRACTION, DEGREE_CAP)
-    return _drive(g, rng, d, thin_probability)
+    return _drive(g, d, thin_probability)
 
 
 def whole_run(graph, d, seed, thin_probability, in_c):
     """A whole run on one backend, which leaves no survivor; returns the
     decisions, degrees (frozen at death) and degree histogram it leaves,
-    its contractions and rounds, and its generator's final state."""
-    g = SurvivalGraph(graph)
-    rng = np.random.default_rng(seed)
-    rounds = run_on(g, rng, d, thin_probability, in_c)
+    and its contractions and rounds."""
+    g = SurvivalGraph(graph, seed)
+    rounds = run_on(g, d, thin_probability, in_c)
     assert g.survival_count == 0 and not any(g.alive)
     return (bytes(g.status), g.deg.tobytes(), g.counts.tobytes(),
-            g.contractions, rounds, rng.bit_generator.state)
+            g.contractions, rounds)
 
 
 def runs_agree(graph) -> None:
@@ -506,9 +506,8 @@ def test_agreement_inputs_reach_every_contract_branch(monkeypatch):
 
 @compiled
 def test_c_run_builds_no_per_vertex_lists():
-    g = SurvivalGraph(generate(64, 3, seed=0))
-    rng = np.random.default_rng(0)
-    assert run_on(g, rng, 3, THIN_PROBABILITY, True) > 0
+    g = SurvivalGraph(generate(64, 3, seed=0), 0)
+    assert run_on(g, 3, THIN_PROBABILITY, True) > 0
     assert "adj" not in vars(g) and not g.merges and g.contractions > 0
     assert decided(g, UNDECIDED) == [] and decided(g, IN) != []
 
@@ -517,15 +516,15 @@ def test_c_run_builds_no_per_vertex_lists():
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("t", [0.0, 0.005, 0.02, 1.0])
 def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
-    # C draws from numpy's bit generator: exactly the draws the Python
-    # rounds make, so a full run leaves the generator in one state.  The
-    # rounds have no cap: one that removes nothing is followed by a forced
-    # deletion, so the survival count that each round's class pick reads
-    # falls every round, and a run ends within n rounds (recorded on the
-    # Python ladder, which the C run must then match round for round).  At
-    # t = 0 a thinning round marks nothing and takes that path; at 0.005
-    # and 0.02 the forced draws' next_uint32 calls fall between the marks'
-    # next_double calls
+    # the run's only draws from its numpy Generator are its key and
+    # labels, at set-up; both backends read them and leave them as drawn,
+    # and draw every pick from them alike.  The rounds have no cap: one
+    # that removes nothing is followed by a forced deletion, so the
+    # survival count that each round's class pick reads falls every round,
+    # and a run ends within n rounds (recorded on the Python ladder, which
+    # the C run must then match round for round).  At t = 0 a thinning
+    # round marks nothing and takes that path; at 0.005 and 0.02 forced
+    # deletions fall between rounds that mark
     starts = []
     top_persistent = is_local_algorithm._top_persistent
 
@@ -536,62 +535,68 @@ def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
     monkeypatch.setattr(is_local_algorithm, "_top_persistent", recorded)
     for seed in range(3):
         graph = generate(2000, d, seed=seed)
-        starts.clear()
-        in_python = whole_run(graph, d, seed, t, False)
-        *_, rounds, state = in_python
-        assert 0 < len(starts) == rounds <= graph.n
-        assert all(a > b for a, b in zip(starts, starts[1:]))
-        assert whole_run(graph, d, seed, t, True) == in_python
-        assert state != np.random.default_rng(seed).bit_generator.state
+        key, labels = _kernels.run_labels(graph.n, seed)
+        ends = []
+        for in_c in (False, True):
+            starts.clear()
+            g = SurvivalGraph(graph, seed)
+            rounds = run_on(g, d, t, in_c)
+            ends.append((bytes(g.status), g.deg.tobytes(),
+                         g.counts.tobytes(), g.contractions, rounds))
+            assert g.key == key and np.array_equal(g.labels, labels)
+            if not in_c:
+                assert 0 < len(starts) == rounds <= graph.n
+                assert all(a > b for a, b in zip(starts, starts[1:]))
+        assert starts == []  # C ran every round
+        assert ends[0] == ends[1]
 
 
 class RecordedDraws:
-    """A generator's random, logging each call in order: ("random", size)
-    for a round's marks, and ("forced", m) for a single draw, which only
-    the forced deletion makes, over the m members of g's top non-empty
-    class; those members go to ``classes``.  What the Python ladder reads
-    of its rng; it has no other method."""
+    """``_kernels.draw``, logging each call in order: ("marks", size) for
+    a round's marks, and ("forced", m) for a pick with no label, which
+    only the forced deletion makes, over the m members of g's top
+    non-empty class; those members go to ``classes``.  ``draw`` gives the
+    values drawn, by default the real ones."""
 
-    def __init__(self, rng, g):
-        self.rng, self.g = rng, g
+    def __init__(self, g, draw=_kernels.draw):
+        self.g, self.draw = g, draw
         self.draws, self.classes = [], []
 
     @property
     def sizes(self) -> list:
         return [len(members) for members in self.classes]
 
-    def random(self, size=None):
-        if size is None:
+    def __call__(self, key, t, purpose, labels=None):
+        if labels is None:
             top = max(k for k, c in enumerate(self.g.counts) if c)
             self.classes.append(self.g.scan(top, top).tolist())
             self.draws.append(("forced", len(self.classes[-1])))
         else:
-            self.draws.append(("random", size))
-        return self.rng.random(size)
+            self.draws.append(("marks", labels.shape[0]))
+        return self.draw(key, t, purpose, labels)
 
 
 # 65 (d = 4) and 66 straddle a 64-bit word of the engine's bit sets
 @compiled
 @pytest.mark.parametrize("n, d", [(n, d) for d in (3, 4)
                                   for n in (4, 6, 66, 2000)] + [(65, 4)])
-def test_forced_deletions_draw_as_rng_choice(n, d):
+def test_forced_deletions_draw_as_rng_choice(monkeypatch, n, d):
     # at t = 0 every thinning of a persistent class stalls, so forced
-    # deletions come often: the C draw (one next_double, also for a
-    # one-member class) must pick the member that rng.random() picks in
-    # the Python ladder and leave the generator where that leaves it
+    # deletions come often: the C pick (one draw, also for a one-member
+    # class) must take the member that the Python ladder's pick takes
     sizes = []
     for seed in range(8):
         graph = generate(n, d, seed=seed)
-        python = SurvivalGraph(graph)
-        rng = RecordedDraws(np.random.default_rng(seed), python)
-        rounds = _drive(python, rng, d, 0.0)
-        sizes += rng.sizes
-        g = SurvivalGraph(graph)
-        in_c = np.random.default_rng(seed)
-        assert run_on(g, in_c, d, 0.0, True) == rounds, seed
+        python = SurvivalGraph(graph, seed)
+        recorded = RecordedDraws(python)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "draw", recorded)
+            rounds = _drive(python, d, 0.0)
+        sizes += recorded.sizes
+        g = SurvivalGraph(graph, seed)
+        assert run_on(g, d, 0.0, True) == rounds, seed
         assert bytes(g.status) == bytes(python.status), seed
-        assert in_c.bit_generator.state == rng.rng.bit_generator.state, seed
-    # both kinds of forced draw ran: from one member and from several
+    # both kinds of forced pick ran: from one member and from several
     assert 1 in sizes and max(sizes) > 1, sizes
 
 
@@ -599,57 +604,109 @@ def test_forced_deletions_draw_as_rng_choice(n, d):
 def test_a_round_with_nothing_to_thin_or_probe_draws_nothing(monkeypatch, d):
     # a d-regular graph has no class above d and no 3-vertex: its first
     # round deletes everything above class d, which is nothing, with no
-    # draw, and the forced deletion that follows draws one of all n
-    # vertices by one rng.random()
+    # draw, and the forced deletion that follows picks one of all n
+    # vertices by one draw with no label
     top_persistent = is_local_algorithm._top_persistent
     for seed in range(3):
-        g = SurvivalGraph(generate(2000, d, seed=seed))
-        rng = RecordedDraws(np.random.default_rng(seed), g)
+        g = SurvivalGraph(generate(2000, d, seed=seed), seed)
+        recorded = RecordedDraws(g)
 
-        def recorded(counts, survival, *rest):
-            rng.draws.append(("round", survival))
+        def logged(counts, survival, *rest):
+            recorded.draws.append(("round", survival))
             return top_persistent(counts, survival, *rest)
 
-        monkeypatch.setattr(is_local_algorithm, "_top_persistent", recorded)
-        _drive(g, rng, d, THIN_PROBABILITY)
-        assert rng.draws[:2] == [("round", 2000), ("forced", 2000)], seed
-        assert rng.draws[2][0] == "round", seed
+        monkeypatch.setattr(is_local_algorithm, "_top_persistent", logged)
+        monkeypatch.setattr(_kernels, "draw", recorded)
+        _drive(g, d, THIN_PROBABILITY)
+        assert recorded.draws[:2] == [("round", 2000), ("forced", 2000)], \
+            seed
+        assert recorded.draws[2][0] == "round", seed
 
 
-# the largest double below 1, the most that next_double (and so
-# rng.random) returns
+# the largest draw, 1 - 2^-53
 U_MAX = float(np.nextafter(1.0, 0.0))
 
 
-class LastDraws:
-    """A generator stub whose every draw is U_MAX."""
-
-    def random(self, size=None):
-        return U_MAX if size is None else np.full(size, U_MAX)
+def last_draws(key, t, purpose, labels=None):
+    """A stub of ``_kernels.draw`` whose every draw is U_MAX."""
+    return U_MAX if labels is None else np.full(labels.shape[0], U_MAX)
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for d in (3, 4)
                                   for n in (64, 2000)])
-def test_the_largest_draw_forces_the_last_member_of_its_class(n, d):
+def test_the_largest_draw_forces_the_last_member_of_its_class(
+        monkeypatch, n, d):
     # int(u * m) stays below m at the largest u, also when m is a power of
-    # two (the first forced deletion draws from all n vertices, and
+    # two (the first forced deletion picks from all n vertices, and
     # U_MAX * 64 is 64 - 2^-47 exactly): each forced deletion takes the
     # last member of its class.  No mark falls below 0.02, so every round
     # with a class to thin stalls
     g = SurvivalGraph(generate(n, d, seed=0))
-    rng = RecordedDraws(LastDraws(), g)
+    recorded = RecordedDraws(g, last_draws)
+    monkeypatch.setattr(_kernels, "draw", recorded)
     deleted = []
     delete = g.delete
 
     def logged(v):
-        if len(deleted) < len(rng.classes):
-            deleted.append(v)  # the first deletion after a forced draw
+        if len(deleted) < len(recorded.classes):
+            deleted.append(v)  # the first deletion after a forced pick
         delete(v)
 
     g.delete = logged
-    _drive(g, rng, d, THIN_PROBABILITY)
-    assert deleted == [members[-1] for members in rng.classes]
-    assert rng.sizes[0] == n and len(rng.sizes) > 1
+    _drive(g, d, THIN_PROBABILITY)
+    assert deleted == [members[-1] for members in recorded.classes]
+    assert recorded.sizes[0] == n and len(recorded.sizes) > 1
+
+
+# -- relabelling: the draws follow the labels, not the ids --------------------
+
+def carried(g: SurvivalGraph, pi) -> SurvivalGraph:
+    """A fresh survival graph on g's graph relabelled by the permutation
+    pi, under g's key, each vertex v carrying its label to pi[v]."""
+    h = SurvivalGraph(relabelled(g.graph, pi))
+    h.key = g.key
+    h.labels[pi] = g.labels
+    return h
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_a_round_s_marks_commute_with_relabelling(d):
+    # a thinning's marks are a function of the labels alone: on the graph
+    # relabelled by pi, carrying its labels, the first thinning of class d
+    # deletes the images of the vertices it deletes on the original, and
+    # leaves each survivor's image its degree (a deleted vertex keeps the
+    # degree it died with, which depends on the order of the deletions)
+    for seed in range(3):
+        g = SurvivalGraph(generate(2000, d, seed=seed), seed)
+        pi = np.random.default_rng(seed).permutation(g.n)
+        h = carried(g, pi)
+        for graph in (g, h):
+            graph.thin(0, d, 0.1)
+        status = np.frombuffer(g.status, np.uint8)
+        assert 100 < np.count_nonzero(status == OUT) < 300
+        assert np.array_equal(np.frombuffer(h.status, np.uint8)[pi], status)
+        live = status == UNDECIDED
+        assert np.array_equal(np.frombuffer(h.deg, np.int64)[pi][live],
+                              np.frombuffer(g.deg, np.int64)[live])
+
+
+def relabelled_run_difference(graph, d, seed, pi) -> float:
+    """The fraction of vertices whose decision in a whole run differs from
+    the decision of their image in the run on the graph relabelled by pi
+    with the labels carried along: how much the run depends on the ids."""
+    g = SurvivalGraph(graph, seed)
+    h = carried(g, pi)
+    for survival in (g, h):
+        run_on(survival, d, THIN_PROBABILITY, _kernels.BACKEND == "c")
+    return float(np.mean(np.frombuffer(h.status, np.uint8)[pi]
+                         != np.frombuffer(g.status, np.uint8)))
+
+
+def test_relabelling_by_the_identity_changes_no_decision():
+    graph = generate(2000, 3, seed=0)
+    assert relabelled_run_difference(graph, 3, 0, np.arange(graph.n)) == 0
+    assert 0 < relabelled_run_difference(
+        graph, 3, 0, np.random.default_rng(0).permutation(graph.n)) < 1
 
 
 # the no-correction is3 evolution's final at step 1e-7 (test_acceptance
@@ -686,18 +743,15 @@ def test_persistence_threshold_rounds_half_up():
         pair[0::2] += 1
         pair[1::2] -= 1
         graph = Multigraph(n=1250, owner=owner.astype(np.int64), pair=pair)
-        python = SurvivalGraph(graph)
+        python = SurvivalGraph(graph, seed)
         assert is_local_algorithm._top_persistent(
             python.counts, 1250, PERSISTENCE_FRACTION, 3) is None
-        python_rng = np.random.default_rng(seed)
-        rounds = _drive(python, python_rng, 3, THIN_PROBABILITY)
+        rounds = _drive(python, 3, THIN_PROBABILITY)
         if _kernels.BACKEND != "c":
             continue
-        g = SurvivalGraph(graph)
-        c_rng = np.random.default_rng(seed)
-        assert run_on(g, c_rng, 3, THIN_PROBABILITY, True) == rounds
+        g = SurvivalGraph(graph, seed)
+        assert run_on(g, 3, THIN_PROBABILITY, True) == rounds
         assert bytes(g.status) == bytes(python.status)
-        assert c_rng.bit_generator.state == python_rng.bit_generator.state
 
 
 @compiled
@@ -730,13 +784,13 @@ def test_a_second_decision_of_one_vertex_fails(in_c):
     survival = SurvivalGraph(g)
     survival.status[1] = IN
     with pytest.raises(AssertionError):
-        run_on(survival, np.random.default_rng(0), 3, THIN_PROBABILITY, in_c)
+        run_on(survival, 3, THIN_PROBABILITY, in_c)
     # and a vertex left undecided fails the unfolding: here the survival
     # count reads 0, so no round runs, while no vertex is decided
     survival = SurvivalGraph(g)
     survival.survival_count = 0
     with pytest.raises(AssertionError):
-        run_on(survival, np.random.default_rng(0), 3, THIN_PROBABILITY, in_c)
+        run_on(survival, 3, THIN_PROBABILITY, in_c)
     assert decided(survival, UNDECIDED) == [0, 1, 2, 3]
 
 
@@ -744,16 +798,13 @@ def failed_run(graph, v, in_c):
     """A 3-regular run on one backend of a survival graph whose vertex v
     was decided in before the run, which fails when the run decides v
     again; returns what the failed run leaves: the decisions, degrees,
-    histogram and live flags, the survival and contraction counts, and its
-    generator's state."""
-    g = SurvivalGraph(graph)
+    histogram and live flags, and the survival and contraction counts."""
+    g = SurvivalGraph(graph, 0)
     g.status[v] = IN
-    rng = np.random.default_rng(0)
     with pytest.raises(AssertionError):
-        run_on(g, rng, 3, THIN_PROBABILITY, in_c)
+        run_on(g, 3, THIN_PROBABILITY, in_c)
     return (bytes(g.status), g.deg.tobytes(), g.counts.tobytes(),
-            bytes(g.alive), g.survival_count, g.contractions,
-            rng.bit_generator.state)
+            bytes(g.alive), g.survival_count, g.contractions)
 
 
 def test_the_merge_log_is_read_once_every_vertex_is_out():
@@ -781,8 +832,11 @@ def test_c_engine_checks_its_calls():
     # a degree class out of the histogram's range is refused before the
     # engine is built
     g = SurvivalGraph(load_edge_list(K4))
-    rng = np.random.default_rng(0)
     for d in (-1, len(g.counts)):
         with pytest.raises(IndexError):
-            _kernels.is_run(g, rng, d, 0.5, 0.5, DEGREE_CAP)
+            _kernels.is_run(g, d, 0.5, 0.5, DEGREE_CAP)
+    # and so is a label array of another length than the graph's
+    g.labels = g.labels[:3]
+    with pytest.raises(ValueError):
+        _kernels.is_run(g, 3, 0.5, 0.5, DEGREE_CAP)
     assert g.survival_count == 4 and decided(g, UNDECIDED) == [0, 1, 2, 3]

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 import zlib
 from pathlib import Path
 
@@ -216,10 +217,10 @@ def reloaded(n: int, d: int, seed: int):
 
 def loaded_graph_digest(in_c: bool) -> str:
     """sha256 of whole runs on one backend over loaded graphs: the cut's
-    colours, counters, rounds and generator state on MULTIGRAPHS and
-    reloaded cubic graphs, and the independent set's decisions, degrees,
-    histogram, contractions, rounds and generator state (``whole_run``) on
-    REGULAR, OVER_CAP and reloaded 3- and 4-regular graphs."""
+    colours, counters and rounds on MULTIGRAPHS and reloaded cubic graphs,
+    and the independent set's decisions, degrees, histogram, contractions
+    and rounds (``whole_run``) on REGULAR, OVER_CAP and reloaded 3- and
+    4-regular graphs."""
     out = []
     sizes = (10, 130, 302, 2000)
     cut_graphs = [load_edge_list(text) for text in MULTIGRAPHS.values()] \
@@ -244,7 +245,7 @@ def loaded_graph_digest(in_c: bool) -> str:
 # renumbering that moved a half-edge within or out of its vertex's order
 # would change the outputs
 LOADED_GRAPH_DIGEST = \
-    "2a23f4e15ce5eb2d96e075f143406ebb4f26ae1121ba9e24602f5b45f0909139"
+    "8d60a2a56ea40e7b023dc4b08e658a08f244ef61c3b3ee323323744fe016c8cc"
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -263,14 +264,19 @@ def test_runs_on_loaded_graphs_match_their_pin(monkeypatch, backend):
 # renumbered by Multigraph) reach the engine's chains over loaded graphs,
 # whole independent-set runs on OVER_CAP and the two staircases of
 # test_is_local_algorithm reach the neighbour pool's relocation, the
-# over-cap deletion and scans of more than 64 classes, and the FAILED_RUNS
-# below take each engine's failure exit
+# over-cap deletion and scans of more than 64 classes, each engine runs
+# once on a relabelled graph with its labels carried along (the
+# relabelling fractions of its test module), and the FAILED_RUNS below
+# take each engine's failure exit
 SANITIZED_RUNS = """
 import sys
 from pathlib import Path
+import numpy as np
 from girthlocal import _kernels, is_local_algorithm
 from girthlocal.config_model import generate, load_edge_list
 from girthlocal.cut_local_algorithm import CutProcess
+import test_cut_local_algorithm as cut_tests
+import test_is_local_algorithm as is_tests
 from test_cut_local_algorithm import MULTIGRAPHS
 from test_is_local_algorithm import OVER_CAP, staircases, whole_run
 from test_kernels import FAILED_RUNS, failed_run
@@ -278,10 +284,8 @@ from test_kernels import FAILED_RUNS, failed_run
 LOADED = ("triple_edge", "loop_chain", "double_square", "loops_and_k4")
 
 def cut(graph, seed, q):
-    p = CutProcess(graph, seed=seed, query_probability=q)
-    r = p.run()
-    return (r.colors.tobytes(), r.good, r.bad, r.rounds,
-            p.rng.bit_generator.state)
+    r = CutProcess(graph, seed=seed, query_probability=q).run()
+    return r.colors.tobytes(), r.good, r.bad, r.rounds
 
 def outputs():
     out = []
@@ -301,6 +305,12 @@ def outputs():
         for d in (3, 4):
             for t in (0.0, 0.02, 1.0):
                 out.append(whole_run(graph, d, 0, t, True))
+    pi = np.random.default_rng(0).permutation(2000)
+    out.append(cut_tests.relabelled_run_difference(
+        generate(2000, 3, seed=2), 2, pi))
+    for d in (3, 4):
+        out.append(is_tests.relabelled_run_difference(
+            generate(2000, d, seed=1), d, 1, pi))
     for case in FAILED_RUNS:
         out.append(failed_run(*case, True))
     return out
@@ -364,8 +374,8 @@ def failed_run(engine, n, seed, v, in_c):
                          ids=["-".join(map(str, c)) for c in FAILED_RUNS])
 def test_a_failed_check_stops_the_engine_where_the_reference_stops(case):
     # the Python methods stop at their first failed assertion; the engine
-    # stops at the same check and leaves every shared buffer, counter and
-    # the generator as they do
+    # stops at the same check and leaves every shared buffer and counter as
+    # they do
     assert failed_run(*case, True) == failed_run(*case, False)
 
 
@@ -375,7 +385,6 @@ def test_a_failed_check_stops_the_engine_where_the_reference_stops(case):
 # raise MemoryError, free what it allocated and write its counters back
 OUT_OF_MEMORY = """
 import resource
-import numpy as np
 from girthlocal import _kernels
 from girthlocal.config_model import generate
 from girthlocal.cut_local_algorithm import ENDGAME_FLOOR, CutProcess
@@ -384,14 +393,13 @@ from girthlocal.is_local_algorithm import (
 
 graph = generate(2_000_000, 3, seed=0)
 proc = CutProcess(graph, seed=0)
-g = SurvivalGraph(graph)
-rng = np.random.default_rng(0)
+g = SurvivalGraph(graph, 0)
 with open("/proc/self/statm") as statm:
     size = int(statm.read().split()[0]) * resource.getpagesize()
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 resource.setrlimit(resource.RLIMIT_AS, (size + 16 * 2 ** 20, hard))
 for run in (lambda: _kernels.cut_run(proc, ENDGAME_FLOOR),
-            lambda: _kernels.is_run(g, rng, 3, 0.02, PERSISTENCE_FRACTION,
+            lambda: _kernels.is_run(g, 3, 0.02, PERSISTENCE_FRACTION,
                                     DEGREE_CAP)):
     try:
         run()
@@ -415,32 +423,88 @@ def test_an_engine_out_of_memory_raises_memory_error():
                             "0 0 2000000 2000000 0\n")
 
 
-def generator_methods_called(path) -> set:
-    """The methods a module calls on a random generator: on a name
-    ``rng`` or an attribute ``.rng``."""
-    return {node.func.attr for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and (isinstance(node.func.value, ast.Name)
-                 and node.func.value.id == "rng"
-                 or isinstance(node.func.value, ast.Attribute)
-                 and node.func.value.attr == "rng")}
+# u(key, t, purpose, label) as float.hex, for key 0x0123456789abcdef:
+# (t, purpose, label or None) -> u
+DRAW_PINS = {
+    (0, _kernels.MARK, None): "0x1.57a3807a48fa8p-4",
+    (7, _kernels.FORCE, None): "0x1.d8a4e1ddb56c0p-4",
+    (1234, _kernels.RED_PICK, None): "0x1.79a5e8fc08ef6p-2",
+    (2 ** 40, _kernels.GREEN_PICK, None): "0x1.8386ef276c061p-1",
+    (3, _kernels.MARK, 0): "0x1.7a8b7f70c533ap-1",
+    (3, _kernels.MARK, 1): "0x1.3861040af1163p-1",
+    (3, _kernels.MARK, 2): "0x1.8db79de599c85p-1",
+    (3, _kernels.MARK, 2 ** 31 - 1): "0x1.d67591f531061p-1",
+}
 
 
-def test_every_finite_run_draw_is_one_next_double():
-    # one draw primitive in both backends: the C engines read the bit
-    # generator through next_double alone (the other members are named
-    # only where bitgen_t declares them), and the Python processes call no
-    # generator method but random
+def test_the_draws_are_pinned():
+    # the round keys of key 0 are splitmix64's outputs from state 0, whose
+    # first three are the reference implementation's; the draws are
+    # pinned exactly, computed on uint64 arrays and masked Python ints
+    # with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [_kernels._mix64(i * 0x9E3779B97F4A7C15 & _kernels._MASK)
+                for i in (1, 2, 3)] == [0xE220A8397B1DCDAF,
+                                        0x6E789E6AA1B965F4,
+                                        0x06C45D188009454F]
+        key = 0x0123456789ABCDEF
+        for (t, purpose, label), pin in DRAW_PINS.items():
+            if label is None:
+                u = _kernels.draw(key, t, purpose)
+            else:
+                u = _kernels.draw(key, t, purpose,
+                                  np.array([label], dtype=np.int32))[0]
+            assert float(u).hex() == pin, (t, purpose, label)
+        # one label's draw is the same alone or among others, and a key
+        # at the top of the range wraps as in C
+        labels = np.array([0, 1, 2, 2 ** 31 - 1], dtype=np.int32)
+        assert [float(u).hex() for u in _kernels.draw(
+            key, 3, _kernels.MARK, labels)] == [
+                DRAW_PINS[(3, _kernels.MARK, int(v))] for v in labels]
+        top = _kernels.draw(2 ** 64 - 1, 0, _kernels.MARK, labels)
+        assert top.dtype == np.float64 and np.all((0 <= top) & (top < 1))
+
+
+def calls_by_function(path) -> dict:
+    """name of each function or method a module defines -> the names it
+    calls (``f(...)`` or ``x.f(...)``), nested definitions included; the
+    module's top level is ``None``."""
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+            elif isinstance(child, ast.Call):
+                f = child.func
+                found.setdefault(owner, set()).add(
+                    f.attr if isinstance(f, ast.Attribute) else
+                    getattr(f, "id", None))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_finite_runs_draw_from_their_labels_alone():
+    # one draw primitive in both backends, with no generator in a run: the
+    # C source names no numpy bit generator, and the two process modules
+    # reach numpy's Generator only through run_labels, at set-up (in
+    # SurvivalGraph.__init__ and CutProcess.__init__); their rounds call
+    # _kernels.draw
     source = _kernels._SOURCE.read_text()
-    declaration = re.search(r"typedef struct \{[^}]*\} bitgen_t;",
-                            source).group()
-    outside = source.replace(declaration, "")
-    for name in ("next_uint32", "next_uint64", "next_raw"):
-        assert name in declaration and name not in outside, name
+    for name in ("bitgen", "next_double", "next_uint", "bit_generator"):
+        assert name not in source, name
+    generator = {"default_rng", "Generator", "random", "integers",
+                 "permutation", "choice", "bit_generator"}
     for module in (is_local_algorithm, cut_local_algorithm):
-        assert generator_methods_called(Path(module.__file__)) == \
-            {"random"}, module.__name__
+        calls = calls_by_function(Path(module.__file__))
+        assert {name for name, called in calls.items()
+                if "run_labels" in called} == {"__init__"}, module.__name__
+        assert not set().union(*calls.values()) & generator, module.__name__
+        assert "draw" in set().union(*calls.values())
 
 
 # a function definition at the top level of the C source: its return type
@@ -449,7 +513,8 @@ C_DEFINITION = re.compile(
     r"^(?!static\b)(\w[\w\s]*?[\s*])(\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
 # one parameter: an optional const, its type, an optional star, its name
 C_PARAMETER = re.compile(r"(?:const\s+)?(\w+)\s*(\*?)\s*\w+")
-C_SCALARS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double}
+C_SCALARS = {"int64_t": ctypes.c_int64, "uint64_t": ctypes.c_uint64,
+             "double": ctypes.c_double}
 
 
 def exported_functions():
@@ -503,22 +568,19 @@ def test_ctypes_declarations_match_the_c_source():
 
 def is_outputs(graph, d, seed):
     """A whole independent-set run in one ``_kernels.is_run`` call: its
-    decisions, contractions and rounds, and its generator's final state."""
-    g = SurvivalGraph(graph)
-    rng = np.random.default_rng(seed)
-    rounds = _kernels.is_run(g, rng, d, is_local_algorithm.THIN_PROBABILITY,
+    decisions, contractions and rounds."""
+    g = SurvivalGraph(graph, seed)
+    rounds = _kernels.is_run(g, d, is_local_algorithm.THIN_PROBABILITY,
                              is_local_algorithm.PERSISTENCE_FRACTION,
                              DEGREE_CAP)
-    return bytes(g.status), g.contractions, rounds, rng.bit_generator.state
+    return bytes(g.status), g.contractions, rounds
 
 
 def cut_outputs(graph, seed, q=0.005):
     """A whole cut run (on the C engine when it is built): its colours,
-    counters and rounds, and its generator's final state."""
-    p = CutProcess(graph, seed=seed, query_probability=q)
-    r = p.run()
-    return r.colors.tobytes(), r.good, r.bad, r.rounds, \
-        p.rng.bit_generator.state
+    counters and rounds."""
+    r = CutProcess(graph, seed=seed, query_probability=q).run()
+    return r.colors.tobytes(), r.good, r.bad, r.rounds
 
 
 @compiled
