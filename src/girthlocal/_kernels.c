@@ -2,16 +2,16 @@
  * two finite processes (further down), loaded by _kernels.py.
  *
  * is_chunk runs both independent-set processes (d = 3 and 4) and cut_chunk
- * the max-cut process.  Each is the composed round of is_evolution /
- * cut_evolution, unrolled: every expression, its left-to-right evaluation
- * order, every guard and every status code is the same, so that the two
- * produce bit-identical doubles (pinned by tests); an edit to a round rule
- * goes into both.  Built with -ffp-contract=off (no fused multiply-adds,
- * which would round differently), and refused at compile time where double
- * arithmetic is evaluated at a wider precision (x87), which would too.
- *
- * The state goes in and out through one double array; rounds and status
- * come back through out[0] and out[1].
+ * the max-cut process.  Each transcribes the composed round of is_evolution
+ * / cut_evolution (is_chunk loop for loop over the degree classes): every
+ * expression, its left-to-right evaluation order and every status code is
+ * the same, and with -ffp-contract=off (fused multiply-adds round
+ * differently) the two produce bit-identical doubles, pinned by tests at
+ * -O2 and at -O0.  The unroll pragmas and the class indices known at compile
+ * time only keep the classes in registers, for speed.  The source refuses to
+ * compile where doubles are evaluated at a wider precision (x87).  An edit
+ * to a round rule goes into both.  The state goes in and out through one
+ * double array; rounds and status come back through out[0] and out[1].
  */
 #include <float.h>
 #include <stdint.h>
@@ -24,227 +24,166 @@
 #define STATUS_BUDGET 1
 #define STATUS_INVALID 2
 #define STATUS_EXHAUSTED 3
+#define DEGREE_CAP 7  /* is_evolution.DEGREE_CAP */
 
 /* Advance the d-regular independent-set recurrence by up to max_rounds
- * rounds; the run stops once the start class v_d falls to eps.  The two
- * processes differ only in the deletion that ends a round: d = 3 always
- * deletes from the highest occupied class (with the improvement correction
- * terms at top class 4), while d = 4 runs the probe step once classes 6
- * and 7 are empty.
+ * rounds: Is3Rules.step for d = 3 and Is4Rules.step for d = 4, block for
+ * block, each loop over the degree classes that of is_evolution.  The run
+ * stops once the start class v[d] falls to eps.
  *
- * state: v2, v3, v4, v5, v6, v7, independent, erase */
+ * state: v[2], ..., v[DEGREE_CAP], independent, erase */
 void is_chunk(double *state, double eps, int64_t d, int64_t improvement,
               int64_t max_rounds, int64_t *out)
 {
-    double v2 = state[0], v3 = state[1], v4 = state[2], v5 = state[3];
-    double v6 = state[4], v7 = state[5];
-    double independent = state[6], erase = state[7];
+    double v[DEGREE_CAP + 1];
+#pragma GCC unroll 8
+    for (int k = 2; k <= DEGREE_CAP; k++)
+        v[k] = state[k - 2];
+    double independent = state[DEGREE_CAP - 1], erase = state[DEGREE_CAP];
     int64_t rounds = 0;
     int64_t status = STATUS_BUDGET;
     while (rounds < max_rounds) {
-        if (!((d == 3 ? v3 : v4) > eps)) {
+        if (!((d == 3 ? v[3] : v[4]) > eps)) {
             status = STATUS_STOPPED;
             break;
         }
         rounds += 1;
 
-        /* Redistribute the erasure backlog over the open-edge mass s, which
-         * counts only classes above the dust threshold: every hit moves a
-         * vertex one degree class down.  Ascending order so each class is
-         * read before the class above it spills into it. */
+        /* redistribute_erasures: its pool is not empty, as v[d] > eps */
         double s = 0.0;
         if (erase > eps) {
-            if (v3 > eps)
-                s += 3 * v3;
-            if (v4 > eps)
-                s += 4 * v4;
-            if (v5 > eps)
-                s += 5 * v5;
-            if (v6 > eps)
-                s += 6 * v6;
-            if (v7 > eps)
-                s += 7 * v7;
+#pragma GCC unroll 8
+            for (int k = 3; k <= DEGREE_CAP; k++)
+                if (v[k] > eps)
+                    s += k * v[k];
             double r = (erase + eps) / s;
-            double dl;
-            if (v3 > eps) {
-                dl = r * 3 * v3;
-                v3 -= dl;
-                v2 += dl;
-            }
-            if (v4 > eps) {
-                dl = r * 4 * v4;
-                v4 -= dl;
-                v3 += dl;
-            }
-            if (v5 > eps) {
-                dl = r * 5 * v5;
-                v5 -= dl;
-                v4 += dl;
-            }
-            if (v6 > eps) {
-                dl = r * 6 * v6;
-                v6 -= dl;
-                v5 += dl;
-            }
-            if (v7 > eps) {
-                dl = r * 7 * v7;
-                v7 -= dl;
-                v6 += dl;
-            }
+#pragma GCC unroll 8
+            for (int k = 3; k <= DEGREE_CAP; k++)
+                if (v[k] > eps) {
+                    double dl = r * k * v[k];
+                    v[k] -= dl;
+                    v[k - 1] += dl;
+                }
             erase = -eps;
         }
 
+        /* open_edge_mass: apply_contractions' s, is3's edge_pool */
         s = 0.0;
-        if (v3 > eps)
-            s += 3 * v3;
-        if (v4 > eps)
-            s += 4 * v4;
-        if (v5 > eps)
-            s += 5 * v5;
-        if (v6 > eps)
-            s += 6 * v6;
-        if (v7 > eps)
-            s += 7 * v7;
+#pragma GCC unroll 8
+        for (int k = 3; k <= DEGREE_CAP; k++)
+            if (v[k] > eps)
+                s += k * v[k];
 
-        /* Contract at 2-vertices: pick two open-edge endpoints with
-         * probability proportional to degree, merge into one vertex of
-         * degree i+j-2; merged degree beyond 7 turns into erasures. */
-        if (v2 > eps) {
+        if (v[2] > eps) {  /* apply_contractions */
             if (!(s > 0.0)) {
                 status = STATUS_EXHAUSTED;
                 break;
             }
-            double r = (v2 + eps) / s;
-            double e3 = 3 * v3;
-            double e4 = 4 * v4;
-            double e5 = 5 * v5;
-            double e6 = 6 * v6;
-            double e7 = 7 * v7;
-            double a4 = e3 * e3;
-            double a5 = e3 * e4 + e4 * e3;
-            double a6 = e3 * e5 + e4 * e4 + e5 * e3;
-            double a7 = e3 * e6 + e4 * e5 + e5 * e4 + e6 * e3;
-            double a8 = e3 * e7 + e4 * e6 + e5 * e5 + e6 * e4 + e7 * e3;
-            double a9 = e4 * e7 + e5 * e6 + e6 * e5 + e7 * e4;
-            double a10 = e5 * e7 + e6 * e6 + e7 * e5;
-            double a11 = e6 * e7 + e7 * e6;
-            double a12 = e7 * e7;
-            independent += v2 + eps;
-            v2 = -eps;
-            v3 = v3 + r * (0.0 / s - 2 * 3 * v3);
-            v4 = v4 + r * (a4 / s - 2 * 4 * v4);
-            v5 = v5 + r * (a5 / s - 2 * 5 * v5);
-            v6 = v6 + r * (a6 / s - 2 * 6 * v6);
-            v7 = v7 + r * (a7 / s - 2 * 7 * v7);
-            erase += 8 * r * a8 / s;
-            erase += 9 * r * a9 / s;
-            erase += 10 * r * a10 / s;
-            erase += 11 * r * a11 / s;
-            erase += 12 * r * a12 / s;
+            double r = (v[2] + eps) / s;
+            double edge[DEGREE_CAP + 1], add[2 * DEGREE_CAP - 1] = {0.0};
+#pragma GCC unroll 8
+            for (int k = 3; k <= DEGREE_CAP; k++)
+                edge[k] = k * v[k];
+#pragma GCC unroll 8
+            for (int i = 3; i <= DEGREE_CAP; i++)
+#pragma GCC unroll 8
+                for (int j = 3; j <= DEGREE_CAP; j++)
+                    add[i + j - 2] += edge[i] * edge[j];
+            independent += v[2] + eps;
+            v[2] = -eps;
+#pragma GCC unroll 8
+            for (int k = 3; k <= DEGREE_CAP; k++)
+                v[k] = v[k] + r * (add[k] / s - 2 * k * v[k]);
+#pragma GCC unroll 8
+            for (int m = DEGREE_CAP + 1; m < 2 * DEGREE_CAP - 1; m++)
+                erase += m * r * add[m] / s;
         }
 
-        /* d = 3 deletes from classes 3-7 only; the composed step reports
-         * an empty range as exhaustion (and the correction terms below
-         * would divide by an empty pool). */
-        if (d == 3 && !(v3 > eps || v4 > eps || v5 > eps || v6 > eps
-                        || v7 > eps)) {
-            status = STATUS_EXHAUSTED;
-            break;
-        }
-
-        /* highest occupied degree class: down to 4 for d = 3, and down to 5
-         * for d = 4, where 5 means the probe step */
-        int64_t mx = 7;
-        if (v7 < eps) {
-            mx = 6;
-            if (v6 < eps) {
-                mx = 5;
-                if (d == 3 && v5 < eps)
-                    mx = 4;
+        /* is3_delete_step's test for an occupied class */
+        if (d == 3) {
+            int occupied = 0;
+#pragma GCC unroll 8
+            for (int k = 3; k <= DEGREE_CAP; k++)
+                occupied = occupied || v[k] > eps;
+            if (!occupied) {
+                status = STATUS_EXHAUSTED;
+                break;
             }
         }
-        if (d == 4 && mx == 5) {
-            /* Probe step: delete a 3-vertex if all of its three neighbours
-             * have degree 3, otherwise delete its highest-degree neighbour
-             * and contract at the now 2-valent probe vertex.  Negative-dust
-             * classes can empty this pool in the terminal rounds. */
-            double den = 3 * v3 + 4 * v4 + 5 * v5;
+
+        /* _delete_top_class's search down to floor 4 for d = 3, and to 5
+         * for d = 4, where 5 is Is4Rules.step's test for the probe step */
+        int floor = d == 3 ? 4 : 5;
+        int mx = DEGREE_CAP;
+#pragma GCC unroll 8
+        for (int k = DEGREE_CAP; k > 4; k--)
+            if (mx == k && k > floor && v[k] < eps)
+                mx = k - 1;
+        if (d == 4 && mx == 5) {  /* is4_special_step */
+            double den = 3 * v[3] + 4 * v[4] + 5 * v[5];
             if (!(den > 0.0)) {
                 status = STATUS_EXHAUSTED;
                 break;
             }
-            double rat3 = 3 * v3 / den;
-            double rat4 = 4 * v4 / den;
-            double rat5 = 5 * v5 / den;
-            v2 += eps * 3 * rat3 * rat3 * rat3;
-            v3 += eps * (-1 - 3 * rat3);
-            v4 += eps * 3 * (-rat4 + rat3 * rat3 * (1 - rat3));
-            v5 += eps * 3 * (-rat5 + rat3 * rat4 * (rat4 + 2 * rat5));
+            double rat3 = 3 * v[3] / den;
+            double rat4 = 4 * v[4] / den;
+            double rat5 = 5 * v[5] / den;
+            v[2] += eps * 3 * rat3 * rat3 * rat3;
+            v[3] += eps * (-1 - 3 * rat3);
+            v[4] += eps * 3 * (-rat4 + rat3 * rat3 * (1 - rat3));
+            v[5] += eps * 3 * (-rat5 + rat3 * rat4 * (rat4 + 2 * rat5));
             independent += eps * (1 - rat3 * rat3 * rat3);
             erase += eps * (6 - 12 * rat3 * rat3 + 6 * rat3 * rat3 * rat3
                             + (15 * rat3 * rat4 + 3) * (rat4 + 2 * rat5));
-        } else {
-            /* delete 2*eps mass from the highest occupied degree class */
-            if (mx == 7)
-                v7 -= 2 * eps;
-            else if (mx == 6)
-                v6 -= 2 * eps;
-            else if (mx == 5)
-                v5 -= 2 * eps;
-            else
-                v4 -= 2 * eps;
-            erase += (double)(2 * mx) * eps;
+        } else {  /* _delete_top_class's deletion */
+#pragma GCC unroll 8
+            for (int k = 4; k <= DEGREE_CAP; k++)
+                if (k == mx)
+                    v[k] -= 2 * eps;
+            erase += 2 * mx * eps;
         }
 
-        /* Four-neighbour correction terms, applied only once the 4-class
-         * is the top occupied class.  The draw probabilities use s as
-         * measured before this round's contractions (the deleted vertex's
-         * neighbours were sampled against that pool). */
+        /* is3_delete_step's correction terms */
         if (improvement && mx == 4) {
-            double x = 4 * v4 / s;
+            double x = 4 * v[4] / s;
             double p4444 = 2 * eps * x * x * x * x;
-            v3 -= 4 * p4444;
+            v[3] -= 4 * p4444;
             erase += 12 * p4444;
             independent += p4444;
-            double p4443 = 8 * eps * x * x * x * 3 * v3 / s;
-            v3 -= 3 * p4443;
-            v2 -= p4443;
+            double p4443 = 8 * eps * x * x * x * 3 * v[3] / s;
+            v[3] -= 3 * p4443;
+            v[2] -= p4443;
             erase += 11 * p4443;
             independent += p4443;
-            x = 12 * v4 * v3 / s / s;
+            x = 12 * v[4] * v[3] / s / s;
             double p4433 = 12 * eps * x * x;
-            v4 += p4433;
-            v3 -= 2 * p4433;
-            v2 -= 2 * p4433;
+            v[4] += p4433;
+            v[3] -= 2 * p4433;
+            v[2] -= 2 * p4433;
             erase += 6 * p4433;
             independent += p4433;
         }
 
-        double lo = -8.0 * eps;
-        double hi = 1.0 + 8.0 * eps;
-        if (!(v2 >= lo && v2 <= hi && v3 >= lo && v3 <= hi
-              && v4 >= lo && v4 <= hi && v5 >= lo && v5 <= hi
-              && v6 >= lo && v6 <= hi && v7 >= lo && v7 <= hi)) {
-            status = STATUS_INVALID;
-            break;
-        }
-        if (!(independent >= -1e-12 && independent <= 0.5 + 8 * eps)) {
-            status = STATUS_INVALID;
-            break;
-        }
-        if (!(erase >= lo && erase <= 1.0)) {
+        /* state_in_range */
+        double lo = -8.0 * eps, hi = 1.0 + 8.0 * eps;
+        int in_range = 1;
+#pragma GCC unroll 8
+        for (int k = 2; k <= DEGREE_CAP; k++)
+            in_range = in_range && v[k] >= lo && v[k] <= hi;
+        if (!(in_range && independent >= -1e-12 && independent <= 0.5 + 8 * eps
+              && erase >= lo && erase <= 1.0)) {
             status = STATUS_INVALID;
             break;
         }
     }
-    state[0] = v2;
-    state[1] = v3;
-    state[2] = v4;
-    state[3] = v5;
-    state[4] = v6;
-    state[5] = v7;
-    state[6] = independent;
-    state[7] = erase;
+    /* volatile: paired into vector stores, these would carry pairs of
+     * classes through every round in vector registers, 4% slower */
+    volatile double *put = state;
+#pragma GCC unroll 8
+    for (int k = 2; k <= DEGREE_CAP; k++)
+        put[k - 2] = v[k];
+    put[DEGREE_CAP - 1] = independent;
+    put[DEGREE_CAP] = erase;
     out[0] = rounds;
     out[1] = status;
 }

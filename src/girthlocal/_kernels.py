@@ -5,13 +5,17 @@ runs.
 evolution family: ``is_chunk`` runs both independent-set processes (3- and
 4-regular) and ``cut_chunk`` the max-cut process.  Each advances its
 recurrence by at most ``max_rounds`` rounds and reports why it stopped via a
-status code.  The kernels unroll the composed operations of ``is_evolution``
-/ ``cut_evolution``, which stay the reference semantics: same expressions,
-same evaluation order, pinned bit for bit by tests.  And there is one event
-engine per finite process, ``cut_run`` and ``is_run``, each a whole run in
-one call over flat arrays: it restates the Python methods and round
-schedule of ``CutProcess`` or ``SurvivalGraph``, which tests pin it to,
-output for output.  A run allocates its engine's state over the process's
+status code.  The kernels transcribe the composed operations of
+``is_evolution`` / ``cut_evolution``, which stay the reference semantics
+(``is_chunk`` loop for loop over the degree classes).  The expressions,
+their evaluation order and ``-ffp-contract=off`` fix the bits, which tests
+pin to the composed operations', and those of a build at ``-O0`` to the
+default build's; the unroll pragmas and the class indices known at compile
+time, which keep the classes in registers, serve speed only.  And there is
+one event engine per finite process, ``cut_run`` and ``is_run``, each a
+whole run in one call over flat arrays: it restates the Python methods and
+round schedule of ``CutProcess`` or ``SurvivalGraph``, which tests pin it
+to, output for output.  A run allocates its engine's state over the process's
 buffers, runs and frees it in that one call, and stops at its first failed
 check, where the Python methods raise.  Every random pick of a run is
 ``draw``, a pure function of the run's key and labels (``run_labels``),

@@ -19,9 +19,11 @@ final coloring from the graph; it must reproduce the incremental counters
 exactly, which is the end-to-end check on all of this.
 
 The rules read colors only through R/G label comparisons and parity XORs,
-so they are symmetric in the two colors: witnesses use one convention
-(ties, the first bootstrap vertex and pinned pending cycles go red), and
-flipping R/G gives the other.
+so they are color-equivariant: the witnesses use one convention (ties, the
+first bootstrap vertex and pinned pending cycles go red), and flipping R/G
+together with that convention flips the output.  With the convention
+fixed they are not symmetric: over 20 seeds at n = 1e5, green exceeds red
+by 478.9 +- 12.2 vertices (standard error), on every seed.
 
 Invariant (P): every survival path component is a simple path.  Only three
 places add a path edge, and each keeps (P): query joins v and x only when

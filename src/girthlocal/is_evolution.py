@@ -38,8 +38,9 @@ __all__ = [
     "phase1_rates",
 ]
 
-# highest tracked degree class (the chunk kernel unrolls 2-7); merged degrees
-# past it become erasures here and are deleted outright in is_local_algorithm
+# highest tracked degree class (DEGREE_CAP of the chunk kernel too, pinned by
+# a test); merged degrees past it become erasures here and are deleted
+# outright in is_local_algorithm
 DEGREE_CAP = 7
 
 

@@ -22,7 +22,8 @@ from girthlocal.config_model import generate, load_edge_list, save_edge_list
 from girthlocal.cut_evolution import CutRules
 from girthlocal.cut_local_algorithm import CutProcess
 from girthlocal.evolution_core import (STATUS_EXHAUSTED, STATUS_INVALID,
-                                       EvolutionParams, _python_chunk)
+                                       EvolutionParams, IntegrationError,
+                                       _python_chunk, integrate)
 from girthlocal.is_evolution import DEGREE_CAP, Is3Rules, Is4Rules
 from girthlocal.is_local_algorithm import SurvivalGraph
 from test_cut_local_algorithm import MULTIGRAPHS
@@ -74,6 +75,59 @@ def test_c_kernel_matches_composed_ops_bitwise_1000_rounds(target):
     rules = RULES[target]
     assert exact(rules, type(rules).run_chunk, 1e-6, 1000) == \
         exact(rules, _python_chunk, 1e-6, 1000)
+
+
+@compiled
+def test_the_kernels_bits_do_not_depend_on_the_optimiser(tmp_path,
+                                                         monkeypatch):
+    # the unroll pragmas and the class indices known at compile time serve
+    # speed only: a build at -O0 runs every rule set to the same finals,
+    # rounds and status (at 2e-5 the IS runs leave the valid range)
+    cc = tuple("-O0" if flag == "-O2" else flag for flag in _kernels._CC)
+    unoptimised = _kernels._load(cc=cc, cache=tmp_path)
+    assert unoptimised is not None
+    for target, rules in RULES.items():
+        for eps in (1e-5, 2e-5):
+            optimised = exact(rules, type(rules).run_chunk, eps, 10 ** 7)
+            with monkeypatch.context() as patch:
+                patch.setattr(_kernels, "_lib", unoptimised)
+                assert exact(rules, type(rules).run_chunk, eps,
+                             10 ** 7) == optimised, (target, eps)
+
+
+# the step-size grid of the integrations that leave the valid range, as
+# unrounded floats (rounding moves the map): 31 steps from 1e-3 to 1e-6,
+# then 10 more down to 1e-7
+FAILURE_GRID = [float(eps) for eps in np.logspace(-3, -6, 31)] \
+    + [float(eps) for eps in np.logspace(-6, -7, 11)[1:]]
+# target -> the indices into FAILURE_GRID at which integrate raises
+FAILURE_MAP = {
+    "is3": [4, 6, 8, 9, 10, 11, 13, 17, 22, 23, 24, 26, 27, 29, 31, 32, 36],
+    "is3-plain": [4, 5, 9, 11, 13, 14, 21, 23, 25, 26, 28, 32, 35, 36, 37,
+                  38],
+    "is4": [0, 2, 4, 6, 8, 13, 16, 18, 22, 33],
+    "cut3": [],
+}
+
+
+@compiled
+@pytest.mark.parametrize("target", FAILURE_MAP)
+def test_the_runs_that_leave_the_valid_range_are_pinned(target):
+    """The IS recurrences overshoot in their terminal rounds at many step
+    sizes (ROADMAP, item 1): integrate raises IntegrationError at exactly
+    these steps of the grid, and at no other.  This pins the chunk kernels'
+    whole runs down to 1e-7, where the composed operations are too slow to
+    compare with.  Once the terminal phase ends by a rule of the process,
+    every run of the grid is valid, and this test asserts that instead."""
+    rules = RULES[target]
+    failed = []
+    for i, eps in enumerate(FAILURE_GRID):
+        params = EvolutionParams(step_size=eps)
+        try:
+            integrate(rules.initial_state(params), rules, params)
+        except IntegrationError:
+            failed.append(i)
+    assert failed == FAILURE_MAP[target]
 
 
 @compiled
@@ -564,6 +618,13 @@ def test_ctypes_declarations_match_the_c_source():
             {"void": None, "int64_t": ctypes.c_int64}[ret]
         assert f.restype is restype, name
     assert declared <= set(exported)
+
+
+def test_the_c_class_cap_is_the_python_one():
+    # is_chunk's state holds classes 2 to DEGREE_CAP, as DegreeState does
+    cap = re.search(r"^#define DEGREE_CAP (\d+)\b",
+                    _kernels._SOURCE.read_text(), re.MULTILINE)
+    assert cap is not None and int(cap.group(1)) == DEGREE_CAP
 
 
 def is_outputs(graph, d, seed):
