@@ -400,8 +400,8 @@ static int64_t ones(uint64_t w)
 }
 
 /* The draws, made as _kernels.draw makes them: round t's pick for a
- * purpose is u(key, t, purpose, label), with no label for a rank pick, and
- * depends on no id and on no order of draws. */
+ * purpose is u(key, t, purpose, v) for vertex v, whose id is its label,
+ * or the round key's for a rank pick, and depends on no order of draws. */
 enum { MARK, FORCE, RED_PICK, GREEN_PICK };
 
 /* splitmix64's finalizer */
@@ -418,18 +418,17 @@ static uint64_t round_key(uint64_t key, int64_t t, int64_t purpose)
                  * (uint64_t)(4 * t + purpose + 1));
 }
 
-/* int(u * m) for round t's pick u, which has no label: below m < 2^31 */
-static int64_t draw_index(uint64_t key, int64_t t, int64_t purpose,
-                          int64_t m)
+/* int(u * m) for round t's pick u, of no vertex: below m < 2^31 */
+static int64_t draw_index(uint64_t key, int64_t t, int64_t purpose, int64_t m)
 {
     return (int64_t)((double)(round_key(key, t, purpose) >> 11) * 0x1p-53
                      * (double)m);
 }
 
-/* whether label's draw under the round key rk falls below p */
-static int marked_by(uint64_t rk, int32_t label, double p)
+/* whether vertex v's draw under the round key rk falls below p */
+static int marked_by(uint64_t rk, int64_t v, double p)
 {
-    return (double)(mix64(rk ^ (uint64_t)label) >> 11) * 0x1p-53 < p;
+    return (double)(mix64(rk ^ (uint64_t)v) >> 11) * 0x1p-53 < p;
 }
 
 /* ---- The finite cut process's event engine ----------------------------
@@ -438,10 +437,9 @@ static int marked_by(uint64_t rk, int32_t label, double p)
  * commit, whiten, eliminate_white, reduce_rrr, _connected, closure, the
  * endgame commits and _resolve_pending, run by cut_run as CutProcess._drive
  * runs them (each round is query_round), with the endgame floor passed in
- * from Python.  Every rule, its order of effects and every tie-break is
- * the same as in the Python methods, the reference semantics.  The
- * bootstrap pair is found by its ranks, counting the zero status bytes
- * eight at a time, with no list of the survivors.
+ * from Python.  Every rule, its order of effects and every tie-break (by
+ * ascending id, so by label) is the same as in the Python methods, the
+ * reference semantics.
  *
  * The lone set is exact as of the start of the last round: a bit set of
  * the lone vertices, read in ascending order.  Whether v is lone depends
@@ -482,7 +480,7 @@ enum { LOOP, INHERITED, DEAD, LIVE };
 typedef struct {
     failure fail;
     int64_t n;
-    const int32_t *owner, *pair, *labels;
+    const int32_t *owner, *pair;
     uint64_t key;
     uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
     int8_t *f;
@@ -1202,7 +1200,7 @@ static void query_round(cut_state *s, int64_t t, double q)
     int64_t count = 0;
     for (int64_t i = 0; i < words(s->n); i++)
         for (uint64_t w = lone_word(s, i); w; w &= w - 1)
-            if (marked_by(rk, s->labels[64 * i + lowest(w)], q))
+            if (marked_by(rk, 64 * i + lowest(w), q))
                 s->marked[count++] = (int32_t)(64 * i + lowest(w));
     for (int64_t i = 0; i < count; i++) {
         int64_t v = s->marked[i];
@@ -1311,23 +1309,22 @@ static void cut_drive(cut_state *s, double q, int64_t floor,
 /* -- the entry --------------------------------------------------------- */
 
 /* A whole run over a 3-regular graph: owner and pair of its 3n half-edges
- * (the graph's own int32 arrays), the run's labels, the shared buffers,
- * the run's key, the query probability and the endgame floor; the rounds
- * run go into *rounds.  Returns 0 or the failure that stopped the run. */
+ * (the graph's own int32 arrays), the shared buffers, the run's key, the
+ * query probability and the endgame floor; the rounds run go into
+ * *rounds.  Returns 0 or the failure that stopped the run. */
 int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
-                const int32_t *labels, uint8_t *status, int8_t *f,
-                uint8_t *n_r, uint8_t *n_g, uint8_t *n_w, uint8_t *n_d,
-                uint8_t *pd, int32_t *alias, uint8_t *revealed,
-                int64_t *counts, uint64_t key, double q, int64_t floor,
-                int64_t *rounds)
+                uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
+                uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int32_t *alias,
+                uint8_t *revealed, int64_t *counts, uint64_t key, double q,
+                int64_t floor, int64_t *rounds)
 {
     cut_state *s = calloc(1, sizeof *s);
     if (!s)
         return ENGINE_NOMEM;
-    *s = (cut_state){.n = n, .owner = owner, .pair = pair, .labels = labels,
-                     .key = key, .status = status, .f = f, .n_r = n_r,
-                     .n_g = n_g, .n_w = n_w, .n_d = n_d, .pd = pd,
-                     .alias = alias, .revealed = revealed, .counts = counts};
+    *s = (cut_state){.n = n, .owner = owner, .pair = pair, .key = key,
+                     .status = status, .f = f, .n_r = n_r, .n_g = n_g,
+                     .n_w = n_w, .n_d = n_d, .pd = pd, .alias = alias,
+                     .revealed = revealed, .counts = counts};
     if (!setjmp(s->fail.at)) {
         cut_alloc(s);
         cut_drive(s, q, floor, rounds);
@@ -1346,9 +1343,9 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
  * by is_run as the round ladder is_local_algorithm._drive runs them, with
  * the persistence fraction passed in from Python.  Every rule and its
  * order of effects is the same as in the Python methods, the reference
- * semantics.  The class members are the ascending ids SurvivalGraph.scan
- * finds, read off the class bit sets below, at a cost of n / 64 words per
- * non-empty class scanned (none for an empty range).
+ * semantics.  The class members are the ascending ids (so labels) that
+ * SurvivalGraph.scan finds, read off the class bit sets below, at n / 64
+ * words per non-empty class scanned (none for an empty range).
  *
  * The neighbour lists keep the Python list order exactly: a removal takes
  * the first occurrence and shifts the rest down (list.remove), a rename
@@ -1379,8 +1376,7 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
 
 typedef struct {
     failure fail;
-    int64_t n, ncounts, cap_degree;
-    const int32_t *labels;
+    int64_t n, ncounts;
     uint64_t key;
     int64_t *deg, *counts, *state;
     uint8_t *alive, *status;
@@ -1551,8 +1547,8 @@ static int64_t contract(is_state *s, int64_t y)
         return -1;
     }
     /* true merge: x absorbs z and y, which unfold_merges decides, and the
-     * merged vertex keeps x's id and so x's label; x and z keep their
-     * degrees until reclass, their lists shrink at once */
+     * merged vertex keeps x's id; x and z keep their degrees until
+     * reclass, their lists shrink at once */
     int64_t lx = s->deg[x] - 1, lz = s->deg[z] - 1;
     adj_remove(s, x, y, lx + 1);
     adj_remove(s, z, y, lz + 1);
@@ -1597,7 +1593,7 @@ static void settle(is_state *s)
             is_delete(s, u);
         } else {
             int64_t merged = contract(s, v);
-            if (merged >= 0 && s->deg[merged] > s->cap_degree)
+            if (merged >= 0 && s->deg[merged] > DEGREE_CAP)
                 is_delete(s, merged);
         }
     }
@@ -1715,7 +1711,7 @@ static void marked_members(is_state *s, int64_t t, int64_t k, double p)
     int64_t kept = 0;
     members(s, k, k, ids);
     for (int64_t i = 0; i < ids->len; i++)
-        if (marked_by(rk, s->labels[ids->data[i]], p))
+        if (marked_by(rk, ids->data[i], p))
             ids->data[kept++] = ids->data[i];
     ids->len = kept;
 }
@@ -1840,24 +1836,21 @@ static void is_drive(is_state *s, int64_t d, double p, double fraction,
 /* -- the entry --------------------------------------------------------- */
 
 /* A whole run over a fresh SurvivalGraph: owner and pair of the graph's
- * half-edges (the graph's own int32 arrays), the run's labels, the shared
- * buffers (counts with ncounts entries, more than any degree), the run's
- * key, the degree above which settle deletes a merged vertex, d, the
+ * half-edges (the graph's own int32 arrays), the shared buffers (counts
+ * with ncounts entries, more than any degree), the run's key, d, the
  * thinning probability and the persistence fraction; the rounds run go
  * into *rounds.  Returns 0 or the failure that stopped the run. */
 int64_t is_run(int64_t n, const int32_t *owner, const int32_t *pair,
-               const int32_t *labels, int64_t *deg, uint8_t *alive,
-               int64_t *counts, uint8_t *status, int64_t *state,
-               uint64_t key, int64_t ncounts, int64_t cap_degree, int64_t d,
+               int64_t *deg, uint8_t *alive, int64_t *counts, uint8_t *status,
+               int64_t *state, uint64_t key, int64_t ncounts, int64_t d,
                double p, double fraction, int64_t *rounds)
 {
     is_state *s = calloc(1, sizeof *s);
     if (!s)
         return ENGINE_NOMEM;
-    *s = (is_state){.n = n, .labels = labels, .key = key, .deg = deg,
-                    .alive = alive, .counts = counts, .status = status,
-                    .state = state, .ncounts = ncounts,
-                    .cap_degree = cap_degree};
+    *s = (is_state){.n = n, .key = key, .deg = deg, .alive = alive,
+                    .counts = counts, .status = status, .state = state,
+                    .ncounts = ncounts};
     if (!setjmp(s->fail.at)) {
         is_alloc(s, owner, pair);
         is_drive(s, d, p, fraction, rounds);

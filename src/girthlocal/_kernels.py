@@ -18,12 +18,13 @@ round schedule of ``CutProcess`` or ``SurvivalGraph``, which tests pin it
 to, output for output.  A run allocates its engine's state over the process's
 buffers, runs and frees it in that one call, and stops at its first failed
 check, where the Python methods raise.  Every random pick of a run is
-``draw``, a pure function of the run's key and labels (``run_labels``),
-which both languages compute alike.  ctypes releases the GIL for each
-call, and an engine touches only its own state and buffers, so runs may
-overlap on threads.  The engines read the graph's int32 owner and pair
-arrays in place (``_graph_arrays``: no copy, no widening), whose
-half-edges ``Multigraph`` groups by owner.
+``draw``, a pure function of the run's key and a vertex id, which both
+languages compute alike; the whole-run entry points run each process on
+its graph renamed by the run's labels (``run_labels``).  ctypes releases
+the GIL for each call, and an engine touches only its own state and
+buffers, so runs may overlap on threads.  The engines read the graph's
+int32 owner and pair arrays in place (``_graph_arrays``: no copy, no
+widening), whose half-edges ``Multigraph`` groups by owner.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -134,11 +135,9 @@ def _load(cc=_CC, cache=_CACHE):
                               ctypes.POINTER(i64)]
     lib.cut_chunk.restype = None
     ptr, u64 = ctypes.c_void_p, ctypes.c_uint64
-    # n, the graph's two arrays, the labels, the shared buffers and the
-    # key, then each engine's scalars and the rounds
-    lib.cut_run.argtypes = [i64] + [ptr] * 13 + [u64, f64, i64, ptr]
-    lib.is_run.argtypes = [i64] + [ptr] * 8 + [u64, i64, i64, i64, f64, f64,
-                                                ptr]
+    # n, the graph's arrays, the shared buffers, the key, scalars, rounds
+    lib.cut_run.argtypes = [i64] + [ptr] * 12 + [u64, f64, i64, ptr]
+    lib.is_run.argtypes = [i64] + [ptr] * 7 + [u64, i64, i64, f64, f64, ptr]
     lib.cut_run.restype = lib.is_run.restype = i64
     return lib
 
@@ -147,16 +146,14 @@ _lib = _load()
 BACKEND = "python" if _lib is None else "c"
 
 
-def is_chunk(v2, v3, v4, v5, v6, v7, independent, erase,
-             eps, d, improvement, max_rounds):
+def is_chunk(state: np.ndarray, eps, d, improvement, max_rounds):
     """Advance the d-regular independent-set recurrence (d = 3 or 4) by up
-    to max_rounds rounds; returns the eight state fields, the rounds run
-    and the status.  Needs ``BACKEND == "c"``."""
-    state = (ctypes.c_double * 8)(v2, v3, v4, v5, v6, v7, independent, erase)
+    to max_rounds rounds over ``state``, the C kernel's contiguous float64
+    state, in place; returns the rounds and status.  Needs the C backend."""
     out = (ctypes.c_int64 * 2)()
-    _lib.is_chunk(state, eps, d, improvement, min(max_rounds, _MAX_ROUNDS),
-                  out)
-    return (*state, *out)
+    _lib.is_chunk(state.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+                  eps, d, improvement, min(max_rounds, _MAX_ROUNDS), out)
+    return tuple(out)
 
 
 def cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
@@ -169,10 +166,10 @@ def cut_chunk(rat2, rat3, good, bad, eps, linear, max_rounds):
     return (*state, *out)
 
 
-# A finite run's picks, u(key, t, purpose, label): round t's key for a
-# purpose is splitmix64's output number 4t + purpose + 1 from the run's
-# key, a vertex's draw is splitmix64's finalizer of that xor its label, a
-# pick with no label is the round key, and u is the 53 high bits over 2^53.
+# A finite run's picks, u(key, t, purpose, v): round t's key for a purpose
+# is splitmix64's output number 4t + purpose + 1 from the run's key, vertex
+# v's draw is splitmix64's finalizer of that xor v's id, a pick of no
+# vertex is the round key, and u is the 53 high bits over 2^53.
 MARK, FORCE, RED_PICK, GREEN_PICK = range(4)  # the purposes
 _MASK = 2 ** 64 - 1
 
@@ -184,12 +181,12 @@ def _mix64(z):
     return z ^ (z >> 31)
 
 
-def draw(key: int, t: int, purpose: int, labels=None):
-    """u in [0, 1) for each label of the int32 array ``labels``, or, with
-    none, round t's pick for the purpose, a float (``int(u * m) < m``)."""
+def draw(key: int, t: int, purpose: int, ids=None):
+    """u in [0, 1) for each vertex of the array ``ids``, or, with none,
+    round t's pick for the purpose, a float (``int(u * m) < m``)."""
     h = _mix64((key + 0x9E3779B97F4A7C15 * (4 * t + purpose + 1)) & _MASK)
-    if labels is not None:
-        h = _mix64(labels.astype(np.uint64) ^ h)
+    if ids is not None:
+        h = _mix64(ids.astype(np.uint64) ^ h)
     return (h >> 11) * 2.0 ** -53
 
 
@@ -217,19 +214,16 @@ def _graph_arrays(graph) -> list:
 
 def _run(name: str, entry, proc, buffers, *args) -> int:
     """One engine's whole run of the process ``proc``, one call of
-    ``entry`` over its graph's arrays, labels and key and the shared
-    ``buffers``, which it updates in place; returns the rounds run.  The
-    run stops at its first failed check, where the Python methods raise:
-    a broken invariant raises AssertionError, and an allocation that fails
+    ``entry`` over its graph's arrays and key and the shared ``buffers``,
+    which it updates in place; returns the rounds run.  The run stops at
+    its first failed check, where the Python methods raise: a broken
+    invariant raises AssertionError, and an allocation that fails
     MemoryError.  (The Python ``SurvivalGraph.delete`` of a dead vertex
     raises ValueError; in C that is a broken invariant too.)"""
-    graph, labels = proc.graph, np.ascontiguousarray(proc.labels, np.int32)
-    if labels.shape != (graph.n,):
-        raise ValueError("a run needs one label per vertex")
-    arrays = [*_graph_arrays(graph), labels]
+    arrays = _graph_arrays(proc.graph)
     views = [_writable(buf) for buf in buffers]
     rounds = ctypes.c_int64()
-    err = entry(graph.n, *(a.ctypes.data for a in arrays),
+    err = entry(proc.n, *(a.ctypes.data for a in arrays),
                 *(ctypes.addressof(view) for view in views), proc.key,
                 *args, ctypes.byref(rounds))
     if err == ENGINE_NOMEM:
@@ -257,21 +251,19 @@ def cut_run(proc, floor: int) -> int:
 
 
 def is_run(g, d: int, thin_probability: float,
-           persistence_fraction: float, cap_degree: int) -> int:
+           persistence_fraction: float) -> int:
     """The whole run of ``is_local_algorithm._drive`` in one C call, over a
     fresh ``SurvivalGraph``'s degrees, live flags, degree histogram and
     decision bytes, which it updates in place: the rounds until no vertex
-    is left, then the merges unfolded; returns the rounds run.  A merged
-    vertex above ``cap_degree`` is deleted, as ``DEGREE_CAP`` in settle.
-    The survival and contraction counts are written back to g, also when
-    the run fails.  Needs ``BACKEND == "c"``."""
+    is left, then the merges unfolded; returns the rounds run.  The
+    survival and contraction counts are written back to g, also when the
+    run fails.  Needs ``BACKEND == "c"``."""
     if not 0 <= d < len(g.counts):
         raise IndexError(f"degree class {d} out of range")
     counts = array("q", (g.survival_count, g.contractions))
     buffers = (g.deg, g.alive, g.counts, g.status, counts)
     try:
         return _run("independent-set engine", _lib.is_run, g, buffers,
-                    len(g.counts), cap_degree, d, thin_probability,
-                    persistence_fraction)
+                    len(g.counts), d, thin_probability, persistence_fraction)
     finally:
         g.survival_count, g.contractions = counts

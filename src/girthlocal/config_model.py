@@ -17,6 +17,7 @@ before anything of its size is allocated.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -99,6 +100,20 @@ class Multigraph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
+
+    def renamed(self, labels: np.ndarray) -> Multigraph:
+        """This regular graph with vertex v renamed labels[v] (an int32
+        permutation), each keeping its half-edges in order; it shares the
+        owners and blocks, and a valid pairing renamed stays valid."""
+        d = self.pair.shape[0] // max(self.n, 1)
+        if np.any(self.degrees() != d):
+            raise ValueError("only a regular graph can be renamed")
+        moved = (d * labels[:, None] + np.arange(d, dtype=np.int32)).ravel()
+        graph = copy.copy(self)
+        graph.pair = np.empty_like(self.pair)
+        graph.pair[moved] = moved[self.pair]
+        graph.pair.setflags(write=False)
+        return graph
 
     def slot_lists(self) -> list:
         """A fresh Python list of slots per vertex, for mutable copies."""

@@ -22,8 +22,7 @@ The rules read colors only through R/G label comparisons and parity XORs,
 so they are color-equivariant: the witnesses use one convention (ties, the
 first bootstrap vertex and pinned pending cycles go red), and flipping R/G
 together with that convention flips the output.  With the convention
-fixed they are not symmetric: over 20 seeds at n = 1e5, green exceeds red
-by 478.9 +- 12.2 vertices (standard error), on every seed.
+fixed they are not symmetric: green exceeds red on every seed (README).
 
 Invariant (P): every survival path component is a simple path.  Only three
 places add a path edge, and each keeps (P): query joins v and x only when
@@ -67,7 +66,6 @@ class CutResult:
     good: int
     bad: int
     n: int
-    seed: object
     rounds: int
 
     @property
@@ -82,20 +80,19 @@ class CutProcess:
     paths: one ``_kernels.cut_run`` call (the same rules and round schedule
     in C, over this object's counter buffers, with no event exported on
     its own) when the C kernels are built, else ``_drive`` on these
-    methods; tests pin the two to the same colouring and counters.
+    methods; tests pin the two to the same colouring and counters.  Draws
+    are keyed on vertex ids, which ``run_cut`` makes the run's labels.
     """
 
-    def __init__(self, graph: Multigraph, seed=None,
+    def __init__(self, graph: Multigraph, key: int = 0,
                  query_probability: float = QUERY_PROBABILITY):
         if not np.all(graph.degrees() == 3):
             raise ValueError("cut process needs a 3-regular graph")
         if not 0.0 <= query_probability <= 1.0:
             raise ValueError("query_probability must lie in [0, 1]")
-        n = graph.n
-        self.n = n
-        self.seed = seed
+        self.n = n = graph.n
         self.query_probability = query_probability
-        self.key, self.labels = _kernels.run_labels(n, seed)
+        self.key = key
         self.graph = graph
         self.owner = graph.owner
         self.pair = graph.pair
@@ -578,8 +575,7 @@ class CutProcess:
         still a survival vertex with an open half-edge is queried, in
         order; then closure."""
         lones = self.lones()
-        u = _kernels.draw(self.key, self.rounds, _kernels.MARK,
-                          self.labels[lones])
+        u = _kernels.draw(self.key, self.rounds, _kernels.MARK, lones)
         for v in lones[u < self.query_probability].tolist():
             if self.status[v] == 0 and self._unrevealed(v):
                 self.query(v)
@@ -688,7 +684,7 @@ class CutProcess:
         f = np.frombuffer(self.f, np.int8).copy()
         assert np.all(f >= 0), "some vertex was never colored"
         return CutResult(colors=f, good=self.good, bad=self.bad, n=self.n,
-                         seed=self.seed, rounds=self.rounds)
+                         rounds=self.rounds)
 
 
 def count_cut(graph: Multigraph, colors: np.ndarray) -> tuple:
@@ -700,7 +696,13 @@ def count_cut(graph: Multigraph, colors: np.ndarray) -> tuple:
     return good, graph.pair.shape[0] // 2 - good
 
 
-def run_cut(graph: Multigraph, **options) -> CutResult:
-    """Run the full cut process on a 3-regular multigraph; ``options`` are
-    those of :class:`CutProcess`."""
-    return CutProcess(graph, **options).run()
+def run_cut(graph: Multigraph, seed=None,
+            query_probability: float = QUERY_PROBABILITY) -> CutResult:
+    """Run the full cut process on a 3-regular multigraph renamed by the
+    run's labels (v becomes labels[v]); the colours are by the graph's ids."""
+    if not np.all(graph.degrees() == 3):
+        raise ValueError("cut process needs a 3-regular graph")
+    key, labels = _kernels.run_labels(graph.n, seed)
+    result = CutProcess(graph.renamed(labels), key, query_probability).run()
+    result.colors = result.colors[labels]
+    return result

@@ -291,17 +291,14 @@ class _IsRulesBase:
 
     def _run_kernel(self, state: DegreeState, params: EvolutionParams,
                     max_rounds, improvement: bool):
-        v = state.v
-        out = _kernels.is_chunk(
-            float(v[2]), float(v[3]), float(v[4]), float(v[5]),
-            float(v[6]), float(v[7]),
-            float(state.independent), float(state.erase),
-            params.step_size, self.start_degree,
-            improvement, int(max_rounds))
-        state.v[2:8] = out[:6]
-        state.independent = out[6]
-        state.erase = out[7]
-        return out[8], out[9]
+        buf = np.empty(DEGREE_CAP + 1)
+        buf[:-2] = state.v[2:]
+        buf[-2:] = state.independent, state.erase
+        out = _kernels.is_chunk(buf, params.step_size, self.start_degree,
+                                improvement, int(max_rounds))
+        state.v[2:] = buf[:-2]
+        state.independent, state.erase = buf[-2:].tolist()
+        return out
 
 
 @dataclass

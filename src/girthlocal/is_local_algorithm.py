@@ -61,7 +61,6 @@ class IsRunResult:
     vertices: list
     n: int
     d: int
-    seed: object
     rounds: int
     contractions: int
 
@@ -97,13 +96,14 @@ class SurvivalGraph:
     run, its round ladder included, to one ``_kernels.is_run`` call (the
     same rules in C, over deg, alive, counts and status) when the C
     kernels are built, and runs these methods under ``_drive`` otherwise;
-    tests pin the two to the same set, rounds and contractions.
+    tests pin the two to the same set, rounds and contractions.  Draws are
+    keyed on vertex ids, which run() makes the run's labels.
     """
 
-    def __init__(self, g: Multigraph, seed=None):
+    def __init__(self, g: Multigraph, key: int = 0):
         self.n = g.n
         self.graph = g
-        self.key, self.labels = _kernels.run_labels(g.n, seed)
+        self.key = key
         degrees = g.degrees().astype(np.int64)
         self.deg = array("q", degrees.tobytes())
         self.alive = bytearray(b"\x01") * g.n
@@ -202,7 +202,7 @@ class SurvivalGraph:
             self.delete(z)
             return None
         # true merge: x absorbs z and y, which unfold_merges decides; the
-        # merged vertex keeps x's id and so x's label
+        # merged vertex keeps x's id
         adj, deg, counts = self.adj, self.deg, self.counts
         ax, az = adj[x], adj[z]
         ax.remove(y)
@@ -271,7 +271,7 @@ class SurvivalGraph:
         alive when its turn comes.
         """
         members = self.scan(top, top)
-        u = _kernels.draw(self.key, t, _kernels.MARK, self.labels[members])
+        u = _kernels.draw(self.key, t, _kernels.MARK, members)
         self.delete_above(top)
         self.deletes(members[u < probability])
 
@@ -290,7 +290,7 @@ class SurvivalGraph:
         """
         self.delete_above(5)
         members = self.scan(3, 3)
-        u = _kernels.draw(self.key, t, _kernels.MARK, self.labels[members])
+        u = _kernels.draw(self.key, t, _kernels.MARK, members)
         deg, adj = self.deg, self.adj
         for v in members[u < probability].tolist():
             if deg[v] != 3:
@@ -351,14 +351,15 @@ def run(graph: Multigraph, d: int, seed=None,
         raise ValueError(f"input graph is not {d}-regular")
     if not 0.0 <= thin_probability <= 1.0:
         raise ValueError("thin_probability must lie in [0, 1]")
-    g = SurvivalGraph(graph, seed)
+    key, labels = _kernels.run_labels(graph.n, seed)
+    g = SurvivalGraph(graph.renamed(labels), key)
     if _kernels.BACKEND == "c":
         rounds = _kernels.is_run(g, d, thin_probability,
-                                 PERSISTENCE_FRACTION, DEGREE_CAP)
+                                 PERSISTENCE_FRACTION)
     else:
         rounds = _drive(g, d, thin_probability)
-    vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8) == IN)
-    return IsRunResult(vertices=vertices.tolist(), n=graph.n, d=d, seed=seed,
+    vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8)[labels] == IN)
+    return IsRunResult(vertices=vertices.tolist(), n=graph.n, d=d,
                        rounds=rounds, contractions=g.contractions)
 
 

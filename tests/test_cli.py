@@ -562,30 +562,30 @@ def test_refine_explicit_ladder_json(capsys, tmp_path):
 # sha256 of the --witness file bytes at n = 2000; a change to the finite
 # algorithms that keeps their outputs must keep these
 WITNESS_SHA256 = {
-    ("is3", 0): "f5846feb3cc679fe563a9b9f40629b59"
-                "bf18abc807aa8d878d7312a8fe1220c1",
-    ("is3", 1): "1828fe59861a5d0ea693ac28bca89ee9"
-                "ad20202e2349e109c8ae5e51fcf3e3bc",
-    ("is4", 0): "091e22f0774e19479dde33895e098718"
-                "d2aae8f98eb0c042b14b061dd7b5e143",
-    ("is4", 1): "b40ce34fb5dd29313e0e4e517cadf395"
-                "4f9928c0228e42b724c569857eaced0d",
-    ("cut", 0): "4c3c9b6b54c1fbb58c69a2f4d9a58be2"
-                "c59655d49c0214a67c6539ca3b0c2099",
-    ("cut", 1): "2c912818b1b07b0291ad9839c0bb0063"
-                "05c235d34a1bb33b66ff676d11b2e818",
-    ("cut_q005", 0): "2305c38669dba65d8d6fd5ba58e410ce"
-                     "6bff54f7702981b5de1712cb05f551a2",
-    ("cut_q005", 1): "1cffe3f395cf50fb4c317a14e2e3801a"
-                     "de64638b53cd30ca6c7f616501b02497",
-    ("is3_t005", 0): "9c9ca9b142315974c7fbec79fa1d6d5c"
-                     "7acadff26b4d2abdd4f8456dbd6b71f7",
-    ("is3_t005", 1): "5dcb61bfb131b5403cab54146d923b5f"
-                     "92db0af606031853e5411a75c5ab2eec",
-    ("is4_t005", 0): "94e884f55d61a8ffb9f94d261e420481"
-                     "b810ae7881b2a7e030d9a0d3e6581a22",
-    ("is4_t005", 1): "c309e668580fb56e68dca02d785f6c7f"
-                     "eda78f5605fde676505d318aa5dda0db",
+    ("is3", 0): "80e0877d30b0ddc9bd5cc341df6a1535"
+                "6e37ddb386752dc8d46e680f556868d6",
+    ("is3", 1): "9240d9c6cd01a40ed7a3aa9a2bc18e6b"
+                "a5a0aef1a45fcd7cfc4b4eab2b2afda9",
+    ("is4", 0): "48dd4dcc2136b431f64908dd20e34399"
+                "16f64bd9de87027af2bfbcd98c5e401b",
+    ("is4", 1): "b65434daf9a1d949ee3f815f31696b0e"
+                "4fe828c634ec8c65d09510960710616c",
+    ("cut", 0): "31ff4d812d872a710ad9fecf3d572a55"
+                "194b057798eb67b36865486c7e767055",
+    ("cut", 1): "40d96a8dacc6b742884df3d96092aa7e"
+                "aeb7e3659a4fe80484275b03bb792199",
+    ("cut_q005", 0): "34f2fe1c19cd1589e46986c6d2317b12"
+                     "4602e080b44666f885c717ce4acc0b8b",
+    ("cut_q005", 1): "0d127986794be02f228ec11cd1f6a34a"
+                     "69c5cd442bc6e2ca8919d8ef26e82ba7",
+    ("is3_t005", 0): "2db0b7f8c8921f47e636d4639efce23c"
+                     "b217993b69a2b3785a5bb1f128b1d382",
+    ("is3_t005", 1): "7840919f4b52490a01cb17144015bb05"
+                     "cd527d8ce76bb7c494bc0a1ea58ba12e",
+    ("is4_t005", 0): "6aa4c99c5a1af1e89d54ec791eedff05"
+                     "852ba927ed4b35eb86b0ec314a55a4d9",
+    ("is4_t005", 1): "8713fa19eed787f223b6120c72fe7a55"
+                     "f12b3125267af5f68d9d72a7e4bca61e",
 }
 # cut_q005 is the query-starved regime: over 100 bootstraps per run at
 # n = 2000, against about 20 at the default query probability; is3_t005
@@ -672,18 +672,18 @@ REPORT_SHA256 = {  # name: (json, stdout)
                     "d41b12a23e4b6860bcc3ec53839c8dee",
                     "0a27b898dc78c750390ebbaf85aa942e"
                     "43fd9e3349bdbcd090bd2db792618e01"),
-    "simulate_is3": ("8009b3149492924634a0a7a2c6664474"
-                     "79dc1dadffc6340f1a7e5e3eb2c36b22",
-                     "b43b8a54202b07006b3b4435bdbfa961"
-                     "41346eb1dc3fe4d944bf84da9ef3aaf5"),
-    "simulate_cut": ("9d0dc1e21104092212734eab48a18503"
-                     "557be885f44377d482c5a0c6e8126e8b",
-                     "213295c9452e8033732a37cdcc8bd606"
-                     "135bddd67f812efeffbbac81b59ed161"),
-    "simulate_cut_seeds2": ("28099d75bcd34e08822a66ae60589526"
-                            "1826f493288a07b0e7e5f45a099eec43",
-                            "49ce7f65acadea5fc3ab42664f7fef20"
-                            "f45b6c84d1503ff3ed45c94f723c8147"),
+    "simulate_is3": ("84cd5d83269f39714274683895f7db39"
+                     "f93af2936e7a07964cdaf0ae1c703e17",
+                     "24eba4cdd970d21685737759c96b520a"
+                     "dde43eff00448a4c8a0520adb85110fc"),
+    "simulate_cut": ("9298007d86a397b295cef7b84b8a87d8"
+                     "694046a28c7dfe7adb8ad4d7db4fd3cd",
+                     "f4d5b587857fe952c5ab0a6f3dc704a5"
+                     "1778dfefbc99996432b3f0d8f88e2d3a"),
+    "simulate_cut_seeds2": ("9e158bb5a1388d6110db6abc46f1de6f"
+                            "44d37eae5de004dfdd434a8693847046",
+                            "fd92625df559bfc6084227e268628301"
+                            "2ee2b0cccbc3d3c3ce7406fa31a03712"),
 }
 
 

@@ -137,6 +137,55 @@ def test_a_relabelled_graph_keeps_each_neighbour_list_in_order():
                    for v in range(graph.n))
 
 
+def renamed_graphs() -> list:
+    """Regular graphs with loops and parallel edges, generated cubic and
+    quartic ones, and the empty graph."""
+    from test_cut_local_algorithm import MULTIGRAPHS
+    return [load_edge_list(text) for text in (LOOP_CHAIN, "0 0\n",
+                                              *MULTIGRAPHS.values())] \
+        + [generate(n, d, seed=n) for d in (3, 4) for n in (2, 300, 2001)
+           if n * d % 2 == 0]
+
+
+def test_renamed_is_the_stable_regroup():
+    # a regular graph renamed by a permutation is the validated, stably
+    # regrouped relabelled graph, array for array; it shares the owners
+    # and blocks, and is as read-only as any graph
+    rng = np.random.default_rng(3)
+    for graph in renamed_graphs():
+        pi = rng.permutation(graph.n).astype(np.int32)
+        got, want = graph.renamed(pi), relabelled(graph, pi)
+        assert got.n == want.n
+        for name in ("owner", "pair", "_indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.int32 and np.array_equal(a, b), name
+            assert not a.flags.writeable, name
+        assert got.owner is graph.owner and got._indptr is graph._indptr
+        assert np.array_equal(graph.pair, relabelled(graph, pi).renamed(
+            np.argsort(pi).astype(np.int32)).pair)
+
+
+def test_renaming_a_relabelled_graph_with_its_labels_carried_is_one_graph():
+    # vertex pi[v] of the relabelled graph, labelled as v, is renamed to
+    # v's label with v's half-edges in v's order: the renamed graph does
+    # not depend on the ids the graph came with
+    rng = np.random.default_rng(4)
+    for graph in renamed_graphs():
+        pi = rng.permutation(graph.n)
+        labels = rng.permutation(graph.n).astype(np.int32)
+        carried = np.empty_like(labels)
+        carried[pi] = labels
+        assert np.array_equal(relabelled(graph, pi).renamed(carried).pair,
+                              graph.renamed(labels).pair)
+
+
+def test_only_a_regular_graph_is_renamed():
+    for text in ("3 2\n0 1\n1 2\n", "4 5\n0 1\n1 2\n2 3\n3 0\n0 2\n"):
+        graph = load_edge_list(text)
+        with pytest.raises(ValueError, match="regular"):
+            graph.renamed(np.arange(graph.n, dtype=np.int32))
+
+
 def test_pairing_must_be_involution():
     with pytest.raises(ValueError):
         Multigraph(n=2, owner=np.array([0, 0, 1, 1]),

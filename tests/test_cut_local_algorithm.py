@@ -18,7 +18,7 @@ from girthlocal.cut_local_algorithm import (
 )
 from girthlocal.exact_oracle import from_multigraph, max_cut
 from test_config_model import relabelled
-from test_is_local_algorithm import last_draws
+from test_is_local_algorithm import carried_labels, last_draws
 
 K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
@@ -35,7 +35,7 @@ def test_rejects_bad_parameters():
 
 
 def test_commit_labels_neighbors_and_banks_edges():
-    p = CutProcess(load_edge_list(K4), seed=0)
+    p = CutProcess(load_edge_list(K4), key=0)
     p.commit(0, RED)
     # no neighbor was labeled yet, so nothing banked; all three got a red mark
     assert p.good == 0 and p.bad == 0
@@ -49,7 +49,7 @@ def test_commit_labels_neighbors_and_banks_edges():
 def test_tie_cascade_on_complete_graph_reaches_max_cut():
     # after red/green commits the two remaining vertices hold one mark of
     # each color; the cascade whitens one and majority-commits the other
-    p = CutProcess(load_edge_list(K4), seed=0)
+    p = CutProcess(load_edge_list(K4), key=0)
     p.commit(0, RED)
     p.commit(1, GREEN)
     p.closure()
@@ -60,7 +60,7 @@ def test_tie_cascade_on_complete_graph_reaches_max_cut():
 
 
 def test_pending_walk_resolves_every_chain_end():
-    p = CutProcess(generate(12, 3, seed=0), seed=0)
+    p = CutProcess(generate(12, 3, seed=0), key=0)
     p.f[0] = GREEN  # a committed vertex
     # vertex: (target, bit, age); f[v] = f[target] ^ bit, target -1: f = bit
     pending = {
@@ -86,14 +86,14 @@ def test_pending_walk_resolves_every_chain_end():
 
 def test_pending_walk_rejects_an_unconstrained_target():
     # every uncolored target has a constraint of its own after the endgame
-    p = CutProcess(generate(12, 3, seed=0), seed=0)
+    p = CutProcess(generate(12, 3, seed=0), key=0)
     p.pending[7] = (8, 1, False)
     with pytest.raises(AssertionError, match="no constraint"):
         p._resolve_pending()
 
 
 def test_re_pend_and_re_point_keep_the_pending_age():
-    p = CutProcess(generate(12, 3, seed=0), seed=0)
+    p = CutProcess(generate(12, 3, seed=0), key=0)
     a, b = 4, 7
     p._set_pending(a, -1, 0, free=True)
     p._set_pending(b, -1, 1, free=True)
@@ -104,7 +104,7 @@ def test_re_pend_and_re_point_keep_the_pending_age():
 
 
 def test_queries_grow_paths_and_triples_reduce():
-    p = CutProcess(load_edge_list(K4), seed=0)
+    p = CutProcess(load_edge_list(K4), key=0)
     p.commit(0, RED)
     p.query(1)
     assert p.path[1] == [(2, 0)] and p.path[2] == [(1, 0)]
@@ -269,27 +269,27 @@ def test_survival_components_stay_simple_paths(q):
     for name, text in MULTIGRAPHS.items():
         for seed in range(3):
             assert drive_checking(load_edge_list(text), check_paths,
-                                  seed=seed, query_probability=q) >= 1, name
+                                  key=seed, query_probability=q) >= 1, name
     for n in (10, 64, 300):
         for seed in range(3):
             assert drive_checking(generate(n, 3, seed=seed), check_paths,
-                                  seed=seed, query_probability=q) >= 1
+                                  key=seed, query_probability=q) >= 1
 
 
 @pytest.mark.parametrize("q", [0.0, 0.005, 0.02, 0.3, 1.0])
 def test_closure_leaves_no_label_decision_open(q):
     # why the lone scans need not test the white and deferred counters
     for name, text in MULTIGRAPHS.items():
-        assert drive_checking(load_edge_list(text), check_closed, seed=0,
+        assert drive_checking(load_edge_list(text), check_closed, key=0,
                               query_probability=q) >= 1, name
     for n in (8, 64, 300, 2000):
         for seed in range(3):
             assert drive_checking(generate(n, 3, seed=seed), check_closed,
-                                  seed=seed, query_probability=q) >= 1
+                                  key=seed, query_probability=q) >= 1
 
 
 def hand_built_triangle():
-    p = CutProcess(generate(12, 3, seed=0), seed=0)
+    p = CutProcess(generate(12, 3, seed=0), key=0)
     for x, y in ((0, 1), (1, 2)):
         p._add_path_slot(x, y, 0)
         p._add_path_slot(y, x, 0)
@@ -342,7 +342,7 @@ def test_c_engine_matches_python_methods(monkeypatch, n):
 
 
 def python_run(graph, seed, q):
-    return outputs_of(CutProcess(graph, seed=seed,
+    return outputs_of(CutProcess(graph, key=seed,
                                  query_probability=q).run())
 
 
@@ -381,7 +381,7 @@ def reductions_leaving_a_lone(graph, seed):
     lone: a labelled path end that loses its only path edge.  No label
     arrives there, so the lone list learns of s1 only through the path
     slot that goes."""
-    p = CutProcess(graph, seed=seed)
+    p = CutProcess(graph, key=seed)
     reduce_rrr, count = p.reduce_rrr, 0
 
     def counted(s1, s2, s3):
@@ -395,7 +395,7 @@ def reductions_leaving_a_lone(graph, seed):
 
 
 # a run at n = 302 with a reduction that leaves its s1 lone (rare: the
-# runs at n = 302 and seeds 0-11 reach 0 to 3 of them, 8 in all)
+# runs at n = 302 and keys 0-11 reach 0 to 2 of them, 13 in all)
 LONE_BY_REDUCTION = (302, 2)
 
 
@@ -426,7 +426,7 @@ def test_c_lone_scan_on_an_engine_opened_mid_run():
     nbrs = graph.neighbor_lists()
     runs = []
     for finish in ("one call", "python"):
-        p = CutProcess(graph, seed=4)
+        p = CutProcess(graph, key=4)
         near = set()
         for v in range(0, graph.n, 23):
             ball = {v, *nbrs[v], *(w for u in nbrs[v] for w in nbrs[u])}
@@ -448,33 +448,38 @@ def test_c_lone_scan_on_an_engine_opened_mid_run():
 @compiled
 @pytest.mark.parametrize("q", [0.0, 0.005, 0.02, 1.0])
 def test_backends_leave_the_generator_in_one_state(monkeypatch, q):
-    # the run's only draws from its numpy Generator are its key and
-    # labels, at set-up; both backends read them and leave them as drawn,
-    # and draw every pick from them alike.  The rounds have no cap: one
-    # that leaves the survival count unchanged is followed by a bootstrap,
-    # which commits two of the more than ENDGAME_FLOOR survival vertices,
-    # so the count falls every round (recorded on the Python rounds, which
-    # the one-call C run must then match round for round).  At q = 0 no
-    # round queries, and every round takes that path
-    starts = []
+    # a run's only draws from its numpy Generator are its key and labels,
+    # drawn once by run_labels before the process is built; both backends
+    # draw every pick from the key and the renamed ids alike.  The rounds
+    # have no cap: one that leaves the survival count unchanged is followed
+    # by a bootstrap, which commits two of the more than ENDGAME_FLOOR
+    # survival vertices, so the count falls every round (recorded on the
+    # Python rounds, which the one-call C run must then match round for
+    # round).  At q = 0 no round queries, and every round takes that path
+    starts, drawn = [], []
     query_round = CutProcess.query_round
+    run_labels = _kernels.run_labels
 
     def recorded(p):
         starts.append(p.survival)
         query_round(p)
 
+    def labelled(n, seed):
+        drawn.append((n, seed))
+        return run_labels(n, seed)
+
     monkeypatch.setattr(CutProcess, "query_round", recorded)
+    monkeypatch.setattr(_kernels, "run_labels", labelled)
     for seed in range(3):
         graph = generate(2000, 3, seed=seed)
-        key, labels = _kernels.run_labels(graph.n, seed)
         ends = []
         for backend in ("python", "c"):
             monkeypatch.setattr(_kernels, "BACKEND", backend)
             starts.clear()
-            p = CutProcess(graph, seed=seed, query_probability=q)
-            r = p.run()
+            drawn.clear()
+            r = run_cut(graph, seed=seed, query_probability=q)
             ends.append((r.colors.tobytes(), r.good, r.bad, r.rounds))
-            assert p.key == key and np.array_equal(p.labels, labels)
+            assert drawn == [(graph.n, seed)]
             if backend == "python":
                 assert 0 < len(starts) == r.rounds <= graph.n // 2
                 assert all(a > b for a, b in zip(starts, starts[1:]))
@@ -513,7 +518,7 @@ def replayed_bootstraps(graph, seed, q):
     int(u2 * (m - 1)) of the m - 1 others.  Each replayed pair must be the
     one the run committed; returns how many greens ranked below red and
     how many above."""
-    p = CutProcess(graph, seed=seed, query_probability=q)
+    p = CutProcess(graph, key=seed, query_probability=q)
     bootstrap = p._bootstrap
     sides = [0, 0]
 
@@ -557,7 +562,7 @@ def test_the_largest_draws_pair_the_last_two_survivors(monkeypatch, n):
     # query probability, so every round stalls and is followed by a pair
     graph = load_edge_list(MULTIGRAPHS["triple_edge"]) if n == 2 \
         else generate(n, 3, seed=0)
-    p = CutProcess(graph, seed=0)
+    p = CutProcess(graph, key=0)
     monkeypatch.setattr(_kernels, "draw", last_draws)
     bootstrap = p._bootstrap
     sizes = []
@@ -573,22 +578,20 @@ def test_the_largest_draws_pair_the_last_two_survivors(monkeypatch, n):
     assert sizes[0] == n and (len(sizes) > 1 or n == 2)
 
 
-# -- relabelling: the draws follow the labels, not the ids --------------------
+# -- relabelling: a whole run is a function of the labelled graph -----------
 
-def carried(p: CutProcess, pi, **options) -> CutProcess:
-    """A fresh process on p's graph relabelled by the permutation pi, under
-    p's key, each vertex v carrying its label to pi[v]."""
-    h = CutProcess(relabelled(p.graph, pi), **options)
-    h.key = p.key
-    h.labels[pi] = p.labels
-    return h
+def process_of(graph, seed, q) -> tuple:
+    """The process that ``run_cut`` builds for a run of the seed on the
+    graph, which it renames by the run's labels, and the labels."""
+    key, labels = _kernels.run_labels(graph.n, seed)
+    return CutProcess(graph.renamed(labels), key, q), labels
 
 
-def queried_in_one_round(p: CutProcess, centres, colour) -> set:
+def queried_in_one_round(p: CutProcess, centres, colours) -> set:
     """The vertices that one query round of p queries, after each centre
-    commits colour[centre]: their neighbours are the lone vertices."""
-    for v in centres:
-        p.commit(int(v), int(colour[v]))
+    commits its colour: their neighbours are the lone vertices."""
+    for v, colour in zip(centres.tolist(), colours.tolist()):
+        p.commit(v, colour)
     p.closure()
     queried, query = set(), p.query
 
@@ -602,9 +605,10 @@ def queried_in_one_round(p: CutProcess, centres, colour) -> set:
 
 
 def test_a_round_s_marks_commute_with_relabelling():
-    # the query marks are a function of the labels alone: with the same
-    # lone vertices, relabelled by pi and carrying their labels, a round
-    # queries the images of the vertices it queries on the original
+    # the query marks are a function of the labels alone: on the graph
+    # relabelled by pi, carrying its labels, with the images of the same
+    # centres committed, a round of the process that run_cut builds
+    # queries the vertices of the labels it queries on the original
     graph = generate(2000, 3, seed=4)
     nbrs = graph.neighbor_lists()
     centres, near = [], set()
@@ -613,38 +617,62 @@ def test_a_round_s_marks_commute_with_relabelling():
         if near.isdisjoint(ball):
             centres.append(v)
             near |= ball
-    colour = np.arange(graph.n) % 2
+    centres = np.array(centres)
+    colours = centres % 2
     for seed in range(3):
-        p = CutProcess(graph, seed=seed, query_probability=0.3)
         pi = np.random.default_rng(seed).permutation(graph.n)
-        h = carried(p, pi, query_probability=0.3)
-        queried = queried_in_one_round(p, centres, colour)
+        p, labels = process_of(graph, seed, 0.3)
+        with carried_labels(pi):
+            h, moved = process_of(relabelled(graph, pi), seed, 0.3)
+        queried = queried_in_one_round(p, labels[centres], colours)
         assert p.lones().shape[0] > 200 and len(queried) > 50
-        moved = np.empty_like(colour)
-        moved[pi] = colour
-        assert queried_in_one_round(h, pi[centres], moved) == \
-            {int(pi[v]) for v in queried}
+        assert queried_in_one_round(h, moved[pi[centres]], colours) == \
+            queried
 
 
 def relabelled_run_difference(graph, seed, pi) -> float:
     """The fraction of vertices whose colour in a whole run differs from
     their image's in the run on the graph relabelled by pi with the labels
     carried along: how much the run depends on the ids."""
-    p = CutProcess(graph, seed=seed)
-    h = carried(p, pi)
-    return float(np.mean(h.run().colors[pi] != p.run().colors))
+    colours = run_cut(graph, seed=seed).colors
+    with carried_labels(pi):
+        moved = run_cut(relabelled(graph, pi), seed=seed).colors
+    return float(np.mean(moved[pi] != colours))
 
 
 def test_relabelling_by_the_identity_changes_no_colour():
     graph = generate(2000, 3, seed=0)
     assert relabelled_run_difference(graph, 0, np.arange(graph.n)) == 0
-    assert 0 < relabelled_run_difference(
-        graph, 0, np.random.default_rng(0).permutation(graph.n)) < 1
+
+
+@compiled
+def test_whole_runs_commute_with_relabelling():
+    # the run renames each vertex by its label, so a relabelled graph with
+    # its labels carried along is run as the same graph: not one colour
+    # moves, under three permutations and two seeds
+    graph = generate(20_000, 3, seed=5)
+    for i in range(3):
+        pi = np.random.default_rng(100 + i).permutation(graph.n)
+        for seed in range(2):
+            assert relabelled_run_difference(graph, seed, pi) == 0
+
+
+def test_whole_runs_commute_with_relabelling_on_the_python_path(
+        monkeypatch):
+    # the same on the Python methods, whose runs are the C engine's
+    graph = generate(3000, 3, seed=5)
+    pi = np.random.default_rng(7).permutation(graph.n)
+    runs = []
+    for backend in dict.fromkeys(("python", _kernels.BACKEND)):
+        monkeypatch.setattr(_kernels, "BACKEND", backend)
+        assert relabelled_run_difference(graph, 1, pi) == 0
+        runs.append(outputs(graph, seed=1))
+    assert runs[0] == runs[-1]
 
 
 @compiled
 def test_c_run_builds_no_per_vertex_lists():
-    p = CutProcess(generate(64, 3, seed=0), seed=0)
+    p = CutProcess(generate(64, 3, seed=0), key=0)
     p.run()
     assert "slots" not in vars(p) and "path" not in vars(p)
     assert not p.pending and not p.deferred
@@ -655,7 +683,7 @@ def failed_run(graph, v, in_c):
     of a process whose vertex v was marked committed before the run, which
     fails when the run reveals an edge to v; returns what the failed run
     leaves: the shared buffers and the counters."""
-    p = CutProcess(graph, seed=0)
+    p = CutProcess(graph, key=0)
     p.status[v] = 1
     p.survival -= 1
     with pytest.raises(AssertionError):
@@ -672,7 +700,7 @@ def failed_run(graph, v, in_c):
 def test_c_engine_checks_its_calls():
     # a broken invariant (here: a vertex marked committed that still holds
     # its open slots) surfaces as the Python methods' assertion
-    p = CutProcess(generate(10, 3, seed=0), seed=0)
+    p = CutProcess(generate(10, 3, seed=0), key=0)
     p.status[0] = 1
     p.survival -= 1
     with pytest.raises(AssertionError):

@@ -1,5 +1,6 @@
 """Contraction bookkeeping, cascade behavior, and full independent-set runs."""
 import collections
+import contextlib
 import copy
 
 import numpy as np
@@ -429,15 +430,15 @@ def run_on(g, d, thin_probability, in_c) -> int:
     ``_kernels.is_run`` call or ``_drive``; returns its rounds."""
     if in_c:
         return _kernels.is_run(g, d, thin_probability,
-                               PERSISTENCE_FRACTION, DEGREE_CAP)
+                               PERSISTENCE_FRACTION)
     return _drive(g, d, thin_probability)
 
 
-def whole_run(graph, d, seed, thin_probability, in_c):
-    """A whole run on one backend, which leaves no survivor; returns the
-    decisions, degrees (frozen at death) and degree histogram it leaves,
-    and its contractions and rounds."""
-    g = SurvivalGraph(graph, seed)
+def whole_run(graph, d, key, thin_probability, in_c):
+    """A whole run on one backend, under the key, which leaves no survivor;
+    returns the decisions, degrees (frozen at death) and degree histogram
+    it leaves, and its contractions and rounds."""
+    g = SurvivalGraph(graph, key)
     rounds = run_on(g, d, thin_probability, in_c)
     assert g.survival_count == 0 and not any(g.alive)
     return (bytes(g.status), g.deg.tobytes(), g.counts.tobytes(),
@@ -446,12 +447,12 @@ def whole_run(graph, d, seed, thin_probability, in_c):
 
 def runs_agree(graph) -> None:
     """Whole runs in C and on the Python methods leave the same state, at
-    d in {3, 4}, thin probabilities 0, 0.02 and 1, and seeds 0-2."""
+    d in {3, 4}, thin probabilities 0, 0.02 and 1, and keys 0-2."""
     for d in (3, 4):
         for t in (0.0, 0.02, 1.0):
-            for seed in range(3):
-                assert whole_run(graph, d, seed, t, True) \
-                    == whole_run(graph, d, seed, t, False), (d, t, seed)
+            for key in range(3):
+                assert whole_run(graph, d, key, t, True) \
+                    == whole_run(graph, d, key, t, False), (d, t, key)
 
 
 @compiled
@@ -516,36 +517,41 @@ def test_c_run_builds_no_per_vertex_lists():
 @pytest.mark.parametrize("d", [3, 4])
 @pytest.mark.parametrize("t", [0.0, 0.005, 0.02, 1.0])
 def test_backends_leave_the_generator_in_one_state(monkeypatch, d, t):
-    # the run's only draws from its numpy Generator are its key and
-    # labels, at set-up; both backends read them and leave them as drawn,
-    # and draw every pick from them alike.  The rounds have no cap: one
-    # that removes nothing is followed by a forced deletion, so the
-    # survival count that each round's class pick reads falls every round,
-    # and a run ends within n rounds (recorded on the Python ladder, which
-    # the C run must then match round for round).  At t = 0 a thinning
-    # round marks nothing and takes that path; at 0.005 and 0.02 forced
-    # deletions fall between rounds that mark
-    starts = []
+    # a run's only draws from its numpy Generator are its key and labels,
+    # drawn once by run_labels before the process is built; both backends
+    # draw every pick from the key and the renamed ids alike.  The rounds
+    # have no cap: one that removes nothing is followed by a forced
+    # deletion, so the survival count that each round's class pick reads
+    # falls every round, and a run ends within n rounds (recorded on the
+    # Python ladder, which the C run must then match round for round).  At
+    # t = 0 a thinning round marks nothing and takes that path; at 0.005
+    # and 0.02 forced deletions fall between rounds that mark
+    starts, drawn = [], []
     top_persistent = is_local_algorithm._top_persistent
+    run_labels = _kernels.run_labels
 
     def recorded(counts, survival, *rest):
         starts.append(survival)
         return top_persistent(counts, survival, *rest)
 
+    def labelled(n, seed):
+        drawn.append((n, seed))
+        return run_labels(n, seed)
+
     monkeypatch.setattr(is_local_algorithm, "_top_persistent", recorded)
+    monkeypatch.setattr(_kernels, "run_labels", labelled)
     for seed in range(3):
         graph = generate(2000, d, seed=seed)
-        key, labels = _kernels.run_labels(graph.n, seed)
         ends = []
-        for in_c in (False, True):
+        for backend in ("python", "c"):
+            monkeypatch.setattr(_kernels, "BACKEND", backend)
             starts.clear()
-            g = SurvivalGraph(graph, seed)
-            rounds = run_on(g, d, t, in_c)
-            ends.append((bytes(g.status), g.deg.tobytes(),
-                         g.counts.tobytes(), g.contractions, rounds))
-            assert g.key == key and np.array_equal(g.labels, labels)
-            if not in_c:
-                assert 0 < len(starts) == rounds <= graph.n
+            drawn.clear()
+            r = run(graph, d, seed=seed, thin_probability=t)
+            ends.append((r.vertices, r.contractions, r.rounds))
+            assert drawn == [(graph.n, seed)]
+            if backend == "python":
+                assert 0 < len(starts) == r.rounds <= graph.n
                 assert all(a > b for a, b in zip(starts, starts[1:]))
         assert starts == []  # C ran every round
         assert ends[0] == ends[1]
@@ -566,14 +572,14 @@ class RecordedDraws:
     def sizes(self) -> list:
         return [len(members) for members in self.classes]
 
-    def __call__(self, key, t, purpose, labels=None):
-        if labels is None:
+    def __call__(self, key, t, purpose, ids=None):
+        if ids is None:
             top = max(k for k, c in enumerate(self.g.counts) if c)
             self.classes.append(self.g.scan(top, top).tolist())
             self.draws.append(("forced", len(self.classes[-1])))
         else:
-            self.draws.append(("marks", labels.shape[0]))
-        return self.draw(key, t, purpose, labels)
+            self.draws.append(("marks", ids.shape[0]))
+        return self.draw(key, t, purpose, ids)
 
 
 # 65 (d = 4) and 66 straddle a 64-bit word of the engine's bit sets
@@ -583,17 +589,19 @@ class RecordedDraws:
 def test_forced_deletions_draw_as_rng_choice(monkeypatch, n, d):
     # at t = 0 every thinning of a persistent class stalls, so forced
     # deletions come often: the C pick (one draw, also for a one-member
-    # class) must take the member that the Python ladder's pick takes
+    # class) must take the member that the Python ladder's pick takes.
+    # The keys are those that runs of the seeds draw
     sizes = []
     for seed in range(8):
         graph = generate(n, d, seed=seed)
-        python = SurvivalGraph(graph, seed)
+        key, _ = _kernels.run_labels(n, seed)
+        python = SurvivalGraph(graph, key)
         recorded = RecordedDraws(python)
         with monkeypatch.context() as m:
             m.setattr(_kernels, "draw", recorded)
             rounds = _drive(python, d, 0.0)
         sizes += recorded.sizes
-        g = SurvivalGraph(graph, seed)
+        g = SurvivalGraph(graph, key)
         assert run_on(g, d, 0.0, True) == rounds, seed
         assert bytes(g.status) == bytes(python.status), seed
     # both kinds of forced pick ran: from one member and from several
@@ -627,9 +635,9 @@ def test_a_round_with_nothing_to_thin_or_probe_draws_nothing(monkeypatch, d):
 U_MAX = float(np.nextafter(1.0, 0.0))
 
 
-def last_draws(key, t, purpose, labels=None):
+def last_draws(key, t, purpose, ids=None):
     """A stub of ``_kernels.draw`` whose every draw is U_MAX."""
-    return U_MAX if labels is None else np.full(labels.shape[0], U_MAX)
+    return U_MAX if ids is None else np.full(ids.shape[0], U_MAX)
 
 
 @pytest.mark.parametrize("n, d", [(n, d) for d in (3, 4)
@@ -658,55 +666,100 @@ def test_the_largest_draw_forces_the_last_member_of_its_class(
     assert recorded.sizes[0] == n and len(recorded.sizes) > 1
 
 
-# -- relabelling: the draws follow the labels, not the ids --------------------
+# -- relabelling: a whole run is a function of the labelled graph -----------
 
-def carried(g: SurvivalGraph, pi) -> SurvivalGraph:
-    """A fresh survival graph on g's graph relabelled by the permutation
-    pi, under g's key, each vertex v carrying its label to pi[v]."""
-    h = SurvivalGraph(relabelled(g.graph, pi))
-    h.key = g.key
-    h.labels[pi] = g.labels
-    return h
+@contextlib.contextmanager
+def carried_labels(pi):
+    """Within: each run keeps the key it draws, and vertex pi[v] takes the
+    label that v draws, as if the graph's ids had been relabelled by pi
+    with the labels carried along."""
+    run_labels = _kernels.run_labels
+
+    def carried(n, seed):
+        key, labels = run_labels(n, seed)
+        moved = np.empty_like(labels)
+        moved[pi] = labels
+        return key, moved
+
+    _kernels.run_labels = carried
+    try:
+        yield
+    finally:
+        _kernels.run_labels = run_labels
+
+
+def survival_graph_of(graph, seed) -> tuple:
+    """The survival graph that ``run`` builds for a run of the seed on the
+    graph, which it renames by the run's labels, and the labels."""
+    key, labels = _kernels.run_labels(graph.n, seed)
+    return SurvivalGraph(graph.renamed(labels), key), labels
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_a_round_s_marks_commute_with_relabelling(d):
     # a thinning's marks are a function of the labels alone: on the graph
     # relabelled by pi, carrying its labels, the first thinning of class d
-    # deletes the images of the vertices it deletes on the original, and
-    # leaves each survivor's image its degree (a deleted vertex keeps the
-    # degree it died with, which depends on the order of the deletions)
+    # of the survival graph that run() builds deletes the images of the
+    # vertices it deletes on the original, in the same order, so each
+    # vertex's image is left with its degree, dead or alive
     for seed in range(3):
-        g = SurvivalGraph(generate(2000, d, seed=seed), seed)
-        pi = np.random.default_rng(seed).permutation(g.n)
-        h = carried(g, pi)
-        for graph in (g, h):
-            graph.thin(0, d, 0.1)
-        status = np.frombuffer(g.status, np.uint8)
+        graph = generate(2000, d, seed=seed)
+        pi = np.random.default_rng(seed).permutation(graph.n)
+        g, labels = survival_graph_of(graph, seed)
+        with carried_labels(pi):
+            h, moved = survival_graph_of(relabelled(graph, pi), seed)
+        for survival in (g, h):
+            survival.thin(0, d, 0.1)
+        status = np.frombuffer(g.status, np.uint8)[labels]
         assert 100 < np.count_nonzero(status == OUT) < 300
-        assert np.array_equal(np.frombuffer(h.status, np.uint8)[pi], status)
-        live = status == UNDECIDED
-        assert np.array_equal(np.frombuffer(h.deg, np.int64)[pi][live],
-                              np.frombuffer(g.deg, np.int64)[live])
+        assert np.array_equal(
+            np.frombuffer(h.status, np.uint8)[moved][pi], status)
+        assert np.array_equal(np.frombuffer(h.deg, np.int64)[moved][pi],
+                              np.frombuffer(g.deg, np.int64)[labels])
 
 
 def relabelled_run_difference(graph, d, seed, pi) -> float:
     """The fraction of vertices whose decision in a whole run differs from
     the decision of their image in the run on the graph relabelled by pi
     with the labels carried along: how much the run depends on the ids."""
-    g = SurvivalGraph(graph, seed)
-    h = carried(g, pi)
-    for survival in (g, h):
-        run_on(survival, d, THIN_PROBABILITY, _kernels.BACKEND == "c")
-    return float(np.mean(np.frombuffer(h.status, np.uint8)[pi]
-                         != np.frombuffer(g.status, np.uint8)))
+    chosen = np.zeros((2, graph.n), dtype=bool)
+    chosen[0, run(graph, d, seed=seed).vertices] = True
+    with carried_labels(pi):
+        chosen[1, run(relabelled(graph, pi), d, seed=seed).vertices] = True
+    return float(np.mean(chosen[1, pi] != chosen[0]))
 
 
 def test_relabelling_by_the_identity_changes_no_decision():
     graph = generate(2000, 3, seed=0)
     assert relabelled_run_difference(graph, 3, 0, np.arange(graph.n)) == 0
-    assert 0 < relabelled_run_difference(
-        graph, 3, 0, np.random.default_rng(0).permutation(graph.n)) < 1
+
+
+@compiled
+@pytest.mark.parametrize("d", [3, 4])
+def test_whole_runs_commute_with_relabelling(d):
+    # the run renames each vertex by its label, so a relabelled graph with
+    # its labels carried along is run as the same graph: not one decision
+    # moves, under three permutations and two seeds
+    graph = generate(20_000, d, seed=d)
+    for i in range(3):
+        pi = np.random.default_rng(100 + i).permutation(graph.n)
+        for seed in range(2):
+            assert relabelled_run_difference(graph, d, seed, pi) == 0
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_whole_runs_commute_with_relabelling_on_the_python_path(
+        monkeypatch, d):
+    # the same on the Python methods, whose runs are the C engine's
+    graph = generate(3000, d, seed=d)
+    pi = np.random.default_rng(7).permutation(graph.n)
+    outputs = []
+    for backend in dict.fromkeys(("python", _kernels.BACKEND)):
+        monkeypatch.setattr(_kernels, "BACKEND", backend)
+        assert relabelled_run_difference(graph, d, 1, pi) == 0
+        r = run(graph, d, seed=1)
+        outputs.append((r.vertices, r.rounds, r.contractions))
+    assert outputs[0] == outputs[-1]
 
 
 # the no-correction is3 evolution's final at step 1e-7 (test_acceptance
@@ -834,9 +887,5 @@ def test_c_engine_checks_its_calls():
     g = SurvivalGraph(load_edge_list(K4))
     for d in (-1, len(g.counts)):
         with pytest.raises(IndexError):
-            _kernels.is_run(g, d, 0.5, 0.5, DEGREE_CAP)
-    # and so is a label array of another length than the graph's
-    g.labels = g.labels[:3]
-    with pytest.raises(ValueError):
-        _kernels.is_run(g, 3, 0.5, 0.5, DEGREE_CAP)
+            _kernels.is_run(g, d, 0.5, 0.5)
     assert g.survival_count == 4 and decided(g, UNDECIDED) == [0, 1, 2, 3]

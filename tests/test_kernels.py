@@ -280,17 +280,17 @@ def loaded_graph_digest(in_c: bool) -> str:
     cut_graphs = [load_edge_list(text) for text in MULTIGRAPHS.values()] \
         + [reloaded(n, 3, s) for n in sizes for s in range(3)]
     for graph in cut_graphs:
-        for seed in range(2):
+        for key in range(2):
             for q in (0.0, 0.005, 0.02, 1.0):
-                out.append(cut_outputs(graph, seed, q))
+                out.append(cut_outputs(graph, key, q))
     is_graphs = [(d, load_edge_list(text)) for d, text in REGULAR.values()] \
         + [(d, load_edge_list(OVER_CAP)) for d in (3, 4)] \
         + [(d, reloaded(n, d, s)) for d in (3, 4) for n in sizes
            for s in range(3)]
     for d, graph in is_graphs:
-        for seed in range(2):
+        for key in range(2):
             for t in (0.0, 0.02, 1.0):
-                out.append(whole_run(graph, d, seed, t, in_c))
+                out.append(whole_run(graph, d, key, t, in_c))
     return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
@@ -299,7 +299,7 @@ def loaded_graph_digest(in_c: bool) -> str:
 # renumbering that moved a half-edge within or out of its vertex's order
 # would change the outputs
 LOADED_GRAPH_DIGEST = \
-    "8d60a2a56ea40e7b023dc4b08e658a08f244ef61c3b3ee323323744fe016c8cc"
+    "b5ca91aab01192ae3e7dd4d43b4b92ab4421f0bf69d61062cf1e7bc09c5020ce"
 
 
 @pytest.mark.parametrize("backend", ["c", "python"])
@@ -318,10 +318,10 @@ def test_runs_on_loaded_graphs_match_their_pin(monkeypatch, backend):
 # renumbered by Multigraph) reach the engine's chains over loaded graphs,
 # whole independent-set runs on OVER_CAP and the two staircases of
 # test_is_local_algorithm reach the neighbour pool's relocation, the
-# over-cap deletion and scans of more than 64 classes, each engine runs
-# once on a relabelled graph with its labels carried along (the
-# relabelling fractions of its test module), and the FAILED_RUNS below
-# take each engine's failure exit
+# over-cap deletion and scans of more than 64 classes, whole runs through
+# each entry point on a relabelled graph with its labels carried along
+# must commute with the relabelling, and the FAILED_RUNS below take each
+# engine's failure exit
 SANITIZED_RUNS = """
 import sys
 from pathlib import Path
@@ -337,8 +337,8 @@ from test_kernels import FAILED_RUNS, failed_run
 
 LOADED = ("triple_edge", "loop_chain", "double_square", "loops_and_k4")
 
-def cut(graph, seed, q):
-    r = CutProcess(graph, seed=seed, query_probability=q).run()
+def cut(graph, key, q):
+    r = CutProcess(graph, key=key, query_probability=q).run()
     return r.colors.tobytes(), r.good, r.bad, r.rounds
 
 def outputs():
@@ -360,11 +360,11 @@ def outputs():
             for t in (0.0, 0.02, 1.0):
                 out.append(whole_run(graph, d, 0, t, True))
     pi = np.random.default_rng(0).permutation(2000)
-    out.append(cut_tests.relabelled_run_difference(
-        generate(2000, 3, seed=2), 2, pi))
+    assert cut_tests.relabelled_run_difference(
+        generate(2000, 3, seed=2), 2, pi) == 0
     for d in (3, 4):
-        out.append(is_tests.relabelled_run_difference(
-            generate(2000, d, seed=1), d, 1, pi))
+        assert is_tests.relabelled_run_difference(
+            generate(2000, d, seed=1), d, 1, pi) == 0
     for case in FAILED_RUNS:
         out.append(failed_run(*case, True))
     return out
@@ -407,12 +407,13 @@ def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
 
 # a vertex decided (independent set) or committed (cut) before the run, on
 # a 3-regular graph: the run fails where it meets that vertex.  Each case is
-# (engine, n, graph seed, vertex).  The cut runs fail in a reveal, called
-# from a query (vertex 0 at n = 300, 7 at n = 2000), from a commit in
-# closure (1), a whitening (2), a bootstrap commit (5) and an endgame
-# commit (7 at n = 300)
-FAILED_RUNS = [("is", 300, 1, 5), ("is", 2000, 2, 17),
-               *(("cut", 300, 1, v) for v in (0, 1, 2, 5, 7)),
+# (engine, n, graph seed, vertex).  The independent-set runs fail when the
+# merge log is read, deciding a merge's z (vertex 5) or its y (18).  The cut
+# runs fail in a reveal, called from a round's query (vertex 7 at n = 300
+# and at n = 2000), from a bootstrap commit (1), an endgame commit (2), a
+# whitening (4) and a commit in closure (21)
+FAILED_RUNS = [("is", 300, 1, 5), ("is", 2000, 2, 18),
+               *(("cut", 300, 1, v) for v in (1, 2, 4, 7, 21)),
                ("cut", 2000, 2, 7)]
 
 
@@ -442,19 +443,17 @@ import resource
 from girthlocal import _kernels
 from girthlocal.config_model import generate
 from girthlocal.cut_local_algorithm import ENDGAME_FLOOR, CutProcess
-from girthlocal.is_local_algorithm import (
-    DEGREE_CAP, PERSISTENCE_FRACTION, SurvivalGraph)
+from girthlocal.is_local_algorithm import PERSISTENCE_FRACTION, SurvivalGraph
 
 graph = generate(2_000_000, 3, seed=0)
-proc = CutProcess(graph, seed=0)
+proc = CutProcess(graph, key=0)
 g = SurvivalGraph(graph, 0)
 with open("/proc/self/statm") as statm:
     size = int(statm.read().split()[0]) * resource.getpagesize()
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 resource.setrlimit(resource.RLIMIT_AS, (size + 16 * 2 ** 20, hard))
 for run in (lambda: _kernels.cut_run(proc, ENDGAME_FLOOR),
-            lambda: _kernels.is_run(g, 3, 0.02, PERSISTENCE_FRACTION,
-                                    DEGREE_CAP)):
+            lambda: _kernels.is_run(g, 3, 0.02, PERSISTENCE_FRACTION)):
     try:
         run()
     except MemoryError as err:
@@ -543,20 +542,25 @@ def calls_by_function(path) -> dict:
 
 
 def test_finite_runs_draw_from_their_labels_alone():
-    # one draw primitive in both backends, with no generator in a run: the
-    # C source names no numpy bit generator, and the two process modules
-    # reach numpy's Generator only through run_labels, at set-up (in
-    # SurvivalGraph.__init__ and CutProcess.__init__); their rounds call
-    # _kernels.draw
+    # one draw primitive in both backends, keyed on vertex ids, with no
+    # generator in a run: the C source names no numpy bit generator and no
+    # label array outside its comments, so the engines key every draw on
+    # an id; the two process modules reach numpy's Generator only through
+    # run_labels, in their whole-run entry points alone, which rename
+    # each vertex by its label; their rounds call _kernels.draw
     source = _kernels._SOURCE.read_text()
+    code = re.sub(r"/\*.*?\*/", "", source, flags=re.DOTALL)
     for name in ("bitgen", "next_double", "next_uint", "bit_generator"):
         assert name not in source, name
+    assert re.search(r"\blabels?\b", code) is None
     generator = {"default_rng", "Generator", "random", "integers",
                  "permutation", "choice", "bit_generator"}
-    for module in (is_local_algorithm, cut_local_algorithm):
+    for module, entry in ((is_local_algorithm, "run"),
+                          (cut_local_algorithm, "run_cut")):
         calls = calls_by_function(Path(module.__file__))
         assert {name for name, called in calls.items()
-                if "run_labels" in called} == {"__init__"}, module.__name__
+                if "run_labels" in called} == {entry}, module.__name__
+        assert "renamed" in calls[entry], module.__name__
         assert not set().union(*calls.values()) & generator, module.__name__
         assert "draw" in set().union(*calls.values())
 
@@ -627,20 +631,19 @@ def test_the_c_class_cap_is_the_python_one():
     assert cap is not None and int(cap.group(1)) == DEGREE_CAP
 
 
-def is_outputs(graph, d, seed):
-    """A whole independent-set run in one ``_kernels.is_run`` call: its
-    decisions, contractions and rounds."""
-    g = SurvivalGraph(graph, seed)
+def is_outputs(graph, d, key):
+    """A whole independent-set run under the key in one ``_kernels.is_run``
+    call: its decisions, contractions and rounds."""
+    g = SurvivalGraph(graph, key)
     rounds = _kernels.is_run(g, d, is_local_algorithm.THIN_PROBABILITY,
-                             is_local_algorithm.PERSISTENCE_FRACTION,
-                             DEGREE_CAP)
+                             is_local_algorithm.PERSISTENCE_FRACTION)
     return bytes(g.status), g.contractions, rounds
 
 
-def cut_outputs(graph, seed, q=0.005):
-    """A whole cut run (on the C engine when it is built): its colours,
-    counters and rounds."""
-    r = CutProcess(graph, seed=seed, query_probability=q).run()
+def cut_outputs(graph, key, q=0.005):
+    """A whole cut run under the key (on the C engine when it is built):
+    its colours, counters and rounds."""
+    r = CutProcess(graph, key=key, query_probability=q).run()
     return r.colors.tobytes(), r.good, r.bad, r.rounds
 
 
