@@ -305,7 +305,7 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * in int64_t locals, and each store into 32-bit storage is an explicit
  * (int32_t) cast of a value that fits.  Of the buffers shared with Python,
  * the cut's aliases are int32_t ids too, while the degrees and counters
- * stay int64_t, as do the independent-set engine's pool offsets.
+ * stay int64_t.
  */
 #include <setjmp.h>
 #include <stdlib.h>
@@ -1347,10 +1347,12 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
  * SurvivalGraph.scan finds, read off the class bit sets below, at n / 64
  * words per non-empty class scanned (none for an empty range).
  *
- * The neighbour lists keep the Python list order exactly: a removal takes
- * the first occurrence and shifts the rest down (list.remove), a rename
- * replaces the first occurrence (nbrs[nbrs.index(z)] = x), a merge appends
- * z's list to x's with z's loops renamed (list.extend), and every queue
+ * The neighbour lists keep the Python list order exactly.  Each half-edge
+ * h is one arc, the vertex it leads to (owner[pair[h]] at the start) and
+ * the next arc of its list, and v's list is the chain of arcs from
+ * head[v].  A removal unlinks the first arc to x (list.remove), a rename
+ * rewrites it (nbrs[nbrs.index(z)] = x), a merge renames z's loops and
+ * links z's chain after the end of x's (list.extend), and every queue
  * append happens where Python makes it, duplicates included.
  *
  * Shared with Python (the SurvivalGraph's own buffers): deg (frozen at
@@ -1358,10 +1360,9 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
  * bytes status (UNDECIDED, IN, OUT; deciding a vertex twice is
  * ENGINE_BROKEN), which give the run's set, and state = {survival count,
  * contractions}.  Private here:
- *   - each live vertex's neighbours, pool[off[v] .. off[v] + deg[v]),
- *     with room for cap[v]; a list that outgrows its room moves to the
- *     pool's end.  The pool holds int32 ids and off int64 offsets, so the
- *     pool may outgrow 2^31 entries;
+ *   - the arcs, one per half-edge, and each vertex's head: a live
+ *     vertex's chain holds deg[v] arcs, and a merge relinks arcs without
+ *     moving or adding any;
  *   - one bit set per degree class, class_set(s, k) holding the live
  *     vertices of degree k; every change of a degree or a death goes
  *     through reclass, which keeps counts[k] equal to the size of class k;
@@ -1374,15 +1375,21 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
 #define IN 1
 #define OUT 2
 
+/* one half-edge of a neighbour list: the vertex it leads to, and the
+ * next arc of the list (-1 at its end) */
+typedef struct {
+    int32_t to, next;
+} arc;
+
 typedef struct {
     failure fail;
     int64_t n, ncounts;
     uint64_t key;
     int64_t *deg, *counts, *state;
     uint8_t *alive, *status;
-    int64_t *off;
-    int32_t *cap;
-    vec pool, merges, queue;
+    arc *arcs;
+    int32_t *head;
+    vec merges, queue;
     int64_t qhead;
     uint64_t *classes;
     const uint64_t **picked;
@@ -1398,65 +1405,32 @@ static uint64_t *class_set(is_state *s, int64_t k)
     return s->classes + k * words(s->n);
 }
 
-static int32_t *nbrs(is_state *s, int64_t v)
+/* the link (head[v] or an arc's next) holding the first arc of v's list
+ * that leads to x, or the -1 that ends the list when none does */
+static int32_t *arc_to(is_state *s, int64_t v, int64_t x)
 {
-    return s->pool.data + s->off[v];
+    int32_t *link = &s->head[v];
+    while (*link >= 0 && s->arcs[*link].to != x)
+        link = &s->arcs[*link].next;
+    return link;
 }
 
-/* v's list of m entries drops its first occurrence of x (list.remove) */
-static void adj_remove(is_state *s, int64_t v, int64_t x, int64_t m)
+/* v's list drops its first arc to x (list.remove) */
+static void adj_remove(is_state *s, int64_t v, int64_t x)
 {
-    int32_t *a = nbrs(s, v);
-    for (int64_t i = 0; i < m; i++) {
-        if (a[i] == x) {
-            memmove(a + i, a + i + 1, (m - i - 1) * sizeof *a);
-            return;
-        }
-    }
-    fail(&s->fail, ENGINE_BROKEN);  /* adjacency out of sync */
+    int32_t *link = arc_to(s, v, x);
+    if (*link < 0)
+        fail(&s->fail, ENGINE_BROKEN);  /* adjacency out of sync */
+    *link = s->arcs[*link].next;
 }
 
-/* v's list has its first occurrence of old replaced by new_ */
+/* v's list has its first arc to old lead to new_ instead */
 static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
 {
-    int32_t *a = nbrs(s, v);
-    for (int64_t i = 0; i < s->deg[v]; i++) {
-        if (a[i] == old) {
-            a[i] = (int32_t)new_;
-            return;
-        }
-    }
-    fail(&s->fail, ENGINE_BROKEN);
-}
-
-static int adj_has(is_state *s, int64_t v, int64_t x)
-{
-    const int32_t *a = nbrs(s, v);
-    for (int64_t i = 0; i < s->deg[v]; i++)
-        if (a[i] == x)
-            return 1;
-    return 0;
-}
-
-/* room for need entries in v's list of m entries; may move the pool */
-static void adj_reserve(is_state *s, int64_t v, int64_t need, int64_t m)
-{
-    if (need <= s->cap[v])
-        return;
-    vec *pool = &s->pool;
-    int64_t cap = 2 * need;
-    if (pool->len + cap > pool->cap) {
-        int64_t grown = 2 * (pool->len + cap);
-        int32_t *data = realloc(pool->data, grown * sizeof *data);
-        if (!data)
-            fail(&s->fail, ENGINE_NOMEM);
-        pool->data = data;
-        pool->cap = grown;
-    }
-    memcpy(pool->data + pool->len, nbrs(s, v), m * sizeof *pool->data);
-    s->off[v] = pool->len;
-    s->cap[v] = (int32_t)cap;
-    pool->len += cap;
+    int32_t *link = arc_to(s, v, old);
+    if (*link < 0)
+        fail(&s->fail, ENGINE_BROKEN);
+    s->arcs[*link].to = (int32_t)new_;
 }
 
 /* v leaves the class of its degree and, unless it dies (to < 0), takes
@@ -1491,12 +1465,12 @@ static void decide(is_state *s, int64_t v, uint8_t decision)
 /* remove v and its live edges, decrementing live neighbours */
 static void drop_vertex(is_state *s, int64_t v)
 {
-    for (int64_t i = 0; i < s->deg[v]; i++) {
-        int64_t u = nbrs(s, v)[i];
+    for (int64_t h = s->head[v]; h >= 0; h = s->arcs[h].next) {
+        int64_t u = s->arcs[h].to;
         if (u == v)
             continue;
         int64_t du = s->deg[u];
-        adj_remove(s, u, v, du);
+        adj_remove(s, u, v);
         reclass(s, u, du - 1);
         if (du <= 3)
             is_queue(s, u);
@@ -1527,7 +1501,8 @@ static void is_select(is_state *s, int64_t v)
 static int64_t contract(is_state *s, int64_t y)
 {
     CONTRACTIONS(s) += 1;
-    int64_t x = nbrs(s, y)[0], z = nbrs(s, y)[1];
+    const arc *first = &s->arcs[s->head[y]];
+    int64_t x = first->to, z = s->arcs[first->next].to;
     if (x == y) {
         /* y's remaining edge is a self-loop */
         is_select(s, y);
@@ -1539,7 +1514,7 @@ static int64_t contract(is_state *s, int64_t y)
         is_delete(s, x);
         return -1;
     }
-    if (adj_has(s, x, z)) {
+    if (*arc_to(s, x, z) >= 0) {
         /* neighbours adjacent: y is simplicial */
         is_select(s, y);
         is_delete(s, x);
@@ -1549,19 +1524,18 @@ static int64_t contract(is_state *s, int64_t y)
     /* true merge: x absorbs z and y, which unfold_merges decides, and the
      * merged vertex keeps x's id; x and z keep their degrees until
      * reclass, their lists shrink at once */
-    int64_t lx = s->deg[x] - 1, lz = s->deg[z] - 1;
-    adj_remove(s, x, y, lx + 1);
-    adj_remove(s, z, y, lz + 1);
-    for (int64_t i = 0; i < lz; i++) {
-        int64_t w = nbrs(s, z)[i];
-        if (w != z)
+    adj_remove(s, x, y);
+    adj_remove(s, z, y);
+    for (int64_t h = s->head[z]; h >= 0; h = s->arcs[h].next) {
+        int64_t w = s->arcs[h].to;
+        if (w == z)
+            s->arcs[h].to = (int32_t)x;
+        else
             adj_rename(s, w, z, x);
     }
-    adj_reserve(s, x, lx + lz, lx);
-    int32_t *ax = nbrs(s, x), *az = nbrs(s, z);
-    for (int64_t i = 0; i < lz; i++)
-        ax[lx + i] = az[i] == z ? (int32_t)x : az[i];
-    int64_t dx = lx + lz;
+    /* no arc leads to -1, so this is the link that ends x's list */
+    *arc_to(s, x, -1) = s->head[z];
+    int64_t dx = s->deg[x] + s->deg[z] - 2;
     /* the histogram has room for every degree settle lets arise */
     if (dx >= s->ncounts)
         fail(&s->fail, ENGINE_BROKEN);
@@ -1588,7 +1562,7 @@ static void settle(is_state *s)
         if (s->deg[v] == 0) {
             is_select(s, v);
         } else if (s->deg[v] == 1) {
-            int64_t u = nbrs(s, v)[0];
+            int64_t u = s->arcs[s->head[v]].to;
             is_select(s, v);
             is_delete(s, u);
         } else {
@@ -1603,9 +1577,8 @@ static void settle(is_state *s)
 
 static void is_free(is_state *s)
 {
-    free(s->off);
-    free(s->cap);
-    free(s->pool.data);
+    free(s->arcs);
+    free(s->head);
     free(s->merges.data);
     free(s->queue.data);
     free(s->above.data);
@@ -1616,35 +1589,31 @@ static void is_free(is_state *s)
 }
 
 /* the private state of a fresh engine over a fresh SurvivalGraph: owner
- * and pair of the graph's half-edges (grouped by owner, so v's neighbour
- * list is owner[pair[h]] over v's block of deg[v] half-edges), the class
- * sets and the settle queue; the histogram counts is rebuilt from deg and
- * alive */
+ * and pair of the graph's half-edges (grouped by owner, so v's chain is
+ * its block of deg[v] half-edges in order, each leading to owner[pair[h]]),
+ * the class sets and the settle queue; the histogram counts is rebuilt
+ * from deg and alive */
 static void is_alloc(is_state *s, const int32_t *owner, const int32_t *pair)
 {
     int64_t n = s->n, ncounts = s->ncounts;
     int64_t *deg = s->deg, *counts = s->counts;
-    size_t m = n > 0 ? (size_t)n : 1;
-    s->off = malloc(m * sizeof *s->off);
-    s->cap = malloc(m * sizeof *s->cap);
-    s->classes = calloc(ncounts * words(m), sizeof *s->classes);
-    s->picked = malloc(ncounts * sizeof *s->picked);
     int64_t half_edges = 0;
     for (int64_t v = 0; v < n; v++)
         half_edges += deg[v];
-    /* room for the merges' relocated lists before the first regrowth */
-    s->pool.cap = 2 * half_edges + 64;
-    s->pool.data = malloc(s->pool.cap * sizeof *s->pool.data);
-    if (!s->off || !s->cap || !s->classes || !s->picked || !s->pool.data)
+    size_t m = n > 0 ? (size_t)n : 1;
+    s->arcs = malloc((half_edges > 0 ? (size_t)half_edges : 1)
+                     * sizeof *s->arcs);
+    s->head = malloc(m * sizeof *s->head);
+    s->classes = calloc(ncounts * words(m), sizeof *s->classes);
+    s->picked = malloc(ncounts * sizeof *s->picked);
+    if (!s->arcs || !s->head || !s->classes || !s->picked)
         fail(&s->fail, ENGINE_NOMEM);
-    for (int64_t h = 0; h < half_edges; h++)
-        s->pool.data[h] = owner[pair[h]];
-    s->pool.len = half_edges;
-    int64_t start = 0;
-    for (int64_t v = 0; v < n; v++) {
-        s->off[v] = start;
-        s->cap[v] = (int32_t)deg[v];
-        start += deg[v];
+    for (int64_t v = 0, h = 0; v < n; v++) {
+        s->head[v] = deg[v] ? (int32_t)h : -1;
+        for (int64_t end = h + deg[v]; h < end; h++) {
+            s->arcs[h].to = owner[pair[h]];
+            s->arcs[h].next = h + 1 < end ? (int32_t)(h + 1) : -1;
+        }
         if (deg[v] <= 2)
             is_queue(s, v);
     }
@@ -1736,13 +1705,12 @@ static void probe(is_state *s, int64_t v)
     /* a dead vertex kept degree 3: see SurvivalGraph.probe_round */
     if (!s->alive[v])
         fail(&s->fail, ENGINE_BROKEN);
-    const int32_t *a = nbrs(s, v);
     int64_t best = -1, target = -1;
-    for (int64_t j = 0; j < 3; j++) {
-        int64_t du = s->deg[a[j]];
-        if (du > best || (du == best && a[j] < target)) {
+    for (int64_t h = s->head[v]; h >= 0; h = s->arcs[h].next) {
+        int64_t u = s->arcs[h].to, du = s->deg[u];
+        if (du > best || (du == best && u < target)) {
             best = du;
-            target = a[j];
+            target = u;
         }
     }
     is_delete(s, best == 3 ? v : target);

@@ -357,6 +357,13 @@ REGULAR = {
 # edges to looped vertices: deleting 1 merges 2 and 3 to degree 8
 OVER_CAP = ("8 16\n0 1\n1 1\n0 2\n0 3\n2 4\n2 4\n2 5\n2 5\n"
             "3 6\n3 6\n3 7\n3 7\n4 4\n5 5\n6 6\n7 7\n")
+# settle pops the 2-vertex 0 before its neighbour 1 of degree 1: the merge
+# at 0 links 2's list onto 1's, empty once 0 is gone.  Vertex 5 has no edge
+EMPTY_X = "6 6\n0 1\n0 2\n2 3\n2 4\n3 4\n3 4\n"
+# the path 4 - 0 - 1 - 2 - 3 - 5 folds into 4 by the merges at 0 and at 2,
+# 4 their x; then the merge at 6 folds 4 into 7, 4 its z
+MERGED_AGAIN = ("9 11\n0 4\n0 1\n1 2\n2 3\n3 5\n6 7\n6 4\n4 8\n5 7\n"
+                "5 8\n7 8\n")
 
 
 def outputs(graph, d, **options):
@@ -416,11 +423,12 @@ def staircases() -> list:
 
 
 def played_inputs() -> list:
-    """The hand-built multigraphs, OVER_CAP and 40 random multigraphs, on
-    which merges rename loops and parallel edges."""
+    """The hand-built multigraphs, OVER_CAP, EMPTY_X, MERGED_AGAIN and 40
+    random multigraphs, on which merges rename loops and parallel edges."""
     rng = np.random.default_rng(11)
     return [load_edge_list(text) for _, text in REGULAR.values()] \
-        + [load_edge_list(OVER_CAP)] \
+        + [load_edge_list(text) for text in (OVER_CAP, EMPTY_X,
+                                             MERGED_AGAIN)] \
         + [random_multigraph(rng, n, int(rng.integers(n, 3 * n)))
            for n in rng.integers(4, 20, size=40).tolist()]
 
@@ -503,6 +511,34 @@ def test_agreement_inputs_reach_every_contract_branch(monkeypatch):
     assert min(fired[kind] for kind in
                ("loop", "twin", "simplicial", "merge", "over_cap")) > 0, \
         fired
+
+
+def test_merges_extend_an_empty_list_and_merge_merged_vertices(
+        monkeypatch):
+    """On the Python methods, at d = 3 (no round deletes a vertex of
+    these graphs, so settle makes every merge): EMPTY_X's merge extends a
+    list that is empty once y is gone, and MERGED_AGAIN's vertex 4 is the
+    x of two merges, then the z of a third.  Each merge is (x, y, z, the
+    length of x's list before it)."""
+    merges = []
+    contract = SurvivalGraph.contract
+
+    def logged(g, y):
+        x, z = g.adj[y]
+        length = len(g.adj[x])
+        merged = contract(g, y)
+        if merged is not None:
+            merges.append((x, y, z, length))
+        return merged
+
+    monkeypatch.setattr(SurvivalGraph, "contract", logged)
+    for text, expected in ((EMPTY_X, [(1, 0, 2, 1)]),
+                           (MERGED_AGAIN, [(4, 0, 1, 3), (4, 2, 3, 3),
+                                           (7, 6, 4, 3)])):
+        for t in (0.0, 0.02, 1.0):
+            merges.clear()
+            whole_run(load_edge_list(text), 3, 0, t, False)
+            assert merges == expected, t
 
 
 @compiled

@@ -317,8 +317,11 @@ def test_runs_on_loaded_graphs_match_their_pin(monkeypatch, backend):
 # test_cut_local_algorithm (loops and parallel edges, their half-edges
 # renumbered by Multigraph) reach the engine's chains over loaded graphs,
 # whole independent-set runs on OVER_CAP and the two staircases of
-# test_is_local_algorithm reach the neighbour pool's relocation, the
-# over-cap deletion and scans of more than 64 classes, whole runs through
+# test_is_local_algorithm reach merges into long neighbour chains, the
+# over-cap deletion and scans of more than 64 classes, its EMPTY_X and
+# MERGED_AGAIN reach vertices of degree 0 to 2 at the start, a merge
+# onto an empty chain and merged vertices merging again, runs of both
+# engines on the empty graph take their early returns, whole runs through
 # each entry point on a relabelled graph with its labels carried along
 # must commute with the relabelling, and the FAILED_RUNS below take each
 # engine's failure exit
@@ -332,7 +335,8 @@ from girthlocal.cut_local_algorithm import CutProcess
 import test_cut_local_algorithm as cut_tests
 import test_is_local_algorithm as is_tests
 from test_cut_local_algorithm import MULTIGRAPHS
-from test_is_local_algorithm import OVER_CAP, staircases, whole_run
+from test_is_local_algorithm import (EMPTY_X, MERGED_AGAIN, OVER_CAP,
+                                     staircases, whole_run)
 from test_kernels import FAILED_RUNS, failed_run
 
 LOADED = ("triple_edge", "loop_chain", "double_square", "loops_and_k4")
@@ -346,16 +350,24 @@ def outputs():
     for q in (0.0, 0.02, 1.0):
         for n, seed in ((10, 0), (130, 6), (2000, 2)):
             out.append(cut(generate(n, 3, seed=seed), seed, q))
+    # under key 0: a whitening with no edge left to reveal (q = 1) and a
+    # cycle of pending colours pinned at a member past its first (q = 0)
+    for q in (0.0, 1.0):
+        out.append(cut(generate(2000, 3, seed=2), 0, q))
     for name in LOADED:
         for q in (0.0, 1.0):
             for seed in range(3):
                 out.append(cut(load_edge_list(MULTIGRAPHS[name]), seed, q))
+    empty = load_edge_list("0 0\\n")
+    out.append(cut(empty, 0, 0.02))
     for d in (3, 4):
         for n, seed in ((66, 0), (2000, 1)):
             r = is_local_algorithm.run(generate(n, d, seed=seed), d,
                                        seed=seed)
             out.append((r.vertices, r.rounds, r.contractions))
-    for graph in [load_edge_list(OVER_CAP), *staircases()]:
+    graphs = [load_edge_list(text) for text in (OVER_CAP, EMPTY_X,
+                                                MERGED_AGAIN)]
+    for graph in [empty, *graphs, *staircases()]:
         for d in (3, 4):
             for t in (0.0, 0.02, 1.0):
                 out.append(whole_run(graph, d, 0, t, True))
@@ -378,6 +390,19 @@ print("same")
 """
 
 
+def sanitized_runs(tmp_path, cc, **env) -> None:
+    """SANITIZED_RUNS in a child under the extra environment ``env``, its
+    second library built into tmp_path with the flags cc; the child must
+    find the same outputs and print nothing else."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(SRC), str(Path(__file__).resolve().parent))), **env)
+    check = subprocess.run(
+        [sys.executable, "-c", SANITIZED_RUNS, str(tmp_path), *cc],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert check.returncode == 0, check.stderr
+    assert check.stdout == "same\n" and check.stderr == ""
+
+
 @compiled
 def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
         tmp_path):
@@ -387,8 +412,7 @@ def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
     # engines' arrays is checked too; that runtime must come first in the
     # child, so the child (not this process) builds and loads the library,
     # and the interpreter's own unfreed blocks are not reported as leaks
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        (str(SRC), str(Path(__file__).resolve().parent))))
+    env = {}
     sanitizers = "undefined,float-cast-overflow"
     runtime = Path(subprocess.run(
         ["cc", "-print-file-name=libasan.so"], capture_output=True,
@@ -396,13 +420,39 @@ def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
     if runtime.is_absolute() and runtime.is_file():
         sanitizers = "address," + sanitizers
         env.update(LD_PRELOAD=str(runtime), ASAN_OPTIONS="detect_leaks=0")
-    cc = (*_kernels._CC, f"-fsanitize={sanitizers}",
-          "-fno-sanitize-recover=undefined,float-cast-overflow")
-    check = subprocess.run(
-        [sys.executable, "-c", SANITIZED_RUNS, str(tmp_path), *cc],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert check.returncode == 0, check.stderr
-    assert check.stdout == "same\n" and check.stderr == ""
+    sanitized_runs(tmp_path, (
+        *_kernels._CC, f"-fsanitize={sanitizers}",
+        "-fno-sanitize-recover=undefined,float-cast-overflow"), **env)
+
+
+@compiled
+@pytest.mark.skipif(shutil.which("gcov") is None, reason="no gcov")
+def test_the_sanitized_runs_reach_every_engine_line(tmp_path):
+    # a branch that no run reaches should go: the SANITIZED_RUNS, on a
+    # library built with --coverage, run every line of the two event
+    # engines but their failure exits, which the FAILED_RUNS and the
+    # out-of-memory test take: a fail call, the bare return that follows
+    # one (fail jumps away, but the compiler is not told so) and an
+    # ENGINE_NOMEM return
+    sanitized_runs(tmp_path, (
+        *("-O0" if flag == "-O2" else flag for flag in _kernels._CC),
+        "--coverage"))
+    (data,) = tmp_path.glob("*.gcda")
+    report = subprocess.run(
+        ["gcov", "--stdout", data.name], cwd=tmp_path, capture_output=True,
+        text=True, timeout=_kernels._CC_TIMEOUT_S, check=True).stdout
+    lines = [line.split(":", 2) for line in report.splitlines()]
+    start = next(i for i, (_, _, code) in enumerate(lines)
+                 if "The finite cut process's event engine" in code)
+    missed = []
+    for (_, _, before), (count, no, code) in zip(lines[start:],
+                                                 lines[start + 1:]):
+        code = code.strip()
+        exit = "fail(" in code or code == "return ENGINE_NOMEM;" or (
+            "fail(" in before and code.startswith("return"))
+        if count.strip() == "#####" and not exit:
+            missed.append(f"{no.strip()}: {code}")
+    assert missed == []
 
 
 # a vertex decided (independent set) or committed (cut) before the run, on
