@@ -431,8 +431,8 @@ def test_the_sanitized_runs_reach_every_engine_line(tmp_path):
     # a branch that no run reaches should go: the SANITIZED_RUNS, on a
     # library built with --coverage, run every line of the two event
     # engines but their failure exits, which the FAILED_RUNS and the
-    # out-of-memory test take: a fail call, the bare return that follows
-    # one (fail jumps away, but the compiler is not told so) and an
+    # out-of-memory test take: a fail call, the return statement right
+    # after one (fail jumps away, but the compiler is not told so) and an
     # ENGINE_NOMEM return
     sanitized_runs(tmp_path, (
         *("-O0" if flag == "-O2" else flag for flag in _kernels._CC),
@@ -448,9 +448,9 @@ def test_the_sanitized_runs_reach_every_engine_line(tmp_path):
     for (_, _, before), (count, no, code) in zip(lines[start:],
                                                  lines[start + 1:]):
         code = code.strip()
-        exit = "fail(" in code or code == "return ENGINE_NOMEM;" or (
-            "fail(" in before and code.startswith("return"))
-        if count.strip() == "#####" and not exit:
+        failure_exit = "fail(" in code or code == "return ENGINE_NOMEM;" \
+            or ("fail(" in before and code.startswith("return"))
+        if count.strip() == "#####" and not failure_exit:
             missed.append(f"{no.strip()}: {code}")
     assert missed == []
 
