@@ -296,16 +296,17 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  * distinct buffers may run at once on different threads; ctypes releases
  * the GIL for each call.
  *
- * Vertex and half-edge ids are stored as int32_t: the graph's owner and
- * pair arrays (config_model.Multigraph builds them so, for graphs of fewer
- * than 2^31 vertices and half-edges), and every id an engine keeps of its
- * own.  Multigraph groups the half-edges by owner in ascending vertex
- * order, so vertex v's half-edges are the contiguous block that starts
- * after those of the vertices below v.  Arithmetic on ids and counts runs
- * in int64_t locals, and each store into 32-bit storage is an explicit
- * (int32_t) cast of a value that fits.  Of the buffers shared with Python,
- * the cut's aliases are int32_t ids too, while the degrees and counters
- * stay int64_t.
+ * Vertex and half-edge ids are stored as int32_t: the cut's pairing (the
+ * graph's own array; config_model.Multigraph builds it so, for graphs of
+ * fewer than 2^31 vertices and half-edges), the independent set's
+ * neighbour array, and every id an engine keeps of its own.  Multigraph
+ * groups the half-edges by owner in ascending vertex order, so vertex v's
+ * half-edges are the contiguous block that starts after those of the
+ * vertices below v, and neither engine reads the owners.  Arithmetic on
+ * ids and counts runs in int64_t locals, and each store into 32-bit
+ * storage is an explicit (int32_t) cast of a value that fits.  Of the
+ * buffers shared with Python, the cut's aliases are int32_t ids too, while
+ * the degrees and counters stay int64_t.
  */
 #include <setjmp.h>
 #include <stdlib.h>
@@ -319,6 +320,9 @@ typedef struct {
     jmp_buf at;
     int64_t err;
 } failure;
+
+/* fail never returns (an attribute that gcc and clang both take) */
+static void fail(failure *f, int64_t code) __attribute__((noreturn));
 
 static void fail(failure *f, int64_t code)
 {
@@ -454,9 +458,11 @@ static int marked_by(uint64_t rk, int64_t v, double p)
  * So v's two path neighbours are distinct, and eliminating a white never
  * closes a cycle.
  *
- * Shared with Python (the CutProcess's own buffers, read by its numpy
- * scans): status, f, the label counters nR/nG/nW/nD, pd, alias, revealed,
- * and counts = {good, bad, survival}.  Private here:
+ * The graph comes in as its pairing alone: vertex v's half-edges are 3v,
+ * 3v + 1 and 3v + 2, so half-edge h belongs to vertex h / 3.  Shared with
+ * Python (the CutProcess's own buffers, read by its numpy scans): status,
+ * f, the label counters nR/nG/nW/nD, pd, alias, revealed, and counts =
+ * {good, bad, survival}.  Private here:
  *   - two (neighbour, parity) path slots per vertex, kept in list order
  *     (a pop shifts the second slot down, as list.pop does);
  *   - a chain of half-edges per vertex v (next), from 3v in the order of
@@ -480,7 +486,7 @@ enum { LOOP, INHERITED, DEAD, LIVE };
 typedef struct {
     failure fail;
     int64_t n;
-    const int32_t *owner, *pair;
+    const int32_t *pair;
     uint64_t key;
     uint8_t *status, *n_r, *n_g, *n_w, *n_d, *pd, *revealed;
     int8_t *f;
@@ -683,7 +689,6 @@ static int64_t path_index(cut_state *s, int64_t x, int64_t y)
         if (s->path_nb[2 * x + i] == y)
             return 2 * x + i;
     fail(&s->fail, ENGINE_BROKEN);  /* path slot bookkeeping out of sync */
-    return -1;
 }
 
 /* drop one of x's slots pointing at y; returns its parity */
@@ -750,8 +755,8 @@ static int reveal(cut_state *s, int64_t v, int64_t h, int64_t *xo)
     int64_t k = s->pair[h];
     s->revealed[h] = 1;
     s->revealed[k] = 1;
-    int64_t u = s->owner[h];
-    int64_t x = s->owner[k];
+    int64_t u = h / 3;
+    int64_t x = k / 3;
     *xo = x;
     if (u == x) {
         /* an absorbed vertex passes on at most one of its own half-edges,
@@ -1223,7 +1228,7 @@ static void endgame(cut_state *s)
             continue;
         s->revealed[h] = 1;
         s->revealed[k] = 1;
-        int64_t u = s->owner[h], x = s->owner[k];
+        int64_t u = h / 3, x = k / 3;
         if (u == x) {
             BAD(s) += 1;
         } else {
@@ -1262,7 +1267,6 @@ static int64_t survivor_of_rank(cut_state *s, int64_t r)
         if (s->status[v] == 0 && r-- == 0)
             return v;
     fail(&s->fail, ENGINE_BROKEN);  /* fewer survivors than counted */
-    return -1;
 }
 
 /* CutProcess._bootstrap at round t: among the m ascending survivors, the
@@ -1308,23 +1312,23 @@ static void cut_drive(cut_state *s, double q, int64_t floor,
 
 /* -- the entry --------------------------------------------------------- */
 
-/* A whole run over a 3-regular graph: owner and pair of its 3n half-edges
- * (the graph's own int32 arrays), the shared buffers, the run's key, the
+/* A whole run over a 3-regular graph: the pairing of its 3n half-edges
+ * (the graph's own int32 array), the shared buffers, the run's key, the
  * query probability and the endgame floor; the rounds run go into
  * *rounds.  Returns 0 or the failure that stopped the run. */
-int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
-                uint8_t *status, int8_t *f, uint8_t *n_r, uint8_t *n_g,
-                uint8_t *n_w, uint8_t *n_d, uint8_t *pd, int32_t *alias,
-                uint8_t *revealed, int64_t *counts, uint64_t key, double q,
-                int64_t floor, int64_t *rounds)
+int64_t cut_run(int64_t n, const int32_t *pair, uint8_t *status, int8_t *f,
+                uint8_t *n_r, uint8_t *n_g, uint8_t *n_w, uint8_t *n_d,
+                uint8_t *pd, int32_t *alias, uint8_t *revealed,
+                int64_t *counts, uint64_t key, double q, int64_t floor,
+                int64_t *rounds)
 {
     cut_state *s = calloc(1, sizeof *s);
     if (!s)
         return ENGINE_NOMEM;
-    *s = (cut_state){.n = n, .owner = owner, .pair = pair, .key = key,
-                     .status = status, .f = f, .n_r = n_r, .n_g = n_g,
-                     .n_w = n_w, .n_d = n_d, .pd = pd, .alias = alias,
-                     .revealed = revealed, .counts = counts};
+    *s = (cut_state){.n = n, .pair = pair, .key = key, .status = status,
+                     .f = f, .n_r = n_r, .n_g = n_g, .n_w = n_w, .n_d = n_d,
+                     .pd = pd, .alias = alias, .revealed = revealed,
+                     .counts = counts};
     if (!setjmp(s->fail.at)) {
         cut_alloc(s);
         cut_drive(s, q, floor, rounds);
@@ -1348,21 +1352,20 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
  * words per non-empty class scanned (none for an empty range).
  *
  * The neighbour lists keep the Python list order exactly.  Each half-edge
- * h is one arc, the vertex it leads to (owner[pair[h]] at the start) and
- * the next arc of its list, and v's list is the chain of arcs from
- * head[v].  A removal unlinks the first arc to x (list.remove), a rename
- * rewrites it (nbrs[nbrs.index(z)] = x), a merge renames z's loops and
- * links z's chain after the end of x's (list.extend), and every queue
- * append happens where Python makes it, duplicates included.
+ * h is one arc: nbr[h], the vertex it leads to, and next[h], the next arc
+ * of its list; v's list is the chain of arcs from head[v].  A removal
+ * unlinks the first arc to x (list.remove), a rename rewrites its nbr
+ * (nbrs[nbrs.index(z)] = x), a merge renames z's loops and links z's
+ * chain after the end of x's (list.extend), and every queue append
+ * happens where Python makes it, duplicates included.
  *
- * Shared with Python (the SurvivalGraph's own buffers): deg (frozen at
- * death, as in Python), alive, the degree histogram counts, the decision
- * bytes status (UNDECIDED, IN, OUT; deciding a vertex twice is
- * ENGINE_BROKEN), which give the run's set, and state = {survival count,
- * contractions}.  Private here:
- *   - the arcs, one per half-edge, and each vertex's head: a live
- *     vertex's chain holds deg[v] arcs, and a merge relinks arcs without
- *     moving or adding any;
+ * Shared with Python (the SurvivalGraph's own buffers, and no pairing):
+ * nbr, deg (frozen at death, as in Python), alive, the degree histogram
+ * counts, the decision bytes status (UNDECIDED, IN, OUT; deciding a vertex
+ * twice is ENGINE_BROKEN), which give the run's set, and state =
+ * {survival count, contractions}.  Private here:
+ *   - each arc's next and each vertex's head: a live vertex's chain holds
+ *     deg[v] arcs, and a merge relinks arcs without moving or adding any;
  *   - one bit set per degree class, class_set(s, k) holding the live
  *     vertices of degree k; every change of a degree or a death goes
  *     through reclass, which keeps counts[k] equal to the size of class k;
@@ -1375,20 +1378,13 @@ int64_t cut_run(int64_t n, const int32_t *owner, const int32_t *pair,
 #define IN 1
 #define OUT 2
 
-/* one half-edge of a neighbour list: the vertex it leads to, and the
- * next arc of the list (-1 at its end) */
-typedef struct {
-    int32_t to, next;
-} arc;
-
 typedef struct {
     failure fail;
     int64_t n, ncounts;
     uint64_t key;
     int64_t *deg, *counts, *state;
     uint8_t *alive, *status;
-    arc *arcs;
-    int32_t *head;
+    int32_t *nbr, *next, *head;
     vec merges, queue;
     int64_t qhead;
     uint64_t *classes;
@@ -1410,8 +1406,8 @@ static uint64_t *class_set(is_state *s, int64_t k)
 static int32_t *arc_to(is_state *s, int64_t v, int64_t x)
 {
     int32_t *link = &s->head[v];
-    while (*link >= 0 && s->arcs[*link].to != x)
-        link = &s->arcs[*link].next;
+    while (*link >= 0 && s->nbr[*link] != x)
+        link = &s->next[*link];
     return link;
 }
 
@@ -1421,7 +1417,7 @@ static void adj_remove(is_state *s, int64_t v, int64_t x)
     int32_t *link = arc_to(s, v, x);
     if (*link < 0)
         fail(&s->fail, ENGINE_BROKEN);  /* adjacency out of sync */
-    *link = s->arcs[*link].next;
+    *link = s->next[*link];
 }
 
 /* v's list has its first arc to old lead to new_ instead */
@@ -1430,7 +1426,7 @@ static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
     int32_t *link = arc_to(s, v, old);
     if (*link < 0)
         fail(&s->fail, ENGINE_BROKEN);
-    s->arcs[*link].to = (int32_t)new_;
+    s->nbr[*link] = (int32_t)new_;
 }
 
 /* v leaves the class of its degree and, unless it dies (to < 0), takes
@@ -1465,8 +1461,8 @@ static void decide(is_state *s, int64_t v, uint8_t decision)
 /* remove v and its live edges, decrementing live neighbours */
 static void drop_vertex(is_state *s, int64_t v)
 {
-    for (int64_t h = s->head[v]; h >= 0; h = s->arcs[h].next) {
-        int64_t u = s->arcs[h].to;
+    for (int64_t h = s->head[v]; h >= 0; h = s->next[h]) {
+        int64_t u = s->nbr[h];
         if (u == v)
             continue;
         int64_t du = s->deg[u];
@@ -1501,8 +1497,8 @@ static void is_select(is_state *s, int64_t v)
 static int64_t contract(is_state *s, int64_t y)
 {
     CONTRACTIONS(s) += 1;
-    const arc *first = &s->arcs[s->head[y]];
-    int64_t x = first->to, z = s->arcs[first->next].to;
+    int64_t first = s->head[y];
+    int64_t x = s->nbr[first], z = s->nbr[s->next[first]];
     if (x == y) {
         /* y's remaining edge is a self-loop */
         is_select(s, y);
@@ -1526,10 +1522,10 @@ static int64_t contract(is_state *s, int64_t y)
      * reclass, their lists shrink at once */
     adj_remove(s, x, y);
     adj_remove(s, z, y);
-    for (int64_t h = s->head[z]; h >= 0; h = s->arcs[h].next) {
-        int64_t w = s->arcs[h].to;
+    for (int64_t h = s->head[z]; h >= 0; h = s->next[h]) {
+        int64_t w = s->nbr[h];
         if (w == z)
-            s->arcs[h].to = (int32_t)x;
+            s->nbr[h] = (int32_t)x;
         else
             adj_rename(s, w, z, x);
     }
@@ -1562,7 +1558,7 @@ static void settle(is_state *s)
         if (s->deg[v] == 0) {
             is_select(s, v);
         } else if (s->deg[v] == 1) {
-            int64_t u = s->arcs[s->head[v]].to;
+            int64_t u = s->nbr[s->head[v]];
             is_select(s, v);
             is_delete(s, u);
         } else {
@@ -1577,7 +1573,7 @@ static void settle(is_state *s)
 
 static void is_free(is_state *s)
 {
-    free(s->arcs);
+    free(s->next);
     free(s->head);
     free(s->merges.data);
     free(s->queue.data);
@@ -1588,12 +1584,10 @@ static void is_free(is_state *s)
     free(s);
 }
 
-/* the private state of a fresh engine over a fresh SurvivalGraph: owner
- * and pair of the graph's half-edges (grouped by owner, so v's chain is
- * its block of deg[v] half-edges in order, each leading to owner[pair[h]]),
- * the class sets and the settle queue; the histogram counts is rebuilt
- * from deg and alive */
-static void is_alloc(is_state *s, const int32_t *owner, const int32_t *pair)
+/* the private state of a fresh engine over a fresh SurvivalGraph: the
+ * chains (v's is its block of deg[v] half-edges in order), the class sets
+ * and the settle queue; counts is rebuilt from deg and alive */
+static void is_alloc(is_state *s)
 {
     int64_t n = s->n, ncounts = s->ncounts;
     int64_t *deg = s->deg, *counts = s->counts;
@@ -1601,19 +1595,17 @@ static void is_alloc(is_state *s, const int32_t *owner, const int32_t *pair)
     for (int64_t v = 0; v < n; v++)
         half_edges += deg[v];
     size_t m = n > 0 ? (size_t)n : 1;
-    s->arcs = malloc((half_edges > 0 ? (size_t)half_edges : 1)
-                     * sizeof *s->arcs);
+    s->next = malloc((half_edges > 0 ? (size_t)half_edges : 1)
+                     * sizeof *s->next);
     s->head = malloc(m * sizeof *s->head);
     s->classes = calloc(ncounts * words(m), sizeof *s->classes);
     s->picked = malloc(ncounts * sizeof *s->picked);
-    if (!s->arcs || !s->head || !s->classes || !s->picked)
+    if (!s->next || !s->head || !s->classes || !s->picked)
         fail(&s->fail, ENGINE_NOMEM);
     for (int64_t v = 0, h = 0; v < n; v++) {
         s->head[v] = deg[v] ? (int32_t)h : -1;
-        for (int64_t end = h + deg[v]; h < end; h++) {
-            s->arcs[h].to = owner[pair[h]];
-            s->arcs[h].next = h + 1 < end ? (int32_t)(h + 1) : -1;
-        }
+        for (int64_t end = h + deg[v]; h < end; h++)
+            s->next[h] = h + 1 < end ? (int32_t)(h + 1) : -1;
         if (deg[v] <= 2)
             is_queue(s, v);
     }
@@ -1706,8 +1698,8 @@ static void probe(is_state *s, int64_t v)
     if (!s->alive[v])
         fail(&s->fail, ENGINE_BROKEN);
     int64_t best = -1, target = -1;
-    for (int64_t h = s->head[v]; h >= 0; h = s->arcs[h].next) {
-        int64_t u = s->arcs[h].to, du = s->deg[u];
+    for (int64_t h = s->head[v]; h >= 0; h = s->next[h]) {
+        int64_t u = s->nbr[h], du = s->deg[u];
         if (du > best || (du == best && u < target)) {
             best = du;
             target = u;
@@ -1803,24 +1795,24 @@ static void is_drive(is_state *s, int64_t d, double p, double fraction,
 
 /* -- the entry --------------------------------------------------------- */
 
-/* A whole run over a fresh SurvivalGraph: owner and pair of the graph's
- * half-edges (the graph's own int32 arrays), the shared buffers (counts
- * with ncounts entries, more than any degree), the run's key, d, the
- * thinning probability and the persistence fraction; the rounds run go
- * into *rounds.  Returns 0 or the failure that stopped the run. */
-int64_t is_run(int64_t n, const int32_t *owner, const int32_t *pair,
-               int64_t *deg, uint8_t *alive, int64_t *counts, uint8_t *status,
-               int64_t *state, uint64_t key, int64_t ncounts, int64_t d,
-               double p, double fraction, int64_t *rounds)
+/* A whole run over a fresh SurvivalGraph: its shared buffers (nbr, whose
+ * entries the run renames in place, and counts with ncounts entries, more
+ * than any degree), the run's key, d, the thinning probability and the
+ * persistence fraction; the rounds run go into *rounds.  Returns 0 or the
+ * failure that stopped the run. */
+int64_t is_run(int64_t n, int32_t *nbr, int64_t *deg, uint8_t *alive,
+               int64_t *counts, uint8_t *status, int64_t *state, uint64_t key,
+               int64_t ncounts, int64_t d, double p, double fraction,
+               int64_t *rounds)
 {
     is_state *s = calloc(1, sizeof *s);
     if (!s)
         return ENGINE_NOMEM;
-    *s = (is_state){.n = n, .key = key, .deg = deg, .alive = alive,
-                    .counts = counts, .status = status, .state = state,
-                    .ncounts = ncounts};
+    *s = (is_state){.n = n, .key = key, .nbr = nbr, .deg = deg,
+                    .alive = alive, .counts = counts, .status = status,
+                    .state = state, .ncounts = ncounts};
     if (!setjmp(s->fail.at)) {
-        is_alloc(s, owner, pair);
+        is_alloc(s);
         is_drive(s, d, p, fraction, rounds);
     }
     int64_t err = s->fail.err;

@@ -22,9 +22,10 @@ check, where the Python methods raise.  Every random pick of a run is
 languages compute alike; the whole-run entry points run each process on
 its graph renamed by the run's labels (``run_labels``).  ctypes releases
 the GIL for each call, and an engine touches only its own state and
-buffers, so runs may overlap on threads.  The engines read the graph's
-int32 owner and pair arrays in place (``_graph_arrays``: no copy, no
-widening), whose half-edges ``Multigraph`` groups by owner.
+buffers, so runs may overlap on threads.  Neither engine reads the
+owners: the cut's reads the int32 pairing in place (``_graph_arrays``: no
+copy, no widening), half-edge h being vertex h // 3's, and the
+independent set's links ``SurvivalGraph.nbr`` in place.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -135,9 +136,9 @@ def _load(cc=_CC, cache=_CACHE):
                               ctypes.POINTER(i64)]
     lib.cut_chunk.restype = None
     ptr, u64 = ctypes.c_void_p, ctypes.c_uint64
-    # n, the graph's arrays, the shared buffers, the key, scalars, rounds
-    lib.cut_run.argtypes = [i64] + [ptr] * 12 + [u64, f64, i64, ptr]
-    lib.is_run.argtypes = [i64] + [ptr] * 7 + [u64, i64, i64, f64, f64, ptr]
+    # n, the cut's pairing, the shared buffers, the key, scalars, rounds
+    lib.cut_run.argtypes = [i64] + [ptr] * 11 + [u64, f64, i64, ptr]
+    lib.is_run.argtypes = [i64] + [ptr] * 6 + [u64, i64, i64, f64, f64, ptr]
     lib.cut_run.restype = lib.is_run.restype = i64
     return lib
 
@@ -205,22 +206,20 @@ def _writable(buf):
 
 
 def _graph_arrays(graph) -> list:
-    """The graph's owner and pair arrays as the engines read them:
-    ``Multigraph`` stores them as contiguous int32, with the half-edges
-    grouped by owner, so these are the graph's own arrays, not copies."""
-    return [np.ascontiguousarray(a, dtype=np.int32) for a in
-            (graph.owner, graph.pair)]
+    """The graph's arrays as the cut engine reads them, its pairing alone:
+    ``Multigraph`` stores it as contiguous int32, with the half-edges
+    grouped by owner, so this is the graph's own array, not a copy."""
+    return [np.ascontiguousarray(graph.pair, dtype=np.int32)]
 
 
-def _run(name: str, entry, proc, buffers, *args) -> int:
+def _run(name: str, entry, proc, arrays, buffers, *args) -> int:
     """One engine's whole run of the process ``proc``, one call of
-    ``entry`` over its graph's arrays and key and the shared ``buffers``,
-    which it updates in place; returns the rounds run.  The run stops at
-    its first failed check, where the Python methods raise: a broken
-    invariant raises AssertionError, and an allocation that fails
-    MemoryError.  (The Python ``SurvivalGraph.delete`` of a dead vertex
-    raises ValueError; in C that is a broken invariant too.)"""
-    arrays = _graph_arrays(proc.graph)
+    ``entry`` over the read-only ``arrays`` of its graph, its key and the
+    shared ``buffers``, which it updates in place; returns the rounds run.
+    The run stops at its first failed check, where the Python methods
+    raise: a broken invariant raises AssertionError, and an allocation that
+    fails MemoryError.  (The Python ``SurvivalGraph.delete`` of a dead
+    vertex raises ValueError; in C that is a broken invariant too.)"""
     views = [_writable(buf) for buf in buffers]
     rounds = ctypes.c_int64()
     err = entry(proc.n, *(a.ctypes.data for a in arrays),
@@ -244,7 +243,8 @@ def cut_run(proc, floor: int) -> int:
     buffers = (proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
                proc.pd, proc.alias, proc.revealed, counts)
     try:
-        return _run("cut engine", _lib.cut_run, proc, buffers,
+        return _run("cut engine", _lib.cut_run, proc,
+                    _graph_arrays(proc.graph), buffers,
                     proc.query_probability, floor)
     finally:
         proc.good, proc.bad, proc.survival = counts
@@ -253,17 +253,17 @@ def cut_run(proc, floor: int) -> int:
 def is_run(g, d: int, thin_probability: float,
            persistence_fraction: float) -> int:
     """The whole run of ``is_local_algorithm._drive`` in one C call, over a
-    fresh ``SurvivalGraph``'s degrees, live flags, degree histogram and
-    decision bytes, which it updates in place: the rounds until no vertex
-    is left, then the merges unfolded; returns the rounds run.  The
-    survival and contraction counts are written back to g, also when the
-    run fails.  Needs ``BACKEND == "c"``."""
+    fresh ``SurvivalGraph``'s neighbour array, degrees, live flags, degree
+    histogram and decision bytes, which it updates in place: the rounds
+    until no vertex is left, then the merges unfolded; returns the rounds
+    run.  The survival and contraction counts are written back to g, also
+    when the run fails.  Needs ``BACKEND == "c"``."""
     if not 0 <= d < len(g.counts):
         raise IndexError(f"degree class {d} out of range")
     counts = array("q", (g.survival_count, g.contractions))
-    buffers = (g.deg, g.alive, g.counts, g.status, counts)
+    buffers = (g.nbr, g.deg, g.alive, g.counts, g.status, counts)
     try:
-        return _run("independent-set engine", _lib.is_run, g, buffers,
+        return _run("independent-set engine", _lib.is_run, g, (), buffers,
                     len(g.counts), d, thin_probability, persistence_fraction)
     finally:
         g.survival_count, g.contractions = counts

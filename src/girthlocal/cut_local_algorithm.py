@@ -82,6 +82,7 @@ class CutProcess:
     its own) when the C kernels are built, else ``_drive`` on these
     methods; tests pin the two to the same colouring and counters.  Draws
     are keyed on vertex ids, which ``run_cut`` makes the run's labels.
+    Both read the pairing, not the owners: half-edge h is vertex h // 3's.
     """
 
     def __init__(self, graph: Multigraph, key: int = 0,
@@ -94,7 +95,6 @@ class CutProcess:
         self.query_probability = query_probability
         self.key = key
         self.graph = graph
-        self.owner = graph.owner
         self.pair = graph.pair
         self.revealed = bytearray(self.pair.shape[0])
         # per-vertex counters: labels (cd = nR+nG+nW+nD) and path degree;
@@ -271,8 +271,7 @@ class CutProcess:
         k = int(self.pair[h])
         self.revealed[h] = 1
         self.revealed[k] = 1
-        u = int(self.owner[h])
-        x = int(self.owner[k])
+        u, x = h // 3, k // 3
         if u == x:
             # an absorbed vertex passes on at most one of its own
             # half-edges, so a self-loop is never inherited
@@ -621,7 +620,7 @@ class CutProcess:
             if h < k:
                 self.revealed[h] = 1
                 self.revealed[k] = 1
-                u, x = int(self.owner[h]), int(self.owner[k])
+                u, x = h // 3, k // 3
                 if u == x:
                     self.bad += 1
                 else:

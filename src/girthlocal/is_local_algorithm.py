@@ -92,9 +92,12 @@ class SurvivalGraph:
     list is still alive when the rule acts on it, and the rules test no
     liveness; ``delete`` still refuses a dead vertex.
 
+    nbr, a writable int32 array, holds the neighbour across each half-edge
+    in the graph's order; it is all a survival graph keeps of the graph.
+
     The methods below are the reference semantics.  run() hands the whole
     run, its round ladder included, to one ``_kernels.is_run`` call (the
-    same rules in C, over deg, alive, counts and status) when the C
+    same rules in C, over nbr, deg, alive, counts and status) when the C
     kernels are built, and runs these methods under ``_drive`` otherwise;
     tests pin the two to the same set, rounds and contractions.  Draws are
     keyed on vertex ids, which run() makes the run's labels.
@@ -102,8 +105,8 @@ class SurvivalGraph:
 
     def __init__(self, g: Multigraph, key: int = 0):
         self.n = g.n
-        self.graph = g
         self.key = key
+        self.nbr = g.owner[g.pair]
         degrees = g.degrees().astype(np.int64)
         self.deg = array("q", degrees.tobytes())
         self.alive = bytearray(b"\x01") * g.n
@@ -121,11 +124,13 @@ class SurvivalGraph:
             np.flatnonzero(degrees <= 2).tolist())
 
     # the per-vertex lists only the Python methods use, built on first use
-    # so that a run in C never holds them
+    # (before any event changes the degrees that bound nbr's blocks) so
+    # that a run in C never holds them
 
     @cached_property
     def adj(self) -> list:
-        return self.graph.neighbor_lists()
+        items, ends = self.nbr.tolist(), [0, *np.cumsum(self.deg).tolist()]
+        return [items[a:b] for a, b in zip(ends, ends[1:])]
 
     def scan(self, lo: int, hi: int) -> np.ndarray:
         """Live ids, ascending, of degree lo..hi: one numpy mask over views

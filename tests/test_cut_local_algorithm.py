@@ -376,6 +376,17 @@ def test_c_engine_matches_python_methods_on_multigraphs(monkeypatch, name):
     backends_agree(monkeypatch, load_edge_list(MULTIGRAPHS[name]), range(10))
 
 
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_the_empty_graph_runs_on_both_backends(monkeypatch, backend):
+    # no bootstrap pair to draw and no round to run: both copies return at
+    # once from the bootstrap, and agree
+    if backend == "c" and _kernels.BACKEND != "c":
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(_kernels, "BACKEND", backend)
+    for seed in range(3):
+        assert outputs(load_edge_list("0 0\n"), seed=seed) == (b"", 0, 0, 0)
+
+
 def reductions_leaving_a_lone(graph, seed):
     """How many reduce_rrr calls of a run of the Python methods leave s1
     lone: a labelled path end that loses its only path edge.  No label

@@ -67,6 +67,27 @@ def test_start_mass_at_the_stop_threshold_runs_zero_rounds():
     assert traj.rows == [(0, 0.0, 0.0, 0.0, 1e-3, 0.0, 0.0, 0.0, 0.0)]
 
 
+@pytest.mark.parametrize("rules, field", [
+    (Is3Rules(), "v"), (Is3Rules(), "independent"), (CutRules(), "rat2"),
+])
+def test_a_non_finite_start_state_that_is_already_done_raises(rules, field):
+    # every row a chunk records passed the round's range check, so the
+    # final row can be non-finite only when no round ran: a caller's start
+    # state that the stop test already passes (a NaN mass compares false
+    # against the step size) and that holds NaN or inf
+    params = EvolutionParams(step_size=1e-3)
+    initial = rules.initial_state(params)
+    if field == "v":
+        initial.v[3] = math.nan
+    elif field == "independent":
+        initial.v[3] = 0.0
+        initial.independent = math.inf
+    else:
+        initial.rat2 = math.nan
+    with pytest.raises(IntegrationError, match="non-finite.*round 0"):
+        integrate(initial, rules, params)
+
+
 def test_integrate_does_not_mutate_input():
     rules = Is3Rules()
     params = EvolutionParams(step_size=1e-5)

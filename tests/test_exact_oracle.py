@@ -88,6 +88,8 @@ def test_petersen_independence():
 def test_empty_graph():
     size, picked = max_independent_set(graph_of("7 0\n"))
     assert size == 7 and picked == list(range(7))
+    # no vertex at all: no vertex n - 1 to fix to side 0
+    assert max_cut(graph_of("0 0\n")) == (0, [])
 
 
 def test_loops_do_not_block_selection():

@@ -2,6 +2,7 @@
 import collections
 import contextlib
 import copy
+import weakref
 
 import numpy as np
 import pytest
@@ -539,6 +540,18 @@ def test_merges_extend_an_empty_list_and_merge_merged_vertices(
             merges.clear()
             whole_run(load_edge_list(text), 3, 0, t, False)
             assert merges == expected, t
+
+
+def test_a_survival_graph_keeps_no_reference_to_its_graph():
+    # the survival graph keeps its own neighbour array, not the Multigraph:
+    # so the renamed graph that run() builds for it, and that graph's
+    # pairing, are freed before the run starts
+    graph = generate(64, 3, seed=0)
+    ref = weakref.ref(graph)
+    g = SurvivalGraph(graph, 0)
+    del graph
+    assert ref() is None
+    assert run_on(g, 3, THIN_PROBABILITY, _kernels.BACKEND == "c") > 0
 
 
 @compiled

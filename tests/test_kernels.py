@@ -253,14 +253,37 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert build.returncode == 0, build.stderr
 
 
-def test_engines_read_the_graph_arrays_in_place():
-    # the engines take the graph's int32 arrays as they are: no copy, and
-    # no widening to int64
+def test_the_cut_engine_reads_the_pairing_alone_in_place():
+    # the cut engine takes the graph's int32 pairing as it is: no copy, no
+    # widening to int64, and no owner array
     for g in (generate(1000, 3, seed=0), load_edge_list(MULTIGRAPHS["K4"])):
-        given = _kernels._graph_arrays(g)
-        assert len(given) == 2
-        for a, own in zip(given, (g.owner, g.pair)):
-            assert a.dtype == np.int32 and np.shares_memory(a, own)
+        (given,) = _kernels._graph_arrays(g)
+        assert given.dtype == np.int32 and np.shares_memory(given, g.pair)
+
+
+def test_the_is_engine_links_the_survival_graph_s_neighbours_in_place(
+        monkeypatch):
+    # is_run hands the engine the survival graph's own int32 neighbour
+    # array, its first pointer, and no array of the graph: not its pairing,
+    # not its owners
+    calls = []
+
+    class Recorded:
+        @staticmethod
+        def is_run(n, *args):
+            calls.append(args)
+            return 0
+
+    monkeypatch.setattr(_kernels, "_lib", Recorded)
+    for graph in (generate(1000, 3, seed=0), load_edge_list(OVER_CAP)):
+        g = SurvivalGraph(graph)
+        assert g.nbr.dtype == np.int32 and g.nbr.flags.writeable
+        assert g.nbr.tolist() == graph.owner[graph.pair].tolist()
+        _kernels.is_run(g, 3, 0.02, 0.002)
+        pointers = calls[-1][:6]
+        assert pointers[0] == g.nbr.ctypes.data
+        assert graph.pair.ctypes.data not in pointers
+        assert graph.owner.ctypes.data not in pointers
 
 
 def reloaded(n: int, d: int, seed: int):
@@ -431,9 +454,8 @@ def test_the_sanitized_runs_reach_every_engine_line(tmp_path):
     # a branch that no run reaches should go: the SANITIZED_RUNS, on a
     # library built with --coverage, run every line of the two event
     # engines but their failure exits, which the FAILED_RUNS and the
-    # out-of-memory test take: a fail call, the return statement right
-    # after one (fail jumps away, but the compiler is not told so) and an
-    # ENGINE_NOMEM return
+    # out-of-memory test take: a fail call (declared noreturn, so nothing
+    # follows one) and an ENGINE_NOMEM return
     sanitized_runs(tmp_path, (
         *("-O0" if flag == "-O2" else flag for flag in _kernels._CC),
         "--coverage"))
@@ -445,11 +467,9 @@ def test_the_sanitized_runs_reach_every_engine_line(tmp_path):
     start = next(i for i, (_, _, code) in enumerate(lines)
                  if "The finite cut process's event engine" in code)
     missed = []
-    for (_, _, before), (count, no, code) in zip(lines[start:],
-                                                 lines[start + 1:]):
+    for count, no, code in lines[start:]:
         code = code.strip()
-        failure_exit = "fail(" in code or code == "return ENGINE_NOMEM;" \
-            or ("fail(" in before and code.startswith("return"))
+        failure_exit = "fail(" in code or code == "return ENGINE_NOMEM;"
         if count.strip() == "#####" and not failure_exit:
             missed.append(f"{no.strip()}: {code}")
     assert missed == []
