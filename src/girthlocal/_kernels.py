@@ -22,10 +22,11 @@ check, where the Python methods raise.  Every random pick of a run is
 languages compute alike; the whole-run entry points run each process on
 its graph renamed by the run's labels (``run_labels``).  ctypes releases
 the GIL for each call, and an engine touches only its own state and
-buffers, so runs may overlap on threads.  Neither engine reads the
-owners: the cut's reads the int32 pairing in place (``_graph_arrays``: no
-copy, no widening), half-edge h being vertex h // 3's, and the
-independent set's links ``SurvivalGraph.nbr`` in place.
+buffers, so runs may overlap on threads.  A ``Multigraph`` keeps no
+owner array, and neither engine needs one: the cut's reads the int32
+pairing in place (``_graph_arrays``: no copy, no widening), half-edge h
+being vertex h // 3's, and the independent set's links
+``SurvivalGraph.nbr`` in place.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into

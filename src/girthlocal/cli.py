@@ -309,6 +309,27 @@ def _fan_out(target, n, d, seeds, options) -> list:
     return [future.result() for future in futures]
 
 
+# lines of a --witness file formatted by one %-format: several times
+# faster than a format per line, and the file is never held whole
+WITNESS_BLOCK = 4096
+
+
+def _write_witness(path, target, witness) -> None:
+    """One line per set member (``is``: the vertex) or per vertex (``cut``:
+    the vertex and its side, R or G), WITNESS_BLOCK lines at a time."""
+    with path.open("w") as out:
+        for a in range(0, len(witness), WITNESS_BLOCK):
+            if target == "is":
+                members = witness[a:a + WITNESS_BLOCK]
+                out.write("%d\n" * len(members) % tuple(members))
+            else:
+                sides = witness[a:a + WITNESS_BLOCK].tolist()
+                fields = [None] * (2 * len(sides))
+                fields[0::2] = range(a, a + len(sides))
+                fields[1::2] = ["RG"[c] for c in sides]
+                out.write("%d %s\n" * len(sides) % tuple(fields))
+
+
 def _cmd_simulate(args) -> int:
     target = args.target
     d = args.d if target == "is" else 3
@@ -372,13 +393,7 @@ def _cmd_simulate(args) -> int:
                            details={"per_seed": runs},
                            wall_time_s=round(wall, 3))
     if args.witness:
-        # line by line, as formatted: the file is never held whole
-        with args.witness.open("w") as out:
-            if target == "is":
-                out.writelines(f"{v}\n" for v in witness)
-            else:
-                out.writelines(f"{i} {'RG'[c]}\n"
-                               for i, c in enumerate(witness.tolist()))
+        _write_witness(args.witness, target, witness)
         print(f"witness written to {args.witness}")
     _emit(report, args.json_path)
     return 0 if all_valid else 1

@@ -6,25 +6,33 @@ slots joined by the pairing form one edge.  The blocks come in ascending
 vertex order: ``Multigraph`` renumbers half-edges given in any other order
 (an edge list's, say) to group them so, each vertex's in the order given,
 and every reader (the slot and neighbour lists, the C engines) relies on
-it.  Self-loops and parallel edges are permitted — the downstream
-algorithms must tolerate them — but they become vanishingly rare locally as
-n grows, which is what lets finite runs approximate the large-girth limit.
+it.  So the pairing and the block bounds are all a graph keeps: the owner
+of each half-edge is given only to group them, and ``owners`` derives it
+again from the blocks for a caller that needs it.  Self-loops and
+parallel edges are permitted — the downstream algorithms must tolerate
+them — but they become vanishingly rare locally as n grows, which is what
+lets finite runs approximate the large-girth limit.
 
 Vertex and half-edge ids are stored as int32, here and in the C engines
 that read these arrays, so a graph holds fewer than 2**31 vertices and
 fewer than 2**31 half-edges; ``check_id_range`` rejects a larger one
-before anything of its size is allocated.
+before anything of its size is allocated.  The checks over a whole graph
+(the pairing's here, ``verify_independent``, ``count_cut``) run over
+``blocks`` of at most ``BLOCK`` half-edges, so that no int32 temporary of
+theirs is as large as the graph.
 """
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 __all__ = [
+    "BLOCK",
     "Multigraph",
+    "blocks",
     "check_id_range",
     "generate",
     "edge_list_header",
@@ -34,6 +42,14 @@ __all__ = [
 
 # vertex and half-edge ids are int32: a graph has fewer than this many of each
 ID_LIMIT = 2 ** 31
+# half-edges per block of a whole-graph check: its temporaries are a few
+# hundred kB, and a block costs one pass of Python
+BLOCK = 1 << 16
+
+
+def blocks(h: int) -> Iterator[slice]:
+    """Slices of at most BLOCK consecutive half-edges covering 0..h-1."""
+    return (slice(a, a + BLOCK) for a in range(0, h, BLOCK))
 
 
 def check_id_range(n: int, half_edges: int) -> None:
@@ -51,20 +67,22 @@ def check_id_range(n: int, half_edges: int) -> None:
 class Multigraph:
     """Half-edge pairing representation; immutable after construction.
 
-    owner, pair and the arrays derived from them are int32, whatever
-    integer arrays they were given as; the given values are range-checked
-    first, so an id out of range raises instead of wrapping, and arrays of
-    any other dtype (float, bool) raise.  Half-edges not grouped by owner
-    are renumbered by a stable sort, so that vertex v's are the block
-    ``_indptr[v]:_indptr[v + 1]``; grouped ones are kept as given."""
+    A graph keeps ``pair`` and the block bounds ``_indptr`` alone, both
+    int32, whatever integer arrays it was given; the given values are
+    range-checked first, so an id out of range raises instead of wrapping,
+    and arrays of any other dtype (float, bool) raise.  ``owner`` is an
+    init-only argument: half-edges not grouped by owner are renumbered by a
+    stable sort, so that vertex v's are the block
+    ``_indptr[v]:_indptr[v + 1]`` (grouped ones are kept as given), and the
+    owners are then dropped; ``owners()`` derives them from the blocks."""
 
     n: int
-    owner: np.ndarray  # owner[h] = vertex owning half-edge h
+    owner: InitVar[np.ndarray]  # owner[h] = vertex owning half-edge h
     pair: np.ndarray   # pair[pair[h]] == h, pair[h] != h
     _indptr: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        owner, pair = np.asarray(self.owner), np.asarray(self.pair)
+    def __post_init__(self, owner):
+        owner, pair = np.asarray(owner), np.asarray(self.pair)
         if not (np.issubdtype(owner.dtype, np.integer)
                 and np.issubdtype(pair.dtype, np.integer)):
             raise ValueError("owner and pair must be integer arrays")
@@ -78,20 +96,25 @@ class Multigraph:
             raise ValueError("pairing must be a fixed-point-free involution")
         owner = owner.astype(np.int32, copy=False)
         pair = pair.astype(np.int32, copy=False)
-        idx = np.arange(h, dtype=np.int32)
-        if h and (np.any(pair[pair] != idx) or np.any(pair == idx)):
-            raise ValueError("pairing must be a fixed-point-free involution")
-        if h and np.any(owner[1:] < owner[:-1]):
+        for s in blocks(h):
+            partner = pair[s]
+            idx = np.arange(s.start, s.start + partner.size, dtype=np.int32)
+            if np.any(pair[partner] != idx) or np.any(partner == idx):
+                raise ValueError(
+                    "pairing must be a fixed-point-free involution")
+        # each block's differences reach one half-edge into the next block
+        if any(np.any(np.diff(owner[s.start:s.stop + 1]) < 0)
+               for s in blocks(h)):
             # h' = rank[h] is h's place once grouped by owner
             order = np.argsort(owner, kind="stable")
             rank = np.empty(h, dtype=np.int32)
-            rank[order] = idx
+            rank[order] = np.arange(h, dtype=np.int32)
             owner, pair = owner[order], rank[pair[order]]
-        self.owner, self.pair = owner, pair
+        self.pair = pair
         counts = np.bincount(owner, minlength=self.n)
         self._indptr = np.zeros(self.n + 1, dtype=np.int32)
         np.cumsum(counts, out=self._indptr[1:])
-        for arr in (self.owner, self.pair, self._indptr):
+        for arr in (self.pair, self._indptr):
             arr.setflags(write=False)
 
     @property
@@ -101,10 +124,24 @@ class Multigraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
 
+    def owners(self) -> np.ndarray:
+        """owner[h], the vertex whose block holds half-edge h: a fresh int32
+        array of all h entries, derived from the blocks on every call, so a
+        caller derives it once, not once per half-edge."""
+        return np.repeat(np.arange(self.n, dtype=np.int32), self.degrees())
+
+    def vertex_of(self, half_edges: np.ndarray) -> np.ndarray:
+        """The vertex whose block holds each given half-edge, found by a
+        binary search of the blocks: for a few half-edges, not for all.
+        The ids are searched as int32, the blocks' dtype: numpy would
+        otherwise widen the whole block array on every call."""
+        ids = np.asarray(half_edges).astype(np.int32, copy=False)
+        return np.searchsorted(self._indptr, ids, side="right") - 1
+
     def renamed(self, labels: np.ndarray) -> Multigraph:
         """This regular graph with vertex v renamed labels[v] (an int32
         permutation), each keeping its half-edges in order; it shares the
-        owners and blocks, and a valid pairing renamed stays valid."""
+        blocks, and a valid pairing renamed stays valid."""
         d = self.pair.shape[0] // max(self.n, 1)
         if np.any(self.degrees() != d):
             raise ValueError("only a regular graph can be renamed")
@@ -122,7 +159,7 @@ class Multigraph:
     def neighbor_lists(self) -> list:
         """A fresh Python list per vertex of the neighbor across each of
         its half-edges, in slot order (a loop lists the vertex twice)."""
-        return self._per_vertex(self.owner[self.pair])
+        return self._per_vertex(self.owners()[self.pair])
 
     def _per_vertex(self, flat: np.ndarray) -> list:
         items = flat.tolist()
@@ -131,10 +168,10 @@ class Multigraph:
 
     def edges(self) -> Iterator[tuple]:
         """Each edge once, as an (owner, owner) pair; loops as (u, u)."""
-        for h in range(self.pair.shape[0]):
-            k = int(self.pair[h])
+        owner, pair = self.owners().tolist(), self.pair.tolist()
+        for h, k in enumerate(pair):
             if h < k:
-                yield int(self.owner[h]), int(self.owner[k])
+                yield owner[h], owner[k]
 
 
 def generate(n: int, d: int, seed) -> Multigraph:

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .config_model import Multigraph
+from .config_model import Multigraph, blocks
 
 __all__ = ["QUERY_PROBABILITY", "CutResult", "CutProcess", "count_cut",
            "run_cut"]
@@ -689,9 +689,11 @@ class CutProcess:
 def count_cut(graph: Multigraph, colors: np.ndarray) -> tuple:
     """(good, bad) edge counts of a coloring of ``graph``, recounted from
     its half-edges; a self-loop is always bad."""
-    # each half-edge against its partner: a good edge counts twice
-    fh = colors[graph.owner]
-    good = int(np.count_nonzero(fh != fh[graph.pair])) // 2
+    # each half-edge's colour against its partner's: a good edge counts
+    # twice
+    side = np.repeat(colors, graph.degrees())
+    good = sum(int(np.count_nonzero(side[s] != side[graph.pair[s]]))
+               for s in blocks(side.size)) // 2
     return good, graph.pair.shape[0] // 2 - good
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .config_model import Multigraph
+from .config_model import Multigraph, blocks
 from .is_evolution import DEGREE_CAP
 
 __all__ = [
@@ -106,7 +106,7 @@ class SurvivalGraph:
     def __init__(self, g: Multigraph, key: int = 0):
         self.n = g.n
         self.key = key
-        self.nbr = g.owner[g.pair]
+        self.nbr = g.owners()[g.pair]
         degrees = g.degrees().astype(np.int64)
         self.deg = array("q", degrees.tobytes())
         self.alive = bytearray(b"\x01") * g.n
@@ -414,5 +414,13 @@ def verify_independent(graph: Multigraph, vertices) -> bool:
     chosen[ids] = True
     if np.count_nonzero(chosen) != ids.size:
         return False  # a repeated id
-    u, w = graph.owner, graph.owner[graph.pair]
-    return not np.any(chosen[u] & chosen[w] & (u != w))
+    # member[h]: half-edge h's vertex is in the set
+    member = np.repeat(chosen, graph.degrees())
+    for s in blocks(member.size):
+        partner = graph.pair[s]
+        both = np.flatnonzero(member[s] & member[partner])
+        # an edge with both ends in the set is allowed only as a loop
+        if both.size and np.any(graph.vertex_of(both + s.start)
+                                != graph.vertex_of(partner[both])):
+            return False
+    return True

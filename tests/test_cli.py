@@ -609,6 +609,16 @@ def test_witness_bytes_are_pinned(capsys, tmp_path, target, seed):
     assert digest == WITNESS_SHA256[(target, seed)]
 
 
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("target", ["is3", "cut"])
+def test_witness_bytes_do_not_depend_on_the_block_size(
+        capsys, tmp_path, monkeypatch, target, block):
+    # the pinned witnesses fit in one block; written in blocks of 1 or 7
+    # lines, with a short last block, they keep their bytes
+    monkeypatch.setattr(cli, "WITNESS_BLOCK", block)
+    test_witness_bytes_are_pinned(capsys, tmp_path, target, 0)
+
+
 CUT_WITNESSES = [key for key in sorted(WITNESS_SHA256)
                  if key[0].startswith("cut")]
 
@@ -773,6 +783,20 @@ def test_the_shared_parser_keeps_a_fresh_parsers_help(capsys):
     # the top level, 4 commands, 3 evolve and 3 refine targets, 2 simulate
     assert len(shared) == 13
     assert shared == help_texts(cli._parser.__wrapped__())
+
+
+def test_the_command_line_entry_reads_its_arguments(tmp_path):
+    # `python -m girthlocal.cli` runs main() with no arguments, so that it
+    # reads sys.argv, and exits with main's status
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_TEXT)
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = subprocess.run(
+        [sys.executable, "-m", "girthlocal.cli", "oracle", "mis", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[0] == "maximum independent set: 1"
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -11,6 +11,8 @@ from girthlocal.config_model import (
     load_edge_list,
     save_edge_list,
 )
+from girthlocal.cut_local_algorithm import count_cut
+from girthlocal.is_local_algorithm import verify_independent
 
 TRIANGLE = "3 3\n0 1\n1 2\n2 0\n"
 # loops and parallel edges, on lines not grouped by vertex
@@ -45,7 +47,7 @@ def test_generate_is_regular_and_reproducible():
 
 def test_ids_are_32_bit():
     for g in (generate(60, 3, seed=1), load_edge_list(TRIANGLE)):
-        for a in (g.owner, g.pair, g.degrees()):
+        for a in (g.owners(), g.pair, g.degrees()):
             assert a.dtype == np.int32
 
 
@@ -88,7 +90,7 @@ def test_ids_that_are_not_integers_raise_instead_of_casting(owner, pair):
 def test_half_edges_are_grouped_by_owner_in_the_given_order(monkeypatch):
     g = load_edge_list(LOOP_CHAIN)
     h = np.arange(g.pair.shape[0])
-    assert np.all(np.diff(g.owner) >= 0)
+    assert np.all(np.diff(g.owners()) >= 0)
     assert np.all(g.pair[g.pair] == h) and np.all(g.pair != h)
     # each vertex's half-edges keep the file's line order
     lines = [tuple(map(int, ln.split()))
@@ -101,12 +103,14 @@ def test_half_edges_are_grouped_by_owner_in_the_given_order(monkeypatch):
     bounds = np.cumsum([0, *g.degrees()]).tolist()
     assert g.slot_lists() == [list(range(a, b))
                               for a, b in zip(bounds, bounds[1:])]
-    assert [g.owner[g.pair[slots]].tolist()
+    owner = g.owners()
+    assert [owner[g.pair[slots]].tolist()
             for slots in g.slot_lists()] == nbrs
     assert sorted(g.edges()) == sorted(
         (u, v) if u <= v else (v, u) for u, v in lines)
     # generate's half-edges are grouped already, so the graph keeps the
-    # arrays generate gives it: no renumbering copy
+    # pairing generate gives it, with no renumbering copy, and owners
+    # derived from its blocks equal the ones it was given
     given = {}
 
     def recorded(n, owner, pair):
@@ -115,14 +119,14 @@ def test_half_edges_are_grouped_by_owner_in_the_given_order(monkeypatch):
 
     monkeypatch.setattr(config_model, "Multigraph", recorded)
     g = generate(1000, 3, seed=0)
-    assert np.shares_memory(g.owner, given["owner"])
+    assert np.array_equal(g.owners(), given["owner"])
     assert np.shares_memory(g.pair, given["pair"])
 
 
 def relabelled(graph: Multigraph, pi: np.ndarray) -> Multigraph:
     """The graph with each vertex v renamed pi[v], for a permutation pi:
     Multigraph regroups the half-edges by their new owners, stably."""
-    return Multigraph(n=graph.n, owner=pi[graph.owner], pair=graph.pair)
+    return Multigraph(n=graph.n, owner=pi[graph.owners()], pair=graph.pair)
 
 
 def test_a_relabelled_graph_keeps_each_neighbour_list_in_order():
@@ -149,18 +153,19 @@ def renamed_graphs() -> list:
 
 def test_renamed_is_the_stable_regroup():
     # a regular graph renamed by a permutation is the validated, stably
-    # regrouped relabelled graph, array for array; it shares the owners
-    # and blocks, and is as read-only as any graph
+    # regrouped relabelled graph, array for array and in its derived
+    # owners; it shares the blocks, and is as read-only as any graph
     rng = np.random.default_rng(3)
     for graph in renamed_graphs():
         pi = rng.permutation(graph.n).astype(np.int32)
         got, want = graph.renamed(pi), relabelled(graph, pi)
         assert got.n == want.n
-        for name in ("owner", "pair", "_indptr"):
+        for name in ("pair", "_indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == np.int32 and np.array_equal(a, b), name
             assert not a.flags.writeable, name
-        assert got.owner is graph.owner and got._indptr is graph._indptr
+        assert np.array_equal(got.owners(), want.owners())
+        assert got._indptr is graph._indptr
         assert np.array_equal(graph.pair, relabelled(graph, pi).renamed(
             np.argsort(pi).astype(np.int32)).pair)
 
@@ -194,6 +199,114 @@ def test_pairing_must_be_involution():
         Multigraph(n=1, owner=np.array([0, 0]), pair=np.array([0, 1]))
     with pytest.raises(ValueError):  # owner out of range
         Multigraph(n=1, owner=np.array([0, 1]), pair=np.array([1, 0]))
+
+
+def test_a_graph_keeps_its_pairing_and_blocks_alone():
+    # no owner array: the ndarrays a graph holds are the int32 pairing and
+    # the n + 1 block bounds, and a renamed graph holds the same
+    graph = generate(1000, 3, seed=0)
+    labels = np.random.default_rng(0).permutation(1000).astype(np.int32)
+    for g in (graph, load_edge_list(LOOP_CHAIN), graph.renamed(labels)):
+        arrays = {name: value for name, value in vars(g).items()
+                  if isinstance(value, np.ndarray)}
+        assert sorted(arrays) == ["_indptr", "pair"]
+        h = g.pair.shape[0]
+        assert sum(a.nbytes for a in arrays.values()) == \
+            4 * h + 4 * (g.n + 1)
+
+
+def test_vertex_of_finds_each_half_edge_s_block():
+    # by binary search of the blocks, isolated vertices (empty blocks)
+    # included, for int32 and int64 ids alike
+    for g in (generate(300, 3, seed=2), load_edge_list(LOOP_CHAIN),
+              load_edge_list("6 3\n5 1\n1 1\n5 3\n")):
+        h = np.arange(g.pair.shape[0])
+        for ids in (h, h.astype(np.int32)):
+            assert np.array_equal(g.vertex_of(ids), g.owners())
+
+
+def boundary_pairing() -> tuple:
+    """(owner, pair) of 2B + 4 half-edges, B = BLOCK, two per vertex: a
+    loop at each vertex but three, u, w and x, whose half-edges B-2 .. B+3
+    are paired into a triangle.  Its edges u-w (half-edges B-1, B) and u-x
+    (B-2, B+2) straddle the first block boundary, and w-x (B+1, B+3) lies
+    in the second block."""
+    b = config_model.BLOCK
+    h = 2 * b + 4
+    owner = np.arange(h) // 2
+    pair = np.arange(h) ^ 1
+    for s, t in ((b - 1, b), (b - 2, b + 2), (b + 1, b + 3)):
+        pair[s], pair[t] = t, s
+    return owner, pair
+
+
+def whole_array_pairing_is_valid(pair: np.ndarray) -> bool:
+    idx = np.arange(pair.size)
+    return not (np.any(pair[pair] != idx) or np.any(pair == idx))
+
+
+def test_the_pairing_check_sees_a_fault_across_a_block_boundary():
+    # each pairing's only fault involves half-edges on both sides of the
+    # boundary at BLOCK; the blockwise check rejects exactly the pairings
+    # the whole-array rule rejects
+    b = config_model.BLOCK
+    owner, good = boundary_pairing()
+    # B-1 -> B -> B-2 -> B+2 -> B-1: each step crosses the boundary, and
+    # every half-edge paired within its own block is paired both ways
+    crossing_cycle = good.copy()
+    crossing_cycle[[b - 1, b, b - 2, b + 2]] = b, b - 2, b + 2, b - 1
+    fixed = good.copy()  # B-1 and B fixed, B-2 paired with B+2
+    fixed[[b - 1, b, b - 2, b + 2]] = b - 1, b, b + 2, b - 2
+    fixed[[b + 1, b + 3]] = b + 3, b + 1
+    assert [whole_array_pairing_is_valid(p)
+            for p in (good, crossing_cycle, fixed)] == [True, False, False]
+    Multigraph(n=b + 2, owner=owner, pair=good)
+    for pair in (crossing_cycle, fixed):
+        with pytest.raises(ValueError, match="involution"):
+            Multigraph(n=b + 2, owner=owner, pair=pair)
+
+
+def test_owners_out_of_order_only_across_a_block_boundary_are_regrouped():
+    # half-edge B-1 moves from u to x, so the owners descend from B-1 to B
+    # alone: the graph is regrouped by the stable sort, as the whole-array
+    # rule regroups it
+    b = config_model.BLOCK
+    owner, pair = boundary_pairing()
+    owner[b - 1] = owner[b + 2]
+    g = Multigraph(n=b + 2, owner=owner, pair=pair)
+    order = np.argsort(owner, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    assert np.array_equal(g.owners(), owner[order])
+    assert np.array_equal(g.pair, rank[pair[order]])
+
+
+def test_the_set_and_cut_checks_see_an_edge_across_a_block_boundary():
+    # the only edge inside {u, w} or {u, x}, and the only cut edges of u
+    # against the rest, straddle the boundary at BLOCK; each verdict and
+    # count equals the whole-array rule's
+    owner, pair = boundary_pairing()
+    g = Multigraph(n=owner[-1] + 1, owner=owner, pair=pair)
+    b = config_model.BLOCK
+    u, w, x = (b - 2) // 2, b // 2, (b + 2) // 2
+    owner = g.owners()
+    partner = owner[g.pair]
+
+    def independent(vertices):
+        chosen = np.zeros(g.n, dtype=bool)
+        chosen[vertices] = True
+        return not np.any(chosen[owner] & chosen[partner]
+                          & (owner != partner))
+
+    for vertices in ([u, w], [u, x], [u], [0, u, g.n - 1]):
+        assert verify_independent(g, vertices) == independent(vertices)
+    assert [verify_independent(g, v) for v in ([u, w], [u, x], [u])] == [
+        False, False, True]
+    colors = np.zeros(g.n, dtype=np.int8)
+    colors[u] = 1
+    good = int(np.count_nonzero(colors[owner] != colors[partner])) // 2
+    assert count_cut(g, colors) == (good, g.edge_count - good) == (
+        2, g.edge_count - 2)
 
 
 def test_neighbors_and_edges_on_triangle():

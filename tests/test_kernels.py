@@ -264,8 +264,8 @@ def test_the_cut_engine_reads_the_pairing_alone_in_place():
 def test_the_is_engine_links_the_survival_graph_s_neighbours_in_place(
         monkeypatch):
     # is_run hands the engine the survival graph's own int32 neighbour
-    # array, its first pointer, and no array of the graph: not its pairing,
-    # not its owners
+    # array, its first pointer, and not the graph's pairing (a graph keeps
+    # no owner array)
     calls = []
 
     class Recorded:
@@ -278,12 +278,11 @@ def test_the_is_engine_links_the_survival_graph_s_neighbours_in_place(
     for graph in (generate(1000, 3, seed=0), load_edge_list(OVER_CAP)):
         g = SurvivalGraph(graph)
         assert g.nbr.dtype == np.int32 and g.nbr.flags.writeable
-        assert g.nbr.tolist() == graph.owner[graph.pair].tolist()
+        assert g.nbr.tolist() == graph.owners()[graph.pair].tolist()
         _kernels.is_run(g, 3, 0.02, 0.002)
         pointers = calls[-1][:6]
         assert pointers[0] == g.nbr.ctypes.data
         assert graph.pair.ctypes.data not in pointers
-        assert graph.owner.ctypes.data not in pointers
 
 
 def reloaded(n: int, d: int, seed: int):
