@@ -390,6 +390,24 @@ static uint64_t bit_of(int64_t v)
     return (uint64_t)1 << (v % 64);
 }
 
+/* A summarised bit set is a bit set and its summary, one bit per word of
+ * the set, set when that word is non-zero: summary word a covers the 4096
+ * vertices 4096 * a .. 4096 * a + 4095, and words(words(n)) words cover
+ * n vertices.  A scan reads the summary and only the non-zero words of
+ * the set. */
+static void sset_add(uint64_t *set, uint64_t *sum, int64_t v)
+{
+    set[v / 64] |= bit_of(v);
+    sum[v / 4096] |= bit_of(v / 64);
+}
+
+static void sset_remove(uint64_t *set, uint64_t *sum, int64_t v)
+{
+    set[v / 64] &= ~bit_of(v);
+    if (!set[v / 64])
+        sum[v / 4096] &= ~bit_of(v / 64);
+}
+
 /* the lowest set bit of w != 0, and the number of set bits of w, by the
  * count-trailing-zeros and population-count builtins that gcc and clang
  * both provide (__builtin_ctzll, __builtin_popcountll) */
@@ -517,14 +535,13 @@ static void queue_push(cut_state *s, int64_t x)
     fifo_push(&s->fail, &s->queue, &s->qhead, x);
 }
 
-/* The pattern-scan candidates, each vertex at most once: one bit per
- * vertex in cand, one bit per non-zero word of cand in cand_sum (a summary
- * word covers 4096 vertices), and no non-zero summary word below cand_lo.
- * A pop takes the lowest id, as CutProcess.closure pops its heap. */
+/* The pattern-scan candidates, each vertex at most once: the summarised
+ * bit set cand and its summary cand_sum, with no non-zero summary word
+ * below cand_lo.  A pop takes the lowest id, as CutProcess.closure pops
+ * its heap. */
 static void cand_add(cut_state *s, int64_t v)
 {
-    s->cand[v / 64] |= bit_of(v);
-    s->cand_sum[v / 4096] |= bit_of(v / 64);
+    sset_add(s->cand, s->cand_sum, v);
     if (v / 4096 < s->cand_lo)
         s->cand_lo = v / 4096;
 }
@@ -539,9 +556,7 @@ static int64_t cand_pop(cut_state *s)
         return -1;
     int64_t i = 64 * s->cand_lo + lowest(s->cand_sum[s->cand_lo]);
     int64_t v = 64 * i + lowest(s->cand[i]);
-    s->cand[i] &= ~bit_of(v);
-    if (!s->cand[i])
-        s->cand_sum[s->cand_lo] &= ~bit_of(i);
+    sset_remove(s->cand, s->cand_sum, v);
     return v;
 }
 
@@ -1348,8 +1363,10 @@ int64_t cut_run(int64_t n, const int32_t *pair, uint8_t *status, int8_t *f,
  * the persistence fraction passed in from Python.  Every rule and its
  * order of effects is the same as in the Python methods, the reference
  * semantics.  The class members are the ascending ids (so labels) that
- * SurvivalGraph.scan finds, read off the class bit sets below, at n / 64
- * words per non-empty class scanned (none for an empty range).
+ * SurvivalGraph.scan finds, read off the summarised class bit sets below:
+ * a scan reads n / 4096 summary words per non-empty class in its range,
+ * and then only the non-zero words of those classes (nothing for an
+ * empty range).
  *
  * The neighbour lists keep the Python list order exactly.  Each half-edge
  * h is one arc: nbr[h], the vertex it leads to, and next[h], the next arc
@@ -1366,9 +1383,11 @@ int64_t cut_run(int64_t n, const int32_t *pair, uint8_t *status, int8_t *f,
  * {survival count, contractions}.  Private here:
  *   - each arc's next and each vertex's head: a live vertex's chain holds
  *     deg[v] arcs, and a merge relinks arcs without moving or adding any;
- *   - one bit set per degree class, class_set(s, k) holding the live
- *     vertices of degree k; every change of a degree or a death goes
- *     through reclass, which keeps counts[k] equal to the size of class k;
+ *   - one summarised bit set per degree class, class_set(s, k) holding
+ *     the live vertices of degree k and class_sum(s, k) its summary;
+ *     every change of a degree or a death goes through reclass, which
+ *     keeps counts[k] equal to the size of class k and the summary in
+ *     step with the set;
  *   - the merge log, (x, y, z) for each true merge;
  *   - the settle FIFO;
  *   - a round's vertices above its class and its marked members, and the
@@ -1395,10 +1414,29 @@ typedef struct {
 #define SURVIVAL_COUNT(s) ((s)->state[0])
 #define CONTRACTIONS(s) ((s)->state[1])
 
-/* the bit set of degree class k */
+/* the words of one degree class: its bit set over the n vertices, then
+ * the set's summary */
+static int64_t class_words(int64_t n)
+{
+    return words(n) + words(words(n));
+}
+
+/* the bit set of degree class k, and its summary */
 static uint64_t *class_set(is_state *s, int64_t k)
 {
-    return s->classes + k * words(s->n);
+    return s->classes + k * class_words(s->n);
+}
+
+static uint64_t *class_sum(is_state *s, int64_t k)
+{
+    return class_set(s, k) + words(s->n);
+}
+
+/* v joins class k */
+static void class_add(is_state *s, int64_t k, int64_t v)
+{
+    sset_add(class_set(s, k), class_sum(s, k), v);
+    s->counts[k] += 1;
 }
 
 /* the link (head[v] or an arc's next) holding the first arc of v's list
@@ -1434,16 +1472,14 @@ static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
 static void reclass(is_state *s, int64_t v, int64_t to)
 {
     int64_t from = s->deg[v];
-    uint64_t *word = class_set(s, from) + v / 64;
-    if (!(*word & bit_of(v)))
+    if (!(class_set(s, from)[v / 64] & bit_of(v)))
         fail(&s->fail, ENGINE_BROKEN);  /* class sets out of sync */
-    *word &= ~bit_of(v);
+    sset_remove(class_set(s, from), class_sum(s, from), v);
     s->counts[from] -= 1;
     if (to < 0)
         return;
     s->deg[v] = to;
-    class_set(s, to)[v / 64] |= bit_of(v);
-    s->counts[to] += 1;
+    class_add(s, to, v);
 }
 
 static void is_queue(is_state *s, int64_t v)
@@ -1598,7 +1634,7 @@ static void is_alloc(is_state *s)
     s->next = malloc((half_edges > 0 ? (size_t)half_edges : 1)
                      * sizeof *s->next);
     s->head = malloc(m * sizeof *s->head);
-    s->classes = calloc(ncounts * words(m), sizeof *s->classes);
+    s->classes = calloc(ncounts * class_words(m), sizeof *s->classes);
     s->picked = malloc(ncounts * sizeof *s->picked);
     if (!s->next || !s->head || !s->classes || !s->picked)
         fail(&s->fail, ENGINE_NOMEM);
@@ -1611,20 +1647,18 @@ static void is_alloc(is_state *s)
     }
     for (int64_t k = 0; k < ncounts; k++)
         counts[k] = 0;
-    for (int64_t v = 0; v < n; v++) {
-        if (s->alive[v]) {
-            class_set(s, deg[v])[v / 64] |= bit_of(v);
-            counts[deg[v]] += 1;
-        }
-    }
+    for (int64_t v = 0; v < n; v++)
+        if (s->alive[v])
+            class_add(s, deg[v], v);
 }
 
 /* -- the round ladder: is_drive and its helpers ------------------------ */
 
 /* the live vertices of degree lo..hi (0 <= lo, hi < ncounts), ascending,
- * into out, a vector of the engine's: each word of the union of the
- * non-empty classes, lowest bit first.  Finding another number of ids than
- * counts[lo] + ... + counts[hi] is ENGINE_BROKEN. */
+ * into out, a vector of the engine's: the union of the non-empty classes'
+ * summaries, lowest bit first, and for each of its bits the union of
+ * those classes' words, lowest bit first.  Finding another number of ids
+ * than counts[lo] + ... + counts[hi] is ENGINE_BROKEN. */
 static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
 {
     int64_t need = 0, npicked = 0, m = 0, nw = words(s->n);
@@ -1635,14 +1669,21 @@ static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
     }
     out->len = 0;
     reserve(&s->fail, out, need);
-    for (int64_t i = 0; npicked && i < nw; i++) {
-        uint64_t w = 0;
+    /* a class's summary follows its nw words */
+    for (int64_t a = 0; npicked && a < words(nw); a++) {
+        uint64_t sum = 0;
         for (int64_t j = 0; j < npicked; j++)
-            w |= s->picked[j][i];
-        for (; w; w &= w - 1) {
-            if (m == need)
-                fail(&s->fail, ENGINE_BROKEN);  /* more ids than counted */
-            out->data[m++] = (int32_t)(64 * i + lowest(w));
+            sum |= s->picked[j][nw + a];
+        for (; sum; sum &= sum - 1) {
+            int64_t i = 64 * a + lowest(sum);
+            uint64_t w = 0;
+            for (int64_t j = 0; j < npicked; j++)
+                w |= s->picked[j][i];
+            for (; w; w &= w - 1) {
+                if (m == need)
+                    fail(&s->fail, ENGINE_BROKEN);  /* more ids than counted */
+                out->data[m++] = (int32_t)(64 * i + lowest(w));
+            }
         }
     }
     if (m != need)

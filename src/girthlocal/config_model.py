@@ -8,7 +8,9 @@ vertex order: ``Multigraph`` renumbers half-edges given in any other order
 and every reader (the slot and neighbour lists, the C engines) relies on
 it.  So the pairing and the block bounds are all a graph keeps: the owner
 of each half-edge is given only to group them, and ``owners`` derives it
-again from the blocks for a caller that needs it.  Self-loops and
+again from the blocks for a caller that needs it.  A generated graph is
+grouped by construction, d half-edges per vertex, so ``generate`` gives
+no owners at all and its blocks follow from n and d.  Self-loops and
 parallel edges are permitted — the downstream algorithms must tolerate
 them — but they become vanishingly rare locally as n grows, which is what
 lets finite runs approximate the large-girth limit.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import InitVar, dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -70,31 +72,43 @@ class Multigraph:
     A graph keeps ``pair`` and the block bounds ``_indptr`` alone, both
     int32, whatever integer arrays it was given; the given values are
     range-checked first, so an id out of range raises instead of wrapping,
-    and arrays of any other dtype (float, bool) raise.  ``owner`` is an
-    init-only argument: half-edges not grouped by owner are renumbered by a
-    stable sort, so that vertex v's are the block
+    and arrays of any other dtype (float, bool) raise.  The pairing's
+    range, fixed-point and involution checks run on every graph.  ``owner``
+    is an init-only argument: half-edges not grouped by owner are
+    renumbered by a stable sort, so that vertex v's are the block
     ``_indptr[v]:_indptr[v + 1]`` (grouped ones are kept as given), and the
-    owners are then dropped; ``owners()`` derives them from the blocks."""
+    owners are then dropped; ``owners()`` derives them from the blocks.
+    With no owners, the half-edges are those of a regular graph grouped by
+    construction, h / n per vertex in vertex order, and the blocks come
+    from the counts alone."""
 
     n: int
-    owner: InitVar[np.ndarray]  # owner[h] = vertex owning half-edge h
     pair: np.ndarray   # pair[pair[h]] == h, pair[h] != h
+    # owner[h] = vertex owning half-edge h; None: vertex v owns d*v..d*v+d-1
+    owner: InitVar[Optional[np.ndarray]] = None
     _indptr: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, owner):
-        owner, pair = np.asarray(owner), np.asarray(self.pair)
-        if not (np.issubdtype(owner.dtype, np.integer)
-                and np.issubdtype(pair.dtype, np.integer)):
+        pair = np.asarray(self.pair)
+        if owner is not None:
+            owner = np.asarray(owner)
+        if not all(np.issubdtype(a.dtype, np.integer)
+                   for a in (owner, pair) if a is not None):
             raise ValueError("owner and pair must be integer arrays")
-        h = owner.shape[0]
+        h = pair.size
         check_id_range(self.n, h)
-        if owner.shape != (h,) or pair.shape != (h,) or h % 2 != 0:
+        if pair.shape != (h,) or h % 2 != 0 or (
+                owner is not None and owner.shape != (h,)):
             raise ValueError("owner and pair must be equal even-length arrays")
-        if h and (owner.min() < 0 or owner.max() >= self.n):
+        d = h // max(self.n, 1)
+        if owner is None and h != d * self.n:
+            raise ValueError("half-edges given without owners must be the "
+                             "same number for each vertex")
+        if owner is not None and h and (owner.min() < 0
+                                        or owner.max() >= self.n):
             raise ValueError("half-edge owner out of range")
         if h and (pair.min() < 0 or pair.max() >= h):
             raise ValueError("pairing must be a fixed-point-free involution")
-        owner = owner.astype(np.int32, copy=False)
         pair = pair.astype(np.int32, copy=False)
         for s in blocks(h):
             partner = pair[s]
@@ -102,18 +116,12 @@ class Multigraph:
             if np.any(pair[partner] != idx) or np.any(partner == idx):
                 raise ValueError(
                     "pairing must be a fixed-point-free involution")
-        # each block's differences reach one half-edge into the next block
-        if any(np.any(np.diff(owner[s.start:s.stop + 1]) < 0)
-               for s in blocks(h)):
-            # h' = rank[h] is h's place once grouped by owner
-            order = np.argsort(owner, kind="stable")
-            rank = np.empty(h, dtype=np.int32)
-            rank[order] = np.arange(h, dtype=np.int32)
-            owner, pair = owner[order], rank[pair[order]]
+        if owner is None:
+            self._indptr = np.arange(self.n + 1, dtype=np.int32)
+            self._indptr *= d
+        else:
+            pair, self._indptr = _grouped(self.n, owner, pair)
         self.pair = pair
-        counts = np.bincount(owner, minlength=self.n)
-        self._indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(counts, out=self._indptr[1:])
         for arr in (self.pair, self._indptr):
             arr.setflags(write=False)
 
@@ -174,6 +182,25 @@ class Multigraph:
                 yield owner[h], owner[k]
 
 
+def _grouped(n: int, owner: np.ndarray, pair: np.ndarray) -> tuple:
+    """The int32 pairing renumbered so that the half-edges are grouped by
+    owner (the given pairing when they are already), and the block bounds
+    of the n owners."""
+    owner = owner.astype(np.int32, copy=False)
+    h = owner.shape[0]
+    # each block's differences reach one half-edge into the next block
+    if any(np.any(np.diff(owner[s.start:s.stop + 1]) < 0)
+           for s in blocks(h)):
+        # h' = rank[h] is h's place once grouped by owner
+        order = np.argsort(owner, kind="stable")
+        rank = np.empty(h, dtype=np.int32)
+        rank[order] = np.arange(h, dtype=np.int32)
+        owner, pair = owner[order], rank[pair[order]]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    return pair, indptr
+
+
 def generate(n: int, d: int, seed) -> Multigraph:
     """Uniform configuration-model multigraph: n vertices of degree d.
 
@@ -192,10 +219,10 @@ def generate(n: int, d: int, seed) -> Multigraph:
     pair[perm[0::2]] = perm[1::2]
     pair[perm[1::2]] = perm[0::2]
     # the int64 permutation is the largest array here: free it before the
-    # graph's own arrays are built
+    # pairing is checked
     del perm
-    owner = np.repeat(np.arange(n, dtype=np.int32), d)
-    return Multigraph(n=n, owner=owner, pair=pair)
+    # vertex v owns half-edges d*v .. d*v + d - 1: no owner array to check
+    return Multigraph(n=n, pair=pair)
 
 
 def edge_list_header(text: str) -> tuple:

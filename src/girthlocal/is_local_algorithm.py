@@ -94,6 +94,10 @@ class SurvivalGraph:
 
     nbr, a writable int32 array, holds the neighbour across each half-edge
     in the graph's order; it is all a survival graph keeps of the graph.
+    Given labels (an int32 permutation), the survival graph is that of the
+    regular graph g renamed by them (``Multigraph.renamed``): vertex v is
+    labels[v], and nbr is built in one pass from g's own pairing, with no
+    renamed pairing and no owner array.
 
     The methods below are the reference semantics.  run() hands the whole
     run, its round ladder included, to one ``_kernels.is_run`` call (the
@@ -103,11 +107,22 @@ class SurvivalGraph:
     keyed on vertex ids, which run() makes the run's labels.
     """
 
-    def __init__(self, g: Multigraph, key: int = 0):
+    def __init__(self, g: Multigraph, key: int = 0,
+                 labels: Optional[np.ndarray] = None):
         self.n = g.n
         self.key = key
-        self.nbr = g.owners()[g.pair]
         degrees = g.degrees().astype(np.int64)
+        if labels is None:
+            self.nbr = g.owners()[g.pair]
+        else:
+            d = g.pair.shape[0] // max(g.n, 1)
+            if np.any(degrees != d):
+                raise ValueError("only a regular graph can be renamed")
+            # renamed half-edge d*labels[v] + j is v's j-th, and it leads to
+            # the label of its partner's vertex
+            self.nbr = np.empty_like(g.pair)
+            self.nbr.reshape(g.n, d)[labels] = \
+                labels[g.pair // d].reshape(g.n, d)
         self.deg = array("q", degrees.tobytes())
         self.alive = bytearray(b"\x01") * g.n
         # room for every degree settle lets arise: a merge adds two degrees
@@ -357,7 +372,7 @@ def run(graph: Multigraph, d: int, seed=None,
     if not 0.0 <= thin_probability <= 1.0:
         raise ValueError("thin_probability must lie in [0, 1]")
     key, labels = _kernels.run_labels(graph.n, seed)
-    g = SurvivalGraph(graph.renamed(labels), key)
+    g = SurvivalGraph(graph, key, labels)
     if _kernels.BACKEND == "c":
         rounds = _kernels.is_run(g, d, thin_probability,
                                  PERSISTENCE_FRACTION)

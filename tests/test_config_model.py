@@ -108,19 +108,52 @@ def test_half_edges_are_grouped_by_owner_in_the_given_order(monkeypatch):
             for slots in g.slot_lists()] == nbrs
     assert sorted(g.edges()) == sorted(
         (u, v) if u <= v else (v, u) for u, v in lines)
-    # generate's half-edges are grouped already, so the graph keeps the
-    # pairing generate gives it, with no renumbering copy, and owners
-    # derived from its blocks equal the ones it was given
+    # generate's half-edges are grouped by construction, d per vertex, so
+    # it gives the graph its pairing and no owners; the graph keeps that
+    # pairing, with no renumbering copy, and the owners derived from its
+    # blocks are vertex v's d half-edges in order
     given = {}
 
-    def recorded(n, owner, pair):
+    def recorded(n, pair, owner=None):
         given.update(owner=owner, pair=pair)
-        return Multigraph(n=n, owner=owner, pair=pair)
+        return Multigraph(n=n, pair=pair, owner=owner)
 
     monkeypatch.setattr(config_model, "Multigraph", recorded)
     g = generate(1000, 3, seed=0)
-    assert np.array_equal(g.owners(), given["owner"])
+    assert given["owner"] is None
     assert np.shares_memory(g.pair, given["pair"])
+    assert np.array_equal(g.owners(), np.repeat(np.arange(1000), 3))
+
+
+def test_a_generated_graph_is_the_graph_of_its_owners():
+    # the blocks that generate's graph takes from n and d are those that
+    # Multigraph derives from the owners d*[0], d*[1], ...: the same
+    # pairing and block bounds, array for array
+    for n, d in ((2, 3), (1000, 3), (999, 4), (5000, 4)):
+        g = generate(n, d, seed=n)
+        want = Multigraph(n=n, owner=np.repeat(np.arange(n), d),
+                          pair=g.pair.copy())
+        for name in ("pair", "_indptr"):
+            a, b = getattr(g, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int32, name
+            assert np.array_equal(a, b) and not a.flags.writeable, name
+
+
+@pytest.mark.parametrize("n, pair, match", [
+    (3, np.array([1, 0, 3, 2]), "same number"),
+    (2, np.array([1, 0, 3, 3]), "involution"),
+    (1, np.array([0, 1]), "involution"),
+    (2, np.array([1, 0, 3, 4]), "involution"),
+    (2, np.array([1.0, 0.0, 3.0, 2.0]), "integer"),
+    (2, np.array([1, 0, 2]), "even-length"),
+], ids=["uneven", "not_an_involution", "fixed_point", "out_of_range",
+        "float", "odd"])
+def test_a_graph_given_without_owners_has_its_pairing_checked(n, pair,
+                                                              match):
+    # with no owner array the pairing's own checks still run, and the
+    # half-edges must split evenly into the n blocks
+    with pytest.raises(ValueError, match=match):
+        Multigraph(n=n, pair=pair)
 
 
 def relabelled(graph: Multigraph, pi: np.ndarray) -> Multigraph:

@@ -543,15 +543,54 @@ def test_merges_extend_an_empty_list_and_merge_merged_vertices(
 
 
 def test_a_survival_graph_keeps_no_reference_to_its_graph():
-    # the survival graph keeps its own neighbour array, not the Multigraph:
-    # so the renamed graph that run() builds for it, and that graph's
-    # pairing, are freed before the run starts
-    graph = generate(64, 3, seed=0)
-    ref = weakref.ref(graph)
-    g = SurvivalGraph(graph, 0)
-    del graph
-    assert ref() is None
-    assert run_on(g, 3, THIN_PROBABILITY, _kernels.BACKEND == "c") > 0
+    # the survival graph keeps its own neighbour array, not the Multigraph
+    # it was built from, with or without labels: a run holds no pairing of
+    # its own
+    for labels in (None, np.arange(64, dtype=np.int32)[::-1].copy()):
+        graph = generate(64, 3, seed=0)
+        ref = weakref.ref(graph)
+        g = SurvivalGraph(graph, 0, labels)
+        del graph
+        assert ref() is None
+        assert run_on(g, 3, THIN_PROBABILITY, _kernels.BACKEND == "c") > 0
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_the_run_s_survival_graph_is_that_of_the_renamed_graph(
+        monkeypatch, d):
+    # run() builds its survival graph from the caller's pairing and the
+    # labels in one pass: before the first round it equals the survival
+    # graph of the graph renamed by the labels, array for array, and the
+    # caller's graph is left as it was
+    seen = []
+    drive = is_local_algorithm._drive
+
+    def recorded(g, *args):
+        seen.append((g.nbr.copy(), g.deg.tobytes(), g.counts.tobytes(),
+                     list(g.queue), g.survival_count, g.key))
+        return drive(g, *args)
+
+    monkeypatch.setattr(_kernels, "BACKEND", "python")
+    monkeypatch.setattr(is_local_algorithm, "_drive", recorded)
+    graphs = [load_edge_list(text) for k, text in REGULAR.values() if k == d]
+    graphs += [generate(n, d, seed=n) for n in (4, 300, 5000)]
+    for seed, graph in enumerate(graphs):
+        pair = graph.pair.copy()
+        run(graph, d, seed=seed)
+        nbr, *rest = seen.pop()
+        assert nbr.dtype == np.int32
+        assert np.array_equal(graph.pair, pair)
+        key, labels = _kernels.run_labels(graph.n, seed)
+        want = SurvivalGraph(graph.renamed(labels), key)
+        assert np.array_equal(nbr, want.nbr)
+        assert rest == [want.deg.tobytes(), want.counts.tobytes(),
+                        list(want.queue), want.survival_count, want.key]
+
+
+def test_only_a_regular_graph_is_renamed_into_a_survival_graph():
+    graph = load_edge_list(PATH3)
+    with pytest.raises(ValueError, match="regular"):
+        SurvivalGraph(graph, 0, np.arange(3, dtype=np.int32))
 
 
 @compiled
@@ -741,7 +780,7 @@ def survival_graph_of(graph, seed) -> tuple:
     """The survival graph that ``run`` builds for a run of the seed on the
     graph, which it renames by the run's labels, and the labels."""
     key, labels = _kernels.run_labels(graph.n, seed)
-    return SurvivalGraph(graph.renamed(labels), key), labels
+    return SurvivalGraph(graph, key, labels), labels
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -799,16 +838,19 @@ def test_whole_runs_commute_with_relabelling(d):
 @pytest.mark.parametrize("d", [3, 4])
 def test_whole_runs_commute_with_relabelling_on_the_python_path(
         monkeypatch, d):
-    # the same on the Python methods, whose runs are the C engine's
-    graph = generate(3000, d, seed=d)
-    pi = np.random.default_rng(7).permutation(graph.n)
-    outputs = []
-    for backend in dict.fromkeys(("python", _kernels.BACKEND)):
-        monkeypatch.setattr(_kernels, "BACKEND", backend)
-        assert relabelled_run_difference(graph, d, 1, pi) == 0
-        r = run(graph, d, seed=1)
-        outputs.append((r.vertices, r.rounds, r.contractions))
-    assert outputs[0] == outputs[-1]
+    # the same on the Python methods, whose runs are the C engine's; at
+    # n = 20000 the engine's class sets span five summary words of 4096
+    # vertices, so its scans walk summaries past the first word
+    for n in (3000, 20_000):
+        graph = generate(n, d, seed=d)
+        pi = np.random.default_rng(7).permutation(graph.n)
+        outputs = []
+        for backend in dict.fromkeys(("python", _kernels.BACKEND)):
+            monkeypatch.setattr(_kernels, "BACKEND", backend)
+            assert relabelled_run_difference(graph, d, 1, pi) == 0
+            r = run(graph, d, seed=1)
+            outputs.append((r.vertices, r.rounds, r.contractions))
+        assert outputs[0] == outputs[-1], n
 
 
 # the no-correction is3 evolution's final at step 1e-7 (test_acceptance

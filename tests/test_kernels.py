@@ -335,7 +335,8 @@ def test_runs_on_loaded_graphs_match_their_pin(monkeypatch, backend):
 # runs in a fresh interpreter, since a sanitizer finding aborts it: small
 # cut and independent-set runs on the normal library, then on the one that
 # _load builds into argv[1] with the flags argv[2:], must agree.  Besides
-# d-regular runs, whole cut runs on four MULTIGRAPHS of
+# d-regular runs (at n = 20000 for each d, whose class sets span five
+# summary words of 4096 vertices each), whole cut runs on four MULTIGRAPHS of
 # test_cut_local_algorithm (loops and parallel edges, their half-edges
 # renumbered by Multigraph) reach the engine's chains over loaded graphs,
 # whole independent-set runs on OVER_CAP and the two staircases of
@@ -383,7 +384,7 @@ def outputs():
     empty = load_edge_list("0 0\\n")
     out.append(cut(empty, 0, 0.02))
     for d in (3, 4):
-        for n, seed in ((66, 0), (2000, 1)):
+        for n, seed in ((66, 0), (2000, 1), (20_000, 2)):
             r = is_local_algorithm.run(generate(n, d, seed=seed), d,
                                        seed=seed)
             out.append((r.vertices, r.rounds, r.contractions))
@@ -506,7 +507,12 @@ def test_a_failed_check_stops_the_engine_where_the_reference_stops(case):
 # runs in a fresh interpreter, which builds a graph of 2e6 vertices and
 # each engine's process over it, then caps its own address space at its
 # size plus 16 MB, well below either engine's private state: each run must
-# raise MemoryError, free what it allocated and write its counters back
+# raise MemoryError, free what it allocated and write its counters back.
+# The child's malloc serves every block of 128 kB or more by its own mmap
+# (MALLOC_MMAP_THRESHOLD_, which also stops glibc from raising that
+# threshold as large blocks are freed), so the arrays freed while the graph
+# and processes are built go back to the system and leave no free heap of
+# tens of MB inside the cap, from which an engine's state could be served
 OUT_OF_MEMORY = """
 import resource
 from girthlocal import _kernels
@@ -537,7 +543,8 @@ print(proc.good, proc.bad, proc.survival, g.survival_count, g.contractions)
 def test_an_engine_out_of_memory_raises_memory_error():
     check = subprocess.run(
         [sys.executable, "-c", OUT_OF_MEMORY],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        env=dict(os.environ, PYTHONPATH=str(SRC),
+                 MALLOC_MMAP_THRESHOLD_=str(128 * 2 ** 10)),
         capture_output=True, text=True, timeout=300)
     assert check.returncode == 0 and check.stderr == "", check.stderr
     assert check.stdout == ("cut engine: out of memory\n"
@@ -610,13 +617,50 @@ def calls_by_function(path) -> dict:
     return found
 
 
+def labelled_calls(path, function: str) -> set:
+    """The names called in the module-level ``function`` of the module at
+    path with the name ``labels`` among their arguments."""
+    (node,) = [node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == function]
+    return {call.func.attr if isinstance(call.func, ast.Attribute)
+            else call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and any(isinstance(arg, ast.Name) and arg.id == "labels"
+                    for arg in [*call.args,
+                                *(k.value for k in call.keywords)])}
+
+
+def renames_by_labels(path) -> bool:
+    """Whether ``SurvivalGraph.__init__`` in the module at path sets the
+    neighbours of vertex labels[v] to the labels of v's neighbours: an
+    assignment to ``...[labels]`` of a value read from ``labels[...]``."""
+    (cls,) = [node for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.ClassDef)
+              and node.name == "SurvivalGraph"]
+    (init,) = [node for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "__init__"]
+
+    def is_labels(node):
+        return isinstance(node, ast.Name) and node.id == "labels"
+
+    return any(isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Subscript) and is_labels(t.slice)
+                       for t in node.targets)
+               and any(isinstance(x, ast.Subscript) and is_labels(x.value)
+                       for x in ast.walk(node.value))
+               for node in ast.walk(init))
+
+
 def test_finite_runs_draw_from_their_labels_alone():
     # one draw primitive in both backends, keyed on vertex ids, with no
     # generator in a run: the C source names no numpy bit generator and no
     # label array outside its comments, so the engines key every draw on
     # an id; the two process modules reach numpy's Generator only through
     # run_labels, in their whole-run entry points alone, which rename
-    # each vertex by its label; their rounds call _kernels.draw
+    # each vertex by its label (the cut by Multigraph.renamed, the
+    # independent set in SurvivalGraph's one-pass build of its neighbour
+    # array); their rounds call _kernels.draw
     source = _kernels._SOURCE.read_text()
     code = re.sub(r"/\*.*?\*/", "", source, flags=re.DOTALL)
     for name in ("bitgen", "next_double", "next_uint", "bit_generator"):
@@ -624,14 +668,17 @@ def test_finite_runs_draw_from_their_labels_alone():
     assert re.search(r"\blabels?\b", code) is None
     generator = {"default_rng", "Generator", "random", "integers",
                  "permutation", "choice", "bit_generator"}
-    for module, entry in ((is_local_algorithm, "run"),
-                          (cut_local_algorithm, "run_cut")):
+    for module, entry, renaming in (
+            (is_local_algorithm, "run", "SurvivalGraph"),
+            (cut_local_algorithm, "run_cut", "renamed")):
         calls = calls_by_function(Path(module.__file__))
         assert {name for name, called in calls.items()
                 if "run_labels" in called} == {entry}, module.__name__
-        assert "renamed" in calls[entry], module.__name__
+        assert renaming in labelled_calls(Path(module.__file__), entry), \
+            module.__name__
         assert not set().union(*calls.values()) & generator, module.__name__
         assert "draw" in set().union(*calls.values())
+    assert renames_by_labels(Path(is_local_algorithm.__file__))
 
 
 # a function definition at the top level of the C source: its return type
