@@ -390,22 +390,15 @@ static uint64_t bit_of(int64_t v)
     return (uint64_t)1 << (v % 64);
 }
 
-/* A summarised bit set is a bit set and its summary, one bit per word of
- * the set, set when that word is non-zero: summary word a covers the 4096
- * vertices 4096 * a .. 4096 * a + 4095, and words(words(n)) words cover
- * n vertices.  A scan reads the summary and only the non-zero words of
- * the set. */
+/* A summarised bit set is a bit set with a summary, one bit per word of
+ * the set, which is set whenever that word is non-zero: summary word a
+ * covers the 4096 vertices 4096 * a .. 4096 * a + 4095, and
+ * words(words(n)) words cover n vertices.  A scan reads the summary and
+ * then only the words it flags. */
 static void sset_add(uint64_t *set, uint64_t *sum, int64_t v)
 {
     set[v / 64] |= bit_of(v);
     sum[v / 4096] |= bit_of(v / 64);
-}
-
-static void sset_remove(uint64_t *set, uint64_t *sum, int64_t v)
-{
-    set[v / 64] &= ~bit_of(v);
-    if (!set[v / 64])
-        sum[v / 4096] &= ~bit_of(v / 64);
 }
 
 /* the lowest set bit of w != 0, and the number of set bits of w, by the
@@ -556,7 +549,9 @@ static int64_t cand_pop(cut_state *s)
         return -1;
     int64_t i = 64 * s->cand_lo + lowest(s->cand_sum[s->cand_lo]);
     int64_t v = 64 * i + lowest(s->cand[i]);
-    sset_remove(s->cand, s->cand_sum, v);
+    s->cand[i] &= ~bit_of(v);
+    if (!s->cand[i])
+        s->cand_sum[s->cand_lo] &= ~bit_of(i);
     return v;
 }
 
@@ -1365,8 +1360,7 @@ int64_t cut_run(int64_t n, const int32_t *pair, uint8_t *status, int8_t *f,
  * semantics.  The class members are the ascending ids (so labels) that
  * SurvivalGraph.scan finds, read off the summarised class bit sets below:
  * a scan reads n / 4096 summary words per non-empty class in its range,
- * and then only the non-zero words of those classes (nothing for an
- * empty range).
+ * and then only the words they flag (nothing for an empty range).
  *
  * The neighbour lists keep the Python list order exactly.  Each half-edge
  * h is one arc: nbr[h], the vertex it leads to, and next[h], the next arc
@@ -1377,17 +1371,20 @@ int64_t cut_run(int64_t n, const int32_t *pair, uint8_t *status, int8_t *f,
  * happens where Python makes it, duplicates included.
  *
  * Shared with Python (the SurvivalGraph's own buffers, and no pairing):
- * nbr, deg (frozen at death, as in Python), alive, the degree histogram
- * counts, the decision bytes status (UNDECIDED, IN, OUT; deciding a vertex
- * twice is ENGINE_BROKEN), which give the run's set, and state =
- * {survival count, contractions}.  Private here:
+ * nbr (which SurvivalGraph builds in one pass from the caller's pairing,
+ * each vertex already renamed by its label), deg (frozen at death, as in
+ * Python), alive, the degree histogram counts, the decision bytes status
+ * (UNDECIDED, IN, OUT; deciding a vertex twice is ENGINE_BROKEN), which
+ * give the run's set, and state = {survival count, contractions}.  Private
+ * here:
  *   - each arc's next and each vertex's head: a live vertex's chain holds
  *     deg[v] arcs, and a merge relinks arcs without moving or adding any;
  *   - one summarised bit set per degree class, class_set(s, k) holding
  *     the live vertices of degree k and class_sum(s, k) its summary;
  *     every change of a degree or a death goes through reclass, which
- *     keeps counts[k] equal to the size of class k and the summary in
- *     step with the set;
+ *     keeps counts[k] equal to the size of class k and flags each word a
+ *     vertex joins in the summary; a word left empty stays flagged until
+ *     a scan finds it so and clears its bit;
  *   - the merge log, (x, y, z) for each true merge;
  *   - the settle FIFO;
  *   - a round's vertices above its class and its marked members, and the
@@ -1406,30 +1403,24 @@ typedef struct {
     int32_t *nbr, *next, *head;
     vec merges, queue;
     int64_t qhead;
-    uint64_t *classes;
-    const uint64_t **picked;
+    uint64_t *classes, *sums;
+    int64_t *picked;
     vec above, marked;
 } is_state;
 
 #define SURVIVAL_COUNT(s) ((s)->state[0])
 #define CONTRACTIONS(s) ((s)->state[1])
 
-/* the words of one degree class: its bit set over the n vertices, then
- * the set's summary */
-static int64_t class_words(int64_t n)
-{
-    return words(n) + words(words(n));
-}
-
-/* the bit set of degree class k, and its summary */
+/* the bit set of degree class k, and its summary; the summaries of all
+ * classes are one small array of their own, which stays in cache */
 static uint64_t *class_set(is_state *s, int64_t k)
 {
-    return s->classes + k * class_words(s->n);
+    return s->classes + k * words(s->n);
 }
 
 static uint64_t *class_sum(is_state *s, int64_t k)
 {
-    return class_set(s, k) + words(s->n);
+    return s->sums + k * words(words(s->n));
 }
 
 /* v joins class k */
@@ -1472,9 +1463,12 @@ static void adj_rename(is_state *s, int64_t v, int64_t old, int64_t new_)
 static void reclass(is_state *s, int64_t v, int64_t to)
 {
     int64_t from = s->deg[v];
-    if (!(class_set(s, from)[v / 64] & bit_of(v)))
+    uint64_t *word = class_set(s, from) + v / 64;
+    if (!(*word & bit_of(v)))
         fail(&s->fail, ENGINE_BROKEN);  /* class sets out of sync */
-    sset_remove(class_set(s, from), class_sum(s, from), v);
+    /* the word's summary bit stays: members clears it once it finds the
+     * word empty, which costs less than a test at every removal */
+    *word &= ~bit_of(v);
     s->counts[from] -= 1;
     if (to < 0)
         return;
@@ -1616,6 +1610,7 @@ static void is_free(is_state *s)
     free(s->above.data);
     free(s->marked.data);
     free(s->classes);
+    free(s->sums);
     free(s->picked);
     free(s);
 }
@@ -1634,9 +1629,10 @@ static void is_alloc(is_state *s)
     s->next = malloc((half_edges > 0 ? (size_t)half_edges : 1)
                      * sizeof *s->next);
     s->head = malloc(m * sizeof *s->head);
-    s->classes = calloc(ncounts * class_words(m), sizeof *s->classes);
+    s->classes = calloc(ncounts * words(m), sizeof *s->classes);
+    s->sums = calloc(ncounts * words(words(m)), sizeof *s->sums);
     s->picked = malloc(ncounts * sizeof *s->picked);
-    if (!s->next || !s->head || !s->classes || !s->picked)
+    if (!s->next || !s->head || !s->classes || !s->sums || !s->picked)
         fail(&s->fail, ENGINE_NOMEM);
     for (int64_t v = 0, h = 0; v < n; v++) {
         s->head[v] = deg[v] ? (int32_t)h : -1;
@@ -1657,28 +1653,32 @@ static void is_alloc(is_state *s)
 /* the live vertices of degree lo..hi (0 <= lo, hi < ncounts), ascending,
  * into out, a vector of the engine's: the union of the non-empty classes'
  * summaries, lowest bit first, and for each of its bits the union of
- * those classes' words, lowest bit first.  Finding another number of ids
- * than counts[lo] + ... + counts[hi] is ENGINE_BROKEN. */
+ * those classes' words, lowest bit first; a class's summary bit of a word
+ * found empty is cleared.  Finding another number of ids than
+ * counts[lo] + ... + counts[hi] is ENGINE_BROKEN. */
 static void members(is_state *s, int64_t lo, int64_t hi, vec *out)
 {
-    int64_t need = 0, npicked = 0, m = 0, nw = words(s->n);
+    int64_t need = 0, npicked = 0, m = 0;
     for (int64_t k = lo; k <= hi; k++) {
         need += s->counts[k];
         if (s->counts[k])
-            s->picked[npicked++] = class_set(s, k);
+            s->picked[npicked++] = k;
     }
     out->len = 0;
     reserve(&s->fail, out, need);
-    /* a class's summary follows its nw words */
-    for (int64_t a = 0; npicked && a < words(nw); a++) {
+    for (int64_t a = 0; npicked && a < words(words(s->n)); a++) {
         uint64_t sum = 0;
         for (int64_t j = 0; j < npicked; j++)
-            sum |= s->picked[j][nw + a];
+            sum |= class_sum(s, s->picked[j])[a];
         for (; sum; sum &= sum - 1) {
             int64_t i = 64 * a + lowest(sum);
             uint64_t w = 0;
-            for (int64_t j = 0; j < npicked; j++)
-                w |= s->picked[j][i];
+            for (int64_t j = 0; j < npicked; j++) {
+                uint64_t word = class_set(s, s->picked[j])[i];
+                if (!word)
+                    class_sum(s, s->picked[j])[a] &= ~bit_of(i);
+                w |= word;
+            }
             for (; w; w &= w - 1) {
                 if (m == need)
                     fail(&s->fail, ENGINE_BROKEN);  /* more ids than counted */
