@@ -117,8 +117,7 @@ class Multigraph:
                 raise ValueError(
                     "pairing must be a fixed-point-free involution")
         if owner is None:
-            self._indptr = np.arange(self.n + 1, dtype=np.int32)
-            self._indptr *= d
+            self._indptr = d * np.arange(self.n + 1, dtype=np.int32)
         else:
             pair, self._indptr = _grouped(self.n, owner, pair)
         self.pair = pair
