@@ -145,13 +145,19 @@ class Multigraph:
         ids = np.asarray(half_edges).astype(np.int32, copy=False)
         return np.searchsorted(self._indptr, ids, side="right") - 1
 
+    def renamable_degree(self) -> int:
+        """d, the degree of every vertex: only a regular graph can be
+        renamed, and any other raises."""
+        d = self.pair.shape[0] // max(self.n, 1)
+        if np.any(self.degrees() != d):
+            raise ValueError("only a regular graph can be renamed")
+        return d
+
     def renamed(self, labels: np.ndarray) -> Multigraph:
         """This regular graph with vertex v renamed labels[v] (an int32
         permutation), each keeping its half-edges in order; it shares the
         blocks, and a valid pairing renamed stays valid."""
-        d = self.pair.shape[0] // max(self.n, 1)
-        if np.any(self.degrees() != d):
-            raise ValueError("only a regular graph can be renamed")
+        d = self.renamable_degree()
         moved = (d * labels[:, None] + np.arange(d, dtype=np.int32)).ravel()
         graph = copy.copy(self)
         graph.pair = np.empty_like(self.pair)

@@ -118,9 +118,7 @@ class SurvivalGraph:
         if labels is None:
             self.nbr = g.owners()[g.pair]
         else:
-            d = g.pair.shape[0] // max(g.n, 1)
-            if np.any(g.degrees() != d):
-                raise ValueError("only a regular graph can be renamed")
+            d = g.renamable_degree()
             # renamed half-edge d*labels[v] + j is v's j-th, and it leads to
             # the label of its partner's vertex
             self.nbr = np.empty_like(g.pair)
