@@ -284,12 +284,16 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
  *
  * The library exports four functions: the two chunk kernels above and one
  * run per engine, cut_run and is_run.  A run is one call with one exit: it
- * allocates its engine's state, runs the whole process and frees the state,
- * and returns 0, ENGINE_NOMEM after an allocation failure, or ENGINE_BROKEN
- * when a bookkeeping invariant failed (an assertion in the Python methods).
- * A failed check or allocation calls fail, which jumps straight back to the
- * run's entry: the run stops at once, as the Python method's exception ends
- * the reference run, and leaves the shared buffers where that stops.
+ * allocates its engine's state struct, runs the whole process and returns
+ * 0, ENGINE_NOMEM after an allocation failure, or ENGINE_BROKEN when a
+ * bookkeeping invariant failed (an assertion in the Python methods).  Each
+ * private array is one take, which records its field in the struct's
+ * failure record, as reserve records a vector's buffer; on every exit the
+ * entry calls release, which frees every recorded block, and then frees the
+ * struct.  A failed check or allocation calls fail, which jumps straight
+ * back to the run's entry: the run stops at once, as the Python method's
+ * exception ends the reference run, and leaves the shared buffers where
+ * that stops.
  *
  * An engine reads and writes only its own state and the buffers it was
  * given: this file has no mutable file-scope state.  So engines over
@@ -315,10 +319,15 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
 #define ENGINE_NOMEM 1
 #define ENGINE_BROKEN 2
 
-/* a run's exit: its entry's setjmp point, and the code that fail leaves */
+#define BLOCKS 24  /* a run's most private blocks; the cut engine owns 19 */
+
+/* a run's exit: its entry's setjmp point, the code that fail leaves, and
+ * the addresses of the pointer fields that hold the run's private blocks */
 typedef struct {
     jmp_buf at;
     int64_t err;
+    void *owned[BLOCKS];
+    int64_t nowned;
 } failure;
 
 /* fail never returns (an attribute that gcc and clang both take) */
@@ -330,18 +339,51 @@ static void fail(failure *f, int64_t code)
     longjmp(f->at, 1);
 }
 
+/* the run owns the block that the pointer field at field holds, now and
+ * after any realloc; the field is read and written through memcpy */
+static void own(failure *f, void *field)
+{
+    if (f->nowned == BLOCKS)
+        fail(f, ENGINE_BROKEN);  /* more blocks than the record holds */
+    f->owned[f->nowned++] = field;
+}
+
+/* a zeroed block of count items of size bytes (an allocated one even for
+ * none) into the pointer field at field, which the run then owns */
+static void take(failure *f, void *field, int64_t count, size_t size)
+{
+    own(f, field);
+    void *block = calloc(count > 0 ? (size_t)count : 1, size);
+    if (!block)
+        fail(f, ENGINE_NOMEM);
+    memcpy(field, &block, sizeof block);
+}
+
+/* free every block the run owns */
+static void release(failure *f)
+{
+    for (int64_t i = 0; i < f->nowned; i++) {
+        void *block;
+        memcpy(&block, f->owned[i], sizeof block);
+        free(block);
+    }
+}
+
 /* a growable vector of ids */
 typedef struct {
     int32_t *data;
     int64_t len, cap;
 } vec;
 
-/* room for need items in v (and an allocated buffer even for none); a
- * failed realloc leaves the old buffer in v, for the engine's free */
+/* room for need items in v (and an allocated buffer even for none); the
+ * run owns the buffer from its first allocation on, and a failed realloc
+ * leaves the old buffer in v, for release */
 static void reserve(failure *f, vec *v, int64_t need)
 {
     if (v->data && need <= v->cap)
         return;
+    if (!v->data)
+        own(f, &v->data);
     int64_t cap = need > 2 * v->cap ? need : 2 * v->cap;
     cap = cap > 64 ? cap : 64;
     int32_t *data = realloc(v->data, cap * sizeof *data);
@@ -473,7 +515,8 @@ static int marked_by(uint64_t rk, int64_t v, double p)
  * 3v + 1 and 3v + 2, so half-edge h belongs to vertex h / 3.  Shared with
  * Python (the CutProcess's own buffers, read by its numpy scans): status,
  * f, the label counters nR/nG/nW/nD, pd, alias, revealed, and counts =
- * {good, bad, survival}.  Private here:
+ * {good, bad, survival}.  Private here, each array taken by cut_alloc and
+ * each vector's buffer recorded by reserve, all freed by cut_run's release:
  *   - two (neighbour, parity) path slots per vertex, kept in list order
  *     (a pop shifts the second slot down, as list.pop does);
  *   - a chain of half-edges per vertex v (next), from 3v in the order of
@@ -1117,57 +1160,28 @@ static void resolve_pending(cut_state *s)
 
 /* -- the engine's private state ---------------------------------------- */
 
-static void cut_free(cut_state *s)
-{
-    free(s->path_nb);
-    free(s->path_par);
-    free(s->next);
-    free(s->target);
-    free(s->age);
-    free(s->bit);
-    free(s->free_);
-    free(s->wsrc);
-    free(s->wbit);
-    free(s->seen);
-    free(s->order.data);
-    free(s->deferred.data);
-    free(s->queue.data);
-    free(s->walk.data);
-    free(s->cand);
-    free(s->cand_sum);
-    free(s->lones);
-    free(s->touched);
-    free(s->marked);
-    free(s);
-}
-
 /* the private state of a fresh engine over s->n vertices, every vertex
  * touched and none pending; vertex v's half-edges are 3v, 3v+1, 3v+2, in
  * the order of the Python slot lists */
 static void cut_alloc(cut_state *s)
 {
+    failure *f = &s->fail;
     int64_t n = s->n;
-    size_t m = n > 0 ? (size_t)n : 1;
-    s->path_nb = malloc(2 * m * sizeof *s->path_nb);
-    s->path_par = malloc(2 * m);
-    s->next = malloc(3 * m * sizeof *s->next);
-    s->target = malloc(m * sizeof *s->target);
-    s->age = malloc(m * sizeof *s->age);
-    s->bit = malloc(m);
-    s->free_ = malloc(m);
-    s->wsrc = malloc(m * sizeof *s->wsrc);
-    s->wbit = malloc(m);
-    s->seen = malloc(m * sizeof *s->seen);
-    s->cand = calloc(words(m), sizeof *s->cand);
-    s->cand_sum = calloc(words(words(m)), sizeof *s->cand_sum);
-    s->lones = calloc(words(m), sizeof *s->lones);
-    s->touched = calloc(words(m), sizeof *s->touched);
-    s->marked = malloc(m * sizeof *s->marked);
-    if (!s->path_nb || !s->path_par || !s->next || !s->target
-            || !s->age || !s->bit || !s->free_ || !s->wsrc || !s->wbit
-            || !s->seen || !s->cand || !s->cand_sum || !s->lones
-            || !s->touched || !s->marked)
-        fail(&s->fail, ENGINE_NOMEM);
+    take(f, &s->path_nb, 2 * n, sizeof *s->path_nb);
+    take(f, &s->path_par, 2 * n, sizeof *s->path_par);
+    take(f, &s->next, 3 * n, sizeof *s->next);
+    take(f, &s->target, n, sizeof *s->target);
+    take(f, &s->age, n, sizeof *s->age);
+    take(f, &s->bit, n, sizeof *s->bit);
+    take(f, &s->free_, n, sizeof *s->free_);
+    take(f, &s->wsrc, n, sizeof *s->wsrc);
+    take(f, &s->wbit, n, sizeof *s->wbit);
+    take(f, &s->seen, n, sizeof *s->seen);
+    take(f, &s->cand, words(n), sizeof *s->cand);
+    take(f, &s->cand_sum, words(words(n)), sizeof *s->cand_sum);
+    take(f, &s->lones, words(n), sizeof *s->lones);
+    take(f, &s->touched, words(n), sizeof *s->touched);
+    take(f, &s->marked, n, sizeof *s->marked);
     for (int64_t v = 0; v < n; v++) {
         s->next[3 * v] = (int32_t)(3 * v + 1);
         s->next[3 * v + 1] = (int32_t)(3 * v + 2);
@@ -1344,7 +1358,8 @@ int64_t cut_run(int64_t n, const int32_t *pair, uint8_t *status, int8_t *f,
         cut_drive(s, q, floor, rounds);
     }
     int64_t err = s->fail.err;
-    cut_free(s);
+    release(&s->fail);
+    free(s);
     return err;
 }
 
@@ -1376,7 +1391,8 @@ int64_t cut_run(int64_t n, const int32_t *pair, uint8_t *status, int8_t *f,
  * Python), alive, the degree histogram counts, the decision bytes status
  * (UNDECIDED, IN, OUT; deciding a vertex twice is ENGINE_BROKEN), which
  * give the run's set, and state = {survival count, contractions}.  Private
- * here:
+ * here, each array taken by is_alloc and each vector's buffer recorded by
+ * reserve, all freed by is_run's release:
  *   - each arc's next and each vertex's head: a live vertex's chain holds
  *     deg[v] arcs, and a merge relinks arcs without moving or adding any;
  *   - one summarised bit set per degree class, class_set(s, k) holding
@@ -1601,20 +1617,6 @@ static void settle(is_state *s)
 
 /* -- the engine's private state ---------------------------------------- */
 
-static void is_free(is_state *s)
-{
-    free(s->next);
-    free(s->head);
-    free(s->merges.data);
-    free(s->queue.data);
-    free(s->above.data);
-    free(s->marked.data);
-    free(s->classes);
-    free(s->sums);
-    free(s->picked);
-    free(s);
-}
-
 /* the private state of a fresh engine over a fresh SurvivalGraph: the
  * chains (v's is its block of deg[v] half-edges in order), the class sets
  * and the settle queue; counts is rebuilt from deg and alive */
@@ -1625,15 +1627,11 @@ static void is_alloc(is_state *s)
     int64_t half_edges = 0;
     for (int64_t v = 0; v < n; v++)
         half_edges += deg[v];
-    size_t m = n > 0 ? (size_t)n : 1;
-    s->next = malloc((half_edges > 0 ? (size_t)half_edges : 1)
-                     * sizeof *s->next);
-    s->head = malloc(m * sizeof *s->head);
-    s->classes = calloc(ncounts * words(m), sizeof *s->classes);
-    s->sums = calloc(ncounts * words(words(m)), sizeof *s->sums);
-    s->picked = malloc(ncounts * sizeof *s->picked);
-    if (!s->next || !s->head || !s->classes || !s->sums || !s->picked)
-        fail(&s->fail, ENGINE_NOMEM);
+    take(&s->fail, &s->next, half_edges, sizeof *s->next);
+    take(&s->fail, &s->head, n, sizeof *s->head);
+    take(&s->fail, &s->classes, ncounts * words(n), sizeof *s->classes);
+    take(&s->fail, &s->sums, ncounts * words(words(n)), sizeof *s->sums);
+    take(&s->fail, &s->picked, ncounts, sizeof *s->picked);
     for (int64_t v = 0, h = 0; v < n; v++) {
         s->head[v] = deg[v] ? (int32_t)h : -1;
         for (int64_t end = h + deg[v]; h < end; h++)
@@ -1857,6 +1855,7 @@ int64_t is_run(int64_t n, int32_t *nbr, int64_t *deg, uint8_t *alive,
         is_drive(s, d, p, fraction, rounds);
     }
     int64_t err = s->fail.err;
-    is_free(s);
+    release(&s->fail);
+    free(s);
     return err;
 }

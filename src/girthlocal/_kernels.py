@@ -15,18 +15,19 @@ time, which keep the classes in registers, serve speed only.  And there is
 one event engine per finite process, ``cut_run`` and ``is_run``, each a
 whole run in one call over flat arrays: it restates the Python methods and
 round schedule of ``CutProcess`` or ``SurvivalGraph``, which tests pin it
-to, output for output.  A run allocates its engine's state over the process's
-buffers, runs and frees it in that one call, and stops at its first failed
-check, where the Python methods raise.  Every random pick of a run is
-``draw``, a pure function of the run's key and a vertex id, which both
-languages compute alike; the whole-run entry points run each process on
-its graph renamed by the run's labels (``run_labels``).  ctypes releases
-the GIL for each call, and an engine touches only its own state and
-buffers, so runs may overlap on threads.  A ``Multigraph`` keeps no
-owner array, and neither engine needs one: the cut's reads the int32
-pairing in place (``_graph_arrays``: no copy, no widening), half-edge h
-being vertex h // 3's, and the independent set's links
-``SurvivalGraph.nbr`` in place.
+to, output for output.  A run allocates its engine's private state over
+the process's buffers, each array by one recorded allocation, and frees all
+of it at its one exit in that call: at the end of the run, at its first
+failed check (where the Python methods raise), or when an allocation
+fails.  Every random pick of a run is ``draw``, a pure function of the
+run's key and a vertex id, which both languages compute alike; the
+whole-run entry points run each process on its graph renamed by the run's
+labels (``run_labels``).  ctypes releases the GIL for each call, and an
+engine touches only its own state and buffers, so runs may overlap on
+threads.  A ``Multigraph`` keeps no owner array, and neither engine needs
+one: the cut's reads the graph's contiguous int32 pairing in place (no
+copy, no widening), half-edge h being vertex h // 3's, and the independent
+set's links ``SurvivalGraph.nbr`` in place.
 
 On import the C source is compiled with the system's
 ``cc -O2 -ffp-contract=off -shared -fPIC`` into
@@ -206,13 +207,6 @@ def _writable(buf):
     return (ctypes.c_char * memoryview(buf).nbytes).from_buffer(buf)
 
 
-def _graph_arrays(graph) -> list:
-    """The graph's arrays as the cut engine reads them, its pairing alone:
-    ``Multigraph`` stores it as contiguous int32, with the half-edges
-    grouped by owner, so this is the graph's own array, not a copy."""
-    return [np.ascontiguousarray(graph.pair, dtype=np.int32)]
-
-
 def _run(name: str, entry, proc, arrays, buffers, *args) -> int:
     """One engine's whole run of the process ``proc``, one call of
     ``entry`` over the read-only ``arrays`` of its graph, its key and the
@@ -244,8 +238,7 @@ def cut_run(proc, floor: int) -> int:
     buffers = (proc.status, proc.f, proc.nR, proc.nG, proc.nW, proc.nD,
                proc.pd, proc.alias, proc.revealed, counts)
     try:
-        return _run("cut engine", _lib.cut_run, proc,
-                    _graph_arrays(proc.graph), buffers,
+        return _run("cut engine", _lib.cut_run, proc, (proc.pair,), buffers,
                     proc.query_probability, floor)
     finally:
         proc.good, proc.bad, proc.survival = counts

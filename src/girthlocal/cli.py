@@ -250,7 +250,7 @@ def _run_simulation(target, n, d, seed, options, keep_witness):
     check, or the cut's exact recount by ``count_cut`` and its comparison
     with the run's counters).  A cut's headline figures are the recount
     and the ``imbalance``, green vertices less red.  The witness is the
-    ascending list of set members (``is``) or the colour array (``cut``).
+    ascending array of set members (``is``) or the colour array (``cut``).
     The graph is freed when this returns.
     """
     graph_seed, algo_seed = np.random.SeedSequence(seed).spawn(2)
@@ -319,15 +319,14 @@ def _write_witness(path, target, witness) -> None:
     the vertex and its side, R or G), WITNESS_BLOCK lines at a time."""
     with path.open("w") as out:
         for a in range(0, len(witness), WITNESS_BLOCK):
+            block = witness[a:a + WITNESS_BLOCK].tolist()
             if target == "is":
-                members = witness[a:a + WITNESS_BLOCK]
-                out.write("%d\n" * len(members) % tuple(members))
+                out.write("%d\n" * len(block) % tuple(block))
             else:
-                sides = witness[a:a + WITNESS_BLOCK].tolist()
-                fields = [None] * (2 * len(sides))
-                fields[0::2] = range(a, a + len(sides))
-                fields[1::2] = ["RG"[c] for c in sides]
-                out.write("%d %s\n" * len(sides) % tuple(fields))
+                fields = [None] * (2 * len(block))
+                fields[0::2] = range(a, a + len(block))
+                fields[1::2] = ["RG"[c] for c in block]
+                out.write("%d %s\n" * len(block) % tuple(fields))
 
 
 def _cmd_simulate(args) -> int:

@@ -70,10 +70,11 @@ class Multigraph:
     """Half-edge pairing representation; immutable after construction.
 
     A graph keeps ``pair`` and the block bounds ``_indptr`` alone, both
-    int32, whatever integer arrays it was given; the given values are
-    range-checked first, so an id out of range raises instead of wrapping,
-    and arrays of any other dtype (float, bool) raise.  The pairing's
-    range, fixed-point and involution checks run on every graph.  ``owner``
+    contiguous int32, whatever integer arrays it was given (the C cut
+    engine reads ``pair`` in place); the given values are range-checked
+    first, so an id out of range raises instead of wrapping, and arrays of
+    any other dtype (float, bool) raise.  The pairing's range, fixed-point
+    and involution checks run on every graph.  ``owner``
     is an init-only argument: half-edges not grouped by owner are
     renumbered by a stable sort, so that vertex v's are the block
     ``_indptr[v]:_indptr[v + 1]`` (grouped ones are kept as given), and the
@@ -109,7 +110,7 @@ class Multigraph:
             raise ValueError("half-edge owner out of range")
         if h and (pair.min() < 0 or pair.max() >= h):
             raise ValueError("pairing must be a fixed-point-free involution")
-        pair = pair.astype(np.int32, copy=False)
+        pair = np.ascontiguousarray(pair, dtype=np.int32)
         for s in blocks(h):
             partner = pair[s]
             idx = np.arange(s.start, s.start + partner.size, dtype=np.int32)

@@ -58,7 +58,7 @@ UNDECIDED, IN, OUT = 0, 1, 2
 
 @dataclass
 class IsRunResult:
-    vertices: list
+    vertices: np.ndarray  # the set's members, ascending int64
     n: int
     d: int
     rounds: int
@@ -381,7 +381,7 @@ def run(graph: Multigraph, d: int, seed=None,
     else:
         rounds = _drive(g, d, thin_probability)
     vertices = np.flatnonzero(np.frombuffer(g.status, np.uint8)[labels] == IN)
-    return IsRunResult(vertices=vertices.tolist(), n=graph.n, d=d,
+    return IsRunResult(vertices=vertices, n=graph.n, d=d,
                        rounds=rounds, contractions=g.contractions)
 
 
@@ -424,7 +424,7 @@ def _drive(g: SurvivalGraph, d: int, thin_probability: float) -> int:
 def verify_independent(graph: Multigraph, vertices) -> bool:
     """True iff the ids are distinct vertices of the graph and no non-loop
     edge has both endpoints in the set."""
-    ids = np.fromiter(vertices, dtype=np.int64)
+    ids = np.asarray(vertices, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= graph.n):
         return False
     chosen = np.zeros(graph.n, dtype=bool)

@@ -235,14 +235,18 @@ def test_pairing_must_be_involution():
 
 
 def test_a_graph_keeps_its_pairing_and_blocks_alone():
-    # no owner array: the ndarrays a graph holds are the int32 pairing and
-    # the n + 1 block bounds, and a renamed graph holds the same
+    # no owner array: the ndarrays a graph holds are the int32 pairing,
+    # contiguous even when given strided, and the n + 1 block bounds, and a
+    # renamed graph holds the same
     graph = generate(1000, 3, seed=0)
     labels = np.random.default_rng(0).permutation(1000).astype(np.int32)
-    for g in (graph, load_edge_list(LOOP_CHAIN), graph.renamed(labels)):
+    strided = Multigraph(n=1000, pair=np.repeat(graph.pair, 2)[::2])
+    for g in (graph, load_edge_list(LOOP_CHAIN), graph.renamed(labels),
+              strided):
         arrays = {name: value for name, value in vars(g).items()
                   if isinstance(value, np.ndarray)}
         assert sorted(arrays) == ["_indptr", "pair"]
+        assert g.pair.flags.c_contiguous
         h = g.pair.shape[0]
         assert sum(a.nbytes for a in arrays.values()) == \
             4 * h + 4 * (g.n + 1)

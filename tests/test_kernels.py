@@ -253,12 +253,23 @@ def test_c_source_compiles_without_warnings(tmp_path):
     assert build.returncode == 0, build.stderr
 
 
-def test_the_cut_engine_reads_the_pairing_alone_in_place():
-    # the cut engine takes the graph's int32 pairing as it is: no copy, no
-    # widening to int64, and no owner array
-    for g in (generate(1000, 3, seed=0), load_edge_list(MULTIGRAPHS["K4"])):
-        (given,) = _kernels._graph_arrays(g)
-        assert given.dtype == np.int32 and np.shares_memory(given, g.pair)
+def test_the_cut_engine_reads_the_pairing_alone_in_place(monkeypatch):
+    # cut_run hands the engine the graph's own int32 pairing as its first
+    # pointer: no copy, no widening to int64, and no owner array
+    calls = []
+
+    class Recorded:
+        @staticmethod
+        def cut_run(n, *args):
+            calls.append(args)
+            return 0
+
+    monkeypatch.setattr(_kernels, "_lib", Recorded)
+    for graph in (generate(1000, 3, seed=0),
+                  load_edge_list(MULTIGRAPHS["K4"])):
+        _kernels.cut_run(CutProcess(graph, key=0), 0)
+        assert graph.pair.dtype == np.int32
+        assert calls[-1][0] == graph.pair.ctypes.data
 
 
 def test_the_is_engine_links_the_survival_graph_s_neighbours_in_place(
@@ -387,7 +398,7 @@ def outputs():
         for n, seed in ((66, 0), (2000, 1), (20_000, 2)):
             r = is_local_algorithm.run(generate(n, d, seed=seed), d,
                                        seed=seed)
-            out.append((r.vertices, r.rounds, r.contractions))
+            out.append((r.vertices.tobytes(), r.rounds, r.contractions))
     graphs = [load_edge_list(text) for text in (OVER_CAP, EMPTY_X,
                                                 MERGED_AGAIN)]
     for graph in [empty, *graphs, *staircases()]:
@@ -453,9 +464,10 @@ def test_engines_run_clean_under_the_undefined_behaviour_sanitizer(
 def test_the_sanitized_runs_reach_every_engine_line(tmp_path):
     # a branch that no run reaches should go: the SANITIZED_RUNS, on a
     # library built with --coverage, run every line of the two event
-    # engines but their failure exits, which the FAILED_RUNS and the
-    # out-of-memory test take: a fail call (declared noreturn, so nothing
-    # follows one) and an ENGINE_NOMEM return
+    # engines and of the helpers they share (the block record, the vectors
+    # and FIFO, the bit sets, the draws) but their failure exits, which the
+    # FAILED_RUNS and the out-of-memory test take: a fail call (declared
+    # noreturn, so nothing follows one) and an ENGINE_NOMEM return
     sanitized_runs(tmp_path, (
         *("-O0" if flag == "-O2" else flag for flag in _kernels._CC),
         "--coverage"))
@@ -465,7 +477,7 @@ def test_the_sanitized_runs_reach_every_engine_line(tmp_path):
         text=True, timeout=_kernels._CC_TIMEOUT_S, check=True).stdout
     lines = [line.split(":", 2) for line in report.splitlines()]
     start = next(i for i, (_, _, code) in enumerate(lines)
-                 if "The finite cut process's event engine" in code)
+                 if "Shared by the event engines" in code)
     missed = []
     for count, no, code in lines[start:]:
         code = code.strip()
@@ -550,6 +562,81 @@ def test_an_engine_out_of_memory_raises_memory_error():
     assert check.stdout == ("cut engine: out of memory\n"
                             "independent-set engine: out of memory\n"
                             "0 0 2000000 2000000 0\n")
+
+
+# runs in a fresh interpreter: K repeats of a whole run of each engine at
+# n = 2000 and of each of the FAILED_RUNS; glibc's in-use bytes (mallinfo2's
+# uordblks, the heap's, plus hblkhd, the mmapped blocks'), read after a
+# collection, must be the same after the K-th repeat as after the first,
+# to within MEMORY_BOUND, less than K times the smallest private block
+# (8 bytes, the cut's cand_sum at these n).  A block that a run does not
+# give back takes at least 32 bytes of heap on each repeat.  The child's
+# malloc keeps no per-thread cache (tcache_count=0), whose freed chunks
+# mallinfo2 counts as in use, so the count of a repeat is exact.  The
+# repeats run inside a function: a loop at the top level of a -c script
+# was seen to take 784 bytes once, on its second pass
+MEMORY_REPEATS, MEMORY_BOUND = 20, 80
+MEMORY_GIVEN_BACK = """
+import ctypes
+import gc
+import sys
+from girthlocal import is_local_algorithm
+from girthlocal.config_model import generate
+from girthlocal.cut_local_algorithm import CutProcess
+from test_kernels import FAILED_RUNS, failed_run
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+
+def in_use():
+    gc.collect()
+    info = mallinfo2()
+    return info.uordblks + info.hblkhd
+
+graphs = {d: generate(2000, d, seed=d) for d in (3, 4)}
+
+def repeat():
+    for d in (3, 4):
+        is_local_algorithm.run(graphs[d], d, seed=1)
+    CutProcess(graphs[3], key=1).run()
+    for case in FAILED_RUNS:
+        failed_run(*case, True)
+
+def growth(k):
+    repeat()
+    first = in_use()
+    for _ in range(k - 1):
+        repeat()
+    return in_use() - first
+
+print(growth(int(sys.argv[1])))
+"""
+
+
+def has_mallinfo2() -> bool:
+    """Whether this is Linux with a C library that has glibc's mallinfo2."""
+    return sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None),
+                                                        "mallinfo2")
+
+
+@compiled
+@pytest.mark.skipif(not has_mallinfo2(), reason="no glibc mallinfo2")
+def test_every_engine_run_gives_back_its_memory():
+    # each run frees every private block it allocated, whether it ends
+    # whole or stops at a failed check
+    check = subprocess.run(
+        [sys.executable, "-c", MEMORY_GIVEN_BACK, str(MEMORY_REPEATS)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            (str(SRC), str(Path(__file__).resolve().parent))),
+            GLIBC_TUNABLES="glibc.malloc.tcache_count=0"),
+        capture_output=True, text=True, timeout=300)
+    assert check.returncode == 0 and check.stderr == "", check.stderr
+    assert abs(int(check.stdout)) < MEMORY_BOUND < 8 * MEMORY_REPEATS
 
 
 # u(key, t, purpose, label) as float.hex, for key 0x0123456789abcdef:
