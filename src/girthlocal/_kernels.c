@@ -319,7 +319,7 @@ void cut_chunk(double *state, double eps, int64_t linear, int64_t max_rounds,
 #define ENGINE_NOMEM 1
 #define ENGINE_BROKEN 2
 
-#define BLOCKS 24  /* a run's most private blocks; the cut engine owns 19 */
+#define BLOCKS 24  /* a run's most private blocks; the cut engine owns 18 */
 
 /* a run's exit: its entry's setjmp point, the code that fail leaves, and
  * the addresses of the pointer fields that hold the run's private blocks */
@@ -498,13 +498,13 @@ static int marked_by(uint64_t rk, int64_t v, double p)
  * ascending id, so by label) is the same as in the Python methods, the
  * reference semantics.
  *
- * The lone set is exact as of the start of the last round: a bit set of
- * the lone vertices, read in ascending order.  Whether v is lone depends
- * on its status, its path degree and its R/G labels only, and every change
- * of one of them calls touch (leave, add_path_slot, remove_path_slot,
- * give_label), which puts v in the touched bit set.  Each round re-tests
- * the touched vertices alone and empties that set.  Every vertex starts
- * touched, so an engine's first round tests all n.
+ * The lone set is a bit set of the lone vertices, exact at every change
+ * and read as it stands, in ascending order, at a round's start.  Whether
+ * v is lone depends on its status, its path degree and its R/G labels
+ * only, and every change of one of them calls touch (leave, add_path_slot,
+ * remove_path_slot, give_label), which sets or clears v's bit.  cut_alloc
+ * touches every vertex once, so an engine opened on a state mid-run finds
+ * its lone vertices.
  *
  * The rules rest on the module's invariant (P): every survival path
  * component is a simple path (proved in cut_local_algorithm's docstring).
@@ -530,7 +530,7 @@ static int marked_by(uint64_t rk, int64_t v, double p)
  *     the pattern-scan candidates: a two-level bit set read lowest first,
  *     which holds each vertex at most once (CutProcess.closure says why
  *     once is enough);
- *   - the lone and touched bit sets, and a round's marked vertices.
+ *   - the lone bit set, and a round's marked vertices.
  */
 #define RED 0
 #define GREEN 1
@@ -556,7 +556,7 @@ typedef struct {
     vec order, deferred, queue, walk;
     int64_t qhead, cand_lo;
     int32_t *seen;
-    uint64_t *cand, *cand_sum, *lones, *touched;
+    uint64_t *cand, *cand_sum, *lones;
     int32_t *marked;
 } cut_state;
 
@@ -605,11 +605,25 @@ static int64_t cd(const cut_state *s, int64_t v)
     return s->n_r[v] + s->n_g[v] + s->n_w[v] + s->n_d[v];
 }
 
-/* v's status, path degree or R/G labels changed: the next round re-tests
- * whether it is lone */
+/* survival, no path edge, no white or deferred label, one R/G label.
+ * Read at a round's start, after closure, which leaves no survival vertex
+ * with two or more labels and none whose single label is white: so
+ * n_r + n_g == 1 already rules out a white or deferred label, and n_w and
+ * n_d are not read. */
+static int lone(const cut_state *s, int64_t v)
+{
+    return s->status[v] == 0 && s->pd[v] == 0
+        && s->n_r[v] + s->n_g[v] == 1;
+}
+
+/* v's status, path degree or R/G labels changed: its bit in the lone set
+ * is brought up to date */
 static void touch(cut_state *s, int64_t v)
 {
-    s->touched[v / 64] |= bit_of(v);
+    if (lone(s, v))
+        s->lones[v / 64] |= bit_of(v);
+    else
+        s->lones[v / 64] &= ~bit_of(v);
 }
 
 /* v leaves survival, committed (1) or white (2) */
@@ -930,7 +944,7 @@ static void eliminate_white(cut_state *s, int64_t v)
          * n_w[v] == 1, so mark_white has set the mark */
         set_pending(s, v, s->wsrc[v], s->wbit[v], 1);
     }
-    s->pd[v] = 0;
+    s->pd[v] = 0;  /* v has left survival, so its lone bit stays clear */
 }
 
 static void reduce_rrr(cut_state *s, int64_t s1, int64_t s2, int64_t s3)
@@ -1160,9 +1174,9 @@ static void resolve_pending(cut_state *s)
 
 /* -- the engine's private state ---------------------------------------- */
 
-/* the private state of a fresh engine over s->n vertices, every vertex
- * touched and none pending; vertex v's half-edges are 3v, 3v+1, 3v+2, in
- * the order of the Python slot lists */
+/* the private state of a fresh engine over s->n vertices, each lone bit
+ * read off the shared state and none pending; vertex v's half-edges are
+ * 3v, 3v+1, 3v+2, in the order of the Python slot lists */
 static void cut_alloc(cut_state *s)
 {
     failure *f = &s->fail;
@@ -1180,7 +1194,6 @@ static void cut_alloc(cut_state *s)
     take(f, &s->cand, words(n), sizeof *s->cand);
     take(f, &s->cand_sum, words(words(n)), sizeof *s->cand_sum);
     take(f, &s->lones, words(n), sizeof *s->lones);
-    take(f, &s->touched, words(n), sizeof *s->touched);
     take(f, &s->marked, n, sizeof *s->marked);
     for (int64_t v = 0; v < n; v++) {
         s->next[3 * v] = (int32_t)(3 * v + 1);
@@ -1193,32 +1206,6 @@ static void cut_alloc(cut_state *s)
 
 /* -- the round schedule: cut_drive and its helpers --------------------- */
 
-/* survival, no path edge, no white or deferred label, one R/G label.
- * Tested after closure only, which leaves no survival vertex with two or
- * more labels and none whose single label is white: so n_r + n_g == 1
- * already rules out a white or deferred label, and n_w and n_d are not
- * read. */
-static int lone(const cut_state *s, int64_t v)
-{
-    return s->status[v] == 0 && s->pd[v] == 0
-        && s->n_r[v] + s->n_g[v] == 1;
-}
-
-/* word i of the lone set, brought up to date: each touched vertex in it
- * is re-tested and leaves the touched set */
-static uint64_t lone_word(cut_state *s, int64_t i)
-{
-    for (uint64_t w = s->touched[i]; w; w &= w - 1) {
-        int64_t v = 64 * i + lowest(w);
-        if (lone(s, v))
-            s->lones[i] |= bit_of(v);
-        else
-            s->lones[i] &= ~bit_of(v);
-    }
-    s->touched[i] = 0;
-    return s->lones[i];
-}
-
 /* round t of the schedule (CutProcess.query_round): each lone vertex, as
  * CutProcess.lones finds them, is marked when its draw falls below q, and
  * each marked vertex that is still a survival vertex with an open
@@ -1228,7 +1215,7 @@ static void query_round(cut_state *s, int64_t t, double q)
     uint64_t rk = round_key(s->key, t, MARK);
     int64_t count = 0;
     for (int64_t i = 0; i < words(s->n); i++)
-        for (uint64_t w = lone_word(s, i); w; w &= w - 1)
+        for (uint64_t w = s->lones[i]; w; w &= w - 1)
             if (marked_by(rk, 64 * i + lowest(w), q))
                 s->marked[count++] = (int32_t)(64 * i + lowest(w));
     for (int64_t i = 0; i < count; i++) {

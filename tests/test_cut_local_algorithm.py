@@ -26,6 +26,12 @@ K4 = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 def test_rejects_non_cubic_graph():
     with pytest.raises(ValueError):
         CutProcess(generate(10, 4, seed=0))
+    # run_cut checks before it renames: a 4-regular graph, and one whose
+    # degrees are 3, 3, 2, 2
+    for graph in (generate(10, 4, seed=0),
+                  load_edge_list("4 5\n0 1\n0 2\n0 3\n1 2\n1 3\n")):
+        with pytest.raises(ValueError, match="3-regular"):
+            run_cut(graph, seed=0)
 
 
 def test_rejects_bad_parameters():
@@ -313,6 +319,18 @@ def test_connected_fails_loudly_on_a_cyclic_path():
         p._connected(0, 5)
 
 
+def test_a_missing_path_slot_fails_loudly():
+    # dropping or replacing a path slot that is not there reports the
+    # broken bookkeeping, and leaves the slots as they were
+    p = CutProcess(generate(12, 3, seed=0), key=0)
+    p._add_path_slot(0, 1, 1)
+    for change in (lambda: p._remove_path_slot(0, 5),
+                   lambda: p._replace_path_slot(0, 5, 6, 0)):
+        with pytest.raises(AssertionError, match="out of sync"):
+            change()
+    assert p.path[0] == [(1, 1)] and p.pd[0] == 1
+
+
 def outputs_of(r):
     return r.colors.tobytes(), r.good, r.bad, r.rounds
 
@@ -412,13 +430,17 @@ LONE_BY_REDUCTION = (302, 2)
 
 @compiled
 def test_c_run_matches_python_where_the_lone_set_changes(monkeypatch):
-    # the engine's first round tests every vertex for being lone; each
-    # later one re-tests only the vertices touched since (a change of
-    # status, path degree or R/G labels).  130 ends in a partial 64-bit
-    # word of the engine's bit sets.  At q = 0 every round is followed by
-    # a bootstrap, whose commits can take a lone vertex out of survival;
-    # at q = 1 every lone vertex is queried.  A touch missing from the lone
-    # set's upkeep makes the C run differ from the Python one
+    # the engine tests every vertex for being lone when it opens; after
+    # that, each change of status, path degree or R/G labels sets or
+    # clears the vertex's lone bit, and a round reads the lone set as it
+    # stands.  130 ends in a partial 64-bit word of the engine's bit sets.
+    # At q = 0 every round is followed by a bootstrap, whose commits can
+    # take a lone vertex out of survival; at q = 1 every lone vertex is
+    # queried.  A lone bit left stale where a label arrives or a path edge
+    # goes makes the C run differ from the Python one.  One left set where
+    # a vertex leaves survival or gains a path edge changes nothing: the
+    # round skips a vertex out of survival, and closure leaves a survival
+    # vertex with one label and a path edge no open half-edge
     n, seed = LONE_BY_REDUCTION
     assert reductions_leaving_a_lone(generate(n, 3, seed=seed), seed) > 0
     inputs = [(n, s) for n in (10, 130, 302, 2000) for s in range(2)]
@@ -430,9 +452,9 @@ def test_c_run_matches_python_where_the_lone_set_changes(monkeypatch):
 def test_c_lone_scan_on_an_engine_opened_mid_run():
     # the Python methods label the neighbours of a few far-apart vertices
     # (no path edge or pending colour, which only the engine would hold);
-    # an engine opened then finds those lones by its first, full scan, and
-    # the run it finishes in one call matches the Python methods
-    # finishing it
+    # an engine opened then finds those lones, since it tests every vertex
+    # when it opens, and the run it finishes in one call matches the
+    # Python methods finishing it
     graph = generate(2000, 3, seed=4)
     nbrs = graph.neighbor_lists()
     runs = []

@@ -160,6 +160,11 @@ def test_delete_on_empty_state_raises():
     st = state_of()
     with pytest.raises(ProcessExhausted):
         is3_delete_step(st, TINY)
+    # top class 4: the correction terms draw from an open-edge pool, which
+    # must not be empty
+    st = state_of(v4=0.5)
+    with pytest.raises(ProcessExhausted, match="open-edge pool"):
+        is3_delete_step(st, TINY, improvement=True, edge_pool=0.0)
 
 
 def test_delete_improvement_corrections_frozen_values():

@@ -131,6 +131,10 @@ def test_delete_uncontracted_commits_nothing():
     g.delete(2)
     assert decided(g, IN) == [] and decided(g, OUT) == [2]
     assert g.deg[0] == 2
+    # a vertex no longer in the graph cannot be deleted again
+    with pytest.raises(ValueError, match="not in the survival graph"):
+        g.delete(2)
+    assert decided(g, OUT) == [2] and g.survival_count == 3
 
 
 def test_contract_returns_the_live_merged_vertex():
