@@ -1,15 +1,17 @@
-"""Exhaustive oracles: fixed anchors, witness validity, naive cross-checks."""
+"""Exact oracles: fixed anchors, witness validity, naive cross-checks."""
 import numpy as np
 import pytest
 
 from girthlocal import exact_oracle
-from girthlocal.config_model import load_edge_list
+from girthlocal.config_model import generate, load_edge_list
 from girthlocal.exact_oracle import (
     SmallGraph,
     from_multigraph,
     max_cut,
     max_independent_set,
 )
+from girthlocal.is_local_algorithm import run as run_is
+from girthlocal.is_local_algorithm import verify_independent
 
 
 def graph_of(text: str) -> SmallGraph:
@@ -130,7 +132,7 @@ def test_cut_witness_reproduces_size():
 
 
 def test_size_limits():
-    big = SmallGraph(n=31, nbr=[0] * 31, edges=[])
+    big = SmallGraph(n=201, nbr=[0] * 201, edges=[])
     with pytest.raises(ValueError):
         max_independent_set(big)
     mid = SmallGraph(n=27, nbr=[0] * 27, edges=[])
@@ -145,6 +147,24 @@ def test_small_graph_validation():
         SmallGraph(n=2, nbr=[1, 0], edges=[])   # self bit
     with pytest.raises(ValueError):
         SmallGraph(n=1, nbr=[2], edges=[])      # out of range
+    with pytest.raises(ValueError):
+        SmallGraph(n=3, nbr=[0, 0], edges=[])   # nbr too short
+    with pytest.raises(ValueError):
+        SmallGraph(n=1, nbr=[0, 0], edges=[])   # nbr too long
+    path = [2, 5, 2]                            # the path 0 - 1 - 2
+    for edges in ([(0, 1, 1)],                  # a pair of nbr missing
+                  [(0, 1, 1), (1, 2, 1), (0, 2, 1)],   # a pair not in nbr
+                  [(1, 0, 1), (1, 2, 1)],       # u > v
+                  [(0, 1, 1), (1, 2, 1), (1, 2, 1)],   # a pair twice
+                  [(0, 1, 0), (1, 2, 1)],       # weight 0
+                  [(0, 1, 1), (1, 2, 1), (2, 2, 1)],   # a loop
+                  [(0, 1, 1), (1, 2, 1), (1, 7, 1)]):  # v >= n
+        with pytest.raises(ValueError):
+            SmallGraph(n=3, nbr=path, edges=edges)
+    with pytest.raises(ValueError):
+        SmallGraph(n=3, nbr=[0, 0, 0], edges=[(0, 1, 1), (1, 7, 1),
+                                              (2, 2, 1)])
+    assert SmallGraph(n=3, nbr=path, edges=[(0, 1, 2), (1, 2, 1)]).n == 3
 
 
 def test_branching_agrees_with_enumeration():
@@ -221,3 +241,78 @@ def test_matching_bound_keeps_every_answer(monkeypatch):
                         counted(lambda nbr, avail: avail.bit_count(), 1))
     assert [max_independent_set(g) for g in graphs] == found
     assert calls[0] < calls[1]  # the matching bound did prune
+
+
+def branch_and_bound_mis(g: SmallGraph):
+    """The oracle's former search, kept as a referee: branch on a
+    highest-degree vertex, solve greedily once every degree is <= 1, and
+    prune a subtree whose size plus the matching bound cannot beat the
+    best found."""
+    nbr = g.nbr
+    best = [-1, 0]
+
+    def solve(avail: int, size: int, chosen: int) -> None:
+        if size + exact_oracle._matching_bound(nbr, avail) <= best[0]:
+            return
+        top, top_deg = -1, -1
+        for v in range(g.n):
+            if (avail >> v) & 1:
+                deg = (nbr[v] & avail).bit_count()
+                if deg > top_deg:
+                    top, top_deg = v, deg
+        if top_deg <= 1:
+            left = avail
+            while left:
+                low = left & -left
+                v = low.bit_length() - 1
+                chosen |= low
+                size += 1
+                left &= ~(low | nbr[v])
+            if size > best[0]:
+                best[0], best[1] = size, chosen
+            return
+        bit = 1 << top
+        solve(avail & ~(bit | nbr[top]), size + 1, chosen | bit)
+        solve(avail & ~bit, size, chosen)
+
+    solve((1 << g.n) - 1, 0, 0)
+    return best[0], [v for v in range(g.n) if (best[1] >> v) & 1]
+
+
+def random_multigraph(rng, n: int, m: int) -> SmallGraph:
+    """m uniform vertex pairs: loops and parallel edges included."""
+    pairs = rng.integers(0, n, size=(m, 2))
+    return graph_of(f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+
+
+def test_branch_and_reduce_agrees_with_branch_and_bound():
+    rng = np.random.default_rng(4646)
+    graphs = [graph_of("0 0\n"), graph_of("1 0\n"), graph_of("1 1\n0 0\n")]
+    for p in (0.03, 0.08, 0.15, 0.3, 0.5, 0.7):
+        graphs += [random_graph(rng, int(rng.integers(2, 31)), p)
+                   for _ in range(20)]
+    graphs += [random_multigraph(rng, n, int(rng.integers(n, 3 * n)))
+               for n in rng.integers(2, 31, size=40)]
+    graphs += [from_multigraph(generate(30, d, seed=seed))
+               for d in (3, 4) for seed in range(20)]
+    assert len(graphs) >= 200
+    for g in graphs:
+        before = list(g.nbr)
+        size, picked = max_independent_set(g)
+        assert g.nbr == before
+        assert size == branch_and_bound_mis(g)[0]
+        assert len(set(picked)) == len(picked) == size
+        assert check_independent(g, picked)
+
+
+# generated cubic graphs at the oracle's limit: seed -> independence number
+CUBIC_200 = {0: 90, 1: 89, 2: 89}
+
+
+def test_cubic_graphs_at_n_200():
+    for seed, optimum in CUBIC_200.items():
+        graph = generate(200, 3, seed=seed)
+        size, picked = max_independent_set(from_multigraph(graph))
+        assert size == optimum == len(picked)
+        assert verify_independent(graph, picked)
+        assert run_is(graph, 3, seed=seed).size <= size
