@@ -1,12 +1,11 @@
 """Exact maximum independent set and maximum cut on small graphs.
 
-Ground truth for the finite-graph algorithms: exact searches (branch and
-reduce for the independent set, every bipartition for the cut) with n
-capped where a search still ends in about a second.  Inputs come from
-Multigraph instances; the underlying simple graph drives independence,
-while the cut objective keeps parallel-edge multiplicity (a parallel pair
-crossing the cut counts twice).  Self-loops can never contribute to either
-objective and are dropped.
+Ground truth for the finite-graph algorithms: branch and reduce for the
+independent set and an enumeration of every bipartition for the cut, each
+with n capped in ``LIMITS``.  Inputs come from Multigraph instances; the
+underlying simple graph drives independence, while the cut objective keeps
+parallel-edge multiplicity (a parallel pair crossing the cut counts twice).
+Self-loops can never contribute to either objective and are dropped.
 """
 from __future__ import annotations
 
@@ -19,8 +18,9 @@ from .config_model import Multigraph
 __all__ = ["SmallGraph", "check_order", "small_graph", "from_multigraph",
            "max_independent_set", "max_cut"]
 
-# problem -> (oracle name, largest n it searches): a generated cubic graph
-# at n = 200 takes under a second, a 4-regular one up to a minute or more
+# problem -> (oracle name, largest n it searches); at n = 200 a generated
+# cubic graph's independent set takes under a second, a 4-regular one's
+# about a minute
 LIMITS = {"mis": ("independent-set", 200), "maxcut": ("max-cut", 26)}
 
 # max_cut's low vertices, whose 2**LOW_BITS settings form one numpy row
@@ -135,7 +135,8 @@ def max_independent_set(g: SmallGraph):
             queue ^= low
             if not avail & low:
                 continue
-            adj = nbr[low.bit_length() - 1] & avail
+            v = low.bit_length() - 1
+            adj = nbr[v] & avail
             deg = adj.bit_count()
             if deg > 2:
                 continue
@@ -160,12 +161,9 @@ def max_independent_set(g: SmallGraph):
                 continue
             avail ^= low | b
             merged = nbr[u] = (nbr[u] | nbr[w]) & avail
-            left = nbr[w] & avail
-            while left:
-                x = left & -left
-                left ^= x
-                nbr[x.bit_length() - 1] |= a
-            folds = (low.bit_length() - 1, u, w, folds)
+            for x in _bits(nbr[w] & avail):
+                nbr[x] |= a
+            folds = (v, u, w, folds)
             queue |= merged | a
         if size + _matching_bound(nbr, avail) <= best[0]:
             return
@@ -185,11 +183,8 @@ def max_independent_set(g: SmallGraph):
         adj = nbr[top] & avail
         rest = avail & ~(bit | adj)
         queue = 0
-        left = adj
-        while left:
-            low = left & -left
-            left ^= low
-            queue |= nbr[low.bit_length() - 1]
+        for x in _bits(adj):
+            queue |= nbr[x]
         solve(list(nbr), rest, queue & rest, size + 1, taken | bit, folds)
         solve(nbr, avail ^ bit, adj, size, taken, folds)
 
